@@ -7,7 +7,7 @@ simulated semantics (and say so in the PR):
 
     PYTHONPATH=src python tests/golden/generate_fixtures.py
 
-Two fixtures:
+Three fixtures:
 
 * ``pinned_grid_records.json`` — the 16-cell pinned bench grid
   (``repro.tools.bench.PINNED_GRID``) executed on the serial reference
@@ -19,10 +19,19 @@ Two fixtures:
   fixed chunk set between coordinated checkpoints.  Captures every
   ``CheckpointStats`` field per checkpoint plus the pre-copy engine's
   accounting — the exact schedule each policy produces.
+* ``trace_digests.json`` — blake2b of the sorted-key Jsonl event stream
+  (``run_grid(trace=...)``) of one small cell per copy-path
+  combination (:data:`TRACE_CELLS`).  The records above pin what a run
+  *sums to*; this pins the order and every field of the events it is
+  made of.  The header line is left out of the digest: it carries the
+  cell's resolved option list, which grows with every new CLI option
+  and says nothing about the event stream.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import os
 import sys
@@ -55,6 +64,44 @@ TOUCH_SCRIPT = [
 ]
 
 MODES = ["none", "cpc", "dcpc", "dcpcp"]
+
+_LAMMPS_2X2 = [
+    "--app", "lammps", "--local-interval", "20", "--nvm-gbps", "1.0",
+    "--nodes", "2", "--ranks-per-node", "2", "--iterations", "2",
+]
+#: one cell per copy-path combination (name -> experiment argv): every
+#: site that moves a chunk — coordinated step, local pre-copy, remote
+#: stream, remote round, re-sync — runs in at least one of them, whole
+#: chunks and page extents, raw and encoded, compressed and not
+TRACE_CELLS = {
+    "dcpcp-remote-precopy": _LAMMPS_2X2 + ["--remote-interval", "40", "--mode", "dcpcp"],
+    "none-no-remote": _LAMMPS_2X2 + ["--mode", "none", "--no-remote"],
+    "page-codec-auto": [
+        "--app", "lammps", "--local-interval", "20", "--nvm-gbps", "1.0",
+        "--nodes", "2", "--ranks-per-node", "1", "--iterations", "4",
+        "--remote-interval", "40", "--mode", "dcpcp",
+        "--copy-granularity", "page", "--codec", "auto",
+    ],
+    "gtc-small-chunks-96": [
+        "--app", "gtc", "--nodes", "2", "--ranks-per-node", "1",
+        "--iterations", "3", "--local-interval", "20", "--remote-interval", "60",
+        "--mode", "dcpcp", "--nvm-gbps", "1.0", "--small-chunks", "96",
+    ],
+    # the cell seed *is* the failure schedule (soft and hard failures,
+    # restart, remote fetch, re-sync)
+    "synthetic-failures": [
+        "--app", "synthetic", "--nodes", "4", "--ranks-per-node", "2",
+        "--iterations", "10", "--local-interval", "15", "--remote-interval", "45",
+        "--checkpoint-mb", "80", "--chunk-mb", "10", "--mtbf-local", "200",
+        "--mtbf-remote", "600", "--mode", "dcpcp", "--nvm-gbps", "2.0",
+        "--seed", "1",
+    ],
+    # four iterations: the remote stream only starts after the first
+    # round, so two would leave the compressed stream sends unpinned
+    "compress-ratio-0.6": _LAMMPS_2X2[:-1] + [
+        "4", "--remote-interval", "40", "--mode", "dcpcp", "--compress-ratio", "0.6",
+    ],
+}
 
 
 def standalone_schedule(mode: str) -> dict:
@@ -124,6 +171,17 @@ def pinned_grid_records() -> list:
     return report.records
 
 
+def trace_digest(argv: list) -> dict:
+    """Event count and blake2b digest of one cell's trace stream."""
+    from repro.exec.grid import run_grid
+
+    buf = io.StringIO()
+    run_grid(argv, None, workers=1, cache=None, trace=buf, derive_seeds=False)
+    lines = buf.getvalue().splitlines(keepends=True)[1:]  # [0] is the header
+    digest = hashlib.blake2b("".join(lines).encode("utf-8"), digest_size=16)
+    return {"events": len(lines), "blake2b": digest.hexdigest()}
+
+
 def main() -> int:
     grid = pinned_grid_records()
     with open(os.path.join(FIXTURE_DIR, "pinned_grid_records.json"), "w") as fh:
@@ -140,6 +198,13 @@ def main() -> int:
             f"standalone[{rec['mode']}]: {rec['checkpoints_done']} ckpts, "
             f"{rec['total_bytes_to_nvm']} bytes to NVM"
         )
+
+    digests = {name: trace_digest(argv) for name, argv in TRACE_CELLS.items()}
+    with open(os.path.join(FIXTURE_DIR, "trace_digests.json"), "w") as fh:
+        json.dump(digests, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for name, rec in digests.items():
+        print(f"trace[{name}]: {rec['events']} events, {rec['blake2b']}")
     return 0
 
 

@@ -87,3 +87,14 @@ def test_pinned_grid_matches_golden():
     live = _roundtrip(gen.pinned_grid_records())
     assert len(live) == 16
     assert live == stored
+
+
+@pytest.mark.parametrize("cell", sorted(gen.TRACE_CELLS))
+def test_trace_stream_matches_golden(cell):
+    """The records above pin what a run sums to; this pins the event
+    stream itself — order and every field of every ``chunk.copied`` /
+    ``policy.decision`` / ``codec.decision`` / ``commit`` / ``failover``
+    line — for one cell per copy-path combination."""
+    stored = _fixture("trace_digests.json")
+    assert sorted(stored) == sorted(gen.TRACE_CELLS)
+    assert gen.trace_digest(gen.TRACE_CELLS[cell]) == stored[cell]
