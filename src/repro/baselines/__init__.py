@@ -11,7 +11,7 @@
 """
 
 from .ramdisk import MemoryPathModel, RamdiskPathModel, PathCosts
-from .pfs import PfsModel, make_pfs_transfer
+from .pfs import PfsModel
 from .configs import (
     async_noprecopy_config,
     blocking_local_policy,
@@ -24,7 +24,6 @@ __all__ = [
     "MemoryPathModel",
     "PathCosts",
     "PfsModel",
-    "make_pfs_transfer",
     "blocking_local_policy",
     "precopy_local_policy",
     "async_noprecopy_config",

@@ -7,22 +7,19 @@ models the PFS as what it is at checkpoint time: one *globally shared*
 I/O resource all ranks contend on, plus per-operation metadata costs
 (open/create on a shared metadata server).
 
-``PfsModel`` is the shared substrate; ``make_pfs_transfer`` adapts it
-to the :class:`~repro.core.local.LocalCheckpointer` transfer hook so
-the same coordinator code drives PFS-target checkpoints.
+``PfsModel`` is the shared substrate;
+:class:`repro.core.destination.PfsDestination` is the checkpoint
+backend over it, so the same engine drives PFS-target checkpoints.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-from ..alloc.chunk import Chunk
 from ..sim.engine import Engine
 from ..sim.events import Event
 from ..sim.resources import BandwidthResource
 from ..units import GB_per_sec, msec
 
-__all__ = ["PfsModel", "make_pfs_transfer"]
+__all__ = ["PfsModel"]
 
 
 class PfsModel:
@@ -71,25 +68,3 @@ class PfsModel:
     @property
     def total_bytes(self) -> float:
         return self.resource.total_bytes
-
-
-def make_pfs_transfer(pfs: PfsModel, rank: str) -> Callable[[Chunk], Event]:
-    """Deprecated: a LocalCheckpointer ``transfer_fn`` that writes
-    chunks to the PFS instead of node-local NVM.  Use
-    :class:`repro.core.destination.PfsDestination`, which carries the
-    whole backend contract (flush/metadata/no-shadow-commit), instead
-    of this data-path-only hook."""
-    import warnings
-
-    warnings.warn(
-        "make_pfs_transfer() is deprecated; build a "
-        "repro.core.destination.PfsDestination and pass it as the "
-        "checkpointer's destination instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-
-    def transfer(chunk: Chunk) -> Event:
-        return pfs.write(chunk.nbytes, tag=f"{rank}:pfsckpt")
-
-    return transfer

@@ -511,11 +511,7 @@ def recover_hard(runner, node: ClusterNode):
                     for a in h.ranks
                 }
                 for pid, target in h.targets.items():
-                    dest = h.destinations.get(pid)
-                    if dest is not None:
-                        dest.retarget(target)
-                    else:
-                        h.destinations[pid] = h._make_destination(pid, target)
+                    h.destinations[pid].retarget(target)
                 if BUS.active:
                     BUS.emit(
                         FailoverEvent(

@@ -56,11 +56,6 @@ from .node import ClusterNode, RankState
 
 __all__ = ["ClusterRunner", "RunResult"]
 
-# Re-exported for backward compatibility: the recovery-phase logic
-# (and its timing constants) lives in repro.cluster.phases.
-SOFT_REBOOT_DELAY = phases.SOFT_REBOOT_DELAY
-HARD_REPLACE_DELAY = phases.HARD_REPLACE_DELAY
-
 
 @dataclass
 class RunResult:
@@ -807,20 +802,22 @@ class ClusterRunner:
             res.helper_utilization = sum(
                 h.helper_utilization(t_end) for h in helpers
             ) / len(helpers)
-        # payload codec (local engines + remote helpers share counters)
+        # payload codec (local engines + remote helpers keep the same
+        # counter record on their copy step)
         codec_on = [
             s
             for s in [state.checkpointer for state in ranks] + list(helpers)
-            if getattr(s, "codec", None) is not None
+            if s.codec is not None
         ]
         if codec_on:
+            counters = [s.copier.counters for s in codec_on]
             res.codec = True
             res.codec_name = codec_on[0].codec.name
-            res.codec_logical_bytes = sum(s.codec_logical_bytes for s in codec_on)
-            res.codec_wire_bytes = sum(s.codec_wire_bytes for s in codec_on)
-            res.codec_delta_bytes = sum(s.codec_delta_bytes for s in codec_on)
-            res.codec_blocks_new = sum(s.codec_blocks_new for s in codec_on)
-            res.codec_blocks_ref = sum(s.codec_blocks_ref for s in codec_on)
+            res.codec_logical_bytes = sum(c.logical_bytes for c in counters)
+            res.codec_wire_bytes = sum(c.wire_bytes for c in counters)
+            res.codec_delta_bytes = sum(c.delta_bytes for c in counters)
+            res.codec_blocks_new = sum(c.blocks_new for c in counters)
+            res.codec_blocks_ref = sum(c.blocks_ref for c in counters)
         # fabric
         CKPT_KINDS = ["rckpt", "rprecopy", "rfetch", "resync", "migrate"]
         res.fabric_peak_window_bytes = cluster.fabric.peak_window_usage(1.0, t_end)

@@ -5,6 +5,8 @@
 * :mod:`~repro.core.prediction` — DCPCP prediction table + chunk
   modification state machine (Fig. 6);
 * :mod:`~repro.core.threshold` — DCPC pre-copy threshold estimation;
+* :mod:`~repro.core.copystep` — the one chunk-copy step (plan ->
+  move -> land) every copy site runs;
 * :mod:`~repro.core.precopy` — the background chunk pre-copy engine;
 * :mod:`~repro.core.local` — coordinated local checkpoints (shadow
   buffering + two-version commit);
@@ -37,7 +39,6 @@ from .destination import (
     PfsDestination,
     RamdiskDestination,
     RemoteBuddyDestination,
-    TransferFnDestination,
 )
 from .precopy import PrecopyEngine
 from .engine import CheckpointEngine, CheckpointStats
@@ -73,7 +74,6 @@ __all__ = [
     "PfsDestination",
     "RamdiskDestination",
     "RemoteBuddyDestination",
-    "TransferFnDestination",
     "PrecopyEngine",
     "CheckpointEngine",
     "LocalCheckpointer",

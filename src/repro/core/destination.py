@@ -28,7 +28,7 @@ import numpy as np
 from ..alloc.chunk import Chunk, batch_commit
 from ..alloc.nvmalloc import NVAllocator
 from ..errors import CheckpointError
-from .codec import DEFAULT_BLOCK, BlockStore, Payload
+from .codec import DEFAULT_BLOCK, BlockStore, Payload, blocks_of_extents
 from .context import NodeContext
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "PfsDestination",
     "RamdiskDestination",
     "RemoteBuddyDestination",
-    "TransferFnDestination",
     "validate_extents",
 ]
 
@@ -120,8 +119,16 @@ class Destination:
 
     def stage(self, chunk: Chunk, extents: Optional[List[Tuple[int, int]]] = None) -> None:
         """Record the just-written payload as this chunk's in-progress
-        version (no-op for single-version backends).  With *extents*,
-        only those byte runs are staged (page-granular mode)."""
+        version.  With *extents*, only those byte runs are staged
+        (page-granular mode).  Flat single-version backends have no
+        stage step; they only record the copy against the stale map."""
+        if extents is not None:
+            chunk.mark_extents_copied("local", extents)
+
+    def staged_blocks(self, chunk: Chunk, payload: Payload) -> np.ndarray:
+        """Indices of the content blocks the last :meth:`stage` of
+        *chunk* wrote — the coverage the digest index must describe."""
+        return payload.block_index
 
     def flush(self) -> float:
         """Issue a persistence barrier; returns its simulated cost."""
@@ -163,8 +170,10 @@ class NVMArenaDestination(Destination):
     name = "nvm"
     two_version = True
 
-    def __init__(self, ctx: NodeContext, allocator: NVAllocator) -> None:
+    def __init__(self, ctx: NodeContext, allocator: Optional[NVAllocator] = None) -> None:
         self.ctx = ctx
+        #: only metadata persistence and restart reads need it; a bare
+        #: pre-copy stream writes and stages without one
         self.allocator = allocator
 
     def write(self, chunk: Chunk, *, tag: str = ""):
@@ -299,17 +308,20 @@ class RamdiskDestination(Destination):
 
 class RemoteBuddyDestination(Destination):
     """The buddy node's remote arena, wrapping one
-    :class:`~repro.core.remote.RemoteTarget`.  ``write`` is the fabric
-    send (injected by the remote helper, which owns pacing/compression/
-    resilient retries); ``stage``/``commit``/``read`` are the target's
-    own two-version protocol on the buddy's NVM."""
+    :class:`~repro.core.remote.RemoteTarget`.  ``stage``/``commit``/
+    ``read`` are the target's own two-version protocol on the buddy's
+    NVM.  ``write*`` is the injected fabric send of an engine driving
+    this backend directly; the remote helper's views have none (their
+    ``write*`` is unusable) — it moves bytes through its own paced,
+    resilient transport."""
 
     name = "buddy"
     two_version = True
 
-    def __init__(self, target, send_fn: Callable[..., object]) -> None:
-        #: ``send_fn(chunk, extents=None)`` — the fabric transfer; with
-        #: *extents* only those byte runs go over the wire.
+    def __init__(self, target, send_fn: Optional[Callable[..., object]] = None) -> None:
+        #: ``send_fn(chunk, extents=None, wire=None)`` — the fabric
+        #: transfer; with *extents* only those byte runs go over the
+        #: wire, *wire* overrides the volume (encoded payloads).
         self.target = target
         self._send_fn = send_fn
 
@@ -341,6 +353,13 @@ class RemoteBuddyDestination(Destination):
 
     def write_payload(self, chunk: Chunk, payload: Payload, *, tag: str = ""):
         return self._send_fn(chunk, payload.extents, wire=payload.wire_bytes)
+
+    def staged_blocks(self, chunk: Chunk, payload: Payload) -> np.ndarray:
+        # staging re-reads the stale map, so raced writes land too:
+        # derive coverage from the runs the target actually wrote
+        return blocks_of_extents(
+            self.target.last_staged_runs, self.block_store.block, chunk.nbytes
+        )
 
     def pending_extents(self, chunk: Chunk) -> List[Tuple[int, int]]:
         # ensure_chunk creates the buddy regions *and* the chunk's
@@ -376,62 +395,3 @@ class RemoteBuddyDestination(Destination):
 
     def capacity(self) -> float:
         return float(self.target.dst_ctx.nvm.free)
-
-
-class TransferFnDestination(Destination):
-    """Adapter for the legacy ``transfer_fn``/``stage_to_nvm``
-    checkpointer parameters: an arbitrary per-chunk transfer callable,
-    optionally composed with the local NVM arena's control plane."""
-
-    name = "custom"
-
-    def __init__(
-        self,
-        transfer_fn: Callable[[Chunk], object],
-        ctx: NodeContext,
-        allocator: NVAllocator,
-        *,
-        stage_to_nvm: bool = True,
-    ) -> None:
-        self.transfer_fn = transfer_fn
-        self.ctx = ctx
-        self.allocator = allocator
-        self.two_version = stage_to_nvm
-
-    def write(self, chunk: Chunk, *, tag: str = ""):
-        return self.transfer_fn(chunk)
-
-    def write_at(
-        self, chunk: Chunk, extents: List[Tuple[int, int]], *, tag: str = ""
-    ):
-        # legacy transfer callables take whole chunks; charge the full
-        # transfer rather than guess at their cost model
-        return self.transfer_fn(chunk)
-
-    def stage(self, chunk: Chunk, extents: Optional[List[Tuple[int, int]]] = None) -> None:
-        if self.two_version:
-            chunk.stage_to_nvm(extents)
-
-    def flush(self) -> float:
-        return self.ctx.nvmm.cache_flush()
-
-    def commit(
-        self,
-        chunks: Iterable[Chunk],
-        *,
-        with_checksum: bool = True,
-        on_commit: Optional[Callable[[Chunk], None]] = None,
-    ) -> float:
-        if self.two_version:
-            batch_commit(list(chunks), with_checksum=with_checksum, on_commit=on_commit)
-        return 0.0
-
-    def persist_metadata(self) -> None:
-        self.allocator._persist_metadata()
-
-    def read(self, chunk_name: str) -> np.ndarray:
-        chunk = self.allocator.chunk(chunk_name)
-        return chunk.committed_region().read(0, chunk.nbytes)
-
-    def capacity(self) -> float:
-        return float(self.ctx.nvm.free)

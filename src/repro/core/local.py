@@ -1,79 +1,19 @@
-"""Coordinated local checkpoints (§IV/§V): the historical per-rank
-checkpointer, now a thin facade over the unified
-:class:`~repro.core.engine.CheckpointEngine`.
+"""Coordinated local checkpoints (§IV/§V): the per-rank checkpointer
+under its public name.
 
-:class:`LocalCheckpointer` preserves the original constructor surface —
-including the legacy ``transfer_fn``/``stage_to_nvm`` parameters, which
-it maps onto a :class:`~repro.core.destination.Destination` backend
-(:class:`~repro.core.destination.NVMArenaDestination` by default,
-:class:`~repro.core.destination.TransferFnDestination` when a custom
-data path is injected, e.g. the PFS baseline).  All scheduling,
-copy-walk, and commit-ordering logic lives in the engine; the paper's
-four modes are :mod:`repro.core.policy` strategies selected by the
-config's ``mode``.
-
-``CheckpointStats`` is re-exported here for backward compatibility;
-new code should import it from :mod:`repro.core.engine` (or
-:mod:`repro.core`).
+All scheduling, copy-walk and commit-ordering logic lives in
+:class:`~repro.core.engine.CheckpointEngine`; the paper's four modes
+are :mod:`repro.core.policy` strategies selected by the config's
+``mode``, and where the bytes land is the ``destination`` backend
+(:mod:`repro.core.destination`, the NVM shadow arena by default).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from .engine import CheckpointEngine
 
-from ..alloc.nvmalloc import NVAllocator
-from ..config import PrecopyPolicy
-from ..metrics.timeline import Timeline
-from .context import NodeContext
-from .destination import NVMArenaDestination, TransferFnDestination
-from .engine import CheckpointEngine, CheckpointStats
-
-__all__ = ["LocalCheckpointer", "CheckpointStats"]
+__all__ = ["LocalCheckpointer"]
 
 
 class LocalCheckpointer(CheckpointEngine):
-    """Per-rank local checkpoint coordinator (facade)."""
-
-    def __init__(
-        self,
-        ctx: NodeContext,
-        allocator: NVAllocator,
-        policy: Optional[PrecopyPolicy] = None,
-        *,
-        destination=None,
-        timeline: Optional[Timeline] = None,
-        with_checksums: bool = True,
-        tag: Optional[str] = None,
-        tenant: str = "",
-        transfer_fn=None,
-        stage_to_nvm: bool = True,
-    ) -> None:
-        #: legacy override for the coordinated step's data path (e.g.
-        #: the PFS baseline writes through the globally shared I/O
-        #: resource); superseded by passing a Destination
-        self._transfer_fn = transfer_fn
-        #: legacy switch: stage into the NVM shadow regions (off for
-        #: non-NVM targets); superseded by Destination.two_version
-        self._stage_to_nvm = stage_to_nvm
-        if destination is not None:
-            pass
-        elif transfer_fn is not None or not stage_to_nvm:
-            destination = TransferFnDestination(
-                transfer_fn
-                or (lambda chunk: ctx.copy_to_nvm(chunk.nbytes, tag=f"{tag or allocator.pid}:lckpt")),
-                ctx,
-                allocator,
-                stage_to_nvm=stage_to_nvm,
-            )
-        else:
-            destination = NVMArenaDestination(ctx, allocator)
-        super().__init__(
-            ctx,
-            allocator,
-            policy,
-            destination=destination,
-            timeline=timeline,
-            with_checksums=with_checksums,
-            tag=tag,
-            tenant=tenant,
-        )
+    """Per-rank local checkpoint coordinator."""

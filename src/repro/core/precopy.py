@@ -1,15 +1,15 @@
 """The background chunk pre-copy engine (CPC / DCPC / DCPCP, §IV).
 
-One engine instance serves one checkpoint *stream* ("local": DRAM->NVM
-through the node's NVM bus; "remote": NVM->buddy over the fabric, used
-by the remote helper).  It runs as a DES process that continuously:
+One engine instance serves one rank's local stream (DRAM->NVM through
+the node's NVM bus).  It runs as a DES process that continuously:
 
 1. finds a dirty, *eligible* chunk — eligibility depends on the policy
    (CPC: any dirty chunk; DCPC: only after the learned threshold
    ``T_p`` within the interval; DCPCP: additionally only once the
    prediction table expects no further modifications);
-2. moves it through the injected transfer function (bus/fabric
-   contention is charged there);
+2. plans and moves it through the rank's copy step
+   (:mod:`repro.core.copystep`; bus contention is charged by the
+   destination);
 3. marks the chunk pre-copied: clean for this stream + write-protected,
    so the next application write faults and re-dirties it.
 
@@ -20,17 +20,18 @@ data volume visible in Fig. 7's right axis).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional
 
 from ..alloc.chunk import Chunk, ChunkState
 from ..config import PrecopyPolicy
 from ..errors import SimulationError, TransferCancelled
 from ..faults.crashpoints import fire
-from ..metrics.trace import BUS, ChunkCopiedEvent, PolicyDecisionEvent
+from ..metrics.trace import BUS, PolicyDecisionEvent
 from ..sim.events import Event
-from ..units import pages_of
 from .context import NodeContext
+from .copystep import CopyStep
+from .destination import Destination, NVMArenaDestination
 from .policy import CheckpointPolicy, Decision, IntervalClock, resolve_policy
 from .prediction import PredictionTable
 from .threshold import ThresholdEstimator
@@ -57,8 +58,9 @@ class PrecopyStats:
 
 
 class PrecopyEngine:
-    """Background pre-copy worker for one rank (local stream) or one
-    node helper (remote stream)."""
+    """Background pre-copy worker for one rank's local stream."""
+
+    stream = "local"
 
     def __init__(
         self,
@@ -66,52 +68,33 @@ class PrecopyEngine:
         chunks: Callable[[], Iterable[Chunk]],
         policy: PrecopyPolicy,
         *,
-        stream: str = "local",
         tag: str = "precopy",
-        transfer_fn: Optional[Callable[[Chunk], Event]] = None,
-        finalize_fn: Optional[Callable[[Chunk], None]] = None,
         threshold: Optional[ThresholdEstimator] = None,
         prediction: Optional[PredictionTable] = None,
         decision_policy: Optional[CheckpointPolicy] = None,
-        codec_hooks=None,
+        copier: Optional[CopyStep] = None,
+        destination: Optional[Destination] = None,
         tenant: str = "",
     ) -> None:
-        if stream not in ("local", "remote"):
-            raise ValueError(f"unknown stream {stream!r}")
         self.ctx = ctx
         self._chunks = chunks
         self.policy = policy
-        self.stream = stream
         self.tag = tag
         self.tenant = tenant
-        self._transfer_fn = transfer_fn or self._default_transfer
-        self._finalize_fn = finalize_fn or self._default_finalize
-        #: page-granular incremental copy applies only to the default
-        #: local DRAM→NVM path; injected transfer/finalize callables
-        #: (remote helper, legacy facades) keep whole-chunk semantics
-        self._incremental = (
-            policy.incremental
-            and stream == "local"
-            and transfer_fn is None
-            and finalize_fn is None
-        )
-        #: payload-codec hooks (plan/account/publish — duck-typed to
-        #: the owning CheckpointEngine); like incremental extents, the
-        #: codec applies only to the default local DRAM→NVM path
-        self._codec = (
-            codec_hooks
-            if stream == "local" and transfer_fn is None and finalize_fn is None
-            else None
-        )
+        #: the owning checkpoint engine's copy step (one codec, one
+        #: accounting record per rank); a standalone engine gets its own
+        self.copier = copier or CopyStep(ctx, policy, actor=tag)
+        #: where pre-copies land: the rank's NVM shadow arena
+        self.destination = destination or NVMArenaDestination(ctx)
+        if self.copier.codec is not None:
+            self.destination.ensure_block_store(policy.codec_block)
         self.threshold = threshold
         self.prediction = prediction
         if policy.mode == PrecopyPolicy.DCPC and threshold is None:
             raise SimulationError("DCPC requires a ThresholdEstimator")
         if policy.mode == PrecopyPolicy.DCPCP and prediction is None:
             raise SimulationError("DCPCP requires a PredictionTable")
-        # DCPCP may run without a threshold (prediction-only gating):
-        # the remote stream uses this to spread transfers across the
-        # whole interval instead of compressing them into the tail.
+        # DCPCP may run without a threshold (prediction-only gating).
 
         #: the scheduling strategy; shared with the owning checkpoint
         #: engine when one drives this pre-copy stream
@@ -148,7 +131,7 @@ class PrecopyEngine:
                 continue
             chunk.on_dirty.append(self._on_dirty)
             self._wired.add(chunk.chunk_id)
-            if chunk.persistent and self._is_dirty(chunk):
+            if chunk.persistent and chunk.dirty_local:
                 self._dirty[chunk.chunk_id] = chunk
 
     def _on_dirty(self, chunk: Chunk, now: float) -> None:
@@ -179,8 +162,8 @@ class PrecopyEngine:
         prediction: Optional[PredictionTable] = None,
     ) -> None:
         """Swap the scheduling strategy mid-run (the checkpoint
-        engine's hot policy switch).  The copy mechanism — stream,
-        transfer fns, incremental extents — is untouched; only the
+        engine's hot policy switch).  The copy mechanism — copy step,
+        destination, incremental extents — is untouched; only the
         when-does-a-chunk-move question changes.  Call between
         intervals (while no copy is in flight for a conflicting
         strategy); the wake kick re-evaluates eligibility immediately.
@@ -239,9 +222,6 @@ class PrecopyEngine:
     # Eligibility.
     # ------------------------------------------------------------------
 
-    def _is_dirty(self, chunk: Chunk) -> bool:
-        return chunk.dirty_local if self.stream == "local" else chunk.dirty_remote
-
     def threshold_time(self) -> float:
         """Absolute time at which delayed pre-copy may start this
         interval.  CPC starts immediately; DCPC/DCPCP never pre-copy
@@ -254,7 +234,7 @@ class PrecopyEngine:
     def _eligible(self, chunk: Chunk, now: float) -> bool:
         # mechanism checks stay here; the scheduling question is the
         # policy strategy's
-        if not chunk.persistent or not self._is_dirty(chunk):
+        if not chunk.persistent or not chunk.dirty_local:
             return False
         if chunk.get_state(self.stream) is not ChunkState.IDLE:
             return False
@@ -267,7 +247,7 @@ class PrecopyEngine:
         best: Optional[Chunk] = None
         stale = []
         for cid, chunk in self._dirty.items():
-            if not self._is_dirty(chunk):
+            if not chunk.dirty_local:
                 stale.append(cid)
                 continue
             if self._eligible(chunk, now) and (best is None or chunk.nbytes > best.nbytes):
@@ -275,16 +255,6 @@ class PrecopyEngine:
         for cid in stale:
             del self._dirty[cid]
         return best
-
-    # ------------------------------------------------------------------
-    # Default local-stream transfer.
-    # ------------------------------------------------------------------
-
-    def _default_transfer(self, chunk: Chunk) -> Event:
-        return self.ctx.copy_to_nvm(chunk.nbytes, tag=self.tag)
-
-    def _default_finalize(self, chunk: Chunk) -> None:
-        chunk.stage_to_nvm()
 
     # ------------------------------------------------------------------
     # Main loop (DES process body).
@@ -313,7 +283,7 @@ class PrecopyEngine:
                     waits: List[Event] = [self._wake]
                     if (
                         now < t_thresh < float("inf")
-                        and any(self._is_dirty(c) for c in self._dirty.values())
+                        and any(c.dirty_local for c in self._dirty.values())
                     ):
                         waits.append(engine.timeout(t_thresh - now))
                     yield engine.any_of(waits)
@@ -338,30 +308,16 @@ class PrecopyEngine:
                 )
             )
         mods_before = chunk.total_mods
-        # page-granular mode: move only the extents stale for the
-        # in-progress slot (a post-pre-copy re-copy moves just the
+        # page-granular mode: the plan moves only the extents stale for
+        # the in-progress slot (a post-pre-copy re-copy moves just the
         # re-dirtied pages, not the whole chunk)
-        extents = chunk.copy_extents("local") if self._incremental else None
-        if extents is None:
-            nbytes_moved = chunk.nbytes
-            pages = pages_of(chunk.nbytes)
-        else:
-            nbytes_moved = sum(n for _, n in extents)
-            pages = sum(pages_of(n) for _, n in extents)
-        payload = (
-            self._codec.plan_payload(chunk, extents) if self._codec is not None else None
-        )
+        plan = self.copier.plan(chunk, self.destination)
         chunk.set_state(self.stream, ChunkState.PRECOPYING)
         self._inflight_chunk = chunk
         self._inflight_done = self.ctx.engine.event("precopy.inflight")
         cancelled = False
         try:
-            if payload is not None:
-                yield self.ctx.copy_to_nvm(payload.wire_bytes, tag=self.tag)
-            elif extents is None:
-                yield self._transfer_fn(chunk)
-            else:
-                yield self.ctx.copy_to_nvm(nbytes_moved, tag=self.tag)
+            yield self.destination.write_payload(chunk, plan.payload, tag=self.tag)
         except TransferCancelled:
             # a failure tore the flow down; the chunk stays dirty and
             # the engine moves on (it may retry after recovery)
@@ -376,46 +332,26 @@ class PrecopyEngine:
             return
         fire("precopy.copy.after", chunk=chunk, stream=self.stream)
         self.stats.copies += 1
-        wire_bytes = nbytes_moved
-        if payload is not None:
-            wire_bytes = payload.wire_bytes
-            self._codec.account_payload(payload)
-        self.stats.bytes_copied += wire_bytes
-        # the copy event fires for torn copies too: the bytes *did*
-        # move (and count against the stats), the data just stayed
-        # stale — replay accounting must see every byte the stats saw
-        if BUS.active:
-            BUS.emit(
-                ChunkCopiedEvent(
-                    t=self.ctx.engine.now,
-                    actor=self.tag,
-                    chunk=chunk.name,
-                    nbytes=wire_bytes,
-                    start=copy_start,
-                    stream=self.stream,
-                    phase="precopy",
-                    pages=pages,
-                    bytes_saved=chunk.nbytes - nbytes_moved,
-                    codec=payload.codec if payload is not None else "raw",
-                    logical_bytes=nbytes_moved,
-                    tenant=self.tenant,
-                )
-            )
-        if chunk.total_mods != mods_before:
-            # torn copy: application wrote during the transfer (the
-            # stale bits were never cleared, so a retry re-copies)
+        self.stats.bytes_copied += plan.nbytes
+        # torn copy: application wrote during the transfer (the stale
+        # bits were never cleared, so a retry re-copies)
+        torn = chunk.total_mods != mods_before
+        self.copier.land(
+            plan,
+            start=copy_start,
+            phase="precopy",
+            tenant=self.tenant,
+            actor=self.tag,
+            # the local pre-copy stream has never stamped the backend
+            # on its events; keep the trace stable
+            destination="",
+            torn=torn,
+        )
+        if torn:
             self.stats.stale_copies += 1
             if self.prediction is not None:
                 self.prediction.record_outcome(chunk, was_redundant=True)
             return
-        if extents is None:
-            self._finalize_fn(chunk)
-        else:
-            chunk.stage_to_nvm(extents)
-        if payload is not None:
-            # digests publish only for copies that actually staged —
-            # a torn copy's digests describe content that never landed
-            self._codec.publish_payload(chunk, payload)
         chunk.mark_precopied(self.stream)
         self._pending_clean[chunk.chunk_id] = chunk
         fire("precopy.finalize.after", chunk=chunk, stream=self.stream)

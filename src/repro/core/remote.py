@@ -37,31 +37,18 @@ from typing import Dict, List, Optional, Tuple
 from ..alloc.chunk import Chunk
 from ..alloc.nvmalloc import NVAllocator
 from ..config import CheckpointConfig
-from ..errors import CheckpointError, ConfigError, TransferCancelled, TransferFailed
+from ..errors import CheckpointError, TransferCancelled, TransferFailed
 from ..faults.crashpoints import fire
 from ..metrics import timeline as tl
 from ..metrics.timeline import Timeline
-from ..metrics.trace import (
-    BUS,
-    ChunkCopiedEvent,
-    CodecDecisionEvent,
-    FailoverEvent,
-    PolicyDecisionEvent,
-)
+from ..metrics.trace import BUS, FailoverEvent
 from ..net.interconnect import Fabric
 from ..net.rdma import rdma_put
 from ..sim.events import Event
-from ..units import pages_of, usec
-from .codec import (
-    DEFAULT_BLOCK,
-    BlockStore,
-    EntropyProbe,
-    Payload,
-    blocks_of_extents,
-    current_digests,
-    resolve_codec,
-)
+from ..units import usec
+from .codec import DEFAULT_BLOCK, BlockStore
 from .context import NodeContext
+from .copystep import CopyPlan, CopyStep
 from .destination import RemoteBuddyDestination
 
 __all__ = ["RemoteTarget", "RemoteHelper", "RemoteCheckpointStats"]
@@ -318,9 +305,6 @@ class RemoteHelper:
         self.ranks = ranks
         self.config = config or CheckpointConfig()
         self.timeline = timeline
-        #: optional CompressionModel: payloads are compressed before
-        #: crossing the fabric (mcrengine-style volume/CPU trade)
-        self.compression = compression
         #: optional ResilientTransport: sends go through retry/backoff
         #: instead of one-shot RDMA (duck-typed to avoid an import
         #: cycle with repro.resilience)
@@ -329,6 +313,20 @@ class RemoteHelper:
         #: events so remote traffic is attributable in multi-tenant runs
         self.tenants: Dict[str, str] = dict(tenants or {})
         self.owner = f"n{node_id}:helper"
+        #: the copy step of this node's remote stream, shared by the
+        #: stream, the round, re-sync and migration.  *compression* (an
+        #: optional CompressionModel: payloads are compressed before
+        #: crossing the fabric, mcrengine-style volume/CPU trade) is its
+        #: wire stage; combining it with a payload codec is a ConfigError
+        self.copier = CopyStep(
+            ctx,
+            self.config.precopy,
+            actor=self.owner,
+            stream="remote",
+            compression=compression,
+        )
+        #: payload codec on the fabric path (None on the raw default)
+        self.codec = self.copier.codec
         self.targets: Dict[str, RemoteTarget] = {
             a.pid: RemoteTarget(a.pid, buddy_ctx, two_versions=self.config.two_versions)
             for a in ranks
@@ -337,47 +335,11 @@ class RemoteHelper:
         #: read go through the same backend protocol as the local tiers
         #: (multilevel checkpointing = local destination + this one)
         self.destinations: Dict[str, RemoteBuddyDestination] = {
-            pid: self._make_destination(pid, target)
-            for pid, target in self.targets.items()
+            pid: RemoteBuddyDestination(target) for pid, target in self.targets.items()
         }
-        #: payload codec on the fabric path (None on the raw default).
-        #: A codec *and* a compression model both want to own the wire
-        #: volume — that combination used to be silently resolved in
-        #: favour of compression, hiding the dropped codec from the
-        #: operator; it is now an explicit configuration error.
-        if compression is not None and self.config.precopy.codec_enabled:
-            raise ConfigError(
-                f"codec {self.config.precopy.codec!r} cannot be combined with a "
-                "compression model on the remote stream: both define the wire "
-                "volume; set precopy.codec='raw' or drop the compression model"
-            )
-        self.codec = (
-            resolve_codec(self.config.precopy.codec)
-            if self.config.precopy.codec_enabled
-            else None
-        )
-        # incremental sends are still *auto*-disabled under compression
-        # (whole-chunk wire volume is the compressor's business), but the
-        # drop is now visible to replay/what-if as a policy decision
-        if compression is not None and self.config.precopy.incremental and BUS.active:
-            BUS.emit(
-                PolicyDecisionEvent(
-                    t=ctx.engine.now,
-                    actor=self.owner,
-                    chunk="*",
-                    decision="incremental_disabled",
-                    policy="compression",
-                )
-            )
-        self.entropy_probe = EntropyProbe() if self.codec is not None else None
         if self.codec is not None:
             for dest in self.destinations.values():
                 dest.ensure_block_store(self.config.precopy.codec_block)
-        self.codec_logical_bytes = 0
-        self.codec_wire_bytes = 0
-        self.codec_delta_bytes = 0
-        self.codec_blocks_new = 0
-        self.codec_blocks_ref = 0
         self.history: List[RemoteCheckpointStats] = []
         self.rounds_behind = 0
         self._stop = False
@@ -404,20 +366,12 @@ class RemoteHelper:
         #: buddy's context is unchanged (hardware replacement voids it).
         self._known_targets: Dict[int, Dict[str, RemoteTarget]] = {}
 
-    def _make_destination(self, pid: str, target: RemoteTarget) -> RemoteBuddyDestination:
-        def send_fn(chunk: Chunk, extents=None, pid: str = pid, wire=None) -> Event:
-            if wire is None:
-                wire = chunk.nbytes if extents is None else sum(n for _, n in extents)
-            return self._send(pid, chunk, "rckpt", nbytes=wire)
-
-        return RemoteBuddyDestination(target, send_fn=send_fn)
-
     @property
     def incremental(self) -> bool:
         """Page-granular remote sends: on when the policy asks for it
         and no compression model is attached (compressed sends are
         whole-chunk — the wire volume is the compressor's business)."""
-        return self.config.precopy.incremental and self.compression is None
+        return self.copier.incremental
 
     # ------------------------------------------------------------------
     # Stream queue (fed by local checkpoint commits).
@@ -525,138 +479,42 @@ class RemoteHelper:
     # Transfers.
     # ------------------------------------------------------------------
 
-    def _plan_payload(self, pid: str, chunk: Chunk, extents) -> Optional[Payload]:
-        """Plan what crosses the fabric for *chunk*'s pending extents;
-        ``None`` on the raw path.  Digest state lives on the *current*
-        buddy's target store, so a failover's fresh store honestly
-        forgets what the old buddy held."""
-        if self.codec is None:
-            return None
-        dest = self.destinations[pid]
-        slot, base_slot = dest.codec_slots(chunk)
-        payload = self.codec.plan(
-            chunk,
-            extents,
-            store=dest.block_store,
-            slot=slot,
-            base_slot=base_slot,
-            probe=self.entropy_probe,
-        )
-        payload.slot = slot
-        if payload.candidates is not None and BUS.active:
-            BUS.emit(
-                CodecDecisionEvent(
-                    t=self.ctx.engine.now,
-                    actor=self.owner,
-                    chunk=chunk.name,
-                    chosen=payload.codec,
-                    raw_bytes=payload.candidates.get("raw", 0),
-                    delta_bytes=payload.candidates.get("delta", 0),
-                    dedup_bytes=payload.candidates.get("dedup", 0),
-                    entropy=payload.entropy,
-                    density=payload.density,
-                )
-            )
-        return payload
-
-    def _account_payload(self, payload: Payload) -> None:
-        self.codec_logical_bytes += payload.logical_bytes
-        self.codec_wire_bytes += payload.wire_bytes
-        if payload.kind == "delta":
-            self.codec_delta_bytes += payload.changed_bytes
-        self.codec_blocks_new += payload.blocks_new
-        self.codec_blocks_ref += payload.blocks_ref
-
-    def _publish_payload(self, pid: str, chunk: Chunk, payload: Payload) -> None:
-        """Stage the payload's digests into the buddy target's store
-        (refcounted at the next remote commit).
-
-        Coverage and digests are re-derived from what the stage call
-        actually wrote (:attr:`RemoteTarget.last_staged_runs`), not from
-        the pre-transfer plan: writes that raced the fabric transfer
-        land in the staged version too, and the index must describe
-        what the buddy really holds."""
-        store = self.destinations[pid].block_store
-        if store is None or payload.block_index is None:
-            return
-        runs = self.targets[pid].last_staged_runs
-        idx = blocks_of_extents(runs, store.block, chunk.nbytes)
-        if len(idx):
-            store.stage(
-                chunk.name,
-                payload.slot,
-                idx,
-                current_digests(chunk, idx, store.block),
-            )
-
     def _charge_cpu(self, nbytes: int, streamed: bool) -> None:
         cost = nbytes * HELPER_CPU_PER_BYTE + PER_CHUNK_CPU
         if streamed:
             cost += nbytes * TRACKING_CPU_PER_BYTE
         self.ctx.cpu.charge(self.owner, cost)
 
-    def _send(self, pid: str, chunk: Chunk, kind: str, nbytes: Optional[int] = None) -> Event:
-        wire = chunk.nbytes if nbytes is None else nbytes
-        if self.compression is not None:
-            wire = self.compression.wire_bytes(chunk)
-            # sender compresses, buddy decompresses; the decompressed
-            # payload is what lands in the buddy's NVM, so the NVM bus
-            # still carries the full size
-            self.ctx.cpu.charge(self.owner, self.compression.compress_cost(chunk.nbytes))
-            self.buddy_ctx.cpu.charge(
-                f"{self.owner}:rx", self.compression.decompress_cost(chunk.nbytes)
-            )
-            net_ev = self.fabric.transfer(
-                self.node_id, self.buddy_id, wire, tag=f"{pid}:{kind}"
-            )
-            nvm_ev = self.buddy_ctx.nvm_bus.transfer(chunk.nbytes, tag=f"{pid}:{kind}")
-            return self.ctx.engine.all_of([net_ev, nvm_ev])
-        return rdma_put(
-            self.fabric,
-            self.node_id,
-            self.buddy_id,
-            wire,
-            tag=f"{pid}:{kind}",
-            dst_nvm_bus=self.buddy_ctx.nvm_bus,
+    def put(
+        self,
+        plan: CopyPlan,
+        tag: str,
+        buddy_id: Optional[int] = None,
+        buddy_ctx: Optional[NodeContext] = None,
+    ):
+        """The one fabric transport: move *plan*'s bytes to a buddy
+        (default: the current one; a migration names the new one),
+        through the resilient transport when one is attached (plain
+        one-shot RDMA otherwise).  Compressed sends ride the same
+        retry/stall-timeout path as raw ones — the wire bytes cross
+        the fabric while the full payload lands on the buddy's NVM bus
+        — so a link flap retries instead of hard-failing the caller."""
+        if buddy_id is None:
+            buddy_id, buddy_ctx = self.buddy_id, self.buddy_ctx
+        if plan.sender_cpu or plan.receiver_cpu:
+            self.ctx.cpu.charge(self.owner, plan.sender_cpu)
+            buddy_ctx.cpu.charge(f"{self.owner}:rx", plan.receiver_cpu)
+        route = dict(
+            tag=tag, dst_nvm_bus=buddy_ctx.nvm_bus, dst_nvm_bytes=plan.nvm_bytes
         )
-
-    def _deliver(self, pid: str, chunk: Chunk, kind: str, nbytes: Optional[int] = None):
-        """Send one chunk to the buddy, through the resilient transport
-        when one is attached (plain one-shot send otherwise).  *nbytes*
-        overrides the wire volume (extent sends move only the stale byte
-        runs).  Compressed sends ride the same retry/stall-timeout
-        transport as raw ones — the wire bytes cross the fabric while
-        the full payload lands on the buddy's NVM bus — so a link flap
-        retries instead of hard-failing the round."""
         if self.resilience is None:
-            yield self._send(pid, chunk, kind, nbytes=nbytes)
-            return
-        if self.compression is not None:
-            # compress once per delivery, not per retry attempt: the
-            # sender keeps the compressed buffer across re-issues
-            wire = self.compression.wire_bytes(chunk)
-            self.ctx.cpu.charge(self.owner, self.compression.compress_cost(chunk.nbytes))
-            self.buddy_ctx.cpu.charge(
-                f"{self.owner}:rx", self.compression.decompress_cost(chunk.nbytes)
+            yield rdma_put(
+                self.fabric, self.node_id, buddy_id, plan.fabric_bytes, **route
             )
+        else:
             yield from self.resilience.put(
-                self.fabric,
-                self.node_id,
-                self.buddy_id,
-                wire,
-                tag=f"{pid}:{kind}",
-                dst_nvm_bus=self.buddy_ctx.nvm_bus,
-                dst_nvm_bytes=chunk.nbytes,
+                self.fabric, self.node_id, buddy_id, plan.fabric_bytes, **route
             )
-            return
-        yield from self.resilience.put(
-            self.fabric,
-            self.node_id,
-            self.buddy_id,
-            chunk.nbytes if nbytes is None else nbytes,
-            tag=f"{pid}:{kind}",
-            dst_nvm_bus=self.buddy_ctx.nvm_bus,
-        )
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -722,11 +580,7 @@ class RemoteHelper:
                 for a in self.ranks
             }
         for pid, target in self.targets.items():
-            dest = self.destinations.get(pid)
-            if dest is not None:
-                dest.retarget(target)
-            else:
-                self.destinations[pid] = self._make_destination(pid, target)
+            self.destinations[pid].retarget(target)
         if self.codec is not None:
             # a reused target keeps its digest index (its copies are
             # still resident); fresh hardware starts an empty one
@@ -807,32 +661,19 @@ class RemoteHelper:
                 continue
             pid, chunk = item
             t0 = engine.now
-            extents = (
-                self.destinations[pid].pending_extents(chunk)
-                if self.incremental
-                else None
-            )
-            if extents is None:
-                logical = chunk.nbytes
-                pages = pages_of(chunk.nbytes)
-            else:
-                logical = sum(n for _, n in extents)
-                pages = sum(pages_of(n) for _, n in extents)
-            payload = self._plan_payload(pid, chunk, extents)
-            wire = logical if payload is None else payload.wire_bytes
-            self._charge_cpu(wire, streamed=True)
+            plan = self.copier.plan(chunk, self.destinations[pid])
+            self._charge_cpu(plan.nbytes, streamed=True)
             fire("remote.stream.before_send", chunk=chunk, pid=pid)
             try:
-                yield from self._deliver(pid, chunk, "rprecopy", nbytes=wire)
+                yield from self.put(plan, f"{pid}:rprecopy")
             except (TransferCancelled, TransferFailed):
                 # failure tore the flow down (or retries ran out);
                 # requeue so the chunk is retried or swept up later
                 self._queue.setdefault((pid, chunk.chunk_id), chunk)
                 continue
-            self.destinations[pid].stage(chunk, extents)
-            if payload is not None:
-                self._account_payload(payload)
-                self._publish_payload(pid, chunk, payload)
+            self.copier.land(
+                plan, start=t0, phase="precopy", tenant=self.tenants.get(pid, "")
+            )
             self._record_replicated(pid, chunk)
             fire(
                 "remote.stream.after_stage",
@@ -841,30 +682,12 @@ class RemoteHelper:
                 target=self.targets[pid],
             )
             chunk.dirty_remote = False
-            self.stream_bytes += wire
+            self.stream_bytes += plan.nbytes
             self.stream_chunks += 1
             if self.timeline is not None:
                 self.timeline.record(self.owner, tl.REMOTE_PRECOPY, t0, engine.now)
-            if BUS.active:
-                BUS.emit(
-                    ChunkCopiedEvent(
-                        t=engine.now,
-                        actor=self.owner,
-                        chunk=chunk.name,
-                        nbytes=wire,
-                        start=t0,
-                        stream="remote",
-                        phase="precopy",
-                        destination=self.destinations[pid].name,
-                        pages=pages,
-                        bytes_saved=chunk.nbytes - logical,
-                        codec=payload.codec if payload is not None else "raw",
-                        logical_bytes=logical,
-                        tenant=self.tenants.get(pid, ""),
-                    )
-                )
             # pacing: never run faster than pace_rate on average
-            target_duration = wire / self.pace_rate
+            target_duration = plan.nbytes / self.pace_rate
             elapsed = engine.now - t0
             if elapsed < target_duration and engine.now < deadline:
                 yield engine.timeout(min(target_duration - elapsed, deadline - engine.now))
@@ -903,32 +726,24 @@ class RemoteHelper:
                 stats.chunks_skipped += len(alloc.persistent_chunks()) - len(chunks)
                 aborted = False
                 for chunk in chunks:
-                    extents = (
-                        dest.pending_extents(chunk) if self.incremental else None
-                    )
-                    if extents is None:
-                        logical = chunk.nbytes
-                        pages = pages_of(chunk.nbytes)
-                    else:
-                        logical = sum(n for _, n in extents)
-                        pages = sum(pages_of(n) for _, n in extents)
-                    payload = self._plan_payload(alloc.pid, chunk, extents)
-                    wire = logical if payload is None else payload.wire_bytes
-                    self._charge_cpu(wire, streamed=False)
+                    plan = self.copier.plan(chunk, dest)
+                    self._charge_cpu(plan.nbytes, streamed=False)
                     fire("remote.round.before_send", chunk=chunk, pid=alloc.pid)
                     t0 = engine.now
                     try:
-                        yield from self._deliver(alloc.pid, chunk, "rckpt", nbytes=wire)
+                        yield from self.put(plan, f"{alloc.pid}:rckpt")
                     except (TransferCancelled, TransferFailed):
                         # a failure interrupted the round (or retries
                         # ran out): abandon it; the previous committed
                         # remote version stands
                         aborted = True
                         break
-                    dest.stage(chunk, extents)
-                    if payload is not None:
-                        self._account_payload(payload)
-                        self._publish_payload(alloc.pid, chunk, payload)
+                    self.copier.land(
+                        plan,
+                        start=t0,
+                        phase="coordinated",
+                        tenant=self.tenants.get(alloc.pid, ""),
+                    )
                     self._record_replicated(alloc.pid, chunk)
                     fire(
                         "remote.round.after_stage",
@@ -938,26 +753,8 @@ class RemoteHelper:
                     )
                     chunk.dirty_remote = False
                     self._queue.pop((alloc.pid, chunk.chunk_id), None)
-                    stats.bytes_moved += wire
+                    stats.bytes_moved += plan.nbytes
                     stats.chunks_moved += 1
-                    if BUS.active:
-                        BUS.emit(
-                            ChunkCopiedEvent(
-                                t=engine.now,
-                                actor=self.owner,
-                                chunk=chunk.name,
-                                nbytes=wire,
-                                start=t0,
-                                stream="remote",
-                                phase="coordinated",
-                                destination=dest.name,
-                                pages=pages,
-                                bytes_saved=chunk.nbytes - logical,
-                                codec=payload.codec if payload is not None else "raw",
-                                logical_bytes=logical,
-                                tenant=self.tenants.get(alloc.pid, ""),
-                            )
-                        )
                 if aborted:
                     break
                 flush_cost = dest.commit(chunks, with_checksum=self.config.checksums)
@@ -973,11 +770,6 @@ class RemoteHelper:
     # ------------------------------------------------------------------
     # Accounting.
     # ------------------------------------------------------------------
-
-    @property
-    def codec_saved_bytes(self) -> int:
-        """Fabric bytes the payload codec kept off the wire."""
-        return max(0, self.codec_logical_bytes - self.codec_wire_bytes)
 
     @property
     def total_round_bytes(self) -> int:

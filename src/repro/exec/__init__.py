@@ -31,7 +31,6 @@ from .cell import build_parser, resolve_config, run_cell
 from .executor import ExecutionReport, ParallelExecutor, resolve_workers
 from .grid import (
     GridCell,
-    GridReport,
     GridResult,
     GridSpec,
     derive_cell_seed,
@@ -58,7 +57,6 @@ __all__ = [
     "GridCell",
     "GridSpec",
     "GridResult",
-    "GridReport",
     "derive_cell_seed",
     "expand_grid",
     "flatten_record",

@@ -35,7 +35,6 @@ __all__ = [
     "GridCell",
     "GridSpec",
     "GridResult",
-    "GridReport",
     "CSV_FIELDS",
     "collect_fields",
     "derive_cell_seed",
@@ -178,10 +177,6 @@ class GridResult:
         return tuple(
             (name, ()) for name, _ in self.cells[0].overrides
         )
-
-
-#: historical name of :class:`GridResult` (pre-facade API)
-GridReport = GridResult
 
 
 def expand_grid(

@@ -74,10 +74,10 @@ __all__ = [
 
 #: schema version of the Jsonl wire format.  Bump when an event gains,
 #: loses or renames a field; register an upgrader in
-#: :data:`_UPGRADERS` when old traces can be mechanically converted.
+#: :data:`_UPGRADERS` when the bump changes an existing record.
 #: Version 2 added the elastic-membership kinds (``membership.change``,
 #: ``migration.*``, ``resync.aborted``); every version-1 kind is
-#: unchanged, so the 1->2 upgrader is the identity.
+#: unchanged, so the 1->2 step needs no upgrader.
 #: Version 3 added the payload-codec layer: ``chunk.copied`` gained
 #: ``codec`` (representation that crossed the wire) and
 #: ``logical_bytes`` (pre-encoding size), plus the new
@@ -87,7 +87,7 @@ __all__ = [
 #: ``commit`` gained ``tenant`` (empty for untenanted runs), plus the
 #: new ``tenant.admission`` / ``tenant.preempt`` / ``tenant.throttle``
 #: / ``tenant.slo`` kinds.  Old records parse unchanged (the field
-#: defaults to ``""``), so the 3->4 upgrader is the identity.
+#: defaults to ``""``), so the 3->4 step needs no upgrader.
 TRACE_VERSION = 4
 
 
@@ -365,12 +365,6 @@ _CLASSES: Dict[str, type] = {kind: cls for cls, kind in _KINDS.items()}
 #: header-record wire name (never an event kind)
 _HEADER_KIND = "trace.header"
 
-def _upgrade_1_to_2(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Version 2 only *added* event kinds; every version-1 record is
-    already a valid version-2 record."""
-    return record
-
-
 def _upgrade_2_to_3(record: Dict[str, Any]) -> Dict[str, Any]:
     """Version-2 copies predate the codec layer: every byte that moved
     was a raw byte, so wire size and logical size coincide."""
@@ -381,18 +375,14 @@ def _upgrade_2_to_3(record: Dict[str, Any]) -> Dict[str, Any]:
     return record
 
 
-def _upgrade_3_to_4(record: Dict[str, Any]) -> Dict[str, Any]:
-    """Version 4 only *added* kinds and defaulted fields (``tenant``);
-    every version-3 record is already a valid version-4 record."""
-    return record
-
-
-#: version -> record upgrader to the *next* version.  Old traces walk
-#: the chain until they reach :data:`TRACE_VERSION`.
+#: oldest version the reader walks forward from
+_OLDEST_VERSION = 1
+#: version -> record upgrader to the *next* version, for the steps that
+#: change a record.  Old traces walk every version from theirs up to
+#: :data:`TRACE_VERSION`; a step not listed only added kinds or
+#: defaulted fields, so its records are already valid one version on.
 _UPGRADERS: Dict[int, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
-    1: _upgrade_1_to_2,
     2: _upgrade_2_to_3,
-    3: _upgrade_3_to_4,
 }
 
 
@@ -451,19 +441,15 @@ def read_trace(
             "--trace / experiment --trace write the header)"
         )
     version = header.get("trace_version")
-    upgraders: List[Callable[[Dict[str, Any]], Dict[str, Any]]] = []
-    while isinstance(version, int) and version != TRACE_VERSION:
-        upgrade = _UPGRADERS.get(version)
-        if upgrade is None:
-            break
-        upgraders.append(upgrade)
-        version += 1
-    if version != TRACE_VERSION:
+    if not (isinstance(version, int) and _OLDEST_VERSION <= version <= TRACE_VERSION):
         raise ConfigError(
-            f"trace_version {header.get('trace_version')!r} is not "
+            f"trace_version {version!r} is not "
             f"supported (reader speaks {TRACE_VERSION} and no upgrade "
             f"path is registered)"
         )
+    upgraders = [
+        _UPGRADERS[v] for v in range(version, TRACE_VERSION) if v in _UPGRADERS
+    ]
     meta = header.get("meta") or {}
     events: List[TraceEvent] = []
     for line in target:

@@ -28,7 +28,7 @@ __all__ = ["Fabric", "LinkPair", "CHECKPOINT_KINDS"]
 #: and fails new ones fast; application traffic (MPI on its reliable
 #: transport) is modelled as unaffected by checkpoint-QP flaps.
 CHECKPOINT_KINDS = frozenset(
-    {"rckpt", "rprecopy", "rfetch", "resync", "scrub-repair", "hb"}
+    {"rckpt", "rprecopy", "rfetch", "resync", "migrate", "scrub-repair", "hb"}
 )
 
 

@@ -47,7 +47,6 @@ from ..metrics.trace import (
     MigrationCutoverEvent,
     MigrationPlannedEvent,
 )
-from ..net.rdma import rdma_put
 
 __all__ = ["MigrationPlan", "MigrationPlanner", "SloGuard", "MigrationTask"]
 
@@ -306,30 +305,6 @@ class MigrationTask:
     def _stale(self) -> bool:
         return self.helper.epoch != self.epoch or self.helper._stop
 
-    def _deliver(self, pid: str, chunk):
-        """One chunk across the fabric to the *new* buddy (the helper's
-        own transport points at the old one)."""
-        helper = self.helper
-        tag = f"{pid}:migrate"
-        if helper.resilience is not None and helper.compression is None:
-            yield from helper.resilience.put(
-                helper.fabric,
-                helper.node_id,
-                self.plan.to_buddy,
-                chunk.nbytes,
-                tag=tag,
-                dst_nvm_bus=self.to_ctx.nvm_bus,
-            )
-            return
-        yield rdma_put(
-            helper.fabric,
-            helper.node_id,
-            self.plan.to_buddy,
-            chunk.nbytes,
-            tag=tag,
-            dst_nvm_bus=self.to_ctx.nvm_bus,
-        )
-
     def _abort(self, reason: str) -> None:
         self.aborted = True
         self.abort_reason = reason
@@ -404,6 +379,7 @@ class MigrationTask:
                 for pid, chunk in batch:
                     while True:
                         t0 = engine.now
+                        copy = helper.copier.plan_whole(chunk)
                         helper._charge_cpu(chunk.nbytes, streamed=True)
                         fire(
                             "migrate.batch.before_send",
@@ -412,7 +388,11 @@ class MigrationTask:
                             plan=self.plan,
                         )
                         try:
-                            yield from self._deliver(pid, chunk)
+                            # the helper's transport, pointed at the
+                            # *new* buddy (its default is the old one)
+                            yield from helper.put(
+                                copy, f"{pid}:migrate", self.plan.to_buddy, self.to_ctx
+                            )
                         except (TransferCancelled, TransferFailed):
                             failures += 1
                             if failures >= self.failure_limit:

@@ -84,9 +84,10 @@ class ResyncTask:
                     break
                 pid, chunk = item
                 t0 = engine.now
+                plan = helper.copier.plan_whole(chunk)
                 helper._charge_cpu(chunk.nbytes, streamed=True)
                 try:
-                    yield from helper._deliver(pid, chunk, "resync")
+                    yield from helper.put(plan, f"{pid}:resync")
                 except (TransferCancelled, TransferFailed):
                     helper._queue.setdefault((pid, chunk.chunk_id), chunk)
                     failures += 1

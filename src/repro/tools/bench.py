@@ -34,7 +34,7 @@ from .. import __version__
 from ..exec.cache import ResultCache
 from ..exec.cell import run_cell, run_experiment
 from ..exec.executor import ParallelExecutor, resolve_workers
-from ..exec.grid import GridReport, expand_grid, run_grid
+from ..exec.grid import GridResult, expand_grid, run_grid
 from ..metrics.trace import BUS, CounterSink, JsonlSink
 from .elastic import run_elastic_block, run_elastic_smoke
 from .qos import run_qos_block, run_qos_smoke
@@ -111,7 +111,7 @@ def _cell_ckpt_gb(record: dict) -> float:
     )
 
 
-def _mode_record(report: GridReport) -> dict:
+def _mode_record(report: GridResult) -> dict:
     ex = report.execution
     return {
         "wall_s": round(ex.wall_s, 4),
@@ -375,7 +375,7 @@ def run_dedup_block(
     base: List[str],
     axes_specs: Sequence[str],
     *,
-    incremental: Optional[GridReport] = None,
+    incremental: Optional[GridResult] = None,
 ) -> dict:
     """Paired incremental-vs-codec pass over the pinned grid.
 

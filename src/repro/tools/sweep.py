@@ -25,7 +25,7 @@ from typing import List, Tuple
 from ..errors import ConfigError
 from ..exec.grid import (  # noqa: F401  (public compatibility re-exports)
     CSV_FIELDS,
-    GridReport,
+    GridResult,
     GridSpec,
     collect_fields,
     parse_sweeps,
@@ -134,7 +134,7 @@ def main(argv=None) -> int:
     if not args.sweep:
         p.error("at least one --sweep axis is required")
     axes = parse_sweeps(args.sweep)
-    report: GridReport | None = None
+    report: GridResult | None = None
     if args.replay:
         records = run_replay_sweep(args.replay, axes)
     else:

@@ -8,7 +8,7 @@ from repro import NVMCheckpoint
 from repro.alloc import NVAllocator
 from repro.config import PrecopyPolicy
 from repro.core import LocalCheckpointer, make_standalone_context
-from repro.core.local import CheckpointStats
+from repro.core.engine import CheckpointStats
 from repro.core.transparent import TransparentCheckpointer
 from repro.errors import AllocationError, UnknownChunkId
 from repro.units import MB

@@ -252,6 +252,58 @@ class TestCompressedResilientSends:
         assert transport.stats.abandoned == 1
         assert helper.history[-1].chunks_moved == 0
 
+    def test_migration_batch_retries_through_link_flap(self):
+        """A migration batch is one more send of the same helper: with
+        compression *and* resilience on it rides the resilient
+        transport too (it used to drop to a bare one-shot put), so a
+        flap of the new buddy's link is absorbed by the transport's
+        retries, not by the task's own failure budget."""
+        from repro.core import LocalCheckpointer
+        from repro.resilience import ResilientTransport, RetryPolicy
+        from repro.resilience.migration import MigrationPlan, MigrationTask
+        from repro.sim.rng import RngStreams
+
+        engine = Engine()
+        src, old, new = (
+            make_standalone_context(name=f"n{i}", engine=engine) for i in range(3)
+        )
+        fabric = Fabric(engine, 3)
+        alloc = NVAllocator("r0", src.nvmm, src.dram, phantom=True,
+                            clock=lambda: engine.now)
+        alloc.nvalloc("x", MB(8))
+        LocalCheckpointer(src, alloc).checkpoint()
+        transport = ResilientTransport(
+            0, RngStreams(5), RetryPolicy(base_delay=0.5, max_delay=4.0, jitter=0.0)
+        )
+        helper = RemoteHelper(
+            0, src, fabric, 1, old, [alloc],
+            CheckpointConfig(remote_precopy=False, remote_interval=30.0),
+            compression=CompressionModel(phantom_ratio=0.5),
+            resilience=transport,
+        )
+        task = MigrationTask(
+            helper,
+            MigrationPlan(node=0, from_buddy=1, to_buddy=2, reason="join"),
+            new,
+            batch_bytes=MB(16),
+            failure_limit=1,  # any failure reaching the task aborts it
+        )
+        t0 = engine.now
+        fabric.begin_outage(2)
+        engine.call_at(t0 + 5.0, lambda: fabric.end_outage(2))
+        proc = engine.process(task.run())
+        engine.run()
+        assert proc.ok
+        assert transport.stats.retries >= 1
+        assert transport.stats.delivered == 1
+        assert task.completed and not task.aborted
+        assert helper.buddy_id == 2
+        # same wire stage as every other send: compressed bytes crossed
+        # the fabric, the full payload landed on the new buddy's NVM
+        assert fabric.total_bytes() >= MB(4) - 1.0
+        assert new.nvm.wear.bytes_written == MB(8)
+        assert old.nvm.wear.bytes_written == 0
+
     def test_compressed_resilient_matches_plain_on_healthy_link(self):
         """On a clean link the resilient compressed path lands at the
         same simulated time as the one-shot compressed path."""

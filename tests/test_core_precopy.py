@@ -9,6 +9,7 @@ from repro.core import LocalCheckpointer, PrecopyEngine, make_standalone_context
 from repro.core.prediction import PredictionTable
 from repro.core.threshold import ThresholdEstimator
 from repro.errors import SimulationError
+from repro.metrics.trace import BUS
 from repro.units import MB
 
 
@@ -42,14 +43,14 @@ class TestCPC:
         alloc = NVAllocator("p0", ctx.nvmm, ctx.dram, phantom=True)
         small = alloc.nvalloc("small", MB(1))
         big = alloc.nvalloc("big", MB(50))
-        order = []
         engine = PrecopyEngine(
-            ctx, chunks=alloc.persistent_chunks, policy=PrecopyPolicy(mode="cpc"),
-            finalize_fn=lambda c: order.append(c.name),
+            ctx, chunks=alloc.persistent_chunks, policy=PrecopyPolicy(mode="cpc")
         )
         ctx.engine.process(engine.run())
-        ctx.engine.run(until=30.0)
-        assert order[0] == "big"
+        with BUS.capture() as sink:
+            ctx.engine.run(until=30.0)
+        order = [ev.chunk for ev in sink.of_kind("chunk.copied")]
+        assert order == ["big", "small"]
 
     def test_redirtied_chunk_recopied(self):
         ctx, alloc, chunks, engine = make_rig("cpc", n_chunks=1)
