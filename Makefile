@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint faults faults-matrix bench bench-json exec-smoke replay-smoke scale-smoke elastic-smoke dedup-smoke qos-smoke perf-smoke
+.PHONY: test lint faults faults-matrix bench bench-json exec-smoke replay-smoke scale-smoke elastic-smoke dedup-smoke qos-smoke perf-smoke perf-compare
 
 # tier-1: the full deterministic suite
 test:
@@ -79,3 +79,16 @@ perf-smoke:
 	$(PYTHON) -m perfbench run --smoke
 	$(PYTHON) -m pytest perfbench/tests -q \
 		--deselect perfbench/tests/test_spans.py::test_every_layer_target_resolves_at_this_commit_and_is_restored
+
+# end-to-end performance of the working tree against a git ref:
+# `make perf-compare BASE=<git-ref>` exports BASE with `git archive`
+# to a temp dir, runs the untraced benchmark there and here (each
+# builds what it runs from its own checkout), and exits 1 if any
+# workload's end-to-end metric reads `worse` (~3 min per side)
+perf-compare:
+	@test -n "$(BASE)" || { echo "usage: make perf-compare BASE=<git-ref>"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base"; git archive "$(BASE)" | tar -x -C "$$tmp/base"; \
+	(cd "$$tmp/base" && $(PYTHON) -m perfbench run --no-trace --out "$$tmp/base.json"); \
+	$(PYTHON) -m perfbench run --no-trace --out "$$tmp/head.json"; \
+	$(PYTHON) -m perfbench compare "$$tmp/base.json" "$$tmp/head.json"

@@ -114,6 +114,9 @@ class Chunk:
         self.bytes_copied_remote = 0
         #: observers called as fn(chunk, time) on every dirtying write.
         self.on_dirty: List[Callable[["Chunk", float], None]] = []
+        #: observers called as fn(chunk, stream) whenever a stream's
+        #: dirty bit is cleared (:meth:`mark_clean`).
+        self.on_clean: List[Callable[["Chunk", str], None]] = []
         #: protection granularity: chunk-level (the paper's design —
         #: one fault unprotects the whole chunk) vs page-level (the
         #: strawman §IV argues against: every protected page written
@@ -484,7 +487,7 @@ class Chunk:
             )
         self.nvm_resident = True
         self.protected = True
-        self.dirty_local = False
+        self.mark_clean("local")
 
     def _migrate_to_dram(self) -> None:
         """Copy-on-write: move the committed payload back to DRAM."""
@@ -523,15 +526,23 @@ class Chunk:
         """Reset per-interval counters at the start of a compute phase."""
         self.mods_this_interval = 0
 
-    def mark_precopied(self, stream: str = "local") -> None:
-        """Record a completed pre-copy: the chunk is clean for *stream*
-        and write-protected so the next write faults."""
+    def mark_clean(self, stream: str = "local") -> None:
+        """Clear *stream*'s dirty bit and tell the ``on_clean``
+        observers — the counterpart of the write barrier's ``on_dirty``
+        (the pre-copy engine's ready index drops the chunk on it)."""
         if stream == "local":
             self.dirty_local = False
         elif stream == "remote":
             self.dirty_remote = False
         else:
             raise ValueError(f"unknown stream {stream!r}")
+        for fn in self.on_clean:
+            fn(self, stream)
+
+    def mark_precopied(self, stream: str = "local") -> None:
+        """Record a completed pre-copy: the chunk is clean for *stream*
+        and write-protected so the next write faults."""
+        self.mark_clean(stream)
         self.protected = True
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -60,6 +60,9 @@ class NVAllocator:
         self._chunks: Dict[int, Chunk] = {}
         self._by_name: Dict[str, int] = {}
         self._allocations: Dict[int, Optional[Allocation]] = {}
+        #: observers called as fn(chunk) after :meth:`nvdelete` dropped
+        #: a chunk (the checkpoint engine unschedules it)
+        self.on_delete: List[Callable[[Chunk], None]] = []
 
     # ------------------------------------------------------------------
     # Lookup.
@@ -133,7 +136,7 @@ class NVAllocator:
             return chunk
         chunk = self._fresh_chunk(name, cid, nbytes, pflag)
         self._register(chunk)
-        self._persist_metadata()
+        self._persist_record(chunk)
         return chunk
 
     def nv2dalloc(self, name: str, dim1: int, dim2: int, dtype=np.float64) -> Chunk:
@@ -182,7 +185,7 @@ class NVAllocator:
         # size, forcing full re-copies
         chunk.resize_stale_maps(nbytes)
         chunk.touch() if chunk.phantom else chunk._dirtying_access()
-        self._persist_metadata()
+        self._persist_record(chunk)
         return chunk
 
     def nvdelete(self, key: ChunkKey) -> None:
@@ -195,7 +198,9 @@ class NVAllocator:
             self.arena.free(alloc)
         del self._chunks[chunk.chunk_id]
         del self._by_name[chunk.name]
-        self._persist_metadata()
+        self.nvmm.store.delete_meta_entry(self._meta_key(), "chunks", chunk.name)
+        for fn in self.on_delete:
+            fn(chunk)
 
     # ------------------------------------------------------------------
     # Construction helpers.
@@ -269,27 +274,35 @@ class NVAllocator:
         meta = self.nvmm.store.get_meta(self._meta_key(), {"chunks": {}})
         return meta["chunks"].get(name)
 
+    @staticmethod
+    def _record(c: Chunk) -> dict:
+        return {
+            "id": c.chunk_id,
+            "size": c.nbytes,
+            "persistent": c.persistent,
+            "phantom": c.phantom,
+            "n_versions": c.n_versions,
+            "committed": c.committed_version,
+            "checksums": list(c.checksums),
+        }
+
     def _persist_metadata(self) -> None:
-        """Write the chunk table to the persistent metadata region.
-        Durable only after the next store flush — the checkpoint commit
-        protocol orders data-flush before metadata-flush."""
+        """Write the whole chunk table to the persistent metadata
+        region — the commit protocol's step, where every chunk's
+        version pointer may have moved.  Durable only after the next
+        store flush (data-flush is ordered before metadata-flush)."""
         # non-persistent (pflag=False) chunks have no NVM footprint and
         # die with the process, so only persistent chunks are recorded
-        meta = {
-            "chunks": {
-                c.name: {
-                    "id": c.chunk_id,
-                    "size": c.nbytes,
-                    "persistent": c.persistent,
-                    "phantom": c.phantom,
-                    "n_versions": c.n_versions,
-                    "committed": c.committed_version,
-                    "checksums": list(c.checksums),
-                }
-                for c in self.persistent_chunks()
-            }
-        }
+        meta = {"chunks": {c.name: self._record(c) for c in self.persistent_chunks()}}
         self.nvmm.store.put_meta(self._meta_key(), meta)
+
+    def _persist_record(self, chunk: Chunk) -> None:
+        """Write *chunk*'s own record of the chunk table: what an
+        allocation or a resize changes.  Same durability rule."""
+        if chunk.persistent:
+            self.nvmm.store.put_meta_entry(
+                self._meta_key(), "chunks", chunk.name, self._record(chunk)
+            )
 
     # ------------------------------------------------------------------
     # Restart.

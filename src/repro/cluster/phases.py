@@ -133,7 +133,10 @@ def handle_failure(runner, ev: FailureEvent, procs):
         entry = held_by_pid.get(state.allocator.pid)
         for chunk in state.allocator.chunks():
             fresh = chunk.committed_version < 0
-            chunk.dirty_local = fresh
+            if fresh:
+                chunk.dirty_local = True
+            else:
+                chunk.mark_clean("local")
             if entry is None:
                 chunk.dirty_remote = True
             else:

@@ -144,7 +144,7 @@ class CheckpointEngine:
         # pre-copy engine's default), whatever backend the coordinated
         # step writes to
         dest = self.destination
-        return PrecopyEngine(
+        precopy = PrecopyEngine(
             self.ctx,
             chunks=self.allocator.persistent_chunks,
             policy=self.policy,
@@ -156,6 +156,9 @@ class CheckpointEngine:
             destination=dest if isinstance(dest, NVMArenaDestination) else None,
             tenant=self.tenant,
         )
+        # a deleted chunk must leave the schedule with its regions
+        self.allocator.on_delete.append(precopy.drop_chunk)
+        return precopy
 
     # ------------------------------------------------------------------
     # Background engine lifecycle.
@@ -329,7 +332,7 @@ class CheckpointEngine:
                 if self.tracks_dirty:
                     chunk.mark_precopied("local")
                 else:
-                    chunk.dirty_local = False
+                    chunk.mark_clean("local")
             # -- commit: flush data, flip versions, persist metadata,
             # flush.  The commit covers every chunk with staged data —
             # the ones this step copied AND the ones the pre-copy

@@ -76,6 +76,13 @@ class IntervalClock:
     now: float
     interval_start: float
 
+    def reached(self, t: float) -> bool:
+        """Has the clock reached absolute time *t*?  The one gate
+        comparison: delayed policies apply it to their own
+        ``ready_time`` inside ``decide``, the pre-copy engine applies
+        it once per wake-up before looking at any chunk."""
+        return self.now + _EPS >= t
+
 
 class CheckpointPolicy:
     """Strategy protocol: when does a dirty chunk move?
@@ -104,13 +111,23 @@ class CheckpointPolicy:
         self.prediction = prediction
 
     def decide(self, chunk: Chunk, clock: IntervalClock) -> Decision:
+        """The authority on whether *chunk* moves now.
+
+        Time may enter only through :meth:`ready_time`; past that gate
+        the answer may depend on the chunk's own write history this
+        interval and on what the estimators learned at interval
+        boundaries, nothing else.  The pre-copy engine relies on this:
+        a chunk answered with anything but :data:`Decision.PRECOPY` is
+        not asked about again until it is written, the interval turns
+        or the policy is swapped."""
         raise NotImplementedError
 
     def ready_time(self, interval_start: float) -> float:
         """Absolute time from which this policy may return
         :data:`Decision.PRECOPY` in the interval opened at
-        *interval_start* (used by the pre-copy engine to sleep until
-        the boundary instead of polling)."""
+        *interval_start*.  The pre-copy engine evaluates it once per
+        wake-up: before it, no chunk is asked about at all, and the
+        engine sleeps until the boundary instead of polling."""
         return interval_start
 
     @property
@@ -169,7 +186,7 @@ class DelayedPrecopyPolicy(CheckpointPolicy):
         return interval_start + self.threshold.threshold()
 
     def decide(self, chunk: Chunk, clock: IntervalClock) -> Decision:
-        if clock.now + _EPS < self.ready_time(clock.interval_start):
+        if not clock.reached(self.ready_time(clock.interval_start)):
             return Decision.COPY_AT_CHECKPOINT
         return Decision.PRECOPY
 
@@ -183,7 +200,7 @@ class PredictivePolicy(DelayedPrecopyPolicy):
     needs_prediction = True
 
     def decide(self, chunk: Chunk, clock: IntervalClock) -> Decision:
-        if clock.now + _EPS < self.ready_time(clock.interval_start):
+        if not clock.reached(self.ready_time(clock.interval_start)):
             return Decision.COPY_AT_CHECKPOINT
         if self.prediction is not None and not self.prediction.eligible(chunk):
             return Decision.SKIP

@@ -6,7 +6,10 @@ the node's NVM bus).  It runs as a DES process that continuously:
 1. finds a dirty, *eligible* chunk — eligibility depends on the policy
    (CPC: any dirty chunk; DCPC: only after the learned threshold
    ``T_p`` within the interval; DCPCP: additionally only once the
-   prediction table expects no further modifications);
+   prediction table expects no further modifications) — through a
+   size-ordered :class:`ReadyIndex` kept up to date by the chunks' own
+   dirty / clean events, so a wake-up costs what it picks, not the
+   number of dirty chunks;
 2. plans and moves it through the rank's copy step
    (:mod:`repro.core.copystep`; bus contention is charged by the
    destination);
@@ -20,8 +23,10 @@ data volume visible in Fig. 7's right axis).
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..alloc.chunk import Chunk, ChunkState
 from ..config import PrecopyPolicy
@@ -36,7 +41,7 @@ from .policy import CheckpointPolicy, Decision, IntervalClock, resolve_policy
 from .prediction import PredictionTable
 from .threshold import ThresholdEstimator
 
-__all__ = ["PrecopyEngine", "PrecopyStats"]
+__all__ = ["PrecopyEngine", "PrecopyStats", "ReadyIndex"]
 
 
 @dataclass
@@ -55,6 +60,88 @@ class PrecopyStats:
         if self.copies == 0:
             return 0
         return int(self.bytes_copied * total / self.copies)
+
+
+class ReadyIndex:
+    """The dirty chunks of one stream, largest first.
+
+    Every member has a *position*: the order in which chunks entered
+    the index, which breaks ties between chunks of equal size.  A
+    chunk keeps its position for as long as it stays a member — being
+    written again, parked or resized does not move it; leaving and
+    re-entering does.
+
+    Members are either *listed* (iteration yields them, largest
+    ``nbytes`` first, ties by position) or *parked*: withheld by the
+    policy, skipped by iteration until :meth:`add` (the chunk was
+    written again) or :meth:`rearm` (interval turned, policy swapped)
+    lists them again.  Every operation touches one entry.
+    """
+
+    def __init__(self) -> None:
+        #: chunk id -> (-nbytes, position, chunk), one per member
+        self._entries: Dict[int, Tuple[int, int, Chunk]] = {}
+        #: the listed entries, sorted (positions are unique, so the
+        #: comparison never reaches the chunk)
+        self._listed: List[Tuple[int, int, Chunk]] = []
+        self._parked: set[int] = set()
+        self._positions = itertools.count()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self) -> Iterator[Chunk]:
+        """Listed members, largest first.  Do not mutate while
+        iterating; collect and apply afterwards."""
+        return (entry[2] for entry in self._listed)
+
+    def _unlist(self, entry: Tuple[int, int, Chunk]) -> None:
+        del self._listed[bisect_left(self._listed, entry)]
+
+    def add(self, chunk: Chunk) -> None:
+        """*chunk* is dirty: enter it (at the back of its size class),
+        or — already a member — list it again if parked and re-sort it
+        if its size changed."""
+        cid = chunk.chunk_id
+        old = self._entries.get(cid)
+        if old is None:
+            entry = (-chunk.nbytes, next(self._positions), chunk)
+        else:
+            entry = (-chunk.nbytes, old[1], chunk)
+            if cid in self._parked:
+                self._parked.discard(cid)
+            elif entry == old:
+                return
+            else:
+                self._unlist(old)
+        self._entries[cid] = entry
+        insort(self._listed, entry)
+
+    def discard(self, chunk: Chunk) -> None:
+        """*chunk* is clean or gone: forget it and its position."""
+        cid = chunk.chunk_id
+        entry = self._entries.get(cid)
+        if entry is None or entry[2] is not chunk:
+            # not a member (a successor allocated under the same id is
+            # not the chunk that went away)
+            return
+        del self._entries[cid]
+        if cid in self._parked:
+            self._parked.discard(cid)
+        else:
+            self._unlist(entry)
+
+    def park(self, chunk: Chunk) -> None:
+        """Withhold a listed member until it is written again or
+        :meth:`rearm` is called."""
+        self._unlist(self._entries[chunk.chunk_id])
+        self._parked.add(chunk.chunk_id)
+
+    def rearm(self) -> None:
+        """List every parked member again, positions kept."""
+        for cid in self._parked:
+            insort(self._listed, self._entries[cid])
+        self._parked.clear()
 
 
 class PrecopyEngine:
@@ -104,18 +191,26 @@ class PrecopyEngine:
 
         self.stats = PrecopyStats()
         self.interval_start = ctx.engine.now
-        self._running = False
         self._paused = False
-        self._stop_requested = False
+        #: :meth:`stop` calls so far; a run ends when the count moves
+        #: past what it was when that run was spawned
+        self._stops = 0
+        #: the stop count the looping run was spawned at (None: idle),
+        #: and the event a successor waits on for that run to wind down
+        self._active: Optional[int] = None
+        self._idle: Optional[Event] = None
         self._wake: Optional[Event] = None
         self._resume: Optional[Event] = None
         #: chunks pre-copied this interval and not re-dirtied yet
         self._pending_clean: Dict[int, Chunk] = {}
         self._wired: set[int] = set()
-        #: dirty-candidate index so eligibility scans touch only dirty
-        #: chunks, not the whole chunk table (stale entries are dropped
-        #: lazily — e.g. chunks cleaned by the coordinated step)
-        self._dirty: Dict[int, Chunk] = {}
+        #: the dirty chunks of this stream, largest first.  A write
+        #: enters a chunk; a chunk that went clean leaves at the next
+        #: wake-up that still finds it clean (``_settling``), so one
+        #: re-dirtied in between keeps its tie-break position
+        self._index = ReadyIndex()
+        #: chunks whose dirty bit was cleared since the last wake-up
+        self._settling: List[Chunk] = []
         self._inflight_chunk: Optional[Chunk] = None
         self._inflight_done: Optional[Event] = None
 
@@ -124,19 +219,39 @@ class PrecopyEngine:
     # ------------------------------------------------------------------
 
     def wire_chunks(self) -> None:
-        """Attach dirty observers to every current chunk (idempotent;
-        call again after new allocations)."""
+        """Attach dirty/clean observers to every current chunk
+        (idempotent; :meth:`begin_interval` repeats it, so a chunk
+        allocated mid-run is picked up at the next interval)."""
         for chunk in self._chunks():
-            if chunk.chunk_id in self._wired:
-                continue
-            chunk.on_dirty.append(self._on_dirty)
-            self._wired.add(chunk.chunk_id)
-            if chunk.persistent and chunk.dirty_local:
-                self._dirty[chunk.chunk_id] = chunk
+            self._wire(chunk)
+
+    def _wire(self, chunk: Chunk) -> None:
+        if chunk.chunk_id in self._wired:
+            return
+        chunk.on_dirty.append(self._on_dirty)
+        chunk.on_clean.append(self._on_clean)
+        self._wired.add(chunk.chunk_id)
+        if chunk.persistent and chunk.dirty_local:
+            self._index.add(chunk)
+
+    def drop_chunk(self, chunk: Chunk) -> None:
+        """*chunk* was deleted: unhook it and never schedule it again
+        (its NVM regions are unmapped — a copy would land nowhere)."""
+        if chunk.chunk_id not in self._wired:
+            return
+        self._wired.discard(chunk.chunk_id)
+        chunk.on_dirty.remove(self._on_dirty)
+        chunk.on_clean.remove(self._on_clean)
+        self._index.discard(chunk)
+        self._pending_clean.pop(chunk.chunk_id, None)
+
+    def _on_clean(self, chunk: Chunk, stream: str) -> None:
+        if stream == self.stream:
+            self._settling.append(chunk)
 
     def _on_dirty(self, chunk: Chunk, now: float) -> None:
         if chunk.persistent:
-            self._dirty[chunk.chunk_id] = chunk
+            self._index.add(chunk)
         if self.prediction is not None:
             self.prediction.observe(chunk)
         pending = self._pending_clean.pop(chunk.chunk_id, None)
@@ -172,6 +287,8 @@ class PrecopyEngine:
         self.decision_policy = decision_policy
         self.threshold = threshold
         self.prediction = prediction
+        # what the old strategy withheld, the new one may release
+        self._index.rearm()
         self._kick()
 
     # ------------------------------------------------------------------
@@ -190,6 +307,9 @@ class PrecopyEngine:
             self.prediction.begin_interval()
         for chunk in self._chunks():
             chunk.begin_interval()
+            self._wire(chunk)
+        # the write counts the policy withheld chunks on start over
+        self._index.rearm()
         self._kick()
 
     def pause(self) -> None:
@@ -212,7 +332,9 @@ class PrecopyEngine:
             yield self._inflight_done
 
     def stop(self) -> None:
-        self._stop_requested = True
+        """End the current run (spawned or already looping).  A later
+        :meth:`run` is a fresh start."""
+        self._stops += 1
         self._kick()
         if self._resume is not None and not self._resume.triggered:
             self._resume.succeed()
@@ -231,29 +353,45 @@ class PrecopyEngine:
         threshold estimator is prediction-gated only."""
         return self.decision_policy.ready_time(self.interval_start)
 
-    def _eligible(self, chunk: Chunk, now: float) -> bool:
-        # mechanism checks stay here; the scheduling question is the
-        # policy strategy's
-        if not chunk.persistent or not chunk.dirty_local:
-            return False
-        if chunk.get_state(self.stream) is not ChunkState.IDLE:
-            return False
-        clock = IntervalClock(now=now, interval_start=self.interval_start)
-        return self.decision_policy.decide(chunk, clock) is Decision.PRECOPY
-
-    def _next_eligible(self, now: float) -> Optional[Chunk]:
-        # largest dirty chunk first: big chunks benefit most from being
-        # out of the coordinated step (Table IV analysis)
-        best: Optional[Chunk] = None
-        stale = []
-        for cid, chunk in self._dirty.items():
+    def _next_eligible(self, now: float, t_ready: float) -> Optional[Chunk]:
+        """The chunk to pre-copy at this wake-up: the largest eligible
+        one (big chunks benefit most from being out of the coordinated
+        step, Table IV analysis), ties in the order the chunks entered
+        the index.  *t_ready* is the policy's gate for this interval,
+        evaluated once by the caller."""
+        index = self._index
+        # chunks cleaned since the last wake-up leave now, unless they
+        # were written again in between
+        for chunk in self._settling:
             if not chunk.dirty_local:
-                stale.append(cid)
+                index.discard(chunk)
+        self._settling.clear()
+        if not index:
+            return None
+        clock = IntervalClock(now=now, interval_start=self.interval_start)
+        if not clock.reached(t_ready):
+            return None
+        best: Optional[Chunk] = None
+        stale: List[Chunk] = []
+        withheld: List[Chunk] = []
+        for chunk in index:
+            # mechanism checks stay here; the scheduling question is
+            # the policy strategy's
+            if not chunk.dirty_local:
+                # cleaned behind the observers' back
+                stale.append(chunk)
                 continue
-            if self._eligible(chunk, now) and (best is None or chunk.nbytes > best.nbytes):
+            if chunk.get_state(self.stream) is not ChunkState.IDLE:
+                # busy on this stream: transient, ask again next time
+                continue
+            if self.decision_policy.decide(chunk, clock) is Decision.PRECOPY:
                 best = chunk
-        for cid in stale:
-            del self._dirty[cid]
+                break
+            withheld.append(chunk)
+        for chunk in stale:
+            index.discard(chunk)
+        for chunk in withheld:
+            index.park(chunk)
         return best
 
     # ------------------------------------------------------------------
@@ -261,37 +399,49 @@ class PrecopyEngine:
     # ------------------------------------------------------------------
 
     def run(self):
-        """Generator process: run until :meth:`stop`."""
-        if self._running:
-            raise SimulationError("pre-copy engine already running")
-        self._running = True
+        """Generator process: run until the next :meth:`stop`.  Stops
+        issued before this call do not count — a stopped engine can be
+        run again — but one issued between this call and the process's
+        first step does."""
+        return self._run(self._stops)
+
+    def _run(self, stops_at_spawn: int):
         engine = self.ctx.engine
+        while self._active is not None:
+            if self._active == self._stops:
+                raise SimulationError("pre-copy engine already running")
+            # the predecessor was stopped but has not wound down yet
+            # (it may be finishing a copy): one loop at a time
+            if self._idle is None:
+                self._idle = engine.event("precopy.idle")
+            yield self._idle
+        self._active = stops_at_spawn
         self.wire_chunks()
         try:
-            while not self._stop_requested:
+            while self._stops == stops_at_spawn:
                 if self._paused:
                     self._resume = engine.event("precopy.resume")
                     yield self._resume
                     continue
                 now = engine.now
-                chunk = self._next_eligible(now)
+                t_ready = self.threshold_time()
+                chunk = self._next_eligible(now, t_ready)
                 if chunk is None:
                     # sleep until a dirty event, or until the threshold
                     # boundary if one is pending
                     self._wake = engine.event("precopy.wake")
-                    t_thresh = self.threshold_time()
                     waits: List[Event] = [self._wake]
-                    if (
-                        now < t_thresh < float("inf")
-                        and any(c.dirty_local for c in self._dirty.values())
-                    ):
-                        waits.append(engine.timeout(t_thresh - now))
+                    if now < t_ready < float("inf") and self._index:
+                        waits.append(engine.timeout(t_ready - now))
                     yield engine.any_of(waits)
                     self._wake = None
                     continue
                 yield from self._copy_one(chunk)
         finally:
-            self._running = False
+            self._active = None
+            if self._idle is not None:
+                self._idle.succeed()
+                self._idle = None
         return self.stats
 
     def _copy_one(self, chunk: Chunk):

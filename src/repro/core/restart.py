@@ -255,7 +255,7 @@ class RestartManager:
                         # for the local stream, protected so the next
                         # write faults; the remote copy may be stale,
                         # so leave the remote bit dirty
-                        chunk.dirty_local = False
+                        chunk.mark_clean("local")
                         chunk.protected = True
                         report.bytes_local += chunk.nbytes
                     report.chunks_local += 1

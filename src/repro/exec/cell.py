@@ -14,6 +14,7 @@ Every run is deterministic for a given ``seed``.
 from __future__ import annotations
 
 import argparse
+import gc
 from typing import Optional
 
 from ..apps import CM1Model, GTCModel, LammpsModel, SyntheticModel
@@ -137,11 +138,21 @@ def run_cell(config: dict) -> dict:
     Module-level and dict-in/dict-out so
     :class:`repro.exec.ParallelExecutor` can ship it across process
     boundaries; the input is copied, so a cell can never leak mutations
-    into its siblings.
+    into its siblings — nor memory: a finished testbed is one cyclic
+    object graph (ranks, chunks, engines and processes point at each
+    other) that only the cycle collector can free, and left to the
+    collector's own schedule the next cell runs on top of it.  The
+    cell therefore ends with a full collection; freezing what was
+    alive before the cell keeps that collection to what the cell left
+    behind (~1 ms instead of ~10 ms for the interpreter's whole heap).
     """
     args = argparse.Namespace(**dict(config))
-    result = run_experiment(args)
-    return result_to_dict(result)
+    gc.freeze()
+    try:
+        return result_to_dict(run_experiment(args))
+    finally:
+        gc.collect()
+        gc.unfreeze()
 
 
 def run_experiment(args: argparse.Namespace) -> RunResult:

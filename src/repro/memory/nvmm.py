@@ -132,8 +132,15 @@ class NVMKernelManager:
     def _load_meta(self, pid: str) -> Dict[str, Any]:
         return self.store.get_meta(self._meta_key(pid), {"regions": {}})
 
-    def _save_meta(self, pid: str, meta: Dict[str, Any]) -> None:
-        self.store.put_meta(self._meta_key(pid), meta)
+    def _save_region(self, region: NvmRegion) -> None:
+        """Write *region*'s own record of the process's region table
+        (an nvmmap costs one record, not the table)."""
+        self.store.put_meta_entry(
+            self._meta_key(region.pid),
+            "regions",
+            region.name,
+            {"size": region.nbytes, "phantom": region.phantom},
+        )
 
     def _charge(self, cost: float) -> None:
         self.accrued_cost += cost
@@ -158,9 +165,7 @@ class NVMKernelManager:
                 raise PersistenceError(f"orphan store region {region.region_id!r}")
             self.store.create(region.region_id, nbytes)
         self._regions[key] = region
-        meta = self._load_meta(pid)
-        meta["regions"][name] = {"size": nbytes, "phantom": phantom}
-        self._save_meta(pid, meta)
+        self._save_region(region)
         return region
 
     def nvmunmap(self, pid: str, name: str) -> None:
@@ -172,9 +177,7 @@ class NVMKernelManager:
         self.device.release(region.nbytes, owner=pid)
         if not region.phantom and self.store.exists(region.region_id):
             self.store.delete(region.region_id)
-        meta = self._load_meta(pid)
-        meta["regions"].pop(name, None)
-        self._save_meta(pid, meta)
+        self.store.delete_meta_entry(self._meta_key(pid), "regions", name)
 
     def nvmrealloc(self, pid: str, name: str, nbytes: int) -> NvmRegion:
         """Grow (or shrink) a mapped region, preserving contents."""
@@ -192,9 +195,7 @@ class NVMKernelManager:
             self.store.resize(region.region_id, nbytes)
         region.nbytes = nbytes
         region.pages.resize(nbytes)
-        meta = self._load_meta(pid)
-        meta["regions"][name]["size"] = nbytes
-        self._save_meta(pid, meta)
+        self._save_region(region)
         return region
 
     def region(self, pid: str, name: str) -> NvmRegion:

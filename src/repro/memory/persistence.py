@@ -24,7 +24,7 @@ import json
 import os
 import tempfile
 from abc import ABC, abstractmethod
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -32,6 +32,14 @@ from ..errors import InvalidAddress, PersistenceError
 from ..faults.crashpoints import fire
 
 __all__ = ["PersistentStore", "InMemoryStore", "FileStore"]
+
+
+def _json_copy(value: Any) -> Any:
+    """A private, JSON-normalised copy of *value* (tuples become lists,
+    int keys strings); raises ``TypeError`` on anything JSON cannot
+    hold.  Costs the size of *value* — callers hand it one record, or
+    a whole key only when the whole key was written."""
+    return json.loads(json.dumps(value))
 
 
 def _as_u8(data: Any) -> np.ndarray:
@@ -108,6 +116,20 @@ class PersistentStore(ABC):
     @abstractmethod
     def list_meta(self) -> List[str]: ...
 
+    # Table-valued metadata (``{"regions": {name: record, ...}}``) can
+    # also be updated one record at a time, at the cost of that record:
+    # ``get_meta(key)[table][name]`` changes, nothing else is copied,
+    # and ``flush`` / ``crash`` treat the record exactly like a key.
+
+    @abstractmethod
+    def put_meta_entry(self, key: str, table: str, name: str, record: Any) -> None:
+        """Set ``get_meta(key)[table][name]`` to a copy of *record*,
+        creating the key and the table as needed."""
+
+    @abstractmethod
+    def delete_meta_entry(self, key: str, table: str, name: str) -> None:
+        """Remove ``get_meta(key)[table][name]`` (a no-op if absent)."""
+
     # -- shared helpers -------------------------------------------------------
 
     def _check_range(self, region_size: int, offset: int, nbytes: int, region_id: str) -> None:
@@ -130,6 +152,10 @@ class InMemoryStore(PersistentStore):
         self._meta_durable: Dict[str, Any] = {}
         self._meta_working: Dict[str, Any] = {}
         self._meta_dirty_keys: set[str] = set()
+        #: key -> the (table, name) records written one at a time since
+        #: the last flush, in write order (keys dirty as a whole are in
+        #: ``_meta_dirty_keys`` instead, never in both)
+        self._meta_dirty_entries: Dict[str, Dict[Tuple[str, str], None]] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -204,23 +230,32 @@ class InMemoryStore(PersistentStore):
                 fire("store.flush.mid", store=self, region_id=region_id)
         self._dirty.clear()
         fire("store.flush.before_meta", store=self)
-        # metadata: snapshot only the keys written since the last flush
-        # (a whole-table deep copy per flush dominates simulation time)
+        # metadata: snapshot only what was written since the last flush
+        # — whole keys, and single records of the table-valued ones
         for key in sorted(self._meta_dirty_keys):
             if key in self._meta_working:
-                self._meta_durable[key] = json.loads(json.dumps(self._meta_working[key]))
+                self._meta_durable[key] = _json_copy(self._meta_working[key])
             else:
                 self._meta_durable.pop(key, None)
         self._meta_dirty_keys.clear()
+        for key in sorted(self._meta_dirty_entries):
+            working = self._meta_working[key]
+            durable = self._meta_durable.setdefault(key, {})
+            for table, name in self._meta_dirty_entries[key]:
+                records = durable.setdefault(table, {})
+                if name in working[table]:
+                    records[name] = _json_copy(working[table][name])
+                else:
+                    records.pop(name, None)
+        self._meta_dirty_entries.clear()
         return flushed
 
     def crash(self) -> None:
         self._working = {rid: arr.copy() for rid, arr in self._durable.items()}
         self._dirty.clear()
-        self._meta_working = {
-            k: json.loads(json.dumps(v)) for k, v in self._meta_durable.items()
-        }
+        self._meta_working = {k: _json_copy(v) for k, v in self._meta_durable.items()}
         self._meta_dirty_keys.clear()
+        self._meta_dirty_entries.clear()
 
     def corrupt(self, region_id: str, offset: int) -> None:
         region = self._region(region_id)
@@ -236,18 +271,44 @@ class InMemoryStore(PersistentStore):
     # -- metadata ---------------------------------------------------------------------
 
     def put_meta(self, key: str, value: Any) -> None:
-        self._meta_working[key] = json.loads(json.dumps(value))
-        self._meta_dirty_keys.add(key)
+        self._meta_working[key] = _json_copy(value)
+        self._mark_key_dirty(key)
 
     def get_meta(self, key: str, default: Any = None) -> Any:
         return self._meta_working.get(key, default)
 
     def delete_meta(self, key: str) -> None:
         self._meta_working.pop(key, None)
-        self._meta_dirty_keys.add(key)
+        self._mark_key_dirty(key)
 
     def list_meta(self) -> List[str]:
         return sorted(self._meta_working)
+
+    def _mark_key_dirty(self, key: str) -> None:
+        # the whole key goes at the next flush; its single records need
+        # no tracking of their own until then
+        self._meta_dirty_keys.add(key)
+        self._meta_dirty_entries.pop(key, None)
+
+    def put_meta_entry(self, key: str, table: str, name: str, record: Any) -> None:
+        record = _json_copy(record)  # rejected before anything changes
+        value = self._meta_working.setdefault(key, {})
+        records = value.setdefault(table, {}) if isinstance(value, dict) else None
+        if not isinstance(records, dict):
+            raise PersistenceError(f"metadata {key!r} holds no record table {table!r}")
+        records[name] = record
+        self._mark_entry_dirty(key, table, name)
+
+    def delete_meta_entry(self, key: str, table: str, name: str) -> None:
+        value = self._meta_working.get(key)
+        records = value.get(table) if isinstance(value, dict) else None
+        if isinstance(records, dict) and name in records:
+            del records[name]
+            self._mark_entry_dirty(key, table, name)
+
+    def _mark_entry_dirty(self, key: str, table: str, name: str) -> None:
+        if key not in self._meta_dirty_keys:
+            self._meta_dirty_entries.setdefault(key, {})[(table, name)] = None
 
 
 class FileStore(PersistentStore):
@@ -344,6 +405,12 @@ class FileStore(PersistentStore):
 
     def list_meta(self) -> List[str]:
         return self._inner.list_meta()
+
+    def put_meta_entry(self, key: str, table: str, name: str, record: Any) -> None:
+        self._inner.put_meta_entry(key, table, name, record)
+
+    def delete_meta_entry(self, key: str, table: str, name: str) -> None:
+        self._inner.delete_meta_entry(key, table, name)
 
     # -- durability -------------------------------------------------------------------
 

@@ -72,6 +72,19 @@ def run_proc(engine, gen, until=None):
     return proc.value
 
 
+def gtc_cell(small_chunks: int, mode: str = "dcpcp") -> dict:
+    """The many-small-chunks GTC cell (perfbench's ``gtc-manychunk``
+    shape) as a ``run_cell`` config — the scaling guards count work on
+    it at two chunk counts."""
+    from repro.exec.cell import build_parser
+
+    argv = (
+        "--app gtc --nodes 2 --ranks-per-node 1 --iterations 3 --local-interval 20 "
+        f"--remote-interval 60 --mode {mode} --small-chunks {small_chunks} --nvm-gbps 1.0"
+    )
+    return vars(build_parser().parse_args(argv.split()))
+
+
 @pytest.fixture
 def assert_replay_matches():
     """The differential-replay oracle as a reusable assertion: capture

@@ -199,3 +199,85 @@ class TestRestartPaths:
         re = NVAllocator.restart("p0", ctx.nvmm, MemoryDevice(DRAM_CONFIG))
         assert re.chunk("ph").phantom
         assert re.chunk("ph").nbytes == MB(2)
+
+
+class TestMetadataCost:
+    """An allocation writes its own metadata record, not the process's
+    tables — and the tables it leaves read exactly like a rewrite."""
+
+    @staticmethod
+    def serialised_bytes(monkeypatch, fn):
+        """Bytes the persistent store JSON-serialises while *fn* runs."""
+        from repro.memory import persistence
+
+        total = [0]
+        dumps = persistence.json.dumps
+
+        def counting(value, *args, **kw):
+            text = dumps(value, *args, **kw)
+            total[0] += len(text)
+            return text
+
+        with monkeypatch.context() as m:
+            m.setattr(persistence.json, "dumps", counting)
+            fn()
+        return total[0]
+
+    @staticmethod
+    def allocate(ctx, n):
+        alloc = NVAllocator("p0", ctx.nvmm, ctx.dram, phantom=True)
+        for i in range(n):
+            alloc.nvalloc(f"chunk{i:04d}", 4096)
+        return alloc
+
+    def test_allocating_twice_the_chunks_serialises_about_twice_the_bytes(
+        self, monkeypatch
+    ):
+        from repro.core.context import make_standalone_context
+
+        def cost(n):
+            ctx = make_standalone_context(name=f"meta{n}")
+            return self.serialised_bytes(monkeypatch, lambda: self.allocate(ctx, n))
+
+        small, large = cost(100), cost(200)
+        assert small > 0
+        assert large <= 2.5 * small  # ~4x when every nvalloc rewrote both tables
+
+    def test_gtc_cell_metadata_bytes_grow_linearly(self, monkeypatch):
+        from repro.exec.cell import run_cell
+        from tests.conftest import gtc_cell
+
+        def cost(small_chunks):
+            cell = gtc_cell(small_chunks)
+            return self.serialised_bytes(monkeypatch, lambda: run_cell(cell))
+
+        assert cost(192) <= 2.5 * cost(96)
+
+    def test_tables_read_like_a_whole_rewrite(self, ctx):
+        alloc = self.allocate(ctx, 5)
+        alloc.nvrealloc("chunk0001", 8192)
+        alloc.nvdelete("chunk0003")
+        store = ctx.nvmm.store
+        by_entries = store.get_meta("alloc/proc:p0")
+        alloc._persist_metadata()
+        assert store.get_meta("alloc/proc:p0") == by_entries
+        assert sorted(by_entries["chunks"]) == [
+            "chunk0000", "chunk0001", "chunk0002", "chunk0004"
+        ]
+        assert by_entries["chunks"]["chunk0001"]["size"] == 8192
+        regions = store.get_meta("nvmm/proc:p0")["regions"]
+        assert sorted(regions) == sorted(
+            f"{name}#v{v}" for name in by_entries["chunks"] for v in (0, 1)
+        )
+        assert regions["chunk0001#v0"] == {"size": 8192, "phantom": True}
+
+    def test_unflushed_allocation_dies_alone_on_crash(self, ctx):
+        alloc = self.allocate(ctx, 2)
+        ctx.nvmm.cache_flush()
+        alloc.nvalloc("late", 4096)
+        alloc.nvdelete("chunk0000")
+        ctx.nvmm.store.crash()
+        assert sorted(ctx.nvmm.store.get_meta("alloc/proc:p0")["chunks"]) == [
+            "chunk0000", "chunk0001"
+        ]
+        assert "late#v0" not in ctx.nvmm.store.get_meta("nvmm/proc:p0")["regions"]

@@ -413,3 +413,28 @@ class TestEngineThroughput:
         report = ExecutionReport(cells_total=10, cache_hits=5, wall_s=2.0)
         assert report.cache_hit_rate == 0.5
         assert report.cells_per_sec == 5.0
+
+
+class TestCellMemory:
+    def test_finished_cell_leaves_no_testbed_behind(self):
+        """A testbed is one cyclic graph; ``run_cell`` must free it
+        itself instead of leaving it to the collector's schedule (the
+        next cell would run on top of it)."""
+        import gc
+
+        from repro.alloc.chunk import Chunk
+        from repro.exec.cell import build_parser, resolve_config, run_cell
+
+        def live_chunks():
+            return sum(isinstance(o, Chunk) for o in gc.get_objects())
+
+        config = resolve_config(build_parser().parse_args(BASE))
+        gc.collect()
+        before = live_chunks()
+        gc.disable()  # whatever is freed now, the cell freed
+        try:
+            run_cell(config)
+            assert live_chunks() == before
+            assert gc.get_freeze_count() == 0
+        finally:
+            gc.enable()

@@ -145,6 +145,138 @@ class TestFlushBoundary:
         assert anystore.get_meta("k") == {"list": [1, 2]}
 
 
+class TestMetaEntries:
+    """Table-valued metadata updated one record at a time: the record
+    obeys the same flush boundary as a whole key."""
+
+    KEY = "nvmm/proc:p0"
+
+    def test_entry_creates_key_and_table(self, anystore):
+        anystore.put_meta_entry(self.KEY, "regions", "a", {"size": 8})
+        assert anystore.get_meta(self.KEY) == {"regions": {"a": {"size": 8}}}
+        assert anystore.list_meta() == [self.KEY]
+
+    def test_unflushed_entry_dies_on_crash(self, anystore):
+        anystore.put_meta_entry(self.KEY, "regions", "a", {"size": 8})
+        anystore.crash()
+        assert anystore.get_meta(self.KEY) is None
+
+    def test_flushed_entry_survives_a_later_unflushed_one_does_not(self, anystore):
+        anystore.put_meta_entry(self.KEY, "regions", "a", {"size": 8})
+        anystore.flush()
+        anystore.put_meta_entry(self.KEY, "regions", "b", {"size": 16})
+        anystore.put_meta_entry(self.KEY, "regions", "a", {"size": 9})
+        anystore.crash()
+        assert anystore.get_meta(self.KEY) == {"regions": {"a": {"size": 8}}}
+
+    def test_entry_joins_a_table_written_as_a_whole(self, anystore):
+        anystore.put_meta(self.KEY, {"regions": {"a": {"size": 8}}})
+        anystore.flush()
+        anystore.put_meta_entry(self.KEY, "regions", "b", {"size": 16})
+        anystore.flush()
+        anystore.crash()
+        assert anystore.get_meta(self.KEY) == {
+            "regions": {"a": {"size": 8}, "b": {"size": 16}}
+        }
+
+    def test_entry_delete_rolls_back(self, anystore):
+        anystore.put_meta_entry(self.KEY, "regions", "a", {"size": 8})
+        anystore.flush()
+        anystore.delete_meta_entry(self.KEY, "regions", "a")
+        assert anystore.get_meta(self.KEY) == {"regions": {}}
+        anystore.crash()
+        assert anystore.get_meta(self.KEY) == {"regions": {"a": {"size": 8}}}
+
+    def test_entry_delete_flushed(self, anystore):
+        anystore.put_meta_entry(self.KEY, "regions", "a", {"size": 8})
+        anystore.flush()
+        anystore.delete_meta_entry(self.KEY, "regions", "a")
+        anystore.flush()
+        anystore.crash()
+        assert anystore.get_meta(self.KEY) == {"regions": {}}
+
+    def test_delete_of_absent_entry_is_a_noop(self, anystore):
+        anystore.delete_meta_entry(self.KEY, "regions", "a")
+        assert anystore.get_meta(self.KEY) is None
+        anystore.put_meta(self.KEY, {"regions": {}})
+        anystore.delete_meta_entry(self.KEY, "regions", "a")
+        assert anystore.get_meta(self.KEY) == {"regions": {}}
+
+    def test_caller_mutation_after_the_put_does_not_leak_in(self, anystore):
+        record = {"size": 8, "checksums": [1, None]}
+        anystore.put_meta_entry(self.KEY, "chunks", "a", record)
+        record["checksums"].append(3)
+        record["size"] = 0
+        assert anystore.get_meta(self.KEY)["chunks"]["a"] == {
+            "size": 8, "checksums": [1, None]
+        }
+
+    def test_reader_mutation_does_not_reach_the_durable_side(self, anystore):
+        anystore.put_meta_entry(self.KEY, "chunks", "a", {"size": 8})
+        anystore.flush()
+        anystore.get_meta(self.KEY)["chunks"]["a"]["size"] = 0
+        anystore.crash()
+        assert anystore.get_meta(self.KEY)["chunks"]["a"] == {"size": 8}
+
+    def test_record_is_json_normalised(self, anystore):
+        anystore.put_meta_entry(self.KEY, "chunks", "a", {"pair": (1, 2), 3: "x"})
+        assert anystore.get_meta(self.KEY)["chunks"]["a"] == {"pair": [1, 2], "3": "x"}
+
+    def test_non_json_record_rejected_and_nothing_changes(self, anystore):
+        with pytest.raises(TypeError):
+            anystore.put_meta_entry(self.KEY, "chunks", "a", {"bad": object()})
+        assert anystore.get_meta(self.KEY) is None
+        assert anystore.list_meta() == []
+
+    def test_entry_into_a_non_table_rejected(self, anystore):
+        anystore.put_meta("scalar", 1)
+        anystore.put_meta("flat", {"regions": 1})
+        with pytest.raises(PersistenceError):
+            anystore.put_meta_entry("scalar", "regions", "a", {})
+        with pytest.raises(PersistenceError):
+            anystore.put_meta_entry("flat", "regions", "a", {})
+
+    def test_whole_key_put_after_entry_updates_wins(self, anystore):
+        anystore.put_meta_entry(self.KEY, "regions", "a", {"size": 8})
+        anystore.put_meta_entry(self.KEY, "regions", "b", {"size": 16})
+        anystore.put_meta(self.KEY, {"regions": {"c": {"size": 1}}})
+        assert anystore.get_meta(self.KEY) == {"regions": {"c": {"size": 1}}}
+        anystore.flush()
+        anystore.crash()
+        assert anystore.get_meta(self.KEY) == {"regions": {"c": {"size": 1}}}
+
+    def test_key_delete_after_entry_updates_wins(self, anystore):
+        anystore.put_meta_entry(self.KEY, "regions", "a", {"size": 8})
+        anystore.flush()
+        anystore.put_meta_entry(self.KEY, "regions", "b", {"size": 16})
+        anystore.delete_meta(self.KEY)
+        anystore.flush()
+        anystore.crash()
+        assert anystore.get_meta(self.KEY) is None
+
+    def test_entry_after_unflushed_whole_put_rides_with_the_key(self, anystore):
+        anystore.put_meta(self.KEY, {"regions": {}, "owner": "p0"})
+        anystore.put_meta_entry(self.KEY, "regions", "a", {"size": 8})
+        anystore.flush()
+        anystore.crash()
+        assert anystore.get_meta(self.KEY) == {
+            "regions": {"a": {"size": 8}}, "owner": "p0"
+        }
+
+    def test_file_store_reopen_sees_entries(self, tmp_path):
+        path = str(tmp_path / "s")
+        s1 = FileStore(path)
+        s1.put_meta_entry(self.KEY, "regions", "a", {"size": 8})
+        s1.flush()
+        s1.put_meta_entry(self.KEY, "regions", "b", {"size": 16})  # never flushed
+        del s1
+        s2 = FileStore(path)
+        assert s2.get_meta(self.KEY) == {"regions": {"a": {"size": 8}}}
+        s2.delete_meta_entry(self.KEY, "regions", "a")
+        s2.flush()
+        assert FileStore(path).get_meta(self.KEY) == {"regions": {}}
+
+
 class TestFileStoreRestart:
     def test_survives_process_restart(self, tmp_path):
         path = str(tmp_path / "s")

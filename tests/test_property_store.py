@@ -2,6 +2,8 @@
 contract: at any crash point, every region equals its last-flushed
 contents, regardless of the write/flush interleaving."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +70,56 @@ def test_metadata_crash_consistency(keys, crash_at):
         working = dict(durable)
     for key in ("a", "b", "c"):
         assert store.get_meta(key) == working.get(key)
+
+
+# metadata operations over two table-valued keys: whole-key writes and
+# deletes, single-record writes and deletes, flush, crash
+meta_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["put", "delete", "put_entry", "put_entry", "delete_entry", "flush", "crash"]
+        ),
+        st.sampled_from(["k1", "k2"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.integers(0, 99),
+    ),
+    max_size=40,
+)
+
+
+@given(program=meta_ops)
+@settings(max_examples=200, deadline=None)
+def test_metadata_entries_obey_the_flush_boundary(program):
+    """Per-record updates mixed with whole-key ones: after any
+    interleaving the store reads like a plain dict model, and a crash
+    returns exactly the model's last-flushed copy."""
+    store = InMemoryStore()
+    working, durable = {}, {}
+    for op, key, name, val in program:
+        if op == "put":
+            store.put_meta(key, {"t": {name: {"v": val}}})
+            working[key] = {"t": {name: {"v": val}}}
+        elif op == "delete":
+            store.delete_meta(key)
+            working.pop(key, None)
+        elif op == "put_entry":
+            store.put_meta_entry(key, "t", name, {"v": val})
+            working.setdefault(key, {}).setdefault("t", {})[name] = {"v": val}
+        elif op == "delete_entry":
+            store.delete_meta_entry(key, "t", name)
+            working.get(key, {}).get("t", {}).pop(name, None)
+        elif op == "flush":
+            store.flush()
+            durable = copy.deepcopy(working)
+        else:
+            store.crash()
+            working = copy.deepcopy(durable)
+        for k in ("k1", "k2"):
+            assert store.get_meta(k) == working.get(k)
+        assert store.list_meta() == sorted(working)
+    store.crash()
+    for k in ("k1", "k2"):
+        assert store.get_meta(k) == durable.get(k)
 
 
 @given(
