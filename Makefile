@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint faults faults-matrix bench bench-json exec-smoke replay-smoke scale-smoke elastic-smoke dedup-smoke qos-smoke perf-smoke perf-compare
+.PHONY: test lint faults faults-matrix bench bench-json smoke perf-smoke perf-compare
 
 # tier-1: the full deterministic suite
 test:
@@ -32,40 +32,15 @@ bench:
 bench-json:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.bench --out BENCH_baseline.json
 
-# smallest end-to-end proof of the execution engine: one sweep cell,
-# cold then warm, warm run must execute nothing
-exec-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.bench --smoke
+# CI-sized proof of every bench block: each block of the registry in
+# repro.tools.bench run at its smoke inputs, its gate checked, one line
+# printed per block; exit 1 if any gate fails.  `make smoke-<block>`
+# runs one (the bench's --help lists the block names).
+smoke:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.bench --smoke all
 
-# smallest end-to-end proof of the replay engine: capture two live
-# cells, replay each faithfully, fail on any byte divergence
-replay-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.bench --replay-smoke
-
-# smallest end-to-end proof of the scale work: DES throughput is sane,
-# serial / persistent-pool / legacy-forkpool records are identical,
-# and the persistent pool out-dispatches forking a Pool per round
-scale-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.bench --scale-smoke
-
-# smallest end-to-end proof of elastic membership: join + live migration
-# + drain + newcomer failure; incremental failover must beat the
-# full-resync baseline and the checkpoint-latency SLO must hold
-elastic-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.bench --elastic-smoke
-
-# smallest end-to-end proof of the payload codec: a paired
-# incremental-vs-codec grid (wire bytes must drop on every cell) plus
-# a real-payload checkpoint -> crash -> digest-verified restart
-dedup-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.bench --dedup-smoke
-
-# smallest end-to-end proof of the tenancy layer: the pinned
-# multi-tenant scenario must keep the guaranteed tenant's interval/RPO
-# attainment at target while best-effort tenants are throttled, with
-# queueing + preemption exercised and tenant attribution end-to-end
-qos-smoke:
-	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.bench --qos-smoke
+smoke-%:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.bench --smoke $*
 
 # the performance benchmark's own proof (perfbench/, BENCHMARK.json):
 # every workload once at smoke size — simulated results must read

@@ -126,7 +126,7 @@ def main() -> None:
     exact_mode_tour()
     verified_restart(*codec_checkpoints())
     print("\n(see `repro-sweep --replay ... --sweep codec=...` and "
-          "`python -m repro.tools.bench --dedup-smoke` for the modelled "
+          "`python -m repro.tools.bench --smoke dedup` for the modelled "
           "and CI-sized versions of the same story)")
 
 

@@ -53,7 +53,7 @@ from .cluster import Cluster, ClusterRunner, RunResult
 from .models import ModelParams, MultilevelModel
 from .replay import ReplayEngine
 # the execution engine owns the cell surface the tools layer wraps
-from .exec import GridResult, GridSpec, ParallelExecutor, ResultCache, run_grid
+from .exec import GridResult, GridSpec, ResultCache, run_grid
 
 
 def checkpoint(target: Any, *, blocking: bool = True, **kwargs):
@@ -113,7 +113,6 @@ __all__ = [
     "ClusterRunner",
     "RunResult",
     # execution engine
-    "ParallelExecutor",
     "ResultCache",
     "GridSpec",
     "GridResult",

@@ -52,7 +52,7 @@ from . import phases
 from .cluster import Cluster
 from .failures import FailureEvent, FailureInjector
 from .mpi import Barrier
-from .node import ClusterNode, RankState
+from .node import RankState
 
 __all__ = ["ClusterRunner", "RunResult"]
 
@@ -704,8 +704,7 @@ class ClusterRunner:
         return phases.segment(self, state, iteration)
 
     # ------------------------------------------------------------------
-    # Failure handling — the phase logic lives in repro.cluster.phases;
-    # these thin delegates keep the historical method surface.
+    # Failure handling — the phase logic lives in repro.cluster.phases.
     # ------------------------------------------------------------------
 
     def _apply_transient(self, ev: FailureEvent) -> None:
@@ -713,27 +712,6 @@ class ClusterRunner:
 
     def _handle_failure(self, ev: FailureEvent, procs):
         return phases.handle_failure(self, ev, procs)
-
-    def _buddy_capacity_ok(self, orphan_id: int, candidate_id: int) -> bool:
-        return phases.buddy_capacity_ok(self, orphan_id, candidate_id)
-
-    def _orphan_failover(self, dead: ClusterNode) -> None:
-        phases.orphan_failover(self, dead)
-
-    def _repair_orphan(self, orphan_id: int, new_buddy: int) -> None:
-        phases.repair_orphan(self, orphan_id, new_buddy)
-
-    def _resync_proc(self, node_id: int, task):
-        return phases.resync_proc(self, node_id, task)
-
-    def _recover_soft(self, node: ClusterNode):
-        return phases.recover_soft(self, node)
-
-    def _fetch_source_for(self, node: ClusterNode, old_helper) -> int:
-        return phases.fetch_source_for(self, node, old_helper)
-
-    def _recover_hard(self, node: ClusterNode):
-        return phases.recover_hard(self, node)
 
     # ------------------------------------------------------------------
     # Result collection.

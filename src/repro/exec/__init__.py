@@ -12,15 +12,14 @@ that shape into wall-clock wins behind one public entry point,
 * :mod:`~repro.exec.pool` — :class:`WorkerPool`, persistent daemon
   workers spawned once per session with batched cell dispatch and
   worker-side trace capture;
-* :mod:`~repro.exec.executor` — :class:`ParallelExecutor` shards cells
-  across the pool; results come back in submission order, so
-  ``workers=N`` is byte-identical to serial;
 * :mod:`~repro.exec.cache` — :class:`ResultCache`, a content-addressed
   store keyed by the resolved cell config + ``repro.__version__``;
   re-running a sweep executes only changed cells;
 * :mod:`~repro.exec.grid` — :class:`GridSpec` expansion with
-  deterministic per-cell RNG seed derivation, and the
-  :func:`run_grid` facade returning a :class:`GridResult`.
+  deterministic per-cell RNG seed derivation, and :func:`run_grid`
+  itself: cache probe, batching, dispatch (in-process or over the
+  pool); results come back in grid order, so ``workers=N`` is
+  byte-identical to serial.
 
 ``repro.tools.sweep`` and ``repro.tools.bench`` are thin user-facing
 wrappers over :func:`run_grid`.
@@ -28,8 +27,8 @@ wrappers over :func:`run_grid`.
 
 from .cache import ResultCache, cache_key
 from .cell import build_parser, resolve_config, run_cell
-from .executor import ExecutionReport, ParallelExecutor, resolve_workers
 from .grid import (
+    ExecutionReport,
     GridCell,
     GridResult,
     GridSpec,
@@ -37,6 +36,7 @@ from .grid import (
     expand_grid,
     flatten_record,
     parse_sweeps,
+    resolve_workers,
     run_grid,
 )
 from .pool import WorkerPool, WorkerPoolError, shared_pool, shutdown_pools
@@ -47,7 +47,6 @@ __all__ = [
     "build_parser",
     "resolve_config",
     "run_cell",
-    "ParallelExecutor",
     "ExecutionReport",
     "resolve_workers",
     "WorkerPool",

@@ -5,8 +5,8 @@ argparse option surface, the resolution of parsed options into the
 canonical semantic config dict (the cache-key input and worker
 payload), and the cell execution path that builds the simulated testbed
 and runs it.  ``repro.tools.experiment`` is a thin CLI wrapper over it,
-and :mod:`repro.exec.grid` expands sweep grids over the same surface —
-neither owns any config-resolution or dispatch logic of its own.
+and :mod:`repro.exec.grid` expands and dispatches sweep grids over the
+same surface — neither owns any config-resolution logic of its own.
 
 Every run is deterministic for a given ``seed``.
 """
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import argparse
 import gc
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from ..apps import CM1Model, GTCModel, LammpsModel, SyntheticModel
 from ..cluster import Cluster, ClusterRunner, RunResult
@@ -34,6 +34,7 @@ __all__ = [
     "build_parser",
     "resolve_config",
     "run_cell",
+    "run_collected",
     "run_experiment",
     "result_to_dict",
 ]
@@ -132,27 +133,36 @@ def resolve_config(args: argparse.Namespace) -> dict:
     }
 
 
-def run_cell(config: dict) -> dict:
-    """Execute one resolved cell and return its summary dict.
+def run_collected(config: dict, summarize: Callable[[RunResult], Any]) -> Any:
+    """Run one resolved cell and return ``summarize(result)``, leaving
+    no testbed behind.
 
-    Module-level and dict-in/dict-out so
-    :class:`repro.exec.ParallelExecutor` can ship it across process
-    boundaries; the input is copied, so a cell can never leak mutations
-    into its siblings — nor memory: a finished testbed is one cyclic
-    object graph (ranks, chunks, engines and processes point at each
-    other) that only the cycle collector can free, and left to the
-    collector's own schedule the next cell runs on top of it.  The
-    cell therefore ends with a full collection; freezing what was
-    alive before the cell keeps that collection to what the cell left
-    behind (~1 ms instead of ~10 ms for the interpreter's whole heap).
+    A finished testbed is one cyclic object graph (ranks, chunks,
+    engines and processes point at each other) that only the cycle
+    collector can free, and left to the collector's own schedule the
+    next cell runs on top of it.  The cell therefore ends with a full
+    collection; freezing what was alive before the cell keeps that
+    collection to what the cell left behind (~1 ms instead of ~10 ms
+    for the interpreter's whole heap).  The :class:`RunResult` points
+    at its cluster, so only *summarize*'s return value leaves here.
     """
     args = argparse.Namespace(**dict(config))
     gc.freeze()
     try:
-        return result_to_dict(run_experiment(args))
+        return summarize(run_experiment(args))
     finally:
         gc.collect()
         gc.unfreeze()
+
+
+def run_cell(config: dict) -> dict:
+    """Execute one resolved cell and return its summary dict.
+
+    Module-level and dict-in/dict-out so the worker pool can ship it
+    across process boundaries; the input is copied, so a cell can never
+    leak mutations — nor memory — into its siblings.
+    """
+    return run_collected(config, result_to_dict)
 
 
 def run_experiment(args: argparse.Namespace) -> RunResult:

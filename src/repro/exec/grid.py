@@ -4,10 +4,12 @@ A sweep is the cross product of option axes over the experiment-cell
 surface (:mod:`repro.exec.cell`).  :class:`GridSpec` names a grid
 declaratively, :func:`expand_grid` resolves every cell to its full
 configuration dict (argparse defaulting applied, per-cell seed
-derived), and :func:`run_grid` — the facade the CLIs and the bench are
-thin wrappers over — pushes the cells through a
-:class:`~repro.exec.executor.ParallelExecutor` and returns a
-:class:`GridResult`.
+derived), and :func:`run_grid` — the one function the CLIs and the
+bench call — probes the result cache, batches the misses, runs them
+(in-process, or across the persistent :class:`~repro.exec.pool.WorkerPool`)
+and returns a :class:`GridResult`.  Records come back in grid order and
+each cell's output depends only on its own config, so ``workers=N``
+is byte-identical to ``workers=1`` for any N.
 
 Per-cell RNG seeding: each cell's ``seed`` is derived as a stable
 48-bit hash of the base ``--seed`` and the cell's *own* axis values —
@@ -22,16 +24,19 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+import os
+import time
+from dataclasses import dataclass, field
 from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .. import __version__
 from .cache import ResultCache, cache_key
 from .cell import build_parser, resolve_config, run_cell
-from .executor import ExecutionReport, ParallelExecutor
+from .pool import _run_one, shared_pool
 
 __all__ = [
     "Axes",
+    "ExecutionReport",
     "GridCell",
     "GridSpec",
     "GridResult",
@@ -41,6 +46,7 @@ __all__ = [
     "expand_grid",
     "flatten_record",
     "parse_sweeps",
+    "resolve_workers",
     "run_grid",
     "write_csv",
 ]
@@ -156,8 +162,34 @@ class GridSpec:
 
 
 @dataclass
+class ExecutionReport:
+    """What one :func:`run_grid` call executed, and how."""
+
+    #: one raw result dict per cell, in grid order
+    results: List[Dict[str, Any]] = field(default_factory=list)
+    cells_total: int = 0
+    cells_executed: int = 0
+    cache_hits: int = 0
+    #: effective worker count (after host clamping)
+    workers: int = 1
+    #: the count the caller asked for, before clamping
+    workers_requested: int = 1
+    #: dispatch batches streamed to the pool (0 = in-process run)
+    batches: int = 0
+    wall_s: float = 0.0
+
+    @property
+    def cache_hit_rate(self) -> float:
+        return self.cache_hits / self.cells_total if self.cells_total else 0.0
+
+    @property
+    def cells_per_sec(self) -> float:
+        return self.cells_total / self.wall_s if self.wall_s > 0 else 0.0
+
+
+@dataclass
 class GridResult:
-    """The records of a grid run plus the executor's accounting."""
+    """The records of a grid run plus its execution accounting."""
 
     records: List[Dict[str, Any]]
     cells: List[GridCell]
@@ -241,7 +273,7 @@ def write_csv(records: Sequence[dict], axes: Axes, stream: IO[str]) -> None:
 def _write_grid_trace(
     target: Union[str, IO[str]],
     cells: Sequence[GridCell],
-    execution: ExecutionReport,
+    traces: Sequence[Optional[List[dict]]],
 ) -> None:
     """Stream the per-cell captured events as one versioned Jsonl file.
 
@@ -272,12 +304,44 @@ def _write_grid_trace(
             },
         }
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for records in execution.trace_records:
+        for records in traces:
             for record in records or ():
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     finally:
         if owns:
             fh.close()
+
+
+#: worker-count spellings meaning "one worker per available CPU"
+_AUTO_WORKERS = (None, "auto", 0, "0")
+
+#: the misses are split into ``min(4 * workers, n)`` batches pulled by
+#: whichever worker frees up first: few enough that IPC stays
+#: negligible, many enough to balance heterogeneous cell times
+_BATCHES_PER_WORKER = 4
+
+
+def resolve_workers(workers: int | str | None) -> int:
+    """The effective worker count: ``None``/``"auto"``/``0`` mean one
+    per available CPU; anything else must be a positive int and is
+    clamped to ``os.cpu_count()`` — extra processes on an
+    oversubscribed host only add dispatch overhead."""
+    host = max(1, os.cpu_count() or 1)
+    if workers in _AUTO_WORKERS:
+        return host
+    n = int(workers)
+    if n < 1:
+        raise ValueError(f"workers must be >= 1 (or 'auto'), got {workers}")
+    return min(n, host)
+
+
+def _batch_indexes(pending: Sequence[int], n_batches: int) -> List[List[int]]:
+    """Split *pending* into at most *n_batches* contiguous batches of
+    near-equal size (deterministic; order-preserving)."""
+    n_batches = max(1, min(n_batches, len(pending)))
+    size, extra = divmod(len(pending), n_batches)
+    starts = [b * size + min(b, extra) for b in range(n_batches + 1)]
+    return [list(pending[lo:hi]) for lo, hi in zip(starts, starts[1:])]
 
 
 def run_grid(
@@ -288,44 +352,70 @@ def run_grid(
     cache: Union[ResultCache, str, None] = None,
     trace: Union[str, IO[str], None] = None,
     derive_seeds: bool = True,
-    mp_start: Optional[str] = None,
-    clamp: bool = True,
-    executor: Optional[ParallelExecutor] = None,
 ) -> GridResult:
-    """Run a whole sweep grid; the single public execution entry point.
+    """Run a whole sweep grid; the single execution entry point.
 
-    *grid* is a :class:`GridSpec` (preferred) or a base-argument list
-    with *axes* alongside — the historical calling form, still
-    accepted.  *cache* takes a :class:`ResultCache` or a directory
-    path; *trace* streams every executed cell's trace events to one
-    versioned Jsonl file (captured inside the workers, so it works
-    under parallel execution too); *workers* is clamped to the host CPU
-    count unless ``clamp=False``.  Pass *executor* to reuse a
-    configured :class:`ParallelExecutor` (its workers/cache win).
+    *grid* is a :class:`GridSpec` or a base-argument list with *axes*
+    alongside.  *cache* takes a :class:`ResultCache` or a directory
+    path: hits never reach a worker, misses are stored after they run.
+    *trace* streams every executed cell's trace events to one versioned
+    Jsonl file (captured where the cell runs, in-process or in a
+    worker).  *workers* is clamped to the host CPU count
+    (:func:`resolve_workers`).
 
     Returns one flat record per cell (in grid order), each carrying its
     ``sweep.<axis>`` coordinates alongside the flattened experiment
     metrics.
     """
-    spec = grid if isinstance(grid, GridSpec) else GridSpec.of(
-        grid, axes, derive_seeds=derive_seeds
-    )
-    cells = expand_grid(spec)
+    cells = expand_grid(grid, axes, derive_seeds=derive_seeds)
     if isinstance(cache, (str, bytes)) or hasattr(cache, "__fspath__"):
         cache = ResultCache(cache)
-    ex = executor or ParallelExecutor(
-        workers, cache=cache, mp_start=mp_start, clamp=clamp
+    n_workers = resolve_workers(workers)
+    report = ExecutionReport(
+        cells_total=len(cells),
+        workers=n_workers,
+        workers_requested=n_workers if workers in _AUTO_WORKERS else int(workers),
     )
-    report = ex.run(
-        run_cell,
-        [cell.config for cell in cells],
-        keys=[cell.key for cell in cells] if ex.cache is not None else None,
-        capture_trace=trace is not None,
-    )
+    t0 = time.perf_counter()
+    results: List[Optional[Dict[str, Any]]] = [None] * len(cells)
+    traces: List[Optional[List[dict]]] = [None] * len(cells)
+
+    # 1. cache probe — hits never reach a worker
+    keys = [cell.key for cell in cells] if cache is not None else None
+    pending: List[int] = []
+    for i in range(len(cells)):
+        cached = cache.get(keys[i]) if keys is not None else None
+        if cached is not None:
+            results[i] = cached
+            report.cache_hits += 1
+        else:
+            pending.append(i)
+
+    # 2. execute the misses: batched over the persistent pool, or
+    # in-process when one worker (or one miss) makes sharding moot
+    capture = trace is not None
+    if n_workers > 1 and len(pending) > 1:
+        batches = _batch_indexes(pending, _BATCHES_PER_WORKER * n_workers)
+        report.batches = len(batches)
+        answered = shared_pool(n_workers).run_batches(
+            run_cell,
+            [[(i, cells[i].config) for i in batch] for batch in batches],
+            capture=capture,
+        )
+    else:
+        answered = {i: _run_one(run_cell, cells[i].config, capture) for i in pending}
+    for i in pending:
+        results[i], traces[i] = answered[i]
+        if keys is not None:
+            cache.put(keys[i], results[i])
+    report.cells_executed = len(pending)
+    report.results = results  # type: ignore[assignment]  (all filled)
+    report.wall_s = time.perf_counter() - t0
+
     if trace is not None:
-        _write_grid_trace(trace, cells, report)
+        _write_grid_trace(trace, cells, traces)
     records: List[Dict[str, Any]] = []
-    for cell, result in zip(cells, report.results):
+    for cell, result in zip(cells, results):
         record = flatten_record(result)
         for name, value in cell.overrides:
             record[f"sweep.{name}"] = value

@@ -1,28 +1,27 @@
 """Persistent worker pool: spawn once, stream batched cell dispatch.
 
-The first generation of the executor forked a fresh ``multiprocessing``
-pool per grid and shipped every cell as its own pickled task
-(``chunksize=1``).  On the ~0.27 s cells of the pinned bench grid that
-overhead *dominated* — ``parallel_cold`` ran at 0.45x serial.  This
-module replaces it:
+Forking a fresh ``multiprocessing`` pool per grid and shipping every
+cell as its own pickled task *dominates* the ~0.27 s cells of the
+pinned bench grid (``parallel_cold`` ran at 0.45x serial that way).
+:class:`WorkerPool` — the only class in the package that owns
+processes — avoids both costs:
 
-* **workers are long-lived**: one set of daemon processes per
-  ``(start-method, n)`` pool, spawned on first use and reused across
-  every grid of the session (:func:`shared_pool`), so the interpreter /
-  page-table fork cost is paid once, not per ``run_grid`` call;
+* **workers are long-lived**: one set of daemon processes per worker
+  count, spawned on first use and reused across every grid of the
+  session (:func:`shared_pool`), so the interpreter / page-table fork
+  cost is paid once, not per ``run_grid`` call;
 * **dispatch is batched**: cells travel as ``(index, payload)`` batches
   over one task queue — a handful of queue messages per grid instead of
   one pickled task per cell — and workers pull batches on demand, so
   load balance survives heterogeneous cell times;
 * **results are compact**: each batch answers with one message carrying
-  ``(index, result-dict, trace-records)`` triples; the executor
-  reassembles submission order from the indexes, which is what keeps
+  ``(index, result-dict, trace-records)`` triples; ``run_grid``
+  reassembles grid order from the indexes, which is what keeps
   ``workers=N`` byte-identical to serial;
 * **worker-side trace capture**: a batch dispatched with
   ``capture=True`` runs each cell under a ring-buffer sink on the
   process-local trace bus and returns the events as JSON-ready records,
-  so ``run_grid(trace=...)`` works under parallel execution (the old
-  fork pool silently dropped child events).
+  so ``run_grid(trace=...)`` works under parallel execution.
 
 Failure semantics: an exception inside a cell is caught, shipped back,
 and re-raised in the parent after in-flight batches drain; a worker
@@ -41,6 +40,13 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["WorkerPool", "WorkerPoolError", "shared_pool", "shutdown_pools"]
+
+
+#: fork where the platform has it (workers inherit the imported
+#: package for free), spawn elsewhere
+_START_METHOD = (
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+)
 
 
 class WorkerPoolError(RuntimeError):
@@ -115,14 +121,11 @@ class WorkerPool:
     #: seconds between liveness checks while waiting on results
     _POLL_S = 1.0
 
-    def __init__(self, workers: int, mp_start: Optional[str] = None) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError(f"pool needs >= 1 worker, got {workers}")
-        if mp_start is None:
-            mp_start = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-        self.mp_start = mp_start
         self.workers = workers
-        self._ctx = multiprocessing.get_context(mp_start)
+        self._ctx = multiprocessing.get_context(_START_METHOD)
         self._task_q = self._ctx.Queue()
         self._result_q = self._ctx.Queue()
         self._procs: List[Any] = []
@@ -227,24 +230,21 @@ class WorkerPool:
 # The shared per-process pool registry.
 # ---------------------------------------------------------------------------
 
-#: (mp_start, workers) -> live pool; grids of the same shape reuse the
-#: same worker processes for the whole session
-_POOLS: Dict[Tuple[str, int], WorkerPool] = {}
+#: workers -> live pool; grids of the same width reuse the same worker
+#: processes for the whole session
+_POOLS: Dict[int, WorkerPool] = {}
 
 
-def shared_pool(workers: int, mp_start: Optional[str] = None) -> WorkerPool:
+def shared_pool(workers: int) -> WorkerPool:
     """The session-wide persistent pool for this worker count.
 
-    Spawned on first use, reused by every subsequent grid (that is the
-    'spawn once' half of the redesign), torn down at interpreter exit.
+    Spawned on first use, reused by every subsequent grid, torn down at
+    interpreter exit.
     """
-    if mp_start is None:
-        mp_start = "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-    key = (mp_start, workers)
-    pool = _POOLS.get(key)
+    pool = _POOLS.get(workers)
     if pool is None or pool.closed:
-        pool = WorkerPool(workers, mp_start)
-        _POOLS[key] = pool
+        pool = WorkerPool(workers)
+        _POOLS[workers] = pool
     return pool
 
 

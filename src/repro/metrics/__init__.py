@@ -1,18 +1,14 @@
-"""Measurement: phase timelines (Figs. 1/5), resource-usage collectors
-(Fig. 10, Table V) and the table/series renderer used by the benchmark
-harness.
+"""Measurement: phase timelines (Figs. 1/5), the fault-campaign outcome
+counter and the table/series renderer used by the benchmark harness.
 """
 
 from .timeline import Phase, Timeline
-from .collectors import InterconnectUsage, CpuUtilization, DataVolume, CrashOutcomeCounter
+from .collectors import CrashOutcomeCounter
 from .report import Table, Series, render_table, render_series
 
 __all__ = [
     "Phase",
     "Timeline",
-    "InterconnectUsage",
-    "CpuUtilization",
-    "DataVolume",
     "CrashOutcomeCounter",
     "Table",
     "Series",

@@ -1,11 +1,5 @@
-"""Resource-usage collectors built on the simulator's raw trackers.
+"""Campaign-level collectors.
 
-* :class:`InterconnectUsage` — per-window transfer volumes and peaks on
-  a fabric link (Figure 10's series);
-* :class:`CpuUtilization` — busy-time based utilization per owner
-  (Table V's helper-core numbers);
-* :class:`DataVolume` — bytes moved per tag on any bandwidth resource
-  (Figures 7/8's 'total data copied to NVM' right axis);
 * :class:`CrashOutcomeCounter` — per-crash-point outcome tallies from
   fault-injection campaigns (the ``make faults`` matrix table).
 """
@@ -13,88 +7,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
-from ..sim.resources import BandwidthResource, CpuCores
-
-__all__ = ["InterconnectUsage", "CpuUtilization", "DataVolume", "CrashOutcomeCounter"]
-
-
-class InterconnectUsage:
-    """Windowed view of traffic through one bandwidth resource."""
-
-    def __init__(self, resource: BandwidthResource) -> None:
-        self.resource = resource
-
-    def series(self, window: float, t_end: float, t_start: float = 0.0) -> List[Tuple[float, float]]:
-        """``(window_start, avg_bytes_per_sec)`` per window — the
-        Fig. 10 timeline."""
-        return self.resource.utilization.windowed_series(window, t_end, t_start)
-
-    def peak_rate(self, t_start: float = 0.0, t_end: float = float("inf")) -> float:
-        """Instantaneous peak aggregate rate (bytes/s)."""
-        return self.resource.utilization.peak(t_start, t_end)
-
-    def peak_window_volume(self, window: float, t_end: float, t_start: float = 0.0) -> float:
-        """Largest per-window byte volume — the paper's 'peak
-        interconnect usage' metric."""
-        series = self.series(window, t_end, t_start)
-        return max((v * window for _, v in series), default=0.0)
-
-    def total_bytes(self, tag: str = "") -> float:
-        if tag:
-            return self.resource.bytes_by_tag.get(tag, 0.0)
-        return self.resource.total_bytes
-
-
-class CpuUtilization:
-    """Busy-time utilization per owner over an observation span."""
-
-    def __init__(self, cpu: CpuCores) -> None:
-        self.cpu = cpu
-
-    def utilization(self, owner: str, elapsed: float) -> float:
-        """Fraction of one core *owner* kept busy over *elapsed*."""
-        if elapsed <= 0:
-            return 0.0
-        return self.cpu.busy_time(owner) / elapsed
-
-    def node_utilization(self, elapsed: float) -> float:
-        """Node-wide utilization across all cores."""
-        if elapsed <= 0:
-            return 0.0
-        return self.cpu.total_busy_time() / (elapsed * self.cpu.capacity)
-
-    def by_owner(self, elapsed: float) -> Dict[str, float]:
-        return {
-            owner: self.cpu.busy_time(owner) / elapsed
-            for owner in sorted(self.cpu._busy_time)
-        }
-
-
-@dataclass
-class DataVolume:
-    """Per-tag byte totals on a bandwidth resource."""
-
-    resource: BandwidthResource
-
-    def by_tag(self) -> Dict[str, float]:
-        return dict(sorted(self.resource.bytes_by_tag.items()))
-
-    def total(self, *tags: str) -> float:
-        if not tags:
-            return self.resource.total_bytes
-        return sum(self.resource.bytes_by_tag.get(t, 0.0) for t in tags)
-
-    def matching(self, prefix: str) -> float:
-        """Total bytes across tags starting with *prefix* (tags are
-        commonly ``'{rank}:{kind}'``)."""
-        return sum(v for k, v in self.resource.bytes_by_tag.items() if k.startswith(prefix))
-
-    def suffix(self, suffix: str) -> float:
-        """Total bytes across tags ending with *suffix* (kind-level
-        aggregation across ranks)."""
-        return sum(v for k, v in self.resource.bytes_by_tag.items() if k.endswith(suffix))
+__all__ = ["CrashOutcomeCounter"]
 
 
 @dataclass

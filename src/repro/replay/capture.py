@@ -53,12 +53,12 @@ def capture_cell(
     """Run one resolved experiment cell under full trace capture.
 
     *config* is a resolved-config dict (argparse dest names, e.g. from
-    :func:`repro.tools.experiment.resolve_config` or a grid cell);
+    :func:`repro.exec.cell.resolve_config` or a grid cell);
     *overrides* are applied on top.  The run happens on this process's
     bus with capture scoped to the run, so concurrent sinks (if any)
     still see the events too.
     """
-    from ..tools.experiment import build_parser, resolve_config, run_experiment
+    from ..exec.cell import build_parser, resolve_config, run_experiment
 
     merged = dict(config)
     if overrides:

@@ -1,49 +1,45 @@
 """Perf-trajectory benchmark CLI: ``python -m repro.tools.bench``.
 
-Runs a pinned subset of the paper's evaluation grids through the
-:mod:`repro.exec` engine and emits a machine-readable JSON record
+Runs a pinned subset of the paper's evaluation grids through
+:func:`repro.exec.run_grid` and emits a machine-readable JSON record
 (``BENCH_baseline.json`` via ``make bench-json``) seeding the repo's
-perf trajectory:
+perf trajectory.  The record is assembled from the :data:`BLOCKS`
+registry — one entry per block, each ``(run, smoke_inputs, gate,
+summary)``:
 
-* the pinned 16-cell sweep grid executed serially (the reference),
-  then parallel with a cold cache, then again with a warm cache;
-* cells/sec for each mode, the warm-run cache hit rate, and the
-  engine speedup over naive serial re-execution;
-* a paired chunk-granular vs page-granular (incremental) pass over the
-  same grid, recording the checkpoint bytes-saved ratio per cell;
-* wall-clock per pinned figure grid (Figs. 7/8/9 miniatures).
+* ``run()`` produces the block's record at the full pinned inputs
+  (``--block NAME`` prints just that);
+* ``run(**smoke_inputs)`` is the same code at CI size, ``gate(record)``
+  its acceptance check and ``summary(record)`` the one line
+  ``--smoke [NAME|all]`` prints before exiting 0/1.
 
 All grids are deterministic (per-cell derived seeds), so the records
 themselves are stable across runs — only the wall-clocks move with the
-host.  ``--smoke`` runs one cached sweep cell cold + warm and fails if
-the warm run executes anything: the CI-sized proof that sharding and
-caching work.
+host.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
 import tempfile
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import __version__
-from ..exec.cache import ResultCache
-from ..exec.cell import run_cell, run_experiment
-from ..exec.executor import ParallelExecutor, resolve_workers
+from ..exec.cell import run_collected
 from ..exec.grid import GridResult, expand_grid, run_grid
 from ..metrics.trace import BUS, CounterSink, JsonlSink
-from .elastic import run_elastic_block, run_elastic_smoke
-from .qos import run_qos_block, run_qos_smoke
-from .sweep import parse_sweeps
+from .elastic import elastic_gate, elastic_summary, run_elastic_block
+from .qos import qos_gate, qos_summary, run_qos_block
 
 __all__ = [
-    "PINNED_GRID", "FIGURE_GRIDS", "SCALE_GRID",
-    "run_benchmark", "run_scale_block", "run_dedup_block",
-    "run_smoke", "run_scale_smoke", "run_dedup_smoke", "main",
+    "PINNED_GRID", "FIGURE_GRIDS", "SCALE_GRID", "BLOCKS", "Block",
+    "run_benchmark", "run_smoke", "main",
 ]
 
 #: the headline grid: 16 cells of the paper's LAMMPS testbed with the
@@ -83,7 +79,7 @@ FIGURE_GRIDS: Dict[str, Tuple[List[str], List[str]]] = {
 
 
 #: the throughput grid behind the ``scale`` block: 4 local-only LAMMPS
-#: cells, small enough to re-run through both executor generations
+#: cells, small enough to run serially and again across the pool
 SCALE_GRID: Tuple[List[str], List[str]] = (
     [
         "--app", "lammps", "--nodes", "2", "--ranks-per-node", "4",
@@ -93,12 +89,20 @@ SCALE_GRID: Tuple[List[str], List[str]] = (
     ["mode=none,dcpcp", "nvm-gbps=1.0,2.0"],
 )
 
-
-def _grid_cells(axes_specs: Sequence[str]) -> int:
-    n = 1
-    for _, vals in parse_sweeps(list(axes_specs)):
-        n *= len(vals)
-    return n
+#: the ``scale`` block's dispatch probe: zero iterations on one 1-rank
+#: node (~0.5 ms a cell), so a round's wall is ``run_grid``'s own
+#: batching + IPC + reassembly, not simulation
+DISPATCH_GRID: Tuple[List[str], List[str]] = (
+    [
+        "--app", "synthetic", "--nodes", "1", "--ranks-per-node", "1",
+        "--iterations", "0", "--checkpoint-mb", "1", "--chunk-mb", "1",
+        "--no-remote",
+    ],
+    ["seed=1,2,3,4"],
+)
+DISPATCH_ROUNDS = 12
+#: workers the ``scale`` block asks for; the host decides what it gets
+SCALE_WORKERS = 4
 
 
 def _cell_ckpt_gb(record: dict) -> float:
@@ -109,6 +113,14 @@ def _cell_ckpt_gb(record: dict) -> float:
         + record["remote.round_gb"]
         + record["remote.stream_gb"]
     )
+
+
+def _rate(num: float, den: float, digits: int) -> float:
+    return round(num / den, digits) if den > 0 else 0.0
+
+
+def _saved_ratio(before_gb: float, after_gb: float) -> float:
+    return round(1.0 - after_gb / before_gb, 4) if before_gb > 0 else 0.0
 
 
 def _mode_record(report: GridResult) -> dict:
@@ -124,48 +136,55 @@ def _mode_record(report: GridResult) -> dict:
     }
 
 
-def run_benchmark(
-    workers: int,
+@functools.lru_cache(maxsize=1)
+def _incremental_pass(axes_specs: Tuple[str, ...]) -> GridResult:
+    """The pinned grid with page-granular incremental copy: the exec
+    block pairs it against whole-chunk copies, the dedup block against
+    the codec, and a full bench runs it once.  Copy granularity (like
+    the codec) lives in the base config, not an axis, so every pass
+    derives identical per-cell seeds and pairs cell-for-cell in grid
+    order."""
+    base = PINNED_GRID[0] + ["--copy-granularity", "page"]
+    return run_grid(base, axes_specs, workers=1, cache=None)
+
+
+def run_exec_block(
+    axes_specs: Sequence[str] = PINNED_GRID[1],
+    figure_grids: Dict[str, Tuple[List[str], List[str]]] = FIGURE_GRIDS,
+    *,
+    workers: int | str | None = "auto",
     cache_dir: Optional[str] = None,
     trace_path: Optional[str] = None,
 ) -> dict:
-    """Run the full pinned benchmark; returns the JSON-ready record.
+    """The execution-engine block: the pinned grid serially (the
+    reference), with a cold cache, then with a warm one; a paired
+    chunk-granular vs page-granular (incremental) pass over the same
+    grid; and the wall-clock of each figure grid.
 
     *trace_path* streams the serial reference run's structured trace
     (policy decisions, chunk copies, commits...) as JSONL.  Tracing is
     scoped to the serial run only — it doubles as the reference count
     for the census; grid-level merged worker traces are available via
-    ``run_grid(..., trace=path)`` instead.
+    ``run_grid(..., trace=path)`` instead.  Without *cache_dir* the
+    cache lives in a temp dir removed on return.
     """
-    base, axes_specs = PINNED_GRID
-    axes = parse_sweeps(axes_specs)
-    owns_tmp = cache_dir is None
-    tmp = tempfile.mkdtemp(prefix="repro-bench-") if owns_tmp else cache_dir
+    base = PINNED_GRID[0]
 
     # 1. reference: naive serial, no cache — what every sweep paid
     # before the engine existed.  Runs in-process, so the trace bus
     # observes every cell.
-    counter = CounterSink()
-    jsonl = JsonlSink(trace_path) if trace_path else None
-    BUS.attach(counter)
-    if jsonl is not None:
-        BUS.attach(jsonl)
-    try:
-        serial = run_grid(base, axes, workers=1, cache=None)
-    finally:
-        if jsonl is not None:
-            BUS.detach(jsonl)
-            jsonl.close()
-        BUS.detach(counter)
+    with contextlib.ExitStack() as stack:
+        counter = stack.enter_context(BUS.capture(CounterSink()))
+        if trace_path:
+            jsonl = JsonlSink(trace_path)
+            stack.callback(jsonl.close)
+            stack.enter_context(BUS.capture(jsonl))
+        serial = run_grid(base, axes_specs, workers=1, cache=None)
 
-    # 1b. the same pinned grid with page-granular incremental copy.
-    # Copy granularity lives in the base config, not an axis, so both
-    # runs derive identical per-cell seeds and pair cell-for-cell in
-    # grid order; the delta is the checkpoint bytes the dirty-page
-    # extents saved over whole-chunk copies.
-    incremental = run_grid(
-        base + ["--copy-granularity", "page"], axes, workers=1, cache=None
-    )
+    # 1b. the same grid with page-granular incremental copy: the delta
+    # is the checkpoint bytes the dirty-page extents saved over
+    # whole-chunk copies
+    incremental = _incremental_pass(tuple(axes_specs))
     inc_cells: List[dict] = []
     chunk_gb_total = inc_gb_total = 0.0
     for chunk_rec, inc_rec in zip(serial.records, incremental.records):
@@ -178,53 +197,49 @@ def run_benchmark(
             "nvm_gbps": chunk_rec["sweep.nvm-gbps"],
             "chunk_gb": round(cg, 4),
             "incremental_gb": round(ig, 4),
-            "bytes_saved_ratio": round(1.0 - ig / cg, 4) if cg > 0 else 0.0,
+            "bytes_saved_ratio": _saved_ratio(cg, ig),
         })
 
-    # 2. engine, cold cache: sharded execution, results stored
-    cold = run_grid(base, axes, workers=workers, cache=ResultCache(tmp))
-
-    # 3. engine, warm cache: the re-run path — must execute nothing
-    warm = run_grid(base, axes, workers=workers, cache=ResultCache(tmp))
-
-    deterministic = serial.records == cold.records == warm.records
-
-    figures: Dict[str, dict] = {}
-    for name, (fig_base, fig_axes_specs) in FIGURE_GRIDS.items():
-        fig_axes = parse_sweeps(fig_axes_specs)
-        fig = run_grid(fig_base, fig_axes, workers=workers, cache=ResultCache(tmp))
-        figures[name] = _mode_record(fig)
+    with contextlib.ExitStack() as stack:
+        tmp = cache_dir or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-bench-")
+        )
+        # 2. engine, cold cache: sharded execution, results stored
+        cold = run_grid(base, axes_specs, workers=workers, cache=tmp)
+        # 3. engine, warm cache: the re-run path — must execute nothing
+        warm = run_grid(base, axes_specs, workers=workers, cache=tmp)
+        figures = {
+            name: _mode_record(
+                run_grid(fig_base, fig_axes_specs, workers=workers, cache=tmp)
+            )
+            for name, (fig_base, fig_axes_specs) in figure_grids.items()
+        }
 
     serial_s = serial.execution.wall_s
-    record = {
-        "schema": "repro-bench/1",
-        "version": __version__,
-        "host_cpus": os.cpu_count(),
+    return {
         "grid": {
             "app": "lammps",
             "axes": list(axes_specs),
-            "cells": _grid_cells(axes_specs),
+            "cells": serial.execution.cells_total,
         },
         "serial": _mode_record(serial),
         "parallel_cold": {
             **_mode_record(cold),
-            "speedup_vs_serial": round(serial_s / cold.execution.wall_s, 3)
-            if cold.execution.wall_s > 0 else 0.0,
+            "speedup_vs_serial": _rate(serial_s, cold.execution.wall_s, 3),
         },
         "cached_rerun": {
             **_mode_record(warm),
-            "speedup_vs_serial": round(serial_s / warm.execution.wall_s, 3)
-            if warm.execution.wall_s > 0 else 0.0,
+            "speedup_vs_serial": _rate(serial_s, warm.execution.wall_s, 3),
         },
         # the engine's wall-clock win over naive serial re-execution:
         # best of sharding (multi-core hosts) and caching (re-runs)
         "speedup": round(
             serial_s / min(cold.execution.wall_s, warm.execution.wall_s), 3
         ),
-        "deterministic": deterministic,
+        "deterministic": serial.records == cold.records == warm.records,
         # structured-trace census of the serial reference run: how many
         # of each pipeline event fired, and the scheduling-policy
-        # decision mix across all 16 cells (4 modes x 4 bandwidths)
+        # decision mix across all cells
         "trace_events": dict(sorted(counter.by_kind.items())),
         "policy_decisions": dict(sorted(counter.decisions.items())),
         # chunk-granular vs page-granular (incremental) checkpoint
@@ -233,169 +248,137 @@ def run_benchmark(
             "cells": inc_cells,
             "chunk_gb": round(chunk_gb_total, 4),
             "incremental_gb": round(inc_gb_total, 4),
-            "bytes_saved_ratio": round(1.0 - inc_gb_total / chunk_gb_total, 4)
-            if chunk_gb_total > 0 else 0.0,
+            "bytes_saved_ratio": _saved_ratio(chunk_gb_total, inc_gb_total),
         },
-        # payload-codec pass: the same incremental grid with the auto
-        # codec on — the wire bytes delta/dedup kept off the copy path
-        # on top of what the dirty-page extents already saved
-        "dedup": run_dedup_block(base, axes_specs, incremental=incremental),
         "figures": figures,
-        # trace-driven replay: every pinned cell captured live and
-        # byte-compared against its own replay, plus the wall-clock win
-        # of what-if policy sweeps over captured traces
-        "replay": run_replay_block(base, axes_specs),
-        # DES + executor throughput: events/sec and nodes/sec of the
-        # vectorized hot loops, and the persistent pool's dispatch
-        # win over the pre-1.1 fork-a-Pool-per-run shape
-        "scale": run_scale_block(),
-        # elastic membership: the grow/shrink-under-load scenario —
-        # live bounded-batch migration under an SLO, and incremental
-        # failover bytes vs the full-resync baseline
-        "elastic": run_elastic_block(),
-        # multi-tenant QoS: the pinned checkpoint-as-a-service
-        # scenario — per-tenant SLO attainment and throttle time under
-        # contention, admission/preemption decision census, and
-        # end-to-end tenant attribution through the cluster path
-        "qos": run_qos_block(),
     }
-    return record
 
 
-def _dispatch_probe(x):
-    """Near-zero-work worker payload: what's left is pure dispatch."""
-    return x
+def _exec_gate(block: dict) -> bool:
+    """The cold run executes every cell, the warm run none, and
+    serial / cold / warm records are identical."""
+    cells = block["grid"]["cells"]
+    cold, warm = block["parallel_cold"], block["cached_rerun"]
+    return (
+        block["deterministic"]
+        and cold["cells_executed"] == cells
+        and warm["cells_executed"] == 0
+        and warm["cache_hits"] == cells
+    )
 
 
-def run_scale_block(
-    workers_requested: int = 4, *, dispatch_rounds: int = 12
-) -> dict:
-    """DES + executor throughput: the ``scale`` block of the baseline.
+def _exec_summary(block: dict) -> str:
+    cold, warm = block["parallel_cold"], block["cached_rerun"]
+    return (
+        f"cold executed={cold['cells_executed']} "
+        f"warm executed={warm['cells_executed']} hits={warm['cache_hits']} "
+        f"deterministic={block['deterministic']}"
+    )
 
-    Three families of numbers:
+
+def run_scale_block() -> dict:
+    """DES + dispatch throughput: the ``scale`` block of the baseline.
 
     * **simulation throughput** — the :data:`SCALE_GRID` cells run
-      in-process via :func:`run_experiment`, counting the engine's
-      dispatched DES items (``RunResult.sim_events``): events/sec,
-      node-simulations/sec and cells/sec of the single-process hot
-      path (zero-delay fast lane + vectorized flow advance).
-    * **worker accounting** — ``workers_requested`` vs the effective
-      clamped count on this host (``resolve_workers``), so a 1-CPU CI
-      runner is legible in the record instead of silently odd.
-    * **pool dispatch** — ``dispatch_rounds`` rounds of a near-empty
-      payload through (a) one persistent :class:`ParallelExecutor`
-      pool, spawned once, and (b) the pre-1.1 dispatch shape: a fresh
-      ``multiprocessing.Pool`` forked per round with ``chunksize=1``.
-      Zero-work payloads isolate exactly what the redesign changed —
-      per-round pool lifecycle + IPC — so the number is stable even
-      when real cell work would drown it;
-      ``pool_speedup_vs_forkpool > 1`` is the persistent pool paying
-      off.  The real :data:`SCALE_GRID` cells additionally run once
-      through each generation and must reproduce the serial records
-      byte-for-byte (``deterministic``).
-    """
-    import multiprocessing
+      in-process inside ``run_cell``'s own collection bracket
+      (:func:`~repro.exec.cell.run_collected`, so the number does not
+      depend on what this process's heap holds), counting the engine's
+      dispatched DES items (``RunResult.sim_events``).
+    * **worker accounting** — :data:`SCALE_WORKERS` requested vs the
+      count ``run_grid`` derives from this host, so a 1-CPU CI runner
+      is legible in the record instead of silently odd.
+    * **pool dispatch** — the same cells through
+      ``run_grid(workers=SCALE_WORKERS)`` (``batches`` is 0 where the
+      host grants one worker and the run stays in-process), then
+      :data:`DISPATCH_ROUNDS` rounds of the near-empty
+      :data:`DISPATCH_GRID` through the same call.
 
+    The pooled run must reproduce the serial records byte for byte
+    (``deterministic``) — the block's gate.
+    """
     base, axes_specs = SCALE_GRID
-    cells = expand_grid(base, parse_sweeps(list(axes_specs)))
-    configs = [cell.config for cell in cells]
+    configs = [cell.config for cell in expand_grid(base, axes_specs)]
 
     # 1. single-process simulation throughput
     events = nodes = 0
-    t0 = time.perf_counter()
     serial_records = []
+    t0 = time.perf_counter()
     for config in configs:
-        res = run_experiment(argparse.Namespace(**dict(config)))
-        events += res.sim_events
-        nodes += res.n_nodes
-        serial_records.append(res.to_dict())
+        cell_events, cell_nodes, record = run_collected(
+            config, lambda res: (res.sim_events, res.n_nodes, res.to_dict())
+        )
+        events += cell_events
+        nodes += cell_nodes
+        serial_records.append(record)
     sim_wall = time.perf_counter() - t0
 
-    mp_start = (
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    # 2. the session's persistent pool: real cells, then dispatch rounds
+    pooled = run_grid(base, axes_specs, workers=SCALE_WORKERS).execution
+    dispatch_wall = sum(
+        run_grid(*DISPATCH_GRID, workers=SCALE_WORKERS).execution.wall_s
+        for _ in range(DISPATCH_ROUNDS)
     )
-    probe_items = list(range(workers_requested))
 
-    # 2. persistent pool: spawn once, then real cells + dispatch rounds
-    t1 = time.perf_counter()
-    with ParallelExecutor(
-        workers_requested, clamp=False, private_pool=True, mp_start=mp_start
-    ) as ex:
-        pool_report = ex.run(run_cell, configs)
-        pool_cells_wall = time.perf_counter() - t1
-        t2 = time.perf_counter()
-        for _ in range(dispatch_rounds):
-            ex.run(_dispatch_probe, probe_items)
-        pool_dispatch_wall = time.perf_counter() - t2
-
-    # 3. the legacy shape: fork a fresh Pool per round, one task per IPC
-    ctx = multiprocessing.get_context(mp_start)
-    t3 = time.perf_counter()
-    with ctx.Pool(processes=workers_requested) as legacy:
-        legacy_records = legacy.map(run_cell, configs, chunksize=1)
-    legacy_cells_wall = time.perf_counter() - t3
-    t4 = time.perf_counter()
-    for _ in range(dispatch_rounds):
-        with ctx.Pool(processes=workers_requested) as legacy:
-            legacy.map(_dispatch_probe, probe_items, chunksize=1)
-    legacy_dispatch_wall = time.perf_counter() - t4
-
-    deterministic = serial_records == pool_report.results == legacy_records
     return {
         "grid": {"axes": list(axes_specs), "cells": len(configs)},
         "sim": {
             "wall_s": round(sim_wall, 4),
             "events": events,
-            "events_per_sec": round(events / sim_wall, 1) if sim_wall > 0 else 0.0,
-            "nodes_per_sec": round(nodes / sim_wall, 3) if sim_wall > 0 else 0.0,
-            "cells_per_sec": round(len(configs) / sim_wall, 3)
-            if sim_wall > 0 else 0.0,
+            "events_per_sec": _rate(events, sim_wall, 1),
+            "nodes_per_sec": _rate(nodes, sim_wall, 3),
+            "cells_per_sec": _rate(len(configs), sim_wall, 3),
         },
         "workers": {
-            "requested": workers_requested,
-            "effective": resolve_workers(workers_requested),
+            "requested": pooled.workers_requested,
+            "effective": pooled.workers,
             "host_cpus": os.cpu_count(),
         },
         "pool": {
-            "dispatch_rounds": dispatch_rounds,
-            "persistent_dispatch_wall_s": round(pool_dispatch_wall, 4),
-            "forkpool_dispatch_wall_s": round(legacy_dispatch_wall, 4),
-            "pool_speedup_vs_forkpool": round(
-                legacy_dispatch_wall / pool_dispatch_wall, 3
-            ) if pool_dispatch_wall > 0 else 0.0,
-            "persistent_cells_wall_s": round(pool_cells_wall, 4),
-            "forkpool_cells_wall_s": round(legacy_cells_wall, 4),
-            "batches": pool_report.batches,
+            "dispatch_rounds": DISPATCH_ROUNDS,
+            "persistent_dispatch_wall_s": round(dispatch_wall, 4),
+            "persistent_cells_wall_s": round(pooled.wall_s, 4),
+            "batches": pooled.batches,
         },
-        "deterministic": deterministic,
+        "deterministic": serial_records == pooled.results,
     }
 
 
-def run_dedup_block(
-    base: List[str],
-    axes_specs: Sequence[str],
-    *,
-    incremental: Optional[GridResult] = None,
-) -> dict:
+def _scale_gate(block: dict) -> bool:
+    """Throughput numbers are not degenerate and serial / pooled
+    records are identical."""
+    return (
+        block["sim"]["events"] > 0
+        and block["sim"]["events_per_sec"] > 0
+        and block["deterministic"]
+    )
+
+
+def _scale_summary(block: dict) -> str:
+    return (
+        f"{block['sim']['events']} DES events at "
+        f"{block['sim']['events_per_sec']:.0f}/s, "
+        f"{block['sim']['cells_per_sec']:.2f} cells/s serial, "
+        f"{block['pool']['dispatch_rounds']} dispatch rounds in "
+        f"{block['pool']['persistent_dispatch_wall_s']}s "
+        f"({block['workers']['effective']}/{block['workers']['requested']} "
+        f"workers effective), deterministic={block['deterministic']}"
+    )
+
+
+def run_dedup_block(axes_specs: Sequence[str] = PINNED_GRID[1]) -> dict:
     """Paired incremental-vs-codec pass over the pinned grid.
 
     Both passes run page-granular incremental copy; the codec pass
     additionally routes every payload through the ``auto`` codec
-    (delta/dedup/raw, cheapest per chunk).  Codec choice lives in the
-    base config, not an axis, so the two passes derive identical
-    per-cell seeds and pair cell-for-cell in grid order; the delta is
-    the wire bytes the payload representation kept off the copy path
-    *on top of* the dirty-extent savings.  ``below_incremental_all``
-    asserts the codec pass moved strictly fewer bytes on every cell.
+    (delta/dedup/raw, cheapest per chunk); the delta is the wire bytes
+    the payload representation kept off the copy path *on top of* the
+    dirty-extent savings.  ``below_incremental_all`` asserts the codec
+    pass moved strictly fewer bytes on every cell.
     """
-    axes = parse_sweeps(list(axes_specs))
-    if incremental is None:
-        incremental = run_grid(
-            base + ["--copy-granularity", "page"], axes, workers=1, cache=None
-        )
+    incremental = _incremental_pass(tuple(axes_specs))
     dedup = run_grid(
-        base + ["--copy-granularity", "page", "--codec", "auto"],
-        axes, workers=1, cache=None,
+        PINNED_GRID[0] + ["--copy-granularity", "page", "--codec", "auto"],
+        axes_specs, workers=1, cache=None,
     )
     cells: List[dict] = []
     inc_gb_total = dedup_gb_total = delta_gb_total = 0.0
@@ -416,7 +399,7 @@ def run_dedup_block(
             "nvm_gbps": ded_rec["sweep.nvm-gbps"],
             "incremental_gb": round(ig, 4),
             "dedup_gb": round(dg, 4),
-            "bytes_saved_ratio": round(1.0 - dg / ig, 4) if ig > 0 else 0.0,
+            "bytes_saved_ratio": _saved_ratio(ig, dg),
             "dedup_hit_rate": ded_rec.get("codec.dedup_hit_rate", 0.0),
             "below_incremental": below,
         })
@@ -426,10 +409,9 @@ def run_dedup_block(
         "cells": cells,
         "incremental_gb": round(inc_gb_total, 4),
         "dedup_gb": round(dedup_gb_total, 4),
-        "bytes_saved_ratio": round(1.0 - dedup_gb_total / inc_gb_total, 4)
-        if inc_gb_total > 0 else 0.0,
+        "bytes_saved_ratio": _saved_ratio(inc_gb_total, dedup_gb_total),
         "delta_changed_gb": round(delta_gb_total, 4),
-        "dedup_hit_rate": round(blocks_ref / blocks, 4) if blocks else 0.0,
+        "dedup_hit_rate": _rate(blocks_ref, blocks, 4),
         "below_incremental_all": all_below,
     }
 
@@ -474,36 +456,30 @@ def _dedup_restart_check() -> Tuple[int, int]:
     return (report.blocks_verified, report.digest_failures)
 
 
-def run_dedup_smoke() -> int:
-    """CI-sized codec proof: a 2-cell paired incremental-vs-codec run
-    (wire bytes must drop on both cells) plus a real-payload
-    checkpoint -> crash -> restart cycle whose block-digest
-    verification must cover blocks and find zero mismatches."""
-    t0 = time.perf_counter()
-    base, _ = PINNED_GRID
-    block = run_dedup_block(base, ["nvm-gbps=2.0", "mode=none,dcpcp"])
+def _dedup_gate(block: dict) -> bool:
+    """Wire bytes drop on every cell, blocks really deduplicate, and a
+    real-payload checkpoint -> crash -> restart cycle verifies its
+    block digests with zero mismatches."""
     verified, failed = _dedup_restart_check()
-    wall = time.perf_counter() - t0
-    ok = (
+    print(f"  restart verified {verified} blocks with {failed} mismatches")
+    return (
         block["below_incremental_all"]
         and block["dedup_hit_rate"] > 0.0
         and verified > 0
         and failed == 0
     )
-    print(
-        f"dedup smoke: {len(block['cells'])} cells, "
+
+
+def _dedup_summary(block: dict) -> str:
+    return (
+        f"{len(block['cells'])} cells, "
         f"incremental {block['incremental_gb']}GB -> codec "
         f"{block['dedup_gb']}GB (saved {block['bytes_saved_ratio']:.1%}, "
-        f"hit rate {block['dedup_hit_rate']:.1%}), restart verified "
-        f"{verified} blocks with {failed} mismatches, "
-        f"{wall:.1f}s -> {'OK' if ok else 'FAIL'}"
+        f"hit rate {block['dedup_hit_rate']:.1%})"
     )
-    return 0 if ok else 1
 
 
-def run_replay_block(
-    base: List[str], axes_specs: Sequence[str], *, whatif_mode: str = "dcpcp"
-) -> dict:
+def run_replay_block(axes_specs: Sequence[str] = PINNED_GRID[1]) -> dict:
     """Capture every grid cell in-process and differentially verify
     its trace-driven replay, then time a what-if policy sweep over the
     captured traces.
@@ -514,11 +490,9 @@ def run_replay_block(
     ``speedup`` (wall-clock of replaying a policy grid from traces vs
     simulating it live — the reason the replay engine exists).
     """
-    from ..exec.grid import expand_grid
     from ..replay import capture_cell, compare_to_run
 
-    axes = parse_sweeps(list(axes_specs))
-    cells = expand_grid(base, axes)
+    cells = expand_grid(PINNED_GRID[0], axes_specs)
     captures = []
     exact = 0
     mismatches: List[str] = []
@@ -536,13 +510,11 @@ def run_replay_block(
                 f"cell {dict(cell.overrides)}: {report.describe()}"
             )
     # what-if sweep: one captured trace per non-policy coordinate
-    # (the whatif_mode captures), replayed under every policy mode —
-    # the same cell count as the live grid, for an honest speedup
+    # (the dcpcp captures), replayed under every policy mode — the
+    # same cell count as the live grid, for an honest speedup
     modes = ["none", "cpc", "dcpc", "dcpcp"]
     whatif_sources = [
-        cap
-        for cell, cap in captures
-        if dict(cell.overrides).get("mode", whatif_mode) == whatif_mode
+        cap for cell, cap in captures if cell.config["mode"] == "dcpcp"
     ] or [cap for _, cap in captures]
     t1 = time.perf_counter()
     whatif_cells = 0
@@ -559,73 +531,102 @@ def run_replay_block(
         "live_wall_s": round(live_wall, 4),
         "whatif_cells": whatif_cells,
         "replay_wall_s": round(replay_wall, 6),
-        "speedup": round(live_wall / replay_wall, 1) if replay_wall > 0 else 0.0,
+        "speedup": _rate(live_wall, replay_wall, 1),
     }
 
 
-def run_replay_smoke() -> int:
-    """CI-sized replay differential: 2 captured cells, replayed and
-    byte-compared, well under 30 s."""
-    base, _ = PINNED_GRID
-    t0 = time.perf_counter()
-    block = run_replay_block(base, ["nvm-gbps=2.0", "mode=none,dcpcp"])
-    wall = time.perf_counter() - t0
-    ok = block["cells"] == 2 and block["cells_exact"] == 2
-    for line in block["mismatches"]:
-        print(f"  {line}")
-    print(
-        f"replay smoke: {block['cells_exact']}/{block['cells']} cells "
-        f"byte-exact, what-if speedup {block['speedup']}x, "
-        f"{wall:.1f}s -> {'OK' if ok else 'FAIL'}"
-    )
-    return 0 if ok else 1
+def _replay_gate(block: dict) -> bool:
+    """Every captured cell replays byte-exact."""
+    return 0 < block["cells"] == block["cells_exact"]
 
 
-def run_scale_smoke() -> int:
-    """CI-sized scale proof: one pass of the scale block; fails if the
-    simulation throughput numbers are degenerate, if serial /
-    persistent-pool / legacy-forkpool records diverge, or if the
-    persistent pool's dispatch loses to re-forking a Pool per round."""
-    t0 = time.perf_counter()
-    block = run_scale_block()
-    wall = time.perf_counter() - t0
-    ok = (
-        block["sim"]["events"] > 0
-        and block["sim"]["events_per_sec"] > 0
-        and block["deterministic"]
-        and block["pool"]["pool_speedup_vs_forkpool"] >= 1.0
-    )
-    print(
-        f"scale smoke: {block['sim']['events']} DES events at "
-        f"{block['sim']['events_per_sec']:.0f}/s, "
-        f"{block['sim']['cells_per_sec']:.2f} cells/s serial, "
-        f"pool speedup vs forkpool {block['pool']['pool_speedup_vs_forkpool']}x "
-        f"({block['workers']['effective']}/{block['workers']['requested']} "
-        f"workers effective), deterministic={block['deterministic']}, "
-        f"{wall:.1f}s -> {'OK' if ok else 'FAIL'}"
-    )
-    return 0 if ok else 1
+def _replay_summary(block: dict) -> str:
+    return "; ".join([
+        f"{block['cells_exact']}/{block['cells']} cells byte-exact, "
+        f"what-if speedup {block['speedup']}x",
+        *block["mismatches"],
+    ])
 
 
-def run_smoke(workers: int) -> int:
-    """One cached sweep cell under the executor, cold then warm."""
-    base, _ = PINNED_GRID
-    axes = parse_sweeps(["nvm-gbps=2.0"])
-    with tempfile.TemporaryDirectory(prefix="repro-smoke-") as tmp:
-        cold = run_grid(base, axes, workers=workers, cache=ResultCache(tmp))
-        warm = run_grid(base, axes, workers=workers, cache=ResultCache(tmp))
-    ok = (
-        cold.execution.cells_executed == 1
-        and warm.execution.cells_executed == 0
-        and warm.execution.cache_hits == 1
-        and cold.records == warm.records
-    )
-    print(
-        f"exec smoke: cold executed={cold.execution.cells_executed} "
-        f"warm executed={warm.execution.cells_executed} "
-        f"hits={warm.execution.cache_hits} -> {'OK' if ok else 'FAIL'}"
-    )
-    return 0 if ok else 1
+class Block(NamedTuple):
+    """One bench block: its record, its CI-sized inputs, its acceptance."""
+
+    #: the block's JSON-ready record; no arguments = the full pinned inputs
+    run: Callable[..., dict]
+    #: keyword arguments of the CI-sized run (none: the full run is CI-sized)
+    smoke_inputs: Dict[str, Any]
+    gate: Callable[[dict], bool]
+    summary: Callable[[dict], str]
+
+
+#: two pinned cells: the no-pre-copy baseline and the paper's DCPCP
+_TWO_CELLS = {"axes_specs": ["nvm-gbps=2.0", "mode=none,dcpcp"]}
+
+#: the one table of bench blocks: ``run_benchmark``, ``--smoke`` and
+#: ``--block`` all iterate it, in this order
+BLOCKS: Dict[str, Block] = {
+    # one pinned cell serial, cold then warm (must execute nothing)
+    "exec": Block(
+        run_exec_block,
+        {"axes_specs": ["nvm-gbps=2.0", "mode=dcpcp"], "figure_grids": {}},
+        _exec_gate,
+        _exec_summary,
+    ),
+    # payload codec on top of incremental copy: wire bytes must drop
+    "dedup": Block(run_dedup_block, _TWO_CELLS, _dedup_gate, _dedup_summary),
+    # trace-driven replay: captured cells re-decided byte-exact
+    "replay": Block(run_replay_block, _TWO_CELLS, _replay_gate, _replay_summary),
+    # DES events/sec and run_grid's pool dispatch
+    "scale": Block(run_scale_block, {}, _scale_gate, _scale_summary),
+    # elastic membership: live migration under an SLO, incremental
+    # failover bytes vs the full-resync baseline
+    "elastic": Block(run_elastic_block, {}, elastic_gate, elastic_summary),
+    # multi-tenant QoS: guaranteed-tenant SLOs held under contention
+    "qos": Block(run_qos_block, {}, qos_gate, qos_summary),
+}
+
+
+def run_benchmark(
+    workers: int | str | None,
+    cache_dir: Optional[str] = None,
+    trace_path: Optional[str] = None,
+) -> dict:
+    """Run every block at its full pinned inputs; returns the
+    JSON-ready record.
+
+    Schema ``repro-bench/1`` keeps the execution-engine block's fields
+    at the top level of the record (it is also the only block the CLI
+    options reach); every other block sits under its registry name.
+    """
+    record = {
+        "schema": "repro-bench/1",
+        "version": __version__,
+        "host_cpus": os.cpu_count(),
+        **run_exec_block(
+            workers=workers, cache_dir=cache_dir, trace_path=trace_path
+        ),
+    }
+    for name, block in BLOCKS.items():
+        if block.run is not run_exec_block:
+            record[name] = block.run()
+    return record
+
+
+def run_smoke(names: Sequence[str]) -> int:
+    """Run each named block at CI size and check its gate; 0 when every
+    gate holds."""
+    failed = 0
+    for name in names:
+        block = BLOCKS[name]
+        t0 = time.perf_counter()
+        record = block.run(**block.smoke_inputs)
+        ok = block.gate(record)
+        failed += not ok
+        print(
+            f"{name} smoke: {block.summary(record)}, "
+            f"{time.perf_counter() - t0:.1f}s -> {'OK' if ok else 'FAIL'}"
+        )
+    return 1 if failed else 0
 
 
 def main(argv=None) -> int:
@@ -633,73 +634,53 @@ def main(argv=None) -> int:
         prog="repro.tools.bench",
         description="Pinned benchmark subset; emits the perf-trajectory JSON.",
     )
-    p.add_argument("--out", default="BENCH_baseline.json",
-                   help="JSON output path ('-' for stdout)")
+    p.add_argument("--out", default=None,
+                   help="JSON output path ('-' for stdout; default "
+                        "BENCH_baseline.json, or stdout with --block)")
     p.add_argument("--workers", default="auto",
                    help="parallel worker processes ('auto' = one per CPU; "
                         "requests above the host CPU count are clamped)")
     p.add_argument("--cache-dir", default=None,
                    help="reuse a persistent cache dir (default: fresh temp dir)")
-    p.add_argument("--smoke", action="store_true",
-                   help="run one cached sweep cell cold+warm and exit")
-    p.add_argument("--replay-smoke", action="store_true",
-                   help="capture 2 pinned cells, replay them, assert "
-                        "byte-exact accounting, and exit")
-    p.add_argument("--scale-smoke", action="store_true",
-                   help="run the scale grid serial + persistent-pool + "
-                        "legacy-forkpool, assert identical records and "
-                        "pool speedup >= 1, and exit")
-    p.add_argument("--dedup-smoke", action="store_true",
-                   help="run a paired incremental-vs-codec cell pair, "
-                        "assert the codec pass moves strictly fewer "
-                        "bytes and a post-crash restart verifies block "
-                        "digests cleanly, and exit")
-    p.add_argument("--elastic-smoke", action="store_true",
-                   help="run the elastic grow/shrink scenario, assert "
-                        "incremental failover beats full resync and the "
-                        "checkpoint-latency SLO held, and exit")
-    p.add_argument("--qos-smoke", action="store_true",
-                   help="run the pinned multi-tenant QoS scenario, "
-                        "assert the guaranteed tenant holds its "
-                        "interval/RPO SLOs while best-effort tenants "
-                        "are throttled, and exit")
+    p.add_argument("--smoke", nargs="?", const="all", default=None,
+                   choices=[*BLOCKS, "all"], metavar="NAME",
+                   help="run one block (or 'all', the default) at CI size, "
+                        f"check its gate, and exit 0/1; blocks: {', '.join(BLOCKS)}")
+    p.add_argument("--block", default=None, choices=list(BLOCKS), metavar="NAME",
+                   help="run one block at its full pinned inputs and write "
+                        "its record alone to --out")
     p.add_argument("--trace", default=None, metavar="OUT.JSONL",
                    help="stream the serial reference run's structured "
                         "trace (policy decisions, copies, commits) as "
                         "JSON lines to this path")
     args = p.parse_args(argv)
-    # honour the host: 'auto' and over-requests both land on the CPU
-    # count (the old `max(workers, 4)` floor oversubscribed 1-CPU CI)
-    workers = resolve_workers(args.workers)
     if args.smoke:
-        return run_smoke(workers)
-    if args.replay_smoke:
-        return run_replay_smoke()
-    if args.scale_smoke:
-        return run_scale_smoke()
-    if args.dedup_smoke:
-        return run_dedup_smoke()
-    if args.elastic_smoke:
-        return run_elastic_smoke()
-    if args.qos_smoke:
-        return run_qos_smoke()
+        return run_smoke(list(BLOCKS) if args.smoke == "all" else [args.smoke])
 
     t0 = time.perf_counter()
-    record = run_benchmark(workers, cache_dir=args.cache_dir, trace_path=args.trace)
-    record["total_wall_s"] = round(time.perf_counter() - t0, 3)
-    payload = json.dumps(record, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(payload)
+    if args.block:
+        record = BLOCKS[args.block].run()
+        out, wrote = args.out or "-", f"the {args.block} block"
     else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(
-            f"wrote {args.out}: {record['grid']['cells']} cells, "
+        record = run_benchmark(
+            args.workers, cache_dir=args.cache_dir, trace_path=args.trace
+        )
+        record["total_wall_s"] = round(time.perf_counter() - t0, 3)
+        out = args.out or "BENCH_baseline.json"
+        wrote = (
+            f"{record['grid']['cells']} cells, "
             f"serial {record['serial']['wall_s']}s, "
             f"engine speedup {record['speedup']}x "
             f"(parallel {record['parallel_cold']['speedup_vs_serial']}x, "
             f"cached {record['cached_rerun']['speedup_vs_serial']}x)"
         )
+    payload = json.dumps(record, indent=2) + "\n"
+    if out == "-":
+        sys.stdout.write(payload)
+    else:
+        with open(out, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+        print(f"wrote {out}: {wrote}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Elastic grow/shrink-under-load scenario: ``python -m repro.tools.elastic``.
+"""Elastic grow/shrink-under-load scenario: the bench's ``elastic`` block.
 
 One deterministic story, told three times over the same application
 (half the footprint is write-once, so most committed chunks never
@@ -26,19 +26,16 @@ The record compares total failover re-sync bytes: the elastic arm
 (one full early re-sync + one incremental late one) must land strictly
 below the baseline (two full re-syncs), and the elastic arm must hold
 every coordinated checkpoint within the SLO while migrating.
-``repro.tools.bench`` embeds this record as the ``elastic`` block;
-``--smoke`` runs the same scenario and exits nonzero when either
-acceptance bound fails.
+``repro.tools.bench`` registers :func:`run_elastic_block` with
+:func:`elastic_gate` (``--block`` prints the record, ``--smoke`` exits
+nonzero when either acceptance bound fails).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
 from dataclasses import replace
-from typing import List, Optional
+from typing import Optional
 
 from ..apps import SyntheticModel
 from ..baselines import precopy_config
@@ -53,7 +50,8 @@ __all__ = [
     "run_elastic",
     "run_full_resync_baseline",
     "run_elastic_block",
-    "main",
+    "elastic_gate",
+    "elastic_summary",
 ]
 
 #: scenario schedule (seconds of virtual time).  The early failure of
@@ -165,13 +163,13 @@ def run_full_resync_baseline(seed: int = 11):
     return cluster, runner, runner.run(ITERATIONS)
 
 
-def run_elastic_block(seed: int = 11) -> dict:
+def run_elastic_block() -> dict:
     """The ``elastic`` block of the bench baseline."""
     t0 = time.perf_counter()
-    clean_res, clean_worst = run_clean(seed=seed)
-    b_cluster, b_runner, b_res = run_full_resync_baseline(seed=seed)
+    clean_res, clean_worst = run_clean()
+    b_cluster, b_runner, b_res = run_full_resync_baseline()
     slo = SLO_HEADROOM * max(clean_worst, _worst_latency(b_cluster))
-    _, e_runner, e_res = run_elastic(slo, seed=seed)
+    _, e_runner, e_res = run_elastic(slo)
     wall = time.perf_counter() - t0
     ctrl = e_runner.membership_controller
     guard = e_runner.slo_guard
@@ -206,54 +204,27 @@ def run_elastic_block(seed: int = 11) -> dict:
     }
 
 
-def run_elastic_smoke(seed: int = 11) -> int:
-    """CI-sized acceptance check: the elastic arm must keep every
+def elastic_gate(block: dict) -> bool:
+    """The acceptance check: the elastic arm must keep every
     coordinated checkpoint within the SLO while migrating, and its
     failovers must re-send strictly fewer bytes than the full-resync
     baseline's."""
-    block = run_elastic_block(seed=seed)
-    ok = (
+    return bool(
         block["incremental_failover"]
         and block["slo_held"]
         and block["elastic"]["migrations_completed"] >= 1
         and block["elastic"]["departs"] >= 1
         and block["moves_failed"] == 0
     )
-    print(
-        f"elastic smoke: failover resync "
+
+
+def elastic_summary(block: dict) -> str:
+    return (
+        f"failover resync "
         f"{block['elastic']['failover_resync_gb']:.4f} GB vs full "
         f"{block['baseline']['failover_resync_gb']:.4f} GB, "
         f"max ckpt latency {block['elastic']['max_ckpt_latency_s']:.3f}s "
         f"vs SLO {block['slo_checkpoint_latency_s']:.3f}s, "
         f"{block['elastic']['migrations_completed']} migration(s) in "
-        f"{block['elastic']['migration_batches']} batches, "
-        f"{block['wall_s']:.1f}s -> {'OK' if ok else 'FAIL'}"
+        f"{block['elastic']['migration_batches']} batches"
     )
-    return 0 if ok else 1
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    p = argparse.ArgumentParser(
-        prog="repro.tools.elastic",
-        description="Elastic grow/shrink-under-load scenario driver.",
-    )
-    p.add_argument("--out", default="-", help="JSON output path ('-' for stdout)")
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--smoke", action="store_true",
-                   help="run the acceptance checks and exit 0/1")
-    args = p.parse_args(argv)
-    if args.smoke:
-        return run_elastic_smoke(seed=args.seed)
-    block = run_elastic_block(seed=args.seed)
-    payload = json.dumps(block, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

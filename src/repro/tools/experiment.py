@@ -16,8 +16,7 @@ summary (optionally machine-readable JSON)::
 
 Every run is deterministic for a given ``--seed``.  The option surface,
 config resolution and cell execution all live in
-:mod:`repro.exec.cell` (re-exported here for compatibility); this
-module owns only the human-facing output.
+:mod:`repro.exec.cell`; this module owns only the human-facing output.
 """
 
 from __future__ import annotations
@@ -25,24 +24,9 @@ from __future__ import annotations
 import json
 import sys
 
-from ..exec.cell import (  # noqa: F401  (public compatibility re-exports)
-    APPS,
-    NON_SEMANTIC_OPTIONS,
-    build_parser,
-    resolve_config,
-    result_to_dict,
-    run_cell,
-    run_experiment,
-)
+from ..exec.cell import build_parser, result_to_dict, run_experiment
 
-__all__ = [
-    "build_parser",
-    "resolve_config",
-    "run_cell",
-    "run_experiment",
-    "result_to_dict",
-    "main",
-]
+__all__ = ["main"]
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Multi-tenant QoS scenario driver: ``python -m repro.tools.qos``.
+"""Multi-tenant QoS scenario: the bench's ``qos`` block.
 
 Runs the pinned checkpoint-as-a-service scenario from
 :mod:`repro.tenancy` — three tenants sized from the paper's workload
@@ -19,17 +19,15 @@ it into the ``qos`` block of ``BENCH_baseline.json``:
   demonstrably throttled, queueing and preemption both exercised)
   and the whole scenario is a pure function of its seed.
 
-``--smoke`` runs the same block and exits nonzero when any acceptance
-bound fails; ``repro.tools.bench --qos-smoke`` is the same entry.
+``repro.tools.bench`` registers :func:`run_qos_block` with
+:func:`qos_gate` (``--block`` prints the record, ``--smoke`` exits
+nonzero when any acceptance bound fails).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import time
-from typing import Dict, List, Optional, Set
+from typing import Dict, List
 
 from ..apps import SyntheticModel
 from ..baselines import precopy_config
@@ -43,8 +41,8 @@ __all__ = [
     "ATTAINMENT_TARGET",
     "run_attribution_check",
     "run_qos_block",
-    "run_qos_smoke",
-    "main",
+    "qos_gate",
+    "qos_summary",
 ]
 
 #: minimum per-SLO attainment the guaranteed tenant must hold on the
@@ -123,11 +121,11 @@ def run_attribution_check(seed: int = 11) -> dict:
     }
 
 
-def run_qos_block(seed: int = QOS_SEED, duration: float = QOS_DURATION) -> dict:
+def run_qos_block() -> dict:
     """The ``qos`` block of the bench baseline."""
     t0 = time.perf_counter()
-    report, tenant_events = _scenario_with_census(seed, duration)
-    report2, tenant_events2 = _scenario_with_census(seed, duration)
+    report, tenant_events = _scenario_with_census(QOS_SEED, QOS_DURATION)
+    report2, tenant_events2 = _scenario_with_census(QOS_SEED, QOS_DURATION)
     deterministic = report == report2 and tenant_events == tenant_events2
 
     tenants: Dict[str, dict] = report["tenants"]  # type: ignore[assignment]
@@ -160,16 +158,15 @@ def run_qos_block(seed: int = QOS_SEED, duration: float = QOS_DURATION) -> dict:
     }
 
 
-def run_qos_smoke(seed: int = QOS_SEED) -> int:
-    """CI-sized acceptance check: on the pinned scenario the
-    guaranteed tenant must hold both SLOs while every best-effort
-    tenant is throttled, queueing and preemption must both have been
-    exercised (and be visible as ``tenant.*`` trace events), tenant
-    attribution must hold end-to-end through the cluster path, and
-    the whole block must be deterministic."""
-    block = run_qos_block(seed=seed)
+def qos_gate(block: dict) -> bool:
+    """The acceptance check: on the pinned scenario the guaranteed
+    tenant must hold both SLOs while every best-effort tenant is
+    throttled, queueing and preemption must both have been exercised
+    (and be visible as ``tenant.*`` trace events), tenant attribution
+    must hold end-to-end through the cluster path, and the whole block
+    must be deterministic."""
     events: Dict[str, int] = block["tenant_events"]
-    ok = (
+    return bool(
         block["guaranteed_slo_met"]
         and block["best_effort_throttled"]
         and block["queueing_exercised"]
@@ -181,14 +178,17 @@ def run_qos_smoke(seed: int = QOS_SEED) -> int:
         and events.get("tenant.throttle", 0) > 0
         and events.get("tenant.slo", 0) > 0
     )
+
+
+def qos_summary(block: dict) -> str:
     tenants: Dict[str, dict] = block["scenario"]["tenants"]
     g = next(t for t in tenants.values() if t["guaranteed"])
     throttled = sum(
         t["throttle_time_s"] for t in tenants.values() if not t["guaranteed"]
     )
     totals = block["scenario"]["totals"]
-    print(
-        f"qos smoke: guaranteed interval/rpo attainment "
+    return (
+        f"guaranteed interval/rpo attainment "
         f"{g['interval_attainment']:.2f}/{g['rpo_attainment']:.2f} "
         f"(target {block['attainment_target']:.2f}), best-effort "
         f"throttled {throttled:.1f}s across {totals['throttle_spans']} "
@@ -196,34 +196,5 @@ def run_qos_smoke(seed: int = QOS_SEED) -> int:
         f"preempted / {totals['rejected']} rejected of "
         f"{totals['jobs_submitted']} jobs, "
         f"attribution={'OK' if block['attribution']['all_attributed'] else 'FAIL'}, "
-        f"deterministic={block['deterministic']}, "
-        f"{block['wall_s']:.1f}s -> {'OK' if ok else 'FAIL'}"
+        f"deterministic={block['deterministic']}"
     )
-    return 0 if ok else 1
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    p = argparse.ArgumentParser(
-        prog="repro.tools.qos",
-        description="Multi-tenant checkpoint QoS scenario driver.",
-    )
-    p.add_argument("--out", default="-", help="JSON output path ('-' for stdout)")
-    p.add_argument("--seed", type=int, default=QOS_SEED)
-    p.add_argument("--smoke", action="store_true",
-                   help="run the acceptance checks and exit 0/1")
-    args = p.parse_args(argv)
-    if args.smoke:
-        return run_qos_smoke(seed=args.seed)
-    block = run_qos_block(seed=args.seed)
-    payload = json.dumps(block, indent=2) + "\n"
-    if args.out == "-":
-        sys.stdout.write(payload)
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-        print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -11,9 +11,8 @@ cross product of all ``--sweep`` axes runs on the
 :mod:`repro.exec` engine — parallel execution is byte-identical to
 serial, a populated ``--cache-dir`` re-executes only changed cells —
 and one CSV row is written per cell.  Grid expansion, dispatch, and
-CSV field selection all live in :mod:`repro.exec.grid` (re-exported
-here for compatibility); this module owns only argument parsing and
-the replay-mode sweep.
+CSV field selection all live in :mod:`repro.exec.grid`; this module
+owns only argument parsing and the replay-mode sweep.
 """
 
 from __future__ import annotations
@@ -23,38 +22,9 @@ import sys
 from typing import List, Tuple
 
 from ..errors import ConfigError
-from ..exec.grid import (  # noqa: F401  (public compatibility re-exports)
-    CSV_FIELDS,
-    GridResult,
-    GridSpec,
-    collect_fields,
-    parse_sweeps,
-    run_grid,
-    write_csv,
-)
+from ..exec.grid import GridResult, parse_sweeps, run_grid, write_csv
 
-__all__ = [
-    "parse_sweeps",
-    "run_sweep",
-    "run_replay_sweep",
-    "collect_fields",
-    "write_csv",
-    "main",
-]
-
-
-def run_sweep(
-    base_args: List[str],
-    axes: List[Tuple[str, List[str]]],
-    *,
-    workers: int | str | None = 1,
-    cache=None,
-    derive_seeds: bool = True,
-) -> List[dict]:
-    """Run the cross product; returns one flat record per cell."""
-    return run_grid(
-        base_args, axes, workers=workers, cache=cache, derive_seeds=derive_seeds
-    ).records
+__all__ = ["run_replay_sweep", "main"]
 
 
 #: replay-mode sweep axes -> ReplayEngine.replay keyword arguments.
@@ -118,9 +88,9 @@ def main(argv=None) -> int:
                         "threshold-margin/codec/codec-novelty over it "
                         "without re-running the app")
     p.add_argument("--out", default="-", help="CSV path ('-' for stdout)")
-    p.add_argument("--workers", default="1", metavar="N",
-                   help="parallel worker processes ('auto' = one per CPU; "
-                        "clamped to the host CPU count)")
+    p.add_argument("--workers", default=None, metavar="N",
+                   help="parallel worker processes (default 1; 'auto' = one "
+                        "per CPU; clamped to the host CPU count)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
                    help="content-addressed result cache; reruns execute "
                         "only changed cells")
@@ -136,12 +106,27 @@ def main(argv=None) -> int:
     axes = parse_sweeps(args.sweep)
     report: GridResult | None = None
     if args.replay:
+        # a replay runs no simulation: an option that only shapes a live
+        # run would otherwise be dropped without a word
+        live_only = {
+            "--workers": args.workers, "--cache-dir": args.cache_dir,
+            "--trace": args.trace, "--no-cell-seeds": args.no_cell_seeds or None,
+        }
+        rejected = [flag for flag, value in live_only.items() if value is not None]
+        rejected += [tok for tok in passthrough if tok.startswith("--")] or passthrough
+        if rejected:
+            p.error(
+                "--replay re-decides a captured trace without simulating, "
+                f"so it cannot honour {', '.join(rejected)} (sweep a "
+                "replayable axis with --sweep, or drop --replay for a "
+                "live sweep)"
+            )
         records = run_replay_sweep(args.replay, axes)
     else:
         report = run_grid(
             passthrough,
             axes,
-            workers=args.workers,
+            workers=1 if args.workers is None else args.workers,
             cache=args.cache_dir,
             trace=args.trace,
             derive_seeds=not args.no_cell_seeds,

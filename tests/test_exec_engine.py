@@ -12,18 +12,19 @@ from repro import __version__
 from repro.exec import (
     ExecutionReport,
     GridSpec,
-    ParallelExecutor,
     ResultCache,
     WorkerPool,
+    WorkerPoolError,
     cache_key,
     derive_cell_seed,
     expand_grid,
     flatten_record,
+    parse_sweeps,
     resolve_workers,
     run_grid,
+    shutdown_pools,
 )
-from repro.exec.executor import _batch_indexes
-from repro.tools.sweep import collect_fields, parse_sweeps, write_csv
+from repro.exec.grid import _batch_indexes, collect_fields, write_csv
 
 #: a fast, fully deterministic base cell (no remote tier, tiny sizes)
 BASE = [
@@ -34,6 +35,23 @@ BASE = [
 THREE_AXES = ["nvm-gbps=1.0,2.0", "mode=none,dcpcp", "ranks-per-node=1,2"]
 
 HOST_CPUS = max(1, os.cpu_count() or 1)
+
+
+@pytest.fixture
+def wide_host(monkeypatch):
+    """Make ``run_grid`` see an 8-CPU host, so ``workers=N`` really
+    crosses the worker pool whatever the machine running the tests."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    yield
+    shutdown_pools()  # do not leave 4-wide pools behind on a small host
+
+
+def _batches(payloads, n_batches):
+    """``(index, payload)`` batches the way ``run_grid`` cuts them."""
+    return [
+        [(i, payloads[i]) for i in batch]
+        for batch in _batch_indexes(range(len(payloads)), n_batches)
+    ]
 
 
 def _square(payload):
@@ -83,25 +101,34 @@ class TestResultCache:
 
 
 class TestWorkerPool:
-    """The persistent pool itself (forced multiprocess via clamp=False)."""
+    """The persistent pool itself, straight against ``run_batches``."""
 
     def test_batched_dispatch_reassembles_submission_order(self):
-        with ParallelExecutor(workers=2, clamp=False, private_pool=True) as ex:
-            report = ex.run(_square, [{"x": i} for i in range(10)])
-        assert [r["value"] for r in report.results] == [i * i for i in range(10)]
-        assert report.cells_executed == 10
-        assert report.batches > 1  # really went through batched dispatch
+        payloads = [{"x": i} for i in range(10)]
+        pool = WorkerPool(2)
+        try:
+            answered = pool.run_batches(_square, _batches(payloads, 8))
+        finally:
+            pool.close()
+        assert [answered[i][0]["value"] for i in range(10)] == [
+            i * i for i in range(10)
+        ]
+        assert all(events is None for _, events in answered.values())
 
     def test_workers_persist_across_runs(self):
-        """The tentpole: the second grid reuses the same worker
-        processes — no per-grid interpreter forks."""
-        with ParallelExecutor(workers=2, clamp=False, private_pool=True) as ex:
-            first = ex.run(_pid, [{"x": i} for i in range(8)])
-            workers_first = {p.pid for p in ex._pool._procs}
-            second = ex.run(_pid, [{"x": i} for i in range(8)])
-            workers_second = {p.pid for p in ex._pool._procs}
-        pids_first = {r["pid"] for r in first.results}
-        pids_second = {r["pid"] for r in second.results}
+        """The second grid reuses the same worker processes — no
+        per-grid interpreter forks."""
+        payloads = [{"x": i} for i in range(8)]
+        pool = WorkerPool(2)
+        try:
+            first = pool.run_batches(_pid, _batches(payloads, 8))
+            workers_first = {p.pid for p in pool._procs}
+            second = pool.run_batches(_pid, _batches(payloads, 8))
+            workers_second = {p.pid for p in pool._procs}
+        finally:
+            pool.close()
+        pids_first = {r["pid"] for r, _ in first.values()}
+        pids_second = {r["pid"] for r, _ in second.values()}
         parent = os.getpid()
         assert parent not in pids_first  # really ran out-of-process
         # spawned once, reused.  Compared against the pool's own worker
@@ -111,18 +138,21 @@ class TestWorkerPool:
         assert pids_first | pids_second <= workers_first
 
     def test_cell_error_propagates_and_pool_survives(self):
-        with ParallelExecutor(workers=2, clamp=False, private_pool=True) as ex:
+        pool = WorkerPool(2)
+        try:
             with pytest.raises(RuntimeError, match="cell 2 exploded"):
-                ex.run(_boom, [{"x": i} for i in range(6)])
+                pool.run_batches(_boom, _batches([{"x": i} for i in range(6)], 6))
             # the pool is still serviceable after a cell failure
-            report = ex.run(_square, [{"x": i} for i in range(4)])
-            assert [r["value"] for r in report.results] == [0, 1, 4, 9]
+            answered = pool.run_batches(
+                _square, _batches([{"x": i} for i in range(4)], 4)
+            )
+            assert [answered[i][0]["value"] for i in range(4)] == [0, 1, 4, 9]
+        finally:
+            pool.close()
 
     def test_dead_pool_rejects_work(self):
         pool = WorkerPool(1)
         pool.close()
-        from repro.exec import WorkerPoolError
-
         with pytest.raises(WorkerPoolError):
             pool.run_batches(_square, [[(0, {"x": 1})]])
 
@@ -135,30 +165,37 @@ class TestWorkerPool:
 
 
 class TestParallelExecutor:
-    def test_results_in_submission_order(self):
-        ex = ParallelExecutor(workers=4)
-        report = ex.run(_square, [{"x": i} for i in range(10)])
-        assert [r["value"] for r in report.results] == [i * i for i in range(10)]
-        assert report.cells_executed == 10
+    """``run_grid``'s own dispatch: the cache probe, the worker count,
+    and the in-process vs pooled choice."""
 
-    def test_serial_equals_parallel(self):
-        payloads = [{"x": i} for i in range(8)]
-        serial = ParallelExecutor(workers=1).run(_square, payloads)
-        with ParallelExecutor(workers=4, clamp=False, private_pool=True) as ex:
-            parallel = ex.run(_square, payloads)
-        assert serial.results == parallel.results
+    AXES = ["nvm-gbps=1.0,2.0", "mode=none,dcpcp"]
 
-    def test_cache_short_circuits(self, tmp_path):
-        payloads = [{"x": i} for i in range(4)]
-        keys = [cache_key(p, __version__) for p in payloads]
+    def test_results_in_submission_order(self, wide_host):
+        result = run_grid(BASE, self.AXES, workers=4)
+        assert result.execution.batches > 1  # really went through the pool
+        assert result.execution.cells_executed == 4
+        assert [(r["sweep.nvm-gbps"], r["sweep.mode"]) for r in result.records] == [
+            ("1.0", "none"), ("1.0", "dcpcp"), ("2.0", "none"), ("2.0", "dcpcp"),
+        ]
+        assert [r["policy"] for r in result.records] == ["none", "dcpcp"] * 2
+
+    def test_serial_equals_parallel(self, wide_host):
+        serial = run_grid(BASE, self.AXES, workers=1)
+        parallel = run_grid(BASE, self.AXES, workers=4)
+        assert serial.execution.batches == 0 < parallel.execution.batches
+        assert serial.execution.results == parallel.execution.results
+
+    def test_cache_short_circuits(self, tmp_path, wide_host):
         cache = ResultCache(tmp_path)
-        first = ParallelExecutor(workers=2, cache=cache).run(_square, payloads, keys=keys)
-        assert first.cells_executed == 4 and first.cache_hits == 0
-        second = ParallelExecutor(workers=2, cache=cache).run(_square, payloads, keys=keys)
-        assert second.cells_executed == 0
-        assert second.cache_hits == 4
-        assert second.cache_hit_rate == 1.0
-        assert second.results == first.results
+        first = run_grid(BASE, self.AXES, workers=2, cache=cache)
+        assert first.execution.cells_executed == 4
+        assert first.execution.cache_hits == 0
+        second = run_grid(BASE, self.AXES, workers=2, cache=cache)
+        assert second.execution.cells_executed == 0
+        assert second.execution.cache_hits == 4
+        assert second.execution.cache_hit_rate == 1.0
+        assert second.execution.batches == 0  # hits never reach a worker
+        assert second.execution.results == first.execution.results
 
     def test_resolve_workers_clamps_to_host(self):
         """The host_cpus=1 bugfix: requesting more workers than CPUs
@@ -166,17 +203,17 @@ class TestParallelExecutor:
         wall-clock at 'workers: 4' on a 1-CPU box)."""
         assert resolve_workers(1) == 1
         assert resolve_workers(HOST_CPUS + 3) == HOST_CPUS
-        assert resolve_workers(HOST_CPUS + 3, clamp=False) == HOST_CPUS + 3
         assert resolve_workers("auto") == HOST_CPUS
         assert resolve_workers(None) == HOST_CPUS
         with pytest.raises(ValueError):
             resolve_workers(-1)
 
     def test_report_records_requested_and_effective(self):
-        ex = ParallelExecutor(workers=HOST_CPUS + 7)
-        report = ex.run(_square, [{"x": 1}])
+        report = run_grid(BASE, ["mode=none"], workers=HOST_CPUS + 7).execution
         assert report.workers == HOST_CPUS
         assert report.workers_requested == HOST_CPUS + 7
+        auto = run_grid(BASE, ["mode=none"], workers="auto").execution
+        assert auto.workers == auto.workers_requested == HOST_CPUS
 
 
 class TestGrid:
@@ -221,11 +258,11 @@ class TestGrid:
 class TestGridDeterminism:
     """The tentpole acceptance tests."""
 
-    def test_parallel_equals_serial_three_axis_grid(self):
+    def test_parallel_equals_serial_three_axis_grid(self, wide_host):
         axes = parse_sweeps(THREE_AXES)
         serial = run_grid(BASE, axes, workers=1)
-        # clamp=False forces the real multiprocess pool even on 1 CPU
-        parallel = run_grid(BASE, axes, workers=4, clamp=False)
+        parallel = run_grid(BASE, axes, workers=4)
+        assert parallel.execution.batches > 1  # the real multiprocess pool
         assert serial.records == parallel.records
         # and the CSVs are byte-identical, not merely equal as dicts
         a, b = io.StringIO(), io.StringIO()
@@ -294,14 +331,14 @@ class TestRunGridFacade:
         assert events  # executed cells really shipped their events
         assert all("kind" in e for e in events)
 
-    def test_trace_capture_works_across_the_pool(self, tmp_path):
-        """Worker-side capture: the old fork pool silently dropped
-        child trace events; the persistent pool ships them back."""
+    def test_trace_capture_works_across_the_pool(self, tmp_path, wide_host):
+        """Worker-side capture: events emitted in a worker process ride
+        back with the cell's result."""
         serial = tmp_path / "serial.jsonl"
         pooled = tmp_path / "pooled.jsonl"
         run_grid(BASE, ["mode=none,dcpcp"], trace=str(serial))
-        run_grid(BASE, ["mode=none,dcpcp"], trace=str(pooled),
-                 workers=2, clamp=False)
+        result = run_grid(BASE, ["mode=none,dcpcp"], trace=str(pooled), workers=2)
+        assert result.execution.batches == 2
         assert serial.read_text() == pooled.read_text()
 
 
@@ -332,11 +369,11 @@ def _axes_strategy():
 
 
 class TestGridProperty:
-    """Property test: serial, persistent-pool parallel, and
-    batched-dispatch-shaped runs agree byte-for-byte on random grids."""
+    """Property test: serial, persistent-pool parallel, and a
+    differently batched pooled run agree byte-for-byte on random grids."""
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
-    def test_three_execution_shapes_agree(self):
+    def test_three_execution_shapes_agree(self, wide_host):
         from hypothesis import HealthCheck, given, settings
 
         @settings(max_examples=4, deadline=None,
@@ -349,13 +386,10 @@ class TestGridProperty:
 
     def _assert_shapes_agree(self, axes):
         serial = run_grid(BASE, axes, workers=1)
-        pooled = run_grid(BASE, axes, workers=2, clamp=False)
-        # a different batching shape must not leak into the output
-        wide = run_grid(
-            BASE, axes,
-            executor=ParallelExecutor(workers=2, clamp=False,
-                                      dispatch_batches=1),
-        )
+        pooled = run_grid(BASE, axes, workers=2)
+        # a different pool width (hence batching shape) must not leak
+        # into the output
+        wide = run_grid(BASE, axes, workers=3)
         assert serial.records == pooled.records == wide.records
         # identical content-addressed cache keys across all three
         keys = [[c.key for c in r.cells] for r in (serial, pooled, wide)]
@@ -407,7 +441,7 @@ class TestEngineThroughput:
     def test_bench_smoke(self):
         from repro.tools.bench import run_smoke
 
-        assert run_smoke(workers=2) == 0
+        assert run_smoke(["exec"]) == 0
 
     def test_execution_report_rates(self):
         report = ExecutionReport(cells_total=10, cache_hits=5, wall_s=2.0)

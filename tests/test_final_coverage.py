@@ -10,7 +10,7 @@ from repro.core import make_standalone_context
 from repro.errors import SimulationError
 from repro.net import Fabric
 from repro.sim import Engine
-from repro.tools.experiment import build_parser, run_experiment
+from repro.exec.cell import build_parser, run_experiment
 from repro.units import MB
 
 

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.config import PrecopyPolicy
-from repro.tools.experiment import build_parser, main, result_to_dict, run_experiment
+from repro.exec.cell import build_parser, result_to_dict, run_experiment
+from repro.tools.experiment import main
 from repro.units import PAGE_SIZE, MB
 
 

@@ -203,9 +203,8 @@ class TestPinnedGridAcceptance:
 
     @pytest.fixture(scope="class")
     def paired_grids(self):
-        from repro.exec.grid import run_grid
+        from repro.exec.grid import parse_sweeps, run_grid
         from repro.tools.bench import PINNED_GRID
-        from repro.tools.sweep import parse_sweeps
 
         base, axes_specs = PINNED_GRID
         axes = parse_sweeps(list(axes_specs))

@@ -1,11 +1,8 @@
-"""Metrics: timelines, collectors, report rendering."""
+"""Metrics: timelines, report rendering."""
 
 import pytest
 
 from repro.metrics import (
-    CpuUtilization,
-    DataVolume,
-    InterconnectUsage,
     Series,
     Table,
     Timeline,
@@ -14,8 +11,6 @@ from repro.metrics import (
 )
 from repro.metrics import timeline as tl
 from repro.metrics.report import fmt
-from repro.sim import BandwidthResource, CpuCores, Engine
-from tests.conftest import run_proc
 
 
 class TestTimeline:
@@ -80,45 +75,6 @@ class TestTimeline:
 
     def test_ascii_art_empty(self):
         assert "empty" in Timeline().ascii_art()
-
-
-class TestCollectors:
-    def test_interconnect_usage_windows(self, engine):
-        bw = BandwidthResource(engine, 100.0)
-
-        def p():
-            yield bw.transfer(200.0, tag="r0:rckpt")
-
-        run_proc(engine, p())
-        usage = InterconnectUsage(bw)
-        assert usage.peak_rate() == pytest.approx(100.0)
-        assert usage.peak_window_volume(1.0, t_end=4.0) == pytest.approx(100.0)
-        assert usage.total_bytes() == pytest.approx(200.0)
-        assert usage.total_bytes("r0:rckpt") == pytest.approx(200.0)
-
-    def test_cpu_utilization(self, engine):
-        cpu = CpuCores(engine, 12)
-        cpu.charge("helper", 25.0)
-        cpu.charge("app", 50.0)
-        u = CpuUtilization(cpu)
-        assert u.utilization("helper", 100.0) == pytest.approx(0.25)
-        assert u.node_utilization(100.0) == pytest.approx(75.0 / 1200.0)
-        assert u.by_owner(100.0)["app"] == pytest.approx(0.5)
-
-    def test_data_volume_queries(self, engine):
-        bw = BandwidthResource(engine, 1000.0)
-
-        def p():
-            yield bw.transfer(100.0, tag="r0:lckpt")
-            yield bw.transfer(50.0, tag="r1:lckpt")
-            yield bw.transfer(30.0, tag="r0:precopy")
-
-        run_proc(engine, p())
-        dv = DataVolume(bw)
-        assert dv.total() == pytest.approx(180.0)
-        assert dv.suffix(":lckpt") == pytest.approx(150.0)
-        assert dv.matching("r0:") == pytest.approx(130.0)
-        assert dv.total("r0:lckpt", "r0:precopy") == pytest.approx(130.0)
 
 
 class TestReport:

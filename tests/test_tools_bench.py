@@ -1,0 +1,115 @@
+"""The bench block registry (repro.tools.bench) and the layering it
+sits on: one table of blocks, one dispatch path, tools on top."""
+
+import functools
+import json
+import re
+import tempfile
+from pathlib import Path
+
+import pytest
+
+import repro
+from repro.tools import bench
+
+SRC = Path(repro.__file__).parent
+
+
+def _sources():
+    return [(p.relative_to(SRC), p.read_text(encoding="utf-8")) for p in SRC.rglob("*.py")]
+
+
+@pytest.fixture
+def fake_blocks(monkeypatch):
+    """The registry with every ``run`` replaced by a recorder; returns
+    the list of ``(name, kwargs)`` calls."""
+    calls = []
+
+    def fake(name, real):
+        def run(**inputs):
+            calls.append((name, inputs))
+            return {"name": name}
+
+        return real._replace(run=run, gate=lambda r: r["name"] != "scale",
+                             summary=lambda r: r["name"])
+
+    monkeypatch.setattr(
+        bench, "BLOCKS", {n: fake(n, b) for n, b in bench.BLOCKS.items()}
+    )
+    return calls
+
+
+class TestBlockRegistry:
+    def test_every_block_has_a_smoke_gate(self):
+        assert list(bench.BLOCKS) == [
+            "exec", "dedup", "replay", "scale", "elastic", "qos",
+        ]
+        for block in bench.BLOCKS.values():
+            assert callable(block.run)
+            assert callable(block.gate) and callable(block.summary)
+            assert isinstance(block.smoke_inputs, dict)
+
+    @pytest.mark.parametrize("argv", [["--smoke", "all"], ["--smoke"]])
+    def test_smoke_all_runs_each_block_exactly_once(self, argv, fake_blocks, capsys):
+        # the recorder's gate fails one block: every block still runs,
+        # each with its own smoke inputs, and the exit code says so
+        assert bench.main(argv) == 1
+        assert fake_blocks == [
+            (name, block.smoke_inputs) for name, block in bench.BLOCKS.items()
+        ]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" smoke: ")[0] for line in lines] == list(bench.BLOCKS)
+        assert [line.rsplit(" -> ")[1] for line in lines] == [
+            "FAIL" if name == "scale" else "OK" for name in bench.BLOCKS
+        ]
+
+    def test_smoke_one_name_runs_that_block_only(self, fake_blocks):
+        assert bench.main(["--smoke", "replay"]) == 0
+        assert [name for name, _ in fake_blocks] == ["replay"]
+
+    def test_unknown_name_exits_2(self, fake_blocks):
+        for flag in ("--smoke", "--block"):
+            with pytest.raises(SystemExit) as exc:
+                bench.main([flag, "no-such-block"])
+            assert exc.value.code == 2
+        assert fake_blocks == []
+
+    def test_block_prints_one_full_record(self, capsys):
+        assert bench.main(["--block", "elastic"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert bench.BLOCKS["elastic"].gate(record)
+
+    def test_run_benchmark_removes_its_cache_dir(self, monkeypatch, tmp_path):
+        """Every ``make bench-json`` used to leave a ``repro-bench-*``
+        cache directory behind."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(
+            bench, "run_exec_block",
+            functools.partial(
+                bench.run_exec_block, **bench.BLOCKS["exec"].smoke_inputs
+            ),
+        )
+        monkeypatch.setattr(bench, "BLOCKS", {})
+        record = bench.run_benchmark(1)
+        assert record["cached_rerun"]["cache_hits"] == record["grid"]["cells"] == 1
+        assert list(tmp_path.glob("repro-bench-*")) == []
+
+
+class TestLayering:
+    def test_nothing_below_tools_imports_tools(self):
+        imports_tools = re.compile(
+            r"^\s*(?:from\s+(?:repro|\.+)\.?tools\b|import\s+repro\.tools\b"
+            r"|from\s+(?:repro|\.+)\s+import\s+.*\btools\b)",
+            re.M,
+        )
+        offenders = [
+            str(rel) for rel, text in _sources()
+            if rel.parts[0] != "tools" and imports_tools.search(text)
+        ]
+        assert offenders == []
+
+    def test_run_grid_is_the_only_dispatch_path(self):
+        callers = [str(rel) for rel, text in _sources() if ".run_batches(" in text]
+        assert callers == [str(Path("exec") / "grid.py")]
+        assert not (SRC / "exec" / "executor.py").exists()
+        assert not hasattr(repro, "ParallelExecutor")

@@ -8,8 +8,8 @@ import pytest
 
 from repro.core import NVMCheckpoint
 from repro.config import CheckpointConfig, PrecopyPolicy
+from repro.exec import parse_sweeps, run_grid
 from repro.tools.sweep import main as sweep_main
-from repro.tools.sweep import parse_sweeps, run_sweep
 from repro.units import MB
 
 BASE = [
@@ -35,21 +35,21 @@ class TestParseSweeps:
 
 class TestRunSweep:
     def test_cross_product_size(self):
-        records = run_sweep(BASE, parse_sweeps(["nvm-gbps=1.0,2.0", "mode=none,dcpcp"]))
+        records = run_grid(BASE, ["nvm-gbps=1.0,2.0", "mode=none,dcpcp"]).records
         assert len(records) == 4
         combos = {(r["sweep.nvm-gbps"], r["sweep.mode"]) for r in records}
         assert combos == {("1.0", "none"), ("1.0", "dcpcp"),
                           ("2.0", "none"), ("2.0", "dcpcp")}
 
     def test_records_carry_metrics(self):
-        records = run_sweep(BASE, parse_sweeps(["mode=none"]))
+        records = run_grid(BASE, ["mode=none"]).records
         r = records[0]
         assert r["policy"] == "none"
         assert r["total_time_s"] > r["ideal_time_s"] > 0
         assert "local.avg_blocking_s" in r
 
     def test_sweep_changes_outcomes(self):
-        records = run_sweep(BASE, parse_sweeps(["mode=none,dcpcp"]))
+        records = run_grid(BASE, ["mode=none,dcpcp"]).records
         by_mode = {r["sweep.mode"]: r for r in records}
         assert (by_mode["dcpcp"]["local.avg_blocking_s"]
                 < by_mode["none"]["local.avg_blocking_s"])
@@ -66,6 +66,28 @@ class TestRunSweep:
     def test_requires_sweep_axis(self):
         with pytest.raises(SystemExit):
             sweep_main(["--out", "-"])
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["--app", "gtc"], "--app"),
+            (["--nodes", "8"], "--nodes"),
+            (["--workers", "1"], "--workers"),
+            (["--cache-dir", "somewhere"], "--cache-dir"),
+            (["--trace", "out.jsonl"], "--trace"),
+            (["--no-cell-seeds"], "--no-cell-seeds"),
+            (["stray"], "stray"),
+        ],
+    )
+    def test_replay_rejects_options_it_would_drop(self, extra, named, capsys):
+        """A replay runs no simulation; live-run options used to be
+        dropped without a word.  Rejected before the trace is opened."""
+        with pytest.raises(SystemExit) as exc:
+            sweep_main(["--replay", "no-such-trace.jsonl",
+                        "--sweep", "mode=none,dcpcp", *extra])
+        assert exc.value.code == 2
+        message = capsys.readouterr().err
+        assert "--replay" in message and named in message
 
 
 class TestFacadeBackgroundPrecopy:
