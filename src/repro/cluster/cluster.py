@@ -11,6 +11,7 @@ from typing import Dict, List, Optional
 
 from ..apps.base import ApplicationModel
 from ..config import CheckpointConfig, ClusterConfig
+from ..core.destination import PfsDestination
 from ..core.remote import RemoteHelper
 from ..errors import ClusterError
 from ..metrics.timeline import Timeline
@@ -50,6 +51,13 @@ class Cluster:
         ]
         self.app: Optional[ApplicationModel] = None
         self.ckpt_config: Optional[CheckpointConfig] = None
+        # the build recipe, kept so a replacement node (hard-failure
+        # recovery) is populated exactly like the original
+        self._n_nodes = 0
+        self._phantom = True
+        self._pfs = None
+        self._compression = None
+        self._tenancy: Dict[str, str] = {}
         self._built = False
 
     # ------------------------------------------------------------------
@@ -96,65 +104,74 @@ class Cluster:
         if ranks_per_node is None:
             reserve = 1 if (ckpt_config.helper_core and with_remote) else 0
             ranks_per_node = self.config.node.cores - reserve
-        destination_factory = None
-        if pfs is not None:
-            from ..core.destination import PfsDestination
-
-            destination_factory = (
-                lambda ctx, rank, alloc: PfsDestination(pfs, rank, ctx, alloc)
-            )
-        rank_index = 0
+        self._n_nodes = n_nodes
+        self._phantom = phantom
+        self._pfs = pfs
+        self._compression = compression
+        self._tenancy = dict(tenancy or {})
         for node in self.nodes[:n_nodes]:
-            for _ in range(ranks_per_node):
-                neighbors = self.topology.neighbors(node.node_id, degree=2)
-                node.add_rank(
-                    rank_index,
-                    app,
-                    ckpt_config,
-                    fabric=self.fabric,
-                    neighbors=[n for n in neighbors if n < n_nodes],
-                    timeline=self.timeline,
-                    phantom=phantom,
-                    destination_factory=destination_factory,
-                    tenant=(tenancy or {}).get(f"r{rank_index}", ""),
-                )
-                rank_index += 1
+            first = node.node_id * ranks_per_node
+            self.populate(node, range(first, first + ranks_per_node))
         if with_remote:
             for node in self.nodes[:n_nodes]:
-                buddy_id = self.topology.buddy_of(node.node_id)
-                if buddy_id >= n_nodes:
-                    buddy_id = (node.node_id + 1) % n_nodes
-                node.helper = RemoteHelper(
-                    node.node_id,
-                    node.ctx,
-                    self.fabric,
-                    buddy_id,
-                    self.nodes[buddy_id].ctx,
-                    [s.allocator for s in node.ranks],
-                    ckpt_config,
-                    timeline=self.timeline,
-                    compression=compression,
-                    tenants={
-                        s.rank: s.checkpointer.tenant
-                        for s in node.ranks
-                        if s.checkpointer.tenant
-                    },
+                self.attach_helper(
+                    node, self.topology.buddy_among(node.node_id, range(n_nodes))
                 )
-                # the remote stream's prediction rhythm follows each
-                # rank's local checkpoints
-                for state in node.ranks:
-                    state.checkpointer.on_complete.append(
-                        self._make_local_ckpt_hook(node, state.rank)
-                    )
         self._built = True
         return self
 
-    def _make_local_ckpt_hook(self, node: ClusterNode, rank: str):
-        def hook(stats) -> None:
-            if node.helper is not None:
-                node.helper.notify_local_checkpoint(rank)
+    def populate(self, node: ClusterNode, rank_indices) -> None:
+        """Create *node*'s ranks from the build recipe — at build time,
+        and again on replacement hardware after a hard failure."""
+        destination_factory = None
+        if self._pfs is not None:
+            destination_factory = lambda ctx, rank, alloc: PfsDestination(
+                self._pfs, rank, ctx, alloc
+            )
+        neighbors = [
+            n
+            for n in self.topology.neighbors(node.node_id, degree=2)
+            if n < self._n_nodes
+        ]
+        for rank_index in rank_indices:
+            node.add_rank(
+                rank_index,
+                self.app,
+                self.ckpt_config,
+                fabric=self.fabric,
+                neighbors=neighbors,
+                timeline=self.timeline,
+                phantom=self._phantom,
+                destination_factory=destination_factory,
+                tenant=self._tenancy.get(f"r{rank_index}", ""),
+            )
 
-        return hook
+    def attach_helper(self, node: ClusterNode, buddy_id: int) -> RemoteHelper:
+        """Give *node* its remote helper, paired with *buddy_id*, and
+        feed the helper's stream queue from each rank's local
+        checkpoints (the remote stream's prediction rhythm follows
+        them)."""
+        helper = node.helper = RemoteHelper(
+            node.node_id,
+            node.ctx,
+            self.fabric,
+            buddy_id,
+            self.nodes[buddy_id].ctx,
+            [s.allocator for s in node.ranks],
+            self.ckpt_config,
+            timeline=self.timeline,
+            compression=self._compression,
+            tenants={
+                s.rank: s.checkpointer.tenant
+                for s in node.ranks
+                if s.checkpointer.tenant
+            },
+        )
+        for state in node.ranks:
+            state.checkpointer.on_complete.append(
+                lambda stats, rank=state.rank: helper.notify_local_checkpoint(rank)
+            )
+        return helper
 
     # ------------------------------------------------------------------
     # Access.

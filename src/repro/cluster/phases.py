@@ -8,16 +8,16 @@ iteration, and the failure phases (transient outage, soft reboot, hard
 replace, orphan re-pairing and background re-sync).
 
 Every function takes the :class:`~repro.cluster.runner.ClusterRunner`
-as its first argument and operates on its state; the runner exposes
-thin delegating methods so existing callers (and tests) are
-unaffected.  Generator functions are DES fragments — drive them with
-``yield from``.
+as its first argument and operates on its state.  Generator functions
+are DES fragments — drive them with ``yield from``.  Nothing here
+builds a rank or a helper: a replacement node is populated by the same
+:class:`~repro.cluster.cluster.Cluster` methods that built the
+original.
 """
 
 from __future__ import annotations
 
 from ..metrics import timeline as tl
-from ..metrics.trace import BUS, FailoverEvent
 from .failures import FailureEvent
 from .node import ClusterNode, RankState
 
@@ -118,31 +118,20 @@ def handle_failure(runner, ev: FailureEvent, procs):
     # With migration bookkeeping on, a chunk whose current buddy holds
     # its latest commit generation is *provably* still covered (rollback
     # restores committed state, which is exactly what was streamed), so
-    # only epoch-mismatched chunks re-dirty — the incremental-failover
-    # saving.  Without it, conservatively re-dirty everything.
-    held_by_pid = {}
-    if runner.migration_enabled:
-        for n in runner.cluster.active_nodes:
-            h = n.helper
-            if h is None:
-                continue
-            held = h._replicated.get(h.buddy_id, {})
-            for a in h.ranks:
-                held_by_pid[a.pid] = (h, held)
+    # only generation-mismatched chunks re-dirty — the incremental-
+    # failover saving.  Without it, conservatively re-dirty everything.
+    incremental = runner.migration_enabled
     for state in runner.cluster.all_ranks():
-        entry = held_by_pid.get(state.allocator.pid)
+        helper = runner.cluster.nodes[state.node_id].helper if incremental else None
         for chunk in state.allocator.chunks():
             fresh = chunk.committed_version < 0
             if fresh:
                 chunk.dirty_local = True
             else:
                 chunk.mark_clean("local")
-            if entry is None:
-                chunk.dirty_remote = True
-            else:
-                h, held = entry
-                key = (state.allocator.pid, chunk.chunk_id)
-                chunk.dirty_remote = held.get(key) != h._dirty_epoch.get(key, 0)
+            chunk.dirty_remote = helper is None or not helper.holds_current(
+                state.rank, chunk
+            )
             chunk.protected = not fresh
             chunk.begin_interval()
         if state.checkpointer.precopy is not None:
@@ -346,8 +335,8 @@ def recover_soft(runner, node: ClusterNode):
 
 def fetch_source_for(runner, node: ClusterNode, old_helper) -> int:
     """Which node holds the dead node's remote copies (and becomes
-    the replacement's buddy)?  The live directory when resilience is
-    on; otherwise the helper's own pairing, falling back to the
+    the replacement's buddy)?  The live directory when the run has
+    helpers; otherwise the helper's own pairing, falling back to the
     topology — never an index into ``active_nodes`` (which can
     self-pair or point at a dead slot)."""
     if runner.directory is not None:
@@ -358,24 +347,16 @@ def fetch_source_for(runner, node: ClusterNode, old_helper) -> int:
             return repaired
     if old_helper is not None:
         return old_helper.buddy_id
-    buddy_id = runner.cluster.topology.buddy_of(node.node_id)
-    if buddy_id != node.node_id and runner.cluster.nodes[buddy_id].ranks:
-        return buddy_id
-    others = [
-        n.node_id for n in runner.cluster.active_nodes if n.node_id != node.node_id
-    ]
-    if not others:
-        return node.node_id
-    n_nodes = runner.cluster.topology.n_nodes
-    return min(others, key=lambda m: (m - node.node_id) % n_nodes)
+    return runner.cluster.topology.buddy_among(
+        node.node_id, [n.node_id for n in runner.cluster.active_nodes]
+    )
 
 
 def recover_hard(runner, node: ClusterNode):
     """Replace the node, refetch its ranks' state from the buddy,
     survivors reload locally; roll back to the remote capture."""
-    from ..core.remote import RemoteHelper
-
-    engine = runner.cluster.engine
+    cluster = runner.cluster
+    engine = cluster.engine
     # which iteration did the buddy last capture for this node?
     rollback = 0
     if not node.ranks:
@@ -403,23 +384,8 @@ def recover_hard(runner, node: ClusterNode):
     node.replace_hardware()
     if runner.directory is not None:
         runner.directory.mark_recovered(node.node_id)
-        runner.cluster.fabric.end_outage(node.node_id)
-    # rebuild ranks on the fresh node
-    for rank_index in old_rank_indices:
-        neighbors = [
-            n
-            for n in runner.cluster.topology.neighbors(node.node_id, degree=2)
-            if runner.cluster.nodes[n].ranks
-        ]
-        node.add_rank(
-            rank_index,
-            runner.app,
-            runner.ckpt_config,
-            fabric=runner.cluster.fabric,
-            neighbors=neighbors,
-            timeline=runner.cluster.timeline,
-            phantom=True,
-        )
+        cluster.fabric.end_outage(node.node_id)
+    cluster.populate(node, old_rank_indices)
     # fetch the dead node's state from the buddy; survivors reload locally
     factor = (
         runner.failure_config.remote_restart_factor if runner.failure_config else 1.0
@@ -427,14 +393,14 @@ def recover_hard(runner, node: ClusterNode):
     fetches = []
     for state in node.ranks:
         fetches.append(
-            runner.cluster.fabric.transfer(
+            cluster.fabric.transfer(
                 buddy_id,
                 node.node_id,
                 state.allocator.checkpoint_bytes * factor,
                 tag=f"{state.rank}:rfetch",
             )
         )
-    for n in runner.cluster.active_nodes:
+    for n in cluster.active_nodes:
         if n is node:
             continue
         fetches.extend(
@@ -448,31 +414,17 @@ def recover_hard(runner, node: ClusterNode):
     if fetches:
         yield engine.all_of(fetches)
     # new background machinery for the replacement node
-    if runner.ckpt_config is not None and old_helper is not None:
-        node.helper = RemoteHelper(
-            node.node_id,
-            node.ctx,
-            runner.cluster.fabric,
-            buddy_id,
-            runner.cluster.nodes[buddy_id].ctx,
-            [s.allocator for s in node.ranks],
-            runner.ckpt_config,
-            timeline=runner.cluster.timeline,
-            resilience=runner.transports.get(node.node_id),
-        )
-        node.helper.start_background()
+    if old_helper is not None:
+        helper = cluster.attach_helper(node, buddy_id)
+        helper.resilience = runner.transports.get(node.node_id)
+        helper.start_background()
         runner._bg_procs.append(
-            engine.process(node.helper.run(), name=f"{node.helper.owner}:rounds")
+            engine.process(helper.run(), name=f"{helper.owner}:rounds")
         )
-        # the rebuilt checkpointers must feed the new helper's
-        # stream queue, like Cluster.build wired the originals
         for state in node.ranks:
-            state.checkpointer.on_complete.append(
-                runner.cluster._make_local_ckpt_hook(node, state.rank)
-            )
             runner._attach_slo_observer(state)
         if runner.directory is not None:
-            runner.directory._buddy[node.node_id] = buddy_id
+            runner.directory.bind(node.node_id, buddy_id)
             monitor = runner.monitors.get(node.node_id)
             if monitor is not None:
                 # retarget resets health silently (no up-transition
@@ -498,34 +450,4 @@ def recover_hard(runner, node: ClusterNode):
                 repair_orphan(runner, orphan_id, new_buddy)
             else:
                 runner._deferred_orphans.append(orphan_id)
-    else:
-        # helpers that used the dead node as their buddy lost their
-        # remote copies: re-point them at the replacement hardware
-        for n in runner.cluster.active_nodes:
-            h = n.helper
-            if h is not None and h.buddy_id == node.node_id and n is not node:
-                from ..core.remote import RemoteTarget
-
-                h.buddy_ctx = node.ctx
-                h.targets = {
-                    a.pid: RemoteTarget(
-                        a.pid, node.ctx, two_versions=runner.ckpt_config.two_versions
-                    )
-                    for a in h.ranks
-                }
-                for pid, target in h.targets.items():
-                    h.destinations[pid].retarget(target)
-                if BUS.active:
-                    BUS.emit(
-                        FailoverEvent(
-                            t=engine.now,
-                            actor=h.owner,
-                            from_target=f"n{node.node_id}",
-                            to_target=f"n{node.node_id}",
-                            reason="buddy hardware replaced",
-                        )
-                    )
-                # every remote copy on the dead buddy is gone:
-                # everything must be re-sent
-                h.enqueue_all()
     return rollback

@@ -20,10 +20,10 @@ recovery:
   in-flight remote transfers tear down and the resilience layer
   (:mod:`repro.resilience`) must retry them.
 
-When the checkpoint config's :class:`~repro.config.ResilienceConfig`
-is enabled *and* failures are injected, the runner wires the
-resilience layer in: per-node retrying transports around the helpers'
-RDMA sends, buddy heartbeat monitors, a live
+When failures are injected (or a membership schedule plays) on a
+cluster with remote helpers, the runner wires the resilience layer
+(:class:`~repro.config.ResilienceConfig`) in: per-node retrying
+transports around the helpers' RDMA sends, buddy heartbeat monitors, a live
 :class:`~repro.resilience.directory.BuddyDirectory` that re-pairs
 orphaned nodes, paced background re-sync of committed chunks to the
 new buddy, and per-node degraded-mode controllers that drop to
@@ -52,7 +52,6 @@ from . import phases
 from .cluster import Cluster
 from .failures import FailureEvent, FailureInjector
 from .mpi import Barrier
-from .node import RankState
 
 __all__ = ["ClusterRunner", "RunResult"]
 
@@ -381,7 +380,6 @@ class ClusterRunner:
         to the pre-resilience runner."""
         return (
             (self.injector is not None or bool(self._membership_schedule))
-            and self.ckpt_config.resilience.enabled
             and any(n.helper is not None for n in self.cluster.active_nodes)
         )
 
@@ -467,10 +465,7 @@ class ClusterRunner:
             if node.helper is None:
                 continue
             nid = node.node_id
-            # the directory mirrors the pairing the cluster actually
-            # built (Cluster.build and BuddyDirectory share the same
-            # fallback rule, but the helper is the source of truth)
-            self.directory._buddy[nid] = node.helper.buddy_id
+            self.directory.bind(nid, node.helper.buddy_id)
             transport = ResilientTransport(nid, self.cluster.rng, policy)
             self.transports[nid] = transport
             node.helper.resilience = transport
@@ -646,7 +641,7 @@ class ClusterRunner:
         it = 0
         while it < iterations:
             procs = [
-                engine.process(self._segment(state, it), name=f"{state.rank}.it{it}")
+                engine.process(phases.segment(self, state, it), name=f"{state.rank}.it{it}")
                 for state in self.cluster.all_ranks()
             ]
             seg_done = engine.all_of(procs)
@@ -685,9 +680,9 @@ class ClusterRunner:
                 if next_fail.is_transient:
                     # the application keeps computing through a link
                     # flap; only the checkpoint path is affected
-                    self._apply_transient(next_fail)
+                    phases.apply_transient(self, next_fail)
                     continue
-                yield from self._handle_failure(next_fail, procs)
+                yield from phases.handle_failure(self, next_fail, procs)
                 it = self.committed_iteration
                 restart_segment = True
         for ctrl in self.controllers.values():
@@ -698,20 +693,6 @@ class ClusterRunner:
         self._end_time = self.cluster.engine.now
         self._stop_background()
         return it
-
-    def _segment(self, state: RankState, iteration: int):
-        """One rank's iteration segment (see :func:`phases.segment`)."""
-        return phases.segment(self, state, iteration)
-
-    # ------------------------------------------------------------------
-    # Failure handling — the phase logic lives in repro.cluster.phases.
-    # ------------------------------------------------------------------
-
-    def _apply_transient(self, ev: FailureEvent) -> None:
-        phases.apply_transient(self, ev)
-
-    def _handle_failure(self, ev: FailureEvent, procs):
-        return phases.handle_failure(self, ev, procs)
 
     # ------------------------------------------------------------------
     # Result collection.
@@ -773,7 +754,7 @@ class ClusterRunner:
         helpers = cluster.helpers()
         res.remote_rounds = sum(len(h.history) for h in helpers)
         res.remote_round_bytes = sum(h.total_round_bytes for h in helpers)
-        res.remote_precopy_bytes = sum(h.total_precopy_bytes for h in helpers)
+        res.remote_precopy_bytes = sum(h.stream_bytes for h in helpers)
         res.rounds_behind = sum(h.rounds_behind for h in helpers)
         t_end = engine.now if self._end_time is None else self._end_time
         if helpers and t_end > 0:

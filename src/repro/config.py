@@ -65,7 +65,6 @@ class DeviceConfig:
     write_bandwidth: float  # bytes/s, device peak
     page_read_latency: float  # seconds, per-page
     page_write_latency: float  # seconds, per-page
-    byte_addressable: bool = True
     persistent: bool = False
     #: writes per cell before wear-out (1e8 PCM vs 1e16 DRAM).
     write_endurance: float = 1e16
@@ -198,8 +197,6 @@ class InterconnectConfig:
 
     link_bandwidth: float = Gbit_per_sec(40.0)
     rdma_latency: float = usec(2.0)
-    #: per-message setup cost charged to the initiating CPU.
-    message_overhead: float = usec(1.0)
     #: usable fraction of line rate (protocol efficiency).
     efficiency: float = 0.9
 
@@ -420,7 +417,6 @@ class ResilienceConfig:
     extra RNG draws and finishes at the same virtual time.
     """
 
-    enabled: bool = True
     # -- retry/backoff around rdma_put/rdma_get --
     #: attempts per transfer before giving up with TransferFailed.
     retry_max_attempts: int = 8

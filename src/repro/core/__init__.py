@@ -38,7 +38,6 @@ from .destination import (
     NVMArenaDestination,
     PfsDestination,
     RamdiskDestination,
-    RemoteBuddyDestination,
 )
 from .precopy import PrecopyEngine
 from .engine import CheckpointEngine, CheckpointStats
@@ -73,7 +72,6 @@ __all__ = [
     "NVMArenaDestination",
     "PfsDestination",
     "RamdiskDestination",
-    "RemoteBuddyDestination",
     "PrecopyEngine",
     "CheckpointEngine",
     "LocalCheckpointer",

@@ -11,7 +11,7 @@ the remote round) and two resilience tasks run its whole-chunk form
   (page-granular mode), the payload representation (raw | delta |
   dedup-ref), then the optional wire entropy stage (a
   :class:`~repro.core.compression.CompressionModel`);
-* the *move* is the caller's: ``dest.write_payload`` on a local
+* the *move* is the caller's: ``dest.write`` on a local
   backend, :meth:`repro.core.remote.RemoteHelper.put` across the fabric;
 * :meth:`CopyStep.land` stages the bytes at the destination, keeps the
   one codec accounting record, publishes the block digests and emits

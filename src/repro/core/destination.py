@@ -14,9 +14,10 @@ drives any destination through the same walk/flush/commit sequence:
   global I/O resource, no shadow versions);
 * :class:`RamdiskDestination` — the tmpfs baseline of Table V (DRAM
   path cost model, no shadow versions);
-* :class:`RemoteBuddyDestination` — the buddy node's remote arena, as
-  used by the remote helper; local+remote multilevel checkpointing is
-  the *composition* of two destinations, not a special-cased helper.
+* :class:`~repro.core.remote.RemoteTarget` — the buddy node's remote
+  arena (``name = "buddy"``, defined next to the helper that streams
+  to it); local+remote multilevel checkpointing is the *composition*
+  of two destinations, not a special-cased helper.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from ..alloc.chunk import Chunk, batch_commit
 from ..alloc.nvmalloc import NVAllocator
 from ..errors import CheckpointError
-from .codec import DEFAULT_BLOCK, BlockStore, Payload, blocks_of_extents
+from .codec import DEFAULT_BLOCK, BlockStore, Payload
 from .context import NodeContext
 
 __all__ = [
@@ -36,15 +37,15 @@ __all__ = [
     "NVMArenaDestination",
     "PfsDestination",
     "RamdiskDestination",
-    "RemoteBuddyDestination",
     "validate_extents",
 ]
 
 
 def validate_extents(chunk: Chunk, extents: List[Tuple[int, int]]) -> None:
-    """Shared range-write contract: every backend rejects out-of-range,
-    overlapping or unsorted extents with the *same* error, so callers
-    can switch destinations without re-learning edge behaviour."""
+    """Shared range-stage contract: every backend's :meth:`~Destination.stage`
+    rejects out-of-range, overlapping or unsorted extents with the
+    *same* error, so callers can switch destinations without
+    re-learning edge behaviour."""
     prev_end = 0
     for off, n in extents:
         if n < 0 or off < 0 or off + n > chunk.nbytes:
@@ -78,25 +79,12 @@ class Destination:
     #: configured (``None`` on the raw path — zero overhead)
     block_store: Optional[BlockStore] = None
 
-    def write(self, chunk: Chunk, *, tag: str = ""):
-        """Move the chunk's payload to this destination; returns the
+    def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
+        """The data plane: charge *nbytes* of *chunk* — the planned
+        payload's wire bytes; what lands is staged in full through
+        :meth:`stage` — on this backend's transport.  Returns the
         completion event to ``yield`` on."""
         raise NotImplementedError
-
-    def write_at(
-        self, chunk: Chunk, extents: List[Tuple[int, int]], *, tag: str = ""
-    ):
-        """Range write: move only the ``(offset, nbytes)`` byte runs in
-        *extents* (the chunk's stale pages).  Backends without a range
-        path fall back to a full :meth:`write`."""
-        return self.write(chunk, tag=tag)
-
-    def write_payload(self, chunk: Chunk, payload: Payload, *, tag: str = ""):
-        """Move an encoded payload: charge its *wire* bytes on this
-        backend's transport (the content still stages in full through
-        :meth:`stage` — the codec changes the unit of transfer, not the
-        recoverable representation)."""
-        return self.write_at(chunk, [(0, min(payload.wire_bytes, chunk.nbytes))], tag=tag)
 
     def ensure_block_store(self, block: int = DEFAULT_BLOCK) -> BlockStore:
         """Attach (idempotently) the content-addressed block store a
@@ -123,6 +111,7 @@ class Destination:
         (page-granular mode).  Flat single-version backends have no
         stage step; they only record the copy against the stale map."""
         if extents is not None:
+            validate_extents(chunk, extents)
             chunk.mark_extents_copied("local", extents)
 
     def staged_blocks(self, chunk: Chunk, payload: Payload) -> np.ndarray:
@@ -176,22 +165,15 @@ class NVMArenaDestination(Destination):
         #: pre-copy stream writes and stages without one
         self.allocator = allocator
 
-    def write(self, chunk: Chunk, *, tag: str = ""):
-        return self.ctx.copy_to_nvm(chunk.nbytes, tag=tag)
-
-    def write_at(
-        self, chunk: Chunk, extents: List[Tuple[int, int]], *, tag: str = ""
-    ):
-        validate_extents(chunk, extents)
-        return self.ctx.copy_to_nvm(sum(n for _, n in extents), tag=tag)
-
-    def write_payload(self, chunk: Chunk, payload: Payload, *, tag: str = ""):
-        return self.ctx.copy_to_nvm(payload.wire_bytes, tag=tag)
+    def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
+        return self.ctx.copy_to_nvm(nbytes, tag=tag)
 
     def codec_slots(self, chunk: Chunk) -> Tuple[int, int]:
         return (chunk.inprogress_index(), chunk.committed_version)
 
     def stage(self, chunk: Chunk, extents: Optional[List[Tuple[int, int]]] = None) -> None:
+        if extents is not None:
+            validate_extents(chunk, extents)
         chunk.stage_to_nvm(extents)
 
     def flush(self) -> float:
@@ -234,21 +216,10 @@ class PfsDestination(Destination):
         self.ctx = ctx
         self.allocator = allocator
 
-    def write(self, chunk: Chunk, *, tag: str = ""):
+    def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
         # the PFS resource's accounting keys off the rank tag, not the
         # engine's step tag
-        return self.pfs.write(chunk.nbytes, tag=f"{self.rank}:pfsckpt")
-
-    def write_at(
-        self, chunk: Chunk, extents: List[Tuple[int, int]], *, tag: str = ""
-    ):
-        validate_extents(chunk, extents)
-        return self.pfs.write(
-            sum(n for _, n in extents), tag=f"{self.rank}:pfsckpt"
-        )
-
-    def write_payload(self, chunk: Chunk, payload: Payload, *, tag: str = ""):
-        return self.pfs.write(payload.wire_bytes, tag=f"{self.rank}:pfsckpt")
+        return self.pfs.write(nbytes, tag=f"{self.rank}:pfsckpt")
 
     def flush(self) -> float:
         return self.ctx.nvmm.cache_flush()
@@ -276,24 +247,9 @@ class RamdiskDestination(Destination):
         self.writers = writers
         self._written: dict = {}
 
-    def write(self, chunk: Chunk, *, tag: str = ""):
-        cost = self.model.checkpoint_time(chunk.nbytes, writers=self.writers)
-        self._written[chunk.name] = chunk.nbytes
-        return self.ctx.engine.timeout(cost)
-
-    def write_at(
-        self, chunk: Chunk, extents: List[Tuple[int, int]], *, tag: str = ""
-    ):
-        validate_extents(chunk, extents)
-        cost = self.model.checkpoint_time(
-            sum(n for _, n in extents), writers=self.writers
-        )
+    def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
+        cost = self.model.checkpoint_time(nbytes, writers=self.writers)
         # the file keeps its full logical size; only the write shrinks
-        self._written[chunk.name] = chunk.nbytes
-        return self.ctx.engine.timeout(cost)
-
-    def write_payload(self, chunk: Chunk, payload: Payload, *, tag: str = ""):
-        cost = self.model.checkpoint_time(payload.wire_bytes, writers=self.writers)
         self._written[chunk.name] = chunk.nbytes
         return self.ctx.engine.timeout(cost)
 
@@ -304,94 +260,3 @@ class RamdiskDestination(Destination):
 
     def capacity(self) -> float:
         return float(self.ctx.dram.free)
-
-
-class RemoteBuddyDestination(Destination):
-    """The buddy node's remote arena, wrapping one
-    :class:`~repro.core.remote.RemoteTarget`.  ``stage``/``commit``/
-    ``read`` are the target's own two-version protocol on the buddy's
-    NVM.  ``write*`` is the injected fabric send of an engine driving
-    this backend directly; the remote helper's views have none (their
-    ``write*`` is unusable) — it moves bytes through its own paced,
-    resilient transport."""
-
-    name = "buddy"
-    two_version = True
-
-    def __init__(self, target, send_fn: Optional[Callable[..., object]] = None) -> None:
-        #: ``send_fn(chunk, extents=None, wire=None)`` — the fabric
-        #: transfer; with *extents* only those byte runs go over the
-        #: wire, *wire* overrides the volume (encoded payloads).
-        self.target = target
-        self._send_fn = send_fn
-
-    def retarget(self, target) -> None:
-        """Point at a new buddy's :class:`RemoteTarget` after failover."""
-        self.target = target
-
-    @property
-    def block_store(self) -> Optional[BlockStore]:  # type: ignore[override]
-        # the digest index lives with the buddy's arena, so a failover
-        # to a fresh target starts from an empty (honest) index
-        return getattr(self.target, "block_store", None)
-
-    def ensure_block_store(self, block: int = DEFAULT_BLOCK) -> BlockStore:
-        return self.target.ensure_block_store(block)
-
-    def codec_slots(self, chunk: Chunk) -> Tuple[int, int]:
-        self.target.ensure_chunk(chunk)
-        return self.target.codec_slots(chunk.name)
-
-    def write(self, chunk: Chunk, *, tag: str = ""):
-        return self._send_fn(chunk)
-
-    def write_at(
-        self, chunk: Chunk, extents: List[Tuple[int, int]], *, tag: str = ""
-    ):
-        validate_extents(chunk, extents)
-        return self._send_fn(chunk, extents)
-
-    def write_payload(self, chunk: Chunk, payload: Payload, *, tag: str = ""):
-        return self._send_fn(chunk, payload.extents, wire=payload.wire_bytes)
-
-    def staged_blocks(self, chunk: Chunk, payload: Payload) -> np.ndarray:
-        # staging re-reads the stale map, so raced writes land too:
-        # derive coverage from the runs the target actually wrote
-        return blocks_of_extents(
-            self.target.last_staged_runs, self.block_store.block, chunk.nbytes
-        )
-
-    def pending_extents(self, chunk: Chunk) -> List[Tuple[int, int]]:
-        # ensure_chunk creates the buddy regions *and* the chunk's
-        # remote stale map before the slot is consulted
-        self.target.ensure_chunk(chunk)
-        return chunk.copy_extents(
-            "remote", slot=self.target._inprogress(chunk.name)
-        )
-
-    def stage(self, chunk: Chunk, extents: Optional[List[Tuple[int, int]]] = None) -> None:
-        self.target.stage(chunk, extents)
-
-    def flush(self) -> float:
-        return self.target.dst_ctx.nvmm.cache_flush()
-
-    def commit(
-        self,
-        chunks: Iterable[Chunk],
-        *,
-        with_checksum: bool = True,
-        on_commit: Optional[Callable[[Chunk], None]] = None,
-    ) -> float:
-        # RemoteTarget.commit covers everything staged since the last
-        # commit, bundling its own flush barriers + metadata put; the
-        # returned cost is the caller's to charge.
-        return self.target.commit()
-
-    def persist_metadata(self) -> None:
-        """Metadata is persisted inside :meth:`RemoteTarget.commit`."""
-
-    def read(self, chunk_name: str) -> np.ndarray:
-        return self.target.fetch(chunk_name)
-
-    def capacity(self) -> float:
-        return float(self.target.dst_ctx.nvm.free)

@@ -317,7 +317,7 @@ class CheckpointEngine:
                 copy_start = engine.now
                 plan = self.copier.plan(chunk, dest)
                 try:
-                    yield dest.write_payload(chunk, plan.payload, tag=f"{self.tag}:lckpt")
+                    yield dest.write(chunk, plan.nbytes, tag=f"{self.tag}:lckpt")
                 finally:
                     chunk.state_local = ChunkState.IDLE
                 fire("local.copy.after", chunk=chunk, rank=self.rank)

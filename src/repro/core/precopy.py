@@ -467,7 +467,7 @@ class PrecopyEngine:
         self._inflight_done = self.ctx.engine.event("precopy.inflight")
         cancelled = False
         try:
-            yield self.destination.write_payload(chunk, plan.payload, tag=self.tag)
+            yield self.destination.write(chunk, plan.nbytes, tag=self.tag)
         except TransferCancelled:
             # a failure tore the flow down; the chunk stays dirty and
             # the engine moves on (it may retry after recovery)

@@ -32,7 +32,7 @@ Design, following the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..alloc.chunk import Chunk
 from ..alloc.nvmalloc import NVAllocator
@@ -46,10 +46,10 @@ from ..net.interconnect import Fabric
 from ..net.rdma import rdma_put
 from ..sim.events import Event
 from ..units import usec
-from .codec import DEFAULT_BLOCK, BlockStore
+from .codec import DEFAULT_BLOCK, BlockStore, Payload, blocks_of_extents
 from .context import NodeContext
 from .copystep import CopyPlan, CopyStep
-from .destination import RemoteBuddyDestination
+from .destination import Destination, validate_extents
 
 __all__ = ["RemoteTarget", "RemoteHelper", "RemoteCheckpointStats"]
 
@@ -84,9 +84,14 @@ class RemoteCheckpointStats:
         return self.end - self.start
 
 
-class RemoteTarget:
+class RemoteTarget(Destination):
     """One source rank's remote chunk copies, living on the buddy
-    node's NVM with independent two-version commit state."""
+    node's NVM with independent two-version commit state — the buddy
+    :class:`~repro.core.destination.Destination` (multilevel
+    checkpointing = a local destination + this one)."""
+
+    name = "buddy"
+    two_version = True
 
     def __init__(self, src_pid: str, dst_ctx: NodeContext, two_versions: bool = True) -> None:
         self.src_pid = src_pid
@@ -108,19 +113,44 @@ class RemoteTarget:
         #: raced writes land too; the codec publish path derives the
         #: digest coverage from this, not from its pre-transfer plan.
         self.last_staged_runs: Optional[List[Tuple[int, int]]] = None
-        #: content-addressed digest index over the buddy-side versions
-        #: (one store per target, so same-named chunks of different
-        #: source ranks can never alias).  None until a codec asks.
-        self.block_store: Optional[BlockStore] = None
 
     def ensure_block_store(self, block: int = DEFAULT_BLOCK) -> BlockStore:
-        if self.block_store is None or self.block_store.block != block:
-            self.block_store = BlockStore(block=block)
-        return self.block_store
+        """One digest index per target, so same-named chunks of
+        different source ranks can never alias."""
+        return super().ensure_block_store(block)
 
-    def codec_slots(self, chunk_name: str) -> Tuple[int, int]:
+    def codec_slots(self, chunk: Chunk) -> Tuple[int, int]:
         """(in-progress slot, committed base slot) for codec planning."""
-        return self._inprogress(chunk_name), self.committed.get(chunk_name, -1)
+        self.ensure_chunk(chunk)
+        return self._inprogress(chunk.name), self.committed.get(chunk.name, -1)
+
+    def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
+        """Land *nbytes* on the buddy's NVM bus — the receiving half of
+        a put.  The helper moves bytes through :meth:`RemoteHelper.put`
+        instead, which crosses the fabric and ends on this same bus."""
+        return self.dst_ctx.copy_to_nvm(nbytes, tag=tag)
+
+    def pending_extents(self, chunk: Chunk) -> List[Tuple[int, int]]:
+        # ensure_chunk creates the buddy regions *and* the chunk's
+        # remote stale map before the slot is consulted
+        self.ensure_chunk(chunk)
+        return chunk.copy_extents("remote", slot=self._inprogress(chunk.name))
+
+    def staged_blocks(self, chunk: Chunk, payload: Payload):
+        # staging re-reads the stale map, so raced writes land too:
+        # derive coverage from the runs the last stage actually wrote
+        return blocks_of_extents(
+            self.last_staged_runs, self.block_store.block, chunk.nbytes
+        )
+
+    def flush(self) -> float:
+        return self.dst_ctx.nvmm.cache_flush()
+
+    def read(self, chunk_name: str):
+        return self.fetch(chunk_name)
+
+    def capacity(self) -> float:
+        return float(self.dst_ctx.nvm.free)
 
     # -- region plumbing ------------------------------------------------------
 
@@ -163,6 +193,8 @@ class RemoteTarget:
         that raced the fabric transfer must land too, or the staged
         version would not match the DRAM state its checksum records.
         """
+        if extents is not None:
+            validate_extents(chunk, extents)
         self.ensure_chunk(chunk)
         v = self._inprogress(chunk.name)
         region = self.dst_ctx.nvmm.region(self.pid, self._region_name(chunk.name, v))
@@ -194,9 +226,17 @@ class RemoteTarget:
         )
         return moved
 
-    def commit(self) -> float:
-        """Commit all staged chunks: flush the buddy store, flip the
-        committed pointers, persist them.  Returns the flush cost."""
+    def commit(
+        self,
+        chunks: Iterable[Chunk] = (),
+        *,
+        with_checksum: bool = True,
+        on_commit: Optional[Callable[[Chunk], None]] = None,
+    ) -> float:
+        """Commit everything staged since the last commit (whatever
+        *chunks* names): flush the buddy store, flip the committed
+        pointers, persist them.  Returns the cost of the barriers it
+        bundles, for the caller to charge."""
         cost = self.dst_ctx.nvmm.cache_flush()
         fire("remote.commit.before_flip", target=self, pid=self.src_pid)
         for name, v in self._staged.items():
@@ -327,19 +367,10 @@ class RemoteHelper:
         )
         #: payload codec on the fabric path (None on the raw default)
         self.codec = self.copier.codec
-        self.targets: Dict[str, RemoteTarget] = {
-            a.pid: RemoteTarget(a.pid, buddy_ctx, two_versions=self.config.two_versions)
-            for a in ranks
-        }
-        #: per-rank Destination view of the buddy arena: stage/commit/
-        #: read go through the same backend protocol as the local tiers
-        #: (multilevel checkpointing = local destination + this one)
-        self.destinations: Dict[str, RemoteBuddyDestination] = {
-            pid: RemoteBuddyDestination(target) for pid, target in self.targets.items()
-        }
-        if self.codec is not None:
-            for dest in self.destinations.values():
-                dest.ensure_block_store(self.config.precopy.codec_block)
+        #: rank pid -> its buddy-side Destination on the current buddy.
+        #: :meth:`retarget` is the only code that swaps it
+        self.targets: Dict[str, RemoteTarget] = {}
+        self._point_at(self.new_targets(buddy_ctx))
         self.history: List[RemoteCheckpointStats] = []
         self.rounds_behind = 0
         self._stop = False
@@ -347,7 +378,6 @@ class RemoteHelper:
         #: pairing generation: bumped by :meth:`retarget` so in-flight
         #: re-sync tasks for the old buddy can detect they are stale
         self.epoch = 0
-        self._round_in_progress = False
         #: coalescing stream queue: (pid, chunk_id) -> Chunk, FIFO
         self._queue: Dict[Tuple[str, int], Chunk] = {}
         self._wake: Optional[Event] = None
@@ -434,28 +464,35 @@ class RemoteHelper:
         already hold at their latest commit generation — the incremental
         alternative to :meth:`enqueue_all` when failing over (or cutting
         over) to a buddy that was streamed to before."""
-        held = self._replicated.get(self.buddy_id, {})
         for alloc in self.ranks:
             for chunk in alloc.persistent_chunks():
                 if chunk.committed_version < 0:
                     continue
-                key = (alloc.pid, chunk.chunk_id)
-                if held.get(key) == self._dirty_epoch.get(key, 0):
+                if self.holds_current(alloc.pid, chunk):
                     continue
                 chunk.dirty_remote = True
                 chunk.mark_all_stale("remote")
-                self._queue.setdefault(key, chunk)
+                self._queue.setdefault((alloc.pid, chunk.chunk_id), chunk)
         self._kick()
 
-    def _record_replicated(
-        self, pid: str, chunk: Chunk, buddy_id: Optional[int] = None
-    ) -> None:
-        """Note that *buddy_id* (default: the current buddy) now holds
-        this chunk at its current commit generation (call right after a
-        successful stage)."""
+    def generation(self, pid: str, chunk: Chunk) -> int:
+        """The chunk's commit generation: how many local commits have
+        (re-)queued it for the buddy."""
+        return self._dirty_epoch.get((pid, chunk.chunk_id), 0)
+
+    def mark_held(self, pid: str, chunk: Chunk) -> None:
+        """Note that the current buddy now holds this chunk at its
+        current commit generation (call right after a successful
+        stage)."""
         key = (pid, chunk.chunk_id)
-        b = self.buddy_id if buddy_id is None else buddy_id
-        self._replicated.setdefault(b, {})[key] = self._dirty_epoch.get(key, 0)
+        self._replicated.setdefault(self.buddy_id, {})[key] = self._dirty_epoch.get(key, 0)
+
+    def holds_current(self, pid: str, chunk: Chunk) -> bool:
+        """Does the current buddy provably hold this chunk at its
+        latest commit generation?"""
+        key = (pid, chunk.chunk_id)
+        held = self._replicated.get(self.buddy_id, {})
+        return held.get(key) == self._dirty_epoch.get(key, 0)
 
     def _kick(self) -> None:
         if self._wake is not None and not self._wake.triggered:
@@ -531,6 +568,23 @@ class RemoteHelper:
         self._paused = False
         self._kick()
 
+    def new_targets(self, buddy_ctx: NodeContext) -> Dict[str, RemoteTarget]:
+        """Fresh (empty) buddy-side targets for this node's ranks on
+        *buddy_ctx* — for a pairing, or for a migration to stage on."""
+        return {
+            a.pid: RemoteTarget(a.pid, buddy_ctx, two_versions=self.config.two_versions)
+            for a in self.ranks
+        }
+
+    def _point_at(self, targets: Dict[str, RemoteTarget]) -> None:
+        self.targets = targets
+        if self.codec is not None:
+            # the digest index lives with the buddy's arena: a reused
+            # target keeps its own (its copies are still resident),
+            # fresh hardware starts an empty, honest one
+            for target in targets.values():
+                target.ensure_block_store(self.config.precopy.codec_block)
+
     def retarget(
         self,
         new_buddy_id: int,
@@ -538,8 +592,12 @@ class RemoteHelper:
         *,
         incremental: bool = False,
         reason: str = "buddy replaced",
+        staged: Optional[
+            Tuple[Dict[str, RemoteTarget], Dict[Tuple[str, int], int]]
+        ] = None,
     ) -> None:
-        """Re-point this helper at a new buddy node.
+        """Re-point this helper at a new buddy node — the one place a
+        helper's pairing changes.
 
         Default (``incremental=False``): all remote copies on the new
         target count as lost, so every committed chunk is re-queued; a
@@ -550,8 +608,18 @@ class RemoteHelper:
         cached :class:`RemoteTarget` state when it is still valid (same
         node context — hardware replacement voids it) and re-queues
         *only* chunks whose commit generation moved past what that
-        buddy holds: a migration cutover, or a failover back onto a
-        previously-streamed buddy, re-sends just the delta."""
+        buddy holds: a failover back onto a previously-streamed buddy
+        re-sends just the delta.
+
+        *staged* is a migration's cutover: ``(targets, generations)`` —
+        the targets it staged and committed on the new buddy and the
+        commit generation each chunk was sent at.  They replace whatever
+        was known about that buddy and are adopted incrementally."""
+        if staged is not None:
+            targets, held = staged
+            self._known_targets[new_buddy_id] = targets
+            self._replicated[new_buddy_id] = dict(held)
+            incremental = True
         old_buddy = self.buddy_id
         # keep the old pairing's targets: a later failover *back* onto
         # this buddy can reuse the copies still sitting on it
@@ -567,25 +635,13 @@ class RemoteHelper:
             and all(t.dst_ctx is new_buddy_ctx for t in cached.values())
         )
         if reuse:
-            self.targets = cached
+            self._point_at(cached)
         else:
             # fresh hardware (or never seen): whatever we thought the
             # buddy held is void
             self._replicated.pop(new_buddy_id, None)
             self._known_targets.pop(new_buddy_id, None)
-            self.targets = {
-                a.pid: RemoteTarget(
-                    a.pid, new_buddy_ctx, two_versions=self.config.two_versions
-                )
-                for a in self.ranks
-            }
-        for pid, target in self.targets.items():
-            self.destinations[pid].retarget(target)
-        if self.codec is not None:
-            # a reused target keeps its digest index (its copies are
-            # still resident); fresh hardware starts an empty one
-            for dest in self.destinations.values():
-                dest.ensure_block_store(self.config.precopy.codec_block)
+            self._point_at(self.new_targets(new_buddy_ctx))
         if BUS.active:
             BUS.emit(
                 FailoverEvent(
@@ -661,9 +717,10 @@ class RemoteHelper:
                 continue
             pid, chunk = item
             t0 = engine.now
-            plan = self.copier.plan(chunk, self.destinations[pid])
+            plan = self.copier.plan(chunk, self.targets[pid])
             self._charge_cpu(plan.nbytes, streamed=True)
             fire("remote.stream.before_send", chunk=chunk, pid=pid)
+            epoch = self.epoch
             try:
                 yield from self.put(plan, f"{pid}:rprecopy")
             except (TransferCancelled, TransferFailed):
@@ -671,10 +728,14 @@ class RemoteHelper:
                 # requeue so the chunk is retried or swept up later
                 self._queue.setdefault((pid, chunk.chunk_id), chunk)
                 continue
+            if self.epoch != epoch:
+                # re-paired mid-send: the bytes went to the old buddy,
+                # and the retarget re-queued what the new one lacks
+                continue
             self.copier.land(
                 plan, start=t0, phase="precopy", tenant=self.tenants.get(pid, "")
             )
-            self._record_replicated(pid, chunk)
+            self.mark_held(pid, chunk)
             fire(
                 "remote.stream.after_stage",
                 chunk=chunk,
@@ -713,7 +774,6 @@ class RemoteHelper:
         """Move every rank's remaining dirty chunks to the buddy and
         commit.  Returns :class:`RemoteCheckpointStats`."""
         engine = self.ctx.engine
-        self._round_in_progress = True
         stats = RemoteCheckpointStats(start=engine.now)
         if self.timeline is not None:
             self.timeline.begin(self.owner, tl.REMOTE_CKPT, engine.now)
@@ -721,15 +781,15 @@ class RemoteHelper:
             fire("remote.round.begin", node=self.node_id)
             for alloc in self.ranks:
                 target = self.targets[alloc.pid]
-                dest = self.destinations[alloc.pid]
                 chunks = self._chunks_for_round(alloc)
                 stats.chunks_skipped += len(alloc.persistent_chunks()) - len(chunks)
                 aborted = False
                 for chunk in chunks:
-                    plan = self.copier.plan(chunk, dest)
+                    plan = self.copier.plan(chunk, target)
                     self._charge_cpu(plan.nbytes, streamed=False)
                     fire("remote.round.before_send", chunk=chunk, pid=alloc.pid)
                     t0 = engine.now
+                    epoch = self.epoch
                     try:
                         yield from self.put(plan, f"{alloc.pid}:rckpt")
                     except (TransferCancelled, TransferFailed):
@@ -738,13 +798,18 @@ class RemoteHelper:
                         # remote version stands
                         aborted = True
                         break
+                    if self.epoch != epoch:
+                        # re-paired mid-send: this round was the old
+                        # buddy's; the new pairing starts its own
+                        aborted = True
+                        break
                     self.copier.land(
                         plan,
                         start=t0,
                         phase="coordinated",
                         tenant=self.tenants.get(alloc.pid, ""),
                     )
-                    self._record_replicated(alloc.pid, chunk)
+                    self.mark_held(alloc.pid, chunk)
                     fire(
                         "remote.round.after_stage",
                         chunk=chunk,
@@ -757,10 +822,9 @@ class RemoteHelper:
                     stats.chunks_moved += 1
                 if aborted:
                     break
-                flush_cost = dest.commit(chunks, with_checksum=self.config.checksums)
+                flush_cost = target.commit()
                 yield engine.timeout(flush_cost)
         finally:
-            self._round_in_progress = False
             if self.timeline is not None:
                 self.timeline.end(self.owner, tl.REMOTE_CKPT, engine.now)
         stats.end = engine.now
@@ -774,10 +838,6 @@ class RemoteHelper:
     @property
     def total_round_bytes(self) -> int:
         return sum(s.bytes_moved for s in self.history)
-
-    @property
-    def total_precopy_bytes(self) -> int:
-        return self.stream_bytes
 
     @property
     def total_remote_bytes(self) -> int:

@@ -7,9 +7,7 @@ and failovers — emits a typed event to a process-global
 
 * :class:`RingBufferSink` — bounded in-memory tail for tests/debugging;
 * :class:`JsonlSink` — newline-delimited JSON stream (``bench --trace``);
-* :class:`CounterSink` — event/decision counters (bench baseline record);
-* :class:`TimelineSink` — adapts copy spans onto a
-  :class:`~repro.metrics.timeline.Timeline`.
+* :class:`CounterSink` — event/decision counters (bench baseline record).
 
 Emission with zero sinks attached is a single truthiness check, so the
 simulation hot path pays nothing when tracing is off.  The bus is
@@ -38,7 +36,6 @@ from typing import (
 )
 
 from ..errors import ConfigError
-from .timeline import Timeline
 
 __all__ = [
     "TRACE_VERSION",
@@ -64,7 +61,6 @@ __all__ = [
     "RingBufferSink",
     "JsonlSink",
     "CounterSink",
-    "TimelineSink",
     "CallbackSink",
     "TraceBus",
     "BUS",
@@ -555,29 +551,6 @@ class CallbackSink(TraceSink):
     def handle(self, event: TraceEvent) -> None:
         if self._kinds is None or event.kind in self._kinds:
             self._callback(event)
-
-
-class TimelineSink(TraceSink):
-    """Adapts :class:`ChunkCopiedEvent` spans onto a Timeline, so a
-    trace-driven run can render the same Figure-5 diagrams as the
-    directly-instrumented paths."""
-
-    #: (stream, phase) -> timeline kind
-    _PHASE_KINDS = {
-        ("local", "coordinated"): "local_ckpt",
-        ("local", "precopy"): "precopy",
-        ("remote", "coordinated"): "remote_ckpt",
-        ("remote", "precopy"): "remote_precopy",
-    }
-
-    def __init__(self, timeline: Optional[Timeline] = None) -> None:
-        self.timeline = timeline if timeline is not None else Timeline()
-
-    def handle(self, event: TraceEvent) -> None:
-        if not isinstance(event, ChunkCopiedEvent):
-            return
-        kind = self._PHASE_KINDS.get((event.stream, event.phase), event.phase)
-        self.timeline.record(event.actor, kind, event.start, event.t)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ lists for application communication patterns.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from ..errors import ClusterError
 
@@ -51,6 +51,18 @@ class Topology:
             if self.n_racks == 1 or self._rack_of[cand] != self._rack_of[node]:
                 return cand
         return (node + 1) % self.n_nodes  # pragma: no cover - unreachable
+
+    def buddy_among(self, node: int, participants: Sequence[int]) -> int:
+        """:meth:`buddy_of` for a run that uses only *participants*:
+        the static cross-rack buddy when it takes part, else the next
+        participating node, cyclically (the node itself when alone)."""
+        buddy = self.buddy_of(node)
+        if buddy in participants:
+            return buddy
+        others = [m for m in participants if m != node]
+        if not others:
+            return node
+        return min(others, key=lambda m: (m - node) % self.n_nodes)
 
     def buddies(self) -> Dict[int, int]:
         return {i: self.buddy_of(i) for i in range(self.n_nodes)}

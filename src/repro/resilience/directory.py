@@ -39,16 +39,9 @@ class BuddyDirectory:
         self.nodes: List[int] = list(nodes) if nodes is not None else list(
             range(topology.n_nodes)
         )
-        node_set = set(self.nodes)
-        self._buddy: Dict[int, int] = {}
-        for n in self.nodes:
-            b = topology.buddy_of(n)
-            if b not in node_set:
-                # static buddy not participating (n_nodes_used < n_nodes):
-                # next participating node, cyclically
-                others = [m for m in self.nodes if m != n]
-                b = min(others, key=lambda m: (m - n) % topology.n_nodes) if others else n
-            self._buddy[n] = b
+        self._buddy: Dict[int, int] = {
+            n: topology.buddy_among(n, self.nodes) for n in self.nodes
+        }
         self._failed: Set[int] = set()
         #: re-pairings performed, as (orphan, old_buddy, new_buddy)
         self.repairs: List[tuple] = []
@@ -118,6 +111,11 @@ class BuddyDirectory:
         self._retired.discard(node)
         self._failed.discard(node)
         return True
+
+    def bind(self, node: int, buddy: int) -> None:
+        """Record the pairing *node*'s helper was built with — the
+        helpers are the source of truth, the directory mirrors them."""
+        self._buddy[node] = buddy
 
     def rebind(self, node: int, new_buddy: int) -> None:
         """Apply a *planned* pairing change (migration cutover) —

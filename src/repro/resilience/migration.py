@@ -25,7 +25,7 @@ Three pieces:
 * :class:`MigrationTask` — the epoch-guarded DES process executing one
   plan: stage bounded batches on the new buddy, commit each batch
   (crash points in the ``migrate`` layer), then cut ownership over via
-  ``helper.retarget(..., incremental=True)``.  On abort the pairing is
+  ``helper.retarget(..., staged=...)``.  On abort the pairing is
   untouched (the old buddy still protects the source); failover-driven
   callers fall back to a full :class:`~repro.resilience.resync.ResyncTask`.
 """
@@ -279,18 +279,15 @@ class MigrationTask:
         #: pairing generation this task belongs to
         self.epoch = helper.epoch
         #: staging targets on the new buddy — adopted wholesale by the
-        #: incremental retarget at cutover
-        self.targets: Dict[str, RemoteTarget] = {
-            a.pid: RemoteTarget(a.pid, to_ctx, two_versions=helper.config.two_versions)
-            for a in helper.ranks
-        }
+        #: helper's retarget at cutover
+        self.targets: Dict[str, RemoteTarget] = helper.new_targets(to_ctx)
         #: (pid, chunk_id) -> commit generation sent, recorded at stage
-        #: time but published into the helper's ``_replicated`` map only
-        #: at cutover: until then the staged copies live on this task's
-        #: private targets, which an abort discards — claiming them
-        #: early would let a later incremental retarget skip re-sending
-        #: chunks the buddy does not actually hold
-        self._staged_replicated: Dict[Tuple[str, int], int] = {}
+        #: time but handed to the helper only at cutover: until then the
+        #: staged copies live on this task's private targets, which an
+        #: abort discards — claiming them early would let a later
+        #: incremental retarget skip re-sending chunks the buddy does
+        #: not actually hold
+        self._sent_generation: Dict[Tuple[str, int], int] = {}
         self.bytes_sent = 0
         self.chunks_sent = 0
         self.batches = 0
@@ -412,7 +409,7 @@ class MigrationTask:
                         return self
                     self.targets[pid].stage(chunk)
                     key = (pid, chunk.chunk_id)
-                    self._staged_replicated[key] = helper._dirty_epoch.get(key, 0)
+                    self._sent_generation[key] = helper.generation(pid, chunk)
                     fire(
                         "migrate.batch.after_stage",
                         chunk=chunk,
@@ -459,20 +456,17 @@ class MigrationTask:
                 self._abort("stale")
                 return self
             # atomic cutover: ownership flips only after every batch
-            # committed.  The incremental retarget adopts the staging
-            # targets and re-queues just the chunks committed since
-            # their migration send.
+            # committed.  The retarget adopts the staging targets —
+            # replacing any records from an older pairing with this
+            # buddy, whose copies this cutover supersedes — and
+            # re-queues just the chunks committed since their
+            # migration send.
             fire("migrate.cutover.before", plan=self.plan)
-            # publish what the new buddy holds, replacing any records
-            # from an older pairing: those referred to copies on the
-            # cached target set this cutover supersedes
-            helper._replicated[self.plan.to_buddy] = dict(self._staged_replicated)
-            helper._known_targets[self.plan.to_buddy] = self.targets
             helper.retarget(
                 self.plan.to_buddy,
                 self.to_ctx,
-                incremental=True,
                 reason=f"migrated ({self.plan.reason})",
+                staged=(self.targets, self._sent_generation),
             )
             self.completed = True
             fire("migrate.cutover.done", plan=self.plan)

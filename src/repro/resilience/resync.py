@@ -116,7 +116,7 @@ class ResyncTask:
                     # the queue now
                     break
                 helper.targets[pid].stage(chunk)
-                helper._record_replicated(pid, chunk)
+                helper.mark_held(pid, chunk)
                 chunk.dirty_remote = False
                 self.bytes_sent += chunk.nbytes
                 self.chunks_sent += 1

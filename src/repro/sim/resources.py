@@ -16,8 +16,6 @@ from __future__ import annotations
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from collections import deque
 
-import numpy as np
-
 from ..errors import SimulationError, TransferCancelled
 from .engine import Engine
 from .events import Event
@@ -357,10 +355,6 @@ class BandwidthResource:
             return min(self.per_flow_cap, share)
         return share
 
-    #: flow count at which _advance switches to the numpy path (below
-    #: this the array round-trip costs more than the scalar loop)
-    _VECTOR_MIN_FLOWS = 8
-
     def _advance(self) -> None:
         """Progress all flows from the last update time to now and
         complete any that finished."""
@@ -369,40 +363,17 @@ class BandwidthResource:
         self._last_update = now
         if dt <= 0 or not self._flows:
             return
-        n = len(self._flows)
-        rate = self._flow_rate(n)
+        rate = self._flow_rate(len(self._flows))
         moved = rate * dt
         finished: List[FlowHandle] = []
-        if n >= self._VECTOR_MIN_FLOWS:
-            # vectorized decrement mirroring the scalar path operation
-            # for operation (including the remaining+moved round-trip),
-            # so the floats are bit-identical to the loop below; only
-            # the per-flow byte *accounting* stays sequential — summing
-            # with numpy would change accumulation order and drift the
-            # reported totals
-            flows = list(self._flows.values())
-            rem = np.fromiter((f.remaining for f in flows), dtype=np.float64, count=n)
-            rem -= moved
-            progressed = np.minimum(moved, rem + moved)
-            done = (rem <= _EPSILON_BYTES) & (rem <= rate * _EPSILON_SECONDS)
-            for f, r, p, d in zip(
-                flows, rem.tolist(), progressed.tolist(), done.tolist()
-            ):
-                f.remaining = r
-                self.total_bytes += p
-                if f.tag:
-                    self.bytes_by_tag[f.tag] = self.bytes_by_tag.get(f.tag, 0.0) + p
-                if d:
-                    finished.append(f)
-        else:
-            for f in self._flows.values():
-                f.remaining -= moved
-                progressed = min(moved, f.remaining + moved)
-                self.total_bytes += progressed
-                if f.tag:
-                    self.bytes_by_tag[f.tag] = self.bytes_by_tag.get(f.tag, 0.0) + progressed
-                if f.remaining <= _EPSILON_BYTES and f.remaining <= rate * _EPSILON_SECONDS:
-                    finished.append(f)
+        for f in self._flows.values():
+            f.remaining -= moved
+            progressed = min(moved, f.remaining + moved)
+            self.total_bytes += progressed
+            if f.tag:
+                self.bytes_by_tag[f.tag] = self.bytes_by_tag.get(f.tag, 0.0) + progressed
+            if f.remaining <= _EPSILON_BYTES and f.remaining <= rate * _EPSILON_SECONDS:
+                finished.append(f)
         for f in finished:
             del self._flows[f.flow_id]
             f.event.succeed(now - f.started_at)

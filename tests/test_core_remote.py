@@ -120,6 +120,27 @@ class TestNoPrecopyRounds:
         assert helper.total_round_bytes == MB(10)  # 2 rounds x 5MB
 
 
+    def test_send_straddling_a_retarget_is_not_credited_to_the_new_buddy(self):
+        """The bytes went to the old buddy: the new pairing's targets
+        and replication records must not claim them."""
+        engine, src, dst, fabric, alloc, helper, ck = make_pair(remote_precopy=False)
+        helper.fabric = Fabric(engine, 3)
+        third = make_standalone_context(name="n2", engine=engine)
+        chunk = alloc.nvalloc("a", MB(50))
+        chunk.committed_version = 0
+        proc = engine.process(helper.remote_checkpoint())
+        engine.run(until=1e-3)  # mid-send
+        assert not proc.triggered
+        helper.retarget(2, third)
+        engine.run()
+        assert proc.ok
+        new = helper.targets["r0"]
+        assert new.dst_ctx is third
+        assert not new._staged and not new.committed_chunks()
+        assert not helper.holds_current("r0", chunk)
+        assert chunk.dirty_remote and ("r0", chunk.chunk_id) in helper._queue
+
+
 class TestStream:
     def _drive(self, engine, ck, alloc, iterations, interval=10.0):
         def app():

@@ -31,7 +31,6 @@ from repro.core.destination import (
     NVMArenaDestination,
     PfsDestination,
     RamdiskDestination,
-    RemoteBuddyDestination,
 )
 from repro.core.engine import CheckpointEngine
 from repro.core.remote import RemoteTarget
@@ -67,11 +66,7 @@ class _Rig:
             self.buddy_ctx = make_standalone_context(
                 engine=self.ctx.engine, name=f"dst-{name}-buddy"
             )
-            target = RemoteTarget("p0", self.buddy_ctx, two_versions=True)
-            self.dest = RemoteBuddyDestination(
-                target,
-                send_fn=lambda chunk, extents=None, wire=None: self.ctx.engine.timeout(1e-3),
-            )
+            self.dest = RemoteTarget("p0", self.buddy_ctx, two_versions=True)
         else:  # pragma: no cover - test bug
             raise ValueError(name)
 
@@ -111,7 +106,7 @@ def test_protocol_surface(rig):
 def test_base_protocol_is_abstract():
     d = Destination()
     with pytest.raises(NotImplementedError):
-        d.write(None)
+        d.write(None, 0)
     with pytest.raises(NotImplementedError):
         d.read("x")
     assert d.commit([]) == 0.0
@@ -208,25 +203,11 @@ def _crashed_second_checkpoint(rig, point: str, old, new):
 
 
 # ---------------------------------------------------------------------------
-# Range writes (write_at) and page-granular incremental copy.
+# Page-granular incremental copy.
 # ---------------------------------------------------------------------------
 
 PAGE = 4096
 INC_BYTES = 16 * PAGE  # multi-page, so partial-chunk dirtiness exists
-
-
-def test_base_write_at_falls_back_to_whole_chunk_write():
-    class _Recorder(Destination):
-        def __init__(self):
-            self.calls = []
-
-        def write(self, chunk, *, tag=""):
-            self.calls.append((chunk, tag))
-            return "evt"
-
-    d = _Recorder()
-    assert d.write_at("c", [(0, 10), (64, 32)], tag="t") == "evt"
-    assert d.calls == [("c", "t")]
 
 
 def _three_incremental_checkpoints(rig):
@@ -333,7 +314,8 @@ def test_crash_around_commit_is_never_torn(backend, point):
 
 
 # ---------------------------------------------------------------------------
-# write_at extent rejection: one shared contract across every backend.
+# Extent rejection where extents enter a backend (``stage``): one shared
+# contract across every backend.
 # ---------------------------------------------------------------------------
 
 BAD_EXTENTS = [
@@ -349,20 +331,21 @@ BAD_EXTENTS = [
 @pytest.mark.parametrize("extents", BAD_EXTENTS)
 def test_write_at_rejects_malformed_extents(rig, extents):
     """Out-of-range, overlapping and unsorted extents raise the same
-    CheckpointError on every backend — callers can switch destinations
-    without re-learning edge behaviour."""
+    CheckpointError when staged on any backend — callers can switch
+    destinations without re-learning edge behaviour."""
     chunk = rig.alloc.nvalloc("a", CHUNK_BYTES)
-    with pytest.raises(CheckpointError):
-        rig.dest.write_at(chunk, extents)
+    with pytest.raises(CheckpointError, match="outside chunk|overlapping or unsorted"):
+        rig.dest.stage(chunk, extents)
 
 
 def test_write_at_accepts_legal_extents(rig):
     chunk = rig.alloc.nvalloc("a", CHUNK_BYTES)
     # adjacent-but-not-overlapping runs and a zero-length run are legal
-    evt = rig.dest.write_at(chunk, [(0, 64), (64, 0), (128, 64)])
-    assert evt is not None
+    rig.dest.stage(chunk, [(0, 64), (64, 0), (128, 64)])
     # the whole chunk as one extent is always legal
-    assert rig.dest.write_at(chunk, [(0, CHUNK_BYTES)]) is not None
+    rig.dest.stage(chunk, [(0, CHUNK_BYTES)])
+    # and the data plane charges any planned byte count
+    assert rig.dest.write(chunk, 128, tag="t") is not None
 
 
 # ---------------------------------------------------------------------------

@@ -121,54 +121,3 @@ def test_utilization_never_exceeds_capacity(flows):
         engine.process(xfer(nbytes, delay))
     engine.run()
     assert bw.utilization.peak() <= 1000.0 * (1 + 1e-9)
-
-
-# -- vectorized vs scalar _advance equivalence -------------------------------
-
-# 8..14 flows straddle _VECTOR_MIN_FLOWS = 8: as flows finish and the
-# live count decays through the boundary, a single run exercises both
-# the numpy path and the scalar loop
-boundary_flows = st.lists(
-    st.tuples(
-        st.floats(1.0, 1e6),  # nbytes
-        st.floats(0.0, 5.0),  # start delay
-    ),
-    min_size=8,
-    max_size=14,
-)
-
-
-@given(flows=boundary_flows, capacity=st.floats(10.0, 1e6))
-@settings(max_examples=100, deadline=None)
-def test_vectorized_advance_matches_scalar_exactly(flows, capacity):
-    """The numpy fast path in _advance must be bit-identical to the
-    scalar loop — same completion times, same total_bytes, same
-    per-tag byte accounting — across the n >= 8 switch-over."""
-
-    def run_once(force_scalar):
-        engine = Engine()
-        bw = BandwidthResource(engine, capacity)
-        if force_scalar:
-            # instance attr shadows the class constant: every
-            # _advance takes the scalar loop regardless of flow count
-            bw._VECTOR_MIN_FLOWS = 10**9
-        ends = {}
-
-        def xfer(i, nbytes, delay):
-            if delay:
-                yield engine.timeout(delay)
-            yield bw.transfer(nbytes, tag=f"t{i}")
-            ends[i] = engine.now
-
-        for i, (nbytes, delay) in enumerate(flows):
-            engine.process(xfer(i, nbytes, delay))
-        engine.run()
-        return ends, bw.total_bytes, dict(bw.bytes_by_tag)
-
-    vec_ends, vec_total, vec_tags = run_once(force_scalar=False)
-    sc_ends, sc_total, sc_tags = run_once(force_scalar=True)
-    # bit-identical, not approx: the vectorized path mirrors the scalar
-    # arithmetic operation for operation, so any drift is a real bug
-    assert vec_ends == sc_ends
-    assert vec_total == sc_total
-    assert vec_tags == sc_tags

@@ -5,8 +5,12 @@ import pytest
 
 from repro.apps import SyntheticModel
 from repro.baselines import precopy_config
+from repro.baselines.pfs import PfsModel
 from repro.cluster import Cluster, ClusterRunner
+from repro.cluster.failures import FailureEvent, ScriptedInjector
 from repro.config import CheckpointConfig, ClusterConfig, FailureConfig, PrecopyPolicy
+from repro.core import CompressionModel
+from repro.core.destination import PfsDestination
 from repro.errors import ClusterError
 from repro.units import GB_per_sec
 
@@ -55,6 +59,41 @@ class TestBuddyLossRecovery:
             for v in t.committed.values()
         ]
         assert committed and all(v >= 0 for v in committed)
+
+
+class TestReplacementNodeKeepsTheBuildRecipe:
+    """A hard failure rebuilds the node through the same Cluster
+    methods that built it, so whatever ``build()`` was given survives."""
+
+    TENANCY = {"r0": "A", "r1": "A", "r2": "B", "r3": "B"}
+
+    @pytest.mark.parametrize("recipe", ["compression", "tenancy", "pfs"])
+    def test_hard_failure_rebuilds_node_like_build_did(self, recipe):
+        cluster = Cluster(ClusterConfig(nodes=4), nvm_write_bandwidth=GB_per_sec(2.0), seed=5)
+        compression = CompressionModel(phantom_ratio=0.5)
+        build_kw = {
+            "compression": dict(compression=compression),
+            "tenancy": dict(tenancy=self.TENANCY),
+            "pfs": dict(pfs=PfsModel(cluster.engine), with_remote=False),
+        }[recipe]
+        cluster.build(tiny_app(), precopy_config(10, 30), ranks_per_node=2, **build_kw)
+        injector = ScriptedInjector([FailureEvent(time=45.0, node=0, kind="hard")])
+        res = ClusterRunner(cluster, injector=injector).run(8)
+        assert res.hard_failures == 1 and res.iterations == 8
+        node = cluster.nodes[0]
+        assert node.incarnation == 1
+        if recipe == "compression":
+            assert node.helper.copier.compression is compression
+        elif recipe == "tenancy":
+            assert node.helper.tenants == {"r0": "A", "r1": "A"}
+            assert [s.checkpointer.tenant for s in node.ranks] == ["A", "A"]
+            tenants = res.to_dict()["tenants"]
+            assert tenants["A"]["ranks"] == 2 and tenants["B"]["ranks"] == 2
+        else:
+            assert all(
+                isinstance(s.checkpointer.destination, PfsDestination)
+                for s in cluster.all_ranks()
+            )
 
 
 class TestConsecutiveFailures:

@@ -113,3 +113,30 @@ class TestLayering:
         assert callers == [str(Path("exec") / "grid.py")]
         assert not (SRC / "exec" / "executor.py").exists()
         assert not hasattr(repro, "ParallelExecutor")
+
+    def test_one_builder_for_ranks_and_helpers_under_cluster(self):
+        for needle in ("RemoteHelper(", ".add_rank("):
+            sites = [
+                str(rel) for rel, text in _sources()
+                if rel.parts[0] == "cluster" and needle in text
+            ]
+            assert sites == [str(Path("cluster") / "cluster.py")], needle
+
+    @pytest.mark.parametrize(
+        "needle,owner",
+        [
+            ("_replicated", "core/remote.py"),
+            ("_known_targets", "core/remote.py"),
+            ("_dirty_epoch", "core/remote.py"),
+            ("._buddy", "resilience/directory.py"),
+        ],
+    )
+    def test_pairing_state_stays_inside_its_module(self, needle, owner):
+        holders = [str(rel) for rel, text in _sources() if needle in text]
+        assert holders == [str(Path(owner))]
+
+    @pytest.mark.parametrize(
+        "needle", ["RemoteBuddyDestination", "write_at(", "write_payload(", "send_fn"]
+    )
+    def test_one_destination_data_plane_method(self, needle):
+        assert [str(rel) for rel, text in _sources() if needle in text] == []

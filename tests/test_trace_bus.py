@@ -28,7 +28,6 @@ from repro.metrics.trace import (
     PolicyDecisionEvent,
     RetryEvent,
     RingBufferSink,
-    TimelineSink,
     TraceBus,
 )
 from repro.units import MB
@@ -133,16 +132,6 @@ def test_counter_sink_counts_kinds_and_decisions():
                                     decision="skip", policy="dcpcp"))
     assert sink.by_kind["policy.decision"] == 2
     assert sink.decisions == {"precopy": 1, "skip": 1}
-
-
-def test_timeline_sink_maps_phases():
-    sink = TimelineSink()
-    sink.handle(_sample_events()[1])  # local/precopy span 1.5 -> 2.0
-    sink.handle(CommitEvent(t=3.0, actor="r0", chunks_committed=1,
-                            bytes_committed=1, flush_cost=0.0))  # ignored
-    spans = [p for p in sink.timeline.for_actor("r0") if p.kind == "precopy"]
-    assert [(p.start, p.end) for p in spans] == [(1.5, 2.0)]
-    assert sink.timeline.count("commit") == 0
 
 
 # ---------------------------------------------------------------------------
