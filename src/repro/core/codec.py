@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import CheckpointError, CodecError, ConfigError
+from ..errors import CheckpointError, CodecError, ConfigError, MemoryError_
 from ..faults.crashpoints import fire
 
 __all__ = [
@@ -101,19 +101,26 @@ def content_digest(data) -> int:
     return int.from_bytes(h, "little") or 1
 
 
-def block_digests(data, block: int = DEFAULT_BLOCK) -> np.ndarray:
-    """blake2b/8 digest per *block* of *data* as a uint64 array.
+def _hash_blocks(mv: memoryview, idx, block: int) -> np.ndarray:
+    """blake2b/8 digest of block ``i`` of *mv* (``mv[i*block:(i+1)*block]``)
+    for each ``i`` in *idx*, as a uint64 array.
 
     Zero digests are remapped to 1 so 0 stays the "absent" sentinel in
     slot maps.
     """
-    mv = memoryview(bytes(data))
-    n = max(1, -(-len(mv) // block)) if len(mv) else 0
-    out = np.empty(n, dtype=np.uint64)
-    for i in range(n):
-        h = hashlib.blake2b(mv[i * block : (i + 1) * block], digest_size=8).digest()
-        out[i] = int.from_bytes(h, "little") or 1
+    out = np.empty(len(idx), dtype=np.uint64)
+    for j, i in enumerate(idx):
+        lo = int(i) * block
+        h = hashlib.blake2b(mv[lo : lo + block], digest_size=8).digest()
+        out[j] = int.from_bytes(h, "little") or 1
     return out
+
+
+def block_digests(data, block: int = DEFAULT_BLOCK) -> np.ndarray:
+    """blake2b/8 digest per *block* of *data* (any C-contiguous
+    buffer, read in place) as a uint64 array."""
+    mv = memoryview(data).cast("B")
+    return _hash_blocks(mv, range(-(-len(mv) // block)), block)
 
 
 def blocks_of_extents(
@@ -238,14 +245,7 @@ def current_digests(chunk, idx: np.ndarray, block: int = DEFAULT_BLOCK) -> np.nd
     if model is not None:
         return model.digests(idx)
     assert chunk.dram is not None
-    idx = np.asarray(idx, dtype=np.int64)
-    out = np.empty(len(idx), dtype=np.uint64)
-    mv = memoryview(chunk.dram)
-    for j, i in enumerate(idx):
-        lo = int(i) * block
-        h = hashlib.blake2b(mv[lo : lo + block], digest_size=8).digest()
-        out[j] = int.from_bytes(h, "little") or 1
-    return out
+    return _hash_blocks(memoryview(chunk.dram), idx, block)
 
 
 def ensure_content_model(chunk, *, block: int = DEFAULT_BLOCK) -> Optional[ContentModel]:
@@ -317,6 +317,16 @@ class EntropyProbe:
 # ---------------------------------------------------------------------------
 
 
+def _locate(index: np.ndarray, needles: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Where each of *needles* sits (or would be inserted) in the
+    sorted, unique *index*, and whether it is there.  Correct for any
+    needle order; fast when the needles are sorted too."""
+    pos = np.searchsorted(index, needles)
+    if len(index) == 0:
+        return pos, np.zeros(len(needles), dtype=bool)
+    return pos, index[np.minimum(pos, len(index) - 1)] == needles
+
+
 class BlockStore:
     """Refcounted content-addressed index over committed block digests.
 
@@ -329,10 +339,13 @@ class BlockStore:
     flush), ``abort``/``begin_round`` to discard a crashed round.
 
     Everything is vectorized: the global index is a sorted uint64
-    digest array with a parallel refcount array, and commits merge via
-    ``np.unique`` + ``searchsorted`` into freshly built arrays that are
-    swapped in atomically (a crash mid-commit leaves either the old or
-    a rebuildable state — see :meth:`rebuild`).
+    digest array with a parallel refcount array.  Every lookup is one
+    primitive (:func:`_locate`: sort the needles, one ``searchsorted``
+    against the sorted index, compare), so a commit costs a sort of the
+    round plus one merge into the index, built on the side and swapped
+    in atomically (a crash mid-commit leaves either the old or a
+    rebuildable state — see :meth:`rebuild`, the only full
+    re-derivation).
     """
 
     def __init__(self, *, block: int = DEFAULT_BLOCK) -> None:
@@ -361,19 +374,18 @@ class BlockStore:
         return self.refcount(digest) > 0
 
     def refcount(self, digest: int) -> int:
-        i = int(np.searchsorted(self._digests, np.uint64(digest)))
-        if i < len(self._digests) and self._digests[i] == np.uint64(digest):
-            return int(self._counts[i])
-        return 0
+        pos, hit = _locate(self._digests, np.array([digest], dtype=np.uint64))
+        return int(self._counts[pos[0]]) if hit[0] else 0
 
     def contains(self, digests: np.ndarray) -> np.ndarray:
         """Vectorized membership of *digests* in the committed index."""
         digests = np.asarray(digests, dtype=np.uint64)
-        if len(self._digests) == 0 or len(digests) == 0:
-            return np.zeros(len(digests), dtype=bool)
-        pos = np.searchsorted(self._digests, digests)
-        pos = np.minimum(pos, len(self._digests) - 1)
-        return self._digests[pos] == digests
+        # sorted needles walk the index front to back instead of
+        # binary-searching it cold once per needle
+        order = np.argsort(digests)
+        hits = np.empty(len(digests), dtype=bool)
+        hits[order] = _locate(self._digests, digests[order])[1]
+        return hits
 
     def slot_digests(self, name: str, slot: int) -> Optional[np.ndarray]:
         """The committed digest map for ``(name, slot)`` or ``None``."""
@@ -392,13 +404,17 @@ class BlockStore:
         digests = np.asarray(digests, dtype=np.uint64)
         if len(idx) != len(digests):
             raise CheckpointError("block-store stage: index/digest length mismatch")
-        if len(idx):
+        if len(idx) == 0:
+            return
+        if not (idx[1:] > idx[:-1]).all():
             # last write wins when one stage names a block twice —
             # otherwise commit would refcount a digest the slot map
-            # never holds
+            # never holds.  Strictly increasing indices (what
+            # Destination.staged_blocks produces) name none twice
             _, last_rev = np.unique(idx[::-1], return_index=True)
             sel = len(idx) - 1 - last_rev
-            self._staged.append((name, slot, idx[sel], digests[sel]))
+            idx, digests = idx[sel], digests[sel]
+        self._staged.append((name, slot, idx, digests))
 
     def abort(self) -> None:
         self._staged.clear()
@@ -447,24 +463,31 @@ class BlockStore:
         return cur
 
     def _apply(self, inc: np.ndarray, dec: np.ndarray) -> None:
-        u_inc, c_inc = np.unique(inc, return_counts=True)
-        merged = np.union1d(self._digests, u_inc)
-        counts = np.zeros(len(merged), dtype=np.int64)
-        if len(self._digests):
-            counts[np.searchsorted(merged, self._digests)] = self._counts
-        counts[np.searchsorted(merged, u_inc)] += c_inc
+        """Incref *inc* and decref *dec* (digest multisets): one sort
+        of each, one merge into the sorted index."""
+        digests, counts = self._digests, self._counts.copy()
+        if len(inc):
+            u_inc, c_inc = np.unique(inc, return_counts=True)
+            pos, hit = _locate(digests, u_inc)
+            counts[pos[hit]] += c_inc[hit]
+            if not hit.all():
+                new = ~hit
+                digests = np.insert(digests, pos[new], u_inc[new])
+                counts = np.insert(counts, pos[new], c_inc[new])
         if len(dec):
             u_dec, c_dec = np.unique(dec, return_counts=True)
-            pos = np.searchsorted(merged, u_dec)
-            present = (pos < len(merged)) & (merged[np.minimum(pos, len(merged) - 1)] == u_dec)
-            if not present.all():
+            pos, hit = _locate(digests, u_dec)
+            if not hit.all():
                 raise CheckpointError("block-store decref of an unknown digest")
-            counts[pos] -= c_dec
-        if (counts < 0).any():
-            raise CheckpointError("block-store refcount went negative")
-        keep = counts > 0
+            left = counts[pos] - c_dec
+            if (left < 0).any():
+                raise CheckpointError("block-store refcount went negative")
+            counts[pos] = left
+            if not left.all():
+                keep = counts > 0
+                digests, counts = digests[keep], counts[keep]
         # build-then-swap: both arrays replaced in one step
-        self._digests, self._counts = merged[keep], counts[keep]
+        self._digests, self._counts = digests, counts
 
     def rebuild(self) -> None:
         """Crash recovery: re-derive the refcount index from the slot
@@ -577,16 +600,16 @@ class Codec:
     ) -> Payload:
         raise NotImplementedError
 
-    # shared planning helpers ---------------------------------------------
+    # shared planning helper ----------------------------------------------
 
-    def _coverage(self, chunk, extents, block):
+    @staticmethod
+    def _blocks(chunk, extents, block):
+        """What a block planner works from: the blocks *extents* touch,
+        the per-block byte coverage, the covered total, and the
+        touched blocks' content digests at planning time."""
         idx = blocks_of_extents(extents, block, chunk.nbytes)
         cov = covered_bytes(extents, block, chunk.nbytes)
-        return idx, cov, int(cov.sum())
-
-    def _digests_for(self, chunk, idx: np.ndarray, block: int) -> np.ndarray:
-        """Current content digests of *idx* blocks at planning time."""
-        return current_digests(chunk, idx, block)
+        return idx, cov, int(cov.sum()), current_digests(chunk, idx, block)
 
 
 class RawCodec(Codec):
@@ -672,24 +695,32 @@ class DeltaCodec(Codec):
         base_b = bytes(base)
         if content_digest(base_b) != payload.base_digest:
             raise CodecError("delta base mismatch: digest differs from encode-time base")
-        out = bytearray(base_b)
+        out = np.frombuffer(base_b, dtype=np.uint8).copy()
         data = payload.data or b""
         pos = 0
         while pos < len(data):
+            if pos + self._RUN.size > len(data):
+                raise CodecError(f"delta payload truncated inside the run header at byte {pos}")
             off, n = self._RUN.unpack_from(data, pos)
             pos += self._RUN.size
-            xor = data[pos : pos + n]
+            if pos + n > len(data):
+                raise CodecError(f"delta payload truncated inside the {n}-byte run at byte {pos}")
+            if off + n > len(out):
+                raise CodecError(
+                    f"delta run [{off}, {off + n}) reaches past the {len(out)}-byte base"
+                )
+            out[off : off + n] ^= np.frombuffer(data, dtype=np.uint8, count=n, offset=pos)
             pos += n
-            for i in range(n):
-                out[off + i] ^= xor[i]
-        return bytes(out)
+        return out.tobytes()
 
     def plan(self, chunk, extents, *, store, slot, base_slot=-1, name=None, probe=None) -> Payload:
+        blocks = self._blocks(chunk, extents, store.block)
+        return self._plan_blocks(chunk, extents, blocks, store, base_slot, name)
+
+    def _plan_blocks(self, chunk, extents, blocks, store, base_slot, name) -> Payload:
         block = store.block
-        cname = name or chunk.name
-        idx, cov, logical = self._coverage(chunk, extents, block)
-        digests = self._digests_for(chunk, idx, block)
-        base = store.slot_digests(cname, base_slot) if base_slot >= 0 else None
+        idx, cov, logical, digests = blocks
+        base = store.slot_digests(name or chunk.name, base_slot) if base_slot >= 0 else None
         payload = Payload(
             kind="delta",
             codec=self.name,
@@ -732,7 +763,9 @@ class DeltaCodec(Codec):
             return int(round(float(changed_cov.sum()) * novelty))
         try:
             base = chunk.versions[base_slot].read(0, chunk.nbytes)
-        except Exception:
+        except MemoryError_:
+            # the committed region cannot be read back (freed, resized):
+            # charge the changed blocks' full coverage
             return int(changed_cov.sum())
         total = 0
         for i, covb in zip(changed_idx, changed_cov):
@@ -805,9 +838,11 @@ class DedupCodec(Codec):
         return bytes(out[: payload.logical_bytes])
 
     def plan(self, chunk, extents, *, store, slot, base_slot=-1, name=None, probe=None) -> Payload:
-        block = store.block
-        idx, cov, logical = self._coverage(chunk, extents, block)
-        digests = self._digests_for(chunk, idx, block)
+        blocks = self._blocks(chunk, extents, store.block)
+        return self._plan_blocks(chunk, extents, blocks, store, base_slot, name)
+
+    def _plan_blocks(self, chunk, extents, blocks, store, base_slot, name) -> Payload:
+        idx, cov, logical, digests = blocks
         hits = store.contains(digests)
         new_bytes = int(cov[idx[~hits]].sum())
         wire = new_bytes + len(idx) * DIGEST_META_BYTES
@@ -858,12 +893,10 @@ class AutoCodec(Codec):
 
     def plan(self, chunk, extents, *, store, slot, base_slot=-1, name=None, probe=None) -> Payload:
         raw = self._raw.plan(chunk, extents, store=store, slot=slot)
-        delta = self._delta.plan(
-            chunk, extents, store=store, slot=slot, base_slot=base_slot, name=name
-        )
-        dedup = self._dedup.plan(
-            chunk, extents, store=store, slot=slot, base_slot=base_slot, name=name
-        )
+        # coverage and digests derived once, handed to both block planners
+        blocks = self._blocks(chunk, extents, store.block)
+        delta = self._delta._plan_blocks(chunk, extents, blocks, store, base_slot, name)
+        dedup = self._dedup._plan_blocks(chunk, extents, blocks, store, base_slot, name)
         best = min((raw, delta, dedup), key=lambda p: p.wire_bytes)
         if best is raw and dedup.block_index is not None:
             # raw won this round, but publish the digests anyway so the

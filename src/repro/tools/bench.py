@@ -413,6 +413,9 @@ def run_dedup_block(axes_specs: Sequence[str] = PINNED_GRID[1]) -> dict:
         "delta_changed_gb": round(delta_gb_total, 4),
         "dedup_hit_rate": _rate(blocks_ref, blocks, 4),
         "below_incremental_all": all_below,
+        # host cost of the codec on top of the same page-granular pass
+        "incremental_wall_s": round(incremental.execution.wall_s, 4),
+        "codec_wall_s": round(dedup.execution.wall_s, 4),
     }
 
 
@@ -475,7 +478,8 @@ def _dedup_summary(block: dict) -> str:
         f"{len(block['cells'])} cells, "
         f"incremental {block['incremental_gb']}GB -> codec "
         f"{block['dedup_gb']}GB (saved {block['bytes_saved_ratio']:.1%}, "
-        f"hit rate {block['dedup_hit_rate']:.1%})"
+        f"hit rate {block['dedup_hit_rate']:.1%}), "
+        f"wall {block['incremental_wall_s']}s -> {block['codec_wall_s']}s"
     )
 
 

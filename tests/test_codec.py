@@ -34,6 +34,7 @@ from repro.core.codec import (
     DEFAULT_BLOCK,
     AutoCodec,
     BlockStore,
+    ContentModel,
     DedupCodec,
     DeltaCodec,
     Payload,
@@ -43,7 +44,15 @@ from repro.core.codec import (
     content_digest,
     resolve_codec,
 )
-from repro.errors import AllReplicasLost, CheckpointError, CodecError, ConfigError
+from repro.errors import (
+    AllReplicasLost,
+    CheckpointError,
+    CodecError,
+    ConfigError,
+    CrashInjected,
+    InvalidAddress,
+)
+from repro.faults.crashpoints import install
 from repro.faults.harness import CONSISTENT_OUTCOMES, CrashConsistencyHarness
 from repro.faults.plan import FaultPlan, ScriptedFault
 from repro.sim import Engine
@@ -130,6 +139,39 @@ def test_delta_against_wrong_base_fails_loudly():
     # silent corruption would be worse than the raise: verify the
     # correct base still round-trips after the failed attempt
     assert DeltaCodec().decode_bytes(p, base=base) == data
+
+
+@pytest.mark.parametrize(
+    "packed, complaint",
+    [
+        (DeltaCodec._RUN.pack(4090, 8) + bytes(8), "reaches past the 4096-byte base"),
+        (DeltaCodec._RUN.pack(1 << 63, 1) + b"\x01", "reaches past"),
+        (DeltaCodec._RUN.pack(0, 8) + bytes(5), "truncated inside the 8-byte run"),
+        (DeltaCodec._RUN.pack(0, 1)[:7], "truncated inside the run header"),
+        (DeltaCodec._RUN.pack(0, 1) + b"\x01" + b"\x00\x00", "truncated inside the run header"),
+    ],
+    ids=["run-past-base", "offset-far-past-base", "short-body", "short-header", "trailing-bytes"],
+)
+def test_delta_decode_rejects_malformed_runs(packed, complaint):
+    """A run or a header outside the buffers it indexes is a codec
+    failure, not an IndexError / struct.error (and never a silent
+    partial apply)."""
+    base = _buf(8, 4096)
+    p = DeltaCodec().encode_bytes(base, base=base)
+    p.data = packed
+    with pytest.raises(CodecError, match=complaint):
+        DeltaCodec().decode_bytes(p, base=base)
+
+
+def test_delta_decode_applies_long_runs():
+    """Every byte of a run is XORed, first and last included, and the
+    bytes between runs are the base's."""
+    base = _buf(9, 3 * 4096)
+    data = bytearray(base)
+    data[0:5000] = _buf(10, 5000)
+    data[-1] ^= 0xFF
+    p = DeltaCodec().encode_bytes(bytes(data), base=base)
+    assert DeltaCodec().decode_bytes(p, base=base) == bytes(data)
 
 
 def test_dedup_round_trip_and_reference_growth():
@@ -271,21 +313,197 @@ def test_store_drop_chunk_releases_references():
 
 
 def test_store_refcount_guards_raise():
+    """Build-then-swap: an ``_apply`` that raises either guard leaves
+    the index arrays the very objects (and values) they were — also
+    when the same call's increfs had already been merged on the side."""
     s = BlockStore()
-    s.stage("a", 0, np.array([0]), _digests(10))
+    s.stage("a", 0, np.array([0, 1]), _digests(10, 20))
     s.commit()
-    with pytest.raises(CheckpointError):
-        s._apply(np.empty(0, np.uint64), _digests(99))  # unknown decref
-    with pytest.raises(CheckpointError):
-        s._apply(np.empty(0, np.uint64), _digests(10, 10))  # 1 - 2 < 0
+    digests, counts = s._digests, s._counts
+    snapshot = (digests.copy(), counts.copy())
+    for inc, dec in [
+        (_digests(), _digests(99)),  # unknown decref
+        (_digests(), _digests(10, 10)),  # 1 - 2 < 0
+        (_digests(5, 10, 15), _digests(99)),  # increfs merged, then unknown
+        (_digests(5, 10), _digests(10, 10, 10)),  # 1 + 1 - 3 < 0
+    ]:
+        with pytest.raises(CheckpointError):
+            s._apply(inc, dec)
+        assert s._digests is digests and s._counts is counts
+        assert np.array_equal(digests, snapshot[0]) and np.array_equal(counts, snapshot[1])
+
+
+def test_store_apply_merges_into_the_sorted_index():
+    """New digests land below, between and above the resident ones, a
+    digest increffed and decreffed in one call nets out, and rows that
+    reach zero leave."""
+    s = BlockStore()
+    s._apply(_digests(20, 40, 40), _digests())
+    s._apply(_digests(10, 30, 30, 40, 50, 2**64 - 1), _digests(20, 50))
+    assert list(s._digests) == [10, 30, 40, 2**64 - 1]
+    assert list(s._counts) == [1, 2, 3, 1]
+    assert s._counts.dtype == np.int64 and s._digests.dtype == np.uint64
+    s._apply(_digests(), _digests(10, 30, 30, 40, 40, 40, 2**64 - 1))
+    assert s.unique_blocks == 0 and s.total_refs == 0
+
+
+def test_store_commit_mid_crash_recovers_through_rebuild():
+    """``codec.store.commit.mid``: the slot maps already hold the
+    round, the index still holds the previous one (old objects, not a
+    half-merged pair); ``rebuild()`` re-derives exactly what the
+    uncrashed commit would have swapped in."""
+    def two_rounds(store):
+        store.stage("a", 0, np.array([0, 1, 2]), _digests(10, 20, 30))
+        store.commit()
+        store.stage("a", 0, np.array([1, 2]), _digests(40, 10))
+        store.stage("b", 1, np.array([0]), _digests(5))
+        store.commit()
+
+    clean = BlockStore()
+    two_rounds(clean)
+    crashed = BlockStore()
+    with install(FaultPlan.crash_at("codec.store.commit.mid", hit=2)):
+        with pytest.raises(CrashInjected):
+            two_rounds(crashed)
+    assert list(crashed._digests) == [10, 20, 30] and list(crashed._counts) == [1, 1, 1]
+    assert list(crashed.slot_digests("a", 0)) == [10, 40, 10]
+    crashed.rebuild()
+    assert np.array_equal(crashed._digests, clean._digests)
+    assert np.array_equal(crashed._counts, clean._counts)
+    assert list(clean._digests) == [5, 10, 40] and list(clean._counts) == [1, 2, 1]
+
+
+def test_store_stage_last_write_wins_only_when_a_block_repeats():
+    """Strictly increasing indices are queued as they are; anything
+    else goes through the last-write-wins pass."""
+    s = BlockStore()
+    s.stage("a", 0, np.array([0, 2, 5]), _digests(10, 20, 30))
+    s.stage("b", 0, np.array([3, 1, 3, 1]), _digests(1, 2, 3, 4))
+    s.stage("c", 0, np.array([2, 1]), _digests(7, 8))
+    assert s.commit() == 3 + 2 + 2
+    assert list(s.slot_digests("a", 0)) == [10, 0, 20, 0, 0, 30]
+    assert list(s.slot_digests("b", 0)) == [0, 4, 0, 3]
+    assert list(s.slot_digests("c", 0)) == [0, 8, 7]
+    assert not s.has(1) and not s.has(2) and s.total_refs == 7
 
 
 def test_store_contains_vectorized():
     s = BlockStore()
+    assert list(s.contains(_digests(20, 99))) == [False, False]  # empty store
+    assert s.contains(_digests()).shape == (0,)
     s.stage("a", 0, np.array([0, 1, 2]), _digests(10, 20, 30))
     s.commit()
     hits = s.contains(_digests(20, 99, 10))
     assert list(hits) == [True, False, True]
+    # answers come back in the needles' order, whatever that order is
+    needles = _digests(30, 5, 30, 2**64 - 1, 10, 25, 10, 10, 20)
+    assert list(s.contains(needles)) == [True, False, True, False, True, False, True, True, True]
+    empty = s.contains(_digests())
+    assert empty.shape == (0,) and empty.dtype == bool
+
+
+# ---------------------------------------------------------------------------
+# Planning mode: the auto codec plans its blocks once.
+# ---------------------------------------------------------------------------
+
+
+def _planning_chunk(phantom: bool, nbytes: int = 16 * DEFAULT_BLOCK + 100):
+    engine = Engine()
+    ctx = make_standalone_context(name="n0", engine=engine)
+    alloc = NVAllocator("r0", ctx.nvmm, ctx.dram, phantom=phantom, clock=lambda: engine.now)
+    chunk = alloc.nvalloc("a", nbytes)
+    if phantom:
+        chunk.content_novelty = 0.9  # most touches change the block
+    else:
+        chunk.write(0, np.frombuffer(_buf(50, nbytes), dtype=np.uint8))
+    return chunk
+
+
+def _commit_plan(store, chunk, payload, slot):
+    store.stage(chunk.name, slot, payload.block_index, payload.block_digests)
+    store.commit()
+
+
+@pytest.mark.parametrize("phantom", [True, False], ids=["phantom", "real"])
+def test_auto_plan_equals_its_planners_run_alone(phantom, monkeypatch):
+    """One coverage + digest derivation feeds both block planners: the
+    auto plan's candidates are exactly what each planner returns on
+    its own, and the published index/digests are theirs."""
+    chunk = _planning_chunk(phantom)
+    store = BlockStore()
+    auto = AutoCodec()
+    _commit_plan(store, chunk, auto.plan(chunk, None, store=store, slot=0), 0)
+    # rewrite a few runs (one spans the ragged tail block), leave the rest
+    B = DEFAULT_BLOCK
+    for off, n in [(B + 7, 3000), (9 * B, 2 * B), (chunk.nbytes - 60, 60)]:
+        if phantom:
+            chunk.touch(n, off)
+        else:
+            chunk.write(off, np.frombuffer(_buf(off, n), dtype=np.uint8))
+    model_calls = []
+    real_digests = ContentModel.digests
+    monkeypatch.setattr(
+        ContentModel,
+        "digests",
+        lambda self, idx: model_calls.append(len(idx)) or real_digests(self, idx),
+    )
+    for extents in (None, [(B, 3 * B), (9 * B + 5, 4000)]):
+        kw = dict(store=store, slot=1, base_slot=0)
+        del model_calls[:]
+        got = auto.plan(chunk, extents, **kw)
+        assert len(model_calls) == (1 if phantom else 0)
+        raw = RawCodec().plan(chunk, extents, **kw)
+        delta = DeltaCodec().plan(chunk, extents, **kw)
+        dedup = DedupCodec().plan(chunk, extents, **kw)
+        assert got.candidates == {
+            "raw": raw.wire_bytes,
+            "delta": delta.wire_bytes,
+            "dedup": dedup.wire_bytes,
+        }
+        assert got.wire_bytes == min(got.candidates.values()) < got.logical_bytes
+        for alone in (delta, dedup):
+            assert np.array_equal(got.block_index, alone.block_index)
+            assert np.array_equal(got.block_digests, alone.block_digests)
+        winner = {"delta": delta, "dedup": dedup}[got.codec]
+        for field in ("kind", "logical_bytes", "blocks", "blocks_new", "blocks_ref"):
+            assert getattr(got, field) == getattr(winner, field), field
+        if extents is None:
+            # both arms met changed and unchanged blocks
+            assert 0 < delta.blocks_ref < delta.blocks and 0 < dedup.blocks_ref < dedup.blocks
+
+
+class _Unreadable:
+    """A committed region whose read raises *exc*."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def read(self, offset, nbytes):
+        raise self.exc
+
+
+def test_delta_plan_unreadable_base_charges_full_coverage_and_only_that():
+    """A committed region the memory layer cannot read back falls back
+    to the changed blocks' full coverage; any other exception is a bug
+    in the planner and must surface, not inflate ``changed_bytes``."""
+    chunk = _planning_chunk(phantom=False)
+    store = BlockStore()
+    delta = DeltaCodec()
+    _commit_plan(store, chunk, delta.plan(chunk, None, store=store, slot=0), 0)
+    chunk.write(2 * DEFAULT_BLOCK + 10, np.frombuffer(_buf(51, 100), dtype=np.uint8))
+    exact = delta.plan(chunk, None, store=store, slot=1, base_slot=0)
+    assert exact.blocks_new == 1 and 0 < exact.changed_bytes <= DEFAULT_BLOCK
+    region = chunk.versions[0]
+    try:
+        chunk.versions[0] = _Unreadable(InvalidAddress("region gone"))
+        fallback = delta.plan(chunk, None, store=store, slot=1, base_slot=0)
+        assert fallback.changed_bytes == DEFAULT_BLOCK
+        assert fallback.blocks_new == 1
+        chunk.versions[0] = _Unreadable(ZeroDivisionError("planner bug"))
+        with pytest.raises(ZeroDivisionError):
+            delta.plan(chunk, None, store=store, slot=1, base_slot=0)
+    finally:
+        chunk.versions[0] = region
 
 
 # ---------------------------------------------------------------------------

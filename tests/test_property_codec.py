@@ -146,6 +146,22 @@ def test_delta_against_wrong_base_always_raises(base, pos, wrong_pos):
 CHUNKS = ["a", "b"]
 SLOTS = [0, 1]
 NBLOCKS = 4
+# a handful of small digests so rounds collide on the same rows, and
+# the whole uint64 range so new rows land anywhere in the sorted index
+DIGESTS = st.one_of(st.integers(1, 5), st.integers(1, 2**64 - 1))
+
+
+def _assert_index_is_rebuilds(s: BlockStore) -> None:
+    """The refcount index must be what ``rebuild()`` re-derives from
+    the slot maps — same rows, same order, same counts, same dtypes."""
+    oracle = BlockStore(block=s.block)
+    oracle._slots = s._slots
+    oracle.rebuild()
+    assert np.array_equal(s._digests, oracle._digests)
+    assert np.array_equal(s._counts, oracle._counts)
+    assert (s._digests.dtype, s._counts.dtype) == (oracle._digests.dtype, oracle._counts.dtype)
+    assert (s._counts > 0).all(), "refcount dropped to <= 0 but survived"
+
 
 store_ops = st.lists(
     st.one_of(
@@ -154,7 +170,7 @@ store_ops = st.lists(
             st.sampled_from(CHUNKS),
             st.sampled_from(SLOTS),
             st.lists(
-                st.tuples(st.integers(0, NBLOCKS - 1), st.integers(1, 5)),
+                st.tuples(st.integers(0, NBLOCKS - 1), DIGESTS),
                 min_size=1,
                 max_size=NBLOCKS,
             ),
@@ -192,12 +208,55 @@ def test_store_refcounts_never_negative(program):
         else:
             s.rebuild()
 
-        assert (s._counts > 0).all(), "refcount dropped to <= 0 but survived"
+        _assert_index_is_rebuilds(s)
         assert len(s._digests) == len(set(s._digests.tolist()))
-        # the committed maps are the truth; the index must agree
         live = [v[v != 0] for v in s._slots.values()]
-        alld = np.concatenate(live) if live else np.empty(0, np.uint64)
-        want_digests, want_counts = np.unique(alld, return_counts=True)
-        assert np.array_equal(s._digests, want_digests)
-        assert np.array_equal(s._counts, want_counts.astype(np.int64))
-        assert s.total_refs == len(alld)
+        assert s.total_refs == sum(len(v) for v in live)
+
+
+def test_store_index_tracks_rebuild_at_workload_scale():
+    """A seeded program at the size the codec workload runs (tens of
+    thousands of blocks a round): first fill, a second chunk sharing
+    content, sparse and dense overwrites, an unsorted stage that names
+    blocks twice, drops.  After every step the merged index equals the
+    full re-derivation."""
+    rng = np.random.default_rng(16)
+    nblocks = 60_000
+    pool = rng.integers(1, 2**64 - 1, size=40_000, dtype=np.uint64)
+
+    def draw(n, fresh):
+        """*n* digests: a *fresh* fraction never seen, the rest from the pool."""
+        out = rng.choice(pool, size=n)
+        new = rng.random(n) < fresh
+        out[new] = rng.integers(1, 2**64 - 1, size=int(new.sum()), dtype=np.uint64)
+        return out
+
+    def subset(n):
+        return np.sort(rng.choice(nblocks, size=n, replace=False))
+
+    s = BlockStore()
+    everything = np.arange(nblocks)
+    steps = [
+        ("a", 0, everything, draw(nblocks, 0.0)),  # fill: pool only, many shared rows
+        ("b", 0, everything, draw(nblocks, 0.5)),  # half new rows spread over the index
+        ("a", 1, everything, draw(nblocks, 0.1)),
+        ("a", 0, subset(20_000), draw(20_000, 0.3)),  # overwrite: decref + incref
+        ("b", 0, subset(500), draw(500, 1.0)),  # sparse round into a big index
+        ("a", 1, rng.integers(0, nblocks, size=30_000), draw(30_000, 0.2)),  # repeats, unsorted
+        ("b", 0, everything, np.full(nblocks, pool[0])),  # one row takes 60k refs, most rows leave
+    ]
+    for name, slot, idx, digests in steps:
+        s.stage(name, slot, idx, digests)
+        assert s.commit() == len(np.unique(idx))
+        _assert_index_is_rebuilds(s)
+    assert s.refcount(int(pool[0])) >= nblocks
+    # two stages of one slot in one round: the later one's decref meets
+    # the digest the earlier one just put there
+    s.stage("b", 1, subset(10_000), draw(10_000, 0.5))
+    s.stage("b", 1, subset(10_000), draw(10_000, 0.5))
+    s.commit()
+    _assert_index_is_rebuilds(s)
+    for name in ("a", "b"):
+        s.drop_chunk(name)
+        _assert_index_is_rebuilds(s)
+    assert s.unique_blocks == 0
