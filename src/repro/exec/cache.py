@@ -68,7 +68,9 @@ class ResultCache:
         if config is not None:
             payload["config"] = config
         tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+        # insertion order: a warm run must hand back the keys in the order
+        # the cold run produced them (first-seen CSV columns depend on it)
+        tmp.write_text(json.dumps(payload), encoding="utf-8")
         os.replace(tmp, path)  # readers never see a torn entry
         self.writes += 1
 

@@ -97,10 +97,10 @@ class Process(Event):
             # stale wakeup (e.g. the process was killed and moved on)
             return
         self._waiting_on = None
-        if ev.ok:
+        if ev._exc is None:  # a dispatched event has triggered: this is ev.ok
             self._resume(ev._value, None)
         else:
-            self._resume(None, ev.exception)
+            self._resume(None, ev._exc)
 
     def _resume(self, value: Any, exc: Optional[BaseException], forced: bool = False) -> None:
         if not self._alive:
@@ -221,10 +221,10 @@ class Engine:
         try:
             while ready or heap:
                 # merge the two lanes on (time, seq) — identical total
-                # order to the historical single heap
-                from_ready = bool(ready) and (
-                    not heap or ready[0][:2] <= heap[0][:2]
-                )
+                # order to the historical single heap.  The entries
+                # compare as they are: seq is unique, so tuple order
+                # never reaches kind or payload.
+                from_ready = bool(ready) and (not heap or ready[0] < heap[0])
                 when, _, kind, payload = ready[0] if from_ready else heap[0]
                 if until is not None and when > until:
                     self._now = until

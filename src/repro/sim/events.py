@@ -83,7 +83,9 @@ class Event:
         self._triggered = True
         self._value = value
         self._exc = exc
-        self.engine._queue_event(self)
+        # delivery is always "now": straight onto the engine's ready lane
+        engine = self.engine
+        engine._ready.append((engine._now, next(engine._seq), 0, self))
         self._scheduled = True
 
     # -- callbacks ---------------------------------------------------------
@@ -97,12 +99,17 @@ class Event:
         else:
             self.callbacks.append(fn)
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def _label(self) -> str:
+        """What :meth:`__repr__` calls this event.  Events created per
+        flow or per sleep derive it here instead of carrying a
+        formatted ``name`` nobody else reads."""
+        return self.name or self.__class__.__name__
+
+    def __repr__(self) -> str:
         state = "pending"
         if self._triggered:
             state = "ok" if self._exc is None else f"failed({self._exc!r})"
-        label = self.name or self.__class__.__name__
-        return f"<{label} {state}>"
+        return f"<{self._label()} {state}>"
 
 
 class Timeout(Event):
@@ -113,13 +120,16 @@ class Timeout(Event):
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
         if delay < 0:
             raise SimulationError(f"negative timeout delay {delay}")
-        super().__init__(engine, name=f"timeout({delay:g})")
+        super().__init__(engine)
         self.delay = delay
         # A timeout is born triggered; it is delivered after `delay`.
         self._triggered = True
         self._value = value
         engine._queue_event(self, delay=delay)
         self._scheduled = True
+
+    def _label(self) -> str:
+        return f"timeout({self.delay:g})"
 
 
 class AllOf(Event):

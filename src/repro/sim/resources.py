@@ -9,12 +9,31 @@ rate).  When flows join or leave, every active flow's remaining bytes
 are advanced and the next completion is rescheduled.  This yields the
 contention behaviours the paper studies: checkpoint bursts slowing each
 other down, pre-copy spreading load over time, and peak-usage reduction.
+
+**How the usage series is produced.**  A bandwidth resource can report
+its aggregate rate over time and the same split by traffic kind
+(``utilization`` / ``utilization_by_kind``), but almost nobody asks:
+the readers are ``Fabric.windowed_usage`` and ``Fabric.peak_rate`` on
+the fabric's egress links (Fig. 10, a run record's ``fabric_series``);
+the per-node NVM buses and the ingress links are never read.  So a
+rate change costs one appended *note* — ``(time, per-flow rate, flow
+counts per kind)``, from counts kept live at join and leave — and the
+series are made when read: the unfolded notes go through
+:meth:`UtilizationTracker.record` as ``count * per_flow`` per series,
+in order, which writes the sample lists that recording on every change
+would have written.  A note taken at the timestamp of the previous one
+replaces it (flows that start or finish together leave one note); what
+it keeps of the replaced note is which series that one had moved,
+because a series that moves within a timestamp has a sample there even
+if it ends where it started.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from collections import deque
+from functools import partial
+from math import inf
 
 from ..errors import SimulationError, TransferCancelled
 from .engine import Engine
@@ -25,6 +44,7 @@ __all__ = [
     "CpuCores",
     "BandwidthResource",
     "FlowHandle",
+    "TransferEvent",
     "UtilizationTracker",
 ]
 
@@ -34,6 +54,12 @@ __all__ = [
 #: early (its completion wakeup is exact).
 _EPSILON_BYTES = 1e-6
 _EPSILON_SECONDS = 1e-9
+
+#: from 2**13 bytes/s up, neighbouring doubles are more than the 1e-12
+#: apart that :meth:`UtilizationTracker.record` calls "unchanged", so
+#: there "unchanged" is "equal" and same-timestamp rate notes can be
+#: merged exactly; a resource that ever runs slower keeps every note
+_MIN_MERGE_RATE = 8192.0
 
 
 class UtilizationTracker:
@@ -58,8 +84,8 @@ class UtilizationTracker:
             return
         self.samples.append((time, value))
 
-    def value_at(self, time: float) -> float:
-        """The recorded value in effect at *time* (0 before first sample)."""
+    def _upto(self, time: float) -> int:
+        """Number of samples taken at or before *time*."""
         lo, hi = 0, len(self.samples)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -67,24 +93,37 @@ class UtilizationTracker:
                 lo = mid + 1
             else:
                 hi = mid
-        return self.samples[lo - 1][1] if lo else 0.0
+        return lo
+
+    def _integrate(self, first: int, t0: float, t1: float) -> Tuple[float, int]:
+        """Integral over ``[t0, t1]`` given ``first == _upto(t0)``; also
+        returns the index of the first sample at or after *t1*, which is
+        where a window starting at or after *t1* resumes."""
+        samples = self.samples
+        total = 0.0
+        prev_t, prev_v = t0, samples[first - 1][1] if first else 0.0
+        i, n = first, len(samples)
+        while i < n:
+            t, v = samples[i]
+            if t >= t1:
+                break
+            total += prev_v * (t - prev_t)
+            prev_t, prev_v = t, v
+            i += 1
+        total += prev_v * (t1 - prev_t)
+        return total, i
+
+    def value_at(self, time: float) -> float:
+        """The recorded value in effect at *time* (0 before first sample)."""
+        i = self._upto(time)
+        return self.samples[i - 1][1] if i else 0.0
 
     def integral(self, t0: float, t1: float) -> float:
         """Integral of the series over ``[t0, t1]`` (e.g. bytes moved if
         the series is a rate in bytes/s)."""
         if t1 <= t0 or not self.samples:
             return 0.0
-        total = 0.0
-        prev_t, prev_v = t0, self.value_at(t0)
-        for t, v in self.samples:
-            if t <= t0:
-                continue
-            if t >= t1:
-                break
-            total += prev_v * (t - prev_t)
-            prev_t, prev_v = t, v
-        total += prev_v * (t1 - prev_t)
-        return total
+        return self._integrate(self._upto(t0), t0, t1)[0]
 
     def peak(self, t0: float = 0.0, t1: float = float("inf")) -> float:
         """Maximum value over ``[t0, t1]``."""
@@ -98,14 +137,24 @@ class UtilizationTracker:
         self, window: float, t_end: float, t_start: float = 0.0
     ) -> List[Tuple[float, float]]:
         """Average value per fixed window — e.g. 'bytes transferred per
-        second of application timeline' for Figure 10."""
+        second of application timeline' for Figure 10.
+
+        One sweep over the samples: each window resumes where the
+        previous one stopped, and sums its pieces in the order
+        :meth:`integral` does, so every entry equals
+        ``integral(t, min(t + window, t_end)) / window`` exactly."""
         if window <= 0:
             raise ValueError("window must be positive")
+        samples = self.samples
+        n = len(samples)
         out: List[Tuple[float, float]] = []
         t = t_start
+        i = 0
         while t < t_end:
-            hi = min(t + window, t_end)
-            out.append((t, self.integral(t, hi) / window))
+            while i < n and samples[i][0] <= t:
+                i += 1
+            total, i = self._integrate(i, t, min(t + window, t_end))
+            out.append((t, total / window))
             t += window
         return out
 
@@ -195,6 +244,21 @@ class CpuCores(Resource):
         return sum(self._busy_time.values())
 
 
+class TransferEvent(Event):
+    """Completion event of one flow.  It names itself from its resource
+    when asked (``repr``), so starting a flow formats nothing."""
+
+    __slots__ = ("resource", "nbytes")
+
+    def __init__(self, resource: Any, nbytes: float) -> None:
+        super().__init__(resource.engine)
+        self.resource = resource
+        self.nbytes = nbytes
+
+    def _label(self) -> str:
+        return f"{self.resource.name}.transfer({self.nbytes:.0f})"
+
+
 class FlowHandle:
     """One active transfer inside a :class:`BandwidthResource`."""
 
@@ -215,6 +279,20 @@ class FlowHandle:
         return f"<Flow {self.flow_id} tag={self.tag} {self.remaining:.0f}/{self.nbytes:.0f}B>"
 
 
+def _changed_series(before: tuple, after: tuple) -> int:
+    """Bit *i* is set when series *i* reads differently in two rate-log
+    notes (series both notes know: a series is born by its first
+    sample, which nothing can suppress)."""
+    _, rate0, counts0, _ = before
+    _, rate1, counts1, _ = after
+    mask, bit = 0, 1
+    for count0, count1 in zip(counts0, counts1):
+        if count0 * rate0 != count1 * rate1:
+            mask |= bit
+        bit <<= 1
+    return mask
+
+
 class BandwidthResource:
     """Capacity shared equally among active flows (processor sharing).
 
@@ -223,10 +301,11 @@ class BandwidthResource:
     bus is otherwise idle.  The per-flow rate is therefore
     ``min(per_flow_cap, capacity / n_flows)``.
 
-    The tracker records the *aggregate* rate over time, so peak usage
-    and per-window transfer volumes (Fig. 10) fall out directly.
-    Per-tag byte counters let callers split application vs. checkpoint
-    traffic.
+    :attr:`utilization` is the *aggregate* rate over time, so peak usage
+    and per-window transfer volumes (Fig. 10) fall out directly;
+    :attr:`utilization_by_kind` splits it by traffic kind.  Both are
+    folded from the rate log when read (module docstring).  Per-tag
+    byte counters let callers split application vs. checkpoint traffic.
     """
 
     def __init__(
@@ -251,10 +330,20 @@ class BandwidthResource:
         self._next_id = 0
         self._last_update = engine.now
         self._completion_token = 0
-        self.utilization = UtilizationTracker()
-        #: per traffic kind (tag suffix) rate series, for filtered
-        #: usage timelines like Fig. 10's checkpoint-only traffic
-        self.utilization_by_kind: Dict[str, UtilizationTracker] = {}
+        #: live flows per traffic kind, in first-seen order; a kind
+        #: stays (at 0) once seen, like its series
+        self._kind_counts: Dict[str, int] = {}
+        #: rate changes as ``(time, per-flow rate, (flows, *per-kind
+        #: flows), touched)``: ``_rate_log[:_folded]`` is already in the
+        #: series (only the last such note is kept, to merge against),
+        #: the rest is folded in on the next read
+        self._rate_log: List[Tuple[float, float, Tuple[int, ...], int]] = []
+        self._folded = 0
+        #: cleared for good by the first rate so small that the series'
+        #: "unchanged" tolerance stops meaning "equal"
+        self._merge_notes = True
+        self._utilization = UtilizationTracker()
+        self._utilization_by_kind: Dict[str, UtilizationTracker] = {}
         self.bytes_by_tag: Dict[str, float] = {}
         self.total_bytes = 0.0
 
@@ -263,6 +352,19 @@ class BandwidthResource:
     @property
     def active_flows(self) -> int:
         return len(self._flows)
+
+    @property
+    def utilization(self) -> UtilizationTracker:
+        """Aggregate rate over time."""
+        self._fold_rate_log()
+        return self._utilization
+
+    @property
+    def utilization_by_kind(self) -> Dict[str, UtilizationTracker]:
+        """Per traffic kind (tag suffix) rate series, for filtered usage
+        timelines like Fig. 10's checkpoint-only traffic."""
+        self._fold_rate_log()
+        return self._utilization_by_kind
 
     def current_rate(self) -> float:
         """Current aggregate throughput in bytes/s."""
@@ -277,15 +379,12 @@ class BandwidthResource:
         complete immediately."""
         if nbytes < 0:
             raise SimulationError("cannot transfer a negative byte count")
-        ev = self.engine.event(name=f"{self.name}.transfer({nbytes:.0f})")
+        ev = TransferEvent(self, nbytes)
         if nbytes < _EPSILON_BYTES:
             ev.succeed(0.0)
             return ev
         self._advance()
-        fid = self._next_id
-        self._next_id += 1
-        self._flows[fid] = FlowHandle(fid, float(nbytes), ev, tag, self.engine.now)
-        self._note_rate()
+        self._join(ev, tag)
         self._reschedule()
         return ev
 
@@ -306,7 +405,7 @@ class BandwidthResource:
         for nbytes, tag in requests:
             if nbytes < 0:
                 raise SimulationError("cannot transfer a negative byte count")
-            ev = self.engine.event(name=f"{self.name}.transfer({nbytes:.0f})")
+            ev = TransferEvent(self, nbytes)
             events.append(ev)
             if nbytes < _EPSILON_BYTES:
                 ev.succeed(0.0)
@@ -314,11 +413,8 @@ class BandwidthResource:
             if not fresh:
                 self._advance()
                 fresh = True
-            fid = self._next_id
-            self._next_id += 1
-            self._flows[fid] = FlowHandle(fid, float(nbytes), ev, tag, self.engine.now)
+            self._join(ev, tag)
         if fresh:
-            self._note_rate()
             self._reschedule()
         return events
 
@@ -334,10 +430,9 @@ class BandwidthResource:
         self._advance()
         doomed = [f for f in self._flows.values() if predicate is None or predicate(f.tag)]
         for f in doomed:
-            del self._flows[f.flow_id]
+            self._leave(f)
             f.event.fail(TransferCancelled(f"transfer {f.flow_id} ({f.tag!r}) cancelled"))
         if doomed:
-            self._note_rate()
             self._reschedule()
         return len(doomed)
 
@@ -355,6 +450,18 @@ class BandwidthResource:
             return min(self.per_flow_cap, share)
         return share
 
+    def _join(self, event: TransferEvent, tag: str) -> None:
+        fid = self._next_id
+        self._next_id += 1
+        flow = FlowHandle(fid, float(event.nbytes), event, tag, self.engine.now)
+        self._flows[fid] = flow
+        counts = self._kind_counts
+        counts[flow.kind] = counts.get(flow.kind, 0) + 1
+
+    def _leave(self, flow: FlowHandle) -> None:
+        del self._flows[flow.flow_id]
+        self._kind_counts[flow.kind] -= 1
+
     def _advance(self) -> None:
         """Progress all flows from the last update time to now and
         complete any that finished."""
@@ -365,66 +472,99 @@ class BandwidthResource:
             return
         rate = self._flow_rate(len(self._flows))
         moved = rate * dt
+        dust = rate * _EPSILON_SECONDS
+        total_bytes, bytes_by_tag = self.total_bytes, self.bytes_by_tag
         finished: List[FlowHandle] = []
         for f in self._flows.values():
-            f.remaining -= moved
-            progressed = min(moved, f.remaining + moved)
-            self.total_bytes += progressed
+            f.remaining = after = f.remaining - moved
+            had_left = after + moved
+            progressed = had_left if had_left < moved else moved
+            total_bytes += progressed
             if f.tag:
-                self.bytes_by_tag[f.tag] = self.bytes_by_tag.get(f.tag, 0.0) + progressed
-            if f.remaining <= _EPSILON_BYTES and f.remaining <= rate * _EPSILON_SECONDS:
+                bytes_by_tag[f.tag] = bytes_by_tag.get(f.tag, 0.0) + progressed
+            if after <= _EPSILON_BYTES and after <= dust:
                 finished.append(f)
+        self.total_bytes = total_bytes
         for f in finished:
-            del self._flows[f.flow_id]
+            self._leave(f)
             f.event.succeed(now - f.started_at)
 
-    def _note_rate(self) -> None:
-        now = self.engine.now
-        self.utilization.record(now, self.current_rate())
-        n = len(self._flows)
-        per_flow = self._flow_rate(n) if n else 0.0
-        counts: Dict[str, int] = {}
-        for f in self._flows.values():
-            counts[f.kind] = counts.get(f.kind, 0) + 1
-        for kind, tracker in self.utilization_by_kind.items():
-            tracker.record(now, counts.pop(kind, 0) * per_flow)
-        for kind, count in counts.items():
-            tracker = UtilizationTracker()
-            tracker.record(now, count * per_flow)
-            self.utilization_by_kind[kind] = tracker
+    def _note_rate(self, now: float, n_flows: int, per_flow: float) -> None:
+        """Log the rate every series holds from *now* on (O(kinds), no
+        walk over the flows); the series themselves are made on read."""
+        if 0.0 < per_flow < _MIN_MERGE_RATE:
+            self._merge_notes = False
+        counts = (n_flows, *self._kind_counts.values())
+        log = self._rate_log
+        if len(log) > self._folded and log[-1][0] == now and self._merge_notes:
+            # One note per timestamp: the newest replaces the one it
+            # follows.  What must survive of the replaced note is which
+            # series it moved — a series that moved within a timestamp
+            # has a sample there even when it ends where it started.
+            last = log[-1]
+            touched = last[3] | _changed_series(log[-2], last) if len(log) > 1 else 0
+            log[-1] = (now, per_flow, counts, touched)
+        else:
+            log.append((now, per_flow, counts, 0))
+
+    def _fold_rate_log(self) -> None:
+        """Bring the series up to date: replay every unfolded note
+        through :meth:`UtilizationTracker.record`, ``count * per_flow``
+        per series, in the order the notes were taken."""
+        log = self._rate_log
+        if self._folded == len(log):
+            return
+        series = [self._utilization, *self._utilization_by_kind.values()]
+        kinds = list(self._kind_counts)
+        for at in range(self._folded, len(log)):
+            now, per_flow, counts, touched = log[at]
+            for kind in kinds[len(series) - 1:len(counts) - 1]:
+                tracker = self._utilization_by_kind[kind] = UtilizationTracker()
+                series.append(tracker)
+            for i, count in enumerate(counts):
+                tracker = series[i]
+                tracker.record(now, count * per_flow)
+                if touched >> i & 1 and tracker.samples[-1][0] != now:
+                    tracker.samples.append((now, count * per_flow))
+        del log[:-1]
+        self._folded = 1
 
     def _reschedule(self) -> None:
-        """Schedule a wakeup at the earliest flow completion.
+        """Note the rate the flows now run at and schedule a wakeup at
+        the earliest completion.
 
         Flows within float dust of completion (sub-nanosecond at the
         current rate) are finished inline: scheduling a wakeup that
         rounds to the current timestamp would spin forever.
         """
         self._completion_token += 1
-        token = self._completion_token
-        while self._flows:
-            rate = self._flow_rate(len(self._flows))
-            dust = [f for f in self._flows.values() if f.remaining / rate < _EPSILON_SECONDS]
-            if not dust:
-                break
-            now = self.engine.now
-            for f in dust:
+        engine, flows = self.engine, self._flows
+        now = engine.now
+        while True:
+            n = len(flows)
+            rate = self._flow_rate(n) if n else 0.0
+            self._note_rate(now, n, rate)
+            if not n:
+                return
+            nearest = inf
+            for f in flows.values():
+                if f.remaining < nearest:
+                    nearest = f.remaining
+            # the nearest flow decides: dividing by one positive rate
+            # keeps the order of the remainders
+            if not nearest / rate < _EPSILON_SECONDS:
+                wakeup = partial(self._on_wakeup, self._completion_token)
+                engine.call_at(now + nearest / rate, wakeup)
+                return
+            for f in [f for f in flows.values() if f.remaining / rate < _EPSILON_SECONDS]:
                 self.total_bytes += f.remaining
                 if f.tag:
                     self.bytes_by_tag[f.tag] = self.bytes_by_tag.get(f.tag, 0.0) + f.remaining
-                del self._flows[f.flow_id]
+                self._leave(f)
                 f.event.succeed(now - f.started_at)
-            self._note_rate()
-        if not self._flows:
-            return
-        rate = self._flow_rate(len(self._flows))
-        min_remaining = min(f.remaining for f in self._flows.values())
-        eta = self.engine.now + min_remaining / rate
-        self.engine.call_at(eta, lambda: self._on_wakeup(token))
 
     def _on_wakeup(self, token: int) -> None:
         if token != self._completion_token:
             return  # state changed since this wakeup was scheduled
         self._advance()
-        self._note_rate()
         self._reschedule()

@@ -39,6 +39,7 @@ from ..memory.bandwidth import CoreContentionModel
 from ..metrics.trace import BUS, TenantThrottleEvent
 from ..sim.engine import Engine
 from ..sim.events import Event
+from ..sim.resources import TransferEvent
 
 __all__ = ["NvmPartition", "WeightedFairBus"]
 
@@ -174,7 +175,7 @@ class WeightedFairBus:
             raise SimulationError(f"unknown tenant {tenant!r} on {self.name}")
         if nbytes < 0:
             raise SimulationError("cannot transfer a negative byte count")
-        ev = self.engine.event(name=f"{self.name}.transfer({tenant},{nbytes:.0f})")
+        ev = TransferEvent(self, nbytes)
         if nbytes < _EPSILON_BYTES:
             ev.succeed(0.0)
             return ev

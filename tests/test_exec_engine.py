@@ -279,6 +279,12 @@ class TestGridDeterminism:
         assert warm.execution.cells_executed == 0
         assert warm.execution.cache_hits == 4
         assert warm.records == cold.records
+        # served in the key order they were produced in, so the CSV's
+        # first-seen columns — the whole file — do not depend on the cache
+        a, b = io.StringIO(), io.StringIO()
+        write_csv(cold.records, axes, a)
+        write_csv(warm.records, axes, b)
+        assert a.getvalue() == b.getvalue()
 
     def test_cache_keyed_by_config_executes_only_changed_cells(self, tmp_path):
         axes = parse_sweeps(["nvm-gbps=1.0,2.0"])

@@ -1,0 +1,180 @@
+"""The bandwidth resource's usage series, made on read from its rate
+log, must be the series the eager tracker wrote: ``EagerBandwidth``
+below notes a rate change the way the resource did before the log —
+walk the flows, ``record`` on the total and on every kind — and every
+seeded program must leave both with ``==`` sample lists, whenever the
+series are read."""
+
+import random
+
+import pytest
+
+from repro.errors import TransferCancelled
+from repro.sim.engine import Engine
+from repro.sim.resources import BandwidthResource, UtilizationTracker
+
+KINDS = ("app", "lckpt", "precopy", "rckpt", "restart")
+TAGS = tuple(f"r{rank}:{kind}" for rank in range(3) for kind in KINDS) + ("", "bare")
+
+
+class EagerBandwidth(BandwidthResource):
+    """The reference: every rate change is recorded on the spot."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.eager_total = UtilizationTracker()
+        self.eager_by_kind = {}
+
+    utilization = property(lambda self: self.eager_total)
+    utilization_by_kind = property(lambda self: self.eager_by_kind)
+
+    def _note_rate(self, now: float, n_flows: int, per_flow: float) -> None:
+        assert now == self.engine.now
+        self.eager_total.record(now, self.current_rate())
+        n = len(self._flows)
+        assert (n_flows, per_flow) == (n, self._flow_rate(n) if n else 0.0)
+        counts = {}
+        for f in self._flows.values():
+            counts[f.kind] = counts.get(f.kind, 0) + 1
+        for kind, tracker in self.eager_by_kind.items():
+            tracker.record(now, counts.pop(kind, 0) * per_flow)
+        for kind, count in counts.items():
+            tracker = UtilizationTracker()
+            tracker.record(now, count * per_flow)
+            self.eager_by_kind[kind] = tracker
+
+
+def make_resource(cls, engine: Engine, seed: int):
+    """One of six resource shapes; every third is so slow (100 B/s)
+    that one ulp of a rate is below the tracker's tolerance."""
+    capacity = 100.0 if seed % 3 == 2 else 2.0e9
+    shape = seed % 6
+    per_flow_cap = capacity * 0.4 if shape in (1, 2, 4) else None
+    capacity_fn = None
+    if shape in (3, 4, 5):
+        capacity_fn = lambda n: capacity / (1.0 + 0.07 * (n - 1))  # noqa: E731
+    return cls(engine, capacity, per_flow_cap=per_flow_cap, name="bus", capacity_fn=capacity_fn)
+
+
+def snapshot(bw):
+    return (
+        list(bw.utilization.samples),
+        [(kind, list(t.samples)) for kind, t in bw.utilization_by_kind.items()],
+    )
+
+
+def run_program(cls, seed: int, read_midway: bool):
+    """Run the seeded program on a *cls* resource; returns the series
+    snapshots taken (mid-run reads, then the end), the completion log
+    and the resource.  The program draws nothing from the resource, so
+    both classes see the same calls at the same times."""
+    rng = random.Random(seed)
+    engine = Engine()
+    bw = make_resource(cls, engine, seed)
+    second = bw.capacity  # bytes one lone uncapped flow moves per second
+    snapshots, finished = [], []
+
+    def size() -> float:
+        draw = rng.random()
+        if draw < 0.15:
+            return second * 1e-10  # dust: under a nanosecond even when shared
+        if draw < 0.25:
+            return 0.0
+        return second * rng.choice((0.05, 0.1, 0.1, 0.25, 0.5))
+
+    def worker(wid: int):
+        # back-to-back transfers: the next joins at the timestamp the
+        # previous one left at
+        tag = TAGS[wid % len(TAGS)]
+        for step in range(rng.randrange(3, 9)):
+            try:
+                took = yield bw.transfer(size(), tag=tag)
+                finished.append((wid, step, engine.now, took))
+            except TransferCancelled:
+                finished.append((wid, step, engine.now, None))
+            if rng.random() < 0.3:
+                yield engine.timeout(rng.choice((0.05, 0.1, 0.1, 0.2)))
+
+    def chaos():
+        for _ in range(rng.randrange(6, 14)):
+            yield engine.timeout(rng.choice((0.05, 0.1, 0.1, 0.15)))
+            for _ in range(rng.randrange(1, 4)):  # several ops at one timestamp
+                op = rng.randrange(7)
+                if op == 0:
+                    bw.cancel_tag(rng.choice(TAGS))
+                elif op == 1:
+                    kind = rng.choice(KINDS)
+                    bw.cancel_matching(lambda tag: tag.endswith(kind))
+                elif op == 2 and rng.random() < 0.3:
+                    bw.cancel_matching()
+                elif op in (3, 4):
+                    bw.transfer_many(
+                        [(size(), rng.choice(TAGS)) for _ in range(rng.randrange(1, 5))]
+                    )
+                elif op == 5:
+                    bw.transfer(size(), tag=rng.choice(TAGS))
+                elif read_midway:
+                    snapshots.append(snapshot(bw))
+
+    for wid in range(rng.randrange(2, 6)):
+        engine.process(worker(wid))
+    engine.process(chaos())
+    engine.run()
+    assert bw.active_flows == 0
+    snapshots.append(snapshot(bw))
+    snapshots.append(snapshot(bw))  # a second read changes nothing
+    return snapshots, finished, bw
+
+
+@pytest.mark.parametrize("read_midway", (False, True), ids=("read-at-end", "read-midway"))
+@pytest.mark.parametrize("seed", range(240))
+def test_series_equal_the_eager_reference(seed, read_midway):
+    got, got_finished, _ = run_program(BandwidthResource, seed, read_midway)
+    want, want_finished, _ = run_program(EagerBandwidth, seed, read_midway)
+    assert got_finished == want_finished
+    assert len(got) == len(want)
+    for (total, by_kind), (want_total, want_by_kind) in zip(got, want):
+        assert total == want_total
+        assert by_kind == want_by_kind  # same kinds, same order, same samples
+    assert got[-1] == got[-2]
+
+
+def test_programs_cover_what_they_claim():
+    """The seeds above do exercise cancels, the slow-rate regime and
+    same-timestamp notes that end where they started (the eager tracker
+    leaves a sample there that repeats its predecessor's value)."""
+    repeats = cancelled = slow = 0
+    for seed in range(240):
+        snaps, finished, bw = run_program(BandwidthResource, seed, False)
+        total = snaps[-1][0]
+        repeats += sum(1 for a, b in zip(total, total[1:]) if a[1] == b[1])
+        cancelled += sum(1 for *_, took in finished if took is None)
+        slow += not bw._merge_notes
+    assert repeats > 50 and cancelled > 50 and slow == 80
+
+
+@pytest.mark.parametrize("seed", [s for s in range(60) if s % 3 != 2])
+def test_unread_log_holds_one_note_per_timestamp(seed):
+    rng = random.Random(seed)
+    engine = Engine()
+    bw = make_resource(BandwidthResource, engine, seed)
+
+    def worker(tag):
+        for _ in range(20):
+            yield bw.transfer(bw.capacity * rng.choice((0.05, 0.1, 1e-10)), tag=tag)
+
+    for tag in TAGS[:4]:
+        engine.process(worker(tag))
+    engine.run()
+    times = [note[0] for note in bw._rate_log]
+    assert len(times) >= 10
+    assert len(times) == len(set(times))
+    # reading folds the log away and keeps one note to merge against
+    assert bw.utilization.samples
+    assert len(bw._rate_log) == 1
+
+
+def test_transfer_event_names_its_resource(engine):
+    bw = BandwidthResource(engine, 100.0, name="nvm0")
+    assert "nvm0.transfer(250)" in repr(bw.transfer(250.0))
+    assert "timeout(1.5)" in repr(engine.timeout(1.5))

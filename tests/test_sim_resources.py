@@ -1,5 +1,8 @@
 """Resources: FIFO resource, CPU cores, processor-sharing bandwidth."""
 
+import math
+import random
+
 import pytest
 
 from repro.errors import SimulationError, TransferCancelled
@@ -300,3 +303,53 @@ class TestUtilizationTracker:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             UtilizationTracker().windowed_series(0.0, 1.0)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_one_sweep_windows_equal_rescanned_integrals(self, seed):
+        """``windowed_series`` walks the samples once; every entry must
+        be, bit for bit, what integrating that window from scratch
+        gives (``rescanned_integral``: the scan from the first sample
+        that ``integral`` used to be)."""
+        rng = random.Random(seed)
+        tracker = UtilizationTracker()
+        window = rng.choice((0.25, 0.5, 1.0, 0.3))
+        at = rng.choice((0.0, 0.0, 2.75))  # first sample after some windows
+        for _ in range(rng.randrange(0, 40)):  # seed 0 and others: empty
+            # a third of the samples sit exactly on a window edge
+            at = math.ceil(at / window) * window if rng.random() < 0.33 else at
+            tracker.record(at, rng.choice((0.0, 1.0e9, 2.5e9, rng.random() * 3e9)))
+            at += rng.choice((0.001, 0.1, window, 0.37, 1.9))
+        t_start = rng.choice((0.0, 0.0, window, 0.4, 1.3))
+        t_end = rng.choice((at + 1.0, at + 0.123, at * 0.5, 2.5, 0.1))  # rarely a multiple
+        want = []
+        t = t_start
+        while t < t_end:
+            hi = min(t + window, t_end)
+            assert tracker.integral(t, hi) == rescanned_integral(tracker, t, hi)
+            want.append((t, rescanned_integral(tracker, t, hi) / window))
+            t += window
+        assert tracker.windowed_series(window, t_end, t_start) == want
+
+    def test_windows_before_the_first_sample_and_none_at_all(self):
+        tracker = UtilizationTracker()
+        assert tracker.windowed_series(1.0, 3.0) == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        assert tracker.windowed_series(1.0, 0.0) == []
+        tracker.record(10.0, 8.0)
+        assert tracker.windowed_series(1.0, 3.0) == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        assert tracker.windowed_series(4.0, 14.0, t_start=6.0) == [(6.0, 0.0), (10.0, 8.0)]
+
+
+def rescanned_integral(tracker, t0, t1):
+    if t1 <= t0 or not tracker.samples:
+        return 0.0
+    total = 0.0
+    prev_t, prev_v = t0, tracker.value_at(t0)
+    for t, v in tracker.samples:
+        if t <= t0:
+            continue
+        if t >= t1:
+            break
+        total += prev_v * (t - prev_t)
+        prev_t, prev_v = t, v
+    total += prev_v * (t1 - prev_t)
+    return total
