@@ -46,10 +46,13 @@ smoke-%:
 # every workload once at smoke size — simulated results must read
 # "fidelity: same" against the recorded reference — then its unit tests.
 # One test is deselected: it demands that every traced target listed in
-# perfbench/layers.py still resolve, and that list (not editable next to
-# a src/ change) still names the CheckpointEngine.plan_payload /
-# account_payload / publish_payload hooks the single copy step replaced;
-# the benchmark itself reports them under missing_targets and runs on.
+# perfbench/layers.py still resolve, and that list cannot be edited next
+# to a src/ change, so it still names the 46 callables the deletion PRs
+# 12-18 removed (payload trios, write_at/write_payload, collector
+# methods, ParallelExecutor.*, TimelineSink.handle, Timeline.begin/end,
+# resilient_put/get, ...).  The benchmark itself reports them under
+# missing_targets and runs on; a perfbench/-only change that regenerates
+# the list drops this deselect (ROADMAP item 6a).
 perf-smoke:
 	$(PYTHON) -m perfbench run --smoke
 	$(PYTHON) -m pytest perfbench/tests -q \

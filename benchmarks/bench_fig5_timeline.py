@@ -15,6 +15,8 @@ from repro.apps import SyntheticModel
 from repro.baselines import async_noprecopy_config, precopy_config
 from repro.metrics import Table
 from repro.metrics import timeline as tl
+from repro.metrics.timeline import Timeline
+from repro.metrics.trace import BUS
 from repro.units import GB_per_sec
 
 ITERS = 4
@@ -31,20 +33,23 @@ def app():
     )
 
 
+def observed(ckpt_config):
+    """One run and its phase timeline (a sink on the trace bus)."""
+    with BUS.capture(Timeline()) as timeline:
+        result = run_cluster(app(), ckpt_config, iterations=ITERS,
+                             nodes=NODES, ranks_per_node=RANKS,
+                             nvm_write_bandwidth=GB_per_sec(0.5))
+    return result, timeline
+
+
 def test_fig5_timing_diagrams(benchmark, report):
     def experiment():
-        pre = run_cluster(app(), precopy_config(30, 60), iterations=ITERS,
-                          nodes=NODES, ranks_per_node=RANKS,
-                          nvm_write_bandwidth=GB_per_sec(0.5))
-        nop = run_cluster(app(), async_noprecopy_config(30, 60), iterations=ITERS,
-                          nodes=NODES, ranks_per_node=RANKS,
-                          nvm_write_bandwidth=GB_per_sec(0.5))
-        return pre, nop
+        return observed(precopy_config(30, 60)), observed(async_noprecopy_config(30, 60))
 
-    pre, nop = once(benchmark, experiment)
+    (pre, pre_tl), (nop, nop_tl) = once(benchmark, experiment)
     actors = ["r0", "n0:helper"]
-    art_nop = nop.timeline.ascii_art(width=100, actors=actors)
-    art_pre = pre.timeline.ascii_art(width=100, actors=actors)
+    art_nop = nop_tl.ascii_art(width=100, actors=actors)
+    art_pre = pre_tl.ascii_art(width=100, actors=actors)
 
     table = Table(
         "Figure 5 — phase accounting (rank r0 + node-0 helper)",
@@ -52,12 +57,12 @@ def test_fig5_timing_diagrams(benchmark, report):
     )
     for label, kind in (("blocking local ckpt time (s)", tl.LOCAL_CKPT),):
         table.add_row(label,
-                      f"{nop.timeline.total(kind, actor='r0'):.2f}",
-                      f"{pre.timeline.total(kind, actor='r0'):.2f}")
+                      f"{nop_tl.total(kind, actor='r0'):.2f}",
+                      f"{pre_tl.total(kind, actor='r0'):.2f}")
     table.add_row(
         "remote stream phases",
-        nop.timeline.count(tl.REMOTE_PRECOPY),
-        pre.timeline.count(tl.REMOTE_PRECOPY),
+        nop_tl.count(tl.REMOTE_PRECOPY),
+        pre_tl.count(tl.REMOTE_PRECOPY),
     )
     table.add_row("total time (s)", f"{nop.total_time:.1f}", f"{pre.total_time:.1f}")
     report(
@@ -69,9 +74,9 @@ def test_fig5_timing_diagrams(benchmark, report):
 
     # shape: pre-copy shrinks the blocking L step and streams remotely
     assert (
-        pre.timeline.total(tl.LOCAL_CKPT, actor="r0")
-        < nop.timeline.total(tl.LOCAL_CKPT, actor="r0")
+        pre_tl.total(tl.LOCAL_CKPT, actor="r0")
+        < nop_tl.total(tl.LOCAL_CKPT, actor="r0")
     )
-    assert pre.timeline.count(tl.REMOTE_PRECOPY) > 0
-    assert nop.timeline.count(tl.REMOTE_PRECOPY) == 0
+    assert pre_tl.count(tl.REMOTE_PRECOPY) > 0
+    assert nop_tl.count(tl.REMOTE_PRECOPY) == 0
     assert pre.total_time <= nop.total_time

@@ -25,6 +25,8 @@ from repro.baselines import precopy_config
 from repro.cluster import Cluster, ClusterRunner, FailureEvent, ScriptedInjector
 from repro.config import ClusterConfig
 from repro.metrics import timeline as tl
+from repro.metrics.timeline import Timeline
+from repro.metrics.trace import BUS
 from repro.units import GB_per_sec
 
 ITERATIONS = 10
@@ -50,7 +52,9 @@ def main() -> None:
         print(f"  t={ev.time:>5.1f}s  node {ev.node}  {ev.kind}{extra}")
 
     runner = ClusterRunner(cluster, injector=ScriptedInjector(events))
-    result = runner.run(ITERATIONS)
+    # the phase timeline is a trace sink: attach it around the run
+    with BUS.capture(Timeline()) as timeline:
+        result = runner.run(ITERATIONS)
 
     print(f"\ncompleted {result.iterations} iterations in "
           f"{result.total_time:.1f}s (ideal {result.ideal_time:.0f}s)")
@@ -80,11 +84,11 @@ def main() -> None:
           f"{committed} chunks committed on the new buddy")
 
     print("\ntimeline (o=outage, D=degraded, s=resync, R=restart):")
-    actors = [a for a in result.timeline.actors() if a.startswith("n")]
-    print(result.timeline.ascii_art(width=96, actors=actors))
+    actors = [a for a in timeline.actors() if a.startswith("n")]
+    print(timeline.ascii_art(width=96, actors=actors))
     legend = {tl.OUTAGE: "outage", tl.DEGRADED: "degraded", tl.RESYNC: "resync"}
     for kind, label in legend.items():
-        total = result.timeline.total(kind)
+        total = timeline.total(kind)
         if total:
             print(f"  {label:>9}: {total:.1f}s total")
 

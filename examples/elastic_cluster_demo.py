@@ -22,6 +22,8 @@ fabric but no ranks) runs the grow/shrink-under-load story:
 Run:  python examples/elastic_cluster_demo.py
 """
 
+from repro.metrics.timeline import Timeline
+from repro.metrics.trace import BUS
 from repro.tools.elastic import (
     DRAIN_AT,
     EARLY_FAIL_AT,
@@ -50,7 +52,8 @@ def main() -> None:
     print(f"checkpoint-latency SLO: {slo:.3f}s "
           f"({SLO_HEADROOM}x the calibrated worst interval)\n")
 
-    cluster, runner, res = run_elastic(slo)
+    with BUS.capture(Timeline()) as timeline:
+        cluster, runner, res = run_elastic(slo)
     ctrl = runner.membership_controller
     guard = runner.slo_guard
 
@@ -81,8 +84,8 @@ def main() -> None:
     print(f"  incremental failover saved {saved:.0%} of the baseline's bytes")
 
     print("\ntimeline (o=outage, D=degraded, s=resync, m=migration, R=restart):")
-    actors = [a for a in res.timeline.actors() if a.startswith("n")]
-    print(res.timeline.ascii_art(width=96, actors=actors))
+    actors = [a for a in timeline.actors() if a.startswith("n")]
+    print(timeline.ascii_art(width=96, actors=actors))
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ from repro.apps import GTCModel
 from repro.baselines import async_noprecopy_config, precopy_config
 from repro.cluster import Cluster, ClusterRunner
 from repro.config import ClusterConfig
+from repro.metrics.timeline import Timeline
+from repro.metrics.trace import BUS
 from repro.units import GB_per_sec, to_GB
 
 ITERATIONS = 6
@@ -52,7 +54,8 @@ def main() -> None:
     ideal = run(precopy_config(40, 120), "ideal (no checkpointing)",
                 with_remote=False, local_checkpoints=False)
     nop = run(async_noprecopy_config(40, 120), "asynchronous no-pre-copy")
-    pre = run(precopy_config(40, 120), "NVM-checkpoints (pre-copy)")
+    with BUS.capture(Timeline()) as timeline:
+        pre = run(precopy_config(40, 120), "NVM-checkpoints (pre-copy)")
 
     print("\n=== comparison ===")
     print(f"efficiency  no-pre-copy : {ideal.total_time / nop.total_time:.3f}")
@@ -63,7 +66,7 @@ def main() -> None:
           f"{ovh_nop:.1f}% (no-pre-copy) — "
           f"{(1 - ovh_pre / ovh_nop) * 100:.0f}% less")
     print("\ntimeline (rank r0 + node-0 helper):")
-    print(pre.timeline.ascii_art(width=100, actors=["r0", "n0:helper"]))
+    print(timeline.ascii_art(width=100, actors=["r0", "n0:helper"]))
 
 
 if __name__ == "__main__":

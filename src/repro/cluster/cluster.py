@@ -14,7 +14,6 @@ from ..config import CheckpointConfig, ClusterConfig
 from ..core.destination import PfsDestination
 from ..core.remote import RemoteHelper
 from ..errors import ClusterError
-from ..metrics.timeline import Timeline
 from ..net.interconnect import Fabric
 from ..net.topology import Topology
 from ..sim.engine import Engine
@@ -39,7 +38,6 @@ class Cluster:
         self.rng = RngStreams(seed)
         self.topology = Topology(self.config.nodes, self.config.racks)
         self.fabric = Fabric(self.engine, self.config.nodes, self.config.interconnect)
-        self.timeline = Timeline()
         self.nodes: List[ClusterNode] = [
             ClusterNode(
                 i,
@@ -140,7 +138,6 @@ class Cluster:
                 self.ckpt_config,
                 fabric=self.fabric,
                 neighbors=neighbors,
-                timeline=self.timeline,
                 phantom=self._phantom,
                 destination_factory=destination_factory,
                 tenant=self._tenancy.get(f"r{rank_index}", ""),
@@ -159,7 +156,6 @@ class Cluster:
             self.nodes[buddy_id].ctx,
             [s.allocator for s in node.ranks],
             self.ckpt_config,
-            timeline=self.timeline,
             compression=self._compression,
             tenants={
                 s.rank: s.checkpointer.tenant

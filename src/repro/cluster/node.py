@@ -16,10 +16,9 @@ from ..alloc.nvmalloc import NVAllocator
 from ..apps.base import ApplicationModel, RankBinding
 from ..config import CheckpointConfig, NodeConfig
 from ..core.context import NodeContext, make_standalone_context
-from ..core.local import LocalCheckpointer
+from ..core.engine import LocalCheckpointer
 from ..core.remote import RemoteHelper
 from ..memory.persistence import InMemoryStore
-from ..metrics.timeline import Timeline
 from ..net.interconnect import Fabric
 from ..sim.engine import Engine
 
@@ -77,7 +76,6 @@ class ClusterNode:
         *,
         fabric: Optional[Fabric] = None,
         neighbors=(),
-        timeline: Optional[Timeline] = None,
         phantom: bool = True,
         destination_factory=None,
         tenant: str = "",
@@ -114,7 +112,6 @@ class ClusterNode:
                 if destination_factory is not None
                 else None
             ),
-            timeline=timeline,
             with_checksums=ckpt_config.checksums,
             tenant=tenant,
         )

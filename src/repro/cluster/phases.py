@@ -18,6 +18,7 @@ original.
 from __future__ import annotations
 
 from ..metrics import timeline as tl
+from ..metrics.trace import emit_phase
 from .failures import FailureEvent
 from .node import ClusterNode, RankState
 
@@ -32,7 +33,6 @@ __all__ = [
     "repair_orphan",
     "resync_proc",
     "start_migration",
-    "migration_proc",
     "recover_soft",
     "fetch_source_for",
     "recover_hard",
@@ -55,9 +55,7 @@ def segment(runner, state: RankState, iteration: int):
     global barrier, then the coordinated local checkpoint."""
     t0 = runner.cluster.engine.now
     yield from runner.app.compute_iteration(state.binding, iteration)
-    runner.cluster.timeline.record(
-        state.rank, tl.COMPUTE, t0, runner.cluster.engine.now
-    )
+    emit_phase(state.rank, tl.COMPUTE, t0, runner.cluster.engine.now)
     yield runner.barrier.wait()
     if runner.local_checkpoints:
         yield from state.checkpointer.checkpoint(blocking=False)
@@ -78,8 +76,7 @@ def apply_transient(runner, ev: FailureEvent) -> None:
     fabric.begin_outage(node_id)
     end = engine.now + ev.duration
     engine.call_at(end, lambda: fabric.end_outage(node_id))
-    if runner.cluster.timeline is not None:
-        runner.cluster.timeline.record(f"n{node_id}", tl.OUTAGE, engine.now, end)
+    emit_phase(f"n{node_id}", tl.OUTAGE, engine.now, end, t=engine.now)
 
 
 def handle_failure(runner, ev: FailureEvent, procs):
@@ -148,8 +145,7 @@ def handle_failure(runner, ev: FailureEvent, procs):
             else:
                 h.enqueue_all()
     runner.recovery_time += engine.now - t0
-    if runner.cluster.timeline is not None:
-        runner.cluster.timeline.record(f"n{ev.node}", tl.RESTART, t0, engine.now)
+    emit_phase(f"n{ev.node}", tl.RESTART, t0, engine.now)
 
 
 def buddy_capacity_ok(runner, orphan_id: int, candidate_id: int, pending=()) -> bool:
@@ -217,11 +213,7 @@ def repair_orphan(runner, orphan_id: int, new_buddy: int) -> None:
     if monitor is not None:
         monitor.retarget(new_buddy)
     rcfg = runner.ckpt_config.resilience
-    task = ResyncTask(
-        helper,
-        timeline=runner.cluster.timeline,
-        failure_limit=rcfg.resync_failure_limit,
-    )
+    task = ResyncTask(helper, failure_limit=rcfg.resync_failure_limit)
     runner._resyncing[orphan_id] = task
     runner._bg_procs.append(
         engine.process(
@@ -289,7 +281,6 @@ def start_migration(runner, plan, done) -> bool:
         runner.cluster.nodes[plan.to_buddy].ctx,
         batch_bytes=mcfg.batch_bytes,
         guard=runner.slo_guard,
-        timeline=runner.cluster.timeline,
         check_interval=mcfg.slo_check_interval,
         pace_fraction=mcfg.pace_fraction,
         failure_limit=mcfg.failure_limit,
@@ -299,16 +290,9 @@ def start_migration(runner, plan, done) -> bool:
     )
     runner._migrations.append(task)
     runner._bg_procs.append(
-        engine.process(
-            migration_proc(runner, task),
-            name=f"n{plan.node}:migrate->{plan.to_buddy}",
-        )
+        engine.process(task.run(), name=f"n{plan.node}:migrate->{plan.to_buddy}")
     )
     return True
-
-
-def migration_proc(runner, task):
-    yield from task.run()
 
 
 def recover_soft(runner, node: ClusterNode):
@@ -417,7 +401,6 @@ def recover_hard(runner, node: ClusterNode):
     if old_helper is not None:
         helper = cluster.attach_helper(node, buddy_id)
         helper.resilience = runner.transports.get(node.node_id)
-        helper.start_background()
         runner._bg_procs.append(
             engine.process(helper.run(), name=f"{helper.owner}:rounds")
         )

@@ -46,7 +46,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..config import FailureConfig, PrecopyPolicy
 from ..errors import ClusterError, ProcessKilled
-from ..metrics import timeline as tl
 from ..sim.rng import RngStreams
 from . import phases
 from .cluster import Cluster
@@ -179,8 +178,6 @@ class RunResult:
     #: deliberately NOT part of ``to_dict()`` so cached records, sweep
     #: CSVs and golden fixtures stay byte-identical across hosts.
     sim_events: int = 0
-
-    timeline: object = None
 
     @property
     def ideal_time(self) -> float:
@@ -434,7 +431,6 @@ class ClusterRunner:
                     self.tuners.append(tuner.attach())
         for node in self.cluster.active_nodes:
             if node.helper is not None:
-                node.helper.start_background()
                 self._bg_procs.append(
                     engine.process(node.helper.run(), name=f"{node.helper.owner}:rounds")
                 )
@@ -474,7 +470,6 @@ class ClusterRunner:
                 clock=lambda: engine.now,
                 normal_interval=self.ckpt_config.local_interval,
                 solve_interval=self._make_degraded_solver(nid),
-                timeline=self.cluster.timeline,
                 on_enter=self._make_interval_hook(nid),
                 on_exit=self._make_interval_hook(nid),
             )
@@ -713,7 +708,6 @@ class ClusterRunner:
             total_time=engine.now if self._end_time is None else self._end_time,
             compute_per_iteration=self.app.iteration_compute_time,
             sim_events=engine.events_processed,
-            timeline=cluster.timeline,
         )
         # local
         all_stats = [s for state in ranks for s in state.checkpointer.history]

@@ -8,7 +8,7 @@
 * :mod:`~repro.core.copystep` — the one chunk-copy step (plan ->
   move -> land) every copy site runs;
 * :mod:`~repro.core.precopy` — the background chunk pre-copy engine;
-* :mod:`~repro.core.local` — coordinated local checkpoints (shadow
+* :mod:`~repro.core.engine` — coordinated local checkpoints (shadow
   buffering + two-version commit);
 * :mod:`~repro.core.remote` — the per-node asynchronous helper doing
   remote (buddy-node) pre-copy checkpoints over RDMA;
@@ -40,8 +40,7 @@ from .destination import (
     RamdiskDestination,
 )
 from .precopy import PrecopyEngine
-from .engine import CheckpointEngine, CheckpointStats
-from .local import LocalCheckpointer
+from .engine import CheckpointEngine, CheckpointStats, LocalCheckpointer
 from .remote import RemoteCheckpointStats, RemoteHelper, RemoteTarget
 from .restart import RestartManager, RestartReport
 from .scrub import Scrubber, ScrubReport

@@ -39,10 +39,8 @@ from ..alloc.nvmalloc import NVAllocator, genid
 from ..config import CheckpointConfig, NodeConfig, PrecopyPolicy
 from ..errors import UnknownChunkId
 from ..memory.persistence import PersistentStore
-from ..metrics.timeline import Timeline
 from .context import NodeContext, make_standalone_context
-from .engine import CheckpointStats
-from .local import LocalCheckpointer
+from .engine import CheckpointStats, LocalCheckpointer
 from .restart import RestartManager, RestartReport
 
 __all__ = ["NVMCheckpoint"]
@@ -66,7 +64,6 @@ class NVMCheckpoint:
         self.pid = pid
         self.config = checkpoint_config or CheckpointConfig()
         self.ctx = ctx or make_standalone_context(config=node_config, store=store, name=f"{pid}-node")
-        self.timeline = Timeline()
         self.allocator = NVAllocator(
             pid,
             self.ctx.nvmm,
@@ -79,7 +76,6 @@ class NVMCheckpoint:
             self.ctx,
             self.allocator,
             self.config.precopy,
-            timeline=self.timeline,
             with_checksums=self.config.checksums,
         )
 
@@ -239,8 +235,7 @@ class NVMCheckpoint:
         handle.ctx = ctx or make_standalone_context(
             config=node_config, store=store, name=f"{pid}-node"
         )
-        handle.timeline = Timeline()
-        manager = RestartManager(handle.ctx, timeline=handle.timeline)
+        manager = RestartManager(handle.ctx)
         report = manager.restart_process_sync(
             pid, two_versions=handle.config.two_versions, lazy=lazy
         )
@@ -250,7 +245,6 @@ class NVMCheckpoint:
             handle.ctx,
             handle.allocator,
             handle.config.precopy,
-            timeline=handle.timeline,
             with_checksums=handle.config.checksums,
         )
         return handle, report

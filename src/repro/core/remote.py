@@ -40,13 +40,12 @@ from ..config import CheckpointConfig
 from ..errors import CheckpointError, TransferCancelled, TransferFailed
 from ..faults.crashpoints import fire
 from ..metrics import timeline as tl
-from ..metrics.timeline import Timeline
-from ..metrics.trace import BUS, FailoverEvent
+from ..metrics.trace import BUS, FailoverEvent, emit_phase
 from ..net.interconnect import Fabric
 from ..net.rdma import rdma_put
 from ..sim.events import Event
 from ..units import usec
-from .codec import DEFAULT_BLOCK, BlockStore, Payload, blocks_of_extents
+from .codec import Payload, blocks_of_extents
 from .context import NodeContext
 from .copystep import CopyPlan, CopyStep
 from .destination import Destination, validate_extents
@@ -113,11 +112,6 @@ class RemoteTarget(Destination):
         #: raced writes land too; the codec publish path derives the
         #: digest coverage from this, not from its pre-transfer plan.
         self.last_staged_runs: Optional[List[Tuple[int, int]]] = None
-
-    def ensure_block_store(self, block: int = DEFAULT_BLOCK) -> BlockStore:
-        """One digest index per target, so same-named chunks of
-        different source ranks can never alias."""
-        return super().ensure_block_store(block)
 
     def codec_slots(self, chunk: Chunk) -> Tuple[int, int]:
         """(in-progress slot, committed base slot) for codec planning."""
@@ -332,7 +326,6 @@ class RemoteHelper:
         ranks: List[NVAllocator],
         config: Optional[CheckpointConfig] = None,
         *,
-        timeline: Optional[Timeline] = None,
         compression=None,
         resilience=None,
         tenants: Optional[Dict[str, str]] = None,
@@ -344,7 +337,6 @@ class RemoteHelper:
         self.buddy_ctx = buddy_ctx
         self.ranks = ranks
         self.config = config or CheckpointConfig()
-        self.timeline = timeline
         #: optional ResilientTransport: sends go through retry/backoff
         #: instead of one-shot RDMA (duck-typed to avoid an import
         #: cycle with repro.resilience)
@@ -657,10 +649,6 @@ class RemoteHelper:
         else:
             self.enqueue_all()
 
-    def start_background(self) -> None:
-        """The stream runs inside :meth:`run`; nothing extra to spawn.
-        Kept for interface symmetry with the local checkpointer."""
-
     def stop(self) -> None:
         self._stop = True
         self._kick()
@@ -745,8 +733,6 @@ class RemoteHelper:
             chunk.dirty_remote = False
             self.stream_bytes += plan.nbytes
             self.stream_chunks += 1
-            if self.timeline is not None:
-                self.timeline.record(self.owner, tl.REMOTE_PRECOPY, t0, engine.now)
             # pacing: never run faster than pace_rate on average
             target_duration = plan.nbytes / self.pace_rate
             elapsed = engine.now - t0
@@ -775,8 +761,6 @@ class RemoteHelper:
         commit.  Returns :class:`RemoteCheckpointStats`."""
         engine = self.ctx.engine
         stats = RemoteCheckpointStats(start=engine.now)
-        if self.timeline is not None:
-            self.timeline.begin(self.owner, tl.REMOTE_CKPT, engine.now)
         try:
             fire("remote.round.begin", node=self.node_id)
             for alloc in self.ranks:
@@ -825,8 +809,7 @@ class RemoteHelper:
                 flush_cost = target.commit()
                 yield engine.timeout(flush_cost)
         finally:
-            if self.timeline is not None:
-                self.timeline.end(self.owner, tl.REMOTE_CKPT, engine.now)
+            emit_phase(self.owner, tl.REMOTE_CKPT, stats.start, engine.now)
         stats.end = engine.now
         self.history.append(stats)
         return stats

@@ -31,7 +31,7 @@ from ..errors import (
 )
 from ..faults.crashpoints import fire
 from ..metrics import timeline as tl
-from ..metrics.timeline import Timeline
+from ..metrics.trace import emit_phase
 from ..net.interconnect import Fabric
 from ..net.rdma import rdma_get
 from .codec import BlockStore, block_digests
@@ -80,14 +80,12 @@ class RestartManager:
         *,
         fabric: Optional[Fabric] = None,
         node_id: Optional[int] = None,
-        timeline: Optional[Timeline] = None,
         resilience=None,
         fetch_extent_bytes: Optional[int] = None,
     ) -> None:
         self.ctx = ctx
         self.fabric = fabric
         self.node_id = node_id
-        self.timeline = timeline
         #: optional ResilientTransport: remote fetches retry/back off
         #: instead of failing on the first cancelled flow
         self.resilience = resilience
@@ -200,8 +198,6 @@ class RestartManager:
         """
         engine = self.ctx.engine
         report = RestartReport(pid=pid, start=engine.now)
-        if self.timeline is not None:
-            self.timeline.begin(pid, tl.RESTART, engine.now)
         try:
             alloc = NVAllocator.restart(
                 pid,
@@ -267,8 +263,7 @@ class RestartManager:
             report.allocator = alloc
             fire("restart.done", pid=pid, allocator=alloc)
         finally:
-            if self.timeline is not None:
-                self.timeline.end(pid, tl.RESTART, engine.now)
+            emit_phase(pid, tl.RESTART, report.start, engine.now)
         report.end = engine.now
         return report
 
@@ -357,8 +352,6 @@ class RestartManager:
         report = RestartReport(pid=pid, start=engine.now)
         if self.fabric is None or self.node_id is None:
             raise NoCheckpointAvailable("remote restart requires a fabric and node id")
-        if self.timeline is not None:
-            self.timeline.begin(pid, tl.RESTART, engine.now)
         try:
             names = remote_target.committed_chunks()
             if not names:
@@ -408,7 +401,6 @@ class RestartManager:
             report.allocator = alloc
             fire("restart.done", pid=pid, allocator=alloc)
         finally:
-            if self.timeline is not None:
-                self.timeline.end(pid, tl.RESTART, engine.now)
+            emit_phase(pid, tl.RESTART, report.start, engine.now)
         report.end = engine.now
         return report

@@ -26,11 +26,9 @@ from typing import List, Optional
 from ..alloc.nvmalloc import NVAllocator
 from ..config import PrecopyPolicy
 from ..errors import CheckpointError
-from ..metrics.timeline import Timeline
 from ..units import MiB, align_up
 from .context import NodeContext
-from .engine import CheckpointStats
-from .local import LocalCheckpointer
+from .engine import CheckpointStats, LocalCheckpointer
 
 __all__ = ["TransparentCheckpointer"]
 
@@ -56,7 +54,6 @@ class TransparentCheckpointer:
         *,
         two_versions: bool = True,
         page_tracking: bool = False,
-        timeline: Optional[Timeline] = None,
     ) -> None:
         if address_space_bytes <= 0:
             raise CheckpointError("address space must be non-empty")
@@ -89,9 +86,7 @@ class TransparentCheckpointer:
             mode=PrecopyPolicy.NONE,
             granularity="page" if page_tracking else "chunk",
         )
-        self._ck = LocalCheckpointer(
-            ctx, self._alloc, policy, timeline=timeline, tag=f"{pid}:xparent"
-        )
+        self._ck = LocalCheckpointer(ctx, self._alloc, policy, tag=f"{pid}:xparent")
         if page_tracking:
             # incremental transparent checkpointing re-protects the
             # whole space after every snapshot; the next interval's

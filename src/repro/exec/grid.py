@@ -153,13 +153,6 @@ class GridSpec:
             derive_seeds=derive_seeds,
         )
 
-    @property
-    def n_cells(self) -> int:
-        n = 1
-        for _, values in self.axes:
-            n *= len(values)
-        return n
-
 
 @dataclass
 class ExecutionReport:

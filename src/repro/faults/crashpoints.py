@@ -98,7 +98,7 @@ def all_points(layer: Optional[str] = None) -> List[CrashPoint]:
 # The canonical crash-point set.
 # ---------------------------------------------------------------------------
 
-# -- coordinated local checkpoint (core/local.py) ---------------------------
+# -- coordinated local checkpoint (core/engine.py) ---------------------------
 register("local.begin", LAYER_LOCAL,
          "coordinated step entered; pre-copy paused and drained")
 register("local.copy.before", LAYER_LOCAL,

@@ -1,12 +1,19 @@
 """Phase timelines: who did what when (compute / local checkpoint /
 remote checkpoint / pre-copy / restart), reproducing the timing
 diagrams of Figures 1 and 5 as data.
+
+A :class:`Timeline` is a trace sink: attach it around a run
+(``with BUS.capture(Timeline()) as tl:``) or feed it the events of a
+captured trace (``for e in events: tl.handle(e)``) — both give the same
+phases.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
+
+from .trace import ChunkCopiedEvent, PhaseEvent, TraceEvent, TraceSink
 
 __all__ = ["Phase", "Timeline"]
 
@@ -42,29 +49,28 @@ class Phase:
         return self.end - self.start
 
 
-class Timeline:
+class Timeline(TraceSink):
     """Append-only phase log with per-actor/per-kind aggregation."""
 
     def __init__(self) -> None:
         self.phases: List[Phase] = []
-        self._open: Dict[Tuple[str, str], float] = {}
 
     # -- recording ------------------------------------------------------------
+
+    def handle(self, event: TraceEvent) -> None:
+        """``phase`` events are the spans; pre-copy spans are the
+        ``chunk.copied`` spans of the pre-copy phase (local stream ->
+        ``precopy``, remote stream -> ``remote_precopy``)."""
+        if isinstance(event, PhaseEvent):
+            self.record(event.actor, event.phase, event.start, event.end)
+        elif isinstance(event, ChunkCopiedEvent) and event.phase == "precopy":
+            kind = REMOTE_PRECOPY if event.stream == "remote" else PRECOPY
+            self.record(event.actor, kind, event.start, event.t)
 
     def record(self, actor: str, kind: str, start: float, end: float) -> None:
         if end < start:
             raise ValueError(f"phase ends before it starts: {start} > {end}")
         self.phases.append(Phase(actor, kind, start, end))
-
-    def begin(self, actor: str, kind: str, now: float) -> None:
-        """Open a phase; close it with :meth:`end`."""
-        self._open[(actor, kind)] = now
-
-    def end(self, actor: str, kind: str, now: float) -> None:
-        start = self._open.pop((actor, kind), None)
-        if start is None:
-            raise ValueError(f"no open phase {kind!r} for actor {actor!r}")
-        self.record(actor, kind, start, now)
 
     # -- aggregation --------------------------------------------------------------
 

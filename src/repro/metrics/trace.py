@@ -7,7 +7,9 @@ and failovers — emits a typed event to a process-global
 
 * :class:`RingBufferSink` — bounded in-memory tail for tests/debugging;
 * :class:`JsonlSink` — newline-delimited JSON stream (``bench --trace``);
-* :class:`CounterSink` — event/decision counters (bench baseline record).
+* :class:`CounterSink` — event/decision counters (bench baseline record);
+* :class:`~repro.metrics.timeline.Timeline` — the Fig. 1/5 phase log,
+  built from ``phase`` and ``chunk.copied`` events.
 
 Emission with zero sinks attached is a single truthiness check, so the
 simulation hot path pays nothing when tracing is off.  The bus is
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import (
     Any,
     Callable,
@@ -57,6 +59,8 @@ __all__ = [
     "TenantPreemptEvent",
     "TenantThrottleEvent",
     "TenantSloEvent",
+    "PhaseEvent",
+    "emit_phase",
     "TraceSink",
     "RingBufferSink",
     "JsonlSink",
@@ -84,7 +88,11 @@ __all__ = [
 #: new ``tenant.admission`` / ``tenant.preempt`` / ``tenant.throttle``
 #: / ``tenant.slo`` kinds.  Old records parse unchanged (the field
 #: defaults to ``""``), so the 3->4 step needs no upgrader.
-TRACE_VERSION = 4
+#: Version 5 added the ``phase`` kind (closed per-actor phase spans:
+#: compute, local/remote checkpoint, restart, degraded, re-sync,
+#: migration, outage); every version-4 kind is unchanged, so the 4->5
+#: step needs no upgrader.
+TRACE_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +338,18 @@ class TenantSloEvent(TraceEvent):
     target: float = 0.0
 
 
+@dataclass(frozen=True)
+class PhaseEvent(TraceEvent):
+    """One closed interval of activity by one actor (a Fig. 1/5 bar):
+    *phase* is a :mod:`repro.metrics.timeline` phase name, *t* the time
+    of emission — the span's end, except for a scheduled outage, whose
+    end is known when it begins."""
+
+    phase: str
+    start: float
+    end: float
+
+
 _KINDS: Dict[type, str] = {
     PolicyDecisionEvent: "policy.decision",
     ChunkCopiedEvent: "chunk.copied",
@@ -348,6 +368,7 @@ _KINDS: Dict[type, str] = {
     TenantPreemptEvent: "tenant.preempt",
     TenantThrottleEvent: "tenant.throttle",
     TenantSloEvent: "tenant.slo",
+    PhaseEvent: "phase",
 }
 
 #: kind -> event class (the reader's inverse of :data:`_KINDS`)
@@ -385,9 +406,9 @@ _UPGRADERS: Dict[int, Callable[[Dict[str, Any]], Dict[str, Any]]] = {
 def event_from_record(record: Dict[str, Any]) -> TraceEvent:
     """Rebuild the typed event from one Jsonl record.
 
-    Unknown kinds and unknown fields raise :class:`ConfigError` — a
-    trace that does not round-trip losslessly must never be silently
-    replayed.
+    Unknown kinds, unknown fields and missing required fields raise
+    :class:`ConfigError` — a trace that does not round-trip losslessly
+    must never be silently replayed.
     """
     rec = dict(record)
     kind = rec.pop("kind", None)
@@ -405,7 +426,16 @@ def event_from_record(record: Dict[str, Any]) -> TraceEvent:
             f"{sorted(unknown)} (schema drift? re-capture the trace or "
             f"register an upgrader)"
         )
-    return cls(**rec)
+    try:
+        return cls(**rec)
+    except TypeError:
+        # every key is a known field, so only a missing one is left
+        missing = [
+            f.name for f in fields(cls) if f.default is MISSING and f.name not in rec
+        ]
+        raise ConfigError(
+            f"trace record of kind {kind!r} lacks required fields {missing}"
+        ) from None
 
 
 def read_trace(
@@ -437,7 +467,8 @@ def read_trace(
             "--trace / experiment --trace write the header)"
         )
     version = header.get("trace_version")
-    if not (isinstance(version, int) and _OLDEST_VERSION <= version <= TRACE_VERSION):
+    # type() not isinstance(): JSON `true` is an int to isinstance
+    if not (type(version) is int and _OLDEST_VERSION <= version <= TRACE_VERSION):
         raise ConfigError(
             f"trace_version {version!r} is not "
             f"supported (reader speaks {TRACE_VERSION} and no upgrade "
@@ -448,13 +479,24 @@ def read_trace(
     ]
     meta = header.get("meta") or {}
     events: List[TraceEvent] = []
-    for line in target:
+    for lineno, line in enumerate(target, start=2):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(
+                f"trace line {lineno} is not valid JSON ({exc}); a torn "
+                f"last line means the capturing run was killed mid-write"
+            ) from None
+        if not isinstance(rec, dict):
+            raise ConfigError(f"trace line {lineno} is not a JSON object")
         for upgrade in upgraders:
             rec = upgrade(rec)
-        events.append(event_from_record(rec))
+        try:
+            events.append(event_from_record(rec))
+        except ConfigError as exc:
+            raise ConfigError(f"trace line {lineno}: {exc}") from None
     return meta, events
 
 
@@ -616,3 +658,20 @@ class TraceBus:
 
 #: the process-global bus every pipeline layer emits to
 BUS = TraceBus()
+
+
+def emit_phase(
+    actor: str, phase: str, start: float, end: float, *, t: Optional[float] = None
+) -> None:
+    """Publish one closed phase span (nothing is built with no sink
+    attached).  *t* is the emission time when it is not the span end."""
+    if BUS.active:
+        BUS.emit(
+            PhaseEvent(
+                t=end if t is None else t,
+                actor=str(actor),
+                phase=phase,
+                start=start,
+                end=end,
+            )
+        )

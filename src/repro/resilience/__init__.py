@@ -5,9 +5,9 @@ completes; this package turns the failure *schedule* the injector
 produces into failure *behaviour* the runtime tolerates:
 
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy` plus
-  ``resilient_put``/``resilient_get``: deadline + capped exponential
-  backoff with jitter from named RNG streams, per-attempt stall
-  timeouts that cancel and re-issue flows;
+  :class:`ResilientTransport` ``put``/``get``: deadline + capped
+  exponential backoff with jitter from named RNG streams, per-attempt
+  stall timeouts that cancel and re-issue flows;
 * :mod:`~repro.resilience.health` — per-node :class:`HealthMonitor`
   DES process heartbeating the buddy, detecting a dead or unreachable
   peer mid-interval;
@@ -30,13 +30,7 @@ from .directory import BuddyDirectory
 from .health import HealthMonitor
 from .migration import MigrationPlan, MigrationPlanner, MigrationTask, SloGuard
 from .resync import ResyncTask
-from .retry import (
-    ResilientTransport,
-    RetryPolicy,
-    TransferStats,
-    resilient_get,
-    resilient_put,
-)
+from .retry import ResilientTransport, RetryPolicy, TransferStats
 
 __all__ = [
     "BuddyDirectory",
@@ -51,6 +45,4 @@ __all__ = [
     "SloGuard",
     "TransferStats",
     "degraded_local_interval",
-    "resilient_get",
-    "resilient_put",
 ]

@@ -14,8 +14,8 @@ of the outage.  Once a re-sync to a healthy buddy completes (or the
 transient outage heals), two-level operation and the original interval
 are restored.
 
-Spans are recorded on the :class:`~repro.metrics.timeline.Timeline`
-(kind ``degraded``, actor ``n<id>``) and counted for metrics.
+Each closed span is published as a ``phase`` trace event (phase
+``degraded``, actor ``n<id>``) and counted for metrics.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from ..metrics import timeline as tl
-from ..metrics.timeline import Timeline
+from ..metrics.trace import emit_phase
 from ..models.notation import ModelParams
 from ..models.optimal import optimal_local_interval
 
@@ -96,7 +96,6 @@ class DegradedModeController:
         clock: Callable[[], float],
         normal_interval: float,
         solve_interval: Optional[Callable[[], float]] = None,
-        timeline: Optional[Timeline] = None,
         on_enter: Optional[Callable[[float], None]] = None,
         on_exit: Optional[Callable[[float], None]] = None,
     ) -> None:
@@ -107,7 +106,6 @@ class DegradedModeController:
         #: computes the degraded interval; defaults to half the normal
         #: interval when no model inputs are available
         self._solve = solve_interval or (lambda: max(1.0, normal_interval / 2.0))
-        self.timeline = timeline
         self.on_enter = on_enter
         self.on_exit = on_exit
         self.active = False
@@ -131,8 +129,6 @@ class DegradedModeController:
             DegradedSpan(start=now, reason=reason, interval=self.degraded_interval)
         )
         self.stats.entries += 1
-        if self.timeline is not None:
-            self.timeline.begin(self.actor, tl.DEGRADED, now)
         if self.on_enter is not None:
             self.on_enter(self.degraded_interval)
         return True
@@ -147,14 +143,13 @@ class DegradedModeController:
         span.end = now
         self.stats.exits += 1
         self.stats.total_time += span.duration
-        if self.timeline is not None:
-            self.timeline.end(self.actor, tl.DEGRADED, now)
+        emit_phase(self.actor, tl.DEGRADED, span.start, now)
         if self.on_exit is not None:
             self.on_exit(self.normal_interval)
         return True
 
     def finalize(self) -> None:
-        """Close a still-open span at job end (keeps the timeline and
+        """Close a still-open span at job end (keeps the trace and
         totals consistent if the run finishes degraded)."""
         if self.active:
             self.exit()

@@ -39,13 +39,13 @@ from ..core.remote import RemoteTarget
 from ..errors import TransferCancelled, TransferFailed
 from ..faults.crashpoints import fire
 from ..metrics import timeline as tl
-from ..metrics.timeline import Timeline
 from ..metrics.trace import (
     BUS,
     MigrationAbortEvent,
     MigrationBatchEvent,
     MigrationCutoverEvent,
     MigrationPlannedEvent,
+    emit_phase,
 )
 
 __all__ = ["MigrationPlan", "MigrationPlanner", "SloGuard", "MigrationTask"]
@@ -256,7 +256,6 @@ class MigrationTask:
         *,
         batch_bytes: int,
         guard: Optional[SloGuard] = None,
-        timeline: Optional[Timeline] = None,
         check_interval: float = 2.0,
         pace_fraction: float = 0.5,
         failure_limit: int = 10,
@@ -269,7 +268,6 @@ class MigrationTask:
         self.to_ctx = to_ctx
         self.batch_bytes = batch_bytes
         self.guard = guard
-        self.timeline = timeline
         self.check_interval = check_interval
         self.pace_fraction = pace_fraction
         self.failure_limit = failure_limit
@@ -485,8 +483,8 @@ class MigrationTask:
                 self.on_cutover(self)
         finally:
             self.end = engine.now
-            if self.timeline is not None and self.end > self.start:
-                self.timeline.record(helper.owner, tl.MIGRATION, self.start, self.end)
+            if self.end > self.start:
+                emit_phase(helper.owner, tl.MIGRATION, self.start, self.end)
         return self
 
     @property

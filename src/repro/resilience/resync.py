@@ -25,8 +25,7 @@ from typing import Callable, Optional
 
 from ..errors import TransferCancelled, TransferFailed
 from ..metrics import timeline as tl
-from ..metrics.timeline import Timeline
-from ..metrics.trace import BUS, ResyncAbortedEvent
+from ..metrics.trace import BUS, ResyncAbortedEvent, emit_phase
 
 __all__ = ["ResyncTask"]
 
@@ -38,14 +37,12 @@ class ResyncTask:
         self,
         helper,
         *,
-        timeline: Optional[Timeline] = None,
         failure_limit: int = 25,
         retry_pause: float = 2.0,
         on_complete: Optional[Callable[["ResyncTask"], None]] = None,
         on_abort: Optional[Callable[["ResyncTask"], None]] = None,
     ) -> None:
         self.helper = helper
-        self.timeline = timeline
         #: consecutive send failures before the task gives up
         self.failure_limit = failure_limit
         #: pause after a failed send before trying the next chunk
@@ -137,10 +134,8 @@ class ResyncTask:
             self.completed = True
         finally:
             self.end = engine.now
-            # record (not begin/end): overlapping stale/fresh tasks for
-            # one helper must not race on the timeline's open-phase map
-            if self.timeline is not None and self.end > self.start:
-                self.timeline.record(helper.owner, tl.RESYNC, self.start, self.end)
+            if self.end > self.start:
+                emit_phase(helper.owner, tl.RESYNC, self.start, self.end)
             # only the task owning the current pairing unpauses
             if not self._stale():
                 helper.resume_rounds()

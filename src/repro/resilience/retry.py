@@ -1,7 +1,7 @@
 """Retrying wrappers around :func:`rdma_put`/:func:`rdma_get`.
 
 A resilient transfer is a *generator* (multi-step DES fragment, used as
-``yield from resilient_put(...)``) that re-issues the underlying RDMA
+``yield from transport.put(...)``) that re-issues the underlying RDMA
 operation until it completes, the attempt budget runs out, or the
 deadline passes:
 
@@ -27,23 +27,18 @@ peer is gone" rather than "one flow tore down".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from ..errors import TransferCancelled, TransferFailed
 from ..metrics.trace import BUS, RetryEvent
 from ..net.interconnect import Fabric
 from ..net.rdma import cancel_rdma, rdma_get, rdma_put
+from ..sim.events import Event
 from ..sim.resources import BandwidthResource
 from ..sim.rng import RngStreams
 
-__all__ = [
-    "RetryPolicy",
-    "TransferStats",
-    "ResilientTransport",
-    "resilient_put",
-    "resilient_get",
-]
+__all__ = ["RetryPolicy", "TransferStats", "ResilientTransport"]
 
 
 @dataclass(frozen=True)
@@ -111,195 +106,6 @@ class TransferStats:
     retried_bytes: float = 0.0
     backoff_time: float = 0.0
 
-    def merge(self, other: "TransferStats") -> None:
-        for f in (
-            "transfers",
-            "delivered",
-            "retries",
-            "timeouts",
-            "cancelled",
-            "abandoned",
-            "retried_bytes",
-            "backoff_time",
-        ):
-            setattr(self, f, getattr(self, f) + getattr(other, f))
-
-
-@dataclass
-class _Counter:
-    """Shared attempt-sequence counter (unique tags across a node)."""
-
-    value: int = 0
-
-    def next(self) -> int:
-        self.value += 1
-        return self.value
-
-
-def _resilient(
-    op,
-    cancel_bus_side: str,
-    fabric: Fabric,
-    src: int,
-    dst: int,
-    nbytes: float,
-    *,
-    tag: str,
-    policy: RetryPolicy,
-    rng: RngStreams,
-    stream: str,
-    stats: Optional[TransferStats] = None,
-    nvm_bus: Optional[BandwidthResource] = None,
-    nvm_bytes: Optional[float] = None,
-    seq: Optional[_Counter] = None,
-):
-    """Common body of :func:`resilient_put`/:func:`resilient_get`.
-
-    *nvm_bytes* (optional) decouples the NVM-bus volume from the wire
-    volume — compressed sends move fewer bytes over the fabric than
-    they land on the buddy's NVM.  Cancellation is by tag, so stalled
-    attempts tear down both flows regardless of their byte counts."""
-    engine = fabric.engine
-    seq = seq or _Counter()
-    stats = stats if stats is not None else TransferStats()
-    stats.transfers += 1
-    start = engine.now
-    for attempt in range(policy.max_attempts):
-        # every attempt gets a unique prefix so a stall can cancel
-        # exactly this attempt's flows; aggregation by tag *suffix*
-        # (endswith ":kind") is unaffected
-        attempt_tag = f"a{seq.next()}~{tag}"
-        failed = False
-        fail_reason = ""
-        try:
-            op_kwargs = {cancel_bus_side: nvm_bus}
-            if nvm_bytes is not None:
-                op_kwargs[cancel_bus_side.replace("_bus", "_bytes")] = nvm_bytes
-            ev = op(fabric, src, dst, nbytes, tag=attempt_tag, **op_kwargs)
-            if policy.timeout is not None:
-                idx, _ = yield engine.any_of([ev, engine.timeout(policy.timeout)])
-                if idx == 1:
-                    # stalled: tear the attempt's flows down precisely
-                    # (unique tag) so a fresh attempt can be issued
-                    cancel_rdma(fabric, src, dst, attempt_tag, nvm_bus=nvm_bus)
-                    stats.timeouts += 1
-                    failed = True
-                    fail_reason = "timeout"
-            else:
-                yield ev
-        except TransferCancelled:
-            stats.cancelled += 1
-            failed = True
-            fail_reason = "cancelled"
-        if not failed:
-            stats.delivered += 1
-            return engine.now - start
-        elapsed = engine.now - start
-        out_of_budget = (
-            attempt + 1 >= policy.max_attempts
-            or (policy.deadline is not None and elapsed >= policy.deadline)
-        )
-        if out_of_budget:
-            stats.abandoned += 1
-            raise TransferFailed(
-                f"transfer {tag!r} n{src}->n{dst} gave up after "
-                f"{attempt + 1} attempts ({elapsed:.1f}s elapsed)",
-                src=src,
-                dst=dst,
-                tag=tag,
-                attempts=attempt + 1,
-                elapsed=elapsed,
-            )
-        delay = policy.backoff_delay(attempt, rng, stream)
-        stats.retries += 1
-        stats.retried_bytes += nbytes
-        stats.backoff_time += delay
-        if BUS.active:
-            BUS.emit(
-                RetryEvent(
-                    t=engine.now,
-                    actor=f"n{src}",
-                    target=f"n{dst}",
-                    attempt=attempt + 1,
-                    delay=delay,
-                    reason=fail_reason,
-                )
-            )
-        if delay > 0:
-            yield engine.timeout(delay)
-
-
-def resilient_put(
-    fabric: Fabric,
-    src: int,
-    dst: int,
-    nbytes: float,
-    *,
-    tag: str = "",
-    policy: RetryPolicy,
-    rng: RngStreams,
-    stream: str = "resilience.backoff",
-    stats: Optional[TransferStats] = None,
-    dst_nvm_bus: Optional[BandwidthResource] = None,
-    dst_nvm_bytes: Optional[float] = None,
-    seq: Optional[_Counter] = None,
-):
-    """Retrying :func:`rdma_put` (generator; ``yield from`` it).
-    Returns the elapsed transfer time on success; raises
-    :class:`TransferFailed` when the policy budget is exhausted."""
-    return (
-        yield from _resilient(
-            rdma_put,
-            "dst_nvm_bus",
-            fabric,
-            src,
-            dst,
-            nbytes,
-            tag=tag,
-            policy=policy,
-            rng=rng,
-            stream=stream,
-            stats=stats,
-            nvm_bus=dst_nvm_bus,
-            nvm_bytes=dst_nvm_bytes,
-            seq=seq,
-        )
-    )
-
-
-def resilient_get(
-    fabric: Fabric,
-    src: int,
-    dst: int,
-    nbytes: float,
-    *,
-    tag: str = "",
-    policy: RetryPolicy,
-    rng: RngStreams,
-    stream: str = "resilience.backoff",
-    stats: Optional[TransferStats] = None,
-    src_nvm_bus: Optional[BandwidthResource] = None,
-    seq: Optional[_Counter] = None,
-):
-    """Retrying :func:`rdma_get` (generator; ``yield from`` it)."""
-    return (
-        yield from _resilient(
-            rdma_get,
-            "src_nvm_bus",
-            fabric,
-            src,
-            dst,
-            nbytes,
-            tag=tag,
-            policy=policy,
-            rng=rng,
-            stream=stream,
-            stats=stats,
-            nvm_bus=src_nvm_bus,
-            seq=seq,
-        )
-    )
-
 
 class ResilientTransport:
     """Per-node bundle of (policy, RNG stream, stats, tag sequence)
@@ -322,37 +128,118 @@ class ResilientTransport:
         self.policy = policy or RetryPolicy()
         self.stream = f"resilience.backoff.n{node_id}"
         self.stats = TransferStats()
-        self._seq = _Counter()
+        #: attempt sequence: unique tags across the node
+        self._seq = 0
 
     def put(
         self, fabric, src, dst, nbytes, *, tag="", dst_nvm_bus=None, dst_nvm_bytes=None
     ):
-        return resilient_put(
-            fabric,
-            src,
-            dst,
-            nbytes,
-            tag=tag,
-            policy=self.policy,
-            rng=self.rng,
-            stream=self.stream,
-            stats=self.stats,
-            dst_nvm_bus=dst_nvm_bus,
-            dst_nvm_bytes=dst_nvm_bytes,
-            seq=self._seq,
-        )
+        """Retrying :func:`rdma_put` (generator; ``yield from`` it).
+        Returns the elapsed transfer time on success; raises
+        :class:`TransferFailed` when the policy budget is exhausted.
+
+        *dst_nvm_bytes* (optional) decouples the NVM-bus volume from
+        the wire volume — compressed sends move fewer bytes over the
+        fabric than they land on the buddy's NVM."""
+
+
+        def issue(attempt_tag: str) -> Event:
+            return rdma_put(
+                fabric,
+                src,
+                dst,
+                nbytes,
+                tag=attempt_tag,
+                dst_nvm_bus=dst_nvm_bus,
+                dst_nvm_bytes=dst_nvm_bytes,
+            )
+
+        return self._attempts(issue, fabric, src, dst, nbytes, tag, dst_nvm_bus)
 
     def get(self, fabric, src, dst, nbytes, *, tag="", src_nvm_bus=None):
-        return resilient_get(
-            fabric,
-            src,
-            dst,
-            nbytes,
-            tag=tag,
-            policy=self.policy,
-            rng=self.rng,
-            stream=self.stream,
-            stats=self.stats,
-            src_nvm_bus=src_nvm_bus,
-            seq=self._seq,
-        )
+        """Retrying :func:`rdma_get` (generator; ``yield from`` it)."""
+
+
+        def issue(attempt_tag: str) -> Event:
+            return rdma_get(
+                fabric, src, dst, nbytes, tag=attempt_tag, src_nvm_bus=src_nvm_bus
+            )
+
+        return self._attempts(issue, fabric, src, dst, nbytes, tag, src_nvm_bus)
+
+    def _attempts(
+        self,
+        issue: Callable[[str], Event],
+        fabric: Fabric,
+        src: int,
+        dst: int,
+        nbytes: float,
+        tag: str,
+        nvm_bus: Optional[BandwidthResource],
+    ):
+        """The one attempt loop behind :meth:`put`/:meth:`get`: *issue*
+        starts the RDMA operation under the attempt's tag.  Cancellation
+        is by tag, so a stalled attempt tears down both its flows (the
+        fabric's and *nvm_bus*'s) regardless of their byte counts."""
+        engine = fabric.engine
+        policy, stats = self.policy, self.stats
+        stats.transfers += 1
+        start = engine.now
+        for attempt in range(policy.max_attempts):
+            # every attempt gets a unique prefix so a stall can cancel
+            # exactly this attempt's flows; aggregation by tag *suffix*
+            # (endswith ":kind") is unaffected
+            self._seq += 1
+            attempt_tag = f"a{self._seq}~{tag}"
+            fail_reason = ""
+            try:
+                ev = issue(attempt_tag)
+                if policy.timeout is not None:
+                    idx, _ = yield engine.any_of([ev, engine.timeout(policy.timeout)])
+                    if idx == 1:
+                        # stalled: tear the attempt's flows down precisely
+                        # (unique tag) so a fresh attempt can be issued
+                        cancel_rdma(fabric, src, dst, attempt_tag, nvm_bus=nvm_bus)
+                        stats.timeouts += 1
+                        fail_reason = "timeout"
+                else:
+                    yield ev
+            except TransferCancelled:
+                stats.cancelled += 1
+                fail_reason = "cancelled"
+            if not fail_reason:
+                stats.delivered += 1
+                return engine.now - start
+            elapsed = engine.now - start
+            out_of_budget = (
+                attempt + 1 >= policy.max_attempts
+                or (policy.deadline is not None and elapsed >= policy.deadline)
+            )
+            if out_of_budget:
+                stats.abandoned += 1
+                raise TransferFailed(
+                    f"transfer {tag!r} n{src}->n{dst} gave up after "
+                    f"{attempt + 1} attempts ({elapsed:.1f}s elapsed)",
+                    src=src,
+                    dst=dst,
+                    tag=tag,
+                    attempts=attempt + 1,
+                    elapsed=elapsed,
+                )
+            delay = policy.backoff_delay(attempt, self.rng, self.stream)
+            stats.retries += 1
+            stats.retried_bytes += nbytes
+            stats.backoff_time += delay
+            if BUS.active:
+                BUS.emit(
+                    RetryEvent(
+                        t=engine.now,
+                        actor=f"n{src}",
+                        target=f"n{dst}",
+                        attempt=attempt + 1,
+                        delay=delay,
+                        reason=fail_reason,
+                    )
+                )
+            if delay > 0:
+                yield engine.timeout(delay)

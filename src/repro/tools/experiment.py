@@ -23,15 +23,20 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import nullcontext
 
 from ..exec.cell import build_parser, result_to_dict, run_experiment
+from ..metrics.timeline import Timeline
+from ..metrics.trace import BUS
 
 __all__ = ["main"]
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    result = run_experiment(args)
+    # the phase timeline observes the run like any other trace sink
+    with BUS.capture(Timeline()) if args.timeline else nullcontext() as timeline:
+        result = run_experiment(args)
     summary = result_to_dict(result)
 
     print(f"{summary['app']} x{summary['n_ranks']} ranks, policy={summary['policy']}"
@@ -56,7 +61,7 @@ def main(argv=None) -> int:
     if args.timeline:
         actors = ["r0"]
         helpers = ["n0:helper"] if rem["rounds"] else []
-        print("\n" + result.timeline.ascii_art(width=100, actors=actors + helpers))
+        print("\n" + timeline.ascii_art(width=100, actors=actors + helpers))
     if args.json:
         payload = json.dumps(summary, indent=2)
         if args.json == "-":

@@ -171,13 +171,17 @@ def pinned_grid_records() -> list:
     return report.records
 
 
-def trace_digest(argv: list) -> dict:
-    """Event count and blake2b digest of one cell's trace stream."""
+def trace_digest(argv: list, *, without_kinds=()) -> dict:
+    """Event count and blake2b digest of one cell's trace stream
+    (*without_kinds*: event kinds left out — how a PR that only *adds*
+    a kind proves the rest of the stream did not move)."""
     from repro.exec.grid import run_grid
 
     buf = io.StringIO()
     run_grid(argv, None, workers=1, cache=None, trace=buf, derive_seeds=False)
     lines = buf.getvalue().splitlines(keepends=True)[1:]  # [0] is the header
+    if without_kinds:
+        lines = [ln for ln in lines if json.loads(ln)["kind"] not in without_kinds]
     digest = hashlib.blake2b("".join(lines).encode("utf-8"), digest_size=16)
     return {"events": len(lines), "blake2b": digest.hexdigest()}
 

@@ -15,6 +15,8 @@ from repro.baselines import precopy_config
 from repro.cluster import Cluster, ClusterRunner, FailureEvent, ScriptedInjector
 from repro.config import ClusterConfig
 from repro.metrics import timeline as tl
+from repro.metrics.timeline import Timeline
+from repro.metrics.trace import BUS
 from repro.units import GB_per_sec
 
 
@@ -49,9 +51,13 @@ def flap_then_buddy_death():
 
 
 def run_scenario(events, iters=10, seed=5):
+    """Returns ``(cluster, runner, result, timeline)``; the timeline
+    observes the run from the trace bus like any other sink."""
     cluster = build_cluster(seed=seed)
     runner = ClusterRunner(cluster, injector=ScriptedInjector(events))
-    return cluster, runner, runner.run(iters)
+    with BUS.capture(Timeline()) as timeline:
+        res = runner.run(iters)
+    return cluster, runner, res, timeline
 
 
 class TestTransientPlusHardFailure:
@@ -60,30 +66,30 @@ class TestTransientPlusHardFailure:
         return run_scenario(flap_then_buddy_death())
 
     def test_run_completes(self, scenario):
-        cluster, runner, res = scenario
+        cluster, runner, res, timeline = scenario
         assert res.iterations == 10
         assert res.transient_failures == 1
         assert res.hard_failures == 1
 
     def test_transient_outage_recorded_and_retried(self, scenario):
-        cluster, runner, res = scenario
-        assert res.timeline.total(tl.OUTAGE, "n1") == pytest.approx(6.0)
+        cluster, runner, res, timeline = scenario
+        assert timeline.total(tl.OUTAGE, "n1") == pytest.approx(6.0)
         # in-flight transfers torn down by the flap were re-issued
         assert res.transfer_retries >= 1
         # and every retried transfer was eventually delivered
         assert res.transfers_abandoned == 0
 
     def test_degraded_span_ends_before_completion(self, scenario):
-        cluster, runner, res = scenario
+        cluster, runner, res, timeline = scenario
         assert res.degraded_entries >= 1
         assert res.degraded_time_total > 0
-        spans = [p for p in res.timeline.phases if p.kind == tl.DEGRADED]
+        spans = [p for p in timeline.phases if p.kind == tl.DEGRADED]
         assert spans
         assert all(p.end < res.total_time for p in spans)
         assert res.degraded_time_total < res.total_time
 
     def test_orphan_repaired_cross_rack_and_resynced(self, scenario):
-        cluster, runner, res = scenario
+        cluster, runner, res, timeline = scenario
         # node 0 (buddy was node 1) re-pairs to node 3: healthy, other rack
         assert res.buddy_repairs >= 1
         assert runner.directory.repairs[0][:2] == (0, 1)
@@ -91,10 +97,10 @@ class TestTransientPlusHardFailure:
         assert cluster.nodes[0].helper.buddy_id == 3
         assert res.resyncs_completed >= 1
         assert res.resync_bytes > 0
-        assert res.timeline.total(tl.RESYNC) > 0
+        assert timeline.total(tl.RESYNC) > 0
 
     def test_protection_restored_at_end(self, scenario):
-        cluster, runner, res = scenario
+        cluster, runner, res, timeline = scenario
         # the re-paired helper holds committed copies on the new buddy
         helper = cluster.nodes[0].helper
         for target in helper.targets.values():
@@ -104,7 +110,7 @@ class TestTransientPlusHardFailure:
         assert res.buddy_down_detections >= 1
 
     def test_failures_cost_time(self, scenario):
-        cluster, runner, res = scenario
+        cluster, runner, res, timeline = scenario
         clean_cluster = build_cluster()
         clean = ClusterRunner(clean_cluster).run(10)
         assert res.total_time > clean.total_time
@@ -113,13 +119,11 @@ class TestTransientPlusHardFailure:
 
 class TestDeterminism:
     def test_identical_results_and_timelines(self):
-        _, _, a = run_scenario(flap_then_buddy_death())
-        _, _, b = run_scenario(flap_then_buddy_death())
+        _, _, a, tla = run_scenario(flap_then_buddy_death())
+        _, _, b, tlb = run_scenario(flap_then_buddy_death())
         da, db = a.to_dict(), b.to_dict()
         assert da == db
-        pa = [(p.actor, p.kind, p.start, p.end) for p in a.timeline.phases]
-        pb = [(p.actor, p.kind, p.start, p.end) for p in b.timeline.phases]
-        assert pa == pb
+        assert tla.phases and tla.phases == tlb.phases
 
     def test_retry_jitter_follows_the_seed(self):
         from repro.resilience import RetryPolicy
@@ -140,7 +144,7 @@ class TestRestartAfterDegraded:
             FailureEvent(time=58.0, node=1, kind="hard"),
             FailureEvent(time=130.0, node=0, kind="hard"),
         ]
-        cluster, runner, res = run_scenario(events, iters=12)
+        cluster, runner, res, _ = run_scenario(events, iters=12)
         assert res.iterations == 12
         assert res.hard_failures == 2
         assert cluster.nodes[0].helper.buddy_id == 3
@@ -156,13 +160,13 @@ class TestRestartAfterDegraded:
             FailureEvent(time=22.0, node=2, kind="transient", duration=4.0),
             FailureEvent(time=41.0, node=2, kind="transient", duration=6.0),
         ]
-        cluster, runner, res = run_scenario(events, iters=8)
+        cluster, runner, res, timeline = run_scenario(events, iters=8)
         assert res.iterations == 8
         assert res.transient_failures == 2
         assert res.hard_failures == 0
         assert res.iterations_recomputed == 0  # no rollback for flaps
         assert res.transfers_abandoned == 0
-        assert res.timeline.total(tl.OUTAGE, "n2") == pytest.approx(10.0)
+        assert timeline.total(tl.OUTAGE, "n2") == pytest.approx(10.0)
         # protection fully restored once the link healed
         for target in cluster.nodes[2].helper.targets.values():
             assert target.committed_chunks()

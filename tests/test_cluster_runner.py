@@ -124,10 +124,12 @@ class TestAccountingDetails:
         assert 0 < res.helper_utilization < 1
 
     def test_timeline_attached(self):
-        res = run_small(precopy_config(20, 60))
-        from repro.metrics.timeline import LOCAL_CKPT
+        from repro.metrics.timeline import LOCAL_CKPT, Timeline
+        from repro.metrics.trace import BUS
 
-        assert res.timeline.count(LOCAL_CKPT) == res.local_checkpoints
+        with BUS.capture(Timeline()) as timeline:
+            res = run_small(precopy_config(20, 60))
+        assert timeline.count(LOCAL_CKPT) == res.local_checkpoints
 
     def test_checkpoint_overhead_fraction(self):
         res = run_small(async_noprecopy_config(20, 60), iters=4)

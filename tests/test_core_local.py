@@ -8,13 +8,14 @@ from repro.alloc import NVAllocator
 from repro.config import PrecopyPolicy
 from repro.core import LocalCheckpointer, make_standalone_context
 from repro.metrics.timeline import Timeline, LOCAL_CKPT
+from repro.metrics.trace import BUS
 from repro.units import MB
 
 
-def make_rig(mode="dcpcp", phantom=True, timeline=None):
+def make_rig(mode="dcpcp", phantom=True):
     ctx = make_standalone_context(name="lc")
     alloc = NVAllocator("p0", ctx.nvmm, ctx.dram, phantom=phantom, clock=lambda: ctx.engine.now)
-    ck = LocalCheckpointer(ctx, alloc, PrecopyPolicy(mode=mode), timeline=timeline)
+    ck = LocalCheckpointer(ctx, alloc, PrecopyPolicy(mode=mode))
     return ctx, alloc, ck
 
 
@@ -193,9 +194,9 @@ class TestIntervalBookkeeping:
         assert seen == [1]
 
     def test_timeline_records_phase(self):
-        tl = Timeline()
-        ctx, alloc, ck = make_rig(timeline=tl)
+        ctx, alloc, ck = make_rig()
         alloc.nvalloc("a", MB(10))
-        ck.checkpoint()
+        with BUS.capture(Timeline()) as tl:
+            ck.checkpoint()
         assert tl.count(LOCAL_CKPT, actor="p0") == 1
         assert tl.total(LOCAL_CKPT) > 0

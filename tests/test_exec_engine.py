@@ -230,7 +230,7 @@ class TestGrid:
         from_specs = GridSpec.of(BASE, THREE_AXES)  # "name=v1,v2" strings
         from_pairs = GridSpec.of(BASE, parse_sweeps(THREE_AXES))
         assert from_specs == from_pairs
-        assert from_specs.n_cells == 8
+        assert len(expand_grid(from_specs)) == 8
         assert expand_grid(from_specs) == expand_grid(BASE, parse_sweeps(THREE_AXES))
 
     def test_cell_seeds_are_derived_and_stable(self):

@@ -15,10 +15,16 @@ is a regression.
 from __future__ import annotations
 
 import importlib.util
+import io
 import json
 import os
 
 import pytest
+
+from repro.exec.grid import run_grid
+from repro.metrics import timeline as tl
+from repro.metrics.timeline import Timeline
+from repro.metrics.trace import BUS, read_trace
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -98,3 +104,64 @@ def test_trace_stream_matches_golden(cell):
     stored = _fixture("trace_digests.json")
     assert sorted(stored) == sorted(gen.TRACE_CELLS)
     assert gen.trace_digest(gen.TRACE_CELLS[cell]) == stored[cell]
+
+
+#: ``trace_digests.json`` as committed before trace v5 added the
+#: ``phase`` kind (ISSUE 18): the stream minus its ``phase`` records
+#: must still hash to these, i.e. the PR only *added* records
+PRE_PHASE_DIGESTS = {
+    "compress-ratio-0.6": {"blake2b": "e48f0c59f2c3634d9b87c9da02fac3de", "events": 1640},
+    "dcpcp-remote-precopy": {"blake2b": "8fe7fc2de6d04f41e8f3572c7f41398b", "events": 752},
+    "gtc-small-chunks-96": {"blake2b": "737341b676c32d20df5f295a1411a3da", "events": 1798},
+    "none-no-remote": {"blake2b": "ecd9a1828a707d23729f10bb0e31276d", "events": 504},
+    "page-codec-auto": {"blake2b": "b91af96c0f89819e1f83422fb1fd7543", "events": 1206},
+    "synthetic-failures": {"blake2b": "725f5c301080737d80b24cc3198d10eb", "events": 2398},
+}
+
+
+@pytest.mark.parametrize("cell", sorted(gen.TRACE_CELLS))
+def test_trace_stream_minus_phase_records_is_the_v4_stream(cell):
+    filtered = gen.trace_digest(gen.TRACE_CELLS[cell], without_kinds=("phase",))
+    assert filtered == PRE_PHASE_DIGESTS[cell]
+
+
+def _observed_cell(cell: str):
+    """Run one golden cell with a live :class:`Timeline` attached and a
+    Jsonl trace streamed next to it; returns ``(live, trace_buffer)``."""
+    buf = io.StringIO()
+    with BUS.capture(Timeline()) as live:
+        run_grid(
+            gen.TRACE_CELLS[cell], None, workers=1, cache=None, trace=buf,
+            derive_seeds=False,
+        )
+    buf.seek(0)
+    return live, buf
+
+
+def test_timeline_from_a_captured_trace_equals_the_live_timeline():
+    """A captured trace alone redraws Fig. 5: feeding ``read_trace``'s
+    events to a fresh Timeline gives the live one, phase for phase — on
+    the cell where restart, re-sync, degraded spans and remote rounds
+    all happen."""
+    live, buf = _observed_cell("synthetic-failures")
+    _, events = read_trace(buf)
+    replayed = Timeline()
+    for event in events:
+        replayed.handle(event)
+    assert replayed.phases == live.phases
+    for kind in (
+        tl.COMPUTE, tl.LOCAL_CKPT, tl.REMOTE_CKPT, tl.PRECOPY,
+        tl.REMOTE_PRECOPY, tl.RESTART, tl.DEGRADED, tl.RESYNC,
+    ):
+        assert live.count(kind) > 0, kind
+
+
+@pytest.mark.parametrize(
+    "cell, hidden", [("dcpcp-remote-precopy", True), ("none-no-remote", False)]
+)
+def test_local_precopy_overlaps_compute_only_when_the_policy_precopies(cell, hidden):
+    """Fig. 5's point as a number: DCPCP hides copy time under compute,
+    the naive mode has nothing to hide."""
+    live, _ = _observed_cell(cell)
+    overlap = live.overlap(tl.COMPUTE, tl.PRECOPY)
+    assert (overlap > 0) if hidden else (overlap == 0)

@@ -23,17 +23,6 @@ class TestTimeline:
         assert t.total(tl.COMPUTE, actor="r0") == pytest.approx(10.0)
         assert t.count(tl.LOCAL_CKPT) == 1
 
-    def test_begin_end_pairs(self):
-        t = Timeline()
-        t.begin("r0", tl.COMPUTE, 1.0)
-        t.end("r0", tl.COMPUTE, 4.0)
-        assert t.total(tl.COMPUTE) == pytest.approx(3.0)
-
-    def test_end_without_begin_rejected(self):
-        t = Timeline()
-        with pytest.raises(ValueError):
-            t.end("r0", tl.COMPUTE, 1.0)
-
     def test_negative_duration_rejected(self):
         t = Timeline()
         with pytest.raises(ValueError):

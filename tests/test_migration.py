@@ -32,6 +32,7 @@ from repro.cluster import (
 from repro.config import ClusterConfig, MigrationConfig
 from repro.faults.crashpoints import FaultInjector, all_points, install
 from repro.metrics import timeline as tl
+from repro.metrics.timeline import Timeline
 from repro.metrics.trace import BUS
 from repro.net.topology import Topology
 from repro.resilience import BuddyDirectory, MigrationPlanner, SloGuard
@@ -52,8 +53,13 @@ TEST_SLO = 0.25
 
 class TestElasticScenario:
     @pytest.fixture(scope="class")
-    def elastic(self):
-        return run_elastic(TEST_SLO)
+    def elastic_observed(self):
+        with BUS.capture(Timeline()) as timeline:
+            return run_elastic(TEST_SLO), timeline
+
+    @pytest.fixture(scope="class")
+    def elastic(self, elastic_observed):
+        return elastic_observed[0]
 
     @pytest.fixture(scope="class")
     def baseline(self):
@@ -69,8 +75,8 @@ class TestElasticScenario:
         assert ctrl.moves_failed == 0
         assert ctrl.plans_issued == ctrl.moves_completed == 1
 
-    def test_join_offloads_overloaded_buddy_onto_newcomer(self, elastic):
-        cluster, runner, res = elastic
+    def test_join_offloads_overloaded_buddy_onto_newcomer(self, elastic_observed):
+        (cluster, runner, res), timeline = elastic_observed
         # the early failure re-paired node 1 onto node 0 (two sources);
         # the join move rebalanced node 1's copies onto newcomer 4
         assert (1, 0, 4) in runner.directory.migrations
@@ -79,7 +85,7 @@ class TestElasticScenario:
         assert res.migration_bytes > 0
         # bounded batches: a 40 MB footprint through 8 MB batches
         assert res.migration_batches >= 5
-        assert res.timeline.total(tl.MIGRATION) > 0
+        assert timeline.total(tl.MIGRATION) > 0
 
     def test_drained_node_departed(self, elastic):
         cluster, runner, res = elastic

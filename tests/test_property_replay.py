@@ -29,6 +29,7 @@ from repro.metrics.trace import (
     CommitEvent,
     FailoverEvent,
     JsonlSink,
+    PhaseEvent,
     PolicyDecisionEvent,
     RetryEvent,
     event_from_record,
@@ -103,9 +104,17 @@ autotune_events = st.builds(
     reason=st.sampled_from(["bandit", "nudge"]),
     reward=st.floats(-1e6, 0.0, allow_nan=False),
 )
+phase_events = st.builds(
+    PhaseEvent,
+    t=times,
+    actor=actors,
+    phase=st.sampled_from(["compute", "local_ckpt", "remote_ckpt", "restart"]),
+    start=times,
+    end=times,
+)
 any_event = st.one_of(
     decision_events, copy_events, commit_events,
-    retry_events, failover_events, autotune_events,
+    retry_events, failover_events, autotune_events, phase_events,
 )
 event_streams = st.lists(any_event, max_size=60)
 

@@ -26,6 +26,7 @@ from repro.errors import (
 )
 from repro.metrics import timeline as tl
 from repro.metrics.timeline import Timeline
+from repro.metrics.trace import BUS
 from repro.models.notation import ModelParams
 from repro.net import Fabric
 from repro.net.rdma import rdma_put
@@ -37,9 +38,7 @@ from repro.resilience import (
     ResilientTransport,
     ResyncTask,
     RetryPolicy,
-    TransferStats,
     degraded_local_interval,
-    resilient_put,
 )
 from repro.sim import Engine
 from repro.sim.rng import RngStreams
@@ -86,7 +85,7 @@ class TestRetryPolicy:
 
 
 # ---------------------------------------------------------------------------
-# resilient_put / ResilientTransport
+# ResilientTransport
 # ---------------------------------------------------------------------------
 
 
@@ -112,12 +111,10 @@ class TestResilientTransfers:
         engine_b = Engine()
         fabric_b = Fabric(engine_b, 2)
         rng = RngStreams(7)
+        transport = ResilientTransport(0, rng, RetryPolicy())
 
         def resilient():
-            yield from resilient_put(
-                fabric_b, 0, 1, MB(64), tag="r0:rckpt",
-                policy=RetryPolicy(), rng=rng,
-            )
+            yield from transport.put(fabric_b, 0, 1, MB(64), tag="r0:rckpt")
             done["res"] = engine_b.now
 
         run_proc(engine_b, resilient())
@@ -125,24 +122,24 @@ class TestResilientTransfers:
         # the success path consumes no RNG draws
         fresh = RngStreams(7)
         assert (
-            rng.stream("resilience.backoff").random()
-            == fresh.stream("resilience.backoff").random()
+            rng.stream(transport.stream).random()
+            == fresh.stream(transport.stream).random()
         )
 
     def test_retries_through_an_outage(self):
         engine = Engine()
         fabric = Fabric(engine, 2)
-        rng = RngStreams(3)
-        stats = TransferStats()
+        transport = ResilientTransport(
+            0, RngStreams(3), RetryPolicy(base_delay=0.5, max_delay=4.0)
+        )
+        stats = transport.stats
         fabric.begin_outage(1)
         engine.call_at(5.0, lambda: fabric.end_outage(1))
         got = {}
 
         def proc():
-            got["elapsed"] = yield from resilient_put(
-                fabric, 0, 1, MB(8), tag="r0:rckpt",
-                policy=RetryPolicy(base_delay=0.5, max_delay=4.0),
-                rng=rng, stats=stats,
+            got["elapsed"] = yield from transport.put(
+                fabric, 0, 1, MB(8), tag="r0:rckpt"
             )
 
         p = run_proc(engine, proc())
@@ -157,14 +154,13 @@ class TestResilientTransfers:
         engine = Engine()
         fabric = Fabric(engine, 2)
         fabric.begin_outage(1)  # never heals
-        stats = TransferStats()
+        transport = ResilientTransport(
+            0, RngStreams(1), RetryPolicy(max_attempts=3, base_delay=0.1, jitter=0.0)
+        )
+        stats = transport.stats
 
         def proc():
-            yield from resilient_put(
-                fabric, 0, 1, MB(8), tag="r0:rckpt",
-                policy=RetryPolicy(max_attempts=3, base_delay=0.1, jitter=0.0),
-                rng=RngStreams(1), stats=stats,
-            )
+            yield from transport.put(fabric, 0, 1, MB(8), tag="r0:rckpt")
 
         p = run_proc(engine, proc())
         assert not p.ok
@@ -177,18 +173,17 @@ class TestResilientTransfers:
     def test_stall_timeout_cancels_and_reissues(self):
         engine = Engine()
         fabric = Fabric(engine, 2)
-        stats = TransferStats()
+        transport = ResilientTransport(
+            0,
+            RngStreams(1),
+            RetryPolicy(max_attempts=2, base_delay=0.05, jitter=0.0, timeout=0.2),
+        )
+        stats = transport.stats
         # a ~1 s transfer against a 0.2 s per-attempt stall timeout
         nbytes = fabric.config.effective_bandwidth * 1.0
 
         def proc():
-            yield from resilient_put(
-                fabric, 0, 1, nbytes, tag="r0:rckpt",
-                policy=RetryPolicy(
-                    max_attempts=2, base_delay=0.05, jitter=0.0, timeout=0.2
-                ),
-                rng=RngStreams(1), stats=stats,
-            )
+            yield from transport.put(fabric, 0, 1, nbytes, tag="r0:rckpt")
 
         p = run_proc(engine, proc())
         assert not p.ok
@@ -417,7 +412,7 @@ class TestDegradedInterval:
 
 
 class TestDegradedModeController:
-    def make(self, timeline=None):
+    def make(self):
         clock = {"now": 0.0}
         applied = []
         ctrl = DegradedModeController(
@@ -425,18 +420,17 @@ class TestDegradedModeController:
             clock=lambda: clock["now"],
             normal_interval=40.0,
             solve_interval=lambda: 10.0,
-            timeline=timeline,
             on_enter=lambda i: applied.append(("enter", i)),
             on_exit=lambda i: applied.append(("exit", i)),
         )
         return ctrl, clock, applied
 
     def test_enter_exit_span_and_hooks(self):
-        timeline = Timeline()
-        ctrl, clock, applied = self.make(timeline)
-        assert ctrl.enter("buddy-failed")
-        clock["now"] = 25.0
-        assert ctrl.exit()
+        ctrl, clock, applied = self.make()
+        with BUS.capture(Timeline()) as timeline:
+            assert ctrl.enter("buddy-failed")
+            clock["now"] = 25.0
+            assert ctrl.exit()
         assert ctrl.degraded_time == 25.0
         assert ctrl.entries == 1
         assert applied == [("enter", 10.0), ("exit", 40.0)]
@@ -496,10 +490,10 @@ class TestResyncTask:
         engine, src, dst, fabric, alloc, ck, helper = make_helper_world()
         self.prime(engine, alloc, ck)
         helper.enqueue_all()
-        timeline = Timeline()
-        task = ResyncTask(helper, timeline=timeline)
+        task = ResyncTask(helper)
         p = engine.process(task.run())
-        engine.run()
+        with BUS.capture(Timeline()) as timeline:
+            engine.run()
         assert p.ok
         assert task.completed and not task.aborted
         assert task.chunks_sent == 2
@@ -547,8 +541,6 @@ class TestResyncTask:
         assert helper.queued_bytes > 0
 
     def test_failure_limit_abort_escalates(self):
-        from repro.metrics.trace import BUS
-
         engine, src, dst, fabric, alloc, ck, helper = make_helper_world()
         self.prime(engine, alloc, ck)
         helper.enqueue_all()

@@ -140,3 +140,18 @@ class TestLayering:
     )
     def test_one_destination_data_plane_method(self, needle):
         assert [str(rel) for rel, text in _sources() if needle in text] == []
+
+    def test_phase_timeline_is_observed_from_the_bus_not_threaded(self):
+        """A Timeline is a trace sink: nothing below the CLI builds one
+        or passes one down."""
+        allowed = {str(Path("metrics") / "timeline.py"), str(Path("tools") / "experiment.py")}
+        # `x.timeline` the attribute, not `metrics.timeline` the module
+        for needle in (r"timeline=", r"(?<!metrics)(?<=[\w)\]])\.timeline\b"):
+            holders = {str(rel) for rel, text in _sources() if re.search(needle, text)}
+            assert holders <= allowed, needle
+        builders = {str(rel) for rel, text in _sources() if "Timeline(" in text}
+        assert builders == allowed  # the class statement and the one caller
+
+    @pytest.mark.parametrize("needle", ["resilient_put(", "resilient_get(", "core.local"])
+    def test_deleted_second_ways_stay_deleted(self, needle):
+        assert [str(rel) for rel, text in _sources() if needle in text] == []

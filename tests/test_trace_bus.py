@@ -17,6 +17,7 @@ import pytest
 from repro.alloc import NVAllocator
 from repro.config import PrecopyPolicy
 from repro.core import LocalCheckpointer, make_standalone_context
+from repro.errors import ConfigError
 from repro.metrics.trace import (
     BUS,
     TRACE_VERSION,
@@ -29,6 +30,7 @@ from repro.metrics.trace import (
     RetryEvent,
     RingBufferSink,
     TraceBus,
+    read_trace,
 )
 from repro.units import MB
 
@@ -132,6 +134,40 @@ def test_counter_sink_counts_kinds_and_decisions():
                                     decision="skip", policy="dcpcp"))
     assert sink.by_kind["policy.decision"] == 2
     assert sink.decisions == {"precopy": 1, "skip": 1}
+
+
+# ---------------------------------------------------------------------------
+# The reader on a damaged stream: one error type, the line named.
+# ---------------------------------------------------------------------------
+
+_HEADER = json.dumps({"kind": "trace.header", "trace_version": TRACE_VERSION, "meta": {}})
+_COMMIT = json.dumps(_sample_events()[2].to_record(), sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "stream, message",
+    [
+        # a record without its required fields (was: TypeError)
+        (
+            f'{_HEADER}\n{_COMMIT}\n{{"kind": "commit", "t": 1.0, "actor": "r0"}}\n',
+            r"line 3.*lacks required fields "
+            r"\['chunks_committed', 'bytes_committed', 'flush_cost'\]",
+        ),
+        # a torn last line, the run killed mid-write (was: JSONDecodeError)
+        (f"{_HEADER}\n{_COMMIT}\n{_COMMIT[:25]}", r"line 3 is not valid JSON"),
+        # a line that is JSON but not a record (was: TypeError)
+        (f"{_HEADER}\n[1, 2]\n", r"line 2 is not a JSON object"),
+        # bool is an int to isinstance: True passed for version 1
+        (
+            f'{{"kind": "trace.header", "trace_version": true}}\n{_COMMIT}\n',
+            r"trace_version True is not supported",
+        ),
+    ],
+    ids=["missing-field", "torn-last-line", "non-object-line", "bool-version"],
+)
+def test_reader_reports_a_damaged_stream_as_config_error(stream, message):
+    with pytest.raises(ConfigError, match=message):
+        read_trace(io.StringIO(stream))
 
 
 # ---------------------------------------------------------------------------
