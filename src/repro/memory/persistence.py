@@ -16,6 +16,14 @@ The checkpoint runtime always flushes before marking a version
 committed (the paper's 'Linux cache flush kernel method'), so committed
 data survives crash in both stores and the recovery protocol is
 exercised for real.
+
+Metadata values are held JSON-normalised on both sides of the flush
+boundary.  A write costs one typed private copy of what was written
+(:func:`_json_copy` — a record for ``put_meta_entry``, the key's value
+for ``put_meta``), the flush one more of each dirty record or key, a
+crash one of every durable key; JSON *text* is produced only by
+:meth:`FileStore.flush` writing ``meta.json`` (and, inside the copy, for
+a value that is not of the plain JSON types).
 """
 
 from __future__ import annotations
@@ -25,6 +33,7 @@ import os
 import tempfile
 from abc import ABC, abstractmethod
 from typing import Any, Dict, List, Optional, Tuple
+from urllib.parse import quote
 
 import numpy as np
 
@@ -34,11 +43,34 @@ from ..faults.crashpoints import fire
 __all__ = ["PersistentStore", "InMemoryStore", "FileStore"]
 
 
+#: the types JSON holds by value: copying one is returning it
+_JSON_LEAVES = frozenset((str, int, float, bool, type(None)))
+
+
 def _json_copy(value: Any) -> Any:
-    """A private, JSON-normalised copy of *value* (tuples become lists,
-    int keys strings); raises ``TypeError`` on anything JSON cannot
-    hold.  Costs the size of *value* — callers hand it one record, or
-    a whole key only when the whole key was written."""
+    """A private, JSON-normalised copy of *value*: what reading back
+    its JSON text would give, without producing the text.  Plain
+    ``dict`` (``str`` keys) / ``list`` / ``tuple`` (→ ``list``)
+    containers are rebuilt and the plain leaves shared — they are
+    immutable; anything else (a non-``str`` key, a ``str`` / ``int``
+    subclass, a numpy scalar, an arbitrary object) takes the text round
+    trip itself, so it is coerced (``3 → "3"``, ``IntEnum → int``) or
+    rejected with ``TypeError`` exactly as JSON would.  Costs one visit
+    per value of *value* — callers hand it one record, or a whole key
+    only when the whole key was written."""
+    cls = type(value)
+    if cls is dict:
+        out = {}
+        for k, v in value.items():
+            if type(k) is not str:
+                break  # JSON coerces or rejects the key
+            out[k] = v if type(v) in _JSON_LEAVES else _json_copy(v)
+        else:
+            return out
+    elif cls is list or cls is tuple:
+        return [v if type(v) in _JSON_LEAVES else _json_copy(v) for v in value]
+    elif cls in _JSON_LEAVES:
+        return value
     return json.loads(json.dumps(value))
 
 
@@ -333,8 +365,9 @@ class FileStore(PersistentStore):
     # -- disk layout -----------------------------------------------------------
 
     def _region_path(self, region_id: str) -> str:
-        safe = region_id.replace(os.sep, "_").replace("..", "_")
-        return os.path.join(self.directory, f"region_{safe}.bin")
+        # percent-encoding is reversible, so two ids never share a file,
+        # and leaves no separator to step out of the directory with
+        return os.path.join(self.directory, f"region_{quote(region_id, safe='')}.bin")
 
     def _meta_path(self) -> str:
         return os.path.join(self.directory, self._META_FILE)

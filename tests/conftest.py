@@ -72,6 +72,17 @@ def run_proc(engine, gen, until=None):
     return proc.value
 
 
+def container_ids(value) -> set:
+    """ids of every dict and list anywhere inside *value* (itself
+    included) — two values share a mutable object iff these meet."""
+    if isinstance(value, dict):
+        return {id(value)}.union(*map(container_ids, value.values()))
+    if isinstance(value, (list, tuple)):
+        own = {id(value)} if isinstance(value, list) else set()
+        return own.union(*map(container_ids, value))
+    return set()
+
+
 def gtc_cell(small_chunks: int, mode: str = "dcpcp") -> dict:
     """The many-small-chunks GTC cell (perfbench's ``gtc-manychunk``
     shape) as a ``run_cell`` config — the scaling guards count work on

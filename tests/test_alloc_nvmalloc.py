@@ -206,20 +206,34 @@ class TestMetadataCost:
     tables — and the tables it leaves read exactly like a rewrite."""
 
     @staticmethod
-    def serialised_bytes(monkeypatch, fn):
-        """Bytes the persistent store JSON-serialises while *fn* runs."""
+    def copied_leaves(monkeypatch, fn):
+        """Leaf values the persistent store copies while *fn* runs:
+        every value handed to its copy function, counted by its leaves
+        (the copy recurses through the same name, so only the outermost
+        call of each counts) — host-speed independent."""
         from repro.memory import persistence
 
-        total = [0]
-        dumps = persistence.json.dumps
+        copy = persistence._json_copy
+        total, depth = [0], [0]
 
-        def counting(value, *args, **kw):
-            text = dumps(value, *args, **kw)
-            total[0] += len(text)
-            return text
+        def leaves(value):
+            if isinstance(value, dict):
+                return sum(map(leaves, value.values()))
+            if isinstance(value, (list, tuple)):
+                return sum(map(leaves, value))
+            return 1
+
+        def counting(value):
+            if not depth[0]:
+                total[0] += leaves(value)
+            depth[0] += 1
+            try:
+                return copy(value)
+            finally:
+                depth[0] -= 1
 
         with monkeypatch.context() as m:
-            m.setattr(persistence.json, "dumps", counting)
+            m.setattr(persistence, "_json_copy", counting)
             fn()
         return total[0]
 
@@ -237,7 +251,7 @@ class TestMetadataCost:
 
         def cost(n):
             ctx = make_standalone_context(name=f"meta{n}")
-            return self.serialised_bytes(monkeypatch, lambda: self.allocate(ctx, n))
+            return self.copied_leaves(monkeypatch, lambda: self.allocate(ctx, n))
 
         small, large = cost(100), cost(200)
         assert small > 0
@@ -249,9 +263,41 @@ class TestMetadataCost:
 
         def cost(small_chunks):
             cell = gtc_cell(small_chunks)
-            return self.serialised_bytes(monkeypatch, lambda: run_cell(cell))
+            return self.copied_leaves(monkeypatch, lambda: run_cell(cell))
 
-        assert cost(192) <= 2.5 * cost(96)
+        small, large = cost(96), cost(192)
+        assert small > 0
+        assert large <= 2.5 * small
+
+    # one record of the region table / the chunk table, in leaf values
+    REGION_LEAVES = 2  # size, phantom
+    CHUNK_LEAVES = 8  # id, size, persistent, phantom, n_versions, committed, 2 checksums
+
+    @pytest.mark.parametrize("n,commit_leaves", [(31, 496), (62, 992)])
+    def test_nvalloc_and_commit_copy_what_they_wrote_twice(
+        self, monkeypatch, n, commit_leaves
+    ):
+        """The copy budget, pinned exactly: a write copies its records
+        once into the store and the flush once more to the durable side
+        — one ``nvalloc`` its own three records however many chunks
+        exist, one coordinated commit the rank's chunk table."""
+        from repro.config import PrecopyPolicy
+        from repro.core import LocalCheckpointer
+        from repro.core.context import make_standalone_context
+
+        ctx = make_standalone_context(name=f"budget{n}")
+        alloc = self.allocate(ctx, n - 1)
+        ctx.nvmm.cache_flush()
+        written = 2 * self.REGION_LEAVES + self.CHUNK_LEAVES  # two versions + the chunk
+
+        def one_nvalloc():
+            alloc.nvalloc("last", 4096)
+            ctx.nvmm.cache_flush()
+
+        assert self.copied_leaves(monkeypatch, one_nvalloc) == 2 * written
+        ck = LocalCheckpointer(ctx, alloc, PrecopyPolicy(mode="none"))
+        assert commit_leaves == 2 * n * self.CHUNK_LEAVES
+        assert self.copied_leaves(monkeypatch, ck.checkpoint) == commit_leaves
 
     def test_tables_read_like_a_whole_rewrite(self, ctx):
         alloc = self.allocate(ctx, 5)

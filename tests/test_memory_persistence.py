@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import InvalidAddress, PersistenceError
 from repro.memory import FileStore, InMemoryStore
+from tests.conftest import container_ids
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -217,6 +218,11 @@ class TestMetaEntries:
         anystore.get_meta(self.KEY)["chunks"]["a"]["size"] = 0
         anystore.crash()
         assert anystore.get_meta(self.KEY)["chunks"]["a"] == {"size": 8}
+        # the crash rebuilt the working side as a copy, not a view: a
+        # reader mutating it now still cannot reach the durable side
+        mem = getattr(anystore, "_inner", anystore)
+        assert mem._meta_working == mem._meta_durable
+        assert not container_ids(mem._meta_working) & container_ids(mem._meta_durable)
 
     def test_record_is_json_normalised(self, anystore):
         anystore.put_meta_entry(self.KEY, "chunks", "a", {"pair": (1, 2), 3: "x"})
@@ -309,6 +315,22 @@ class TestFileStoreRestart:
         s1.flush()
         del s1
         assert not FileStore(path).exists("r")
+
+    @pytest.mark.parametrize("other_size", [4, 6])
+    def test_ids_differing_only_in_the_separator_keep_their_own_files(
+        self, tmp_path, other_size
+    ):
+        # real ids are f"{pid}/{name}": pid "a_b" + "c" vs pid "a" + "b_c"
+        path = str(tmp_path / "s")
+        s1 = FileStore(path)
+        for region_id, size, fill in (("p0/x", 4, 1), ("p0_x", other_size, 2)):
+            s1.create(region_id, size)
+            s1.write(region_id, 0, np.full(size, fill, dtype=np.uint8))
+        s1.flush()
+        del s1
+        s2 = FileStore(path)
+        assert list(s2.read("p0/x")) == [1] * 4
+        assert list(s2.read("p0_x")) == [2] * other_size
 
     def test_corrupt_metadata_detected(self, tmp_path):
         path = tmp_path / "s"

@@ -1,14 +1,19 @@
 """Property-based tests of the persistent store's crash-consistency
 contract: at any crash point, every region equals its last-flushed
-contents, regardless of the write/flush interleaving."""
+contents, regardless of the write/flush interleaving — and of its
+metadata copy against the JSON text round trip it stands in for."""
 
 import copy
+import enum
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.memory import InMemoryStore
+from repro.memory.persistence import _json_copy
+from tests.conftest import container_ids
 
 REGION = "r"
 SIZE = 64
@@ -133,3 +138,98 @@ def test_region_sizes_always_reported_exactly(sizes):
     for i, size in enumerate(sizes):
         assert store.size(f"r{i}") == size
         assert len(store.read(f"r{i}")) == size
+
+
+# -- the metadata copy against its oracle, json.loads(json.dumps(v)) ---------
+
+
+class Level(enum.IntEnum):
+    LOCAL = 1
+
+
+class Name(str):
+    pass
+
+
+awkward_leaves = st.sampled_from(
+    [True, 1, False, 0, float("nan"), float("inf"), -0.0, 2**63, -(2**70),
+     Level.LOCAL, Name("n"), np.float64(1.5), ""]
+)
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4), awkward_leaves
+)
+json_keys = st.one_of(
+    st.text(max_size=3), st.integers(-2, 2), st.booleans(), st.none(), st.floats(),
+    st.sampled_from([Level.LOCAL, Name("n")]),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(json_keys, inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+def assert_same(got, want):
+    """Equal values of equal types at every level (``nan`` equals
+    ``nan`` here; dict keys plain ``str``, in the same order)."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        assert {type(key) for key in got} <= {str}
+        for key in want:
+            assert_same(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w)
+    elif isinstance(want, float):
+        assert repr(got) == repr(want)  # nan, inf and the sign of zero
+    else:
+        assert got == want
+
+
+@given(value=json_values)
+@example(value={"pair": (1, 2), 3: "x", True: [], None: {}, 1.5: ()})
+@example(value={1: "int key first", "1": "then its text"})
+@example(value=[True, 1, {"t": True, "n": 1}])
+@example(value={})
+@settings(max_examples=300, deadline=None)
+def test_copy_equals_the_json_round_trip(value):
+    want = json.loads(json.dumps(value))
+    got = _json_copy(value)
+    assert_same(got, want)
+    assert not container_ids(got) & container_ids(value)
+    store = InMemoryStore()
+    store.put_meta("k", value)
+    store.put_meta_entry("t", "records", "r", value)
+    store.flush()
+    store.crash()
+    assert_same(store.get_meta("k"), want)
+    assert_same(store.get_meta("t"), {"records": {"r": want}})
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [object(), b"bytes", {1, 2}, np.int64(3), np.arange(3), {(1, 2): "tuple key"}],
+    ids=["object", "bytes", "set", "numpy-int64", "numpy-array", "tuple-key"],
+)
+@pytest.mark.parametrize("wrap", [lambda b: b, lambda b: {"a": [1, (b,)]}], ids=["bare", "nested"])
+def test_what_json_rejects_the_copy_rejects_and_nothing_changes(bad, wrap):
+    value = wrap(bad)
+    store = InMemoryStore()
+    store.put_meta("kept", {"t": {"r": 1}})
+    for write in (
+        lambda: json.loads(json.dumps(value)),
+        lambda: _json_copy(value),
+        lambda: store.put_meta("new", value),
+        lambda: store.put_meta_entry("new", "t", "r", value),
+        lambda: store.put_meta_entry("kept", "t", "r", value),
+    ):
+        with pytest.raises(TypeError):
+            write()
+        assert store.list_meta() == ["kept"]
+        assert store.get_meta("kept") == {"t": {"r": 1}}

@@ -152,6 +152,15 @@ class TestLayering:
         builders = {str(rel) for rel, text in _sources() if "Timeline(" in text}
         assert builders == allowed  # the class statement and the one caller
 
+    def test_json_text_round_trip_is_not_a_copy_idiom(self):
+        """The persistent store copies metadata by type; the text round
+        trip survives once, as that copy's exceptional path."""
+        sites = [
+            str(rel) for rel, text in _sources()
+            for _ in re.findall(r"json\.loads\(\s*json\.dumps\(", text)
+        ]
+        assert sites == [str(Path("memory") / "persistence.py")]
+
     @pytest.mark.parametrize("needle", ["resilient_put(", "resilient_get(", "core.local"])
     def test_deleted_second_ways_stay_deleted(self, needle):
         assert [str(rel) for rel, text in _sources() if needle in text] == []
