@@ -48,12 +48,16 @@ class ResultCache:
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """The cached result record for *key*, or None on a miss (also
-        on an unreadable/corrupt entry — treated as absent)."""
+        on an unreadable/corrupt entry — anything but a JSON object
+        holding an object ``result`` — treated as absent, so the cell
+        re-runs and :meth:`put` overwrites it)."""
         try:
             with open(self._path(key), encoding="utf-8") as fh:
                 payload = json.load(fh)
-            result = payload["result"]
-        except (OSError, ValueError, KeyError):
+        except (OSError, ValueError):
+            payload = None
+        result = payload.get("result") if isinstance(payload, dict) else None
+        if not isinstance(result, dict):
             self.misses += 1
             return None
         self.hits += 1

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
 import os
 import time
 from dataclasses import dataclass, field
@@ -266,17 +265,17 @@ def write_csv(records: Sequence[dict], axes: Axes, stream: IO[str]) -> None:
 def _write_grid_trace(
     target: Union[str, IO[str]],
     cells: Sequence[GridCell],
-    traces: Sequence[Optional[List[dict]]],
+    traces: Sequence[Optional[List[str]]],
 ) -> None:
-    """Stream the per-cell captured events as one versioned Jsonl file.
+    """Write the per-cell captured lines as one versioned Jsonl file.
 
     The header's meta carries the grid shape and every cell's resolved
-    config (keyed by index), then each executed cell's events follow in
-    submission order — deterministic output whether the cells ran
-    in-process or across the pool.  Cache-served cells executed
-    nothing, so they contribute no events.
+    config (keyed by index), then each executed cell's lines (encoded
+    where the cell ran) follow in submission order — deterministic
+    output whether the cells ran in-process or across the pool.
+    Cache-served cells executed nothing, so they contribute no lines.
     """
-    from ..metrics.trace import TRACE_VERSION
+    from ..metrics.trace import TRACE_VERSION, encode_line
 
     owns = isinstance(target, str)
     fh: IO[str] = open(target, "w", encoding="utf-8") if owns else target
@@ -296,10 +295,9 @@ def _write_grid_trace(
                 ],
             },
         }
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for records in traces:
-            for record in records or ():
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fh.write(encode_line(header))
+        for lines in traces:
+            fh.writelines(lines or ())
     finally:
         if owns:
             fh.close()
@@ -371,7 +369,7 @@ def run_grid(
     )
     t0 = time.perf_counter()
     results: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-    traces: List[Optional[List[dict]]] = [None] * len(cells)
+    traces: List[Optional[List[str]]] = [None] * len(cells)
 
     # 1. cache probe — hits never reach a worker
     keys = [cell.key for cell in cells] if cache is not None else None

@@ -15,13 +15,15 @@ processes — avoids both costs:
   one pickled task per cell — and workers pull batches on demand, so
   load balance survives heterogeneous cell times;
 * **results are compact**: each batch answers with one message carrying
-  ``(index, result-dict, trace-records)`` triples; ``run_grid``
+  ``(index, result-dict, trace-lines)`` triples; ``run_grid``
   reassembles grid order from the indexes, which is what keeps
   ``workers=N`` byte-identical to serial;
 * **worker-side trace capture**: a batch dispatched with
   ``capture=True`` runs each cell under a ring-buffer sink on the
-  process-local trace bus and returns the events as JSON-ready records,
-  so ``run_grid(trace=...)`` works under parallel execution.
+  process-local trace bus and returns the events as finished Jsonl
+  lines, so ``run_grid(trace=...)`` works under parallel execution,
+  the encoding runs in parallel with the other workers' cells, and the
+  parent only concatenates.
 
 Failure semantics: an exception inside a cell is caught, shipped back,
 and re-raised in the parent after in-flight batches drain; a worker
@@ -54,18 +56,15 @@ class WorkerPoolError(RuntimeError):
 
 
 def _run_one(fn: Callable[[Any], Any], payload: Any, capture: bool):
-    """Execute one cell, optionally under a trace-capture sink."""
+    """Execute one cell; with *capture*, under a trace sink, answering
+    the cell's events as finished Jsonl lines next to its result."""
     if not capture:
         return fn(payload), None
-    from ..metrics.trace import BUS, RingBufferSink
+    from ..metrics.trace import BUS, RingBufferSink, encode_line
 
-    sink = RingBufferSink(capacity=None)
-    BUS.attach(sink)
-    try:
+    with BUS.capture(RingBufferSink(capacity=None)) as sink:
         result = fn(payload)
-    finally:
-        BUS.detach(sink)
-    return result, [event.to_record() for event in sink.events]
+    return result, [encode_line(event.to_record()) for event in sink.events]
 
 
 def _worker_main(task_q, result_q) -> None:
@@ -91,11 +90,11 @@ def _worker_main(task_q, result_q) -> None:
         if task is None:
             return
         batch_id, fn, items, capture = task
-        out: List[Tuple[int, Any, Optional[list]]] = []
+        out: List[Tuple[int, Any, Optional[List[str]]]] = []
         try:
             for index, payload in items:
-                result, events = _run_one(fn, payload, capture)
-                out.append((index, result, events))
+                result, lines = _run_one(fn, payload, capture)
+                out.append((index, result, lines))
         except BaseException as exc:  # noqa: BLE001 - shipped to the parent
             try:
                 pickle.dumps(exc)
@@ -187,9 +186,10 @@ class WorkerPool:
         batches: Sequence[Sequence[Tuple[int, Any]]],
         *,
         capture: bool = False,
-    ) -> Dict[int, Tuple[Any, Optional[list]]]:
+    ) -> Dict[int, Tuple[Any, Optional[List[str]]]]:
         """Stream *batches* of ``(index, payload)`` pairs through the
-        pool and return ``{index: (result, trace-records)}``.
+        pool and return ``{index: (result, trace-lines)}`` (the lines
+        are ``None`` without *capture*).
 
         Batches are pulled by whichever worker frees up first; the
         index mapping makes the answer order-independent.  The first
@@ -201,7 +201,7 @@ class WorkerPool:
         self._spawn_missing()
         for batch_id, batch in enumerate(batches):
             self._task_q.put((batch_id, fn, list(batch), capture))
-        out: Dict[int, Tuple[Any, Optional[list]]] = {}
+        out: Dict[int, Tuple[Any, Optional[List[str]]]] = {}
         first_error: Optional[BaseException] = None
         outstanding = len(batches)
         while outstanding:
@@ -219,8 +219,8 @@ class WorkerPool:
                 if first_error is None:
                     first_error = data
                 continue
-            for index, result, events in data:
-                out[index] = (result, events)
+            for index, result, lines in data:
+                out[index] = (result, lines)
         if first_error is not None:
             raise first_error
         return out

@@ -13,9 +13,16 @@ and failovers — emits a typed event to a process-global
 
 Emission with zero sinks attached is a single truthiness check, so the
 simulation hot path pays nothing when tracing is off.  The bus is
-per-process: fork-pool executor workers inherit a *snapshot* of the
-parent's sinks at fork time but their writes never reach the parent,
-so attach sinks only around in-process (serial) runs.
+per-process: a sink attached here sees the cells this process runs.
+Cells that ``run_grid`` sends to the worker pool are captured in the
+worker that runs them (:mod:`repro.exec.pool`), which ships
+their finished Jsonl lines back — ``run_grid(trace=...)`` is the way to
+trace a parallel grid.
+
+Every event field is a scalar (``str``/``int``/``float``/``bool``), so
+a record is one flat dict built from the per-class field table
+:data:`_FIELDS`, and a line is that record through the one shared
+encoder :func:`encode_line`: ~1 us and ~5 us per event.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from typing import (
     Any,
     Callable,
@@ -68,6 +75,7 @@ __all__ = [
     "CallbackSink",
     "TraceBus",
     "BUS",
+    "encode_line",
     "event_from_record",
     "read_trace",
 ]
@@ -96,7 +104,7 @@ TRACE_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
-# Events.  All frozen, all JSON-serializable via dataclasses.asdict.
+# Events.  All frozen, every field a JSON scalar (str/int/float/bool).
 # ---------------------------------------------------------------------------
 
 
@@ -113,8 +121,10 @@ class TraceEvent:
         return _KINDS[type(self)]
 
     def to_record(self) -> Dict[str, Any]:
-        rec = {"kind": self.kind}
-        rec.update(asdict(self))
+        cls = type(self)
+        rec: Dict[str, Any] = {"kind": _KINDS[cls]}
+        for name in _FIELDS[cls]:
+            rec[name] = getattr(self, name)
         return rec
 
 
@@ -374,6 +384,23 @@ _KINDS: Dict[type, str] = {
 #: kind -> event class (the reader's inverse of :data:`_KINDS`)
 _CLASSES: Dict[str, type] = {kind: cls for cls, kind in _KINDS.items()}
 
+#: event class -> its field names in declaration order: the schema both
+#: directions share (:meth:`TraceEvent.to_record` writes exactly these,
+#: :func:`event_from_record` accepts exactly these).  Values go into the
+#: record un-copied, which is sound because every field is a scalar.
+_FIELDS: Dict[type, Tuple[str, ...]] = {
+    cls: tuple(f.name for f in fields(cls)) for cls in _KINDS
+}
+
+_ENCODE = json.JSONEncoder(sort_keys=True).encode
+
+
+def encode_line(record: Dict[str, Any]) -> str:
+    """One Jsonl line (newline included) for a header or event record:
+    byte for byte ``json.dumps(record, sort_keys=True) + "\\n"``, minus
+    the encoder object ``json.dumps`` builds per call."""
+    return _ENCODE(record) + "\n"
+
 
 # ---------------------------------------------------------------------------
 # Reading traces back (the replay engine's input path).
@@ -418,8 +445,7 @@ def event_from_record(record: Dict[str, Any]) -> TraceEvent:
             f"unknown trace event kind {kind!r}; known kinds: "
             f"{', '.join(sorted(_CLASSES))}"
         )
-    names = {f.name for f in fields(cls)}
-    unknown = set(rec) - names
+    unknown = rec.keys() - _FIELDS[cls]
     if unknown:
         raise ConfigError(
             f"trace record of kind {kind!r} carries unknown fields "
@@ -552,10 +578,10 @@ class JsonlSink(TraceSink):
             "trace_version": TRACE_VERSION,
             "meta": meta or {},
         }
-        self._fh.write(json.dumps(header, sort_keys=True) + "\n")
+        self._fh.write(encode_line(header))
 
     def handle(self, event: TraceEvent) -> None:
-        self._fh.write(json.dumps(event.to_record(), sort_keys=True) + "\n")
+        self._fh.write(encode_line(event.to_record()))
 
     def close(self) -> None:
         self._fh.flush()

@@ -6,9 +6,10 @@ an *unbounded* ring buffer on the bus — a bounded buffer would
 silently drop early events and break the byte-exactness oracle — and
 return both sides.
 
-Captures are in-process by necessity: the trace bus is per-process, so
-fork-pool workers' events never reach the parent (see
-:mod:`repro.metrics.trace`).
+A capture keeps the typed events and the live result object, so it
+runs the cell in this process; a grid traced across the worker pool
+(``run_grid(trace=...)``) gets its cells' events as Jsonl lines made in
+the workers instead (see :mod:`repro.exec.pool`).
 """
 
 from __future__ import annotations

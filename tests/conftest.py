@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.config import (
@@ -14,6 +16,7 @@ from repro.config import (
     PrecopyPolicy,
 )
 from repro.core.context import make_standalone_context
+from repro.exec import shutdown_pools
 from repro.alloc.nvmalloc import NVAllocator
 from repro.memory.device import MemoryDevice
 from repro.memory.nvmm import NVMKernelManager
@@ -94,6 +97,15 @@ def gtc_cell(small_chunks: int, mode: str = "dcpcp") -> dict:
         f"--remote-interval 60 --mode {mode} --small-chunks {small_chunks} --nvm-gbps 1.0"
     )
     return vars(build_parser().parse_args(argv.split()))
+
+
+@pytest.fixture
+def wide_host(monkeypatch):
+    """Make ``run_grid`` see an 8-CPU host, so ``workers=N`` really
+    crosses the worker pool whatever the machine running the tests."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    yield
+    shutdown_pools()  # do not leave 4-wide pools behind on a small host
 
 
 @pytest.fixture

@@ -22,9 +22,10 @@ from repro.exec import (
     parse_sweeps,
     resolve_workers,
     run_grid,
-    shutdown_pools,
 )
 from repro.exec.grid import _batch_indexes, collect_fields, write_csv
+from repro.exec.pool import _run_one
+from repro.metrics.trace import BUS, CommitEvent, RingBufferSink
 
 #: a fast, fully deterministic base cell (no remote tier, tiny sizes)
 BASE = [
@@ -35,15 +36,6 @@ BASE = [
 THREE_AXES = ["nvm-gbps=1.0,2.0", "mode=none,dcpcp", "ranks-per-node=1,2"]
 
 HOST_CPUS = max(1, os.cpu_count() or 1)
-
-
-@pytest.fixture
-def wide_host(monkeypatch):
-    """Make ``run_grid`` see an 8-CPU host, so ``workers=N`` really
-    crosses the worker pool whatever the machine running the tests."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    yield
-    shutdown_pools()  # do not leave 4-wide pools behind on a small host
 
 
 def _batches(payloads, n_batches):
@@ -63,6 +55,16 @@ def _boom(payload):
     """Module-level failing cell for error-propagation tests."""
     if payload["x"] == 2:
         raise RuntimeError("cell 2 exploded")
+    return {"value": payload["x"]}
+
+
+def _emit(payload):
+    """Emit ``x`` commit events, then fail if the payload says so."""
+    for n in range(payload["x"]):
+        BUS.emit(CommitEvent(t=float(n), actor=f"r{payload['x']}", chunks_committed=n,
+                             bytes_committed=n, flush_cost=0.0))
+    if payload.get("boom"):
+        raise RuntimeError("cell exploded mid-capture")
     return {"value": payload["x"]}
 
 
@@ -98,6 +100,31 @@ class TestResultCache:
         path = tmp_path / key[:2] / f"{key}.json"
         path.write_text("{not json")
         assert cache.get(key) is None
+
+    @pytest.mark.parametrize("body", ["null", "[]", "3", '"x"', '{"result": 1}'])
+    def test_entry_that_parses_but_holds_no_record_is_a_miss(self, tmp_path, body):
+        """Corrupt and still valid JSON: ``payload["result"]`` used to
+        raise TypeError out of ``get`` (or serve ``1`` as a record)."""
+        cache = ResultCache(tmp_path)
+        key = cache_key({"a": 1}, __version__)
+        cache.put(key, {"out": 1})
+        (tmp_path / key[:2] / f"{key}.json").write_text(body)
+        assert cache.get(key) is None
+        assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 0
+        cache.put(key, {"out": 2})  # the re-run overwrites the bad entry
+        assert cache.get(key) == {"out": 2}
+
+    def test_grid_reruns_exactly_the_clobbered_cell(self, tmp_path):
+        axes = ["mode=none,dcpcp", "nvm-gbps=1.0,2.0"]
+        first = run_grid(BASE, axes, cache=str(tmp_path))
+        victim = first.cells[2].key
+        (tmp_path / victim[:2] / f"{victim}.json").write_text("null")
+        again = run_grid(BASE, axes, cache=str(tmp_path))
+        assert again.execution.cells_executed == 1
+        assert again.execution.cache_hits == 3
+        assert again.records == first.records
+        healed = run_grid(BASE, axes, cache=str(tmp_path))
+        assert healed.execution.cells_executed == 0
 
 
 class TestWorkerPool:
@@ -149,6 +176,35 @@ class TestWorkerPool:
             assert [answered[i][0]["value"] for i in range(4)] == [0, 1, 4, 9]
         finally:
             pool.close()
+
+    def test_capture_answers_each_cell_with_its_finished_lines(self):
+        payloads = [{"x": i} for i in range(1, 5)]
+        pool = WorkerPool(2)
+        try:
+            captured = pool.run_batches(_emit, _batches(payloads, 4), capture=True)
+            plain = pool.run_batches(_emit, _batches(payloads, 4), capture=False)
+        finally:
+            pool.close()
+        for i, payload in enumerate(payloads):
+            result, lines = captured[i]
+            assert result == {"value": payload["x"]}
+            assert type(lines) is list and len(lines) == payload["x"]
+            assert all(type(line) is str and line.endswith("\n") for line in lines)
+            records = [json.loads(line) for line in lines]
+            assert [r["kind"] for r in records] == ["commit"] * payload["x"]
+            assert {r["actor"] for r in records} == {f"r{payload['x']}"}
+            assert plain[i] == (result, None)
+
+    def test_cell_raising_mid_capture_leaves_the_bus_as_it_was(self):
+        """In-process capture (the ``workers=1`` path) shares the bus
+        with whatever the caller attached."""
+        with BUS.capture(RingBufferSink()) as mine:
+            before = list(BUS._sinks)
+            with pytest.raises(RuntimeError, match="mid-capture"):
+                _run_one(_emit, {"x": 3, "boom": True}, True)
+            assert BUS._sinks == before == [mine]
+        assert [e.chunks_committed for e in mine.events] == [0, 1, 2]
+        assert not BUS.active
 
     def test_dead_pool_rejects_work(self):
         pool = WorkerPool(1)

@@ -15,14 +15,17 @@ Two invariants carry the whole replay design:
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
+import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.errors import ConfigError
 from repro.metrics.trace import (
+    _KINDS,
     TRACE_VERSION,
     AutotuneSwitchEvent,
     ChunkCopiedEvent,
@@ -32,6 +35,7 @@ from repro.metrics.trace import (
     PhaseEvent,
     PolicyDecisionEvent,
     RetryEvent,
+    encode_line,
     event_from_record,
     read_trace,
 )
@@ -145,6 +149,67 @@ def test_jsonl_round_trip_is_identity(events):
 def test_record_round_trip_is_identity(event):
     rec = json.loads(json.dumps(event.to_record()))
     assert event_from_record(rec) == event
+
+
+# -- the line writer against the spelling it replaced -----------------------
+
+#: what a field of each annotated type may hold, awkward values first:
+#: non-finite and signed-zero floats, ints past 2**63, ``bool`` where an
+#: ``int`` is declared, non-ASCII and control characters in strings
+_VALUES = {
+    "float": st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-310]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+    "int": st.one_of(
+        st.booleans(),
+        st.integers(-(1 << 70), 1 << 70),
+        st.sampled_from([1 << 63, -(1 << 63) - 1, 1 << 64]),
+    ),
+    "bool": st.booleans(),
+    "str": st.one_of(
+        st.sampled_from(["", "\x00\x1f\x7f", 'q"\\/\n\t', "ünï-çødé ✓ 𝄞", "\u2028\u2029"]),
+        st.text(max_size=12),
+    ),
+}
+
+
+def _events_of(cls):
+    return st.builds(
+        cls, **{f.name: _VALUES[f.type] for f in dataclasses.fields(cls)}
+    )
+
+
+every_kind = st.one_of([_events_of(cls) for cls in _KINDS])
+
+
+def _old_record(event):
+    """The record as it was spelt before the field table."""
+    return {"kind": event.kind, **dataclasses.asdict(event)}
+
+
+def _typed(record):
+    """Order, value types, and values by ``repr`` (nan equals nan, -0.0
+    differs from 0.0, True differs from 1)."""
+    return [(k, type(v), repr(v)) for k, v in record.items()]
+
+
+@given(event=every_kind)
+@example(event=PhaseEvent(t=math.nan, actor="\x00", phase="é", start=-0.0, end=math.inf))
+@settings(max_examples=400, deadline=None)
+def test_line_and_record_equal_the_asdict_spelling(event):
+    old = _old_record(event)
+    line = encode_line(event.to_record())
+    assert line == json.dumps(old, sort_keys=True) + "\n"
+    buf = io.StringIO()
+    JsonlSink(buf).handle(event)
+    assert buf.getvalue().splitlines(keepends=True)[1] == line
+    assert _typed(event.to_record()) == _typed(old)
+    back = event_from_record(json.loads(line))
+    assert type(back) is type(event)
+    assert _typed(back.to_record()) == _typed(old)
+    if not any(v != v for v in old.values()):  # nan is equal to nothing
+        assert back == event
 
 
 # -- prefix monotonicity ----------------------------------------------------

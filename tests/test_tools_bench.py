@@ -161,6 +161,15 @@ class TestLayering:
         ]
         assert sites == [str(Path("memory") / "persistence.py")]
 
+    def test_trace_records_are_not_built_with_asdict(self):
+        """Events are flat scalar records off one field table; the
+        deep-copying ``dataclasses.asdict`` stays off the emit path."""
+        users = [
+            str(rel) for rel, text in _sources()
+            if rel.parts[0] in ("metrics", "exec") and re.search(r"\basdict\b", text)
+        ]
+        assert users == []
+
     @pytest.mark.parametrize("needle", ["resilient_put(", "resilient_get(", "core.local"])
     def test_deleted_second_ways_stay_deleted(self, needle):
         assert [str(rel) for rel, text in _sources() if needle in text] == []

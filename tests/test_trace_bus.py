@@ -9,6 +9,7 @@ directly-instrumented phases.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 
@@ -19,6 +20,7 @@ from repro.config import PrecopyPolicy
 from repro.core import LocalCheckpointer, make_standalone_context
 from repro.errors import ConfigError
 from repro.metrics.trace import (
+    _KINDS,
     BUS,
     TRACE_VERSION,
     ChunkCopiedEvent,
@@ -168,6 +170,146 @@ _COMMIT = json.dumps(_sample_events()[2].to_record(), sort_keys=True)
 def test_reader_reports_a_damaged_stream_as_config_error(stream, message):
     with pytest.raises(ConfigError, match=message):
         read_trace(io.StringIO(stream))
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (
+            '{"kind": "no.such", "t": 1.0, "actor": "r0"}',
+            "trace line 2: unknown trace event kind 'no.such'; known kinds: "
+            "autotune.switch, chunk.copied, codec.decision, commit, failover, "
+            "membership.change, migration.aborted, migration.batch, "
+            "migration.cutover, migration.planned, phase, policy.decision, "
+            "resync.aborted, retry, tenant.admission, tenant.preempt, "
+            "tenant.slo, tenant.throttle",
+        ),
+        (
+            _COMMIT[:-1] + ', "zeta": 1, "alpha": 2}',
+            "trace line 2: trace record of kind 'commit' carries unknown fields "
+            "['alpha', 'zeta'] (schema drift? re-capture the trace or register "
+            "an upgrader)",
+        ),
+        (
+            '{"kind": "commit", "t": 1.0, "actor": "r0", "tenant": "x"}',
+            "trace line 2: trace record of kind 'commit' lacks required fields "
+            "['chunks_committed', 'bytes_committed', 'flush_cost']",
+        ),
+    ],
+    ids=["unknown-kind", "unknown-fields", "missing-fields"],
+)
+def test_reader_names_each_record_defect_in_full(record, message):
+    """The three schema errors, whole text (as written before the field
+    table took over the known-field check)."""
+    with pytest.raises(ConfigError) as err:
+        read_trace(io.StringIO(f"{_HEADER}\n{record}\n"))
+    assert str(err.value) == message
+
+
+# ---------------------------------------------------------------------------
+# The schema the line writer relies on, and one stream whoever writes it.
+# ---------------------------------------------------------------------------
+
+
+def test_every_event_field_is_a_scalar():
+    """``to_record`` puts field values into the record un-copied; that
+    is a private record only while no field can hold a container."""
+    for cls, kind in _KINDS.items():
+        for f in dataclasses.fields(cls):
+            assert f.type in ("str", "int", "float", "bool"), (
+                f"{kind}.{f.name}: {f.type} — to_record aliases its value"
+            )
+
+
+@pytest.fixture
+def json_calls(monkeypatch):
+    """Count encoder objects built and ``json.dumps`` calls made."""
+    calls = {"encoders": 0, "dumps": 0}
+    init, dumps = json.JSONEncoder.__init__, json.dumps
+
+    def counting_init(self, *args, **kwargs):
+        calls["encoders"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_dumps(*args, **kwargs):
+        calls["dumps"] += 1
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json.JSONEncoder, "__init__", counting_init)
+    monkeypatch.setattr(json, "dumps", counting_dumps)
+    return calls
+
+
+def _commits(n):
+    return [
+        CommitEvent(t=float(i), actor="r0", chunks_committed=i, bytes_committed=i,
+                    flush_cost=0.0)
+        for i in range(n)
+    ]
+
+
+def test_a_jsonl_line_builds_no_encoder(json_calls):
+    """Budget, by count: what 10 events cost in encoder objects and
+    ``json.dumps`` calls, 1,000 events cost too."""
+    cost = {}
+    for n in (10, 1000):
+        json_calls.update(encoders=0, dumps=0)
+        buf = io.StringIO()
+        sink = JsonlSink(buf)
+        for event in _commits(n):
+            sink.handle(event)
+        sink.close()
+        assert buf.getvalue().count("\n") == n + 1
+        cost[n] = dict(json_calls)
+    assert cost[10] == cost[1000]
+
+
+def test_a_traced_grid_builds_no_encoder_per_event(json_calls, monkeypatch):
+    """The same budget through ``run_grid(trace=..., workers=1)``: the
+    cell's lines are made where it ran and the grid writer only
+    concatenates them."""
+    from repro.exec import grid
+
+    def emitting_cell(config):
+        for event in _commits(config["iterations"]):
+            BUS.emit(event)
+        return {"events": config["iterations"]}
+
+    monkeypatch.setattr(grid, "run_cell", emitting_cell)
+    cost = {}
+    for n in (10, 1000):
+        json_calls.update(encoders=0, dumps=0)
+        buf = io.StringIO()
+        grid.run_grid(["--iterations", str(n)], trace=buf, workers=1)
+        assert buf.getvalue().count("\n") == n + 1
+        cost[n] = dict(json_calls)
+    assert cost[10] == cost[1000]
+
+
+def test_grid_trace_bytes_do_not_depend_on_who_wrote_them(wide_host):
+    """In-process grid, pooled grid (lines made in the workers) and a
+    JsonlSink fed the same cells' captured events: one byte stream."""
+    from repro.exec import expand_grid, run_grid
+    from repro.replay import capture_cell
+
+    base = [
+        "--app", "synthetic", "--nodes", "2", "--ranks-per-node", "2",
+        "--iterations", "2", "--local-interval", "10", "--remote-interval", "30",
+        "--checkpoint-mb", "40", "--chunk-mb", "10", "--no-remote",
+    ]
+    axes = ["mode=none,dcpcp", "nvm-gbps=1.0,2.0"]
+    serial, pooled, sunk = io.StringIO(), io.StringIO(), io.StringIO()
+    run_grid(base, axes, trace=serial, workers=1)
+    assert run_grid(base, axes, trace=pooled, workers=2).execution.batches > 1
+    header = json.loads(serial.getvalue().split("\n", 1)[0])
+    sink = JsonlSink(sunk, meta=header["meta"])
+    for cell in expand_grid(base, axes):
+        for event in capture_cell(cell.config).events:
+            sink.handle(event)
+    sink.close()
+    assert serial.getvalue().count("\n") > 100
+    assert pooled.getvalue() == serial.getvalue()
+    assert sunk.getvalue() == serial.getvalue()
 
 
 # ---------------------------------------------------------------------------
