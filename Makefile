@@ -52,7 +52,7 @@ smoke-%:
 # methods, ParallelExecutor.*, TimelineSink.handle, Timeline.begin/end,
 # resilient_put/get, ...).  The benchmark itself reports them under
 # missing_targets and runs on; a perfbench/-only change that regenerates
-# the list drops this deselect (ROADMAP item 6a).
+# the list drops this deselect (ROADMAP item 8).
 perf-smoke:
 	$(PYTHON) -m perfbench run --smoke
 	$(PYTHON) -m pytest perfbench/tests -q \

@@ -184,9 +184,16 @@ class ContentModel:
     are exactly reproducible).  A block's digest is a pure function of
     ``(salt, block, epoch)`` — two checkpoints of an unchanged block
     therefore yield the same digest, which is what dedup exploits.
+
+    The digests are state, not a recomputation: one materialised
+    vector, re-derived by :meth:`record_write` for exactly the blocks
+    whose epoch it bumped, so :meth:`digests` is a gather.
     """
 
-    __slots__ = ("nbytes", "block", "nblocks", "novelty", "salt", "_writes", "_epochs", "_threshold")
+    __slots__ = (
+        "nbytes", "block", "nblocks", "novelty", "salt",
+        "_writes", "_epochs", "_digests", "_threshold",
+    )
 
     def __init__(
         self,
@@ -205,12 +212,19 @@ class ContentModel:
         self.salt = np.uint64(salt & 0xFFFFFFFFFFFFFFFF)
         self._writes = np.zeros(self.nblocks, dtype=np.uint64)
         self._epochs = np.zeros(self.nblocks, dtype=np.uint64)
+        self._digests = self._derive(np.arange(self.nblocks, dtype=np.uint64), self._epochs)
         self._threshold = np.uint64(int(self.novelty * 2**32))
+
+    def _derive(self, blocks: np.ndarray, epochs: np.ndarray) -> np.ndarray:
+        """Digest (nonzero uint64) of each of *blocks* at *epochs*."""
+        d = _mix64(self.salt ^ ((blocks + _U1) * _K1) ^ ((epochs + _U1) * _K2))
+        d[d == _U0] = _U1
+        return d
 
     def record_write(self, offset: int, nbytes: int) -> None:
         """Account an application write: every touched block's write
         counter bumps; its epoch bumps iff the hash says this write
-        changed the content."""
+        changed the content, and only then is its digest re-derived."""
         if nbytes <= 0:
             return
         b0 = offset // self.block
@@ -221,15 +235,15 @@ class ContentModel:
         w = self._writes[b0:b1] + _U1
         self._writes[b0:b1] = w
         u = _mix64(self.salt ^ (idx * _K1) ^ (w * _K3))
-        changed = (u >> np.uint64(32)) < self._threshold
-        self._epochs[b0:b1][changed] += _U1
+        bumped = b0 + np.flatnonzero((u >> np.uint64(32)) < self._threshold)
+        if len(bumped):
+            epochs = self._epochs[bumped] + _U1
+            self._epochs[bumped] = epochs
+            self._digests[bumped] = self._derive(bumped.astype(np.uint64), epochs)
 
     def digests(self, idx: np.ndarray) -> np.ndarray:
         """Current content digest (nonzero uint64) of each block in *idx*."""
-        idx = np.asarray(idx, dtype=np.int64)
-        u = idx.astype(np.uint64)
-        d = _mix64(self.salt ^ ((u + _U1) * _K1) ^ ((self._epochs[idx] + _U1) * _K2))
-        return np.where(d == _U0, _U1, d)
+        return self._digests[np.asarray(idx, dtype=np.int64)]
 
 
 def current_digests(chunk, idx: np.ndarray, block: int = DEFAULT_BLOCK) -> np.ndarray:
@@ -338,14 +352,23 @@ class BlockStore:
     coordinated commit point (between the data flush and the metadata
     flush), ``abort``/``begin_round`` to discard a crashed round.
 
+    **Invariant:** every non-zero entry of every slot map is in
+    ``_digests`` with a count equal to the number of slot entries
+    holding it.  The planners rest on it: a block whose digest equals
+    its committed base entry is a hit without a lookup (see
+    :meth:`Codec._blocks`).  The one window where it does not hold is
+    between ``codec.store.commit.mid`` and :meth:`rebuild` — the only
+    full re-derivation — and :class:`~repro.core.restart.RestartManager`
+    rebuilds before anything plans.
+
     Everything is vectorized: the global index is a sorted uint64
-    digest array with a parallel refcount array.  Every lookup is one
-    primitive (:func:`_locate`: sort the needles, one ``searchsorted``
-    against the sorted index, compare), so a commit costs a sort of the
-    round plus one merge into the index, built on the side and swapped
-    in atomically (a crash mid-commit leaves either the old or a
-    rebuildable state — see :meth:`rebuild`, the only full
-    re-derivation).
+    digest array with a parallel refcount array.  A lookup
+    (:func:`_locate`) is one ``searchsorted`` against it, asked only
+    about blocks that left their base and never of an empty index.  A
+    commit refcounts only the slot entries that change, so it costs one
+    sort of the round's changed digests plus one merge into the index,
+    built on the side and swapped in atomically (a crash mid-commit
+    leaves either the old or a rebuildable state).
     """
 
     def __init__(self, *, block: int = DEFAULT_BLOCK) -> None:
@@ -380,11 +403,12 @@ class BlockStore:
     def contains(self, digests: np.ndarray) -> np.ndarray:
         """Vectorized membership of *digests* in the committed index."""
         digests = np.asarray(digests, dtype=np.uint64)
-        # sorted needles walk the index front to back instead of
-        # binary-searching it cold once per needle
-        order = np.argsort(digests)
-        hits = np.empty(len(digests), dtype=bool)
-        hits[order] = _locate(self._digests, digests[order])[1]
+        hits = np.zeros(len(digests), dtype=bool)
+        if len(self._digests) and len(digests):
+            # sorted needles walk the index front to back instead of
+            # binary-searching it cold once per needle
+            order = np.argsort(digests)
+            hits[order] = _locate(self._digests, digests[order])[1]
         return hits
 
     def slot_digests(self, name: str, slot: int) -> Optional[np.ndarray]:
@@ -439,12 +463,15 @@ class BlockStore:
         for name, slot, idx, digests in self._staged:
             cur = self._ensure_slot(name, slot, int(idx.max()) + 1)
             old = cur[idx]
-            dec.append(old[old != _U0])
-            inc.append(digests)
+            # an entry that keeps its digest is an incref and a decref
+            # of the same row: only the entries that change are counted
+            moved = old != digests
+            inc.append(digests[moved])
+            dec.append(old[moved & (old != _U0)])
             cur[idx] = digests
             n_entries += len(idx)
         fire("codec.store.commit.mid")
-        self._apply(np.concatenate(inc), np.concatenate(dec) if dec else np.empty(0, np.uint64))
+        self._apply(np.concatenate(inc), np.concatenate(dec))
         self._staged.clear()
         self.commits += 1
         fire("codec.store.commit.done")
@@ -465,15 +492,28 @@ class BlockStore:
     def _apply(self, inc: np.ndarray, dec: np.ndarray) -> None:
         """Incref *inc* and decref *dec* (digest multisets): one sort
         of each, one merge into the sorted index."""
-        digests, counts = self._digests, self._counts.copy()
+        digests, counts = self._digests, self._counts
         if len(inc):
             u_inc, c_inc = np.unique(inc, return_counts=True)
-            pos, hit = _locate(digests, u_inc)
-            counts[pos[hit]] += c_inc[hit]
-            if not hit.all():
-                new = ~hit
-                digests = np.insert(digests, pos[new], u_inc[new])
-                counts = np.insert(counts, pos[new], c_inc[new])
+            if not len(digests):
+                # the sorted round *is* the index
+                digests, counts = u_inc, c_inc.astype(np.int64)
+            else:
+                pos, hit = _locate(digests, u_inc)
+                new, seen = np.flatnonzero(~hit), np.flatnonzero(hit)
+                # one placement for both arrays: a new digest lands at
+                # its insertion point plus the new ones ahead of it,
+                # the resident rows keep their order around them
+                at_new = pos[new] + np.arange(len(new))
+                resident = np.ones(len(digests) + len(new), dtype=bool)
+                resident[at_new] = False
+                at_old = np.flatnonzero(resident)
+                merged_d = np.empty(len(resident), dtype=np.uint64)
+                merged_c = np.empty(len(resident), dtype=np.int64)
+                merged_d[at_new], merged_c[at_new] = u_inc[new], c_inc[new]
+                merged_d[at_old], merged_c[at_old] = digests, counts
+                merged_c[at_old[pos[seen]]] += c_inc[seen]
+                digests, counts = merged_d, merged_c
         if len(dec):
             u_dec, c_dec = np.unique(dec, return_counts=True)
             pos, hit = _locate(digests, u_dec)
@@ -482,6 +522,8 @@ class BlockStore:
             left = counts[pos] - c_dec
             if (left < 0).any():
                 raise CheckpointError("block-store refcount went negative")
+            if counts is self._counts:
+                counts = counts.copy()
             counts[pos] = left
             if not left.all():
                 keep = counts > 0
@@ -603,13 +645,30 @@ class Codec:
     # shared planning helper ----------------------------------------------
 
     @staticmethod
-    def _blocks(chunk, extents, block):
+    def _blocks(chunk, extents, store, base_slot, name):
         """What a block planner works from: the blocks *extents* touch,
-        the per-block byte coverage, the covered total, and the
-        touched blocks' content digests at planning time."""
+        the per-block byte coverage, the covered total, the touched
+        blocks' content digests at planning time, and which of them
+        still equal their committed base entry (``None`` = no base).
+
+        The equality mask serves both planners: delta's *unchanged*
+        blocks are dedup's *known hits*, by the store's invariant
+        (:class:`BlockStore`) — which is open only between
+        ``codec.store.commit.mid`` and ``rebuild()``, and restart
+        rebuilds before anything plans.
+        """
+        block = store.block
         idx = blocks_of_extents(extents, block, chunk.nbytes)
         cov = covered_bytes(extents, block, chunk.nbytes)
-        return idx, cov, int(cov.sum()), current_digests(chunk, idx, block)
+        digests = current_digests(chunk, idx, block)
+        base = store.slot_digests(name or chunk.name, base_slot) if base_slot >= 0 else None
+        same = None
+        if base is not None and len(idx):
+            # idx ascends: the blocks a shorter base map knows come first
+            known = int(np.searchsorted(idx, len(base)))
+            same = np.zeros(len(idx), dtype=bool)
+            same[:known] = base[idx[:known]] == digests[:known]
+        return idx, cov, int(cov.sum()), digests, same
 
 
 class RawCodec(Codec):
@@ -714,13 +773,11 @@ class DeltaCodec(Codec):
         return out.tobytes()
 
     def plan(self, chunk, extents, *, store, slot, base_slot=-1, name=None, probe=None) -> Payload:
-        blocks = self._blocks(chunk, extents, store.block)
-        return self._plan_blocks(chunk, extents, blocks, store, base_slot, name)
+        blocks = self._blocks(chunk, extents, store, base_slot, name)
+        return self._plan_blocks(chunk, extents, blocks, store, base_slot)
 
-    def _plan_blocks(self, chunk, extents, blocks, store, base_slot, name) -> Payload:
-        block = store.block
-        idx, cov, logical, digests = blocks
-        base = store.slot_digests(name or chunk.name, base_slot) if base_slot >= 0 else None
+    def _plan_blocks(self, chunk, extents, blocks, store, base_slot) -> Payload:
+        idx, cov, logical, digests, unchanged = blocks
         payload = Payload(
             kind="delta",
             codec=self.name,
@@ -733,22 +790,20 @@ class DeltaCodec(Codec):
             block_digests=digests,
             density=logical / max(1, chunk.nbytes),
         )
-        if base is None or len(idx) == 0:
+        if unchanged is None:
             # no committed base: ship full (but still publish digests
             # so the next round has a base)
             payload.kind = "full"
             return payload
-        based = np.zeros(len(idx), dtype=np.uint64)
-        inb = idx < len(base)
-        based[inb] = base[idx[inb]]
-        unchanged = based == digests
-        changed_cov = cov[idx[~unchanged]]
-        changed_bytes = self._changed_bytes(chunk, idx[~unchanged], changed_cov, block, base_slot)
+        changed_idx = idx[~unchanged]
+        changed_bytes = self._changed_bytes(
+            chunk, changed_idx, cov[changed_idx], store.block, base_slot
+        )
         wire = int(changed_bytes + len(idx) * DELTA_HEADER_BYTES)
         payload.wire_bytes = min(wire, logical)
         payload.changed_bytes = int(changed_bytes)
-        payload.blocks_ref = int(unchanged.sum())
-        payload.blocks_new = int((~unchanged).sum())
+        payload.blocks_ref = len(idx) - len(changed_idx)
+        payload.blocks_new = len(changed_idx)
         return payload
 
     def _changed_bytes(self, chunk, changed_idx, changed_cov, block, base_slot) -> int:
@@ -838,13 +893,16 @@ class DedupCodec(Codec):
         return bytes(out[: payload.logical_bytes])
 
     def plan(self, chunk, extents, *, store, slot, base_slot=-1, name=None, probe=None) -> Payload:
-        blocks = self._blocks(chunk, extents, store.block)
-        return self._plan_blocks(chunk, extents, blocks, store, base_slot, name)
+        blocks = self._blocks(chunk, extents, store, base_slot, name)
+        return self._plan_blocks(chunk, extents, blocks, store, base_slot)
 
-    def _plan_blocks(self, chunk, extents, blocks, store, base_slot, name) -> Payload:
-        idx, cov, logical, digests = blocks
-        hits = store.contains(digests)
-        new_bytes = int(cov[idx[~hits]].sum())
+    def _plan_blocks(self, chunk, extents, blocks, store, base_slot) -> Payload:
+        idx, cov, logical, digests, known = blocks
+        # a block still equal to its committed base is in the index
+        # already: only the ones that left it are looked up
+        left = np.arange(len(idx)) if known is None else np.flatnonzero(~known)
+        missed = left[~store.contains(digests[left])]
+        new_bytes = int(cov[idx[missed]].sum())
         wire = new_bytes + len(idx) * DIGEST_META_BYTES
         return Payload(
             kind="dedup",
@@ -853,8 +911,8 @@ class DedupCodec(Codec):
             wire_bytes=min(int(wire), logical) if logical else int(wire),
             extents=extents,
             blocks=len(idx),
-            blocks_new=int((~hits).sum()),
-            blocks_ref=int(hits.sum()),
+            blocks_new=len(missed),
+            blocks_ref=len(idx) - len(missed),
             base_slot=base_slot,
             block_index=idx,
             block_digests=digests,
@@ -893,10 +951,11 @@ class AutoCodec(Codec):
 
     def plan(self, chunk, extents, *, store, slot, base_slot=-1, name=None, probe=None) -> Payload:
         raw = self._raw.plan(chunk, extents, store=store, slot=slot)
-        # coverage and digests derived once, handed to both block planners
-        blocks = self._blocks(chunk, extents, store.block)
-        delta = self._delta._plan_blocks(chunk, extents, blocks, store, base_slot, name)
-        dedup = self._dedup._plan_blocks(chunk, extents, blocks, store, base_slot, name)
+        # coverage, digests and the base-equality mask derived once,
+        # handed to both block planners
+        blocks = self._blocks(chunk, extents, store, base_slot, name)
+        delta = self._delta._plan_blocks(chunk, extents, blocks, store, base_slot)
+        dedup = self._dedup._plan_blocks(chunk, extents, blocks, store, base_slot)
         best = min((raw, delta, dedup), key=lambda p: p.wire_bytes)
         if best is raw and dedup.block_index is not None:
             # raw won this round, but publish the digests anyway so the

@@ -34,15 +34,17 @@ def _mask_extents(mask: np.ndarray, page_size: int, nbytes: int) -> List[Tuple[i
     Adjacent set pages merge into one extent; the final extent is
     clipped to the region size (the last page may be partial).
     """
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
+    if mask.size == 0:
         return []
-    # run breaks: positions where the page index jumps by > 1
-    breaks = np.flatnonzero(np.diff(idx) > 1) + 1
-    starts = idx[np.concatenate(([0], breaks))]
-    ends = idx[np.concatenate((breaks - 1, [idx.size - 1]))] + 1
+    # run edges are where the bitmap flips; a run open at either end of
+    # the bitmap gets its missing edge there
+    edges = (np.flatnonzero(mask[1:] != mask[:-1]) + 1).tolist()
+    if mask[0]:
+        edges.insert(0, 0)
+    if mask[-1]:
+        edges.append(mask.size)
     extents: List[Tuple[int, int]] = []
-    for s, e in zip(starts.tolist(), ends.tolist()):
+    for s, e in zip(edges[0::2], edges[1::2]):
         off = s * page_size
         end_b = min(e * page_size, nbytes)
         extents.append((off, end_b - off))

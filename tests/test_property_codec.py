@@ -30,6 +30,8 @@ from repro.core.codec import (
 )
 from repro.errors import CodecError
 
+from tests.recompute_oracles import assert_index_is_rebuilds
+
 pytestmark = pytest.mark.codec
 
 BLOCKS = st.sampled_from([64, 256, 4096])
@@ -151,18 +153,6 @@ NBLOCKS = 4
 DIGESTS = st.one_of(st.integers(1, 5), st.integers(1, 2**64 - 1))
 
 
-def _assert_index_is_rebuilds(s: BlockStore) -> None:
-    """The refcount index must be what ``rebuild()`` re-derives from
-    the slot maps — same rows, same order, same counts, same dtypes."""
-    oracle = BlockStore(block=s.block)
-    oracle._slots = s._slots
-    oracle.rebuild()
-    assert np.array_equal(s._digests, oracle._digests)
-    assert np.array_equal(s._counts, oracle._counts)
-    assert (s._digests.dtype, s._counts.dtype) == (oracle._digests.dtype, oracle._counts.dtype)
-    assert (s._counts > 0).all(), "refcount dropped to <= 0 but survived"
-
-
 store_ops = st.lists(
     st.one_of(
         st.tuples(
@@ -208,7 +198,7 @@ def test_store_refcounts_never_negative(program):
         else:
             s.rebuild()
 
-        _assert_index_is_rebuilds(s)
+        assert_index_is_rebuilds(s)
         assert len(s._digests) == len(set(s._digests.tolist()))
         live = [v[v != 0] for v in s._slots.values()]
         assert s.total_refs == sum(len(v) for v in live)
@@ -248,15 +238,15 @@ def test_store_index_tracks_rebuild_at_workload_scale():
     for name, slot, idx, digests in steps:
         s.stage(name, slot, idx, digests)
         assert s.commit() == len(np.unique(idx))
-        _assert_index_is_rebuilds(s)
+        assert_index_is_rebuilds(s)
     assert s.refcount(int(pool[0])) >= nblocks
     # two stages of one slot in one round: the later one's decref meets
     # the digest the earlier one just put there
     s.stage("b", 1, subset(10_000), draw(10_000, 0.5))
     s.stage("b", 1, subset(10_000), draw(10_000, 0.5))
     s.commit()
-    _assert_index_is_rebuilds(s)
+    assert_index_is_rebuilds(s)
     for name in ("a", "b"):
         s.drop_chunk(name)
-        _assert_index_is_rebuilds(s)
+        assert_index_is_rebuilds(s)
     assert s.unique_blocks == 0

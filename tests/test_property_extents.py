@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.alloc import NVAllocator
 from repro.core import make_standalone_context
-from repro.memory.page import PageTable, StalePageMap
+from repro.memory.page import PageTable, StalePageMap, _mask_extents
+
+from tests.recompute_oracles import index_diff_extents
 
 PAGE = 64  # small pages so a few writes exercise many boundary cases
 N_PAGES = 40
@@ -125,3 +127,49 @@ def test_extent_staging_reproduces_dram_exactly(rounds):
         )
         chunk.commit()
         assert chunk.stale_bytes("local", slot=chunk.committed_version) == 0
+
+
+# ---------------------------------------------------------------------------
+# Run edges from the bitmap's flips == the old index-diff coalescing.
+# ---------------------------------------------------------------------------
+
+
+def _both(mask, nbytes):
+    mask = np.asarray(mask, dtype=bool)
+    got = _mask_extents(mask, PAGE, nbytes)
+    assert got == index_diff_extents(mask, PAGE, nbytes)
+    assert all(type(v) is int for run in got for v in run)
+    return got
+
+
+@given(
+    bits=st.lists(st.booleans(), min_size=0, max_size=70),
+    tail=st.integers(0, PAGE - 1),
+)
+@settings(max_examples=300, deadline=None)
+def test_flip_edges_equal_the_index_diff(bits, tail):
+    """Any bitmap, full or partial last page."""
+    nbytes = max(0, len(bits) * PAGE - tail) if bits else 0
+    _both(bits, nbytes)
+
+
+@pytest.mark.parametrize("tail", [0, 17], ids=["full-last-page", "partial-last-page"])
+def test_flip_edges_on_the_corner_bitmaps(tail):
+    n = 9
+    nbytes = n * PAGE - tail
+    assert _both(np.zeros(0, bool), 0) == []
+    assert _both(np.zeros(n, bool), nbytes) == []
+    assert _both(np.ones(n, bool), nbytes) == [(0, nbytes)]
+    assert _both([True], PAGE - tail) == [(0, PAGE - tail)]
+    for page in (0, 4, n - 1):  # single page: first, inner, last
+        one = np.zeros(n, bool)
+        one[page] = True
+        assert _both(one, nbytes) == [(page * PAGE, min(PAGE, nbytes - page * PAGE))]
+    even = _both(np.arange(n) % 2 == 0, nbytes)  # alternating, last page set
+    assert len(even) == 5 and even[-1] == ((n - 1) * PAGE, PAGE - tail)
+    odd = _both(np.arange(n) % 2 == 1, nbytes)  # alternating, last page clear
+    assert odd == [(p * PAGE, PAGE) for p in (1, 3, 5, 7)]
+    # a row of the 2-D stale map (a strided view, as StalePageMap passes)
+    grid = np.zeros((2, n), bool)
+    grid[1, 2:5] = grid[1, 7:] = True
+    assert _both(grid[1], nbytes) == [(2 * PAGE, 3 * PAGE), (7 * PAGE, 2 * PAGE - tail)]
