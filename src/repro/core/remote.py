@@ -5,8 +5,10 @@ Design, following the paper:
 
 * one **helper process per physical node** owns all remote-checkpoint
   work for the node's ranks, reading their chunk state through the
-  shared-NVM interface and the per-NVM-page ``nvdirty`` bits the kernel
-  patch adds (so it never takes protection faults);
+  shared-NVM interface; the per-NVM-page ``nvdirty`` bits the kernel
+  patch adds (so it never takes protection faults) are each chunk's
+  ``remote`` :class:`~repro.memory.page.StalePageMap`, which
+  :meth:`RemoteTarget.stage` reads for the pages to send;
 * with **remote pre-copy**, the helper continuously *streams* chunks
   whose local checkpoint version changed since they were last sent —
   a coalescing work queue fed by local-checkpoint commits, drained at a

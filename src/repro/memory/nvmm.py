@@ -8,14 +8,17 @@ Responsibilities (mirroring §V "NVM Kernel"):
   at restart to re-load persistent pages into the process;
 * **cache flush** before data is marked consistent (charged as a cost,
   and realized as a store flush so unflushed data truly dies with a
-  crash);
-* the **nvdirty** page-bit interface used by the remote helper to find
-  dirty pages without protection faults.
+  crash).
+
+§V's **nvdirty** query — which NVM pages the remote helper still has to
+send — is answered per chunk by its ``remote``
+:class:`~repro.memory.page.StalePageMap`, so a region holds no page
+state of its own.
 
 Regions may be *real* (bytes live in the persistent store — used by
 the functional API, examples and tests) or *phantom* (size-only — used
 by cluster-scale simulations where holding 48 x 410 MB of real bytes
-would be pointless); both carry full page-table and accounting state.
+would be pointless); both are bounds-checked and charge device wear.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from ..config import DeviceConfig
 from ..errors import AllocationError, PersistenceError
 from ..units import usec
 from .device import MemoryDevice
-from .page import PageTable
+from .page import check_access
 from .persistence import InMemoryStore, PersistentStore
 
 __all__ = ["NvmRegion", "NVMKernelManager"]
@@ -44,7 +47,7 @@ SYSCALL_COST = usec(0.8)
 class NvmRegion:
     """One mapped NVM region of a process."""
 
-    __slots__ = ("manager", "pid", "name", "nbytes", "phantom", "pages", "region_id")
+    __slots__ = ("manager", "pid", "name", "nbytes", "phantom", "region_id")
 
     def __init__(
         self,
@@ -59,28 +62,24 @@ class NvmRegion:
         self.name = name
         self.nbytes = nbytes
         self.phantom = phantom
-        self.pages = PageTable(nbytes, manager.device.config.page_size)
         self.region_id = f"{pid}/{name}"
 
     # -- data access ---------------------------------------------------------
 
     def write(self, offset: int, data: Any) -> int:
-        """Store bytes; marks nvdirty pages and records device wear.
-        Returns the byte count written."""
+        """Store bytes and record device wear.  Returns the byte count
+        written."""
         payload = np.asarray(data)
         nbytes = payload.nbytes
         if not self.phantom:
             self.manager.store.write(self.region_id, offset, payload)
-        else:
-            self.pages._page_range(offset, nbytes)  # bounds check
-        self.pages.mark_nvdirty(offset, nbytes)
+        check_access(offset, nbytes, self.nbytes)
         self.manager.device.record_write(nbytes)
         return nbytes
 
     def write_phantom(self, offset: int, nbytes: int) -> int:
         """Account a write of *nbytes* without payload (simulation mode)."""
-        self.pages._page_range(offset, nbytes)
-        self.pages.mark_nvdirty(offset, nbytes)
+        check_access(offset, nbytes, self.nbytes)
         self.manager.device.record_write(nbytes)
         return nbytes
 
@@ -90,7 +89,7 @@ class NvmRegion:
             nbytes = self.nbytes - offset
         self.manager.device.record_read(nbytes)
         if self.phantom:
-            self.pages._page_range(offset, nbytes)
+            check_access(offset, nbytes, self.nbytes)
             return np.zeros(nbytes, dtype=np.uint8)
         return self.manager.store.read(self.region_id, offset, nbytes)
 
@@ -122,7 +121,6 @@ class NVMKernelManager:
         #: charge it to a clock.
         self.accrued_cost = 0.0
         self.syscall_count = 0
-        self.flush_count = 0
 
     # -- metadata ------------------------------------------------------------
 
@@ -194,7 +192,6 @@ class NVMKernelManager:
         if not region.phantom:
             self.store.resize(region.region_id, nbytes)
         region.nbytes = nbytes
-        region.pages.resize(nbytes)
         self._save_region(region)
         return region
 
@@ -251,7 +248,6 @@ class NVMKernelManager:
         """Flush CPU caches + persistent store: everything written so
         far becomes durable.  Returns the (virtual) cost to charge."""
         self.store.flush()
-        self.flush_count += 1
         self.accrued_cost += CACHE_FLUSH_COST
         return CACHE_FLUSH_COST
 

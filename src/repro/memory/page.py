@@ -1,4 +1,4 @@
-"""Page tables with protection and dirty bits.
+"""Per-page dirty state, as page bitmaps.
 
 The paper's runtime uses hardware paging in two ways:
 
@@ -11,9 +11,12 @@ The paper's runtime uses hardware paging in two ways:
   taking protection faults.
 
 Python cannot trap real SIGSEGV, so writes flow through an explicit
-barrier (:mod:`repro.core.tracking`); this module supplies the same
-bookkeeping the hardware/kernel would: protection bits, dirty bits,
-fault counting.
+barrier (:meth:`repro.alloc.chunk.Chunk.write`), and the chunk — not an
+NVM region — keeps the page state the runs read: one
+:class:`StalePageMap` per copy stream, whose ``remote`` map is §V's
+nvdirty query.  :class:`PageTable` is the same bookkeeping as a
+standalone table (protection bits, nvdirty bits, fault counting); no
+region holds one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,22 @@ import numpy as np
 from ..errors import InvalidAddress
 from ..units import PAGE_SIZE, pages_of
 
-__all__ = ["PageTable", "StalePageMap"]
+__all__ = ["PageTable", "StalePageMap", "check_access"]
+
+
+def check_access(offset: int, nbytes: int, size: int) -> None:
+    """Raise :class:`InvalidAddress` unless ``[offset, offset + nbytes)``
+    lies within ``size`` bytes."""
+    if offset < 0 or nbytes < 0 or offset + nbytes > size:
+        raise InvalidAddress(f"access [{offset}, {offset + nbytes}) outside region of {size} bytes")
+
+
+def _page_range(offset: int, nbytes: int, size: int, page_size: int) -> Tuple[int, int]:
+    """Half-open page index range covering a checked byte range."""
+    check_access(offset, nbytes, size)
+    if nbytes == 0:
+        return (0, 0)
+    return (offset // page_size, (offset + nbytes - 1) // page_size + 1)
 
 
 def _mask_extents(mask: np.ndarray, page_size: int, nbytes: int) -> List[Tuple[int, int]]:
@@ -52,9 +70,10 @@ def _mask_extents(mask: np.ndarray, page_size: int, nbytes: int) -> List[Tuple[i
 
 
 class PageTable:
-    """Per-region page state: write-protection and nvdirty bits.
+    """Standalone page state of one byte range: write-protection and
+    nvdirty bits.
 
-    Offsets are byte offsets within the region; the table converts them
+    Offsets are byte offsets within the range; the table converts them
     to page indexes internally.
     """
 
@@ -72,19 +91,6 @@ class PageTable:
         self._nvdirty = np.zeros(self.n_pages, dtype=bool)
         #: protection faults taken against this region (for cost accounting).
         self.fault_count = 0
-
-    # -- helpers ------------------------------------------------------------
-
-    def _page_range(self, offset: int, nbytes: int) -> Tuple[int, int]:
-        if offset < 0 or nbytes < 0 or offset + nbytes > self.nbytes:
-            raise InvalidAddress(
-                f"access [{offset}, {offset + nbytes}) outside region of {self.nbytes} bytes"
-            )
-        if nbytes == 0:
-            return (0, 0)
-        first = offset // self.page_size
-        last = (offset + nbytes - 1) // self.page_size
-        return (first, last + 1)
 
     def resize(self, nbytes: int) -> None:
         """Grow/shrink; new pages start unprotected and clean."""
@@ -112,7 +118,7 @@ class PageTable:
 
     def is_protected(self, offset: int, nbytes: int = 1) -> bool:
         """True if *any* page covering the byte range is protected."""
-        first, last = self._page_range(offset, nbytes)
+        first, last = _page_range(offset, nbytes, self.nbytes, self.page_size)
         return bool(self._protected[first:last].any())
 
     def any_protected(self) -> bool:
@@ -126,7 +132,7 @@ class PageTable:
     def mark_nvdirty(self, offset: int, nbytes: int) -> None:
         """Set the nvdirty bit on pages covering the byte range (the
         kernel would set this on NVM page writes)."""
-        first, last = self._page_range(offset, nbytes)
+        first, last = _page_range(offset, nbytes, self.nbytes, self.page_size)
         self._nvdirty[first:last] = True
 
     def mark_all_nvdirty(self) -> None:
@@ -158,7 +164,7 @@ class PageTable:
         """Clear the nvdirty bit on pages fully covered by the byte
         range (callers pass page-aligned extents back from
         :meth:`nvdirty_extents`, so partial coverage does not arise)."""
-        first, last = self._page_range(offset, nbytes)
+        first, last = _page_range(offset, nbytes, self.nbytes, self.page_size)
         self._nvdirty[first:last] = False
 
     def nvdirty_extents(self, clear: bool = False) -> List[Tuple[int, int]]:
@@ -182,7 +188,7 @@ class StalePageMap:
     two-version shadow buffering: the in-progress slot alternates, so
     the slot written this checkpoint was last refreshed *two*
     checkpoints ago.  This map keeps one page bitmap per version slot
-    (reusing :class:`PageTable`'s nvdirty bits) with the invariant
+    with the invariant
 
         ``stale[slot] ⊇ {pages where DRAM may differ from slot}``
 
@@ -207,17 +213,6 @@ class StalePageMap:
         # column-slice assignment instead of a Python loop over slots
         self._stale = np.ones((n_slots, self.n_pages), dtype=bool)
 
-    def _page_range(self, offset: int, nbytes: int) -> Tuple[int, int]:
-        if offset < 0 or nbytes < 0 or offset + nbytes > self.nbytes:
-            raise InvalidAddress(
-                f"access [{offset}, {offset + nbytes}) outside region of {self.nbytes} bytes"
-            )
-        if nbytes == 0:
-            return (0, 0)
-        first = offset // self.page_size
-        last = (offset + nbytes - 1) // self.page_size
-        return (first, last + 1)
-
     @property
     def n_slots(self) -> int:
         return self._stale.shape[0]
@@ -231,7 +226,7 @@ class StalePageMap:
     def mark(self, offset: int, nbytes: int) -> None:
         """A write landed on [offset, offset+nbytes): every slot's copy
         of those pages is now behind DRAM."""
-        first, last = self._page_range(offset, nbytes)
+        first, last = _page_range(offset, nbytes, self.nbytes, self.page_size)
         self._stale[:, first:last] = True
 
     def mark_all(self) -> None:
@@ -250,7 +245,7 @@ class StalePageMap:
         the copy keep their stale bits — only the listed runs clear)."""
         row = self._stale[slot]
         for off, n in extents:
-            first, last = self._page_range(off, n)
+            first, last = _page_range(off, n, self.nbytes, self.page_size)
             row[first:last] = False
 
     def clear_all(self, slot: int) -> None:

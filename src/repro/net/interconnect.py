@@ -6,8 +6,9 @@ A transfer from node A to node B holds a flow on A's *egress* link and
 B's *ingress* link simultaneously; each link is a processor-sharing
 :class:`~repro.sim.resources.BandwidthResource`, so checkpoint streams
 and application communication genuinely contend — the communication
-noise of §IV arises here, and the Fig.-10 peak-usage series is read
-off the link trackers.
+noise of §IV arises here.  The Fig.-10 usage series and the per-kind
+byte totals are read off the egress links, so those carry the fabric's
+:class:`~repro.sim.resources.UsageMeter`; ingress links meter nothing.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from ..config import InterconnectConfig
 from ..errors import ClusterError, TransferCancelled
 from ..sim.engine import Engine
 from ..sim.events import Event
-from ..sim.resources import BandwidthResource
+from ..sim.resources import BandwidthResource, UsageMeter
 
-__all__ = ["Fabric", "LinkPair", "CHECKPOINT_KINDS"]
+__all__ = ["Fabric", "FabricTransfer", "LinkPair", "CHECKPOINT_KINDS"]
 
 #: traffic kinds (tag suffixes after the last ':') that ride the
 #: checkpoint path's RDMA queue pairs.  A link outage tears these down
@@ -30,6 +31,23 @@ __all__ = ["Fabric", "LinkPair", "CHECKPOINT_KINDS"]
 CHECKPOINT_KINDS = frozenset(
     {"rckpt", "rprecopy", "rfetch", "resync", "migrate", "scrub-repair", "hb"}
 )
+
+
+class FabricTransfer(Event):
+    """Completion event of one fabric transfer.  Like
+    :class:`~repro.sim.resources.TransferEvent` it names itself only
+    when asked (``repr``), so a transfer formats nothing."""
+
+    __slots__ = ("src", "dst", "nbytes")
+
+    def __init__(self, engine: Engine, src: int, dst: int, nbytes: float) -> None:
+        super().__init__(engine)
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+
+    def _label(self) -> str:
+        return f"xfer {self.src}->{self.dst} {self.nbytes:.0f}B"
 
 
 @dataclass
@@ -56,6 +74,8 @@ class Fabric:
             )
             for i in range(n_nodes)
         ]
+        for lp in self.links:
+            UsageMeter(lp.egress)
         #: nodes whose checkpoint-path connectivity is currently down
         #: (transient link flap or a node being replaced)
         self._outage: set = set()
@@ -116,7 +136,7 @@ class Fabric:
         eg = self.links[src].egress.transfer(nbytes, tag=tag)
         ing = self.links[dst].ingress.transfer(nbytes, tag=tag)
         both = self.engine.all_of([eg, ing])
-        done = self.engine.event(name=f"xfer {src}->{dst} {nbytes:.0f}B")
+        done = FabricTransfer(self.engine, src, dst, nbytes)
         latency = self.config.rdma_latency
 
         def _finish(ev: Event) -> None:

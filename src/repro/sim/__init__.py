@@ -20,6 +20,7 @@ from .resources import (
     CpuCores,
     FlowHandle,
     Resource,
+    UsageMeter,
     UtilizationTracker,
 )
 from .rng import RngStreams
@@ -35,6 +36,7 @@ __all__ = [
     "CpuCores",
     "BandwidthResource",
     "FlowHandle",
+    "UsageMeter",
     "UtilizationTracker",
     "RngStreams",
 ]

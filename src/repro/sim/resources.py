@@ -10,22 +10,21 @@ are advanced and the next completion is rescheduled.  This yields the
 contention behaviours the paper studies: checkpoint bursts slowing each
 other down, pre-copy spreading load over time, and peak-usage reduction.
 
-**How the usage series is produced.**  A bandwidth resource can report
-its aggregate rate over time and the same split by traffic kind
-(``utilization`` / ``utilization_by_kind``), but almost nobody asks:
-the readers are ``Fabric.windowed_usage`` and ``Fabric.peak_rate`` on
-the fabric's egress links (Fig. 10, a run record's ``fabric_series``);
-the per-node NVM buses and the ingress links are never read.  So a
-rate change costs one appended *note* — ``(time, per-flow rate, flow
-counts per kind)``, from counts kept live at join and leave — and the
-series are made when read: the unfolded notes go through
-:meth:`UtilizationTracker.record` as ``count * per_flow`` per series,
-in order, which writes the sample lists that recording on every change
-would have written.  A note taken at the timestamp of the previous one
-replaces it (flows that start or finish together leave one note); what
-it keeps of the replaced note is which series that one had moved,
-because a series that moves within a timestamp has a sample there even
-if it ends where it started.
+**Usage is metered only where it is read.**  A resource keeps what
+completing its flows needs, plus ``total_bytes``.  Its usage over time
+and per tag is kept by a :class:`UsageMeter`, which only the code that
+reads it attaches — the fabric, on its egress links (Fig. 10, a run
+record's ``fabric_*``); NVM buses, ingress links and the PFS pipe carry
+none.  On a metered resource a rate change costs one appended *note* —
+``(time, per-flow rate, flow counts per kind)``, from counts kept live
+at join and leave — and the series are made when read: the unfolded
+notes go through :meth:`UtilizationTracker.record` as ``count *
+per_flow`` per series, in order, which writes the sample lists that
+recording on every change would have written.  A note taken at the
+timestamp of the previous one replaces it (flows that start or finish
+together leave one note); what it keeps of the replaced note is which
+series that one had moved, because a series that moves within a
+timestamp has a sample there even if it ends where it started.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ __all__ = [
     "BandwidthResource",
     "FlowHandle",
     "TransferEvent",
+    "UsageMeter",
     "UtilizationTracker",
 ]
 
@@ -67,8 +67,7 @@ class UtilizationTracker:
 
     Samples are ``(time, value)`` pairs recorded at each change; the
     value holds from that time until the next sample.  Used to plot the
-    interconnect-usage timeline of Figure 10 and to compute busy-time
-    integrals (CPU utilization, Table V).
+    interconnect-usage timeline of Figure 10.
     """
 
     __slots__ = ("samples",)
@@ -219,7 +218,6 @@ class CpuCores(Resource):
     def __init__(self, engine: Engine, cores: int, name: str = "cpu") -> None:
         super().__init__(engine, cores, name=name)
         self._busy_time: Dict[str, float] = {}
-        self.utilization = UtilizationTracker()
 
     def charge(self, owner: str, duration: float) -> None:
         """Account *duration* of CPU time to *owner* without modelling
@@ -229,13 +227,11 @@ class CpuCores(Resource):
     def busy(self, owner: str, duration: float):
         """Process: occupy one core for *duration*, charged to *owner*."""
         yield self.request()
-        self.utilization.record(self.engine.now, float(self._in_use))
         try:
             yield self.engine.timeout(duration)
             self._busy_time[owner] = self._busy_time.get(owner, 0.0) + duration
         finally:
             self.release()
-            self.utilization.record(self.engine.now, float(self._in_use))
 
     def busy_time(self, owner: str) -> float:
         return self._busy_time.get(owner, 0.0)
@@ -270,9 +266,7 @@ class FlowHandle:
         self.remaining = nbytes
         self.event = event
         self.tag = tag
-        # traffic kind: the part after ':' in "<rank>:<kind>" tags
-        # (app / lckpt / precopy / rckpt / rprecopy / restart / ...)
-        self.kind = tag.rsplit(":", 1)[-1] if tag else ""
+        # ``kind`` is set by the resource's meter, if it has one
         self.started_at = now
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -293,6 +287,104 @@ def _changed_series(before: tuple, after: tuple) -> int:
     return mask
 
 
+class UsageMeter:
+    """Usage of one :class:`BandwidthResource`, attached by its reader
+    (``UsageMeter(resource)``, while the resource is idle).
+
+    :attr:`utilization` is the *aggregate* rate over time, so peak usage
+    and per-window transfer volumes (Fig. 10) fall out directly;
+    :attr:`utilization_by_kind` splits it by traffic kind and
+    :attr:`bytes_by_tag` the bytes moved by flow tag.
+    """
+
+    __slots__ = ("_kind_counts", "_rate_log", "_folded", "_merge_notes",
+                 "_utilization", "_utilization_by_kind", "bytes_by_tag")
+
+    def __init__(self, resource: "BandwidthResource") -> None:
+        if resource.meter is not None or resource.active_flows:
+            raise SimulationError(f"{resource.name}: a meter attaches once, to an idle resource")
+        #: live flows per traffic kind, in first-seen order; a kind
+        #: stays (at 0) once seen, like its series
+        self._kind_counts: Dict[str, int] = {}
+        #: rate changes as ``(time, per-flow rate, (flows, *per-kind
+        #: flows), touched)``: ``_rate_log[:_folded]`` is already in the
+        #: series (only the last such note is kept, to merge against),
+        #: the rest is folded in on the next read
+        self._rate_log: List[Tuple[float, float, Tuple[int, ...], int]] = []
+        self._folded = 0
+        #: cleared for good by the first rate so small that the series'
+        #: "unchanged" tolerance stops meaning "equal"
+        self._merge_notes = True
+        self._utilization = UtilizationTracker()
+        self._utilization_by_kind: Dict[str, UtilizationTracker] = {}
+        self.bytes_by_tag: Dict[str, float] = {}
+        resource.meter = self
+
+    @property
+    def utilization(self) -> UtilizationTracker:
+        """Aggregate rate over time."""
+        self._fold_rate_log()
+        return self._utilization
+
+    @property
+    def utilization_by_kind(self) -> Dict[str, UtilizationTracker]:
+        """Per traffic kind (tag suffix) rate series, for filtered usage
+        timelines like Fig. 10's checkpoint-only traffic."""
+        self._fold_rate_log()
+        return self._utilization_by_kind
+
+    def join(self, flow: FlowHandle) -> None:
+        # traffic kind: the part after ':' in "<rank>:<kind>" tags
+        # (app / lckpt / precopy / rckpt / rprecopy / restart / ...)
+        tag = flow.tag
+        flow.kind = kind = tag.rsplit(":", 1)[-1] if tag else ""
+        counts = self._kind_counts
+        counts[kind] = counts.get(kind, 0) + 1
+
+    def leave(self, flow: FlowHandle) -> None:
+        self._kind_counts[flow.kind] -= 1
+
+    def note_rate(self, now: float, n_flows: int, per_flow: float) -> None:
+        """Log the rate every series holds from *now* on (O(kinds), no
+        walk over the flows); the series themselves are made on read."""
+        if 0.0 < per_flow < _MIN_MERGE_RATE:
+            self._merge_notes = False
+        counts = (n_flows, *self._kind_counts.values())
+        log = self._rate_log
+        if len(log) > self._folded and log[-1][0] == now and self._merge_notes:
+            # One note per timestamp: the newest replaces the one it
+            # follows.  What must survive of the replaced note is which
+            # series it moved — a series that moved within a timestamp
+            # has a sample there even when it ends where it started.
+            last = log[-1]
+            touched = last[3] | _changed_series(log[-2], last) if len(log) > 1 else 0
+            log[-1] = (now, per_flow, counts, touched)
+        else:
+            log.append((now, per_flow, counts, 0))
+
+    def _fold_rate_log(self) -> None:
+        """Bring the series up to date: replay every unfolded note
+        through :meth:`UtilizationTracker.record`, ``count * per_flow``
+        per series, in the order the notes were taken."""
+        log = self._rate_log
+        if self._folded == len(log):
+            return
+        series = [self._utilization, *self._utilization_by_kind.values()]
+        kinds = list(self._kind_counts)
+        for at in range(self._folded, len(log)):
+            now, per_flow, counts, touched = log[at]
+            for kind in kinds[len(series) - 1:len(counts) - 1]:
+                tracker = self._utilization_by_kind[kind] = UtilizationTracker()
+                series.append(tracker)
+            for i, count in enumerate(counts):
+                tracker = series[i]
+                tracker.record(now, count * per_flow)
+                if touched >> i & 1 and tracker.samples[-1][0] != now:
+                    tracker.samples.append((now, count * per_flow))
+        del log[:-1]
+        self._folded = 1
+
+
 class BandwidthResource:
     """Capacity shared equally among active flows (processor sharing).
 
@@ -301,11 +393,9 @@ class BandwidthResource:
     bus is otherwise idle.  The per-flow rate is therefore
     ``min(per_flow_cap, capacity / n_flows)``.
 
-    :attr:`utilization` is the *aggregate* rate over time, so peak usage
-    and per-window transfer volumes (Fig. 10) fall out directly;
-    :attr:`utilization_by_kind` splits it by traffic kind.  Both are
-    folded from the rate log when read (module docstring).  Per-tag
-    byte counters let callers split application vs. checkpoint traffic.
+    :attr:`total_bytes` counts every byte moved; :attr:`utilization`,
+    :attr:`utilization_by_kind` and :attr:`bytes_by_tag` are read off
+    an attached :class:`UsageMeter`, and raise without one.
     """
 
     def __init__(
@@ -330,21 +420,8 @@ class BandwidthResource:
         self._next_id = 0
         self._last_update = engine.now
         self._completion_token = 0
-        #: live flows per traffic kind, in first-seen order; a kind
-        #: stays (at 0) once seen, like its series
-        self._kind_counts: Dict[str, int] = {}
-        #: rate changes as ``(time, per-flow rate, (flows, *per-kind
-        #: flows), touched)``: ``_rate_log[:_folded]`` is already in the
-        #: series (only the last such note is kept, to merge against),
-        #: the rest is folded in on the next read
-        self._rate_log: List[Tuple[float, float, Tuple[int, ...], int]] = []
-        self._folded = 0
-        #: cleared for good by the first rate so small that the series'
-        #: "unchanged" tolerance stops meaning "equal"
-        self._merge_notes = True
-        self._utilization = UtilizationTracker()
-        self._utilization_by_kind: Dict[str, UtilizationTracker] = {}
-        self.bytes_by_tag: Dict[str, float] = {}
+        #: the usage meter a reader attached (:class:`UsageMeter`), if any
+        self.meter: Optional[UsageMeter] = None
         self.total_bytes = 0.0
 
     # -- public API -----------------------------------------------------------
@@ -353,18 +430,14 @@ class BandwidthResource:
     def active_flows(self) -> int:
         return len(self._flows)
 
-    @property
-    def utilization(self) -> UtilizationTracker:
-        """Aggregate rate over time."""
-        self._fold_rate_log()
-        return self._utilization
+    def _metered(self) -> UsageMeter:
+        if self.meter is None:
+            raise SimulationError(f"{self.name} meters no usage: no reader attached a UsageMeter")
+        return self.meter
 
-    @property
-    def utilization_by_kind(self) -> Dict[str, UtilizationTracker]:
-        """Per traffic kind (tag suffix) rate series, for filtered usage
-        timelines like Fig. 10's checkpoint-only traffic."""
-        self._fold_rate_log()
-        return self._utilization_by_kind
+    utilization = property(lambda self: self._metered().utilization)
+    utilization_by_kind = property(lambda self: self._metered().utilization_by_kind)
+    bytes_by_tag = property(lambda self: self._metered().bytes_by_tag)
 
     def current_rate(self) -> float:
         """Current aggregate throughput in bytes/s."""
@@ -398,13 +471,14 @@ class BandwidthResource:
         wakeup is rescheduled once — starting N flows costs O(flows)
         instead of O(N * flows).  The classic use is a restart barrier:
         every rank of a node re-fetching its checkpoint through the
-        same NVM bus.
+        same NVM bus.  A batch holding a negative byte count is rejected
+        whole, before any of its flows joins.
         """
+        if any(nbytes < 0 for nbytes, _ in requests):
+            raise SimulationError("cannot transfer a negative byte count")
         events: List[Event] = []
         fresh = False
         for nbytes, tag in requests:
-            if nbytes < 0:
-                raise SimulationError("cannot transfer a negative byte count")
             ev = TransferEvent(self, nbytes)
             events.append(ev)
             if nbytes < _EPSILON_BYTES:
@@ -455,12 +529,13 @@ class BandwidthResource:
         self._next_id += 1
         flow = FlowHandle(fid, float(event.nbytes), event, tag, self.engine.now)
         self._flows[fid] = flow
-        counts = self._kind_counts
-        counts[flow.kind] = counts.get(flow.kind, 0) + 1
+        if self.meter is not None:
+            self.meter.join(flow)
 
     def _leave(self, flow: FlowHandle) -> None:
         del self._flows[flow.flow_id]
-        self._kind_counts[flow.kind] -= 1
+        if self.meter is not None:
+            self.meter.leave(flow)
 
     def _advance(self) -> None:
         """Progress all flows from the last update time to now and
@@ -473,15 +548,16 @@ class BandwidthResource:
         rate = self._flow_rate(len(self._flows))
         moved = rate * dt
         dust = rate * _EPSILON_SECONDS
-        total_bytes, bytes_by_tag = self.total_bytes, self.bytes_by_tag
+        total_bytes = self.total_bytes
+        by_tag = None if self.meter is None else self.meter.bytes_by_tag
         finished: List[FlowHandle] = []
         for f in self._flows.values():
             f.remaining = after = f.remaining - moved
             had_left = after + moved
             progressed = had_left if had_left < moved else moved
             total_bytes += progressed
-            if f.tag:
-                bytes_by_tag[f.tag] = bytes_by_tag.get(f.tag, 0.0) + progressed
+            if by_tag is not None and f.tag:
+                by_tag[f.tag] = by_tag.get(f.tag, 0.0) + progressed
             if after <= _EPSILON_BYTES and after <= dust:
                 finished.append(f)
         self.total_bytes = total_bytes
@@ -489,61 +565,22 @@ class BandwidthResource:
             self._leave(f)
             f.event.succeed(now - f.started_at)
 
-    def _note_rate(self, now: float, n_flows: int, per_flow: float) -> None:
-        """Log the rate every series holds from *now* on (O(kinds), no
-        walk over the flows); the series themselves are made on read."""
-        if 0.0 < per_flow < _MIN_MERGE_RATE:
-            self._merge_notes = False
-        counts = (n_flows, *self._kind_counts.values())
-        log = self._rate_log
-        if len(log) > self._folded and log[-1][0] == now and self._merge_notes:
-            # One note per timestamp: the newest replaces the one it
-            # follows.  What must survive of the replaced note is which
-            # series it moved — a series that moved within a timestamp
-            # has a sample there even when it ends where it started.
-            last = log[-1]
-            touched = last[3] | _changed_series(log[-2], last) if len(log) > 1 else 0
-            log[-1] = (now, per_flow, counts, touched)
-        else:
-            log.append((now, per_flow, counts, 0))
-
-    def _fold_rate_log(self) -> None:
-        """Bring the series up to date: replay every unfolded note
-        through :meth:`UtilizationTracker.record`, ``count * per_flow``
-        per series, in the order the notes were taken."""
-        log = self._rate_log
-        if self._folded == len(log):
-            return
-        series = [self._utilization, *self._utilization_by_kind.values()]
-        kinds = list(self._kind_counts)
-        for at in range(self._folded, len(log)):
-            now, per_flow, counts, touched = log[at]
-            for kind in kinds[len(series) - 1:len(counts) - 1]:
-                tracker = self._utilization_by_kind[kind] = UtilizationTracker()
-                series.append(tracker)
-            for i, count in enumerate(counts):
-                tracker = series[i]
-                tracker.record(now, count * per_flow)
-                if touched >> i & 1 and tracker.samples[-1][0] != now:
-                    tracker.samples.append((now, count * per_flow))
-        del log[:-1]
-        self._folded = 1
-
     def _reschedule(self) -> None:
-        """Note the rate the flows now run at and schedule a wakeup at
-        the earliest completion.
+        """Note the rate the flows now run at (to the meter, if one is
+        attached) and schedule a wakeup at the earliest completion.
 
         Flows within float dust of completion (sub-nanosecond at the
         current rate) are finished inline: scheduling a wakeup that
         rounds to the current timestamp would spin forever.
         """
         self._completion_token += 1
-        engine, flows = self.engine, self._flows
+        engine, flows, meter = self.engine, self._flows, self.meter
         now = engine.now
         while True:
             n = len(flows)
             rate = self._flow_rate(n) if n else 0.0
-            self._note_rate(now, n, rate)
+            if meter is not None:
+                meter.note_rate(now, n, rate)
             if not n:
                 return
             nearest = inf
@@ -558,8 +595,9 @@ class BandwidthResource:
                 return
             for f in [f for f in flows.values() if f.remaining / rate < _EPSILON_SECONDS]:
                 self.total_bytes += f.remaining
-                if f.tag:
-                    self.bytes_by_tag[f.tag] = self.bytes_by_tag.get(f.tag, 0.0) + f.remaining
+                if meter is not None and f.tag:
+                    by_tag = meter.bytes_by_tag
+                    by_tag[f.tag] = by_tag.get(f.tag, 0.0) + f.remaining
                 self._leave(f)
                 f.event.succeed(now - f.started_at)
 

@@ -36,6 +36,7 @@ from repro.core.engine import CheckpointEngine
 from repro.core.remote import RemoteTarget
 from repro.errors import CheckpointError, CrashInjected
 from repro.faults.crashpoints import FaultInjector, install
+from repro.sim.resources import UsageMeter
 
 CHUNK_BYTES = 4096
 
@@ -157,6 +158,7 @@ def test_single_version_read_semantics(rig):
 def test_pfs_accounting_keys_off_rank_tag(rig):
     if rig.dest.name != "pfs":
         pytest.skip("pfs-only contract")
+    UsageMeter(rig.pfs.resource)  # the per-tag split is read here only
     rig.alloc.nvalloc("a", CHUNK_BYTES)
     rig.engine_for().checkpoint()
     assert rig.pfs.total_bytes == CHUNK_BYTES

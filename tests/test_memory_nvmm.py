@@ -1,12 +1,15 @@
 """The NVM kernel manager: nvmmap family, process metadata, restart
 re-mapping, cache flush, phantom regions."""
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.errors import AllocationError, PersistenceError
 from repro.memory import InMemoryStore, NVMKernelManager
-from repro.units import MB, PAGE_SIZE
+from repro.units import GB, MB, PAGE_SIZE
 
 
 class TestNvmmap:
@@ -140,12 +143,30 @@ class TestPhantomRegions:
         with pytest.raises(InvalidAddress):
             r.write_phantom(4000, 200)
 
+    def test_bounds_message_names_the_access(self, nvmm):
+        from repro.errors import InvalidAddress
 
-class TestNvDirtyIntegration:
-    def test_writes_set_nvdirty_pages(self, nvmm):
-        r = nvmm.nvmmap("p0", "a", 4 * PAGE_SIZE)
-        r.write(PAGE_SIZE, np.zeros(10, dtype=np.uint8))
-        assert r.pages.collect_nvdirty() == [1]
+        r = nvmm.nvmmap("p0", "ph", 4096, phantom=True)
+        msg = "access [4000, 4200) outside region of 4096 bytes"
+        for access in (lambda: r.write_phantom(4000, 200), lambda: r.read(4000, 200)):
+            with pytest.raises(InvalidAddress, match=re.escape(msg)):
+                access()
+        with pytest.raises(InvalidAddress, match=re.escape("access [-1, 9)")):
+            r.write(-1, np.zeros(10, dtype=np.uint8))
+        r.write(4096 - PAGE_SIZE, np.zeros(PAGE_SIZE, dtype=np.uint8))
+        assert nvmm.device.wear.bytes_written == PAGE_SIZE
+
+    def test_mapping_holds_no_per_page_state(self, nvmm):
+        """A region is bounds and accounting only: mapping 1 GiB of
+        phantom NVM allocates no per-page bitmaps."""
+        nvmm.nvmmap("p0", "warm", PAGE_SIZE, phantom=True)
+        tracemalloc.start()
+        try:
+            nvmm.nvmmap("p0", "big", GB(1), phantom=True)
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grown < 4096
 
 
 class TestCosts:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import InterconnectConfig
-from repro.errors import ClusterError
+from repro.errors import ClusterError, SimulationError
 from repro.net import Fabric, Topology, rdma_get, rdma_put
 from repro.sim import BandwidthResource, Engine
 from repro.units import MB
@@ -159,6 +159,57 @@ class TestFabric:
     def test_needs_a_node(self, engine):
         with pytest.raises(ClusterError):
             Fabric(engine, 0)
+
+    def test_transfer_formats_nothing(self, engine):
+        """A transfer's completion event names itself only when asked."""
+
+        class Unformattable(float):
+            def __format__(self, spec):
+                raise AssertionError("a transfer formatted its byte count")
+
+        fab = Fabric(engine, 2)
+        done = fab.transfer(0, 1, Unformattable(100.0), tag="r0:app")
+        engine.run()
+        assert done.ok
+        assert fab.total_bytes() == 100.0
+        assert fab.total_bytes(":app") == 100.0
+        assert fab.links[1].ingress.total_bytes == 100.0
+        assert "xfer 0->1 100B" in repr(fab.transfer(0, 1, 100.0))
+
+    def test_only_egress_links_are_metered(self, engine):
+        fab = Fabric(engine, 2)
+        fab.transfer(0, 1, MB(1), tag="r0:rckpt")
+        engine.run()
+        for lp in fab.links:
+            assert lp.egress.meter is not None
+            assert lp.ingress.meter is None
+            with pytest.raises(SimulationError, match="meters no usage"):
+                lp.ingress.utilization
+        assert fab.egress_of(0).utilization.peak() > 0
+
+
+class TestMeteredRun:
+    """After a whole remote-on cell, usage is metered exactly where the
+    run's record reads it: the fabric's egress links."""
+
+    def test_only_fabric_egress_carries_a_meter(self):
+        from repro.exec.cell import build_parser, run_experiment
+        from tests.golden.generate_fixtures import TRACE_CELLS
+
+        args = build_parser().parse_args(TRACE_CELLS["dcpcp-remote-precopy"])
+        result = run_experiment(args)
+        cluster = result.cluster
+        assert result.fabric_ckpt_bytes > 0 and result.fabric_series
+        for node in cluster.nodes:
+            bus = node.ctx.nvm_bus
+            assert bus.meter is None and bus.total_bytes > 0
+            with pytest.raises(SimulationError, match="meters no usage"):
+                bus.utilization
+        for lp in cluster.fabric.links:
+            assert lp.egress.meter is not None
+            assert lp.ingress.meter is None
+            with pytest.raises(SimulationError, match="meters no usage"):
+                lp.ingress.utilization
 
 
 class TestRdma:

@@ -5,7 +5,7 @@ bounds under arbitrary flow mixes."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import BandwidthResource, Engine
+from repro.sim import BandwidthResource, Engine, UsageMeter
 
 flows = st.lists(
     st.tuples(
@@ -111,6 +111,7 @@ def test_per_flow_cap_respected(flows, capacity, cap_fraction):
 def test_utilization_never_exceeds_capacity(flows):
     engine = Engine()
     bw = BandwidthResource(engine, 1000.0)
+    UsageMeter(bw)
 
     def xfer(nbytes, delay):
         if delay:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.alloc import NVAllocator
 from repro.core import make_standalone_context
-from repro.memory.page import PageTable, StalePageMap, _mask_extents
+from repro.memory.page import StalePageMap, _mask_extents
 
 from tests.recompute_oracles import index_diff_extents
 
@@ -61,13 +61,14 @@ def _extent_pages(extents):
 @given(ws=writes)
 @settings(max_examples=120, deadline=None)
 def test_extent_union_equals_dirty_page_set(ws):
-    pt = PageTable(NBYTES, page_size=PAGE)
+    pmap = StalePageMap(NBYTES, 1, page_size=PAGE)
+    pmap.clear_all(0)
     for off, n in (_clip(o, n) for o, n in ws):
-        pt.mark_nvdirty(off, n)
-    extents = pt.nvdirty_extents()
+        pmap.mark(off, n)
+    extents = pmap.extents(0)
     assert _extent_pages(extents) == _dirty_pages(ws)
-    # extent bytes match the table's own byte accounting
-    assert sum(n for _, n in extents) == pt.nvdirty_bytes()
+    # extent bytes match the map's own byte accounting
+    assert sum(n for _, n in extents) == pmap.stale_bytes(0)
 
 
 @given(ws=writes, cleared=st.integers(0, 19))

@@ -1,41 +1,45 @@
-"""The bandwidth resource's usage series, made on read from its rate
-log, must be the series the eager tracker wrote: ``EagerBandwidth``
-below notes a rate change the way the resource did before the log —
-walk the flows, ``record`` on the total and on every kind — and every
-seeded program must leave both with ``==`` sample lists, whenever the
-series are read."""
+"""The usage meter's series, made on read from its rate log, must be
+the series the eager tracker wrote: ``EagerMeter`` below notes a rate
+change the way the resource did before the log — walk the flows,
+``record`` on the total and on every kind — and every seeded program
+must leave both with ``==`` sample lists, whenever the series are read.
+The same programs on a resource with no meter must finish every flow at
+the same instant and move the same bytes: a meter only watches."""
 
 import random
 
 import pytest
 
-from repro.errors import TransferCancelled
+from repro.errors import SimulationError, TransferCancelled
 from repro.sim.engine import Engine
-from repro.sim.resources import BandwidthResource, UtilizationTracker
+from repro.sim.resources import BandwidthResource, UsageMeter, UtilizationTracker
 
 KINDS = ("app", "lckpt", "precopy", "rckpt", "restart")
 TAGS = tuple(f"r{rank}:{kind}" for rank in range(3) for kind in KINDS) + ("", "bare")
 
 
-class EagerBandwidth(BandwidthResource):
+class EagerMeter(UsageMeter):
     """The reference: every rate change is recorded on the spot."""
 
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
+    def __init__(self, resource: BandwidthResource) -> None:
+        super().__init__(resource)
+        self.resource = resource
         self.eager_total = UtilizationTracker()
         self.eager_by_kind = {}
 
     utilization = property(lambda self: self.eager_total)
     utilization_by_kind = property(lambda self: self.eager_by_kind)
 
-    def _note_rate(self, now: float, n_flows: int, per_flow: float) -> None:
-        assert now == self.engine.now
-        self.eager_total.record(now, self.current_rate())
-        n = len(self._flows)
-        assert (n_flows, per_flow) == (n, self._flow_rate(n) if n else 0.0)
+    def note_rate(self, now: float, n_flows: int, per_flow: float) -> None:
+        bw = self.resource
+        assert now == bw.engine.now
+        self.eager_total.record(now, bw.current_rate())
+        n = len(bw._flows)
+        assert (n_flows, per_flow) == (n, bw._flow_rate(n) if n else 0.0)
         counts = {}
-        for f in self._flows.values():
-            counts[f.kind] = counts.get(f.kind, 0) + 1
+        for f in bw._flows.values():
+            kind = f.tag.rsplit(":", 1)[-1] if f.tag else ""
+            counts[kind] = counts.get(kind, 0) + 1
         for kind, tracker in self.eager_by_kind.items():
             tracker.record(now, counts.pop(kind, 0) * per_flow)
         for kind, count in counts.items():
@@ -44,33 +48,42 @@ class EagerBandwidth(BandwidthResource):
             self.eager_by_kind[kind] = tracker
 
 
-def make_resource(cls, engine: Engine, seed: int):
-    """One of six resource shapes; every third is so slow (100 B/s)
-    that one ulp of a rate is below the tracker's tolerance."""
+def make_resource(engine: Engine, seed: int, meter=UsageMeter):
+    """One of six resource shapes, metered by *meter* (``None``: not
+    metered); every third is so slow (100 B/s) that one ulp of a rate is
+    below the tracker's tolerance."""
     capacity = 100.0 if seed % 3 == 2 else 2.0e9
     shape = seed % 6
     per_flow_cap = capacity * 0.4 if shape in (1, 2, 4) else None
     capacity_fn = None
     if shape in (3, 4, 5):
         capacity_fn = lambda n: capacity / (1.0 + 0.07 * (n - 1))  # noqa: E731
-    return cls(engine, capacity, per_flow_cap=per_flow_cap, name="bus", capacity_fn=capacity_fn)
+    bw = BandwidthResource(
+        engine, capacity, per_flow_cap=per_flow_cap, name="bus", capacity_fn=capacity_fn
+    )
+    if meter is not None:
+        meter(bw)
+    return bw
 
 
 def snapshot(bw):
+    if bw.meter is None:
+        return None
     return (
         list(bw.utilization.samples),
         [(kind, list(t.samples)) for kind, t in bw.utilization_by_kind.items()],
     )
 
 
-def run_program(cls, seed: int, read_midway: bool):
-    """Run the seeded program on a *cls* resource; returns the series
+def run_program(meter, seed: int, read_midway: bool):
+    """Run the seeded program on a resource metered by *meter* (a
+    :class:`UsageMeter` class, or ``None``); returns the series
     snapshots taken (mid-run reads, then the end), the completion log
     and the resource.  The program draws nothing from the resource, so
-    both classes see the same calls at the same times."""
+    every meter sees the same calls at the same times."""
     rng = random.Random(seed)
     engine = Engine()
-    bw = make_resource(cls, engine, seed)
+    bw = make_resource(engine, seed, meter)
     second = bw.capacity  # bytes one lone uncapped flow moves per second
     snapshots, finished = [], []
 
@@ -108,9 +121,15 @@ def run_program(cls, seed: int, read_midway: bool):
                 elif op == 2 and rng.random() < 0.3:
                     bw.cancel_matching()
                 elif op in (3, 4):
-                    bw.transfer_many(
-                        [(size(), rng.choice(TAGS)) for _ in range(rng.randrange(1, 5))]
-                    )
+                    batch = [(size(), rng.choice(TAGS)) for _ in range(rng.randrange(1, 5))]
+                    if rng.random() < 0.15:  # a rejected batch leaves no flow behind
+                        batch.insert(rng.randrange(len(batch) + 1), (-1.0, rng.choice(TAGS)))
+                        flows = bw.active_flows
+                        with pytest.raises(SimulationError):
+                            bw.transfer_many(batch)
+                        assert bw.active_flows == flows
+                    else:
+                        bw.transfer_many(batch)
                 elif op == 5:
                     bw.transfer(size(), tag=rng.choice(TAGS))
                 elif read_midway:
@@ -129,8 +148,8 @@ def run_program(cls, seed: int, read_midway: bool):
 @pytest.mark.parametrize("read_midway", (False, True), ids=("read-at-end", "read-midway"))
 @pytest.mark.parametrize("seed", range(240))
 def test_series_equal_the_eager_reference(seed, read_midway):
-    got, got_finished, _ = run_program(BandwidthResource, seed, read_midway)
-    want, want_finished, _ = run_program(EagerBandwidth, seed, read_midway)
+    got, got_finished, _ = run_program(UsageMeter, seed, read_midway)
+    want, want_finished, _ = run_program(EagerMeter, seed, read_midway)
     assert got_finished == want_finished
     assert len(got) == len(want)
     for (total, by_kind), (want_total, want_by_kind) in zip(got, want):
@@ -139,17 +158,30 @@ def test_series_equal_the_eager_reference(seed, read_midway):
     assert got[-1] == got[-2]
 
 
+@pytest.mark.parametrize("seed", range(240))
+def test_unmetered_resource_moves_flows_like_a_metered_one(seed):
+    _, metered, bw = run_program(UsageMeter, seed, True)
+    _, bare, bare_bw = run_program(None, seed, False)
+    assert bare == metered  # every completion, at the same instant
+    assert bare_bw.total_bytes == bw.total_bytes
+    assert bare_bw.meter is None
+    with pytest.raises(SimulationError, match="meters no usage"):
+        bare_bw.utilization
+    with pytest.raises(SimulationError, match="meters no usage"):
+        bare_bw.bytes_by_tag
+
+
 def test_programs_cover_what_they_claim():
     """The seeds above do exercise cancels, the slow-rate regime and
     same-timestamp notes that end where they started (the eager tracker
     leaves a sample there that repeats its predecessor's value)."""
     repeats = cancelled = slow = 0
     for seed in range(240):
-        snaps, finished, bw = run_program(BandwidthResource, seed, False)
+        snaps, finished, bw = run_program(UsageMeter, seed, False)
         total = snaps[-1][0]
         repeats += sum(1 for a, b in zip(total, total[1:]) if a[1] == b[1])
         cancelled += sum(1 for *_, took in finished if took is None)
-        slow += not bw._merge_notes
+        slow += not bw.meter._merge_notes
     assert repeats > 50 and cancelled > 50 and slow == 80
 
 
@@ -157,7 +189,7 @@ def test_programs_cover_what_they_claim():
 def test_unread_log_holds_one_note_per_timestamp(seed):
     rng = random.Random(seed)
     engine = Engine()
-    bw = make_resource(BandwidthResource, engine, seed)
+    bw = make_resource(engine, seed)
 
     def worker(tag):
         for _ in range(20):
@@ -166,12 +198,12 @@ def test_unread_log_holds_one_note_per_timestamp(seed):
     for tag in TAGS[:4]:
         engine.process(worker(tag))
     engine.run()
-    times = [note[0] for note in bw._rate_log]
+    times = [note[0] for note in bw.meter._rate_log]
     assert len(times) >= 10
     assert len(times) == len(set(times))
     # reading folds the log away and keeps one note to merge against
     assert bw.utilization.samples
-    assert len(bw._rate_log) == 1
+    assert len(bw.meter._rate_log) == 1
 
 
 def test_transfer_event_names_its_resource(engine):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.errors import SimulationError, TransferCancelled
-from repro.sim import BandwidthResource, CpuCores, Resource, UtilizationTracker
+from repro.sim import BandwidthResource, CpuCores, Resource, UsageMeter, UtilizationTracker
 from tests.conftest import run_proc
 
 
@@ -175,8 +175,51 @@ class TestBandwidthPS:
         with pytest.raises(SimulationError):
             bw.transfer(-1.0)
 
+    def test_rejected_batch_strands_no_flow(self, engine):
+        """A batch with a negative request is refused before any of its
+        flows joins: nothing is left running without a wakeup, and the
+        next flow completes exactly when it would on an idle resource."""
+        bw = BandwidthResource(engine, 100.0)
+        with pytest.raises(SimulationError):
+            bw.transfer_many([(100.0, "r0:a"), (-1.0, "r0:b")])
+        assert bw.active_flows == 0
+        assert bw.total_bytes == 0.0
+        done = []
+
+        def p():
+            yield engine.timeout(1.0)
+            yield bw.transfer(250.0, tag="r0:c")
+            done.append(engine.now)
+
+        engine.process(p())
+        engine.run()
+        assert done == [3.5]
+        assert bw.active_flows == 0
+        assert bw.total_bytes == 250.0
+
+    def test_unmetered_usage_read_raises(self, engine):
+        bw = BandwidthResource(engine, 100.0, name="nvm0")
+        bw.transfer(100.0, tag="r0:app")
+        engine.run()
+        assert bw.total_bytes == pytest.approx(100.0)
+        for read in ("utilization", "utilization_by_kind", "bytes_by_tag"):
+            with pytest.raises(SimulationError, match="nvm0 meters no usage"):
+                getattr(bw, read)
+
+    def test_meter_attaches_once_to_an_idle_resource(self, engine):
+        bw = BandwidthResource(engine, 100.0)
+        bw.transfer(100.0)
+        with pytest.raises(SimulationError):
+            UsageMeter(bw)  # a flow is already running unmetered
+        engine.run()
+        meter = UsageMeter(bw)
+        assert bw.meter is meter
+        with pytest.raises(SimulationError):
+            UsageMeter(bw)
+
     def test_bytes_accounted_by_tag(self, engine):
         bw = BandwidthResource(engine, 100.0)
+        UsageMeter(bw)
 
         def p():
             yield bw.transfer(300.0, tag="app")
@@ -213,6 +256,7 @@ class TestBandwidthPS:
 
     def test_utilization_series_records_rates(self, engine):
         bw = BandwidthResource(engine, 100.0)
+        UsageMeter(bw)
 
         def p():
             yield bw.transfer(100.0)
@@ -223,6 +267,7 @@ class TestBandwidthPS:
 
     def test_per_kind_tracking(self, engine):
         bw = BandwidthResource(engine, 100.0)
+        UsageMeter(bw)
 
         def p():
             yield bw.transfer(100.0, tag="r0:app")
