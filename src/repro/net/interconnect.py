@@ -14,12 +14,13 @@ byte totals are read off the egress links, so those carry the fabric's
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from ..config import InterconnectConfig
 from ..errors import ClusterError, TransferCancelled
 from ..sim.engine import Engine
-from ..sim.events import Event
+from ..sim.events import _PENDING, Event
 from ..sim.resources import BandwidthResource, UsageMeter
 
 __all__ = ["Fabric", "FabricTransfer", "LinkPair", "CHECKPOINT_KINDS"]
@@ -36,15 +37,42 @@ CHECKPOINT_KINDS = frozenset(
 class FabricTransfer(Event):
     """Completion event of one fabric transfer.  Like
     :class:`~repro.sim.resources.TransferEvent` it names itself only
-    when asked (``repr``), so a transfer formats nothing."""
+    when asked (``repr``), so a transfer formats nothing.
 
-    __slots__ = ("src", "dst", "nbytes")
+    It is its own join of the egress and ingress flows: :meth:`_on_link`
+    is the one callback on both, counting them down.  The second
+    success schedules the arrival ``latency`` later; the first failure
+    fails the transfer one step later — the step an ``AllOf`` join
+    would have taken — and every later link delivery is ignored.
+    """
 
-    def __init__(self, engine: Engine, src: int, dst: int, nbytes: float) -> None:
-        super().__init__(engine)
+    __slots__ = ("src", "dst", "nbytes", "_latency", "_links")
+
+    def __init__(self, engine: Engine, src: int, dst: int, nbytes: float, latency: float) -> None:
+        self.engine = engine
+        self.name = ""
+        self.callbacks = []
+        self._value = _PENDING
+        self._exc = None
+        self._triggered = False
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
+        self._latency = latency
+        #: link flows still to complete; 0 once one has failed
+        self._links = 2
+
+    def _on_link(self, link: Event) -> None:
+        if not self._links:
+            return
+        engine = self.engine
+        if link._exc is not None:
+            self._links = 0
+            engine._queue_callback(partial(self.fail, link._exc))
+            return
+        self._links -= 1
+        if not self._links:
+            engine.call_at(engine.now + self._latency, self.succeed)
 
     def _label(self) -> str:
         return f"xfer {self.src}->{self.dst} {self.nbytes:.0f}B"
@@ -133,19 +161,9 @@ class Fabric:
                     )
                 )
                 return failed
-        eg = self.links[src].egress.transfer(nbytes, tag=tag)
-        ing = self.links[dst].ingress.transfer(nbytes, tag=tag)
-        both = self.engine.all_of([eg, ing])
-        done = FabricTransfer(self.engine, src, dst, nbytes)
-        latency = self.config.rdma_latency
-
-        def _finish(ev: Event) -> None:
-            if not ev.ok:
-                done.fail(ev.exception)  # type: ignore[arg-type]
-                return
-            self.engine.call_at(self.engine.now + latency, lambda: done.succeed(None))
-
-        both.add_callback(_finish)
+        done = FabricTransfer(self.engine, src, dst, nbytes, self.config.rdma_latency)
+        self.links[src].egress.transfer(nbytes, tag=tag).callbacks.append(done._on_link)
+        self.links[dst].ingress.transfer(nbytes, tag=tag).callbacks.append(done._on_link)
         return done
 
     # ------------------------------------------------------------------

@@ -12,19 +12,35 @@ Processes are plain generators that ``yield`` :class:`Event` objects::
     engine.process(worker(engine))
     engine.run()
 
-The engine is strictly deterministic: ties in time are broken by a
-monotone sequence number, and no wall-clock or OS entropy is consulted.
+The engine is strictly deterministic: every queued item carries
+``(time, seq)`` with a monotone sequence number, items run in that
+order, and no wall-clock or OS entropy is consulted.  A queue entry is
+``(time, seq, kind, ...)`` of one of three kinds:
+
+* ``EVENT`` — deliver a triggered event to its callbacks;
+* ``CALL`` — call a bare function;
+* ``WAKEUP`` — ``(resource, token)``: a bandwidth resource's next flow
+  completion, run only if the token is still the resource's current
+  one (a join, leave or cancel since then makes it stale, and the loop
+  drops it without a call).
+
+A waiting process is one callback in its event's list, bound once when
+the process starts; delivering the event runs the generator's next step
+right there.  Items due *now* skip the heap (see :class:`Engine`).
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import deque
+from functools import partial
 from itertools import count
+from math import inf
+from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import ProcessKilled, SimulationError
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import _DISPATCHED, CALL, EVENT, WAKEUP, AllOf, AnyOf, Event, Timeout
 
 __all__ = ["Engine", "Process"]
 
@@ -39,15 +55,20 @@ class Process(Event):
     other by yielding a ``Process``.
     """
 
-    __slots__ = ("_gen", "_waiting_on", "_alive")
+    __slots__ = ("_gen", "_send", "_wake", "_waiting_on", "_alive")
 
     def __init__(self, engine: "Engine", gen: ProcessGen, name: str = "") -> None:
-        super().__init__(engine, name=name or getattr(gen, "__name__", "process"))
+        if not isinstance(gen, GeneratorType):
+            raise TypeError(f"a process runs a generator, not {type(gen).__name__}")
+        super().__init__(engine, name=name or gen.__name__)
         self._gen = gen
+        self._send = gen.send
+        #: the callback this process leaves on the event it waits for
+        self._wake = self._on_event
         self._waiting_on: Optional[Event] = None
         self._alive = True
         # bootstrap: resume on the next engine step
-        engine._queue_callback(lambda: self._resume(None, None))
+        engine._queue_callback(partial(self._resume, None, None))
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -66,7 +87,7 @@ class Process(Event):
             return
         if exc is None:
             exc = ProcessKilled(f"process {self.name} killed")
-        self.engine._queue_callback(lambda: self._resume(None, exc, forced=True))
+        self.engine._queue_callback(partial(self._resume, None, exc, True))
 
     def abort(self) -> None:
         """Instantly mark the process dead, *synchronously*.
@@ -91,16 +112,23 @@ class Process(Event):
     # -- internals ------------------------------------------------------------
 
     def _on_event(self, ev: Event) -> None:
-        if not self._alive:
-            return
         if self._waiting_on is not ev:
-            # stale wakeup (e.g. the process was killed and moved on)
-            return
+            return  # stale: killed and moved on, or dead (waits on nothing)
         self._waiting_on = None
-        if ev._exc is None:  # a dispatched event has triggered: this is ev.ok
-            self._resume(ev._value, None)
+        try:
+            if ev._exc is None:
+                target = self._send(ev._value)
+            else:
+                target = self._gen.throw(ev._exc)
+        except BaseException as err:
+            self._end(err)
+            return
+        # the common case inline: a live process waits on a pending event
+        if isinstance(target, Event) and self._alive and target.callbacks is not _DISPATCHED:
+            self._waiting_on = target
+            target.callbacks.append(self._wake)
         else:
-            self._resume(None, ev._exc)
+            self._wait(target)
 
     def _resume(self, value: Any, exc: Optional[BaseException], forced: bool = False) -> None:
         if not self._alive:
@@ -111,57 +139,55 @@ class Process(Event):
             if exc is not None:
                 target = self._gen.throw(exc)
             else:
-                target = self._gen.send(value)
-        except StopIteration as stop:
-            self._alive = False
-            self.succeed(stop.value)
-            return
-        except ProcessKilled as killed:
-            self._alive = False
-            self.fail(killed)
-            return
+                target = self._send(value)
         except BaseException as err:
-            self._alive = False
-            self.fail(err)
+            self._end(err)
             return
+        self._wait(target)
+
+    def _wait(self, target: Any) -> None:
         if not isinstance(target, Event):
             self._alive = False
-            err = SimulationError(
+            self.fail(SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes must yield Event objects"
-            )
-            self.fail(err)
+            ))
             return
-        self._waiting_on = target
-        target.add_callback(self._on_event)
+        if self._alive:  # an abort from inside the frame leaves it waiting on nothing
+            self._waiting_on = target
+        target.add_callback(self._wake)
+
+    def _end(self, err: BaseException) -> None:
+        """The generator returned (``StopIteration``) or raised."""
+        self._alive = False
+        if isinstance(err, StopIteration):
+            self.succeed(err.value)
+        else:
+            self.fail(err)
 
 
 class Engine:
-    """Virtual-time event loop."""
+    """Virtual-time event loop.
+
+    :attr:`now` is the current virtual time in seconds; only
+    :meth:`run` writes it.
+    """
 
     def __init__(self) -> None:
-        self._now = 0.0
+        self.now = 0.0
         self._seq = count()
-        # heap entries: (time, seq, kind, payload); kind 0 = event
-        # dispatch, kind 1 = bare callback.
-        self._heap: list[tuple[float, int, int, Any]] = []
+        self._heap: list[tuple] = []
         # zero-delay fast lane: items scheduled *at* the current time.
         # Virtual time never decreases and seq is monotone, so FIFO
         # appends keep this deque sorted by (time, seq) — the run loop
         # merges it with the heap on exactly that key, preserving the
         # single-heap total order while the (dominant) zero-delay
-        # traffic skips the O(log n) sift entirely.
-        self._ready: deque[tuple[float, int, int, Any]] = deque()
+        # traffic skips the O(log n) sift entirely.  Time does not move
+        # while it holds anything, so every entry in it is due *now*.
+        self._ready: deque[tuple] = deque()
         self._running = False
         #: total items dispatched by run() over the engine's lifetime
-        #: (events + callbacks) — the denominator of events/sec
+        #: (events + callbacks + wakeups) — the denominator of events/sec
         self.events_processed = 0
-
-    # -- clock ---------------------------------------------------------------
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     # -- event construction ----------------------------------------------------
 
@@ -180,82 +206,91 @@ class Engine:
         return AnyOf(self, events)
 
     def process(self, gen: ProcessGen, name: str = "") -> Process:
-        """Start a generator as a simulated process."""
+        """Start a generator as a simulated process (anything else is a
+        ``TypeError``)."""
         return Process(self, gen, name=name)
 
     # -- scheduling (engine-internal API used by events/resources) -------------
 
-    def _queue_event(self, ev: Event, delay: float = 0.0) -> None:
-        if delay == 0.0:
-            self._ready.append((self._now, next(self._seq), 0, ev))
-        else:
-            heapq.heappush(self._heap, (self._now + delay, next(self._seq), 0, ev))
+    def _queue_callback(self, fn: Callable[[], None]) -> None:
+        self._ready.append((self.now, next(self._seq), CALL, fn))
 
-    def _queue_callback(self, fn: Callable[[], None], delay: float = 0.0) -> None:
-        if delay == 0.0:
-            self._ready.append((self._now, next(self._seq), 1, fn))
+    def _schedule_wakeup(self, when: float, resource: Any, token: int) -> None:
+        """Queue *resource*'s completion wakeup at *when* (>= now): the
+        loop runs ``resource._advance(); resource._reschedule()`` then,
+        if ``resource._completion_token`` is still *token*."""
+        if when <= self.now:
+            self._ready.append((self.now, next(self._seq), WAKEUP, resource, token))
         else:
-            heapq.heappush(self._heap, (self._now + delay, next(self._seq), 1, fn))
+            heapq.heappush(self._heap, (when, next(self._seq), WAKEUP, resource, token))
 
     def call_at(self, when: float, fn: Callable[[], None]) -> None:
-        """Run *fn* at absolute virtual time *when* (>= now)."""
-        if when < self._now - 1e-12:
-            raise SimulationError(f"call_at({when}) is in the past (now={self._now})")
-        if when <= self._now:
-            self._ready.append((self._now, next(self._seq), 1, fn))
+        """Run *fn* at absolute virtual time *when* (>= now, finite)."""
+        now = self.now
+        if not now - 1e-12 <= when < inf:
+            raise SimulationError(f"call_at({when}) is not a finite time from now={now} on")
+        if when <= now:
+            self._ready.append((now, next(self._seq), CALL, fn))
         else:
-            heapq.heappush(self._heap, (when, next(self._seq), 1, fn))
+            heapq.heappush(self._heap, (when, next(self._seq), CALL, fn))
 
     # -- main loop ---------------------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run until the queue drains or virtual time reaches *until*.
+        """Run until the queue drains or virtual time reaches *until*
+        (which may not lie before :attr:`now`).
 
         Returns the final virtual time.  Re-entrancy is an error.
         """
         if self._running:
             raise SimulationError("engine.run() is not re-entrant")
+        if until is not None and not until >= self.now:
+            raise SimulationError(f"run(until={until}) would move the clock back from {self.now}")
         self._running = True
         ready, heap = self._ready, self._heap
+        popleft, heappop = ready.popleft, heapq.heappop
+        bound = inf if until is None else until
         dispatched = 0
         try:
             while ready or heap:
                 # merge the two lanes on (time, seq) — identical total
-                # order to the historical single heap.  The entries
-                # compare as they are: seq is unique, so tuple order
-                # never reaches kind or payload.
-                from_ready = bool(ready) and (not heap or ready[0] < heap[0])
-                when, _, kind, payload = ready[0] if from_ready else heap[0]
-                if until is not None and when > until:
-                    self._now = until
-                    break
-                if from_ready:
-                    ready.popleft()
+                # order to a single heap.  Entries compare as they are:
+                # seq is unique, so tuple order never reaches the kind.
+                if ready and not (heap and heap[0] < ready[0]):
+                    entry = popleft()
                 else:
-                    heapq.heappop(heap)
-                self._now = when
+                    entry = heap[0]
+                    when = entry[0]
+                    if when > bound:
+                        self.now = bound
+                        break
+                    heappop(heap)
+                    self.now = when
                 dispatched += 1
-                if kind == 0:
-                    ev: Event = payload
-                    ev._scheduled = False
-                    callbacks, ev.callbacks = ev.callbacks, []
+                kind = entry[2]
+                if kind == EVENT:
+                    ev = entry[3]
+                    callbacks = ev.callbacks
+                    ev.callbacks = _DISPATCHED
                     for cb in callbacks:
                         cb(ev)
+                elif kind == CALL:
+                    entry[3]()
                 else:
-                    payload()
+                    resource = entry[3]
+                    if entry[4] == resource._completion_token:
+                        resource._advance()
+                        resource._reschedule()
             else:
-                if until is not None and until > self._now:
-                    self._now = until
+                if until is not None and until > self.now:
+                    self.now = until
         finally:
             self._running = False
             self.events_processed += dispatched
-        return self._now
+        return self.now
 
     def peek(self) -> float:
         """Time of the next scheduled item, or ``inf`` if none."""
-        times = []
         if self._ready:
-            times.append(self._ready[0][0])
-        if self._heap:
-            times.append(self._heap[0][0])
-        return min(times) if times else float("inf")
+            return self._ready[0][0]
+        return self._heap[0][0] if self._heap else inf

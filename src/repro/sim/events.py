@@ -4,10 +4,21 @@ An :class:`Event` is a one-shot synchronization object.  Processes wait
 on events by ``yield``-ing them; the engine resumes the process when the
 event fires.  Events may *succeed* (carrying a value) or *fail*
 (carrying an exception that is re-raised inside the waiting process).
+
+Triggering an event queues its delivery on the engine's ready lane;
+delivery hands the event to every callback in its list and replaces the
+list with the shared empty tuple ``_DISPATCHED``.  A callback added
+after that runs as a queued call of its own at the next step.
+Subclasses created per flow or per sleep (:class:`Timeout`,
+``TransferEvent``, ``FabricTransfer``) set their slots directly rather
+than through ``__init__`` chains.
 """
 
 from __future__ import annotations
 
+import heapq
+from functools import partial
+from math import inf
 from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
 from ..errors import SimulationError
@@ -18,6 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["Event", "Timeout", "AllOf", "AnyOf"]
 
 _PENDING = object()
+#: the callback "list" of a delivered event
+_DISPATCHED: tuple = ()
+#: kinds of engine queue entries (see :mod:`repro.sim.engine`)
+EVENT, CALL, WAKEUP = 0, 1, 2
 
 
 class Event:
@@ -28,7 +43,7 @@ class Event:
     hide scheduling bugs).
     """
 
-    __slots__ = ("engine", "callbacks", "_value", "_exc", "_triggered", "_scheduled", "name")
+    __slots__ = ("engine", "callbacks", "_value", "_exc", "_triggered", "name")
 
     def __init__(self, engine: "Engine", name: str = "") -> None:
         self.engine = engine
@@ -37,7 +52,6 @@ class Event:
         self._value: Any = _PENDING
         self._exc: Optional[BaseException] = None
         self._triggered = False
-        self._scheduled = False
 
     # -- state ------------------------------------------------------------
 
@@ -85,17 +99,15 @@ class Event:
         self._exc = exc
         # delivery is always "now": straight onto the engine's ready lane
         engine = self.engine
-        engine._ready.append((engine._now, next(engine._seq), 0, self))
-        self._scheduled = True
+        engine._ready.append((engine.now, next(engine._seq), EVENT, self))
 
     # -- callbacks ---------------------------------------------------------
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
         """Run *fn(event)* when the event fires.  If the event has
         already been dispatched, run at the next engine step."""
-        if self._triggered and self._scheduled is False:
-            # already fully dispatched: queue a fresh delivery
-            self.engine._queue_callback(lambda: fn(self))
+        if self.callbacks is _DISPATCHED:
+            self.engine._queue_callback(partial(fn, self))
         else:
             self.callbacks.append(fn)
 
@@ -118,15 +130,20 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, engine: "Engine", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay}")
-        super().__init__(engine)
-        self.delay = delay
+        if not 0.0 <= delay < inf:
+            raise SimulationError(f"timeout delay {delay} is not finite and non-negative")
+        self.engine = engine
+        self.name = ""
+        self.callbacks = []
+        self._exc = None
         # A timeout is born triggered; it is delivered after `delay`.
         self._triggered = True
         self._value = value
-        engine._queue_event(self, delay=delay)
-        self._scheduled = True
+        self.delay = delay
+        if delay == 0.0:
+            engine._ready.append((engine.now, next(engine._seq), EVENT, self))
+        else:
+            heapq.heappush(engine._heap, (engine.now + delay, next(engine._seq), EVENT, self))
 
     def _label(self) -> str:
         return f"timeout({self.delay:g})"
@@ -160,7 +177,10 @@ class AllOf(Event):
 
 
 class AnyOf(Event):
-    """Fires when the first child fires; value is ``(index, value)``."""
+    """Fires when the first child fires; value is ``(index, value)``.
+
+    One bound callback serves every child; when a child wins, it is
+    taken off the children that lost and are still pending."""
 
     __slots__ = ("_children",)
 
@@ -169,13 +189,19 @@ class AnyOf(Event):
         self._children = list(events)
         if not self._children:
             raise SimulationError("AnyOf needs at least one event")
-        for i, ev in enumerate(self._children):
-            ev.add_callback(lambda e, i=i: self._on_child(i, e))
+        on_child = self._on_child
+        for ev in self._children:
+            ev.add_callback(on_child)
 
-    def _on_child(self, index: int, ev: Event) -> None:
+    def _on_child(self, ev: Event) -> None:
         if self._triggered:
             return
-        if not ev.ok:
-            self.fail(ev.exception)  # type: ignore[arg-type]
+        on_child = self._on_child
+        for child in self._children:
+            if child.callbacks is not _DISPATCHED:
+                child.callbacks = [cb for cb in child.callbacks if cb != on_child]
+        if ev._exc is not None:
+            self.fail(ev._exc)
             return
-        self.succeed((index, ev._value))
+        # the first registration of the winner is the one that ran
+        self.succeed((self._children.index(ev), ev._value))

@@ -31,12 +31,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 from collections import deque
-from functools import partial
 from math import inf
 
 from ..errors import SimulationError, TransferCancelled
 from .engine import Engine
-from .events import Event
+from .events import _PENDING, Event
 
 __all__ = [
     "Resource",
@@ -247,7 +246,12 @@ class TransferEvent(Event):
     __slots__ = ("resource", "nbytes")
 
     def __init__(self, resource: Any, nbytes: float) -> None:
-        super().__init__(resource.engine)
+        self.engine = resource.engine
+        self.name = ""
+        self.callbacks = []
+        self._value = _PENDING
+        self._exc = None
+        self._triggered = False
         self.resource = resource
         self.nbytes = nbytes
 
@@ -450,8 +454,8 @@ class BandwidthResource:
         """Start moving *nbytes* through this resource; the returned
         event fires when the transfer completes.  Zero-byte transfers
         complete immediately."""
-        if nbytes < 0:
-            raise SimulationError("cannot transfer a negative byte count")
+        if not 0 <= nbytes < inf:
+            raise SimulationError(f"cannot transfer {nbytes} bytes: not finite and non-negative")
         ev = TransferEvent(self, nbytes)
         if nbytes < _EPSILON_BYTES:
             ev.succeed(0.0)
@@ -471,11 +475,12 @@ class BandwidthResource:
         wakeup is rescheduled once — starting N flows costs O(flows)
         instead of O(N * flows).  The classic use is a restart barrier:
         every rank of a node re-fetching its checkpoint through the
-        same NVM bus.  A batch holding a negative byte count is rejected
-        whole, before any of its flows joins.
+        same NVM bus.  A batch holding a negative or non-finite byte
+        count is rejected whole, before any of its flows joins.
         """
-        if any(nbytes < 0 for nbytes, _ in requests):
-            raise SimulationError("cannot transfer a negative byte count")
+        for nbytes, _ in requests:
+            if not 0 <= nbytes < inf:
+                raise SimulationError(f"cannot transfer {nbytes} bytes: not finite and non-negative")
         events: List[Event] = []
         fresh = False
         for nbytes, tag in requests:
@@ -567,7 +572,10 @@ class BandwidthResource:
 
     def _reschedule(self) -> None:
         """Note the rate the flows now run at (to the meter, if one is
-        attached) and schedule a wakeup at the earliest completion.
+        attached) and schedule a wakeup at the earliest completion.  The
+        wakeup carries a fresh :attr:`_completion_token`; the engine
+        drops it if another reschedule has happened by then, and
+        otherwise calls :meth:`_advance` and this method again.
 
         Flows within float dust of completion (sub-nanosecond at the
         current rate) are finished inline: scheduling a wakeup that
@@ -590,8 +598,7 @@ class BandwidthResource:
             # the nearest flow decides: dividing by one positive rate
             # keeps the order of the remainders
             if not nearest / rate < _EPSILON_SECONDS:
-                wakeup = partial(self._on_wakeup, self._completion_token)
-                engine.call_at(now + nearest / rate, wakeup)
+                engine._schedule_wakeup(now + nearest / rate, self, self._completion_token)
                 return
             for f in [f for f in flows.values() if f.remaining / rate < _EPSILON_SECONDS]:
                 self.total_bytes += f.remaining
@@ -600,9 +607,3 @@ class BandwidthResource:
                     by_tag[f.tag] = by_tag.get(f.tag, 0.0) + f.remaining
                 self._leave(f)
                 f.event.succeed(now - f.started_at)
-
-    def _on_wakeup(self, token: int) -> None:
-        if token != self._completion_token:
-            return  # state changed since this wakeup was scheduled
-        self._advance()
-        self._reschedule()

@@ -32,6 +32,7 @@ non-uniform per-flow rates.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Dict, List, Optional
 
 from ..errors import SimulationError, TransferCancelled
@@ -173,8 +174,8 @@ class WeightedFairBus:
         """Move *nbytes* for *tenant*; the event fires on completion."""
         if tenant not in self.partitions:
             raise SimulationError(f"unknown tenant {tenant!r} on {self.name}")
-        if nbytes < 0:
-            raise SimulationError("cannot transfer a negative byte count")
+        if not 0 <= nbytes < inf:
+            raise SimulationError(f"cannot transfer {nbytes} bytes: not finite and non-negative")
         ev = TransferEvent(self, nbytes)
         if nbytes < _EPSILON_BYTES:
             ev.succeed(0.0)
@@ -325,8 +326,9 @@ class WeightedFairBus:
             self._recompute_rates()
 
     def _reschedule(self) -> None:
+        """Finish flows within dust of completion and schedule the
+        engine's token-checked wakeup at the earliest one left."""
         self._completion_token += 1
-        token = self._completion_token
         while self._flows:
             dust = [
                 f
@@ -349,10 +351,4 @@ class WeightedFairBus:
         eta = self.engine.now + min(
             f.remaining / f.rate for f in self._flows.values() if f.rate > 0
         )
-        self.engine.call_at(eta, lambda: self._on_wakeup(token))
-
-    def _on_wakeup(self, token: int) -> None:
-        if token != self._completion_token:
-            return  # state changed since this wakeup was scheduled
-        self._advance()
-        self._reschedule()
+        self.engine._schedule_wakeup(eta, self, self._completion_token)

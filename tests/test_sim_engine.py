@@ -42,6 +42,31 @@ class TestClock:
         with pytest.raises(SimulationError):
             engine.timeout(-1.0)
 
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_timeout_rejected(self, engine, delay):
+        with pytest.raises(SimulationError):
+            engine.timeout(delay)
+        assert engine.peek() == float("inf")
+
+    def test_run_until_before_now_rejected(self, engine):
+        engine.run(until=10.5)
+        with pytest.raises(SimulationError):
+            engine.run(until=5.0)
+        assert engine.now == 10.5
+        assert engine.run(until=10.5) == 10.5
+
+    def test_run_until_nan_rejected(self, engine):
+        fired = []
+
+        def p():
+            yield engine.timeout(3.0)
+            fired.append(engine.now)
+
+        engine.process(p())
+        with pytest.raises(SimulationError):
+            engine.run(until=float("nan"))
+        assert engine.now == 0.0 and not fired
+
 
 class TestEvents:
     def test_succeed_delivers_value(self, engine):
@@ -158,6 +183,12 @@ class TestProcesses:
         engine.run()
         assert proc.value == "done"
 
+    @pytest.mark.parametrize("body", [iter([]), [], lambda: None], ids=["iterator", "list", "function"])
+    def test_process_needs_a_generator(self, engine, body):
+        with pytest.raises(TypeError):
+            engine.process(body)
+        assert engine.peek() == float("inf")
+
     def test_yielding_non_event_fails_the_process(self, engine):
         def bad():
             yield 42  # type: ignore[misc]
@@ -234,6 +265,12 @@ class TestDeterminism:
             engine.process(p(name))
         engine.run()
         assert order == ["a", "b", "c"]
+
+    @pytest.mark.parametrize("when", [float("nan"), float("inf")])
+    def test_call_at_non_finite_rejected(self, engine, when):
+        with pytest.raises(SimulationError):
+            engine.call_at(when, lambda: None)
+        assert engine.peek() == float("inf")
 
     def test_call_at_past_rejected(self, engine):
         def p():

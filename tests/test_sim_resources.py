@@ -2,12 +2,31 @@
 
 import math
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from repro.errors import SimulationError, TransferCancelled
 from repro.sim import BandwidthResource, CpuCores, Resource, UsageMeter, UtilizationTracker
 from tests.conftest import run_proc
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise ``TimeoutError`` in the block if it runs longer than
+    *seconds* (a guard for code that used to loop forever)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestResource:
@@ -174,6 +193,28 @@ class TestBandwidthPS:
         bw = BandwidthResource(engine, 100.0)
         with pytest.raises(SimulationError):
             bw.transfer(-1.0)
+
+    @pytest.mark.parametrize("nbytes", [float("nan"), float("inf")])
+    def test_non_finite_transfer_rejected(self, engine, nbytes):
+        bw = BandwidthResource(engine, 100.0)
+        with pytest.raises(SimulationError):
+            bw.transfer(nbytes)
+        with pytest.raises(SimulationError):
+            bw.transfer_many([(100.0, "r0:a"), (nbytes, "r0:b")])
+        assert bw.active_flows == 0
+
+    def test_nan_transfer_fails_its_process_instead_of_hanging_the_run(self, engine):
+        bw = BandwidthResource(engine, 100.0)
+
+        def p():
+            yield bw.transfer(100.0)
+            yield bw.transfer(float("nan"))
+
+        proc = engine.process(p())
+        with deadline(10.0):
+            engine.run()
+        assert engine.now == 1.0
+        assert isinstance(proc.exception, SimulationError)
 
     def test_rejected_batch_strands_no_flow(self, engine):
         """A batch with a negative request is refused before any of its

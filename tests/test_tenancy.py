@@ -134,10 +134,15 @@ class TestWeightedFairBus:
     def test_byte_conservation(self):
         engine, contention, bus = make_bus({"a": 2.0, "b": 1.0})
         sizes = [MB(64), MB(32), MB(128), MB(16)]
+        done = []
+
+        def xfer(tenant, n, tag):
+            done.append((yield bus.transfer(tenant, n, tag=tag)))
+
         for i, n in enumerate(sizes):
-            tenant = "a" if i % 2 == 0 else "b"
-            engine.process(iter([bus.transfer(tenant, n, tag=f"f{i}")]))
+            engine.process(xfer("a" if i % 2 == 0 else "b", n, f"f{i}"))
         engine.run()
+        assert len(done) == len(sizes)
         assert bus.total_bytes == pytest.approx(sum(sizes), rel=1e-6)
         assert bus.active_flows == 0
         assert sum(bus.bytes_by_tenant.values()) == pytest.approx(sum(sizes), rel=1e-6)
@@ -154,6 +159,10 @@ class TestWeightedFairBus:
             bus.transfer("ghost", MB(1))
         with pytest.raises(SimulationError):
             bus.transfer("a", -1)
+        for nbytes in (float("nan"), float("inf")):
+            with pytest.raises(SimulationError):
+                bus.transfer("a", nbytes)
+        assert bus.active_flows == 0
 
     def test_cancel_tag_preempts_with_transfer_cancelled(self):
         engine, contention, bus = make_bus({"a": 1.0})
