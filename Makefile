@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint faults faults-matrix bench bench-json smoke perf-smoke perf-compare
+.PHONY: test lint faults faults-matrix bench bench-json smoke perf-smoke perf-compare paper-scale
 
 # tier-1: the full deterministic suite
 test:
@@ -26,6 +26,12 @@ faults-matrix:
 
 bench:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m pytest benchmarks -q
+
+# host cost of one paper-scale cell (8 nodes x 12 ranks, faithful GTC
+# chunk layout, 2 iterations, through run_cell): wall time, peak RSS and
+# the collector's passes inside the cell; ungated, ~3 s
+paper-scale:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/paper_scale.py
 
 # perf trajectory: run the pinned benchmark subset on the parallel
 # cached execution engine and emit the machine-readable baseline

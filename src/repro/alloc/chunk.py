@@ -10,6 +10,9 @@ NVM interface.  It owns:
   mid-checkpoint always leaves a consistent version;
 * **dirty bits** — one for the local checkpoint stream and one for the
   remote stream (§V: 'each chunk structure has two dirty bit flags');
+* **stale page runs** per stream and version slot, for page-granular
+  incremental copy (:class:`~repro.memory.page.StalePageMap`); every
+  write and touch is range-checked before it marks them;
 * chunk-level **write protection** state: after a pre-copy all pages
   are protected; the first write takes one fault, unprotects the whole
   chunk and marks it dirty (this is what makes chunk-granular tracking
@@ -132,13 +135,14 @@ class Chunk:
         self._migration_bytes_pending = 0
         #: observers called as fn(chunk, nbytes) on each migration.
         self.on_migrate: List[Callable[["Chunk", int], None]] = []
-        #: per-stream staleness bitmaps for page-granular incremental
-        #: copy.  One :class:`StalePageMap` per stream; the local map
-        #: has one bitmap per NVM shadow version slot (under
-        #: double-buffering the in-progress slot was last refreshed two
-        #: checkpoints ago, so "dirty since last checkpoint" is the
-        #: wrong predicate).  The remote map is created lazily when a
-        #: buddy target first adopts the chunk.
+        #: per-stream stale pages for page-granular incremental copy.
+        #: One :class:`StalePageMap` per stream; the local map keeps
+        #: one list of stale page runs per NVM shadow version slot
+        #: (under double-buffering the in-progress slot was last
+        #: refreshed two checkpoints ago, so "dirty since last
+        #: checkpoint" is the wrong predicate) — a few integers per
+        #: slot however large the chunk.  The remote map is created
+        #: lazily when a buddy target first adopts the chunk.
         self._stale = {"local": StalePageMap(nbytes, max(1, len(self.versions)))}
         #: content-identity generation (see ``_incarnations``).
         self.incarnation = next(Chunk._incarnations)
@@ -164,11 +168,7 @@ class Chunk:
         payload = np.ascontiguousarray(np.asarray(data)).view(np.uint8).reshape(-1)
         if self.phantom:
             raise CheckpointError(f"chunk {self.name!r} is phantom; use touch()")
-        if offset < 0 or offset + len(payload) > self.nbytes:
-            raise CheckpointError(
-                f"chunk {self.name!r}: write [{offset}, {offset + len(payload)}) "
-                f"outside {self.nbytes} bytes"
-            )
+        self._check_range("write", offset, len(payload))
         if self.nvm_resident:
             self._migrate_to_dram()  # copy-on-write allocates DRAM
         if self.dram is None:
@@ -180,12 +180,21 @@ class Chunk:
 
     def touch(self, nbytes: Optional[int] = None, offset: int = 0) -> int:
         """Phantom-mode modification: account a write of *nbytes* at
-        *offset* (default: the whole chunk) without a payload."""
+        *offset* (default: the whole chunk) without a payload.  The
+        range must lie inside the chunk, as for :meth:`write`."""
+        n = nbytes if nbytes is not None else self.nbytes
+        self._check_range("touch", offset, n)
         if self.nvm_resident:
             self._migrate_to_dram()
-        n = nbytes if nbytes is not None else self.nbytes
         self._mark_stale(offset, n)
         return self._dirtying_access(n)
+
+    def _check_range(self, what: str, offset: int, nbytes: int) -> None:
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.nbytes:
+            raise CheckpointError(
+                f"chunk {self.name!r}: {what} [{offset}, {offset + nbytes}) "
+                f"outside {self.nbytes} bytes"
+            )
 
     def _dirtying_access(self, nbytes: Optional[int] = None) -> int:
         faults = 0
@@ -273,16 +282,14 @@ class Chunk:
     # ------------------------------------------------------------------
 
     def _mark_stale(self, offset: int, nbytes: int) -> None:
-        """Record a DRAM write against every stream's stale maps."""
-        if nbytes <= 0:
-            return
-        end = min(offset + nbytes, self.nbytes)
-        if offset < 0 or offset >= end:
+        """Record a range-checked DRAM write against every stream's
+        stale maps."""
+        if nbytes == 0:
             return
         for pmap in self._stale.values():
-            pmap.mark(offset, end - offset)
+            pmap.mark(offset, nbytes)
         if self._content is not None:
-            self._content.record_write(offset, end - offset)
+            self._content.record_write(offset, nbytes)
 
     def _stale_map(self, stream: str) -> StalePageMap:
         try:
@@ -291,7 +298,7 @@ class Chunk:
             raise ValueError(f"chunk {self.name!r} has no {stream!r} stale map")
 
     def ensure_remote_slots(self, n_slots: int) -> None:
-        """Create/grow the remote-stream stale map (one bitmap per
+        """Create/grow the remote-stream stale map (one run list per
         buddy version slot).  New slots start fully stale."""
         pmap = self._stale.get("remote")
         if pmap is None:

@@ -1,4 +1,4 @@
-"""Per-page dirty state, as page bitmaps.
+"""Per-page dirty state.
 
 The paper's runtime uses hardware paging in two ways:
 
@@ -14,13 +14,16 @@ Python cannot trap real SIGSEGV, so writes flow through an explicit
 barrier (:meth:`repro.alloc.chunk.Chunk.write`), and the chunk — not an
 NVM region — keeps the page state the runs read: one
 :class:`StalePageMap` per copy stream, whose ``remote`` map is §V's
-nvdirty query.  :class:`PageTable` is the same bookkeeping as a
-standalone table (protection bits, nvdirty bits, fault counting); no
-region holds one.
+nvdirty query.  A stale map holds page *runs*, so its size follows the
+write pattern, not the chunk size: a 400 MB chunk written whole is one
+run per version slot.  :class:`PageTable` is the same bookkeeping as a
+standalone table of page bitmaps (protection bits, nvdirty bits, fault
+counting); no region holds one.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import List, Tuple
 
 import numpy as np
@@ -44,6 +47,16 @@ def _page_range(offset: int, nbytes: int, size: int, page_size: int) -> Tuple[in
     if nbytes == 0:
         return (0, 0)
     return (offset // page_size, (offset + nbytes - 1) // page_size + 1)
+
+
+def _covered_pages(offset: int, nbytes: int, size: int, page_size: int) -> Tuple[int, int]:
+    """Half-open index range of the pages a checked byte range covers
+    whole; the region's ragged last page counts as whole once the range
+    reaches the region's end.  Empty when no page is covered."""
+    check_access(offset, nbytes, size)
+    end = offset + nbytes
+    last = pages_of(size, page_size) if end == size else end // page_size
+    return (-(-offset // page_size), last)
 
 
 def _mask_extents(mask: np.ndarray, page_size: int, nbytes: int) -> List[Tuple[int, int]]:
@@ -162,9 +175,8 @@ class PageTable:
 
     def clear_nvdirty_range(self, offset: int, nbytes: int) -> None:
         """Clear the nvdirty bit on pages fully covered by the byte
-        range (callers pass page-aligned extents back from
-        :meth:`nvdirty_extents`, so partial coverage does not arise)."""
-        first, last = _page_range(offset, nbytes, self.nbytes, self.page_size)
+        range; a partly covered page stays dirty."""
+        first, last = _covered_pages(offset, nbytes, self.nbytes, self.page_size)
         self._nvdirty[first:last] = False
 
     def nvdirty_extents(self, clear: bool = False) -> List[Tuple[int, int]]:
@@ -182,23 +194,29 @@ class PageTable:
 
 
 class StalePageMap:
-    """Per-version-slot staleness bitmaps for incremental copy.
+    """Per-version-slot stale page runs for incremental copy.
 
     "Dirty since the last checkpoint" is the wrong predicate under
     two-version shadow buffering: the in-progress slot alternates, so
     the slot written this checkpoint was last refreshed *two*
-    checkpoints ago.  This map keeps one page bitmap per version slot
-    with the invariant
+    checkpoints ago.  This map keeps one stale page set per version
+    slot with the invariant
 
         ``stale[slot] ⊇ {pages where DRAM may differ from slot}``
 
     Every application write marks the page stale in **all** slots;
-    copying a slot's extents clears exactly those pages in *that* slot
-    only.  Fresh, resized, or rebuilt maps start all-stale — the safe
-    direction is over-copying, never under-copying.
+    copying a slot's extents clears the pages they cover whole in
+    *that* slot only.  Fresh, resized, or rebuilt maps start all-stale —
+    the safe direction is over-copying, never under-copying.
+
+    A slot's set is a sorted list of run edges ``[s0, e0, s1, e1, ...]``:
+    half-open page runs ``[s, e)``, disjoint and never adjacent (a run
+    that ends where the next begins is one run).  The state grows with
+    the number of runs, not of pages, and a whole-chunk write on an
+    all-stale or empty slot is O(1).
     """
 
-    __slots__ = ("nbytes", "page_size", "n_pages", "_stale")
+    __slots__ = ("nbytes", "page_size", "n_pages", "_runs")
 
     def __init__(self, nbytes: int, n_slots: int, page_size: int = PAGE_SIZE) -> None:
         if n_slots < 1:
@@ -208,59 +226,76 @@ class StalePageMap:
         self.nbytes = nbytes
         self.page_size = page_size
         self.n_pages = pages_of(nbytes, page_size)
-        # one row per version slot over a single 2D bitmap, so the hot
-        # operation — mark() on every application write — is one
-        # column-slice assignment instead of a Python loop over slots
-        self._stale = np.ones((n_slots, self.n_pages), dtype=bool)
+        self._runs: List[List[int]] = [self._all_stale() for _ in range(n_slots)]
+
+    def _all_stale(self) -> List[int]:
+        return [0, self.n_pages] if self.n_pages else []
 
     @property
     def n_slots(self) -> int:
-        return self._stale.shape[0]
+        return len(self._runs)
 
     def ensure_slots(self, n_slots: int) -> None:
         """Grow to *n_slots*; new slots start fully stale."""
-        if n_slots > self.n_slots:
-            extra = np.ones((n_slots - self.n_slots, self.n_pages), dtype=bool)
-            self._stale = np.vstack((self._stale, extra))
+        while len(self._runs) < n_slots:
+            self._runs.append(self._all_stale())
 
     def mark(self, offset: int, nbytes: int) -> None:
         """A write landed on [offset, offset+nbytes): every slot's copy
         of those pages is now behind DRAM."""
         first, last = _page_range(offset, nbytes, self.nbytes, self.page_size)
-        self._stale[:, first:last] = True
+        if first == last:
+            return
+        for runs in self._runs:
+            # edges left of i end before `first` with a gap; edges from
+            # j on start after `last` with a gap; an odd index lands
+            # inside a run (or on an adjacent edge), which then merges
+            # and keeps its own edge instead of the new one
+            i = bisect_left(runs, first)
+            j = bisect_right(runs, last, i)
+            runs[i:j] = (first, last)[i & 1 : 2 - (j & 1)]
 
     def mark_all(self) -> None:
-        self._stale[:] = True
+        self._runs = [self._all_stale() for _ in self._runs]
 
     def extents(self, slot: int, clear: bool = False) -> List[Tuple[int, int]]:
-        """Coalesced stale byte runs for one version slot."""
-        row = self._stale[slot]
-        extents = _mask_extents(row, self.page_size, self.nbytes)
+        """Coalesced stale byte runs for one version slot (the last one
+        clipped at the region size)."""
+        runs = self._runs[slot]
+        ps, nb = self.page_size, self.nbytes
+        it = iter(runs)
+        extents = [(s * ps, min(e * ps, nb) - s * ps) for s, e in zip(it, it)]
         if clear:
-            row[:] = False
+            runs.clear()
         return extents
 
     def clear_extents(self, slot: int, extents: List[Tuple[int, int]]) -> None:
         """Mark exactly *extents* copied into *slot* (writes that raced
-        the copy keep their stale bits — only the listed runs clear)."""
-        row = self._stale[slot]
+        the copy keep their stale pages — only the listed runs clear).
+        A page an extent covers only in part stays stale."""
+        runs = self._runs[slot]
         for off, n in extents:
-            first, last = _page_range(off, n, self.nbytes, self.page_size)
-            row[first:last] = False
+            first, last = _covered_pages(off, n, self.nbytes, self.page_size)
+            if first >= last:
+                continue
+            # cut [first, last) out: a run straddling `first` keeps
+            # [s, first), one straddling `last` keeps [last, e)
+            i = bisect_left(runs, first)
+            j = bisect_right(runs, last, i)
+            runs[i:j] = (first, last)[1 - (i & 1) : 1 + (j & 1)]
 
     def clear_all(self, slot: int) -> None:
         """A full-chunk copy refreshed *slot* entirely."""
-        self._stale[slot, :] = False
+        self._runs[slot].clear()
 
     def stale_bytes(self, slot: int) -> int:
-        row = self._stale[slot]
-        n_dirty = int(row.sum())
-        if n_dirty == 0:
+        runs = self._runs[slot]
+        if not runs:
             return 0
-        total = n_dirty * self.page_size
+        total = (sum(runs[1::2]) - sum(runs[0::2])) * self.page_size
         # the final page may be partial
-        if bool(row[-1]) and self.nbytes % self.page_size:
-            total -= self.page_size - (self.nbytes % self.page_size)
+        if runs[-1] == self.n_pages:
+            total -= self.n_pages * self.page_size - self.nbytes
         return total
 
     def resize(self, nbytes: int) -> None:
@@ -268,4 +303,4 @@ class StalePageMap:
         until re-copied, so all slots go fully stale at the new size."""
         self.nbytes = nbytes
         self.n_pages = pages_of(nbytes, self.page_size)
-        self._stale = np.ones((self.n_slots, self.n_pages), dtype=bool)
+        self.mark_all()

@@ -88,6 +88,46 @@ class TestWriteBarrier:
         chunk.touch()
         assert chunk.dirty_local
 
+    @pytest.mark.parametrize(
+        "nbytes, offset",
+        [(5000, 8000), (100, -50), (-1, 0), (None, 1)],
+        ids=["beyond-end", "negative-offset", "negative-length", "whole-chunk-shifted"],
+    )
+    def test_touch_outside_the_chunk_is_rejected(self, nbytes, offset):
+        """``touch`` checks its range as ``write`` does: no clipping, and
+        a rejected touch neither counts a modification nor dirties."""
+        chunk, _ = make_chunk(nbytes=10_000, phantom=True)
+        chunk.mark_clean("local")
+        chunk.mark_clean("remote")
+        chunk.mark_extents_copied("local", None, slot=0)
+        mods = chunk.total_mods
+        with pytest.raises(CheckpointError, match="outside 10000 bytes"):
+            chunk.touch(nbytes, offset=offset)
+        assert chunk.total_mods == mods and chunk.mods_this_interval == 0
+        assert not chunk.dirty_local and not chunk.dirty_remote
+        assert chunk.copy_extents("local", slot=0) == []
+
+    def test_page_state_does_not_grow_with_the_chunk(self):
+        """A 410 MB phantom chunk's local and remote page state is a few
+        page runs per slot, not a bitmap of its 105 k pages per slot."""
+        import tracemalloc
+
+        from repro.memory import page
+
+        tracemalloc.start(8)
+        try:
+            chunk, _ = make_chunk(nbytes=410 * 2**20, phantom=True)
+            chunk.ensure_remote_slots(2)
+            chunk.mark_extents_copied("local", None, slot=1)
+            chunk.touch(3 * 4096, offset=5 * 4096)
+            held = tracemalloc.take_snapshot()
+        finally:
+            tracemalloc.stop()
+        # whatever was allocated under a page.py frame and is still held
+        held = held.filter_traces([tracemalloc.Filter(True, page.__file__, all_frames=True)])
+        assert sum(trace.size for trace in held.traces) < 4096
+        assert chunk.copy_extents("local", slot=1) == [(5 * 4096, 3 * 4096)]
+
     def test_phantom_read_rejected(self):
         chunk, _ = make_chunk(phantom=True)
         with pytest.raises(CheckpointError):

@@ -15,11 +15,13 @@ from repro.exec import (
     ResultCache,
     WorkerPool,
     WorkerPoolError,
+    build_parser,
     cache_key,
     derive_cell_seed,
     expand_grid,
     flatten_record,
     parse_sweeps,
+    resolve_config,
     resolve_workers,
     run_grid,
 )
@@ -534,3 +536,82 @@ class TestCellMemory:
             assert gc.get_freeze_count() == 0
         finally:
             gc.enable()
+
+    @pytest.fixture
+    def cell_passes(self, monkeypatch):
+        """Run ``run_cell`` on the base cell with the collector's
+        threshold at 10 allocations; returns, per collector pass, whether
+        it started while ``run_experiment`` was running."""
+        import gc
+
+        from repro.exec import cell
+
+        inside, passes = [False], []
+        inner = cell.run_experiment
+
+        def watched(args):
+            inside[0] = True
+            try:
+                return inner(args)
+            finally:
+                inside[0] = False
+
+        def on_gc(phase, info):
+            if phase == "start":
+                passes.append(inside[0])
+
+        monkeypatch.setattr(cell, "run_experiment", watched)
+        config = resolve_config(build_parser().parse_args(BASE))
+
+        def run():
+            threshold = gc.get_threshold()
+            gc.set_threshold(10)
+            gc.callbacks.append(on_gc)
+            try:
+                cell.run_cell(config)
+            finally:
+                gc.callbacks.remove(on_gc)
+                gc.set_threshold(*threshold)
+            return passes
+
+        return run
+
+    def test_no_automatic_collection_inside_a_cell(self, cell_passes):
+        import gc
+
+        assert gc.isenabled()
+        passes = cell_passes()
+        assert passes and True not in passes  # only the end-of-cell collection
+        assert gc.isenabled()
+
+    def test_a_caller_with_the_collector_off_keeps_it_off(self, cell_passes):
+        import gc
+
+        gc.disable()
+        try:
+            assert cell_passes() == [False]
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_collector_state_restored_after_a_failing_cell(self, monkeypatch):
+        import gc
+
+        from repro.exec import cell
+
+        def boom(args):
+            assert not gc.isenabled()
+            raise RuntimeError("cell failed")
+
+        monkeypatch.setattr(cell, "run_experiment", boom)
+        config = resolve_config(build_parser().parse_args(BASE))
+        for enabled in (True, False):
+            if not enabled:
+                gc.disable()
+            try:
+                with pytest.raises(RuntimeError, match="cell failed"):
+                    cell.run_cell(config)
+                assert gc.isenabled() is enabled
+                assert gc.get_freeze_count() == 0
+            finally:
+                gc.enable()

@@ -143,6 +143,21 @@ class TestNvDirtyExtents:
             (3 * PAGE_SIZE, PAGE_SIZE),
         ]
 
+    def test_clear_range_keeps_partly_covered_pages_dirty(self, table):
+        table.mark_nvdirty(0, 4 * PAGE_SIZE)
+        table.clear_nvdirty_range(100, 2 * PAGE_SIZE)  # covers page 1 only whole
+        assert table.nvdirty_extents() == [(0, PAGE_SIZE), (2 * PAGE_SIZE, 2 * PAGE_SIZE)]
+        table.clear_nvdirty_range(0, 50)
+        assert table.collect_nvdirty() == [0, 2, 3]
+
+    def test_clear_range_reaching_the_end_clears_the_ragged_page(self):
+        t = PageTable(2 * PAGE_SIZE + 100)
+        t.mark_all_nvdirty()
+        t.clear_nvdirty_range(2 * PAGE_SIZE + 50, 50)  # half of the tail page
+        assert t.collect_nvdirty(clear=False) == [0, 1, 2]
+        t.clear_nvdirty_range(PAGE_SIZE, PAGE_SIZE + 100)
+        assert t.collect_nvdirty() == [0]
+
 
 class TestStalePageMap:
     @pytest.fixture
@@ -185,6 +200,29 @@ class TestStalePageMap:
         assert pmap.nbytes == 4 * PAGE_SIZE
         for slot in (0, 1):
             assert pmap.stale_bytes(slot) == 4 * PAGE_SIZE
+
+    def test_partial_page_clear_keeps_the_page_stale(self, pmap):
+        """Over-copying is the safe direction: a copy of 50 bytes of
+        page 0 leaves the other 4,046 stale bytes of it to copy."""
+        pmap.clear_extents(0, [(100, 50)])
+        assert pmap.extents(0) == [(0, 10 * PAGE_SIZE)]
+        assert pmap.stale_bytes(0) == 10 * PAGE_SIZE
+
+    def test_clear_drops_only_whole_pages(self, pmap):
+        pmap.clear_all(0)
+        pmap.mark(0, 4 * PAGE_SIZE)
+        pmap.clear_extents(0, [(100, 2 * PAGE_SIZE)])  # pages 0 and 2 in part
+        assert pmap.extents(0) == [(0, PAGE_SIZE), (2 * PAGE_SIZE, 2 * PAGE_SIZE)]
+        assert pmap.extents(1) == [(0, 10 * PAGE_SIZE)]
+
+    def test_clear_reaching_the_end_counts_the_ragged_page_whole(self):
+        from repro.memory import StalePageMap
+
+        pmap = StalePageMap(2 * PAGE_SIZE + 100, 1)
+        pmap.clear_extents(0, [(2 * PAGE_SIZE + 50, 50)])
+        assert pmap.stale_bytes(0) == 2 * PAGE_SIZE + 100
+        pmap.clear_extents(0, [(PAGE_SIZE, PAGE_SIZE + 100)])
+        assert pmap.extents(0) == [(0, PAGE_SIZE)]
 
     def test_needs_at_least_one_slot(self):
         from repro.memory import StalePageMap

@@ -170,7 +170,7 @@ def test_flip_edges_on_the_corner_bitmaps(tail):
     assert len(even) == 5 and even[-1] == ((n - 1) * PAGE, PAGE - tail)
     odd = _both(np.arange(n) % 2 == 1, nbytes)  # alternating, last page clear
     assert odd == [(p * PAGE, PAGE) for p in (1, 3, 5, 7)]
-    # a row of the 2-D stale map (a strided view, as StalePageMap passes)
+    # a row of a 2-D bitmap (a strided view)
     grid = np.zeros((2, n), bool)
     grid[1, 2:5] = grid[1, 7:] = True
     assert _both(grid[1], nbytes) == [(2 * PAGE, 3 * PAGE), (7 * PAGE, 2 * PAGE - tail)]
