@@ -1,0 +1,122 @@
+"""Record digests of runs whose tuning defaults live in the components.
+
+The golden records (``tests/golden/pinned_grid_records.json``) hold no
+autotuned and no elastic run, so nothing there notices if the bandit's
+exploration constants, the retry/heartbeat/re-sync constants or the
+migration pacing and SLO fractions change value.  These runs use all of
+them at their defaults:
+
+* the golden ``dcpcp-remote-precopy`` LAMMPS cell with ``--autotune``
+  under both bandit strategies, run for eight iterations so the bandit
+  leaves its forced first tour of the four arms and exploits;
+* the ``synthetic-failures-restart`` perfbench cell (retries, heartbeats,
+  degraded mode, re-sync, soft and hard restarts);
+* the three arms of :mod:`repro.tools.elastic` — clean, full-resync
+  baseline, and the elastic run at the bench block's SLO (SLO guard and
+  live migration).
+
+Each entry is the blake2b of the run's ``RunResult.to_dict()`` as
+canonical JSON.  The fixture must be reproduced byte for byte;
+regenerate it only for a deliberate change to simulated semantics:
+
+    PYTHONPATH=src python tests/test_record_digests.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import os
+import sys
+
+import pytest
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+FIXTURE = os.path.join(HERE, "record_digests.json")
+
+
+def _load_generator():
+    spec = importlib.util.spec_from_file_location(
+        "golden_generate_fixtures", os.path.join(HERE, "golden", "generate_fixtures.py")
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+gen = _load_generator()
+
+#: a repeated option takes its last value: eight iterations, not two
+_LAMMPS_AUTOTUNE = gen.TRACE_CELLS["dcpcp-remote-precopy"] + [
+    "--iterations", "8", "--autotune",
+]
+
+#: name -> experiment argv
+CELLS = {
+    "lammps-autotune-epsilon": _LAMMPS_AUTOTUNE,
+    "lammps-autotune-ucb": _LAMMPS_AUTOTUNE + ["--autotune-strategy", "ucb"],
+    "synthetic-failures-restart": gen.TRACE_CELLS["synthetic-failures"],
+}
+
+ELASTIC_ARMS = ("elastic-clean", "elastic-full-resync", "elastic-migrate")
+
+
+def _digest(record: dict) -> str:
+    canon = json.dumps(record, sort_keys=True, separators=(",", ":"), default=str)
+    return hashlib.blake2b(canon.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def cell_digest(argv) -> str:
+    from repro.exec.cell import build_parser, resolve_config, run_cell
+
+    return _digest(run_cell(resolve_config(build_parser().parse_args(argv))))
+
+
+def elastic_digests() -> dict:
+    """The ``elastic`` bench block's three runs, SLO derived as the
+    block derives it."""
+    from repro.tools import elastic
+
+    clean, clean_worst = elastic.run_clean()
+    base_cluster, _, base = elastic.run_full_resync_baseline()
+    slo = elastic.SLO_HEADROOM * max(clean_worst, elastic._worst_latency(base_cluster))
+    _, _, migrate = elastic.run_elastic(slo)
+    return {
+        name: _digest(res.to_dict())
+        for name, res in zip(ELASTIC_ARMS, (clean, base, migrate))
+    }
+
+
+def _stored() -> dict:
+    with open(FIXTURE) as fh:
+        return json.load(fh)
+
+
+def test_fixture_covers_every_run():
+    assert sorted(_stored()) == sorted([*CELLS, *ELASTIC_ARMS])
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+def test_cell_record_matches_recorded_digest(cell):
+    assert cell_digest(CELLS[cell]) == _stored()[cell]
+
+
+def test_elastic_records_match_recorded_digests():
+    stored = _stored()
+    assert elastic_digests() == {name: stored[name] for name in ELASTIC_ARMS}
+
+
+def main() -> int:
+    digests = {name: cell_digest(argv) for name, argv in CELLS.items()}
+    digests.update(elastic_digests())
+    with open(FIXTURE, "w") as fh:
+        json.dump(digests, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    for name, digest in digests.items():
+        print(f"{name}: {digest}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
