@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint faults faults-matrix bench bench-json smoke perf-smoke perf-compare paper-scale
+.PHONY: test lint loc faults faults-matrix bench bench-json smoke perf-smoke perf-compare paper-scale
 
 # tier-1: the full deterministic suite
 test:
@@ -14,6 +14,14 @@ lint:
 	else \
 		echo "ruff not installed; lint skipped"; \
 	fi
+
+# the two size numbers a change reports: lines of Python under src/ and
+# the number of settable fields on repro.config's dataclasses
+loc:
+	@echo "src lines: $$(find src -name '*.py' | xargs cat | wc -l)"
+	@PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "import dataclasses as d, repro.config as c; \
+	print('config fields:', sum(len(d.fields(o)) for o in vars(c).values() \
+	if isinstance(o, type) and d.is_dataclass(o) and o.__module__ == c.__name__))"
 
 # the crash-point fault-injection suite only
 faults:

@@ -48,14 +48,9 @@ class MADBenchResult:
 class MADBench:
     """The checkpoint-path comparison harness."""
 
-    def __init__(
-        self,
-        memory_model: MemoryPathModel | None = None,
-        ramdisk_model: RamdiskPathModel | None = None,
-        phases: int = 1,
-    ) -> None:
-        self.memory_model = memory_model or MemoryPathModel()
-        self.ramdisk_model = ramdisk_model or RamdiskPathModel()
+    def __init__(self, phases: int = 1) -> None:
+        self.memory_model = MemoryPathModel()
+        self.ramdisk_model = RamdiskPathModel()
         self.phases = phases
 
     def run_point(self, data_mb: float, writers: int = 12) -> MADBenchResult:

@@ -2,13 +2,12 @@
 
 Lets a benchmark fix the total checkpoint size and vary one axis at a
 time: chunk size (the X3 chunk-size-sensitivity ablation explaining
-CM1 vs GTC), hot-chunk fraction (the X2 CPC/DCPC/DCPCP ablation), or
-write positions.
+CM1 vs GTC) or hot-chunk fraction (the X2 CPC/DCPC/DCPCP ablation).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 from ..units import MB
 from .base import ApplicationModel, ChunkSpec, WritePattern
@@ -28,7 +27,6 @@ class SyntheticModel(ApplicationModel):
         write_once_fraction: float = 0.0,
         iteration_compute_time: float = 40.0,
         comm_mb_per_iteration: float = 0.0,
-        write_fractions: Optional[Tuple[float, ...]] = None,
         comm_bursts: int = 4,
     ) -> None:
         """``chunk_mb`` sets a uniform chunk size; ``hot_fraction`` /
@@ -45,7 +43,6 @@ class SyntheticModel(ApplicationModel):
         self.iteration_compute_time = iteration_compute_time
         self.comm_bytes_per_iteration = MB(comm_mb_per_iteration)
         self.comm_bursts = comm_bursts
-        self.write_fractions = write_fractions
         self._specs_cache: dict[int, List[ChunkSpec]] = {}
 
     def chunk_specs(self, rank_index: int) -> List[ChunkSpec]:
@@ -65,9 +62,7 @@ class SyntheticModel(ApplicationModel):
                 pattern, frac = WritePattern.WRITE_ONCE, None
             else:
                 pattern = WritePattern.PER_ITER
-                frac = self.write_fractions or (
-                    0.2 + 0.5 * (i / max(1, n_chunks - 1)),
-                )
+                frac = (0.2 + 0.5 * (i / max(1, n_chunks - 1)),)
             specs.append(ChunkSpec(f"chunk_{i}", size, pattern, fractions=frac))
         self._specs_cache[rank_index] = specs
         return specs

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import BandwidthModelConfig, DeviceConfig, DRAM_CONFIG, RamdiskConfig
+from ..config import BandwidthModelConfig, DRAM_CONFIG, RamdiskConfig
 from ..memory.bandwidth import CoreContentionModel
 from ..units import GiB
 
@@ -42,14 +42,9 @@ class PathCosts:
 class MemoryPathModel:
     """Allocation + memcpy checkpointing (what NVM-as-memory enables)."""
 
-    def __init__(
-        self,
-        dram: DeviceConfig = DRAM_CONFIG,
-        bw_model: BandwidthModelConfig = BandwidthModelConfig(),
-        config: RamdiskConfig = RamdiskConfig(),
-    ) -> None:
-        self.contention = CoreContentionModel(dram, bw_model)
-        self.config = config
+    def __init__(self) -> None:
+        self.contention = CoreContentionModel(DRAM_CONFIG, BandwidthModelConfig())
+        self.config = RamdiskConfig()
 
     def checkpoint_costs(self, nbytes: int, writers: int = 1) -> PathCosts:
         costs = PathCosts()
@@ -67,14 +62,9 @@ class MemoryPathModel:
 class RamdiskPathModel:
     """open/write/seek checkpointing onto tmpfs through the VFS."""
 
-    def __init__(
-        self,
-        dram: DeviceConfig = DRAM_CONFIG,
-        bw_model: BandwidthModelConfig = BandwidthModelConfig(),
-        config: RamdiskConfig = RamdiskConfig(),
-    ) -> None:
-        self.contention = CoreContentionModel(dram, bw_model)
-        self.config = config
+    def __init__(self) -> None:
+        self.contention = CoreContentionModel(DRAM_CONFIG, BandwidthModelConfig())
+        self.config = RamdiskConfig()
 
     def checkpoint_costs(self, nbytes: int, writers: int = 1) -> PathCosts:
         cfg = self.config

@@ -77,9 +77,9 @@ class Cluster:
     ) -> "Cluster":
         """Distribute ranks over nodes and attach checkpoint machinery.
 
-        ``ranks_per_node`` defaults to the node's core count minus one
-        when a helper core is reserved (the paper dedicates a core to
-        the checkpoint helper).
+        ``ranks_per_node`` defaults to the node's core count, minus one
+        core reserved for the checkpoint helper when remote
+        checkpointing is on (the paper dedicates a core to the helper).
 
         ``pfs`` (a :class:`repro.baselines.pfs.PfsModel`) switches the
         coordinated checkpoints to the traditional PFS path: every rank
@@ -100,8 +100,7 @@ class Cluster:
         if n_nodes > self.config.nodes:
             raise ClusterError(f"{n_nodes} nodes requested, only {self.config.nodes} exist")
         if ranks_per_node is None:
-            reserve = 1 if (ckpt_config.helper_core and with_remote) else 0
-            ranks_per_node = self.config.node.cores - reserve
+            ranks_per_node = self.config.node.cores - (1 if with_remote else 0)
         self._n_nodes = n_nodes
         self._phantom = phantom
         self._pfs = pfs

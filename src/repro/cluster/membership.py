@@ -68,7 +68,6 @@ class MembershipController:
         *,
         planner=None,
         launch_migration: Optional[Callable] = None,
-        on_change: Optional[Callable[[MembershipEvent], None]] = None,
     ) -> None:
         self.engine = engine
         self.directory = directory
@@ -77,7 +76,6 @@ class MembershipController:
         )
         self.planner = planner
         self.launch_migration = launch_migration
-        self.on_change = on_change
         self.joins = 0
         self.drains = 0
         self.departs = 0
@@ -102,8 +100,6 @@ class MembershipController:
             self._join(ev)
         else:
             self._drain(ev)
-        if self.on_change is not None:
-            self.on_change(ev)
 
     # ------------------------------------------------------------------
     # Event handlers.

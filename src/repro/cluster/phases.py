@@ -212,8 +212,7 @@ def repair_orphan(runner, orphan_id: int, new_buddy: int) -> None:
     monitor = runner.monitors.get(orphan_id)
     if monitor is not None:
         monitor.retarget(new_buddy)
-    rcfg = runner.ckpt_config.resilience
-    task = ResyncTask(helper, failure_limit=rcfg.resync_failure_limit)
+    task = ResyncTask(helper)
     runner._resyncing[orphan_id] = task
     runner._bg_procs.append(
         engine.process(
@@ -260,7 +259,6 @@ def start_migration(runner, plan, done) -> bool:
         # a re-sync owns the helper's queue right now; migrating the
         # pairing out from under it would race the drain
         return False
-    mcfg = runner.ckpt_config.resilience.migration
 
     def on_cutover(task) -> None:
         runner.migrations_completed += 1
@@ -279,12 +277,8 @@ def start_migration(runner, plan, done) -> bool:
         helper,
         plan,
         runner.cluster.nodes[plan.to_buddy].ctx,
-        batch_bytes=mcfg.batch_bytes,
+        batch_bytes=runner.ckpt_config.resilience.migration.batch_bytes,
         guard=runner.slo_guard,
-        check_interval=mcfg.slo_check_interval,
-        pace_fraction=mcfg.pace_fraction,
-        failure_limit=mcfg.failure_limit,
-        retry_pause=mcfg.retry_pause,
         on_cutover=on_cutover,
         on_abort=on_abort,
     )
@@ -300,15 +294,12 @@ def recover_soft(runner, node: ClusterNode):
     engine = runner.cluster.engine
     node.ctx.nvmm.store.crash()  # unflushed writes die with the node
     yield engine.timeout(SOFT_REBOOT_DELAY)
-    factor = (
-        runner.failure_config.local_restart_factor if runner.failure_config else 1.0
-    )
     fetches = []
     for n in runner.cluster.active_nodes:
         fetches.extend(
             n.ctx.nvm_bus.transfer_many(
                 [
-                    (state.allocator.checkpoint_bytes * factor, f"{state.rank}:restart")
+                    (state.allocator.checkpoint_bytes, f"{state.rank}:restart")
                     for state in n.ranks
                 ]
             )
@@ -371,16 +362,13 @@ def recover_hard(runner, node: ClusterNode):
         cluster.fabric.end_outage(node.node_id)
     cluster.populate(node, old_rank_indices)
     # fetch the dead node's state from the buddy; survivors reload locally
-    factor = (
-        runner.failure_config.remote_restart_factor if runner.failure_config else 1.0
-    )
     fetches = []
     for state in node.ranks:
         fetches.append(
             cluster.fabric.transfer(
                 buddy_id,
                 node.node_id,
-                state.allocator.checkpoint_bytes * factor,
+                state.allocator.checkpoint_bytes,
                 tag=f"{state.rank}:rfetch",
             )
         )

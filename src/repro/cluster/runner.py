@@ -451,8 +451,7 @@ class ClusterRunner:
         )
 
         engine = self.cluster.engine
-        rcfg = self.ckpt_config.resilience
-        policy = RetryPolicy.from_config(rcfg)
+        policy = RetryPolicy.from_config(self.ckpt_config.resilience)
         participants = [
             n.node_id for n in self.cluster.active_nodes if n.helper is not None
         ]
@@ -477,10 +476,6 @@ class ClusterRunner:
                 nid,
                 node.helper.buddy_id,
                 self.cluster.fabric,
-                interval=rcfg.heartbeat_interval,
-                timeout=rcfg.heartbeat_timeout,
-                miss_threshold=rcfg.heartbeat_miss_threshold,
-                payload_bytes=rcfg.heartbeat_bytes,
                 on_down=self._make_on_down(nid),
                 on_up=self._make_on_up(nid),
             )
@@ -493,11 +488,7 @@ class ClusterRunner:
 
         engine = self.cluster.engine
         mcfg = self.ckpt_config.resilience.migration
-        self.slo_guard = SloGuard(
-            latency_slo=mcfg.slo_checkpoint_latency,
-            risk_fraction=mcfg.slo_risk_fraction,
-            throttle_fraction=mcfg.slo_throttle_fraction,
-        )
+        self.slo_guard = SloGuard(latency_slo=mcfg.slo_checkpoint_latency)
         for state in self.cluster.all_ranks():
             self._attach_slo_observer(state)
         planner = None
@@ -549,14 +540,16 @@ class ClusterRunner:
         """Re-solve the local interval for local-only operation from
         the §III model with this run's actual parameters."""
 
+        from ..models.notation import ModelParams
+        from ..resilience.degraded import (
+            DEGRADED_MIN_INTERVAL,
+            degraded_local_interval,
+        )
+
         def solve() -> float:
             normal = self.ckpt_config.local_interval
-            rcfg = self.ckpt_config.resilience
             node = self.cluster.nodes[node_id]
             try:
-                from ..models.notation import ModelParams
-                from ..resilience.degraded import degraded_local_interval
-
                 fc = self.failure_config
                 ckpt_bytes = max(
                     (s.allocator.checkpoint_bytes for s in node.ranks), default=0
@@ -575,11 +568,9 @@ class ClusterRunner:
                     mtbf_local=fc.mtbf_local if fc is not None else 3600.0,
                     mtbf_remote=fc.mtbf_remote if fc is not None else 14400.0,
                 )
-                return degraded_local_interval(
-                    params, min_interval=rcfg.degraded_min_interval
-                )
+                return degraded_local_interval(params)
             except (ValueError, ZeroDivisionError):
-                return max(rcfg.degraded_min_interval, normal / 2.0)
+                return max(DEGRADED_MIN_INTERVAL, normal / 2.0)
 
         return solve
 

@@ -15,7 +15,8 @@ state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from .errors import ConfigError
 from .units import (
@@ -249,8 +250,6 @@ class PrecopyPolicy:
     #: safety margin multiplier on the computed copy time T_c when
     #: deriving the threshold T_p (adapts for estimate error).
     threshold_margin: float = 1.25
-    #: exponential smoothing factor for interval/size re-estimation.
-    adapt_smoothing: float = 0.5
     #: cost charged per protection fault (paper: 6-12 usec).
     fault_cost: float = usec(9.0)
     #: copy granularity: "chunk" copies whole dirty chunks (the
@@ -302,36 +301,16 @@ class PrecopyPolicy:
 
 @dataclass(frozen=True)
 class AutotuneConfig:
-    """Knobs for the online policy tuner
+    """Switch for the online policy tuner
     (:class:`repro.core.autotune.OnlinePolicyTuner`): a per-rank bandit
-    over the pre-copy modes plus optional threshold-margin nudging.
-    Off by default — a run without autotuning stays byte-identical to
-    the pre-tuner pipeline."""
+    over the pre-copy modes.  The bandit's arms and exploration
+    constants are the tuner's own defaults.  Off by default — a run
+    without autotuning stays byte-identical to the pre-tuner
+    pipeline."""
 
     enabled: bool = False
     #: "epsilon" (decaying epsilon-greedy) or "ucb" (UCB1 on costs).
     strategy: str = "epsilon"
-    #: candidate policy modes the bandit pulls from.
-    arms: tuple = (
-        PrecopyPolicy.NONE,
-        PrecopyPolicy.CPC,
-        PrecopyPolicy.DCPC,
-        PrecopyPolicy.DCPCP,
-    )
-    #: initial exploration probability (epsilon-greedy strategy).
-    epsilon: float = 0.3
-    #: per-interval multiplicative epsilon decay.
-    epsilon_decay: float = 0.95
-    #: UCB exploration coefficient.
-    ucb_c: float = 0.5
-    #: weight of wasted pre-copy traffic (seconds of bus time) in the
-    #: per-interval cost next to the blocking checkpoint duration.
-    waste_weight: float = 0.5
-    #: also nudge the DCPC threshold margin while a threshold policy
-    #: holds the arm.
-    nudge_margin: bool = False
-    #: margin step per nudge (clamped to [1.0, 4.0]).
-    margin_step: float = 0.1
     #: RNG seed for exploration draws (per-rank tuners derive from it).
     seed: int = 0
 
@@ -341,21 +320,6 @@ class AutotuneConfig:
                 f"unknown autotune strategy {self.strategy!r}; "
                 "expected 'epsilon' or 'ucb'"
             )
-        if not self.arms:
-            raise ConfigError("autotune needs at least one arm")
-        valid = {
-            PrecopyPolicy.NONE,
-            PrecopyPolicy.CPC,
-            PrecopyPolicy.DCPC,
-            PrecopyPolicy.DCPCP,
-        }
-        unknown = [a for a in self.arms if a not in valid]
-        if unknown:
-            raise ConfigError(f"unknown autotune arms {unknown!r}")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ConfigError("epsilon must be in [0, 1]")
-        if not 0.0 < self.epsilon_decay <= 1.0:
-            raise ConfigError("epsilon_decay must be in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -364,9 +328,12 @@ class MigrationConfig:
     (:mod:`repro.resilience.migration`): bounded-batch moves of a
     node's remote copies to a new buddy while the old pairing stays
     live, with an SLO guard that pauses batches when per-interval
-    checkpoint latency is at risk.  Off by default — runs without
-    elastic membership stay byte-identical to the pre-migration
-    pipeline."""
+    checkpoint latency is at risk.  The guard's fractions are
+    :class:`~repro.resilience.migration.SloGuard`'s defaults, the
+    pacing and failure budget
+    :class:`~repro.resilience.migration.MigrationTask`'s.  Off by
+    default — runs without elastic membership stay byte-identical to
+    the pre-migration pipeline."""
 
     enabled: bool = False
     #: max bytes staged per migration batch (Megaphone-style bound:
@@ -375,76 +342,46 @@ class MigrationConfig:
     #: per-interval coordinated-checkpoint latency SLO (seconds).
     #: ``inf`` disables the guard entirely.
     slo_checkpoint_latency: float = float("inf")
-    #: fraction of the SLO at which migration batches *pause*.
-    slo_risk_fraction: float = 0.8
-    #: fraction of the SLO at which batch pacing *throttles* (halves).
-    slo_throttle_fraction: float = 0.5
-    #: seconds between SLO re-checks while a migration is paused.
-    slo_check_interval: float = 2.0
-    #: migration stream rate as a fraction of the helper's pace rate
-    #: (migration yields bandwidth to the pre-copy stream).
-    pace_fraction: float = 0.5
-    #: consecutive send failures before a migration aborts.
-    failure_limit: int = 10
-    #: pause after a failed batch send before retrying.
-    retry_pause: float = 2.0
 
     def __post_init__(self) -> None:
         if self.batch_bytes <= 0:
             raise ConfigError("batch_bytes must be positive")
         if self.slo_checkpoint_latency <= 0:
             raise ConfigError("slo_checkpoint_latency must be positive")
-        if not 0.0 < self.slo_risk_fraction <= 1.0:
-            raise ConfigError("slo_risk_fraction must be in (0, 1]")
-        if not 0.0 < self.slo_throttle_fraction <= 1.0:
-            raise ConfigError("slo_throttle_fraction must be in (0, 1]")
-        if self.slo_check_interval <= 0:
-            raise ConfigError("slo_check_interval must be positive")
-        if not 0.0 < self.pace_fraction <= 1.0:
-            raise ConfigError("pace_fraction must be in (0, 1]")
-        if self.failure_limit < 1:
-            raise ConfigError("failure_limit must be >= 1")
 
 
 @dataclass(frozen=True)
 class ResilienceConfig:
-    """Knobs for the resilience layer (:mod:`repro.resilience`): retry
-    policy around remote transfers, buddy heartbeats, and degraded-mode
-    behaviour while a node has no healthy remote target.
+    """Knobs for the resilience layer (:mod:`repro.resilience`): the
+    retry budget around remote transfers, plus planned live migration.
+    Backoff delays are :class:`~repro.resilience.retry.RetryPolicy`'s
+    defaults, heartbeats
+    :class:`~repro.resilience.health.HealthMonitor`'s, the re-sync
+    failure budget :class:`~repro.resilience.resync.ResyncTask`'s and
+    the degraded-interval floor
+    :data:`repro.resilience.degraded.DEGRADED_MIN_INTERVAL`.
 
     Defaults keep the success path byte-identical to a run without the
     layer: a transfer that completes on its first attempt consumes no
     extra RNG draws and finishes at the same virtual time.
     """
 
-    # -- retry/backoff around rdma_put/rdma_get --
     #: attempts per transfer before giving up with TransferFailed.
     retry_max_attempts: int = 8
-    #: first backoff delay (seconds); grows by ``retry_backoff``x.
-    retry_base_delay: float = 0.5
-    #: cap on a single backoff delay.
-    retry_max_delay: float = 8.0
-    retry_backoff: float = 2.0
-    #: +/- fraction of each delay drawn from a named RNG stream.
-    retry_jitter: float = 0.25
     #: per-attempt stall timeout: cancel and re-issue the flow.
-    transfer_timeout: float = 60.0
+    transfer_timeout: Optional[float] = 60.0
     #: total wall (virtual) budget per transfer before TransferFailed.
-    transfer_deadline: float = 300.0
-    # -- buddy heartbeats --
-    heartbeat_interval: float = 2.0
-    heartbeat_timeout: float = 1.0
-    #: consecutive missed beats before the buddy is declared down.
-    heartbeat_miss_threshold: int = 2
-    heartbeat_bytes: int = 64
-    # -- degraded mode --
-    #: floor for the re-solved local-only checkpoint interval.
-    degraded_min_interval: float = 5.0
-    #: give up on a re-sync after this many consecutive send failures
-    #: (the node then stays degraded until the next repair attempt).
-    resync_failure_limit: int = 25
-    # -- planned live migration (elastic membership) --
+    transfer_deadline: Optional[float] = 300.0
+    #: planned live migration (elastic membership).
     migration: MigrationConfig = MigrationConfig()
+
+    def __post_init__(self) -> None:
+        if self.retry_max_attempts < 1:
+            raise ConfigError("retry_max_attempts must be >= 1")
+        for name in ("transfer_timeout", "transfer_deadline"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be positive or None, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -463,9 +400,7 @@ class CheckpointConfig:
     two_versions: bool = True
     #: store/verify per-chunk checksums (optional feature, §V).
     checksums: bool = True
-    #: dedicated helper core for the asynchronous remote process.
-    helper_core: bool = True
-    #: retry/heartbeat/degraded-mode behaviour (repro.resilience).
+    #: retry budget and live migration (repro.resilience).
     resilience: ResilienceConfig = ResilienceConfig()
     #: online policy autotuning (repro.core.autotune); off by default.
     autotune: AutotuneConfig = AutotuneConfig()
@@ -494,10 +429,6 @@ class FailureConfig:
     mtbf_transient: float = float("inf")
     #: mean of the exponential outage window for transient failures.
     transient_outage_mean: float = 10.0
-    #: restart fetch times are proportional to checkpoint times (§III);
-    #: these multipliers express that proportionality.
-    local_restart_factor: float = 1.0
-    remote_restart_factor: float = 1.0
     seed: int = 0x5EED
 
     @property

@@ -355,14 +355,7 @@ class OnlinePolicyTuner:
     ) -> "OnlinePolicyTuner":
         return cls(
             engine,
-            arms=config.arms,
             strategy=config.strategy,
-            epsilon=config.epsilon,
-            epsilon_decay=config.epsilon_decay,
-            ucb_c=config.ucb_c,
-            waste_weight=config.waste_weight,
-            nudge_margin=config.nudge_margin,
-            margin_step=config.margin_step,
             seed=config.seed + seed_offset,
             bandwidth=bandwidth,
         )

@@ -50,12 +50,11 @@ class NodeContext:
         stages the chunk."""
         return self.nvm_bus.transfer(nbytes, tag=tag)
 
-    def effective_nvm_bw_per_core(self, active_writers: Optional[int] = None) -> float:
+    def effective_nvm_bw_per_core(self) -> float:
         """The paper's NVMBW_core for this node (used by the DCPC
-        threshold): effective per-core NVM write bandwidth assuming
-        *active_writers* concurrent writers (default: all cores)."""
-        n = active_writers if active_writers is not None else self.config.cores
-        return self.contention.per_core_rate(max(1, n))
+        threshold): effective per-core NVM write bandwidth with every
+        core writing at once."""
+        return self.contention.per_core_rate(max(1, self.config.cores))
 
 
 def make_standalone_context(

@@ -116,7 +116,7 @@ class CheckpointEngine:
         if policy_cls.needs_threshold:
             self.threshold = self._make_threshold()
         if policy_cls.needs_prediction:
-            self.prediction = PredictionTable(smoothing=self.policy.adapt_smoothing)
+            self.prediction = PredictionTable()
         #: the scheduling strategy — one registry lookup, shared with
         #: the background pre-copy engine so both walk one decision path
         self.decision_policy = decision_policy or resolve_policy(
@@ -130,7 +130,6 @@ class CheckpointEngine:
     def _make_threshold(self) -> ThresholdEstimator:
         return ThresholdEstimator(
             bandwidth_per_core=self.ctx.effective_nvm_bw_per_core(),
-            smoothing=self.policy.adapt_smoothing,
             margin=self.policy.threshold_margin,
             clock=lambda: self.ctx.engine.now,
             actor=str(self.rank),
@@ -208,7 +207,7 @@ class CheckpointEngine:
         if policy_cls.needs_threshold and self.threshold is None:
             self.threshold = self._make_threshold()
         if policy_cls.needs_prediction and self.prediction is None:
-            self.prediction = PredictionTable(smoothing=self.policy.adapt_smoothing)
+            self.prediction = PredictionTable()
         self.policy = dataclasses.replace(self.policy, mode=mode)
         self.decision_policy = resolve_policy(
             mode, threshold=self.threshold, prediction=self.prediction

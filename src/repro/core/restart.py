@@ -81,7 +81,6 @@ class RestartManager:
         fabric: Optional[Fabric] = None,
         node_id: Optional[int] = None,
         resilience=None,
-        fetch_extent_bytes: Optional[int] = None,
     ) -> None:
         self.ctx = ctx
         self.fabric = fabric
@@ -89,10 +88,6 @@ class RestartManager:
         #: optional ResilientTransport: remote fetches retry/back off
         #: instead of failing on the first cancelled flow
         self.resilience = resilience
-        #: when set, remote fetches move in page-aligned segments of at
-        #: most this many bytes (extent-granular restart); ``None``
-        #: keeps the one-transfer-per-chunk behaviour
-        self.fetch_extent_bytes = fetch_extent_bytes
 
     def _check_digests(
         self,
@@ -100,44 +95,29 @@ class RestartManager:
         name: str,
         slot: int,
         data,
-        offset: int,
         report: RestartReport,
     ) -> bool:
         """Decode-on-read verification: compare the blake2b block
-        digests of *data* (a byte range starting at *offset* within the
-        chunk) against the store's committed digest map for ``(name,
-        slot)``.  Blocks the map never recorded (digest 0) are skipped;
-        unaligned ranges and absent maps verify trivially."""
-        if store is None or slot < 0 or offset % store.block:
+        digests of *data* (a chunk's bytes from offset 0) against the
+        store's committed digest map for ``(name, slot)``.  Blocks the
+        map never recorded (digest 0) are skipped; absent maps verify
+        trivially."""
+        if store is None or slot < 0:
             return True
         expect = store.slot_digests(name, slot)
         if expect is None:
             return True
         got = block_digests(data, store.block)
-        b0 = offset // store.block
-        hi = min(len(expect), b0 + len(got))
-        if hi <= b0:
+        hi = min(len(expect), len(got))
+        if hi <= 0:
             return True
-        exp = expect[b0:hi]
-        got = got[: hi - b0]
+        exp = expect[:hi]
+        got = got[:hi]
         known = exp != 0
         report.blocks_verified += int(known.sum())
         failed = int((got[known] != exp[known]).sum())
         report.digest_failures += failed
         return failed == 0
-
-    def _fetch_segments(self, nbytes: int) -> List[tuple]:
-        """Split one chunk fetch into ``(offset, nbytes)`` segments."""
-        seg = self.fetch_extent_bytes
-        if seg is None or seg <= 0 or seg >= nbytes:
-            return [(0, nbytes)]
-        out = []
-        off = 0
-        while off < nbytes:
-            n = min(seg, nbytes - off)
-            out.append((off, n))
-            off += n
-        return out
 
     def _rfetch(self, remote_target, remote_node: int, nbytes: int, tag: str):
         """One remote fetch, resilient when a transport is attached."""
@@ -225,7 +205,6 @@ class RestartManager:
                         chunk.name,
                         chunk.committed_version,
                         chunk.committed_region().read(0, chunk.nbytes),
-                        0,
                         report,
                     )
                 if ok:
@@ -286,38 +265,35 @@ class RestartManager:
         fire("restart.fetch_remote", chunk=chunk, pid=pid)
         if not chunk.phantom and (chunk.dram is None or len(chunk.dram) != chunk.nbytes):
             chunk.dram = np.zeros(chunk.nbytes, dtype=np.uint8)
-        for off, n in self._fetch_segments(chunk.nbytes):
-            try:
-                yield from self._rfetch(
-                    remote_target, remote_node, n, tag=f"{pid}:rfetch"
+        n = chunk.nbytes
+        try:
+            yield from self._rfetch(remote_target, remote_node, n, tag=f"{pid}:rfetch")
+        except TransferFailed as exc:
+            raise AllReplicasLost(
+                f"chunk {chunk.name!r} of {pid!r}: local copy unusable and the "
+                f"buddy fetch gave up after {exc.attempts} attempts",
+                pid=pid,
+                chunk=chunk.name,
+                tried=("local", "buddy"),
+            ) from exc
+        payload = remote_target.fetch(chunk.name, 0, n)
+        if not chunk.phantom:
+            # decode-on-read: a codec-era buddy copy carries a digest
+            # map; the fetched bytes must prove their identity before
+            # they are trusted as recovery state
+            if not self._check_digests(
+                remote_target.block_store,
+                chunk.name,
+                remote_target.committed.get(chunk.name, -1),
+                payload,
+                report,
+            ):
+                raise ChecksumMismatch(
+                    f"chunk {chunk.name!r} of {pid!r}: buddy fetch range "
+                    f"[0, {n}) failed block-digest verification",
+                    chunk_id=chunk.chunk_id,
                 )
-            except TransferFailed as exc:
-                raise AllReplicasLost(
-                    f"chunk {chunk.name!r} of {pid!r}: local copy unusable and the "
-                    f"buddy fetch gave up after {exc.attempts} attempts",
-                    pid=pid,
-                    chunk=chunk.name,
-                    tried=("local", "buddy"),
-                ) from exc
-            payload = remote_target.fetch(chunk.name, off, n)
-            if not chunk.phantom:
-                # decode-on-read: a codec-era buddy copy carries a digest
-                # map; each fetched range must prove its identity before
-                # it is trusted as recovery state
-                if not self._check_digests(
-                    remote_target.block_store,
-                    chunk.name,
-                    remote_target.committed.get(chunk.name, -1),
-                    payload,
-                    off,
-                    report,
-                ):
-                    raise ChecksumMismatch(
-                        f"chunk {chunk.name!r} of {pid!r}: buddy fetch range "
-                        f"[{off}, {off + n}) failed block-digest verification",
-                        chunk_id=chunk.chunk_id,
-                    )
-                chunk.dram[off : off + n] = payload
+            chunk.dram[:n] = payload
         # the recovered data is not yet persisted locally: dirty it so
         # the next local checkpoint re-establishes the local copy
         chunk.dirty_local = True
@@ -378,24 +354,23 @@ class RestartManager:
                 size = remote_target.sizes[name]
                 chunk = alloc.nvalloc(name, size, pflag=True)
                 fire("restart.fetch_remote", chunk=chunk, pid=pid)
-                for off, n in self._fetch_segments(size):
-                    try:
-                        yield from self._rfetch(
-                            remote_target, remote_node, n, tag=f"{pid}:rfetch"
-                        )
-                    except TransferFailed as exc:
-                        raise AllReplicasLost(
-                            f"chunk {name!r} of {pid!r}: node is dead and the buddy "
-                            f"fetch gave up after {exc.attempts} attempts",
-                            pid=pid,
-                            chunk=name,
-                            tried=("buddy",),
-                        ) from exc
-                    payload = remote_target.fetch(name, off, n)
-                    if not chunk.phantom:
-                        chunk.write(off, payload)
-                    else:
-                        chunk.touch(n, offset=off)
+                try:
+                    yield from self._rfetch(
+                        remote_target, remote_node, size, tag=f"{pid}:rfetch"
+                    )
+                except TransferFailed as exc:
+                    raise AllReplicasLost(
+                        f"chunk {name!r} of {pid!r}: node is dead and the buddy "
+                        f"fetch gave up after {exc.attempts} attempts",
+                        pid=pid,
+                        chunk=name,
+                        tried=("buddy",),
+                    ) from exc
+                payload = remote_target.fetch(name, 0, size)
+                if not chunk.phantom:
+                    chunk.write(0, payload)
+                else:
+                    chunk.touch(size, offset=0)
                 report.chunks_remote += 1
                 report.bytes_remote += size
             report.allocator = alloc

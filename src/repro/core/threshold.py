@@ -20,7 +20,11 @@ from typing import Callable, Optional
 
 from ..metrics.trace import BUS, PolicyDecisionEvent
 
-__all__ = ["ThresholdEstimator"]
+__all__ = ["MAX_MARGIN", "MIN_MARGIN", "ThresholdEstimator"]
+
+#: the band :meth:`ThresholdEstimator.nudge_margin` keeps the margin in
+MIN_MARGIN = 1.0
+MAX_MARGIN = 4.0
 
 
 class ThresholdEstimator:
@@ -40,7 +44,7 @@ class ThresholdEstimator:
             raise ValueError("bandwidth_per_core must be positive")
         if not 0.0 < smoothing <= 1.0:
             raise ValueError("smoothing must be in (0, 1]")
-        if margin < 1.0:
+        if margin < MIN_MARGIN:
             raise ValueError("margin must be >= 1 (safety factor on T_c)")
         self.bandwidth_per_core = bandwidth_per_core
         self.smoothing = smoothing
@@ -87,15 +91,13 @@ class ThresholdEstimator:
                 )
             )
 
-    def nudge_margin(
-        self, delta: float, *, min_margin: float = 1.0, max_margin: float = 4.0
-    ) -> float:
+    def nudge_margin(self, delta: float) -> float:
         """Shift the safety margin by *delta*, clamped to
-        ``[min_margin, max_margin]`` — the online tuner's threshold
+        ``[MIN_MARGIN, MAX_MARGIN]`` — the online tuner's threshold
         knob.  A larger margin inflates ``T_c`` and so *advances* the
         pre-copy start; a smaller one defers it.  Returns the new
         margin and surfaces the recompute on the trace bus."""
-        new = min(max_margin, max(min_margin, self.margin + delta))
+        new = min(MAX_MARGIN, max(MIN_MARGIN, self.margin + delta))
         if new != self.margin:
             self.margin = new
             if BUS.active:

@@ -227,9 +227,10 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
     )
     failure_config: Optional[FailureConfig] = None
     if args.mtbf_local is not None or args.mtbf_remote is not None:
+        # an unset MTBF means "never fails"; 0 is an error, not unset
         failure_config = FailureConfig(
-            mtbf_local=args.mtbf_local or 1e12,
-            mtbf_remote=args.mtbf_remote or 1e12,
+            mtbf_local=1e12 if args.mtbf_local is None else args.mtbf_local,
+            mtbf_remote=1e12 if args.mtbf_remote is None else args.mtbf_remote,
             seed=args.seed,
         )
     runner = ClusterRunner(cluster, failure_config=failure_config)

@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from ..config import DeviceConfig
+from ..config import PCM_CONFIG
 from ..errors import AllocationError, PersistenceError
 from ..units import usec
 from .device import MemoryDevice
@@ -107,13 +107,8 @@ class NVMKernelManager:
         self,
         device: Optional[MemoryDevice] = None,
         store: Optional[PersistentStore] = None,
-        device_config: Optional[DeviceConfig] = None,
     ) -> None:
-        if device is None:
-            from ..config import PCM_CONFIG
-
-            device = MemoryDevice(device_config or PCM_CONFIG)
-        self.device = device
+        self.device = device if device is not None else MemoryDevice(PCM_CONFIG)
         self.store = store if store is not None else InMemoryStore()
         #: live regions: (pid, name) -> NvmRegion
         self._regions: Dict[tuple[str, str], NvmRegion] = {}

@@ -52,7 +52,6 @@ def rdma_get(
     nbytes: float,
     tag: str = "",
     src_nvm_bus: Optional[BandwidthResource] = None,
-    src_nvm_bytes: Optional[float] = None,
 ) -> Event:
     """One-sided read: *dst* pulls *nbytes* out of *src* node's NVM
     (restart fetch path).  NVM reads are near-DRAM speed (Table I), so
@@ -60,10 +59,7 @@ def rdma_get(
     net_ev = fabric.transfer(src, dst, nbytes, tag=tag)
     if src_nvm_bus is None:
         return net_ev
-    nvm_ev = src_nvm_bus.transfer(
-        nbytes if src_nvm_bytes is None else src_nvm_bytes, tag=tag
-    )
-    return fabric.engine.all_of([net_ev, nvm_ev])
+    return fabric.engine.all_of([net_ev, src_nvm_bus.transfer(nbytes, tag=tag)])
 
 
 def cancel_rdma(

@@ -180,7 +180,6 @@ def run_whatif(
     bandwidth_scale: float = 1.0,
     copy_granularity: Optional[str] = None,
     threshold_margin: float = 1.25,
-    adapt_smoothing: float = 0.5,
     codec: Optional[str] = None,
     codec_block: int = DEFAULT_BLOCK,
     codec_novelty: float = DEFAULT_NOVELTY,
@@ -211,7 +210,6 @@ def run_whatif(
         if mode in ("dcpc", "dcpcp"):
             est = ThresholdEstimator(
                 bandwidth_per_core=bw,
-                smoothing=adapt_smoothing,
                 margin=threshold_margin,
             )
         hot: Dict[str, float] = {}

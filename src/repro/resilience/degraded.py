@@ -28,17 +28,25 @@ from ..metrics.trace import emit_phase
 from ..models.notation import ModelParams
 from ..models.optimal import optimal_local_interval
 
-__all__ = ["DegradedModeController", "DegradedSpan", "degraded_local_interval"]
+__all__ = [
+    "DEGRADED_MIN_INTERVAL",
+    "DegradedModeController",
+    "DegradedSpan",
+    "degraded_local_interval",
+]
 
 #: stand-in MTBF for the (absent) remote level when re-solving the
 #: degraded model: effectively "the remote level never helps".
 _NO_REMOTE_MTBF = 1e15
 
+#: floor (seconds) for the re-solved local-only checkpoint interval.
+DEGRADED_MIN_INTERVAL = 5.0
+
 
 def degraded_local_interval(
     params: ModelParams,
     *,
-    min_interval: float = 5.0,
+    min_interval: float = DEGRADED_MIN_INTERVAL,
     hi: float = 3600.0,
 ) -> float:
     """The local checkpoint interval to run while the remote level is

@@ -171,12 +171,11 @@ class BuddyDirectory:
     # Invariants (the membership property test's oracle).
     # ------------------------------------------------------------------
 
-    def check_invariants(self, max_load: Optional[int] = None) -> List[str]:
+    def check_invariants(self) -> List[str]:
         """Structural invariants that must hold after any repair sweep:
-        no node is its own buddy (unless alone), every *healthy,
+        no node is its own buddy (unless alone), and every *healthy,
         non-retired* node with a healthy candidate available is paired
-        with a healthy buddy, and no target hosts more than *max_load*
-        sources (when given).  Returns human-readable violations."""
+        with a healthy buddy.  Returns human-readable violations."""
         problems: List[str] = []
         healthy = [
             n for n in self.nodes if self.is_healthy(n) and n not in self._retired
@@ -198,11 +197,4 @@ class BuddyDirectory:
                     if b is None
                     else f"healthy node {n} paired with failed buddy {b}"
                 )
-        if max_load is not None:
-            for n in self.nodes:
-                load = self._load(n)
-                if load > max_load:
-                    problems.append(
-                        f"node {n} hosts {load} sources (capacity bound {max_load})"
-                    )
         return problems

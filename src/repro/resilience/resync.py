@@ -39,7 +39,6 @@ class ResyncTask:
         *,
         failure_limit: int = 25,
         retry_pause: float = 2.0,
-        on_complete: Optional[Callable[["ResyncTask"], None]] = None,
         on_abort: Optional[Callable[["ResyncTask"], None]] = None,
     ) -> None:
         self.helper = helper
@@ -47,7 +46,6 @@ class ResyncTask:
         self.failure_limit = failure_limit
         #: pause after a failed send before trying the next chunk
         self.retry_pause = retry_pause
-        self.on_complete = on_complete
         #: fired only when the task gives up on its *failure budget*
         #: (not when a newer retarget makes it stale) — the node is
         #: still unprotected and callers must escalate, e.g. keep it
@@ -139,8 +137,6 @@ class ResyncTask:
             # only the task owning the current pairing unpauses
             if not self._stale():
                 helper.resume_rounds()
-            if self.completed and self.on_complete is not None:
-                self.on_complete(self)
         return self
 
     @property

@@ -69,6 +69,10 @@ class RetryPolicy:
             raise ValueError("backoff factor must be >= 1")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
+        for name in ("timeout", "deadline"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive or None, got {value!r}")
 
     def backoff_delay(self, attempt: int, rng, stream: str) -> float:
         """Delay before re-issuing after failed attempt *attempt*
@@ -81,13 +85,11 @@ class RetryPolicy:
 
     @classmethod
     def from_config(cls, cfg) -> "RetryPolicy":
-        """Build from a :class:`repro.config.ResilienceConfig`."""
+        """Build from a :class:`repro.config.ResilienceConfig` (its
+        attempt budget, timeout and deadline; the backoff delays are
+        this class's defaults)."""
         return cls(
             max_attempts=cfg.retry_max_attempts,
-            base_delay=cfg.retry_base_delay,
-            max_delay=cfg.retry_max_delay,
-            backoff=cfg.retry_backoff,
-            jitter=cfg.retry_jitter,
             timeout=cfg.transfer_timeout,
             deadline=cfg.transfer_deadline,
         )

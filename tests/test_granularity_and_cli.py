@@ -119,6 +119,20 @@ class TestCli:
         assert res.iterations == 2
         assert res.soft_failures >= 1
 
+    @pytest.mark.parametrize(
+        "mtbfs",
+        [
+            ("--mtbf-local", "0", "--mtbf-remote", "100"),
+            ("--mtbf-local", "100", "--mtbf-remote", "0"),
+            ("--mtbf-local", "0"),
+        ],
+    )
+    def test_zero_mtbf_fails_loudly(self, mtbfs):
+        # 0 is not "unset": it must fail like a negative MTBF does, not
+        # silently mean "never fails"
+        with pytest.raises(ValueError, match="MTBF"):
+            run_experiment(self._args(*mtbfs))
+
     def test_no_precopy_mode(self):
         res = run_experiment(self._args("--mode", "none", "--no-remote-precopy"))
         assert res.policy_mode == "none"

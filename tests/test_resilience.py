@@ -21,6 +21,7 @@ from repro.core import (
 )
 from repro.errors import (
     AllReplicasLost,
+    ConfigError,
     NoCheckpointAvailable,
     TransferFailed,
 )
@@ -60,6 +61,35 @@ class TestRetryPolicy:
             RetryPolicy(backoff=0.5)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
+
+    @pytest.mark.parametrize("field", ["timeout", "deadline"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
+    def test_non_positive_timeout_or_deadline_is_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
+
+    def test_no_timeout_and_no_deadline_stay_allowed(self):
+        p = RetryPolicy(timeout=None, deadline=None)
+        assert p.timeout is None and p.deadline is None
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"retry_max_attempts": 0},
+            {"transfer_timeout": 0.0},
+            {"transfer_timeout": -5.0},
+            {"transfer_deadline": 0.0},
+            {"transfer_deadline": -1.0},
+        ],
+    )
+    def test_config_rejects_a_broken_retry_budget_at_config_time(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            ResilienceConfig(**kwargs)
+
+    def test_config_without_timeout_or_deadline_builds_a_policy(self):
+        cfg = ResilienceConfig(transfer_timeout=None, transfer_deadline=None)
+        p = RetryPolicy.from_config(cfg)
+        assert p.timeout is None and p.deadline is None
 
     def test_backoff_grows_and_caps(self):
         p = RetryPolicy(base_delay=1.0, max_delay=5.0, backoff=2.0, jitter=0.0)
