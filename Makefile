@@ -61,12 +61,12 @@ smoke-%:
 # "fidelity: same" against the recorded reference — then its unit tests.
 # One test is deselected: it demands that every traced target listed in
 # perfbench/layers.py still resolve, and that list cannot be edited next
-# to a src/ change, so it still names the 46 callables the deletion PRs
-# 12-18 removed (payload trios, write_at/write_payload, collector
-# methods, ParallelExecutor.*, TimelineSink.handle, Timeline.begin/end,
-# resilient_put/get, ...).  The benchmark itself reports them under
-# missing_targets and runs on; a perfbench/-only change that regenerates
-# the list drops this deselect (ROADMAP item 8).
+# to a src/ change, so it still names 50 callables that have since been
+# deleted (payload trios, write_at/write_payload, collector methods,
+# ParallelExecutor.*, TimelineSink.handle, Timeline.begin/end,
+# resilient_put/get, Fabric.outage_active, ...).  The benchmark itself
+# reports them under missing_targets and runs on; a perfbench/-only
+# change that regenerates the list drops this deselect (ROADMAP item 8).
 perf-smoke:
 	$(PYTHON) -m perfbench run --smoke
 	$(PYTHON) -m pytest perfbench/tests -q \

@@ -43,10 +43,6 @@ class FailureEvent:
     duration: float = 0.0
 
     @property
-    def is_hard(self) -> bool:
-        return self.kind == HARD
-
-    @property
     def is_transient(self) -> bool:
         return self.kind == TRANSIENT
 

@@ -147,13 +147,6 @@ class ClusterNode:
         self.helper = None
         self.failed = False
 
-    def crash_volatile(self) -> None:
-        """Soft failure: volatile state dies, NVM store survives
-        (unflushed writes roll back)."""
-        self.ctx.nvmm.store.crash()
-        for state in self.ranks:
-            self.ctx.nvmm.crash_process(state.rank)
-
     # ------------------------------------------------------------------
     # Accounting.
     # ------------------------------------------------------------------

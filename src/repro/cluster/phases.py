@@ -10,12 +10,17 @@ replace, orphan re-pairing and background re-sync).
 Every function takes the :class:`~repro.cluster.runner.ClusterRunner`
 as its first argument and operates on its state.  Generator functions
 are DES fragments — drive them with ``yield from``.  Nothing here
-builds a rank or a helper: a replacement node is populated by the same
-:class:`~repro.cluster.cluster.Cluster` methods that built the
-original.
+builds a rank or a helper, or starts or stops one: a replacement node
+is populated by the same :class:`~repro.cluster.cluster.Cluster`
+methods that built the original, and started and stopped by the same
+:class:`~repro.cluster.runner.ClusterRunner` pair,
+:meth:`~repro.cluster.runner.ClusterRunner.start_nodes` /
+:meth:`~repro.cluster.runner.ClusterRunner.stop_nodes`.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from ..metrics import timeline as tl
 from ..metrics.trace import emit_phase
@@ -29,6 +34,7 @@ __all__ = [
     "apply_transient",
     "handle_failure",
     "buddy_capacity_ok",
+    "repair_pairing",
     "orphan_failover",
     "repair_orphan",
     "resync_proc",
@@ -71,7 +77,7 @@ def apply_transient(runner, ev: FailureEvent) -> None:
     checkpoint transfers, fail-fast new ones, and schedule the heal."""
     engine = runner.cluster.engine
     fabric = runner.cluster.fabric
-    runner.transient_failures += 1
+    runner.result.transient_failures += 1
     node_id = ev.node
     fabric.begin_outage(node_id)
     end = engine.now + ev.duration
@@ -97,11 +103,11 @@ def handle_failure(runner, ev: FailureEvent, procs):
         if state.checkpointer.precopy is not None:
             state.checkpointer.precopy.pause()
     if ev.kind == "soft":
-        runner.soft_failures += 1
+        runner.result.soft_failures += 1
         yield from recover_soft(runner, node)
         rollback = runner.committed_iteration
     else:
-        runner.hard_failures += 1
+        runner.result.hard_failures += 1
         if runner.directory is not None:
             runner.directory.mark_failed(node.node_id)
             # until the replacement boots, the node is unreachable
@@ -109,7 +115,7 @@ def handle_failure(runner, ev: FailureEvent, procs):
             runner.cluster.fabric.begin_outage(node.node_id)
             orphan_failover(runner, node)
         rollback = yield from recover_hard(runner, node)
-    runner.iterations_recomputed += max(0, runner.committed_iteration - rollback)
+    runner.result.iterations_recomputed += max(0, runner.committed_iteration - rollback)
     runner.committed_iteration = rollback
     # reset chunk dirty state: DRAM now matches the rollback point.
     # With migration bookkeeping on, a chunk whose current buddy holds
@@ -144,7 +150,7 @@ def handle_failure(runner, ev: FailureEvent, procs):
                 h.enqueue_unreplicated()
             else:
                 h.enqueue_all()
-    runner.recovery_time += engine.now - t0
+    runner.result.recovery_time += engine.now - t0
     emit_phase(f"n{ev.node}", tl.RESTART, t0, engine.now)
 
 
@@ -168,6 +174,14 @@ def buddy_capacity_ok(runner, orphan_id: int, candidate_id: int, pending=()) -> 
     return runner.cluster.nodes[candidate_id].ctx.nvmm.device.free >= needed
 
 
+def repair_pairing(runner, node_id: int) -> Optional[int]:
+    """The directory's new buddy for *node_id*, among candidates with
+    room for its copies; None when no candidate fits."""
+    return runner.directory.repair(
+        node_id, fits=lambda o, c: buddy_capacity_ok(runner, o, c)
+    )
+
+
 def orphan_failover(runner, dead: ClusterNode) -> None:
     """Nodes whose buddy just died hard: enter degraded mode, then
     re-pair to a healthy neighbor where one exists (a re-sync
@@ -182,9 +196,7 @@ def orphan_failover(runner, dead: ClusterNode) -> None:
         if ctrl is not None:
             ctrl.enter("buddy-failed")
         h.pause_rounds()
-        new_buddy = runner.directory.repair(
-            n.node_id, fits=lambda o, c: buddy_capacity_ok(runner, o, c)
-        )
+        new_buddy = repair_pairing(runner, n.node_id)
         if new_buddy is None:
             runner._deferred_orphans.append(n.node_id)
         else:
@@ -228,8 +240,8 @@ def resync_proc(runner, node_id: int, task):
         if runner._resyncing.get(node_id) is task:
             del runner._resyncing[node_id]
     if task.completed:
-        runner.resyncs_completed += 1
-        runner.resync_bytes += task.bytes_sent
+        runner.result.resyncs_completed += 1
+        runner.result.resync_bytes += task.bytes_sent
         ctrl = runner.controllers.get(node_id)
         if ctrl is not None:
             ctrl.exit()
@@ -237,7 +249,7 @@ def resync_proc(runner, node_id: int, task):
         # the failure budget ran out (not a newer retarget): the node
         # is still unprotected — keep it in degraded mode until a later
         # repair or recovery succeeds
-        runner.resyncs_aborted += 1
+        runner.result.resyncs_aborted += 1
         ctrl = runner.controllers.get(node_id)
         if ctrl is not None:
             ctrl.enter("resync-aborted")
@@ -261,8 +273,8 @@ def start_migration(runner, plan, done) -> bool:
         return False
 
     def on_cutover(task) -> None:
-        runner.migrations_completed += 1
-        runner.migration_bytes_total += task.bytes_sent
+        runner.result.migrations_completed += 1
+        runner.result.migration_bytes += task.bytes_sent
         runner.directory.rebind(plan.node, plan.to_buddy)
         monitor = runner.monitors.get(plan.node)
         if monitor is not None:
@@ -270,7 +282,7 @@ def start_migration(runner, plan, done) -> bool:
         done(plan, True)
 
     def on_abort(task) -> None:
-        runner.migrations_aborted += 1
+        runner.result.migrations_aborted += 1
         done(plan, False)
 
     task = MigrationTask(
@@ -315,9 +327,7 @@ def fetch_source_for(runner, node: ClusterNode, old_helper) -> int:
     topology — never an index into ``active_nodes`` (which can
     self-pair or point at a dead slot)."""
     if runner.directory is not None:
-        repaired = runner.directory.repair(
-            node.node_id, fits=lambda o, c: buddy_capacity_ok(runner, o, c)
-        )
+        repaired = repair_pairing(runner, node.node_id)
         if repaired is not None:
             return repaired
     if old_helper is not None:
@@ -349,11 +359,7 @@ def recover_hard(runner, node: ClusterNode):
     # a rank-less node has no state to fetch — and asking the directory
     # would spuriously re-pair it as a source
     buddy_id = fetch_source_for(runner, node, old_helper) if node.ranks else None
-    # stop machinery owned by the dead node
-    for state in node.ranks:
-        state.checkpointer.stop_background()
-    if old_helper is not None:
-        old_helper.stop()
+    runner.stop_nodes([node])
     # replacement hardware
     yield engine.timeout(HARD_REPLACE_DELAY)
     node.replace_hardware()
@@ -385,15 +391,8 @@ def recover_hard(runner, node: ClusterNode):
         )
     if fetches:
         yield engine.all_of(fetches)
-    # new background machinery for the replacement node
     if old_helper is not None:
-        helper = cluster.attach_helper(node, buddy_id)
-        helper.resilience = runner.transports.get(node.node_id)
-        runner._bg_procs.append(
-            engine.process(helper.run(), name=f"{helper.owner}:rounds")
-        )
-        for state in node.ranks:
-            runner._attach_slo_observer(state)
+        cluster.attach_helper(node, buddy_id)
         if runner.directory is not None:
             runner.directory.bind(node.node_id, buddy_id)
             monitor = runner.monitors.get(node.node_id)
@@ -405,18 +404,14 @@ def recover_hard(runner, node: ClusterNode):
             ctrl = runner.controllers.get(node.node_id)
             if ctrl is not None:
                 ctrl.exit()
-    if runner.local_checkpoints:
-        for state in node.ranks:
-            state.checkpointer.start_background()
+    runner.start_nodes([node])
     if runner.directory is not None:
         # orphans that had no healthy re-pair candidate wait for
         # the replacement: repair them now (typically back onto the
         # replacement hardware)
         deferred, runner._deferred_orphans = runner._deferred_orphans, []
         for orphan_id in deferred:
-            new_buddy = runner.directory.repair(
-                orphan_id, fits=lambda o, c: buddy_capacity_ok(runner, o, c)
-            )
+            new_buddy = repair_pairing(runner, orphan_id)
             if new_buddy is not None:
                 repair_orphan(runner, orphan_id, new_buddy)
             else:

@@ -51,6 +51,7 @@ from . import phases
 from .cluster import Cluster
 from .failures import FailureEvent, FailureInjector
 from .mpi import Barrier
+from .node import ClusterNode
 
 __all__ = ["ClusterRunner", "RunResult"]
 
@@ -85,10 +86,8 @@ class RunResult:
     remote_round_bytes: int = 0
     remote_precopy_bytes: int = 0
     helper_utilization: float = 0.0
-    rounds_behind: int = 0
 
     # -- fabric --
-    fabric_peak_window_bytes: float = 0.0
     #: peak per-window volume of checkpoint traffic only (Fig. 10)
     fabric_ckpt_peak_window_bytes: float = 0.0
     fabric_app_bytes: float = 0.0
@@ -337,15 +336,16 @@ class ClusterRunner:
         self.barrier = Barrier(cluster.engine, cluster.n_ranks, name="ckpt-barrier")
         self.committed_iteration = 0
         self._committed_log: List[Tuple[float, int]] = [(0.0, 0)]
-        self.recovery_time = 0.0
-        self.iterations_recomputed = 0
-        self.soft_failures = 0
-        self.hard_failures = 0
-        self.transient_failures = 0
+        #: the run's record: created by :meth:`run`, counted into as the
+        #: run goes, completed by :meth:`_collect`
+        self.result: Optional[RunResult] = None
         self._end_time = None
         self._bg_procs = []
-        #: per-rank OnlinePolicyTuner instances (autotuned runs only)
-        self.tuners: List = []
+        acfg = self.ckpt_config.autotune
+        #: the policy-tuner config when tuners run (local checkpoints on)
+        self._autotune = acfg if acfg.enabled and local_checkpoints else None
+        #: rank -> its live policy tuner (autotuned runs only)
+        self.tuners: Dict[str, object] = {}
         # -- resilience layer (wired in _start_background when enabled) --
         self.directory = None
         self.transports: Dict[int, object] = {}
@@ -356,18 +356,12 @@ class ClusterRunner:
         #: cached peeked failure so interleaved segment restarts never
         #: skip or duplicate an injector event
         self._pending_failure: Optional[FailureEvent] = None
-        self.resyncs_completed = 0
-        self.resync_bytes = 0
-        self.resyncs_aborted = 0
         # -- elastic membership / live migration --
         #: planned join/drain schedule (sequence of MembershipEvent)
         self._membership_schedule = list(membership) if membership else []
         self.membership_controller = None
         self.slo_guard = None
         self._migrations: List = []
-        self.migrations_completed = 0
-        self.migrations_aborted = 0
-        self.migration_bytes_total = 0
 
     @property
     def resilience_active(self) -> bool:
@@ -396,6 +390,13 @@ class ClusterRunner:
 
     def run(self, iterations: int) -> RunResult:
         engine = self.cluster.engine
+        self.result = RunResult(
+            app_name=self.app.name,
+            policy_mode=self.ckpt_config.precopy.mode,
+            remote_precopy=self.ckpt_config.remote_precopy,
+            iterations=iterations,
+            compute_per_iteration=self.app.iteration_compute_time,
+        )
         self._start_background()
         job = engine.process(self._job(iterations), name="job")
         # if the job dies (bug or unhandled failure), make sure the
@@ -409,39 +410,95 @@ class ClusterRunner:
                 proc.exception, ProcessKilled
             ):
                 raise proc.exception  # a background helper died
-        return self._collect(iterations)
+        return self._collect()
 
     # ------------------------------------------------------------------
     # Background machinery.
     # ------------------------------------------------------------------
 
+    def start_nodes(self, nodes: List[ClusterNode]) -> None:
+        """Start *nodes*' run-time machinery: each rank's pre-copy
+        engine, policy tuner (autotuned runs) and SLO observer, then each
+        helper's transport, rounds process and place in the archive's
+        view.  Run start passes every active node, hard-failure recovery
+        the replacement; phase-major, so run start spawns every pre-copy
+        engine before any helper."""
+        engine = self.cluster.engine
+        ranks = [state for node in nodes for state in node.ranks]
+        if self.local_checkpoints:
+            for state in ranks:
+                state.checkpointer.start_background()
+        if self._autotune is not None:
+            from ..core.autotune import OnlinePolicyTuner
+
+            for state in ranks:
+                self.tuners[state.rank] = OnlinePolicyTuner.from_config(
+                    state.checkpointer, self._autotune, seed_offset=state.rank_index
+                ).attach()
+        guard = self.slo_guard
+        if guard is not None:
+            # every coordinated-checkpoint duration feeds the SLO guard
+            for state in ranks:
+                state.checkpointer.on_complete.append(
+                    lambda stats, g=guard: g.observe(stats.duration)
+                )
+        helpers = [node.helper for node in nodes if node.helper is not None]
+        for helper in helpers:
+            helper.resilience = self.transports.get(helper.node_id, helper.resilience)
+            self._bg_procs.append(
+                engine.process(helper.run(), name=f"{helper.owner}:rounds")
+            )
+        if self.archive is not None:
+            # rebound, not mutated: an archive round in flight keeps
+            # iterating the list it started with
+            self.archive.helpers = self.archive.helpers + [
+                h for h in helpers if h not in self.archive.helpers
+            ]
+
+    def stop_nodes(self, nodes: List[ClusterNode]) -> None:
+        """Stop what :meth:`start_nodes` started on *nodes* — at run
+        end, and for a node that failed hard.  A stopped rank's tuner is
+        detached (off the trace bus too) and its switches and nudges are
+        counted into the run's record."""
+        res = self.result
+        ranks = [state for node in nodes for state in node.ranks]
+        for state in ranks:
+            tuner = self.tuners.pop(state.rank, None)
+            if tuner is not None:
+                tuner.detach()
+                res.autotune_switches += len(tuner.switches)
+                res.autotune_nudges += tuner.nudges
+            state.checkpointer.stop_background()
+        helpers = [node.helper for node in nodes if node.helper is not None]
+        for helper in helpers:
+            helper.stop()
+        if self.archive is not None:
+            self.archive.helpers = [
+                h for h in self.archive.helpers if h not in helpers
+            ]
+
     def _start_background(self) -> None:
         engine = self.cluster.engine
-        if self.local_checkpoints:
-            for state in self.cluster.all_ranks():
-                state.checkpointer.start_background()
-            acfg = getattr(self.ckpt_config, "autotune", None)
-            if acfg is not None and acfg.enabled and not self.tuners:
-                from ..core.autotune import OnlinePolicyTuner
-
-                for i, state in enumerate(self.cluster.all_ranks()):
-                    tuner = OnlinePolicyTuner.from_config(
-                        state.checkpointer, acfg, seed_offset=i
-                    )
-                    self.tuners.append(tuner.attach())
-        for node in self.cluster.active_nodes:
-            if node.helper is not None:
-                self._bg_procs.append(
-                    engine.process(node.helper.run(), name=f"{node.helper.owner}:rounds")
-                )
         if self.resilience_active:
             self._start_resilience()
-        if self._membership_schedule and self.directory is not None:
+        elastic = bool(self._membership_schedule) and self.directory is not None
+        if elastic:
+            from ..resilience.migration import SloGuard
+
+            self.slo_guard = SloGuard(
+                latency_slo=self.ckpt_config.resilience.migration.slo_checkpoint_latency
+            )
+        self.start_nodes(self.cluster.active_nodes)
+        for nid, monitor in self.monitors.items():
+            self._bg_procs.append(engine.process(monitor.run(), name=f"n{nid}:hb"))
+        if elastic:
             self._start_membership()
         if self.archive is not None:
             self._bg_procs.append(engine.process(self.archive.run(), name="archive"))
 
     def _start_resilience(self) -> None:
+        """Build the resilience layer's per-node parts; their processes
+        start in :meth:`_start_background`, after the nodes'."""
         from ..resilience import (
             BuddyDirectory,
             DegradedModeController,
@@ -461,9 +518,7 @@ class ClusterRunner:
                 continue
             nid = node.node_id
             self.directory.bind(nid, node.helper.buddy_id)
-            transport = ResilientTransport(nid, self.cluster.rng, policy)
-            self.transports[nid] = transport
-            node.helper.resilience = transport
+            self.transports[nid] = ResilientTransport(nid, self.cluster.rng, policy)
             self.controllers[nid] = DegradedModeController(
                 nid,
                 clock=lambda: engine.now,
@@ -472,25 +527,20 @@ class ClusterRunner:
                 on_enter=self._make_interval_hook(nid),
                 on_exit=self._make_interval_hook(nid),
             )
-            monitor = HealthMonitor(
+            self.monitors[nid] = HealthMonitor(
                 nid,
                 node.helper.buddy_id,
                 self.cluster.fabric,
                 on_down=self._make_on_down(nid),
                 on_up=self._make_on_up(nid),
             )
-            self.monitors[nid] = monitor
-            self._bg_procs.append(engine.process(monitor.run(), name=f"n{nid}:hb"))
 
     def _start_membership(self) -> None:
-        from ..resilience.migration import MigrationPlanner, SloGuard
+        from ..resilience.migration import MigrationPlanner
         from .membership import MembershipController
 
         engine = self.cluster.engine
         mcfg = self.ckpt_config.resilience.migration
-        self.slo_guard = SloGuard(latency_slo=mcfg.slo_checkpoint_latency)
-        for state in self.cluster.all_ranks():
-            self._attach_slo_observer(state)
         planner = None
         launch = None
         if mcfg.enabled:
@@ -510,17 +560,6 @@ class ClusterRunner:
         )
         self._bg_procs.append(
             engine.process(self.membership_controller.run(), name="membership")
-        )
-
-    def _attach_slo_observer(self, state) -> None:
-        """Feed every coordinated-checkpoint duration of this rank into
-        the SLO guard (re-attached for replacement ranks after a hard
-        failure)."""
-        guard = self.slo_guard
-        if guard is None:
-            return
-        state.checkpointer.on_complete.append(
-            lambda stats, g=guard: g.observe(stats.duration)
         )
 
     def _make_interval_hook(self, node_id: int):
@@ -606,13 +645,7 @@ class ClusterRunner:
         return on_up
 
     def _stop_background(self) -> None:
-        for tuner in self.tuners:
-            tuner.detach()
-        for state in self.cluster.all_ranks():
-            state.checkpointer.stop_background()
-        for node in self.cluster.active_nodes:
-            if node.helper is not None:
-                node.helper.stop()
+        self.stop_nodes(self.cluster.active_nodes)
         for monitor in self.monitors.values():
             monitor.stop()
         if self.archive is not None:
@@ -684,22 +717,17 @@ class ClusterRunner:
     # Result collection.
     # ------------------------------------------------------------------
 
-    def _collect(self, iterations: int) -> RunResult:
+    def _collect(self) -> RunResult:
+        """Complete the run's record with the end-of-run fold over
+        component state."""
         cluster = self.cluster
         engine = cluster.engine
         ranks = cluster.all_ranks()
-        n_ranks = len(ranks)
-        res = RunResult(
-            app_name=self.app.name,
-            policy_mode=self.ckpt_config.precopy.mode,
-            remote_precopy=self.ckpt_config.remote_precopy,
-            n_ranks=n_ranks,
-            n_nodes=len(cluster.active_nodes),
-            iterations=iterations,
-            total_time=engine.now if self._end_time is None else self._end_time,
-            compute_per_iteration=self.app.iteration_compute_time,
-            sim_events=engine.events_processed,
-        )
+        res = self.result
+        res.n_ranks = n_ranks = len(ranks)
+        res.n_nodes = len(cluster.active_nodes)
+        res.total_time = t_end = engine.now if self._end_time is None else self._end_time
+        res.sim_events = engine.events_processed
         # local
         all_stats = [s for state in ranks for s in state.checkpointer.history]
         res.local_checkpoints = len(all_stats)
@@ -740,8 +768,6 @@ class ClusterRunner:
         res.remote_rounds = sum(len(h.history) for h in helpers)
         res.remote_round_bytes = sum(h.total_round_bytes for h in helpers)
         res.remote_precopy_bytes = sum(h.stream_bytes for h in helpers)
-        res.rounds_behind = sum(h.rounds_behind for h in helpers)
-        t_end = engine.now if self._end_time is None else self._end_time
         if helpers and t_end > 0:
             res.helper_utilization = sum(
                 h.helper_utilization(t_end) for h in helpers
@@ -764,7 +790,6 @@ class ClusterRunner:
             res.codec_blocks_ref = sum(c.blocks_ref for c in counters)
         # fabric
         CKPT_KINDS = ["rckpt", "rprecopy", "rfetch", "resync", "migrate"]
-        res.fabric_peak_window_bytes = cluster.fabric.peak_window_usage(1.0, t_end)
         res.fabric_ckpt_peak_window_bytes = cluster.fabric.peak_window_usage(
             1.0, t_end, kinds=CKPT_KINDS
         )
@@ -775,12 +800,6 @@ class ClusterRunner:
         res.fabric_series = cluster.fabric.windowed_usage(
             max(1.0, t_end / 200), t_end, kinds=CKPT_KINDS
         )
-        # failures
-        res.soft_failures = self.soft_failures
-        res.hard_failures = self.hard_failures
-        res.transient_failures = self.transient_failures
-        res.recovery_time = self.recovery_time
-        res.iterations_recomputed = self.iterations_recomputed
         # resilience
         for transport in self.transports.values():
             res.transfer_retries += transport.stats.retries
@@ -794,9 +813,6 @@ class ClusterRunner:
             res.degraded_time_total += ctrl.degraded_time
         if self.directory is not None:
             res.buddy_repairs = len(self.directory.repairs)
-        res.resyncs_completed = self.resyncs_completed
-        res.resync_bytes = self.resync_bytes
-        res.resyncs_aborted = self.resyncs_aborted
         # elastic membership / live migration
         ctrl = self.membership_controller
         if ctrl is not None:
@@ -805,9 +821,6 @@ class ClusterRunner:
             res.membership_drains = ctrl.drains
             res.membership_departs = ctrl.departs
             res.migrations_planned = ctrl.plans_issued
-        res.migrations_completed = self.migrations_completed
-        res.migrations_aborted = self.migrations_aborted
-        res.migration_bytes = self.migration_bytes_total
         res.migration_batches = sum(t.batches for t in self._migrations)
         res.migration_slo_pauses = sum(t.slo_pauses for t in self._migrations)
         res.migration_throttled_batches = sum(
@@ -815,11 +828,9 @@ class ClusterRunner:
         )
         if self.slo_guard is not None:
             res.migration_max_ckpt_latency = self.slo_guard.max_latency
-        # autotuning
-        if self.tuners:
-            res.autotune_switches = sum(len(t.switches) for t in self.tuners)
-            res.autotune_nudges = sum(t.nudges for t in self.tuners)
+        # autotuning: switches and nudges were counted as tuners stopped
+        if self._autotune is not None:
             res.autotune_final_policy = ",".join(
-                sorted({t.current for t in self.tuners})
+                sorted({state.checkpointer.policy.mode for state in ranks})
             )
         return res

@@ -16,12 +16,12 @@ pipe, never the application's critical path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Tuple
 
 from ..baselines.pfs import PfsModel
 from ..errors import TransferCancelled
 from ..sim.engine import Engine
-from .remote import RemoteHelper
+from .remote import RemoteHelper, RemoteTarget
 
 __all__ = ["ArchiveTier", "ArchiveStats"]
 
@@ -54,12 +54,17 @@ class ArchiveTier:
         if interval <= 0:
             raise ValueError("archive interval must be positive")
         self.engine = engine
+        #: the helpers whose buddy copies are archived; a cluster run
+        #: swaps a failed node's helper for its replacement's
         self.helpers = helpers
         self.pfs = pfs
         self.interval = interval
         self.history: List[ArchiveStats] = []
-        #: rank -> archived buddy-version per chunk (skip unchanged)
-        self._archived: Dict[str, Dict[str, int]] = {}
+        #: rank -> (the buddy target archived from, its version per
+        #: chunk archived).  Version numbers belong to one target: a new
+        #: one (re-pairing, replaced hardware) counts from 0 again, so
+        #: its record starts empty
+        self._archived: Dict[str, Tuple[RemoteTarget, Dict[str, int]]] = {}
         self._stop = False
 
     def stop(self) -> None:
@@ -75,7 +80,10 @@ class ArchiveTier:
         stats = ArchiveStats(start=self.engine.now)
         for helper in self.helpers:
             for pid, target in sorted(helper.targets.items()):
-                seen = self._archived.setdefault(pid, {})
+                record = self._archived.get(pid)
+                if record is None or record[0] is not target:
+                    record = self._archived[pid] = (target, {})
+                seen = record[1]
                 covered = False
                 for name in target.committed_chunks():
                     version = target.committed[name]
@@ -121,4 +129,4 @@ class ArchiveTier:
 
     def archived_versions(self, pid: str) -> Dict[str, int]:
         """What the PFS holds for *pid* (chunk -> buddy version)."""
-        return dict(self._archived.get(pid, {}))
+        return dict(self._archived.get(pid, (None, {}))[1])

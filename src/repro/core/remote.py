@@ -44,7 +44,7 @@ from ..faults.crashpoints import fire
 from ..metrics import timeline as tl
 from ..metrics.trace import BUS, FailoverEvent, emit_phase
 from ..net.interconnect import Fabric
-from ..net.rdma import rdma_put
+from ..net.rdma import rdma_get, rdma_put
 from ..sim.events import Event
 from ..units import usec
 from .codec import Payload, blocks_of_extents
@@ -52,7 +52,7 @@ from .context import NodeContext
 from .copystep import CopyPlan, CopyStep
 from .destination import Destination, validate_extents
 
-__all__ = ["RemoteTarget", "RemoteHelper", "RemoteCheckpointStats"]
+__all__ = ["RemoteTarget", "RemoteHelper", "RemoteCheckpointStats", "buddy_get"]
 
 #: helper CPU seconds per byte moved (RDMA descriptor setup, chunk
 #: metadata handling); calibrated so a ~40 MB/s no-pre-copy stream
@@ -315,6 +315,28 @@ class RemoteTarget(Destination):
         return target
 
 
+def buddy_get(
+    fabric: Fabric,
+    target: RemoteTarget,
+    buddy_id: int,
+    node_id: int,
+    nbytes: int,
+    *,
+    tag: str,
+    transport=None,
+):
+    """Generator (``yield from`` it): node *node_id* reads *nbytes* of
+    *target*'s copies back from buddy *buddy_id* — the restart fetch and
+    the scrubber's repair.  Through *transport* (a retrying
+    :class:`~repro.resilience.retry.ResilientTransport`) when one is
+    attached, one-shot :func:`~repro.net.rdma.rdma_get` otherwise."""
+    route = dict(tag=tag, src_nvm_bus=target.dst_ctx.nvm_bus)
+    if transport is None:
+        yield rdma_get(fabric, buddy_id, node_id, nbytes, **route)
+    else:
+        yield from transport.get(fabric, buddy_id, node_id, nbytes, **route)
+
+
 class RemoteHelper:
     """The per-node asynchronous remote-checkpoint process."""
 
@@ -366,7 +388,6 @@ class RemoteHelper:
         self.targets: Dict[str, RemoteTarget] = {}
         self._point_at(self.new_targets(buddy_ctx))
         self.history: List[RemoteCheckpointStats] = []
-        self.rounds_behind = 0
         self._stop = False
         self._paused = False
         #: pairing generation: bumped by :meth:`retarget` so in-flight

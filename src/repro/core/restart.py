@@ -33,10 +33,9 @@ from ..faults.crashpoints import fire
 from ..metrics import timeline as tl
 from ..metrics.trace import emit_phase
 from ..net.interconnect import Fabric
-from ..net.rdma import rdma_get
 from .codec import BlockStore, block_digests
 from .context import NodeContext
-from .remote import RemoteTarget
+from .remote import RemoteTarget, buddy_get
 
 __all__ = ["RestartManager", "RestartReport"]
 
@@ -118,27 +117,6 @@ class RestartManager:
         failed = int((got[known] != exp[known]).sum())
         report.digest_failures += failed
         return failed == 0
-
-    def _rfetch(self, remote_target, remote_node: int, nbytes: int, tag: str):
-        """One remote fetch, resilient when a transport is attached."""
-        if self.resilience is not None:
-            yield from self.resilience.get(
-                self.fabric,
-                remote_node,
-                self.node_id,
-                nbytes,
-                tag=tag,
-                src_nvm_bus=remote_target.dst_ctx.nvm_bus,
-            )
-            return
-        yield rdma_get(
-            self.fabric,
-            remote_node,
-            self.node_id,
-            nbytes,
-            tag=tag,
-            src_nvm_bus=remote_target.dst_ctx.nvm_bus,
-        )
 
     # ------------------------------------------------------------------
     # Soft failure: restart from local NVM, remote as fallback.
@@ -267,7 +245,10 @@ class RestartManager:
             chunk.dram = np.zeros(chunk.nbytes, dtype=np.uint8)
         n = chunk.nbytes
         try:
-            yield from self._rfetch(remote_target, remote_node, n, tag=f"{pid}:rfetch")
+            yield from buddy_get(
+                self.fabric, remote_target, remote_node, self.node_id, n,
+                tag=f"{pid}:rfetch", transport=self.resilience,
+            )
         except TransferFailed as exc:
             raise AllReplicasLost(
                 f"chunk {chunk.name!r} of {pid!r}: local copy unusable and the "
@@ -355,8 +336,9 @@ class RestartManager:
                 chunk = alloc.nvalloc(name, size, pflag=True)
                 fire("restart.fetch_remote", chunk=chunk, pid=pid)
                 try:
-                    yield from self._rfetch(
-                        remote_target, remote_node, size, tag=f"{pid}:rfetch"
+                    yield from buddy_get(
+                        self.fabric, remote_target, remote_node, self.node_id, size,
+                        tag=f"{pid}:rfetch", transport=self.resilience,
                     )
                 except TransferFailed as exc:
                     raise AllReplicasLost(

@@ -22,9 +22,8 @@ from typing import List, Optional
 from ..alloc.nvmalloc import NVAllocator
 from ..errors import NoCheckpointAvailable, TransferCancelled, TransferFailed
 from ..net.interconnect import Fabric
-from ..net.rdma import rdma_get
 from .context import NodeContext
-from .remote import RemoteTarget
+from .remote import RemoteTarget, buddy_get
 
 __all__ = ["Scrubber", "ScrubReport"]
 
@@ -128,24 +127,10 @@ class Scrubber:
             return False
         tag = f"{self.allocator.pid}:scrub-repair"
         try:
-            if self.resilience is not None:
-                yield from self.resilience.get(
-                    self.fabric,
-                    self.remote_node,
-                    self.node_id,
-                    chunk.nbytes,
-                    tag=tag,
-                    src_nvm_bus=self.remote_target.dst_ctx.nvm_bus,
-                )
-            else:
-                yield rdma_get(
-                    self.fabric,
-                    self.remote_node,
-                    self.node_id,
-                    chunk.nbytes,
-                    tag=tag,
-                    src_nvm_bus=self.remote_target.dst_ctx.nvm_bus,
-                )
+            yield from buddy_get(
+                self.fabric, self.remote_target, self.remote_node, self.node_id, chunk.nbytes,
+                tag=tag, transport=self.resilience,
+            )
         except (TransferCancelled, TransferFailed):
             # buddy unreachable (outage / dead node): leave the chunk
             # for a later sweep rather than raising out of the scan

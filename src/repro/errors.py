@@ -55,19 +55,6 @@ class OutOfMemory(MemoryError_):
     """A device (DRAM or NVM) ran out of capacity."""
 
 
-class ProtectionFault(MemoryError_):
-    """A write hit a write-protected page/chunk.
-
-    In the real system this is a SIGSEGV handled by the runtime; here the
-    write barrier raises it so that the tracking layer can observe and
-    charge the fault, then unprotect and retry.
-    """
-
-    def __init__(self, message: str, chunk_id: int | None = None) -> None:
-        super().__init__(message)
-        self.chunk_id = chunk_id
-
-
 class InvalidAddress(MemoryError_):
     """Access outside a mapped region."""
 
@@ -178,10 +165,6 @@ class AllReplicasLost(NoCheckpointAvailable):
         self.tried = tried
 
 
-class RestartError(CheckpointError):
-    """Restart could not reconstruct process state."""
-
-
 # ---------------------------------------------------------------------------
 # Cluster / network errors.
 # ---------------------------------------------------------------------------
@@ -189,10 +172,6 @@ class RestartError(CheckpointError):
 
 class ClusterError(ReproError):
     """Cluster-level configuration or runtime error."""
-
-
-class NodeFailed(ClusterError):
-    """Operation attempted on a node currently marked failed."""
 
 
 class NetworkError(ClusterError):

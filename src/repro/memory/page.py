@@ -170,9 +170,6 @@ class PageTable:
             total -= self.page_size - (self.nbytes % self.page_size)
         return total
 
-    def clear_nvdirty(self) -> None:
-        self._nvdirty[:] = False
-
     def clear_nvdirty_range(self, offset: int, nbytes: int) -> None:
         """Clear the nvdirty bit on pages fully covered by the byte
         range; a partly covered page stays dirty."""

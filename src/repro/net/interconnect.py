@@ -116,9 +116,6 @@ class Fabric:
     # Outages (transient link flaps / dead nodes).
     # ------------------------------------------------------------------
 
-    def outage_active(self, node: int) -> bool:
-        return node in self._outage
-
     def begin_outage(self, node: int) -> int:
         """Drop *node*'s checkpoint-path connectivity: in-flight
         checkpoint-kind flows on its links are torn down and new ones

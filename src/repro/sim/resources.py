@@ -515,11 +515,6 @@ class BandwidthResource:
             self._reschedule()
         return len(doomed)
 
-    def estimate_duration(self, nbytes: float) -> float:
-        """Duration if this transfer ran alone right now (lower bound)."""
-        rate = min(self.per_flow_cap or self.capacity, self.capacity)
-        return nbytes / rate
-
     # -- internals --------------------------------------------------------------
 
     def _flow_rate(self, n_flows: int) -> float:

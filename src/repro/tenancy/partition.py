@@ -167,9 +167,6 @@ class WeightedFairBus:
     def active_flows(self) -> int:
         return len(self._flows)
 
-    def tenant_flows(self, tenant: str) -> int:
-        return sum(1 for f in self._flows.values() if f.tenant == tenant)
-
     def transfer(self, tenant: str, nbytes: float, tag: str = "") -> Event:
         """Move *nbytes* for *tenant*; the event fires on completion."""
         if tenant not in self.partitions:

@@ -6,13 +6,14 @@ import pytest
 from repro.apps import SyntheticModel
 from repro.baselines import PfsModel, precopy_config
 from repro.cluster import Cluster, ClusterRunner
+from repro.cluster.failures import FailureEvent, ScriptedInjector
 from repro.config import ClusterConfig
 from repro.core import ArchiveTier
 from repro.units import GB_per_sec, MB
 
 
-def build_world(remote_interval=30.0):
-    cluster = Cluster(ClusterConfig(nodes=2), nvm_write_bandwidth=GB_per_sec(2.0), seed=3)
+def build_world(remote_interval=30.0, nodes=2):
+    cluster = Cluster(ClusterConfig(nodes=nodes), nvm_write_bandwidth=GB_per_sec(2.0), seed=3)
     app = SyntheticModel(checkpoint_mb_per_rank=40, chunk_mb=20,
                          iteration_compute_time=10.0)
     cluster.build(app, precopy_config(10.0, remote_interval), ranks_per_node=2)
@@ -88,3 +89,27 @@ class TestArchiveRounds:
         assert pfs.total_bytes > 0
         # no archive bytes on the inter-node fabric
         assert cluster.fabric.total_bytes(":archive") == 0.0
+
+
+class TestArchiveAcrossHardFailure:
+    def test_replaced_node_is_archived_again(self):
+        """Node 0 fails hard at t=50: its helper leaves the archive's
+        view and the replacement's joins it.  The replacement's fresh
+        buddy targets count versions from 0 again, so once its first
+        buddy commit has landed every round that archives anything
+        covers all 8 ranks, the replaced ones included."""
+        cluster, pfs = build_world(nodes=4)
+        dead_helper = cluster.nodes[0].helper
+        tier = ArchiveTier(cluster.engine, cluster.helpers(), pfs, interval=35.0)
+        injector = ScriptedInjector([FailureEvent(time=50.0, node=0, kind="hard")])
+        res = ClusterRunner(cluster, archive=tier, injector=injector).run(20)
+        assert res.hard_failures == 1
+        replacement = cluster.nodes[0].helper
+        assert replacement is not dead_helper and replacement.history
+        first_commit = replacement.history[0].end
+        later = [s for s in tier.history if s.start > first_commit and s.chunks_archived]
+        assert len(later) >= 2
+        assert [s.ranks_covered for s in later] == [8] * len(later)
+        assert tier.archived_versions("r0") == {
+            name: v for name, v in replacement.targets["r0"].committed.items() if v >= 0
+        }

@@ -269,3 +269,65 @@ def test_autotuned_cluster_run_switches_and_traces(assert_replay_matches):
     # accounting is event-verbatim, so switching modes mid-run must not
     # open any live-vs-replay gap
     assert_replay_matches(cap)
+
+
+#: one hard failure of a node (seeded), replaced and restarted mid-run
+AUTOTUNE_HARD_FAILURE = [
+    "--app", "lammps", "--nodes", "2", "--ranks-per-node", "2",
+    "--iterations", "10", "--local-interval", "20", "--remote-interval", "40",
+    "--autotune", "--mtbf-remote", "150", "--seed", "3",
+]
+
+
+def _tuners_on(engine):
+    return [
+        cb.__self__
+        for cb in engine.on_complete
+        if isinstance(getattr(cb, "__self__", None), OnlinePolicyTuner)
+    ]
+
+
+def _subscribed_tuners():
+    return [
+        sink._callback.__self__
+        for sink in BUS._sinks
+        if isinstance(getattr(getattr(sink, "_callback", None), "__self__", None),
+                      OnlinePolicyTuner)
+    ]
+
+
+def test_hard_failure_retunes_the_replacement_and_lets_dead_tuners_go(monkeypatch):
+    """After a hard failure every live rank has exactly one tuner on its
+    live engine, no tuner of a dead rank stays attached or subscribed,
+    and the final policy is the set of modes the live ranks run."""
+    from repro.cluster import phases
+    from repro.exec.cell import build_parser, run_experiment
+
+    seen = []
+    recover_hard = phases.recover_hard
+
+    def observed(runner, node):
+        dead = [state.checkpointer for state in node.ranks]
+        rollback = yield from recover_hard(runner, node)
+        live = [state.checkpointer for state in runner.cluster.all_ranks()]
+        seen.append(
+            (
+                [_tuners_on(e) for e in live],
+                [_tuners_on(e) for e in dead],
+                [t.engine for t in _subscribed_tuners()],
+                live,
+            )
+        )
+        return rollback
+
+    monkeypatch.setattr(phases, "recover_hard", observed)
+    res = run_experiment(build_parser().parse_args(AUTOTUNE_HARD_FAILURE))
+    assert res.hard_failures == 1
+    ((live_tuners, dead_tuners, subscribed_engines, live),) = seen
+    for engine, tuners in zip(live, live_tuners):
+        assert [t.engine for t in tuners] == [engine]
+    assert dead_tuners == [[], []]
+    assert sorted(map(id, subscribed_engines)) == sorted(map(id, live))
+    assert _subscribed_tuners() == []
+    modes = {state.checkpointer.policy.mode for state in res.cluster.all_ranks()}
+    assert res.autotune_final_policy == ",".join(sorted(modes))

@@ -1,6 +1,7 @@
 """The bench block registry (repro.tools.bench) and the layering it
 sits on: one table of blocks, one dispatch path, tools on top."""
 
+import ast
 import functools
 import json
 import re
@@ -121,6 +122,34 @@ class TestLayering:
                 if rel.parts[0] == "cluster" and needle in text
             ]
             assert sites == [str(Path("cluster") / "cluster.py")], needle
+
+    @pytest.mark.parametrize(
+        "needle,holders",
+        [
+            (".start_background(", {"start_nodes"}),
+            (".stop_background(", {"stop_nodes"}),
+            ("OnlinePolicyTuner", {"start_nodes"}),
+            (".observe(stats.duration)", {"start_nodes"}),  # the SLO observer
+            ("_attach_slo_observer(", set()),
+        ],
+    )
+    def test_one_start_stop_pair_for_a_nodes_machinery(self, needle, holders):
+        """Under ``cluster/`` a node's run-time machinery is started and
+        stopped only by ``ClusterRunner.start_nodes``/``stop_nodes`` —
+        at run start and end, and for a hard failure's replacement."""
+        found = set()
+        for rel, text in _sources():
+            if rel.parts[0] != "cluster":
+                continue
+            defs = [
+                node for node in ast.walk(ast.parse(text))
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+            for lineno, line in enumerate(text.splitlines(), 1):
+                if needle in line:
+                    inner = [d for d in defs if d.lineno <= lineno <= d.end_lineno]
+                    found.add(max(inner, key=lambda d: d.lineno).name if inner else str(rel))
+        assert found == holders
 
     @pytest.mark.parametrize(
         "needle,owner",
