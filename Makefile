@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint loc faults faults-matrix bench bench-json smoke perf-smoke perf-compare paper-scale
+.PHONY: test lint loc faults faults-matrix bench bench-json smoke examples perf-smoke perf-compare paper-scale
 
 # tier-1: the full deterministic suite
 test:
@@ -56,17 +56,25 @@ smoke:
 smoke-%:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) -m repro.tools.bench --smoke $*
 
+# every examples/*.py end to end, in name order; stops at the first
+# script that exits nonzero (~10 s for all)
+examples:
+	@set -e; for f in examples/*.py; do \
+		echo "== $$f"; PYTHONPATH=$(PYTHONPATH) $(PYTHON) $$f; \
+	done
+
 # the performance benchmark's own proof (perfbench/, BENCHMARK.json):
 # every workload once at smoke size — simulated results must read
 # "fidelity: same" against the recorded reference — then its unit tests.
 # One test is deselected: it demands that every traced target listed in
 # perfbench/layers.py still resolve, and that list cannot be edited next
-# to a src/ change, so it still names 50 callables that have since been
+# to a src/ change, so it still names 54 callables that have since been
 # deleted (payload trios, write_at/write_payload, collector methods,
 # ParallelExecutor.*, TimelineSink.handle, Timeline.begin/end,
-# resilient_put/get, Fabric.outage_active, ...).  The benchmark itself
-# reports them under missing_targets and runs on; a perfbench/-only
-# change that regenerates the list drops this deselect (ROADMAP item 8).
+# resilient_put/get, Fabric.outage_active, Scrubber.*, ...).  The
+# benchmark itself reports them under missing_targets and runs on; a
+# perfbench/-only change that regenerates the list drops this deselect
+# (ROADMAP item 11).
 perf-smoke:
 	$(PYTHON) -m perfbench run --smoke
 	$(PYTHON) -m pytest perfbench/tests -q \

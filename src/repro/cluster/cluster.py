@@ -91,7 +91,9 @@ class Cluster:
         names: each rank's checkpoint traffic — local engine, pre-copy
         and the remote helper stream — is stamped with its tenant on
         every ``chunk.copied``/``commit`` trace event, and the runner
-        aggregates per-tenant byte/commit metering."""
+        aggregates per-tenant byte/commit metering.  A key that names no
+        built rank, or an empty tenant name, raises
+        :class:`~repro.errors.ClusterError`."""
         if self._built:
             raise ClusterError("cluster already built")
         self.app = app
@@ -101,6 +103,15 @@ class Cluster:
             raise ClusterError(f"{n_nodes} nodes requested, only {self.config.nodes} exist")
         if ranks_per_node is None:
             ranks_per_node = self.config.node.cores - (1 if with_remote else 0)
+        rank_names = {f"r{i}" for i in range(n_nodes * ranks_per_node)}
+        for rank, tenant in (tenancy or {}).items():
+            if rank not in rank_names:
+                raise ClusterError(
+                    f"tenancy names {rank!r}, which is none of the "
+                    f"{len(rank_names)} ranks built (r0..r{len(rank_names) - 1})"
+                )
+            if not tenant:
+                raise ClusterError(f"tenancy gives rank {rank!r} an empty tenant name")
         self._n_nodes = n_nodes
         self._phantom = phantom
         self._pfs = pfs

@@ -43,8 +43,6 @@ from .precopy import PrecopyEngine
 from .engine import CheckpointEngine, CheckpointStats, LocalCheckpointer
 from .remote import RemoteCheckpointStats, RemoteHelper, RemoteTarget
 from .restart import RestartManager, RestartReport
-from .scrub import Scrubber, ScrubReport
-from .erasure import XorParityGroup
 from .transparent import TransparentCheckpointer
 from .compression import CompressionModel
 from .archive import ArchiveStats, ArchiveTier
@@ -80,9 +78,6 @@ __all__ = [
     "RemoteCheckpointStats",
     "RestartManager",
     "RestartReport",
-    "Scrubber",
-    "ScrubReport",
-    "XorParityGroup",
     "TransparentCheckpointer",
     "CompressionModel",
     "ArchiveTier",

@@ -106,7 +106,7 @@ class RemoteTarget(Destination):
         self._staged: Dict[str, int] = {}
         #: chunk name -> payload crc32 of the *committed* copy (None for
         #: phantom chunks — their zeros are not a real payload).  Lets
-        #: the scrubber detect a corrupted buddy copy before trusting it.
+        #: :meth:`verify` detect a corrupted buddy copy before trusting it.
         self.checksums: Dict[str, Optional[int]] = {}
         self._staged_crc: Dict[str, Optional[int]] = {}
         #: the byte runs the most recent :meth:`stage` actually wrote
@@ -326,8 +326,8 @@ def buddy_get(
     transport=None,
 ):
     """Generator (``yield from`` it): node *node_id* reads *nbytes* of
-    *target*'s copies back from buddy *buddy_id* — the restart fetch and
-    the scrubber's repair.  Through *transport* (a retrying
+    *target*'s copies back from buddy *buddy_id* — the restart fetch —
+    through *transport* (a retrying
     :class:`~repro.resilience.retry.ResilientTransport`) when one is
     attached, one-shot :func:`~repro.net.rdma.rdma_get` otherwise."""
     route = dict(tag=tag, src_nvm_bus=target.dst_ctx.nvm_bus)

@@ -62,10 +62,6 @@ __all__ = [
     "MigrationCutoverEvent",
     "MigrationAbortEvent",
     "ResyncAbortedEvent",
-    "TenantAdmissionEvent",
-    "TenantPreemptEvent",
-    "TenantThrottleEvent",
-    "TenantSloEvent",
     "PhaseEvent",
     "emit_phase",
     "TraceSink",
@@ -91,15 +87,20 @@ __all__ = [
 #: ``logical_bytes`` (pre-encoding size), plus the new
 #: ``codec.decision`` kind.  The 2->3 upgrader stamps old copies as
 #: ``codec="raw"`` with ``logical_bytes=nbytes``.
-#: Version 4 added the multi-tenant QoS layer: ``chunk.copied`` and
-#: ``commit`` gained ``tenant`` (empty for untenanted runs), plus the
-#: new ``tenant.admission`` / ``tenant.preempt`` / ``tenant.throttle``
-#: / ``tenant.slo`` kinds.  Old records parse unchanged (the field
-#: defaults to ``""``), so the 3->4 step needs no upgrader.
+#: Version 4 added the per-rank tenant label: ``chunk.copied`` and
+#: ``commit`` gained ``tenant`` (empty for untenanted runs).  Old
+#: records parse unchanged (the field defaults to ``""``), so the 3->4
+#: step needs no upgrader.
 #: Version 5 added the ``phase`` kind (closed per-actor phase spans:
 #: compute, local/remote checkpoint, restart, degraded, re-sync,
 #: migration, outage); every version-4 kind is unchanged, so the 4->5
 #: step needs no upgrader.
+#: Versions 4 and 5 also carried four ``tenant.*`` kinds written only by
+#: a standalone QoS scenario simulator that no cell ran; they are gone
+#: and the reader rejects them as unknown kinds.  The version stays 5
+#: because no record a run writes changed: every other kind and field
+#: is as before, and the header line (part of each pinned trace digest)
+#: is byte-identical.
 TRACE_VERSION = 5
 
 
@@ -299,56 +300,6 @@ class ResyncAbortedEvent(TraceEvent):
 
 
 @dataclass(frozen=True)
-class TenantAdmissionEvent(TraceEvent):
-    """The admission controller ruled on one checkpoint-job request."""
-
-    tenant: str
-    #: "admit" | "queue" | "reject"
-    decision: str
-    #: partition the job was placed on ("" when queued/rejected)
-    partition: str = ""
-    #: why (capacity | slo_risk | queue_full | ...)
-    reason: str = ""
-    #: jobs waiting behind this decision
-    queue_depth: int = 0
-
-
-@dataclass(frozen=True)
-class TenantPreemptEvent(TraceEvent):
-    """A best-effort tenant's running job was preempted to protect a
-    guaranteed tenant's SLO."""
-
-    tenant: str
-    victim_job: str = ""
-    #: guaranteed tenant whose deadline forced the preemption
-    beneficiary: str = ""
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class TenantThrottleEvent(TraceEvent):
-    """A tenant ran below its demand for *duration* seconds because the
-    fair-share allocator capped it (contention, not idleness)."""
-
-    tenant: str
-    duration: float
-    #: share of device bandwidth the tenant held while throttled
-    share: float = 0.0
-
-
-@dataclass(frozen=True)
-class TenantSloEvent(TraceEvent):
-    """Per-tenant SLO summary at scenario end."""
-
-    tenant: str
-    jobs: int
-    met: int
-    attainment: float
-    #: the interval/RPO target the attainment was scored against
-    target: float = 0.0
-
-
-@dataclass(frozen=True)
 class PhaseEvent(TraceEvent):
     """One closed interval of activity by one actor (a Fig. 1/5 bar):
     *phase* is a :mod:`repro.metrics.timeline` phase name, *t* the time
@@ -374,10 +325,6 @@ _KINDS: Dict[type, str] = {
     MigrationCutoverEvent: "migration.cutover",
     MigrationAbortEvent: "migration.aborted",
     ResyncAbortedEvent: "resync.aborted",
-    TenantAdmissionEvent: "tenant.admission",
-    TenantPreemptEvent: "tenant.preempt",
-    TenantThrottleEvent: "tenant.throttle",
-    TenantSloEvent: "tenant.slo",
     PhaseEvent: "phase",
 }
 

@@ -35,7 +35,6 @@ from ..exec.cell import run_collected
 from ..exec.grid import GridResult, expand_grid, run_grid
 from ..metrics.trace import BUS, CounterSink, JsonlSink
 from .elastic import elastic_gate, elastic_summary, run_elastic_block
-from .qos import qos_gate, qos_summary, run_qos_block
 
 __all__ = [
     "PINNED_GRID", "FIGURE_GRIDS", "SCALE_GRID", "BLOCKS", "Block",
@@ -585,8 +584,6 @@ BLOCKS: Dict[str, Block] = {
     # elastic membership: live migration under an SLO, incremental
     # failover bytes vs the full-resync baseline
     "elastic": Block(run_elastic_block, {}, elastic_gate, elastic_summary),
-    # multi-tenant QoS: guaranteed-tenant SLOs held under contention
-    "qos": Block(run_qos_block, {}, qos_gate, qos_summary),
 }
 
 

@@ -30,6 +30,7 @@ VARIANTS = {
     "incremental": {"copy_granularity": "page"},
     "codec-auto": {"copy_granularity": "page", "codec": "auto"},
 }
+TENANCY = {f"r{i}": ("gold" if i % 2 else "bronze") for i in range(4)}
 
 
 @pytest.fixture(scope="module", params=sorted(VARIANTS))
@@ -49,8 +50,7 @@ def run(request):
         remote_interval=30.0,
         precopy=PrecopyPolicy(mode="dcpcp", **VARIANTS[request.param]),
     )
-    tenancy = {f"r{i}": ("gold" if i % 2 else "bronze") for i in range(4)}
-    cluster.build(app, config, ranks_per_node=2, tenancy=tenancy)
+    cluster.build(app, config, ranks_per_node=2, tenancy=TENANCY)
     with BUS.capture() as sink:
         result = ClusterRunner(cluster).run(8)
     sizes = {
@@ -85,6 +85,16 @@ def test_chunk_copied_field_contract(run, site):
         # the coordinated sites only run in the learning interval here,
         # with no committed base to delta or dedup against yet
         assert any(ev.codec != "raw" for ev in copies)
+
+
+def test_commits_and_metering_carry_each_ranks_tenant(run):
+    _, _, result, events, _ = run
+    commits = [ev for ev in events if ev.kind == "commit"]
+    assert commits
+    assert all(ev.tenant == TENANCY[ev.actor] for ev in commits)
+    tenants = result.to_dict()["tenants"]
+    assert sorted(tenants) == ["bronze", "gold"]
+    assert all(tenants[name]["checkpoints"] > 0 for name in tenants)
 
 
 def test_stream_replays_to_the_live_accounting(run):

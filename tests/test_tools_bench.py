@@ -43,7 +43,7 @@ def fake_blocks(monkeypatch):
 class TestBlockRegistry:
     def test_every_block_has_a_smoke_gate(self):
         assert list(bench.BLOCKS) == [
-            "exec", "dedup", "replay", "scale", "elastic", "qos",
+            "exec", "dedup", "replay", "scale", "elastic",
         ]
         for block in bench.BLOCKS.values():
             assert callable(block.run)

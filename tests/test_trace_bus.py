@@ -181,8 +181,7 @@ def test_reader_reports_a_damaged_stream_as_config_error(stream, message):
             "autotune.switch, chunk.copied, codec.decision, commit, failover, "
             "membership.change, migration.aborted, migration.batch, "
             "migration.cutover, migration.planned, phase, policy.decision, "
-            "resync.aborted, retry, tenant.admission, tenant.preempt, "
-            "tenant.slo, tenant.throttle",
+            "resync.aborted, retry",
         ),
         (
             _COMMIT[:-1] + ', "zeta": 1, "alpha": 2}',
@@ -204,6 +203,15 @@ def test_reader_names_each_record_defect_in_full(record, message):
     with pytest.raises(ConfigError) as err:
         read_trace(io.StringIO(f"{_HEADER}\n{record}\n"))
     assert str(err.value) == message
+
+
+def test_reader_rejects_the_removed_tenant_kinds():
+    """``tenant.*`` records were written only by a standalone QoS
+    simulator that is gone; a v5 stream carrying one is rejected like
+    any other unknown kind."""
+    record = '{"kind": "tenant.admission", "t": 1.0, "actor": "qos", "tenant": "a"}'
+    with pytest.raises(ConfigError, match="unknown trace event kind 'tenant.admission'"):
+        read_trace(io.StringIO(f"{_HEADER}\n{record}\n"))
 
 
 # ---------------------------------------------------------------------------
