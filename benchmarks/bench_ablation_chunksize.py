@@ -8,62 +8,37 @@ bytes are what the coordinated step must still absorb, and chunk
 granularity sets how much of the remaining data pre-copy can overlap
 and how much fault/bookkeeping overhead it pays."""
 
-from conftest import once, run_cluster
+from conftest import once, run_figure
 
-from repro.apps import SyntheticModel
-from repro.baselines import async_noprecopy_config, precopy_config
 from repro.metrics import Series, Table, render_series
-from repro.units import GB_per_sec
-
-ITERS = 6
-NODES = 2
-RANKS = 8
-CHUNK_SIZES_MB = [1, 10, 50, 100, 200]
-
-
-def app(chunk_mb):
-    return SyntheticModel(
-        checkpoint_mb_per_rank=400,
-        chunk_mb=chunk_mb,
-        hot_fraction=0.25,
-        iteration_compute_time=40.0,
-    )
 
 
 def test_ablation_chunk_size(benchmark, report):
-    def experiment():
-        out = {}
-        for mb in CHUNK_SIZES_MB:
-            pre = run_cluster(app(mb), precopy_config(40, 1e6), iterations=ITERS,
-                              nodes=NODES, ranks_per_node=RANKS,
-                              nvm_write_bandwidth=GB_per_sec(1.0), with_remote=False)
-            nop = run_cluster(app(mb), async_noprecopy_config(40, 1e6),
-                              iterations=ITERS, nodes=NODES, ranks_per_node=RANKS,
-                              nvm_write_bandwidth=GB_per_sec(1.0), with_remote=False)
-            out[mb] = (pre, nop)
-        return out
-
-    results = once(benchmark, experiment)
+    arms = once(benchmark, lambda: run_figure("ablation_chunksize"))
+    results = {
+        int(pre["sweep.chunk-mb"]): (pre, nop)
+        for pre, nop in zip(arms["pre-copy"], arms["no-pre-copy"])
+    }
     series = Series("pre-copy benefit %")
     table = Table(
         "X3 — chunk-size sensitivity (D = 400 MB/rank fixed)",
         ["chunk size (MB)", "chunks/rank", "pre-copy exec (s)",
          "no-pre-copy exec (s)", "benefit %", "fault time (s)"],
     )
+    benefits = {}
     for mb, (pre, nop) in results.items():
-        benefit = (nop.total_time - pre.total_time) / nop.total_time * 100
-        series.add(mb, benefit)
-        table.add_row(mb, 400 // mb, f"{pre.total_time:.1f}", f"{nop.total_time:.1f}",
-                      f"{benefit:.1f}", f"{pre.fault_time_total:.2f}")
+        benefits[mb] = (nop["total_time_s"] - pre["total_time_s"]) / nop["total_time_s"]
+        series.add(mb, benefits[mb] * 100)
+        table.add_row(mb, 400 // mb, f"{pre['total_time_s']:.1f}",
+                      f"{nop['total_time_s']:.1f}", f"{benefits[mb] * 100:.1f}",
+                      f"{pre['local.fault_time_s']:.2f}")
     table.add_note("pre-copy always helps; tiny chunks pay more tracking/fault "
                    "overhead per byte, matching the paper's observation that the "
                    "bandwidth relief matters most for large-chunk workloads")
     report(render_series("X3 benefit vs chunk size", [series],
                          "chunk MB", "benefit %"), table.render())
 
-    benefits = {mb: (nop.total_time - pre.total_time) / nop.total_time
-                for mb, (pre, nop) in results.items()}
     for mb, b in benefits.items():
         assert b > 0.0  # pre-copy never loses
     # small chunks carry more per-chunk overhead (faults, bookkeeping)
-    assert results[1][0].fault_time_total >= results[200][0].fault_time_total
+    assert results[1][0]["local.fault_time_s"] >= results[200][0]["local.fault_time_s"]

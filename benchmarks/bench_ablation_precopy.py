@@ -7,59 +7,23 @@ each chunk until its predicted last write.  Expectations from §IV:
 successive variants reduce redundant copies, protection faults, and
 total data movement, without giving up the coordinated-step savings."""
 
-from conftest import once, run_cluster
+from conftest import nvm_gb, once, run_figure
 
-from repro.apps import SyntheticModel
-from repro.baselines import async_noprecopy_config
-from repro.config import CheckpointConfig, PrecopyPolicy
 from repro.metrics import Table
-from repro.units import GB_per_sec, to_GB
-
-ITERS = 8
-NODES = 2
-RANKS = 8
-MODES = ["none", "cpc", "dcpc", "dcpcp"]
-
-
-def app():
-    return SyntheticModel(
-        checkpoint_mb_per_rank=300,
-        chunk_mb=25,
-        hot_fraction=0.5,  # half the data is Lammps-style hot chunks
-        iteration_compute_time=30.0,
-    )
-
-
-def config(mode):
-    if mode == "none":
-        return async_noprecopy_config(30, 1e6)
-    return CheckpointConfig(
-        local_interval=30.0, remote_interval=1e6,
-        precopy=PrecopyPolicy(mode=mode), remote_precopy=False,
-    )
 
 
 def test_ablation_precopy_variants(benchmark, report):
-    def experiment():
-        return {
-            mode: run_cluster(app(), config(mode), iterations=ITERS, nodes=NODES,
-                              ranks_per_node=RANKS,
-                              nvm_write_bandwidth=GB_per_sec(1.0),
-                              with_remote=False)
-            for mode in MODES
-        }
-
-    results = once(benchmark, experiment)
+    records = once(benchmark, lambda: run_figure("ablation_precopy"))["variants"]
+    results = {r["sweep.mode"]: r for r in records}
     table = Table(
         "X2 — pre-copy variant ablation (50% hot chunks, 1 GB/s NVM)",
         ["variant", "exec time (s)", "coord ckpt avg (s)", "data to NVM (GB)",
          "fault time (s)"],
     )
-    for mode in MODES:
-        r = results[mode]
+    for mode, r in results.items():
         table.add_row(
-            mode, f"{r.total_time:.1f}", f"{r.local_ckpt_time_avg:.2f}",
-            f"{to_GB(r.total_nvm_bytes):.1f}", f"{r.fault_time_total:.2f}",
+            mode, f"{r['total_time_s']:.1f}", f"{r['local.avg_blocking_s']:.2f}",
+            f"{nvm_gb(r):.1f}", f"{r['local.fault_time_s']:.2f}",
         )
     cpc, dcpc, dcpcp = results["cpc"], results["dcpc"], results["dcpcp"]
     none = results["none"]
@@ -72,10 +36,10 @@ def test_ablation_precopy_variants(benchmark, report):
 
     # every pre-copy variant beats the blocking baseline on exec time
     for mode in ("cpc", "dcpc", "dcpcp"):
-        assert results[mode].total_time < none.total_time
-        assert results[mode].local_ckpt_time_avg < none.local_ckpt_time_avg
+        assert results[mode]["total_time_s"] < none["total_time_s"]
+        assert results[mode]["local.avg_blocking_s"] < none["local.avg_blocking_s"]
     # refinement reduces data movement: CPC >= DCPC >= DCPCP
-    assert cpc.total_nvm_bytes >= dcpc.total_nvm_bytes
-    assert dcpc.total_nvm_bytes >= dcpcp.total_nvm_bytes * 0.99
+    assert nvm_gb(cpc) >= nvm_gb(dcpc)
+    assert nvm_gb(dcpc) >= nvm_gb(dcpcp) * 0.99
     # prediction reduces fault churn vs eager CPC
-    assert dcpcp.fault_time_total <= cpc.fault_time_total
+    assert dcpcp["local.fault_time_s"] <= cpc["local.fault_time_s"]

@@ -6,59 +6,36 @@ path and measures the interconnect-volume / helper-CPU trade at
 several compressibility levels (HPC state ranges from near-random to
 highly regular)."""
 
-from conftest import once, run_cluster
+from conftest import once, run_figure
 
-from repro.apps import LammpsModel
-from repro.baselines import precopy_config
-from repro.cluster import Cluster, ClusterRunner
-from repro.config import ClusterConfig
-from repro.core import CompressionModel
 from repro.metrics import Table
-from repro.units import GB_per_sec, to_GB
-
-ITERS = 6
-NODES = 4
-RANKS = 12
-RATIOS = [None, 0.8, 0.6, 0.4]  # None = no compression
-
-
-def run_arm(ratio):
-    cluster = Cluster(ClusterConfig(nodes=NODES),
-                      nvm_write_bandwidth=GB_per_sec(2.0), seed=6)
-    compression = CompressionModel(phantom_ratio=ratio) if ratio else None
-    cluster.build(LammpsModel(), precopy_config(40, 120), ranks_per_node=RANKS,
-                  compression=compression)
-    res = ClusterRunner(cluster).run(ITERS)
-    res.fabric_total = cluster.fabric.total_bytes(":rckpt") + cluster.fabric.total_bytes(":rprecopy")  # type: ignore[attr-defined]
-    return res
 
 
 def test_compression_volume_cpu_trade(benchmark, report):
-    def experiment():
-        return {ratio: run_arm(ratio) for ratio in RATIOS}
-
-    results = once(benchmark, experiment)
+    arms = once(benchmark, lambda: run_figure("compression"))
+    results = {None: arms["off"][0]}
+    results.update({float(r["sweep.compress-ratio"]): r for r in arms["compressed"]})
     table = Table(
         "X10 — remote checkpoint compression (LAMMPS, 48 ranks)",
         ["compress ratio", "ckpt bytes on fabric (GB)", "helper util %",
          "exec time (s)"],
     )
-    base = results[None]
     for ratio, r in results.items():
         label = "off" if ratio is None else f"{ratio:.1f}"
-        table.add_row(label, f"{to_GB(r.fabric_total):.1f}",
-                      f"{r.helper_utilization * 100:.1f}", f"{r.total_time:.1f}")
-    best = results[0.4]
+        table.add_row(label, f"{r['fabric.ckpt_gb']:.1f}",
+                      f"{r['remote.helper_utilization'] * 100:.1f}",
+                      f"{r['total_time_s']:.1f}")
+    base, best = results[None], results[0.4]
     table.add_note(
         f"at 0.4 compressibility the fabric carries "
-        f"{(1 - best.fabric_total / base.fabric_total) * 100:.0f}% less checkpoint "
-        f"data for {(best.helper_utilization / base.helper_utilization - 1) * 100:+.0f}% "
+        f"{(1 - best['fabric.ckpt_gb'] / base['fabric.ckpt_gb']) * 100:.0f}% less checkpoint "
+        f"data for {(best['remote.helper_utilization'] / base['remote.helper_utilization'] - 1) * 100:+.0f}% "
         "helper CPU — the mcrengine trade on our substrate"
     )
     report(table.render())
 
     # volume falls with the ratio; CPU rises
-    vols = [results[r].fabric_total for r in RATIOS]
+    vols = [r["fabric.ckpt_gb"] for r in results.values()]
     assert vols == sorted(vols, reverse=True)
-    assert best.fabric_total < 0.55 * base.fabric_total
-    assert best.helper_utilization > base.helper_utilization
+    assert best["fabric.ckpt_gb"] < 0.55 * base["fabric.ckpt_gb"]
+    assert best["remote.helper_utilization"] > base["remote.helper_utilization"]

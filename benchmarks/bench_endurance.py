@@ -3,71 +3,49 @@
 The paper flags PCM's 1e8-cycle write endurance (vs DRAM's 1e16) as a
 key hardware limitation but does not quantify it for checkpointing.
 The device models track every NVM write, so we can: this bench runs
-LAMMPS at several local checkpoint intervals and projects device
+GTC at several local checkpoint intervals and projects device
 lifetime under ideal wear leveling — showing both that checkpointing
 at sane intervals is endurance-safe for years, and how aggressively
 short intervals eat the budget.  Dirty tracking (pre-copy) also writes
-*less* than the blocking baseline, extending lifetime."""
+*less* than the blocking baseline, extending lifetime.  The per-node
+wear is read off the devices, which no record carries."""
 
-from conftest import once, run_cluster
+from conftest import measure_figure, once
 
-from repro.apps import GTCModel
-from repro.baselines import async_noprecopy_config, precopy_config
 from repro.metrics import Table
-from repro.units import GB_per_sec, hours
-
-ITERS = 6
-NODES = 2
-RANKS = 12
-INTERVALS = [10.0, 40.0, 120.0]
+from repro.units import hours
 
 
-def gtc(interval):
-    app = GTCModel(small_chunks=24)
-    app.iteration_compute_time = interval
-    return app
-
-
-def lifetime_years(res):
-    """Worst node's projected lifetime in years."""
-    worst = float("inf")
-    for node in res.cluster.active_nodes:  # type: ignore[attr-defined]
-        lt = node.ctx.nvm.estimated_lifetime_seconds(res.total_time)
-        worst = min(worst, lt)
-    return worst / hours(24 * 365)
+def wear(result):
+    """The cell's checkpoint interval and run time, the bytes written to
+    NVM over all nodes, and the worst node's projected lifetime in
+    years."""
+    nvms = [node.ctx.nvm for node in result.cluster.active_nodes]
+    worst = min(nvm.estimated_lifetime_seconds(result.total_time) for nvm in nvms)
+    return (
+        result.compute_per_iteration,
+        result.total_time,
+        sum(nvm.wear.bytes_written for nvm in nvms),
+        worst / hours(24 * 365),
+    )
 
 
 def test_pcm_endurance_projection(benchmark, report):
-    def experiment():
-        out = {}
-        for interval in INTERVALS:
-            pre = run_cluster(gtc(interval), precopy_config(interval, 10 * interval),
-                              iterations=ITERS, nodes=NODES, ranks_per_node=RANKS,
-                              nvm_write_bandwidth=GB_per_sec(2.0), with_remote=False)
-            nop = run_cluster(gtc(interval),
-                              async_noprecopy_config(interval, 10 * interval),
-                              iterations=ITERS, nodes=NODES, ranks_per_node=RANKS,
-                              nvm_write_bandwidth=GB_per_sec(2.0), with_remote=False)
-            out[interval] = (pre, nop)
-        return out
-
-    results = once(benchmark, experiment)
+    arms = once(benchmark, lambda: measure_figure("endurance", wear))
     table = Table(
         "X7 — PCM lifetime under GTC checkpointing (1e8 cycles, ideal wear leveling)",
         ["ckpt interval (s)", "arm", "NVM GB written", "GB/hour",
          "projected lifetime (years)"],
     )
     lifetimes = {}
-    for interval, (pre, nop) in results.items():
-        for label, r in (("pre-copy", pre), ("no-pre-copy", nop)):
-            written = sum(
-                n.ctx.nvm.wear.bytes_written for n in r.cluster.active_nodes  # type: ignore[attr-defined]
-            )
-            years = lifetime_years(r)
+    for pre, nop in zip(arms["pre-copy"], arms["no-pre-copy"]):
+        for label, (interval, total_time, written, years) in (
+            ("pre-copy", pre), ("no-pre-copy", nop)
+        ):
             lifetimes[(interval, label)] = years
             table.add_row(
                 f"{interval:.0f}", label, f"{written / 2**30:.1f}",
-                f"{written / 2**30 / (r.total_time / 3600):.0f}",
+                f"{written / 2**30 / (total_time / 3600):.0f}",
                 f"{years:,.0f}",
             )
     table.add_note("even 10 s checkpoint intervals leave decades of ideal-wear "
@@ -80,7 +58,7 @@ def test_pcm_endurance_projection(benchmark, report):
     # shorter intervals burn endurance faster
     assert lifetimes[(10.0, "no-pre-copy")] < lifetimes[(120.0, "no-pre-copy")]
     # pre-copy's dirty tracking never writes more than the baseline
-    for interval in INTERVALS:
+    for interval, *_ in arms["pre-copy"]:
         assert lifetimes[(interval, "pre-copy")] >= lifetimes[(interval, "no-pre-copy")] * 0.99
     # all projections are finite (writes actually recorded)
     assert all(y != float("inf") for y in lifetimes.values())

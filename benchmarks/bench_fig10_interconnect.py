@@ -6,35 +6,29 @@ application time, for the asynchronous no-pre-copy baseline vs remote
 pre-copy.  Paper's findings: the no-pre-copy arm bursts the whole
 checkpoint at once while pre-copy spreads it — peak usage roughly
 halves (abstract: up to 46% reduction), with a visible early spike in
-the pre-copy arm during the learning phase."""
+the pre-copy arm during the learning phase.  The per-window series is
+read off the fabric, which no record carries."""
 
-from conftest import once, run_cluster
+from conftest import measure_figure, once
 
-from repro.apps import LammpsModel
-from repro.baselines import async_noprecopy_config, precopy_config
 from repro.metrics import Series, Table, render_series
-from repro.units import GB_per_sec, to_MB
+from repro.units import to_MB
 
-ITERS = 9
-NODES = 4
-RANKS = 12
 WINDOW = 5.0  # seconds per timeline bucket
 
 
-def test_fig10_peak_interconnect_usage(benchmark, report):
-    def experiment():
-        pre = run_cluster(LammpsModel(), precopy_config(40, 120), iterations=ITERS,
-                          nodes=NODES, ranks_per_node=RANKS,
-                          nvm_write_bandwidth=GB_per_sec(2.0))
-        nop = run_cluster(LammpsModel(), async_noprecopy_config(40, 120),
-                          iterations=ITERS, nodes=NODES, ranks_per_node=RANKS,
-                          nvm_write_bandwidth=GB_per_sec(2.0))
-        kinds = ["rckpt", "rprecopy"]
-        pre_series = pre.cluster.fabric.windowed_usage(WINDOW, pre.total_time, kinds=kinds)
-        nop_series = nop.cluster.fabric.windowed_usage(WINDOW, nop.total_time, kinds=kinds)
-        return pre, nop, pre_series, nop_series
+def fabric_series(result):
+    """The cell's record and its checkpoint bytes per WINDOW."""
+    series = result.cluster.fabric.windowed_usage(
+        WINDOW, result.total_time, kinds=["rckpt", "rprecopy"]
+    )
+    return result.to_dict(), series
 
-    pre, nop, pre_series, nop_series = once(benchmark, experiment)
+
+def test_fig10_peak_interconnect_usage(benchmark, report):
+    arms = once(benchmark, lambda: measure_figure("fig10_interconnect", fabric_series))
+    (pre, pre_series), = arms["pre-copy"]
+    (nop, nop_series), = arms["no-pre-copy"]
     s_pre = Series("pre-copy ckpt traffic")
     s_nop = Series("no-pre-copy ckpt traffic")
     for t, v in pre_series:
@@ -51,8 +45,11 @@ def test_fig10_peak_interconnect_usage(benchmark, report):
     pre_steady = max((v for t, v in pre_series if t > steady_start), default=0.0)
     nop_steady = max((v for t, v in nop_series if t > steady_start), default=0.0)
     steady_reduction = (1 - pre_steady / nop_steady) * 100 if nop_steady else 0.0
-    pre_1s = pre.fabric_ckpt_peak_window_bytes
-    nop_1s = nop.fabric_ckpt_peak_window_bytes
+    pre_1s = pre["fabric"]["ckpt_peak_1s_mb"]
+    nop_1s = nop["fabric"]["ckpt_peak_1s_mb"]
+
+    def remote_gb(r):
+        return r["remote"]["round_gb"] + r["remote"]["stream_gb"]
 
     table = Table(
         f"Figure 10 — checkpoint bytes on the fabric per {WINDOW:.0f}s window",
@@ -65,12 +62,10 @@ def test_fig10_peak_interconnect_usage(benchmark, report):
                   f"{to_MB(nop_steady):.0f}", f"{to_MB(pre_steady):.0f}",
                   f"{steady_reduction:.0f}")
     table.add_row("peak 1s-window volume (MB)",
-                  f"{to_MB(nop_1s):.0f}", f"{to_MB(pre_1s):.0f}",
+                  f"{nop_1s:.0f}", f"{pre_1s:.0f}",
                   f"{(1 - pre_1s / nop_1s) * 100:.0f}")
     table.add_row("total remote volume (GB)",
-                  f"{(nop.remote_round_bytes + nop.remote_precopy_bytes)/2**30:.1f}",
-                  f"{(pre.remote_round_bytes + pre.remote_precopy_bytes)/2**30:.1f}",
-                  "-")
+                  f"{remote_gb(nop):.1f}", f"{remote_gb(pre):.1f}", "-")
     # the learning-phase spike: pre-copy's first round moves ~everything
     first_round_pre = max(
         (v for t, v in pre_series if t <= steady_start), default=0.0
@@ -93,6 +88,4 @@ def test_fig10_peak_interconnect_usage(benchmark, report):
     assert steady_reduction >= 30.0
     assert first_round_pre > steady_pre  # the learning spike exists
     # volumes comparable (the stream coalesces, it does not balloon)
-    pre_total = pre.remote_round_bytes + pre.remote_precopy_bytes
-    nop_total = nop.remote_round_bytes + nop.remote_precopy_bytes
-    assert pre_total <= 1.5 * nop_total
+    assert remote_gb(pre) <= 1.5 * remote_gb(nop)

@@ -7,46 +7,38 @@ C/L/R diagrams and quantifies the overlap that pre-copy creates:
   sequential; the remote round bursts after it;
 * Fig. 5b/c (pre-copy): local pre-copy and the remote stream overlap
   the compute phase, shrinking the blocking L step.
+
+Each arm's timeline is read back from its cell's trace.
 """
 
-from conftest import once, run_cluster
+import io
 
-from repro.apps import SyntheticModel
-from repro.baselines import async_noprecopy_config, precopy_config
+from conftest import once
+
+from repro.exec.grid import run_grid
 from repro.metrics import Table
 from repro.metrics import timeline as tl
 from repro.metrics.timeline import Timeline
-from repro.metrics.trace import BUS
-from repro.units import GB_per_sec
-
-ITERS = 4
-NODES = 2
-RANKS = 2
+from repro.metrics.trace import read_trace
+from repro.tools.bench import figure_specs
 
 
-def app():
-    return SyntheticModel(
-        checkpoint_mb_per_rank=200,
-        chunk_mb=25,
-        iteration_compute_time=30.0,
-        comm_mb_per_iteration=50,
-    )
-
-
-def observed(ckpt_config):
-    """One run and its phase timeline (a sink on the trace bus)."""
-    with BUS.capture(Timeline()) as timeline:
-        result = run_cluster(app(), ckpt_config, iterations=ITERS,
-                             nodes=NODES, ranks_per_node=RANKS,
-                             nvm_write_bandwidth=GB_per_sec(0.5))
-    return result, timeline
+def observed(spec):
+    """One traced cell: its record and its phase timeline."""
+    trace = io.StringIO()
+    (record,) = run_grid(spec, workers="auto", trace=trace).records
+    trace.seek(0)
+    timeline = Timeline()
+    for event in read_trace(trace)[1]:
+        timeline.handle(event)
+    return record, timeline
 
 
 def test_fig5_timing_diagrams(benchmark, report):
-    def experiment():
-        return observed(precopy_config(30, 60)), observed(async_noprecopy_config(30, 60))
-
-    (pre, pre_tl), (nop, nop_tl) = once(benchmark, experiment)
+    arms = once(benchmark, lambda: {
+        arm: observed(spec) for arm, spec in figure_specs("fig5_timeline").items()
+    })
+    (pre, pre_tl), (nop, nop_tl) = arms["pre-copy"], arms["no-pre-copy"]
     actors = ["r0", "n0:helper"]
     art_nop = nop_tl.ascii_art(width=100, actors=actors)
     art_pre = pre_tl.ascii_art(width=100, actors=actors)
@@ -64,7 +56,8 @@ def test_fig5_timing_diagrams(benchmark, report):
         nop_tl.count(tl.REMOTE_PRECOPY),
         pre_tl.count(tl.REMOTE_PRECOPY),
     )
-    table.add_row("total time (s)", f"{nop.total_time:.1f}", f"{pre.total_time:.1f}")
+    table.add_row("total time (s)", f"{nop['total_time_s']:.1f}",
+                  f"{pre['total_time_s']:.1f}")
     report(
         "Figure 5a — asynchronous no-pre-copy (C=compute, L=local ckpt, "
         "R=remote ckpt):\n" + art_nop,
@@ -79,4 +72,4 @@ def test_fig5_timing_diagrams(benchmark, report):
     )
     assert pre_tl.count(tl.REMOTE_PRECOPY) > 0
     assert nop_tl.count(tl.REMOTE_PRECOPY) == 0
-    assert pre.total_time <= nop.total_time
+    assert pre["total_time_s"] <= nop["total_time_s"]

@@ -10,40 +10,21 @@ overhead to ~6.5% of execution time where no-pre-copy pays ~15%; the
 pre-copy arm moves slightly more data (~+3%); overall ~15% better than
 a ramdisk path."""
 
-from conftest import once, run_cluster, run_ideal
+from conftest import nvm_gb, once, run_figure
 
-from repro.apps import LammpsModel
-from repro.baselines import RamdiskPathModel, async_noprecopy_config, precopy_config
+from repro.baselines import MemoryPathModel, RamdiskPathModel
 from repro.metrics import Series, Table, render_series
-from repro.units import GB_per_sec, MB, to_GB
-
-BW_POINTS = [0.5, 1.0, 1.5, 2.0]  # NVM device GB/s (2.0 = Table I)
-ITERS = 6
-NODES = 4
-RANKS = 12  # 48 total, as in the paper
+from repro.units import MB
 
 
 def test_fig7_lammps_local_checkpoint(benchmark, report):
-    def experiment():
-        out = {}
-        for bw in BW_POINTS:
-            app_pre = LammpsModel()
-            app_nop = LammpsModel()
-            pre = run_cluster(
-                app_pre, precopy_config(40, 120), iterations=ITERS, nodes=NODES,
-                ranks_per_node=RANKS, nvm_write_bandwidth=GB_per_sec(bw),
-                with_remote=False,
-            )
-            nop = run_cluster(
-                app_nop, async_noprecopy_config(40, 120), iterations=ITERS,
-                nodes=NODES, ranks_per_node=RANKS,
-                nvm_write_bandwidth=GB_per_sec(bw), with_remote=False,
-            )
-            out[bw] = (pre, nop)
-        ideal = run_ideal(LammpsModel(), iterations=ITERS, nodes=NODES, ranks_per_node=RANKS)
-        return out, ideal
-
-    results, ideal = once(benchmark, experiment)
+    arms = once(benchmark, lambda: run_figure("fig7_lammps_local"))
+    ideal_s = arms["ideal"][0]["total_time_s"]
+    results = {
+        float(pre["sweep.nvm-gbps"]): (pre, nop)
+        for pre, nop in zip(arms["pre-copy"], arms["no-pre-copy"])
+    }
+    bw_low = min(results)
     t_pre = Series("pre-copy exec time")
     t_nop = Series("no-pre-copy exec time")
     d_pre = Series("pre-copy data to NVM")
@@ -55,38 +36,37 @@ def test_fig7_lammps_local_checkpoint(benchmark, report):
     )
     for bw, (pre, nop) in results.items():
         for label, r in (("pre-copy", pre), ("no-pre-copy", nop)):
-            ovh = (r.total_time - ideal.total_time) / ideal.total_time * 100
+            ovh = (r["total_time_s"] - ideal_s) / ideal_s * 100
             table.add_row(
-                bw, label, f"{r.total_time:.1f}", f"{ovh:.1f}",
-                f"{to_GB(r.total_nvm_bytes):.1f}", f"{r.local_ckpt_time_avg:.2f}",
+                bw, label, f"{r['total_time_s']:.1f}", f"{ovh:.1f}",
+                f"{nvm_gb(r):.1f}", f"{r['local.avg_blocking_s']:.2f}",
             )
-        t_pre.add(bw, pre.total_time)
-        t_nop.add(bw, nop.total_time)
-        d_pre.add(bw, to_GB(pre.total_nvm_bytes))
-        d_nop.add(bw, to_GB(nop.total_nvm_bytes))
+        t_pre.add(bw, pre["total_time_s"])
+        t_nop.add(bw, nop["total_time_s"])
+        d_pre.add(bw, nvm_gb(pre))
+        d_nop.add(bw, nvm_gb(nop))
 
     # headline shape numbers at the lowest-bandwidth point
-    pre_l, nop_l = results[BW_POINTS[0]]
-    ovh_pre = (pre_l.total_time - ideal.total_time) / ideal.total_time
-    ovh_nop = (nop_l.total_time - ideal.total_time) / ideal.total_time
+    pre_l, nop_l = results[bw_low]
+    ovh_pre = (pre_l["total_time_s"] - ideal_s) / ideal_s
+    ovh_nop = (nop_l["total_time_s"] - ideal_s) / ideal_s
     # ramdisk comparison: NVM-as-ramdisk = the no-pre-copy arm plus
     # the per-checkpoint VFS tax (serialization, syscalls, lock waits)
     # the MADBench model measured — vs NVM-as-memory with pre-copy
-    from repro.baselines import MemoryPathModel
-
     pre_2, nop_2 = results[2.0]
+    ranks_per_node = nop_l["n_ranks"] // nop_l["n_nodes"]
     vfs_extra = (
-        RamdiskPathModel().checkpoint_time(MB(410), RANKS)
-        - MemoryPathModel().checkpoint_time(MB(410), RANKS)
+        RamdiskPathModel().checkpoint_time(MB(410), ranks_per_node)
+        - MemoryPathModel().checkpoint_time(MB(410), ranks_per_node)
     )
-    ramdisk_exec = nop_l.total_time + vfs_extra * ITERS
-    ramdisk_gain = 1 - pre_l.total_time / ramdisk_exec
+    ramdisk_exec = nop_l["total_time_s"] + vfs_extra * nop_l["iterations"]
+    ramdisk_gain = 1 - pre_l["total_time_s"] / ramdisk_exec
     table.add_note(
-        f"@{BW_POINTS[0]} GB/s: overhead pre-copy {ovh_pre*100:.1f}% vs "
+        f"@{bw_low} GB/s: overhead pre-copy {ovh_pre*100:.1f}% vs "
         f"no-pre-copy {ovh_nop*100:.1f}% (paper: 6.5% vs 15%)"
     )
     table.add_note(
-        f"@{BW_POINTS[0]} GB/s: exec time {pre_l.total_time:.1f}s (NVM-as-memory + "
+        f"@{bw_low} GB/s: exec time {pre_l['total_time_s']:.1f}s (NVM-as-memory + "
         f"pre-copy) vs {ramdisk_exec:.1f}s (NVM-as-ramdisk, VFS tax "
         f"{vfs_extra:.2f}s/ckpt) -> {ramdisk_gain*100:.0f}% better (paper: ~15%, "
         "of which 8-10 points from pre-copy)"
@@ -100,7 +80,7 @@ def test_fig7_lammps_local_checkpoint(benchmark, report):
     # --- shape assertions ---
     assert ovh_pre < 0.6 * ovh_nop          # pre-copy at least ~40% less overhead
     for bw, (pre, nop) in results.items():
-        assert pre.total_time <= nop.total_time
+        assert pre["total_time_s"] <= nop["total_time_s"]
     # pre-copy data volume within a modest factor of the baseline
-    assert pre_2.total_nvm_bytes <= 1.25 * nop_2.total_nvm_bytes
+    assert nvm_gb(pre_2) <= 1.25 * nvm_gb(nop_2)
     assert 0.05 <= ramdisk_gain <= 0.30  # paper: ~15%

@@ -4,48 +4,24 @@ Same harness as Fig. 7, on the GTC model (~433 MB/proc, 48 procs).
 The distinguishing GTC behaviour: large write-once chunks (the static
 equilibrium profile) are checkpointed once — chunk-level dirty
 tracking *shrinks* the checkpoint data volume vs the no-pre-copy
-baseline (the paper's ~10% combined improvement)."""
+baseline (the paper's ~10% combined improvement).  The GTC model's
+faithful layout has ~230 small chunks/rank; the figure's cells keep the
+cell default of 24 representative small chunks to keep the sweep quick
+— the byte shares (what drives pre-copy behaviour) are unchanged."""
 
-from conftest import once, run_cluster, run_ideal
+from conftest import nvm_gb, once, run_figure
 
-from repro.apps import GTCModel
-from repro.baselines import async_noprecopy_config, precopy_config
 from repro.metrics import Series, Table, render_series
-from repro.units import GB_per_sec, to_GB
-
-BW_POINTS = [0.5, 1.0, 2.0]
-ITERS = 6
-NODES = 4
-RANKS = 12
-#: the GTC model's faithful layout has ~230 small chunks/rank; the
-#: bench uses 24 representative small chunks to keep the sweep quick —
-#: the byte shares (what drives pre-copy behaviour) are unchanged.
-SMALL_CHUNKS = 24
-
-
-def gtc():
-    return GTCModel(small_chunks=SMALL_CHUNKS)
 
 
 def test_fig8_gtc_local_checkpoint(benchmark, report):
-    def experiment():
-        out = {}
-        for bw in BW_POINTS:
-            pre = run_cluster(
-                gtc(), precopy_config(40, 120), iterations=ITERS, nodes=NODES,
-                ranks_per_node=RANKS, nvm_write_bandwidth=GB_per_sec(bw),
-                with_remote=False,
-            )
-            nop = run_cluster(
-                gtc(), async_noprecopy_config(40, 120), iterations=ITERS,
-                nodes=NODES, ranks_per_node=RANKS,
-                nvm_write_bandwidth=GB_per_sec(bw), with_remote=False,
-            )
-            out[bw] = (pre, nop)
-        ideal = run_ideal(gtc(), iterations=ITERS, nodes=NODES, ranks_per_node=RANKS)
-        return out, ideal
-
-    results, ideal = once(benchmark, experiment)
+    arms = once(benchmark, lambda: run_figure("fig8_gtc_local"))
+    ideal_s = arms["ideal"][0]["total_time_s"]
+    results = {
+        float(pre["sweep.nvm-gbps"]): (pre, nop)
+        for pre, nop in zip(arms["pre-copy"], arms["no-pre-copy"])
+    }
+    bw_low = min(results)
     t_pre, t_nop = Series("pre-copy exec time"), Series("no-pre-copy exec time")
     d_pre, d_nop = Series("pre-copy data to NVM"), Series("no-pre-copy data to NVM")
     table = Table(
@@ -54,18 +30,18 @@ def test_fig8_gtc_local_checkpoint(benchmark, report):
     )
     for bw, (pre, nop) in results.items():
         for label, r in (("pre-copy", pre), ("no-pre-copy", nop)):
-            ovh = (r.total_time - ideal.total_time) / ideal.total_time * 100
-            table.add_row(bw, label, f"{r.total_time:.1f}", f"{ovh:.1f}",
-                          f"{to_GB(r.total_nvm_bytes):.1f}")
-        t_pre.add(bw, pre.total_time)
-        t_nop.add(bw, nop.total_time)
-        d_pre.add(bw, to_GB(pre.total_nvm_bytes))
-        d_nop.add(bw, to_GB(nop.total_nvm_bytes))
-    pre_l, nop_l = results[BW_POINTS[0]]
-    improvement = 1 - pre_l.total_time / nop_l.total_time
-    shrink = 1 - results[2.0][0].total_nvm_bytes / results[2.0][1].total_nvm_bytes
+            ovh = (r["total_time_s"] - ideal_s) / ideal_s * 100
+            table.add_row(bw, label, f"{r['total_time_s']:.1f}", f"{ovh:.1f}",
+                          f"{nvm_gb(r):.1f}")
+        t_pre.add(bw, pre["total_time_s"])
+        t_nop.add(bw, nop["total_time_s"])
+        d_pre.add(bw, nvm_gb(pre))
+        d_nop.add(bw, nvm_gb(nop))
+    pre_l, nop_l = results[bw_low]
+    improvement = 1 - pre_l["total_time_s"] / nop_l["total_time_s"]
+    shrink = 1 - nvm_gb(results[2.0][0]) / nvm_gb(results[2.0][1])
     table.add_note(
-        f"@{BW_POINTS[0]} GB/s: pre-copy improves execution time by "
+        f"@{bw_low} GB/s: pre-copy improves execution time by "
         f"{improvement*100:.1f}% (paper: ~10%)"
     )
     table.add_note(
@@ -82,5 +58,5 @@ def test_fig8_gtc_local_checkpoint(benchmark, report):
     assert improvement >= 0.03  # paper: ~10%
     assert shrink > 0.10        # write-once chunks leave the ckpt set
     for bw, (pre, nop) in results.items():
-        assert pre.total_time <= nop.total_time
-        assert pre.total_nvm_bytes < nop.total_nvm_bytes
+        assert pre["total_time_s"] <= nop["total_time_s"]
+        assert nvm_gb(pre) < nvm_gb(nop)

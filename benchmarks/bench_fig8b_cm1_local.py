@@ -5,53 +5,32 @@ explains it with Table IV: CM1 has (almost) no chunk above 100 MB, so
 the NVM-bandwidth contention that pre-copy alleviates never builds up
 at the coordinated step the way it does for GTC/LAMMPS."""
 
-from conftest import once, run_cluster, run_ideal
+from conftest import once, run_figure
 
 from repro.apps import CM1Model, LammpsModel
-from repro.baselines import async_noprecopy_config, precopy_config
 from repro.metrics import Table
-from repro.units import GB_per_sec
 
-ITERS = 6
-NODES = 4
-RANKS = 12
-BW = GB_per_sec(1.0)
+#: the cell default small-chunk count the figure's CM1 cells run with
 SMALL_CHUNKS = 24
 
 
 def test_cm1_gets_smaller_precopy_benefit(benchmark, report):
-    def experiment():
-        def arms(app_factory):
-            pre = run_cluster(app_factory(), precopy_config(40, 120), iterations=ITERS,
-                              nodes=NODES, ranks_per_node=RANKS,
-                              nvm_write_bandwidth=BW, with_remote=False)
-            nop = run_cluster(app_factory(), async_noprecopy_config(40, 120),
-                              iterations=ITERS, nodes=NODES, ranks_per_node=RANKS,
-                              nvm_write_bandwidth=BW, with_remote=False)
-            ideal = run_ideal(app_factory(), iterations=ITERS, nodes=NODES,
-                              ranks_per_node=RANKS)
-            return pre, nop, ideal
-
-        return {
-            "cm1": arms(lambda: CM1Model(small_chunks=SMALL_CHUNKS)),
-            "lammps": arms(LammpsModel),
-        }
-
-    results = once(benchmark, experiment)
+    arms = once(benchmark, lambda: run_figure("fig8b_cm1_local"))
     table = Table(
         "CM1 vs LAMMPS — pre-copy benefit by chunk-size mix (1 GB/s NVM)",
         ["application", "pre-copy exec (s)", "no-pre-copy exec (s)",
          "benefit %", "largest chunk (MB)"],
     )
     benefits = {}
-    for app, (pre, nop, ideal) in results.items():
-        benefit = (nop.total_time - pre.total_time) / nop.total_time * 100
+    for pre, nop in zip(arms["pre-copy"], arms["no-pre-copy"]):
+        app = pre["sweep.app"]
+        benefit = (nop["total_time_s"] - pre["total_time_s"]) / nop["total_time_s"] * 100
         benefits[app] = benefit
         if app == "cm1":
             largest = max(s.nbytes for s in CM1Model(small_chunks=SMALL_CHUNKS).chunk_specs(0))
         else:
             largest = max(s.nbytes for s in LammpsModel().chunk_specs(0))
-        table.add_row(app, f"{pre.total_time:.1f}", f"{nop.total_time:.1f}",
+        table.add_row(app, f"{pre['total_time_s']:.1f}", f"{nop['total_time_s']:.1f}",
                       f"{benefit:.1f}", f"{largest / 2**20:.0f}")
     table.add_note(
         f"paper: CM1 '< 5%' benefit vs LAMMPS' larger gain; ours: "

@@ -7,60 +7,26 @@ by the whole job, while node-local NVM bandwidth scales with nodes.
 This bench runs the same application three ways:
 
 1. **PFS-only** — every rank writes its checkpoint through one shared
-   4 GB/s storage system (blocking, the traditional approach);
+   1.5 GB/s storage system (a small cluster partition's Lustre share;
+   blocking, the traditional approach);
 2. **NVM multilevel, no pre-copy** — local NVM checkpoints + async
    remote rounds;
-3. **NVM-checkpoints (pre-copy)** — the paper's full system.
+3. **NVM-checkpoints (pre-copy)** — the paper's full system, also with
+   the third level (``--archive``: buddy->PFS archival).
 """
 
-from conftest import once, run_ideal
+from conftest import once, run_figure
 
-from repro.apps import LammpsModel
-from repro.baselines import PfsModel, async_noprecopy_config, precopy_config
-from repro.cluster import Cluster, ClusterRunner
-from repro.config import ClusterConfig
-from repro.core import ArchiveTier
+from repro.exec.cell import ARCHIVE_INTERVAL_S, build_parser
 from repro.metrics import Table
-from repro.units import GB_per_sec, to_GB
-
-ITERS = 6
-NODES = 4
-RANKS = 12
-PFS_BW = GB_per_sec(1.5)  # a small cluster partition's Lustre share
-
-
-def run_arm(label, *, pfs=False, precopy=False, archive=False):
-    cluster = Cluster(ClusterConfig(nodes=NODES),
-                      nvm_write_bandwidth=GB_per_sec(2.0), seed=5)
-    app = LammpsModel()
-    cfg = precopy_config(40, 120) if precopy else async_noprecopy_config(40, 120)
-    pfs_model = PfsModel(cluster.engine, aggregate_bandwidth=PFS_BW) if pfs else None
-    cluster.build(app, cfg, ranks_per_node=RANKS,
-                  with_remote=not pfs, pfs=pfs_model)
-    tier = None
-    if archive:
-        archive_pfs = PfsModel(cluster.engine, aggregate_bandwidth=PFS_BW)
-        tier = ArchiveTier(cluster.engine, cluster.helpers(), archive_pfs, interval=150.0)
-    res = ClusterRunner(cluster, archive=tier).run(ITERS)
-    res.pfs_model = pfs_model  # type: ignore[attr-defined]
-    res.archive_tier = tier  # type: ignore[attr-defined]
-    return res
+from repro.tools.bench import FIGURE_GRIDS
 
 
 def test_multilevel_vs_pfs(benchmark, report):
-    def experiment():
-        ideal = run_ideal(LammpsModel(), iterations=ITERS, nodes=NODES,
-                          ranks_per_node=RANKS)
-        return {
-            "ideal": ideal,
-            "pfs": run_arm("pfs", pfs=True),
-            "multilevel": run_arm("multilevel"),
-            "nvm-checkpoints": run_arm("nvm-checkpoints", precopy=True),
-            "nvm-ckpt+archive": run_arm("nvm-ckpt+archive", precopy=True, archive=True),
-        }
-
-    results = once(benchmark, experiment)
-    ideal = results["ideal"]
+    results = {arm: records[0] for arm, records in
+               once(benchmark, lambda: run_figure("pfs_multilevel")).items()}
+    ideal_s = results["ideal"]["total_time_s"]
+    pfs_gbps = build_parser().parse_args(FIGURE_GRIDS["pfs_multilevel"]["pfs"][0]).pfs_gbps
     table = Table(
         "X5 — PFS-only vs multilevel NVM checkpointing (LAMMPS, 48 ranks)",
         ["approach", "exec time (s)", "overhead %", "avg blocking ckpt (s)"],
@@ -68,13 +34,14 @@ def test_multilevel_vs_pfs(benchmark, report):
     overheads = {}
     for label in ("pfs", "multilevel", "nvm-checkpoints", "nvm-ckpt+archive"):
         r = results[label]
-        ovh = (r.total_time - ideal.total_time) / ideal.total_time * 100
+        ovh = (r["total_time_s"] - ideal_s) / ideal_s * 100
         overheads[label] = ovh
-        table.add_row(label, f"{r.total_time:.1f}", f"{ovh:.1f}",
-                      f"{r.local_ckpt_time_avg:.2f}")
-    gain_multi = 1 - results["multilevel"].total_time / results["pfs"].total_time
-    gain_full = 1 - results["nvm-checkpoints"].total_time / results["pfs"].total_time
-    ckpt_cut = 1 - results["multilevel"].local_ckpt_time_avg / results["pfs"].local_ckpt_time_avg
+        table.add_row(label, f"{r['total_time_s']:.1f}", f"{ovh:.1f}",
+                      f"{r['local.avg_blocking_s']:.2f}")
+    pfs, multi = results["pfs"], results["multilevel"]
+    gain_multi = 1 - multi["total_time_s"] / pfs["total_time_s"]
+    gain_full = 1 - results["nvm-checkpoints"]["total_time_s"] / pfs["total_time_s"]
+    ckpt_cut = 1 - multi["local.avg_blocking_s"] / pfs["local.avg_blocking_s"]
     table.add_note(
         f"multilevel cuts blocking checkpoint time {ckpt_cut*100:.0f}% and "
         f"execution time {gain_multi*100:.0f}% vs PFS-only; with pre-copy "
@@ -82,14 +49,14 @@ def test_multilevel_vs_pfs(benchmark, report):
         "PFS [Moody et al.])"
     )
     table.add_note(
-        f"PFS wrote {to_GB(results['pfs'].pfs_model.total_bytes):.1f} GB through a "
-        f"{PFS_BW/2**30:.0f} GB/s shared pipe ({results['pfs'].pfs_model.file_ops} file ops); "
+        f"PFS wrote {pfs['pfs.gb']:.1f} GB through a "
+        f"{pfs_gbps:.0f} GB/s shared pipe ({pfs['pfs.file_ops']} file ops); "
         "node-local NVM bandwidth scales with nodes instead"
     )
-    tier = results["nvm-ckpt+archive"].archive_tier
+    archived_gb = results["nvm-ckpt+archive"]["archive.gb"]
     table.add_note(
-        f"the 3rd level (buddy->PFS archival every 150 s) shipped "
-        f"{to_GB(tier.total_bytes):.1f} GB off the critical path for "
+        f"the 3rd level (buddy->PFS archival every {ARCHIVE_INTERVAL_S:.0f} s) shipped "
+        f"{archived_gb:.1f} GB off the critical path for "
         f"{overheads['nvm-ckpt+archive'] - overheads['nvm-checkpoints']:+.1f} points "
         "of overhead — the full §II hierarchy"
     )
@@ -99,7 +66,7 @@ def test_multilevel_vs_pfs(benchmark, report):
     assert overheads["pfs"] > overheads["multilevel"] > overheads["nvm-checkpoints"]
     # the archive tier stays off the critical path
     assert overheads["nvm-ckpt+archive"] <= overheads["nvm-checkpoints"] + 2.0
-    assert tier.total_bytes > 0
+    assert archived_gb > 0
     # checkpoint-time reduction vs PFS in the 30%+ regime the paper cites
     assert ckpt_cut >= 0.3
     assert gain_full >= 0.10

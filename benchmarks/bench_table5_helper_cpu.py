@@ -3,52 +3,24 @@
 Per-node helper utilization for 370/472/588 MB of checkpoint data per
 core, pre-copy vs no-pre-copy.  Paper: pre-copy roughly doubles the
 helper core's utilization (12.9->24.5%, 13.4->25.1%, 14.8->28.3%) but
-stays small next to node-wide CPU (~2.5%)."""
+stays small next to node-wide CPU (~2.5%).  588 MB/core x 12 ranks x
+(2 local + 2 hosted remote versions) exceeds the default 24 GB NVM
+part, so the cells size the node's NVM like the paper's 48 GB
+machines."""
 
-import dataclasses
+from conftest import once, run_figure
 
-from conftest import once, run_cluster
-
-from repro.apps import SyntheticModel
-from repro.baselines import async_noprecopy_config, precopy_config
 from repro.metrics import Table
-from repro.units import GB, GB_per_sec
 
-DATA_PER_CORE_MB = [370, 472, 588]
 PAPER = {370: (12.85, 24.48), 472: (13.40, 25.12), 588: (14.82, 28.31)}
-ITERS = 9
-NODES = 4
-RANKS = 12
-
-
-def app_for(mb):
-    return SyntheticModel(
-        checkpoint_mb_per_rank=mb,
-        chunk_mb=40.0,
-        iteration_compute_time=40.0,
-        comm_mb_per_iteration=200.0,
-    )
 
 
 def test_table5_helper_core_utilization(benchmark, report):
-    def experiment():
-        out = {}
-        for mb in DATA_PER_CORE_MB:
-            # 588 MB/core x 12 ranks x (2 local + 2 hosted remote
-            # versions) exceeds the default 24 GB NVM part; size the
-            # node's NVM like the paper's 48 GB machines
-            pre = run_cluster(app_for(mb), precopy_config(40, 120), iterations=ITERS,
-                              nodes=NODES, ranks_per_node=RANKS,
-                              nvm_write_bandwidth=GB_per_sec(2.0),
-                              nvm_capacity=GB(48))
-            nop = run_cluster(app_for(mb), async_noprecopy_config(40, 120),
-                              iterations=ITERS, nodes=NODES, ranks_per_node=RANKS,
-                              nvm_write_bandwidth=GB_per_sec(2.0),
-                              nvm_capacity=GB(48))
-            out[mb] = (pre, nop)
-        return out
-
-    results = once(benchmark, experiment)
+    arms = once(benchmark, lambda: run_figure("table5_helper_cpu"))
+    results = {
+        int(pre["sweep.checkpoint-mb"]): (pre, nop)
+        for pre, nop in zip(arms["pre-copy"], arms["no-pre-copy"])
+    }
     table = Table(
         "Table V — checkpoint helper core average CPU utilization (%)",
         ["data/core (MB)", "no-pre-copy (paper)", "no-pre-copy (ours)",
@@ -57,15 +29,15 @@ def test_table5_helper_core_utilization(benchmark, report):
     ratios = []
     for mb, (pre, nop) in results.items():
         p_nop, p_pre = PAPER[mb]
-        u_pre = pre.helper_utilization * 100
-        u_nop = nop.helper_utilization * 100
+        u_pre = pre["remote.helper_utilization"] * 100
+        u_nop = nop["remote.helper_utilization"] * 100
         ratio = u_pre / u_nop if u_nop else float("inf")
         ratios.append(ratio)
         table.add_row(mb, f"{p_nop:.2f}", f"{u_nop:.2f}", f"{p_pre:.2f}",
                       f"{u_pre:.2f}", f"{ratio:.2f}")
     # node-wide share: one helper core of 12
-    any_pre = results[DATA_PER_CORE_MB[0]][0]
-    node_share = any_pre.helper_utilization / 12 * 100
+    any_pre = results[min(results)][0]
+    node_share = any_pre["remote.helper_utilization"] / 12 * 100
     table.add_note(
         f"node-wide CPU share of the helper: ~{node_share:.1f}% "
         "(paper: ~2.5% of node-wide CPU)"
@@ -77,6 +49,6 @@ def test_table5_helper_core_utilization(benchmark, report):
     for r in ratios:
         assert 1.3 <= r <= 3.2
     for mb, (pre, nop) in results.items():
-        assert 0.04 <= nop.helper_utilization <= 0.30
-        assert 0.10 <= pre.helper_utilization <= 0.50
-        assert pre.helper_utilization > nop.helper_utilization
+        assert 0.04 <= nop["remote.helper_utilization"] <= 0.30
+        assert 0.10 <= pre["remote.helper_utilization"] <= 0.50
+        assert pre["remote.helper_utilization"] > nop["remote.helper_utilization"]

@@ -1,21 +1,25 @@
 """Shared helpers for the benchmark harness.
 
 Every ``bench_*.py`` regenerates one table or figure of the paper.
-Benchmarks run the experiment once (``benchmark.pedantic`` with one
-round — the simulations are deterministic, re-running them only burns
-time) and print the reproduced rows/series uncaptured so
+A cluster figure is a declaration, ``repro.tools.bench.FIGURE_GRIDS``
+(named arms of base argv + sweep axes); its bench runs the arms through
+``run_grid`` and keeps only the summariser: tables, series and shape
+asserts.  Benchmarks run the experiment once (``benchmark.pedantic``
+with one round — the simulations are deterministic, re-running them
+only burns time) and print the reproduced rows/series uncaptured so
 ``pytest benchmarks/ --benchmark-only`` output contains the artifacts.
 """
 
 from __future__ import annotations
 
+from typing import Any, Callable, Dict, List
+
 import pytest
 
-from repro.apps.base import ApplicationModel
-from repro.baselines import async_noprecopy_config, precopy_config
-from repro.cluster import Cluster, ClusterRunner, RunResult
-from repro.config import CheckpointConfig, ClusterConfig
-from repro.units import GB_per_sec
+from repro.cluster import RunResult
+from repro.exec.cell import run_collected
+from repro.exec.grid import expand_grid, run_grid
+from repro.tools.bench import figure_specs
 
 
 @pytest.fixture
@@ -32,54 +36,28 @@ def report(capsys):
     return _report
 
 
-def run_cluster(
-    app: ApplicationModel,
-    ckpt_config: CheckpointConfig,
-    *,
-    iterations: int = 6,
-    nodes: int = 4,
-    ranks_per_node: int = 12,
-    nvm_write_bandwidth: float = GB_per_sec(2.0),
-    nvm_capacity: int | None = None,
-    with_remote: bool = True,
-    local_checkpoints: bool = True,
-    seed: int = 1,
-) -> RunResult:
-    """One deterministic cluster experiment."""
-    cluster_config = ClusterConfig(nodes=nodes)
-    if nvm_capacity is not None:
-        import dataclasses
-
-        node = cluster_config.node
-        cluster_config = dataclasses.replace(
-            cluster_config,
-            node=dataclasses.replace(
-                node, nvm=dataclasses.replace(node.nvm, capacity=nvm_capacity)
-            ),
-        )
-    cluster = Cluster(
-        cluster_config, nvm_write_bandwidth=nvm_write_bandwidth, seed=seed
-    )
-    cluster.build(app, ckpt_config, ranks_per_node=ranks_per_node, with_remote=with_remote)
-    runner = ClusterRunner(cluster, local_checkpoints=local_checkpoints)
-    result = runner.run(iterations)
-    result.cluster = cluster  # type: ignore[attr-defined]
-    return result
+def run_figure(name: str) -> Dict[str, List[dict]]:
+    """Every arm of ``FIGURE_GRIDS[name]`` across the worker pool:
+    arm -> its flat records, in grid order."""
+    return {
+        arm: run_grid(spec, workers="auto").records
+        for arm, spec in figure_specs(name).items()
+    }
 
 
-def run_ideal(app: ApplicationModel, *, iterations: int = 6, nodes: int = 4,
-              ranks_per_node: int = 12, seed: int = 1) -> RunResult:
-    """The paper's 'ideal runtime': no checkpoints at all."""
-    return run_cluster(
-        app,
-        precopy_config(app.iteration_compute_time, 10 * app.iteration_compute_time),
-        iterations=iterations,
-        nodes=nodes,
-        ranks_per_node=ranks_per_node,
-        with_remote=False,
-        local_checkpoints=False,
-        seed=seed,
-    )
+def measure_figure(name: str, measure: Callable[[RunResult], Any]) -> Dict[str, List[Any]]:
+    """``measure`` of every cell of ``FIGURE_GRIDS[name]``, for figures
+    that read simulator state no record carries: arm -> one value per
+    cell, in grid order."""
+    return {
+        arm: [run_collected(cell.config, measure) for cell in expand_grid(spec)]
+        for arm, spec in figure_specs(name).items()
+    }
+
+
+def nvm_gb(record: dict) -> float:
+    """Checkpoint data copied to NVM (coordinated + pre-copied), GB."""
+    return record["local.coordinated_gb"] + record["local.precopy_gb"]
 
 
 def once(benchmark, fn):

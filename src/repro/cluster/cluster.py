@@ -53,7 +53,7 @@ class Cluster:
         # recovery) is populated exactly like the original
         self._n_nodes = 0
         self._phantom = True
-        self._pfs = None
+        self.pfs = None
         self._compression = None
         self._tenancy: Dict[str, str] = {}
         self._built = False
@@ -114,7 +114,7 @@ class Cluster:
                 raise ClusterError(f"tenancy gives rank {rank!r} an empty tenant name")
         self._n_nodes = n_nodes
         self._phantom = phantom
-        self._pfs = pfs
+        self.pfs = pfs
         self._compression = compression
         self._tenancy = dict(tenancy or {})
         for node in self.nodes[:n_nodes]:
@@ -132,9 +132,9 @@ class Cluster:
         """Create *node*'s ranks from the build recipe — at build time,
         and again on replacement hardware after a hard failure."""
         destination_factory = None
-        if self._pfs is not None:
+        if self.pfs is not None:
             destination_factory = lambda ctx, rank, alloc: PfsDestination(
-                self._pfs, rank, ctx, alloc
+                self.pfs, rank, ctx, alloc
             )
         neighbors = [
             n

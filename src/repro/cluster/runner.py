@@ -77,7 +77,6 @@ class RunResult:
     bytes_saved: int = 0
     total_nvm_bytes: int = 0
     local_ckpt_time_avg: float = 0.0  # mean coordinated duration per rank-ckpt
-    local_ckpt_time_total: float = 0.0  # T_lcl averaged over ranks
     local_checkpoints: int = 0
     fault_time_total: float = 0.0
 
@@ -92,8 +91,6 @@ class RunResult:
     fabric_ckpt_peak_window_bytes: float = 0.0
     fabric_app_bytes: float = 0.0
     fabric_ckpt_bytes: float = 0.0
-    #: checkpoint-traffic bytes per window over the run (Fig. 10 series)
-    fabric_series: List[Tuple[float, float]] = field(default_factory=list)
 
     # -- failures --
     soft_failures: int = 0
@@ -161,6 +158,16 @@ class RunResult:
     #: re-sync tasks that exhausted their failure budget (node left
     #: degraded) — also surfaced as ``resync.aborted`` trace events
     resyncs_aborted: int = 0
+
+    # -- PFS checkpoint path and archive tier --
+    #: bytes written through the PFS checkpoint path; ``None`` (no PFS
+    #: path) leaves the ``pfs`` block out of :meth:`to_dict`, so runs on
+    #: node-local NVM (goldens, caches, sweeps) stay byte-identical
+    pfs_bytes: Optional[float] = None
+    pfs_file_ops: int = 0
+    #: bytes the archive tier shipped to its PFS; ``None`` (no archive
+    #: tier) leaves the ``archive`` block out of :meth:`to_dict`
+    archive_bytes: Optional[int] = None
 
     # -- multi-tenant metering --
     #: set when any rank carried a tenant label; gates the extra
@@ -285,6 +292,10 @@ class RunResult:
                 "max_ckpt_latency_s": self.migration_max_ckpt_latency,
                 "resyncs_aborted": self.resyncs_aborted,
             }
+        if self.pfs_bytes is not None:
+            out["pfs"] = {"gb": to_GB(self.pfs_bytes), "file_ops": self.pfs_file_ops}
+        if self.archive_bytes is not None:
+            out["archive"] = {"gb": to_GB(self.archive_bytes)}
         if self.tenants:
             out["tenants"] = {
                 name: {
@@ -724,7 +735,7 @@ class ClusterRunner:
         engine = cluster.engine
         ranks = cluster.all_ranks()
         res = self.result
-        res.n_ranks = n_ranks = len(ranks)
+        res.n_ranks = len(ranks)
         res.n_nodes = len(cluster.active_nodes)
         res.total_time = t_end = engine.now if self._end_time is None else self._end_time
         res.sim_events = engine.events_processed
@@ -737,9 +748,6 @@ class ClusterRunner:
         res.total_nvm_bytes = res.coordinated_bytes + res.local_precopy_bytes
         if all_stats:
             res.local_ckpt_time_avg = sum(s.duration for s in all_stats) / len(all_stats)
-        res.local_ckpt_time_total = (
-            sum(state.checkpointer.total_checkpoint_time for state in ranks) / max(1, n_ranks)
-        )
         res.fault_time_total = sum(state.binding.fault_time for state in ranks)
         # multi-tenant metering: aggregate the per-rank counters by the
         # tenant label stamped at build time (untenanted ranks meter
@@ -797,9 +805,12 @@ class ClusterRunner:
         res.fabric_ckpt_bytes = (
             cluster.fabric.total_bytes(":rckpt") + cluster.fabric.total_bytes(":rprecopy")
         )
-        res.fabric_series = cluster.fabric.windowed_usage(
-            max(1.0, t_end / 200), t_end, kinds=CKPT_KINDS
-        )
+        # PFS checkpoint path and archive tier
+        if cluster.pfs is not None:
+            res.pfs_bytes = cluster.pfs.total_bytes
+            res.pfs_file_ops = cluster.pfs.file_ops
+        if self.archive is not None:
+            res.archive_bytes = self.archive.total_bytes
         # resilience
         for transport in self.transports.values():
             res.transfer_retries += transport.stats.retries

@@ -16,6 +16,7 @@ left behind (:func:`run_collected`).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 from typing import Any, Callable, Optional
 
@@ -28,12 +29,16 @@ from ..config import (
     FailureConfig,
     PrecopyPolicy,
 )
-from ..units import GB_per_sec
+from ..errors import ConfigError
+from ..units import GB, GB_per_sec
 
 __all__ = [
     "APPS",
+    "ARCHIVE_INTERVAL_S",
+    "ARCHIVE_PFS_GBPS",
     "NON_SEMANTIC_OPTIONS",
     "build_parser",
+    "check_combination",
     "resolve_config",
     "run_cell",
     "run_collected",
@@ -44,6 +49,11 @@ __all__ = [
 #: options that shape *output*, not the experiment itself — excluded
 #: from the resolved config so they never perturb cache keys
 NON_SEMANTIC_OPTIONS = frozenset({"json", "timeline", "trace"})
+
+#: ``--archive``'s third checkpoint level (X5): every buddy-committed
+#: chunk version drains to a PFS this often, through this share of it
+ARCHIVE_INTERVAL_S = 150.0
+ARCHIVE_PFS_GBPS = 1.5
 
 APPS = {
     "gtc": lambda args: GTCModel(small_chunks=args.small_chunks),
@@ -85,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=6)
     p.add_argument("--nvm-gbps", type=float, default=2.0,
                    help="NVM device write bandwidth (Table I default: 2.0)")
+    p.add_argument("--nvm-capacity-gb", type=float, default=None,
+                   help="per-node NVM capacity (default: Table I's 24 GB part)")
     p.add_argument("--local-interval", type=float, default=40.0)
     p.add_argument("--remote-interval", type=float, default=120.0)
     p.add_argument("--no-remote", action="store_true",
@@ -94,6 +106,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of node-local NVM (implies --no-remote)")
     p.add_argument("--no-remote-precopy", action="store_true",
                    help="asynchronous no-pre-copy remote baseline")
+    p.add_argument("--ideal", action="store_true",
+                   help="the paper's ideal runtime: no local checkpoints "
+                        "and no remote tier")
+    p.add_argument("--archive", action="store_true",
+                   help=f"archive the buddy copies to a {ARCHIVE_PFS_GBPS} GB/s "
+                        f"PFS every {ARCHIVE_INTERVAL_S:.0f} s (the third "
+                        "checkpoint level)")
     p.add_argument("--compress-ratio", type=float, default=None,
                    help="compress remote checkpoint traffic at this "
                         "compressed/original ratio (mcrengine-style)")
@@ -125,11 +144,52 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def check_combination(args: argparse.Namespace) -> None:
+    """Refuse option combinations the cell would silently ignore or
+    cannot honour: whatever ``--ideal`` would discard, and the options
+    that act on a remote tier when ``--no-remote`` or ``--pfs-gbps``
+    turns it off (a hard failure would fetch from a buddy that holds
+    no copy)."""
+    if args.ideal:
+        discarded = [
+            flag for flag, given in (
+                ("--mtbf-local", args.mtbf_local is not None),
+                ("--mtbf-remote", args.mtbf_remote is not None),
+                ("--autotune", args.autotune),
+                ("--archive", args.archive),
+                ("--compress-ratio", args.compress_ratio is not None),
+                ("--pfs-gbps", args.pfs_gbps is not None),
+                ("--codec", args.codec != "raw"),
+                ("--copy-granularity page", args.copy_granularity == "page"),
+            ) if given
+        ]
+        if discarded:
+            raise ConfigError(
+                f"--ideal runs without checkpoints; it would discard {', '.join(discarded)}"
+            )
+    if args.no_remote or args.pfs_gbps is not None:
+        needs_remote = [
+            flag for flag, given in (
+                ("--compress-ratio", args.compress_ratio is not None),
+                ("--mtbf-remote", args.mtbf_remote is not None),
+                ("--archive", args.archive),
+            ) if given
+        ]
+        if needs_remote:
+            off = "--no-remote" if args.no_remote else "--pfs-gbps"
+            raise ConfigError(
+                f"{', '.join(needs_remote)} acts on the remote tier, which {off} turns off"
+            )
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     """The canonical resolved configuration of one experiment cell:
     every semantic option after argparse defaulting, sorted by name.
     This dict is the cache-key input and the worker payload of the
-    execution engine (JSON-serializable and picklable by design)."""
+    execution engine (JSON-serializable and picklable by design).
+    Raises :class:`~repro.errors.ConfigError` for a combination
+    :func:`check_combination` refuses."""
+    check_combination(args)
     return {
         k: v for k, v in sorted(vars(args).items()) if k not in NON_SEMANTIC_OPTIONS
     }
@@ -205,8 +265,15 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
         remote_precopy=not args.no_remote_precopy,
         autotune=autotune,
     )
+    cluster_config = ClusterConfig(nodes=args.nodes)
+    if args.nvm_capacity_gb is not None:
+        node = cluster_config.node
+        nvm = dataclasses.replace(node.nvm, capacity=GB(args.nvm_capacity_gb))
+        cluster_config = dataclasses.replace(
+            cluster_config, node=dataclasses.replace(node, nvm=nvm)
+        )
     cluster = Cluster(
-        ClusterConfig(nodes=args.nodes),
+        cluster_config,
         nvm_write_bandwidth=GB_per_sec(args.nvm_gbps),
         seed=args.seed,
     )
@@ -223,8 +290,20 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
         compression = CompressionModel(phantom_ratio=args.compress_ratio)
     cluster.build(
         app, config, ranks_per_node=args.ranks_per_node,
-        with_remote=not args.no_remote, pfs=pfs, compression=compression,
+        with_remote=not (args.no_remote or args.ideal), pfs=pfs,
+        compression=compression,
     )
+    archive = None
+    if args.archive:
+        from ..baselines import PfsModel
+        from ..core import ArchiveTier
+
+        archive_pfs = PfsModel(
+            cluster.engine, aggregate_bandwidth=GB_per_sec(ARCHIVE_PFS_GBPS)
+        )
+        archive = ArchiveTier(
+            cluster.engine, cluster.helpers(), archive_pfs, interval=ARCHIVE_INTERVAL_S
+        )
     failure_config: Optional[FailureConfig] = None
     if args.mtbf_local is not None or args.mtbf_remote is not None:
         # an unset MTBF means "never fails"; 0 is an error, not unset
@@ -233,7 +312,12 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
             mtbf_remote=1e12 if args.mtbf_remote is None else args.mtbf_remote,
             seed=args.seed,
         )
-    runner = ClusterRunner(cluster, failure_config=failure_config)
+    runner = ClusterRunner(
+        cluster,
+        local_checkpoints=not args.ideal,
+        failure_config=failure_config,
+        archive=archive,
+    )
     trace_path = getattr(args, "trace", None)
     sink = None
     if trace_path:

@@ -32,13 +32,13 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 
 from .. import __version__
 from ..exec.cell import run_collected
-from ..exec.grid import GridResult, expand_grid, run_grid
+from ..exec.grid import GridResult, GridSpec, expand_grid, run_grid
 from ..metrics.trace import BUS, CounterSink, JsonlSink
 from .elastic import elastic_gate, elastic_summary, run_elastic_block
 
 __all__ = [
-    "PINNED_GRID", "FIGURE_GRIDS", "SCALE_GRID", "BLOCKS", "Block",
-    "run_benchmark", "run_smoke", "main",
+    "PINNED_GRID", "FIGURE_GRIDS", "FIGURE_SMOKE", "SCALE_GRID", "BLOCKS", "Block",
+    "figure_specs", "run_benchmark", "run_smoke", "main",
 ]
 
 #: the headline grid: 16 cells of the paper's LAMMPS testbed with the
@@ -52,29 +52,126 @@ PINNED_GRID: Tuple[List[str], List[str]] = (
     ["nvm-gbps=0.5,1.0,2.0,4.0", "mode=none,cpc,dcpc,dcpcp"],
 )
 
-#: miniature per-figure grids (same shape as the full benchmarks/
-#: figures, pinned small so the whole bench stays interactive)
-FIGURE_GRIDS: Dict[str, Tuple[List[str], List[str]]] = {
-    "fig7_lammps_local": (
-        ["--app", "lammps", "--nodes", "2", "--ranks-per-node", "4",
-         "--iterations", "3", "--local-interval", "20",
-         "--remote-interval", "60", "--no-remote"],
-        ["nvm-gbps=0.5,1.0,2.0,4.0", "mode=none,dcpcp"],
+#: one arm of a figure: base argv and sweep axes over it
+Arm = Tuple[List[str], List[str]]
+
+#: the paper's pre-copy system and its asynchronous no-pre-copy
+#: baseline (``baselines.precopy_config`` / ``async_noprecopy_config``)
+PRECOPY = ["--mode", "dcpcp"]
+NO_PRECOPY = ["--mode", "none", "--no-remote-precopy"]
+
+
+def _size(app: str, nodes: int, ranks: int, iterations: int) -> List[str]:
+    return ["--app", app, "--nodes", str(nodes), "--ranks-per-node", str(ranks),
+            "--iterations", str(iterations)]
+
+
+def _pair(base: List[str], axes: Sequence[str] = ()) -> Dict[str, Arm]:
+    """The pre-copy and no-pre-copy arms over one base and axes."""
+    return {
+        "pre-copy": (base + PRECOPY, list(axes)),
+        "no-pre-copy": (base + NO_PRECOPY, list(axes)),
+    }
+
+
+_LAMMPS_4X12 = _size("lammps", 4, 12, 6)
+_GTC_4X12 = _size("gtc", 4, 12, 6)
+#: the synthetic ablations' testbed: 1 GB/s NVM, no remote tier (its
+#: rounds out of reach) and no application traffic
+_ABLATION = ["--nvm-gbps", "1.0", "--remote-interval", "1e6", "--comm-mb", "0", "--no-remote"]
+
+#: every cluster figure of ``benchmarks/`` (keyed by its
+#: ``bench_<name>.py``) as named arms at the size its bench runs; each
+#: cell keeps the base ``--seed`` (run with ``derive_seeds=False``)
+FIGURE_GRIDS: Dict[str, Dict[str, Arm]] = {
+    "fig5_timeline": _pair(
+        _size("synthetic", 2, 2, 4) + [
+            "--checkpoint-mb", "200", "--chunk-mb", "25", "--comm-mb", "50",
+            "--local-interval", "30", "--remote-interval", "60", "--nvm-gbps", "0.5",
+        ]
     ),
-    "fig8_gtc_local": (
-        ["--app", "gtc", "--nodes", "2", "--ranks-per-node", "4",
-         "--iterations", "3", "--local-interval", "20",
-         "--remote-interval", "60", "--no-remote"],
-        ["mode=none,cpc,dcpc,dcpcp"],
+    "fig7_lammps_local": {
+        **_pair(_LAMMPS_4X12 + ["--no-remote"], ["nvm-gbps=0.5,1.0,1.5,2.0"]),
+        "ideal": (_LAMMPS_4X12 + ["--ideal"], []),
+    },
+    "fig8_gtc_local": {
+        **_pair(_GTC_4X12 + ["--no-remote"], ["nvm-gbps=0.5,1.0,2.0"]),
+        "ideal": (_GTC_4X12 + ["--ideal"], []),
+    },
+    "fig8b_cm1_local": _pair(
+        _LAMMPS_4X12 + ["--nvm-gbps", "1.0", "--no-remote"], ["app=cm1,lammps"]
     ),
-    "fig9_efficiency": (
-        ["--app", "synthetic", "--nodes", "2", "--ranks-per-node", "4",
-         "--iterations", "4", "--local-interval", "15",
-         "--remote-interval", "45", "--checkpoint-mb", "80",
-         "--chunk-mb", "10", "--mtbf-local", "600", "--mtbf-remote", "2400"],
-        ["mode=none,dcpcp", "nvm-gbps=1.0,2.0"],
+    "fig9_efficiency": {
+        "ideal": (_size("gtc", 4, 12, 9) + ["--ideal"], []),
+        **_pair(_size("gtc", 4, 12, 9) + ["--nvm-gbps", "1.0"],
+                ["remote-interval=60.0,120.0,180.0"]),
+    },
+    "fig10_interconnect": _pair(_size("lammps", 4, 12, 9)),
+    "table5_helper_cpu": _pair(
+        _size("synthetic", 4, 12, 9)
+        + ["--chunk-mb", "40", "--comm-mb", "200", "--nvm-capacity-gb", "48"],
+        ["checkpoint-mb=370,472,588"],
+    ),
+    "model_validation": {
+        "failures": (
+            _size("synthetic", 2, 4, 12) + [
+                "--checkpoint-mb", "80", "--chunk-mb", "20", "--comm-mb", "20",
+                "--local-interval", "20", "--remote-interval", "60", "--nvm-gbps", "1.0",
+                "--mtbf-local", "400", "--mtbf-remote", "1600", "--seed", "13",
+            ],
+            [],
+        ),
+    },
+    "ablation_precopy": {
+        "variants": (
+            _size("synthetic", 2, 8, 8) + _ABLATION + [
+                "--checkpoint-mb", "300", "--chunk-mb", "25", "--hot-fraction", "0.5",
+                "--local-interval", "30", "--no-remote-precopy",
+            ],
+            ["mode=none,cpc,dcpc,dcpcp"],
+        ),
+    },
+    "ablation_chunksize": _pair(
+        _size("synthetic", 2, 8, 6) + _ABLATION
+        + ["--checkpoint-mb", "400", "--hot-fraction", "0.25"],
+        ["chunk-mb=1,10,50,100,200"],
+    ),
+    "ablation_granularity": {
+        "granularity": (
+            _size("synthetic", 2, 8, 6) + _ABLATION
+            + ["--checkpoint-mb", "400", "--chunk-mb", "50"] + PRECOPY,
+            ["granularity=chunk,page"],
+        ),
+    },
+    "pfs_multilevel": {
+        "ideal": (_LAMMPS_4X12 + ["--ideal"], []),
+        "pfs": (_LAMMPS_4X12 + ["--seed", "5", "--pfs-gbps", "1.5"] + NO_PRECOPY, []),
+        "multilevel": (_LAMMPS_4X12 + ["--seed", "5"] + NO_PRECOPY, []),
+        "nvm-checkpoints": (_LAMMPS_4X12 + ["--seed", "5"] + PRECOPY, []),
+        "nvm-ckpt+archive": (_LAMMPS_4X12 + ["--seed", "5", "--archive"] + PRECOPY, []),
+    },
+    "compression": {
+        "off": (_LAMMPS_4X12 + ["--seed", "6"], []),
+        "compressed": (_LAMMPS_4X12 + ["--seed", "6"], ["compress-ratio=0.8,0.6,0.4"]),
+    },
+    "endurance": _pair(
+        _size("gtc", 2, 12, 6) + ["--no-remote"], ["local-interval=10.0,40.0,120.0"]
     ),
 }
+
+#: appended to every figure arm by the bench's figure block (a repeated
+#: option takes its last value)
+FIGURE_SMOKE = ["--nodes", "2", "--ranks-per-node", "4", "--iterations", "3"]
+
+
+def figure_specs(name: str, *, smoke: bool = False) -> Dict[str, GridSpec]:
+    """The arms of ``FIGURE_GRIDS[name]`` as grid specs, at the size the
+    figure's bench runs or (*smoke*) at the bench block's."""
+    extra = FIGURE_SMOKE if smoke else []
+    return {
+        arm: GridSpec.of(base + extra, axes, derive_seeds=False)
+        for arm, (base, axes) in FIGURE_GRIDS[name].items()
+    }
 
 
 #: the throughput grid behind the ``scale`` block: 4 local-only LAMMPS
@@ -149,7 +246,7 @@ def _incremental_pass(axes_specs: Tuple[str, ...]) -> GridResult:
 
 def run_exec_block(
     axes_specs: Sequence[str] = PINNED_GRID[1],
-    figure_grids: Dict[str, Tuple[List[str], List[str]]] = FIGURE_GRIDS,
+    figures: Sequence[str] = tuple(FIGURE_GRIDS),
     *,
     workers: int | str | None = "auto",
     cache_dir: Optional[str] = None,
@@ -158,7 +255,8 @@ def run_exec_block(
     """The execution-engine block: the pinned grid serially (the
     reference), with a cold cache, then with a warm one; a paired
     chunk-granular vs page-granular (incremental) pass over the same
-    grid; and the wall-clock of each figure grid.
+    grid; and the wall-clock of each arm of each of *figures*, at the
+    :data:`FIGURE_SMOKE` size.
 
     *trace_path* streams the serial reference run's structured trace
     (policy decisions, chunk copies, commits...) as JSONL.  Tracing is
@@ -207,11 +305,12 @@ def run_exec_block(
         cold = run_grid(base, axes_specs, workers=workers, cache=tmp)
         # 3. engine, warm cache: the re-run path — must execute nothing
         warm = run_grid(base, axes_specs, workers=workers, cache=tmp)
-        figures = {
-            name: _mode_record(
-                run_grid(fig_base, fig_axes_specs, workers=workers, cache=tmp)
-            )
-            for name, (fig_base, fig_axes_specs) in figure_grids.items()
+        figure_records = {
+            name: {
+                arm: _mode_record(run_grid(spec, workers=workers, cache=tmp))
+                for arm, spec in figure_specs(name, smoke=True).items()
+            }
+            for name in figures
         }
 
     serial_s = serial.execution.wall_s
@@ -249,7 +348,7 @@ def run_exec_block(
             "incremental_gb": round(inc_gb_total, 4),
             "bytes_saved_ratio": _saved_ratio(chunk_gb_total, inc_gb_total),
         },
-        "figures": figures,
+        "figures": figure_records,
     }
 
 
@@ -568,10 +667,11 @@ _TWO_CELLS = {"axes_specs": ["nvm-gbps=2.0", "mode=none,dcpcp"]}
 #: the one table of bench blocks: ``run_benchmark``, ``--smoke`` and
 #: ``--block`` all iterate it, in this order
 BLOCKS: Dict[str, Block] = {
-    # one pinned cell serial, cold then warm (must execute nothing)
+    # one pinned cell serial, cold then warm (must execute nothing),
+    # then every figure arm at smoke size
     "exec": Block(
         run_exec_block,
-        {"axes_specs": ["nvm-gbps=2.0", "mode=dcpcp"], "figure_grids": {}},
+        {"axes_specs": ["nvm-gbps=2.0", "mode=dcpcp"]},
         _exec_gate,
         _exec_summary,
     ),

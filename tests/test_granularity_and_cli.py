@@ -142,3 +142,54 @@ class TestCli:
         chunk_arm = run_experiment(self._args("--granularity", "chunk"))
         page_arm = run_experiment(self._args("--granularity", "page"))
         assert page_arm.fault_time_total > chunk_arm.fault_time_total
+
+
+class TestCellCombinations:
+    """The cell refuses, at config time, what it would silently ignore
+    or cannot honour."""
+
+    BASE = ["--app", "lammps", "--nodes", "2", "--ranks-per-node", "2", "--iterations", "4"]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            # without a remote tier: compression compresses nothing, and
+            # a hard failure would fetch from a buddy holding no copy
+            ("--no-remote", "--compress-ratio", "0.5"),
+            ("--pfs-gbps", "4", "--compress-ratio", "0.5"),
+            ("--no-remote", "--mtbf-remote", "60"),
+            ("--pfs-gbps", "4", "--mtbf-remote", "60"),
+            ("--no-remote", "--archive"),
+            ("--pfs-gbps", "4", "--archive"),
+            # --ideal checkpoints nothing, so it would drop these
+            ("--ideal", "--mtbf-local", "60"),
+            ("--ideal", "--mtbf-remote", "60"),
+            ("--ideal", "--autotune"),
+            ("--ideal", "--archive"),
+            ("--ideal", "--compress-ratio", "0.5"),
+            ("--ideal", "--pfs-gbps", "4"),
+            ("--ideal", "--codec", "delta"),
+            ("--ideal", "--copy-granularity", "page"),
+        ],
+    )
+    def test_refused_before_any_cell_runs(self, extra):
+        from repro.errors import ConfigError
+        from repro.exec.grid import expand_grid
+
+        refused = next(arg for arg in reversed(extra) if arg.startswith("--"))
+        with pytest.raises(ConfigError, match=refused):
+            expand_grid([*self.BASE, *extra])
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ("--no-remote", "--mtbf-local", "60"),
+            ("--ideal", "--no-remote"),
+            ("--ideal", "--mode", "none"),
+            ("--compress-ratio", "0.5", "--mtbf-remote", "60", "--archive"),
+        ],
+    )
+    def test_honoured_combinations_resolve(self, extra):
+        from repro.exec.grid import expand_grid
+
+        assert len(expand_grid([*self.BASE, *extra])) == 1

@@ -87,7 +87,7 @@ class TestBlockRegistry:
         monkeypatch.setattr(
             bench, "run_exec_block",
             functools.partial(
-                bench.run_exec_block, **bench.BLOCKS["exec"].smoke_inputs
+                bench.run_exec_block, **bench.BLOCKS["exec"].smoke_inputs, figures=()
             ),
         )
         monkeypatch.setattr(bench, "BLOCKS", {})
