@@ -2,8 +2,8 @@
 """Resilient remote checkpointing: link flaps, buddy failover,
 degraded mode and background re-sync.
 
-A scripted failure schedule drives a 4-node / 2-rack cluster through
-the scenarios the resilience layer exists for:
+The ``link-flap`` scenario cell drives a 4-node / 2-rack cluster
+through the scenarios the resilience layer exists for:
 
 1. a **transient link flap** on node 1 in the middle of an active
    stream window — in-flight remote transfers tear down, the retrying
@@ -20,67 +20,70 @@ The timeline at the end shows the new glyphs: ``o`` (link outage),
 Run:  python examples/degraded_mode_demo.py
 """
 
-from repro.apps import SyntheticModel
-from repro.baselines import precopy_config
-from repro.cluster import Cluster, ClusterRunner, FailureEvent, ScriptedInjector
-from repro.config import ClusterConfig
+from repro.exec.cell import SCENARIOS, build_parser, resolve_config, run_collected
 from repro.metrics import timeline as tl
 from repro.metrics.timeline import Timeline
-from repro.metrics.trace import BUS
-from repro.units import GB_per_sec
+from repro.metrics.trace import BUS, RingBufferSink
 
-ITERATIONS = 10
-LOCAL_I = 10.0
-REMOTE_I = 30.0
+#: a small synthetic app with 10 s compute intervals and 30 s rounds
+CELL = [
+    "--app", "synthetic", "--ranks-per-node", "2", "--local-interval", "10",
+    "--remote-interval", "30", "--checkpoint-mb", "20", "--chunk-mb", "5",
+    "--comm-mb", "5", "--iterations", "10", "--seed", "5", "--scenario", "link-flap",
+]
+
+
+def node_id(name: str) -> int:
+    """``"n3"`` / ``"n3:helper"`` -> 3."""
+    return int(name[1:].split(":")[0])
+
+
+def summarize(res):
+    """The record plus what only the finished testbed knows: each
+    node's rack and node 0's buddy-side copies."""
+    nodes, helper = res.cluster.nodes, res.cluster.nodes[0].helper
+    racks = [res.cluster.topology.rack_of(n.node_id) for n in nodes]
+    committed = sum(len(t.committed_chunks()) for t in helper.targets.values())
+    return res.to_dict(), racks, helper.buddy_id, committed
 
 
 def main() -> None:
-    cluster = Cluster(ClusterConfig(nodes=4, racks=2),
-                      nvm_write_bandwidth=GB_per_sec(2.0), seed=5)
-    app = SyntheticModel(checkpoint_mb_per_rank=20, chunk_mb=5,
-                         iteration_compute_time=LOCAL_I,
-                         comm_mb_per_iteration=5)
-    cluster.build(app, precopy_config(LOCAL_I, REMOTE_I), ranks_per_node=2)
-
-    events = [
-        FailureEvent(time=52.0, node=1, kind="transient", duration=6.0),
-        FailureEvent(time=75.0, node=1, kind="hard"),
-    ]
     print("scripted schedule:")
-    for ev in events:
+    for ev in SCENARIOS["link-flap"].failures:
         extra = f" (heals after {ev.duration:.0f}s)" if ev.is_transient else ""
         print(f"  t={ev.time:>5.1f}s  node {ev.node}  {ev.kind}{extra}")
 
-    runner = ClusterRunner(cluster, injector=ScriptedInjector(events))
-    # the phase timeline is a trace sink: attach it around the run
-    with BUS.capture(Timeline()) as timeline:
-        result = runner.run(ITERATIONS)
+    config = resolve_config(build_parser().parse_args(CELL))
+    # the phase timeline and the event buffer are trace sinks
+    with BUS.capture(Timeline()) as timeline, \
+            BUS.capture(RingBufferSink(capacity=None)) as trace:
+        result, racks, buddy, committed = run_collected(config, summarize)
 
-    print(f"\ncompleted {result.iterations} iterations in "
-          f"{result.total_time:.1f}s (ideal {result.ideal_time:.0f}s)")
-    print(f"failures: {result.transient_failures} transient, "
-          f"{result.hard_failures} hard; "
-          f"{result.iterations_recomputed} iterations recomputed")
+    failures = result["failures"]
+    print(f"\ncompleted {result['iterations']} iterations in "
+          f"{result['total_time_s']:.1f}s (ideal {result['ideal_time_s']:.0f}s)")
+    print(f"failures: {failures['transient']} transient, "
+          f"{failures['hard']} hard; "
+          f"{failures['iterations_recomputed']} iterations recomputed")
 
-    r = result.to_dict()["resilience"]
+    r = result["resilience"]
     print("\nresilience layer:")
     print(f"  transfer retries        {r['transfer_retries']}")
     print(f"  transfers abandoned     {r['transfers_abandoned']}")
     print(f"  heartbeats sent         {r['heartbeats']}")
     print(f"  buddy-down detections   {r['buddy_down_detections']}")
     print(f"  buddy re-pairings       {r['buddy_repairs']}")
-    for orphan, old, new in runner.directory.repairs:
-        print(f"    node {orphan} (rack {cluster.topology.rack_of(orphan)}): "
+    for ev in trace.of_kind("failover"):
+        orphan, old, new = node_id(ev.actor), node_id(ev.from_target), node_id(ev.to_target)
+        print(f"    node {orphan} (rack {racks[orphan]}): "
               f"buddy {old} -> {new} "
-              f"(rack {cluster.topology.rack_of(new)}, still cross-rack)")
+              f"(rack {racks[new]}, still cross-rack)")
     print(f"  re-syncs completed      {r['resyncs_completed']} "
           f"({r['resync_gb'] * 1024:.0f} MB re-sent)")
     print(f"  degraded-mode entries   {r['degraded_entries']} "
           f"({r['degraded_time_s']:.1f}s local-only total)")
 
-    helper = cluster.nodes[0].helper
-    committed = sum(len(t.committed_chunks()) for t in helper.targets.values())
-    print(f"\nnode 0 now pairs with node {helper.buddy_id}; "
+    print(f"\nnode 0 now pairs with node {buddy}; "
           f"{committed} chunks committed on the new buddy")
 
     print("\ntimeline (o=outage, D=degraded, s=resync, R=restart):")

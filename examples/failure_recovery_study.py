@@ -11,12 +11,10 @@ prediction.  Finishes with the model's optimal-interval analysis
 Run:  python examples/failure_recovery_study.py
 """
 
-from repro.apps import SyntheticModel
-from repro.baselines import precopy_config
-from repro.cluster import Cluster, ClusterRunner
-from repro.config import ClusterConfig, FailureConfig
+from repro.config import FailureConfig
+from repro.exec import build_parser, resolve_config, run_cell
 from repro.models import ModelParams, MultilevelModel, optimal_local_interval
-from repro.units import GB_per_sec, MB
+from repro.units import MB
 
 ITERATIONS = 10
 NODES = 4
@@ -36,26 +34,30 @@ def main() -> None:
           f"MTBF_remote={failure_config.mtbf_remote:.0f}s/node "
           f"(soft fraction {failure_config.soft_fraction:.2f})")
 
-    cluster = Cluster(ClusterConfig(nodes=NODES),
-                      nvm_write_bandwidth=GB_per_sec(1.0), seed=21)
-    app = SyntheticModel(checkpoint_mb_per_rank=CKPT_MB, chunk_mb=25,
-                         iteration_compute_time=LOCAL_I, comm_mb_per_iteration=50)
-    cluster.build(app, precopy_config(LOCAL_I, REMOTE_I), ranks_per_node=RANKS)
-    runner = ClusterRunner(cluster, failure_config=failure_config)
-    result = runner.run(ITERATIONS)
+    # the MTBFs go in as repr floats: the cell's failure schedule is the
+    # one FailureConfig.from_rates describes, to the last bit
+    result = run_cell(resolve_config(build_parser().parse_args([
+        "--app", "synthetic", "--nodes", str(NODES), "--ranks-per-node", str(RANKS),
+        "--iterations", str(ITERATIONS), "--nvm-gbps", "1.0", "--seed", "21",
+        "--local-interval", str(LOCAL_I), "--remote-interval", str(REMOTE_I),
+        "--checkpoint-mb", str(CKPT_MB), "--chunk-mb", "25", "--comm-mb", "50",
+        "--mtbf-local", repr(failure_config.mtbf_local),
+        "--mtbf-remote", repr(failure_config.mtbf_remote),
+    ])))
+    failures = result["failures"]
 
-    print(f"\ncompleted {result.iterations} iterations in {result.total_time:.1f}s "
-          f"(ideal {result.ideal_time:.0f}s)")
-    print(f"failures: {result.soft_failures} soft (local NVM restart), "
-          f"{result.hard_failures} hard (buddy fetch + node replacement)")
-    print(f"recovery time {result.recovery_time:.1f}s; "
-          f"{result.iterations_recomputed} iterations recomputed")
+    print(f"\ncompleted {result['iterations']} iterations in "
+          f"{result['total_time_s']:.1f}s (ideal {result['ideal_time_s']:.0f}s)")
+    print(f"failures: {failures['soft']} soft (local NVM restart), "
+          f"{failures['hard']} hard (buddy fetch + node replacement)")
+    print(f"recovery time {failures['recovery_s']:.1f}s; "
+          f"{failures['iterations_recomputed']} iterations recomputed")
 
     # -- §III model with the same parameters ----------------------------
     params = ModelParams(
         compute_time=ITERATIONS * LOCAL_I,
         checkpoint_bytes=MB(CKPT_MB),
-        nvm_bw_per_core=MB(CKPT_MB) / max(1e-9, result.local_ckpt_time_avg),
+        nvm_bw_per_core=MB(CKPT_MB) / max(1e-9, result["local"]["avg_blocking_s"]),
         remote_bw=MB(400),
         local_interval=LOCAL_I,
         remote_interval=REMOTE_I,
@@ -69,7 +71,7 @@ def main() -> None:
     print(f"  restart total    = {breakdown.restart_total:8.1f} s")
     print(f"  recompute total  = {breakdown.recompute_total:8.1f} s")
     print(f"  T_total          = {breakdown.total:8.1f} s "
-          f"(simulated: {result.total_time:.1f} s)")
+          f"(simulated: {result['total_time_s']:.1f} s)")
     print("  (the model follows the paper's §III simplifications: no node-"
           "replacement delay, no failures during recovery, failures on "
           "average mid-interval — at high failure rates the simulation's "

@@ -289,7 +289,6 @@ def start_migration(runner, plan, done) -> bool:
         helper,
         plan,
         runner.cluster.nodes[plan.to_buddy].ctx,
-        batch_bytes=runner.ckpt_config.resilience.migration.batch_bytes,
         guard=runner.slo_guard,
         on_cutover=on_cutover,
         on_abort=on_abort,

@@ -329,24 +329,20 @@ class MigrationConfig:
     node's remote copies to a new buddy while the old pairing stays
     live, with an SLO guard that pauses batches when per-interval
     checkpoint latency is at risk.  The guard's fractions are
-    :class:`~repro.resilience.migration.SloGuard`'s defaults, the
-    pacing and failure budget
+    :class:`~repro.resilience.migration.SloGuard`'s defaults, the batch
+    bound :data:`~repro.resilience.migration.BATCH_BYTES`, the pacing
+    and failure budget
     :class:`~repro.resilience.migration.MigrationTask`'s.  Off by
     default — runs without elastic membership stay byte-identical to
     the pre-migration pipeline."""
 
     enabled: bool = False
-    #: max bytes staged per migration batch (Megaphone-style bound:
-    #: small batches cap the latency a migration can add at once).
-    batch_bytes: int = 64 * 1024 * 1024
     #: per-interval coordinated-checkpoint latency SLO (seconds).
     #: ``inf`` disables the guard entirely.
     slo_checkpoint_latency: float = float("inf")
 
     def __post_init__(self) -> None:
-        if self.batch_bytes <= 0:
-            raise ConfigError("batch_bytes must be positive")
-        if self.slo_checkpoint_latency <= 0:
+        if not self.slo_checkpoint_latency > 0:
             raise ConfigError("slo_checkpoint_latency must be positive")
 
 

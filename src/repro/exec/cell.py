@@ -8,6 +8,11 @@ and runs it.  ``repro.tools.experiment`` is a thin CLI wrapper over it,
 and :mod:`repro.exec.grid` expands and dispatches sweep grids over the
 same surface — neither owns any config-resolution logic of its own.
 
+A scripted run — the elastic grow/shrink story, the link-flap demo —
+is a cell too: ``--scenario NAME`` picks an entry of :data:`SCENARIOS`
+(spare nodes, scripted failures, membership events, live migration),
+so the sweep tool, the cache and the trace see it like any other run.
+
 Every run is deterministic for a given ``seed``.  A cell runs with the
 automatic cycle collector off and ends with one collection of what it
 left behind (:func:`run_collected`).
@@ -17,17 +22,28 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import gc
-from typing import Any, Callable, Optional
+import math
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..apps import CM1Model, GTCModel, LammpsModel, SyntheticModel
-from ..cluster import Cluster, ClusterRunner, RunResult
+from ..cluster import (
+    Cluster,
+    ClusterRunner,
+    FailureEvent,
+    MembershipEvent,
+    RunResult,
+    ScriptedInjector,
+)
 from ..config import (
     AutotuneConfig,
     CheckpointConfig,
     ClusterConfig,
     FailureConfig,
+    MigrationConfig,
     PrecopyPolicy,
+    ResilienceConfig,
 )
 from ..errors import ConfigError
 from ..units import GB, GB_per_sec
@@ -37,6 +53,8 @@ __all__ = [
     "ARCHIVE_INTERVAL_S",
     "ARCHIVE_PFS_GBPS",
     "NON_SEMANTIC_OPTIONS",
+    "SCENARIOS",
+    "Scenario",
     "build_parser",
     "check_combination",
     "resolve_config",
@@ -67,6 +85,47 @@ APPS = {
         iteration_compute_time=args.local_interval,
         comm_mb_per_iteration=args.comm_mb,
     ),
+}
+
+
+class Scenario(NamedTuple):
+    """A scripted run: what ``--scenario`` adds to the cell's testbed."""
+
+    #: computing nodes the schedule was written for (``--nodes`` must match)
+    nodes: int
+    #: nodes beyond ``--nodes`` with NVM and fabric but no ranks: the
+    #: buddy pool's join candidates
+    spares: int = 0
+    failures: Tuple[FailureEvent, ...] = ()
+    membership: Tuple[MembershipEvent, ...] = ()
+    #: planned live migration on, bounded by ``--slo-checkpoint-latency``
+    migration: bool = False
+
+
+#: the scripted runs, on the ring pairing 0->1->2->3->0.  The elastic
+#: arms: node 2's early death re-pairs its orphan (node 1) onto node 0,
+#: overloading it.  Without elasticity node 1's new buddy dies late and
+#: both failovers re-send a full footprint; with it, spare node 4 joins
+#: (node 1's copies migrate onto it live), the replaced node 2 drains
+#: out, and node 4's death fails node 1 back to node 0 incrementally.
+SCENARIOS: Dict[str, Scenario] = {
+    "elastic-clean": Scenario(nodes=4, spares=2),
+    "elastic-full-resync": Scenario(4, 2, failures=(
+        FailureEvent(35.0, node=2, kind="hard"),
+        FailureEvent(140.0, node=1, kind="hard"),
+    )),
+    "elastic-migrate": Scenario(4, 2, migration=True, failures=(
+        FailureEvent(35.0, node=2, kind="hard"),
+        FailureEvent(140.0, node=4, kind="hard"),
+    ), membership=(
+        MembershipEvent(60.0, node=4, action="join"),
+        MembershipEvent(95.0, node=2, action="drain"),
+    )),
+    # a link flap mid-stream, then a hard failure of the same node
+    "link-flap": Scenario(4, failures=(
+        FailureEvent(52.0, node=1, kind="transient", duration=6.0),
+        FailureEvent(75.0, node=1, kind="hard"),
+    )),
 }
 
 
@@ -120,6 +179,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-node soft-failure MTBF (s); enables failure injection")
     p.add_argument("--mtbf-remote", type=float, default=None,
                    help="per-node hard-failure MTBF (s)")
+    p.add_argument("--scenario", choices=sorted(SCENARIOS), default=None,
+                   help="play a scripted run: spare nodes, scripted "
+                        "failures and membership events")
+    p.add_argument("--slo-checkpoint-latency", type=float, default=None,
+                   help="per-interval coordinated-checkpoint latency SLO "
+                        "(s) that throttles a migrating scenario's moves")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--autotune", action="store_true",
                    help="run the online policy tuner: a per-rank bandit "
@@ -144,42 +209,74 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: options whose value must be a positive, finite number when given
+POSITIVE_OPTIONS = (
+    "--nvm-gbps", "--pfs-gbps", "--nvm-capacity-gb", "--local-interval",
+    "--remote-interval", "--slo-checkpoint-latency",
+)
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+@functools.lru_cache(maxsize=1)
+def _defaults() -> Dict[str, Any]:
+    return vars(build_parser().parse_args([]))
+
+
+def _given(args: argparse.Namespace, *flags: str) -> List[str]:
+    """Those of *flags* set away from their defaults."""
+    return [f for f in flags if getattr(args, _dest(f)) != _defaults()[_dest(f)]]
+
+
 def check_combination(args: argparse.Namespace) -> None:
-    """Refuse option combinations the cell would silently ignore or
-    cannot honour: whatever ``--ideal`` would discard, and the options
-    that act on a remote tier when ``--no-remote`` or ``--pfs-gbps``
-    turns it off (a hard failure would fetch from a buddy that holds
-    no copy)."""
-    if args.ideal:
-        discarded = [
-            flag for flag, given in (
-                ("--mtbf-local", args.mtbf_local is not None),
-                ("--mtbf-remote", args.mtbf_remote is not None),
-                ("--autotune", args.autotune),
-                ("--archive", args.archive),
-                ("--compress-ratio", args.compress_ratio is not None),
-                ("--pfs-gbps", args.pfs_gbps is not None),
-                ("--codec", args.codec != "raw"),
-                ("--copy-granularity page", args.copy_granularity == "page"),
-            ) if given
-        ]
-        if discarded:
+    """Refuse values and option combinations the cell would silently
+    ignore or cannot honour: a non-finite or non-positive bandwidth,
+    capacity, interval or SLO, fewer than one iteration, whatever
+    ``--ideal`` would discard, the options that act on a remote tier
+    when ``--no-remote`` or ``--pfs-gbps`` turns it off (a hard failure
+    would fetch from a buddy that holds no copy), and whatever would
+    change a scenario's testbed or failure schedule."""
+    for flag in POSITIVE_OPTIONS:
+        value = getattr(args, _dest(flag))
+        if value is not None and not (value > 0 and math.isfinite(value)):
+            raise ConfigError(f"{flag} must be positive and finite, not {value}")
+    if args.iterations < 1:
+        raise ConfigError(f"--iterations must be at least 1, not {args.iterations}")
+    discarded = _given(
+        args, "--mtbf-local", "--mtbf-remote", "--autotune", "--archive",
+        "--compress-ratio", "--pfs-gbps", "--codec", "--copy-granularity",
+    )
+    if args.ideal and discarded:
+        raise ConfigError(
+            f"--ideal runs without checkpoints; it would discard {', '.join(discarded)}"
+        )
+    off = _given(args, "--no-remote", "--pfs-gbps")
+    needs_remote = _given(args, "--compress-ratio", "--mtbf-remote", "--archive")
+    if off and needs_remote:
+        raise ConfigError(
+            f"{', '.join(needs_remote)} acts on the remote tier, which {off[0]} turns off"
+        )
+    scenario = SCENARIOS.get(args.scenario)
+    if scenario is not None:
+        clashes = _given(args, "--mtbf-local", "--mtbf-remote", "--no-remote",
+                         "--pfs-gbps", "--ideal")
+        if clashes:
             raise ConfigError(
-                f"--ideal runs without checkpoints; it would discard {', '.join(discarded)}"
+                f"--scenario {args.scenario} scripts its own failures over the "
+                f"remote tier; it cannot run with {', '.join(clashes)}"
             )
-    if args.no_remote or args.pfs_gbps is not None:
-        needs_remote = [
-            flag for flag, given in (
-                ("--compress-ratio", args.compress_ratio is not None),
-                ("--mtbf-remote", args.mtbf_remote is not None),
-                ("--archive", args.archive),
-            ) if given
-        ]
-        if needs_remote:
-            off = "--no-remote" if args.no_remote else "--pfs-gbps"
+        if args.nodes != scenario.nodes:
             raise ConfigError(
-                f"{', '.join(needs_remote)} acts on the remote tier, which {off} turns off"
+                f"--scenario {args.scenario} is written for --nodes "
+                f"{scenario.nodes}, not {args.nodes}"
             )
+    if args.slo_checkpoint_latency is not None and not (scenario and scenario.migration):
+        raise ConfigError(
+            "--slo-checkpoint-latency bounds live migration, which only a "
+            "migrating --scenario runs"
+        )
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -206,7 +303,9 @@ def run_collected(config: dict, summarize: Callable[[RunResult], Any]) -> Any:
     collection; freezing what was alive before the cell keeps that
     collection to what the cell left behind (~1 ms instead of ~10 ms
     for the interpreter's whole heap).  The :class:`RunResult` points
-    at its cluster, so only *summarize*'s return value leaves here.
+    at its cluster and runner (``result.cluster`` / ``result.runner``,
+    which *summarize* may read), so only *summarize*'s return value
+    leaves here.
 
     While the cell runs the automatic collector is off (the caller's
     setting is restored afterwards): its passes re-scan a testbed that
@@ -247,12 +346,13 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
     app = APPS[args.app](args)
     app.iteration_compute_time = args.local_interval
     autotune = AutotuneConfig()
-    if getattr(args, "autotune", False):
-        autotune = AutotuneConfig(
-            enabled=True,
-            strategy=getattr(args, "autotune_strategy", "epsilon"),
-            seed=args.seed,
-        )
+    if args.autotune:
+        autotune = AutotuneConfig(enabled=True, strategy=args.autotune_strategy, seed=args.seed)
+    scenario = SCENARIOS[args.scenario] if args.scenario else Scenario(args.nodes)
+    migration = MigrationConfig()
+    if scenario.migration:
+        slo = args.slo_checkpoint_latency or math.inf
+        migration = MigrationConfig(enabled=True, slo_checkpoint_latency=slo)
     config = CheckpointConfig(
         local_interval=args.local_interval,
         remote_interval=args.remote_interval,
@@ -260,12 +360,13 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
             mode=args.mode,
             granularity=args.granularity,
             copy_granularity=args.copy_granularity,
-            codec=getattr(args, "codec", "raw"),
+            codec=args.codec,
         ),
         remote_precopy=not args.no_remote_precopy,
         autotune=autotune,
+        resilience=ResilienceConfig(migration=migration),
     )
-    cluster_config = ClusterConfig(nodes=args.nodes)
+    cluster_config = ClusterConfig(nodes=args.nodes + scenario.spares)
     if args.nvm_capacity_gb is not None:
         node = cluster_config.node
         nvm = dataclasses.replace(node.nvm, capacity=GB(args.nvm_capacity_gb))
@@ -289,7 +390,7 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
 
         compression = CompressionModel(phantom_ratio=args.compress_ratio)
     cluster.build(
-        app, config, ranks_per_node=args.ranks_per_node,
+        app, config, ranks_per_node=args.ranks_per_node, n_nodes_used=args.nodes,
         with_remote=not (args.no_remote or args.ideal), pfs=pfs,
         compression=compression,
     )
@@ -317,6 +418,8 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
         local_checkpoints=not args.ideal,
         failure_config=failure_config,
         archive=archive,
+        injector=ScriptedInjector(scenario.failures) if scenario.failures else None,
+        membership=scenario.membership,
     )
     trace_path = getattr(args, "trace", None)
     sink = None
@@ -331,6 +434,7 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
             BUS.detach(sink)
             sink.close()
     result.cluster = cluster  # type: ignore[attr-defined]
+    result.runner = runner  # type: ignore[attr-defined]
     return result
 
 

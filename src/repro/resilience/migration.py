@@ -48,7 +48,7 @@ from ..metrics.trace import (
     emit_phase,
 )
 
-__all__ = ["MigrationPlan", "MigrationPlanner", "SloGuard", "MigrationTask"]
+__all__ = ["BATCH_BYTES", "MigrationPlan", "MigrationPlanner", "SloGuard", "MigrationTask"]
 
 #: plan reasons
 REASON_JOIN = "join"
@@ -238,6 +238,11 @@ class SloGuard:
         return self.max_latency <= self.latency_slo
 
 
+#: max bytes staged per migration batch (Megaphone-style bound: small
+#: batches cap the latency a migration can add at once)
+BATCH_BYTES = 8 * 1024 * 1024
+
+
 class MigrationTask:
     """One live migration of a source node's remote copies.
 
@@ -254,7 +259,7 @@ class MigrationTask:
         plan: MigrationPlan,
         to_ctx,
         *,
-        batch_bytes: int,
+        batch_bytes: int = BATCH_BYTES,
         guard: Optional[SloGuard] = None,
         check_interval: float = 2.0,
         pace_fraction: float = 0.5,

@@ -410,7 +410,7 @@ class BandwidthResource:
         name: str = "bw",
         capacity_fn: Optional[Callable[[int], float]] = None,
     ) -> None:
-        if capacity <= 0:
+        if not capacity > 0:  # NaN too: no flow would ever finish
             raise SimulationError("bandwidth capacity must be positive")
         self.engine = engine
         self.capacity = float(capacity)

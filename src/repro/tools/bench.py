@@ -31,13 +31,13 @@ import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import __version__
-from ..exec.cell import run_collected
+from ..exec.cell import build_parser, resolve_config, run_collected
 from ..exec.grid import GridResult, GridSpec, expand_grid, run_grid
 from ..metrics.trace import BUS, CounterSink, JsonlSink
-from .elastic import elastic_gate, elastic_summary, run_elastic_block
 
 __all__ = [
-    "PINNED_GRID", "FIGURE_GRIDS", "FIGURE_SMOKE", "SCALE_GRID", "BLOCKS", "Block",
+    "PINNED_GRID", "FIGURE_GRIDS", "FIGURE_SMOKE", "SCALE_GRID", "ELASTIC_CELL",
+    "SLO_HEADROOM", "BLOCKS", "Block", "elastic_config", "elastic_slo",
     "figure_specs", "run_benchmark", "run_smoke", "main",
 ]
 
@@ -185,13 +185,13 @@ SCALE_GRID: Tuple[List[str], List[str]] = (
     ["mode=none,dcpcp", "nvm-gbps=1.0,2.0"],
 )
 
-#: the ``scale`` block's dispatch probe: zero iterations on one 1-rank
-#: node (~0.5 ms a cell), so a round's wall is ``run_grid``'s own
+#: the ``scale`` block's dispatch probe: one iteration on one 1-rank
+#: node (under 1 ms a cell), so a round's wall is ``run_grid``'s own
 #: batching + IPC + reassembly, not simulation
 DISPATCH_GRID: Tuple[List[str], List[str]] = (
     [
         "--app", "synthetic", "--nodes", "1", "--ranks-per-node", "1",
-        "--iterations", "0", "--checkpoint-mb", "1", "--chunk-mb", "1",
+        "--iterations", "1", "--checkpoint-mb", "1", "--chunk-mb", "1",
         "--no-remote",
     ],
     ["seed=1,2,3,4"],
@@ -650,6 +650,122 @@ def _replay_summary(block: dict) -> str:
     ])
 
 
+#: the ``elastic`` block's cell, played under each elastic ``--scenario``
+#: of :data:`repro.exec.cell.SCENARIOS`: half the footprint is
+#: write-once, so most committed chunks never re-commit — the raw
+#: material of incremental failover
+ELASTIC_CELL = [
+    "--app", "synthetic", "--ranks-per-node", "2", "--local-interval", "10",
+    "--remote-interval", "30", "--checkpoint-mb", "20", "--chunk-mb", "5",
+    "--comm-mb", "5", "--write-once-fraction", "0.5", "--iterations", "16",
+    "--seed", "11",
+]
+
+#: slack over the calibration arms' worst coordinated latency
+SLO_HEADROOM = 1.15
+
+#: the migrating arm's ``membership`` counters the block reports as is
+ELASTIC_MOVES = (
+    "joins", "drains", "departs", "migrations_completed", "migrations_aborted",
+    "migration_batches", "migration_gb", "slo_pauses", "throttled_batches",
+)
+
+
+def elastic_config(scenario: str, *extra: str) -> dict:
+    """The resolved :data:`ELASTIC_CELL` under *scenario*."""
+    argv = [*ELASTIC_CELL, "--scenario", scenario, *extra]
+    return resolve_config(build_parser().parse_args(argv))
+
+
+def _worst_ckpt_latency(result) -> float:
+    """The run's worst coordinated-checkpoint latency (any rank)."""
+    ranks = result.cluster.all_ranks()
+    return max((s.duration for r in ranks for s in r.checkpointer.history), default=0.0)
+
+
+def elastic_slo() -> Tuple[float, float, dict]:
+    """Calibrate the elastic arm's SLO: the clean arm's and the
+    full-resync arm's worst coordinated latency, with headroom —
+    failures alone may spike checkpoints, and the SLO must separate
+    migration pressure from failure noise.  Returns the SLO, the clean
+    arm's worst latency and the full-resync arm's record."""
+    clean_worst = run_collected(elastic_config("elastic-clean"), _worst_ckpt_latency)
+    base_worst, base = run_collected(
+        elastic_config("elastic-full-resync"),
+        lambda res: (_worst_ckpt_latency(res), res.to_dict()),
+    )
+    return SLO_HEADROOM * max(clean_worst, base_worst), clean_worst, base
+
+
+def run_elastic_block() -> dict:
+    """Elastic membership under load: the ``elastic`` block.
+
+    Three arms of one cell: ``elastic-clean`` and ``elastic-full-resync``
+    calibrate the SLO (:func:`elastic_slo`), then ``elastic-migrate``
+    runs join + drain + newcomer death with live migration under it.
+    Its failovers (one full early re-sync, one incremental late one)
+    must re-send strictly fewer bytes than the baseline's two full
+    re-syncs, with every coordinated checkpoint within the SLO.
+    """
+    t0 = time.perf_counter()
+    slo, clean_worst, base = elastic_slo()
+    elastic, moves_failed = run_collected(
+        elastic_config("elastic-migrate", "--slo-checkpoint-latency", repr(slo)),
+        lambda res: (res.to_dict(), res.runner.membership_controller.moves_failed),
+    )
+    wall = time.perf_counter() - t0
+    moves = elastic["membership"]
+    resync_gb = elastic["resilience"]["resync_gb"]
+    base_resync_gb = base["resilience"]["resync_gb"]
+    slo_held = moves["max_ckpt_latency_s"] <= slo
+    return {
+        "iterations": elastic["iterations"],
+        "slo_checkpoint_latency_s": round(slo, 6),
+        "clean_max_ckpt_latency_s": round(clean_worst, 6),
+        "elastic": {
+            "total_time_s": round(elastic["total_time_s"], 4),
+            **{key: moves[key] for key in ELASTIC_MOVES},
+            "max_ckpt_latency_s": round(moves["max_ckpt_latency_s"], 6),
+            "within_slo": slo_held,
+            "failover_resync_gb": resync_gb,
+        },
+        "baseline": {
+            "total_time_s": round(base["total_time_s"], 4),
+            "failover_resync_gb": base_resync_gb,
+        },
+        # the acceptance bounds
+        "incremental_failover": 0 < resync_gb < base_resync_gb,
+        "slo_held": slo_held,
+        "moves_failed": moves_failed,
+        "wall_s": round(wall, 4),
+    }
+
+
+def _elastic_gate(block: dict) -> bool:
+    """The elastic arm keeps every coordinated checkpoint within the
+    SLO while migrating, and its failovers re-send strictly fewer bytes
+    than the full-resync baseline's."""
+    return bool(
+        block["incremental_failover"]
+        and block["slo_held"]
+        and block["elastic"]["migrations_completed"] >= 1
+        and block["elastic"]["departs"] >= 1
+        and block["moves_failed"] == 0
+    )
+
+
+def _elastic_summary(block: dict) -> str:
+    return (
+        f"failover resync "
+        f"{block['elastic']['failover_resync_gb']:.4f} GB vs full "
+        f"{block['baseline']['failover_resync_gb']:.4f} GB, "
+        f"max ckpt latency {block['elastic']['max_ckpt_latency_s']:.3f}s "
+        f"vs SLO {block['slo_checkpoint_latency_s']:.3f}s, "
+        f"{block['elastic']['migrations_completed']} migration(s) in "
+        f"{block['elastic']['migration_batches']} batches"
+    )
+
+
 class Block(NamedTuple):
     """One bench block: its record, its CI-sized inputs, its acceptance."""
 
@@ -683,7 +799,7 @@ BLOCKS: Dict[str, Block] = {
     "scale": Block(run_scale_block, {}, _scale_gate, _scale_summary),
     # elastic membership: live migration under an SLO, incremental
     # failover bytes vs the full-resync baseline
-    "elastic": Block(run_elastic_block, {}, elastic_gate, elastic_summary),
+    "elastic": Block(run_elastic_block, {}, _elastic_gate, _elastic_summary),
 }
 
 

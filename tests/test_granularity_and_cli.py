@@ -170,6 +170,35 @@ class TestCellCombinations:
             ("--ideal", "--pfs-gbps", "4"),
             ("--ideal", "--codec", "delta"),
             ("--ideal", "--copy-granularity", "page"),
+            # values no run can honour: a NaN bandwidth never finishes a
+            # transfer, a zero or NaN interval never schedules one, and
+            # fewer than one iteration runs nothing at all
+            ("--nvm-gbps", "nan"),
+            ("--nvm-gbps", "0"),
+            ("--pfs-gbps", "nan"),
+            ("--pfs-gbps", "-4"),
+            ("--nvm-capacity-gb", "inf"),
+            ("--nvm-capacity-gb", "0"),
+            ("--local-interval", "nan"),
+            ("--local-interval", "-10"),
+            ("--remote-interval", "0"),
+            ("--remote-interval", "nan"),
+            ("--iterations", "-1"),
+            ("--iterations", "0"),
+            ("--nodes", "4", "--scenario", "elastic-migrate", "--slo-checkpoint-latency", "nan"),
+            ("--nodes", "4", "--scenario", "elastic-migrate", "--slo-checkpoint-latency", "0"),
+            # a scenario scripts its own failures over the remote tier
+            ("--nodes", "4", "--scenario", "link-flap", "--mtbf-local", "60"),
+            ("--nodes", "4", "--scenario", "link-flap", "--mtbf-remote", "60"),
+            ("--nodes", "4", "--scenario", "link-flap", "--no-remote"),
+            ("--nodes", "4", "--scenario", "link-flap", "--pfs-gbps", "4"),
+            ("--nodes", "4", "--scenario", "link-flap", "--ideal"),
+            # ... on the nodes it was written for
+            ("--scenario", "elastic-clean"),
+            # an SLO bounds live migration, which only a migrating
+            # scenario runs
+            ("--slo-checkpoint-latency", "1.0"),
+            ("--nodes", "4", "--scenario", "link-flap", "--slo-checkpoint-latency", "1.0"),
         ],
     )
     def test_refused_before_any_cell_runs(self, extra):
@@ -187,9 +216,19 @@ class TestCellCombinations:
             ("--ideal", "--no-remote"),
             ("--ideal", "--mode", "none"),
             ("--compress-ratio", "0.5", "--mtbf-remote", "60", "--archive"),
+            ("--nodes", "4", "--scenario", "link-flap", "--archive"),
+            ("--nodes", "4", "--scenario", "elastic-migrate", "--slo-checkpoint-latency", "0.5"),
         ],
     )
     def test_honoured_combinations_resolve(self, extra):
         from repro.exec.grid import expand_grid
 
         assert len(expand_grid([*self.BASE, *extra])) == 1
+
+    @pytest.mark.parametrize("slo", [float("nan"), 0.0, -1.0])
+    def test_migration_config_refuses_an_slo_no_run_can_meet(self, slo):
+        from repro.config import MigrationConfig
+        from repro.errors import ConfigError
+
+        with pytest.raises(ConfigError, match="slo_checkpoint_latency"):
+            MigrationConfig(enabled=True, slo_checkpoint_latency=slo)

@@ -3,7 +3,8 @@
 Three cluster scenarios plus unit coverage of the planner and SLO
 guard:
 
-1. the **elastic grow/shrink** scenario from ``repro.tools.elastic``:
+1. the **elastic grow/shrink** scenario (the ``elastic-*`` cells of
+   ``repro.exec.cell.SCENARIOS``, as the ``elastic`` bench block runs them):
    an early hard failure overloads a survivor, a spare *joins* and the
    planner offloads onto it in bounded batches under the SLO, the
    replaced node *drains* and departs, and the newcomer's late death
@@ -30,13 +31,14 @@ from repro.cluster import (
     ScriptedInjector,
 )
 from repro.config import ClusterConfig, MigrationConfig
+from repro.exec.cell import run_collected
 from repro.faults.crashpoints import FaultInjector, all_points, install
 from repro.metrics import timeline as tl
 from repro.metrics.timeline import Timeline
 from repro.metrics.trace import BUS
 from repro.net.topology import Topology
 from repro.resilience import BuddyDirectory, MigrationPlanner, SloGuard
-from repro.tools.elastic import run_elastic, run_full_resync_baseline
+from repro.tools.bench import elastic_config
 from repro.units import GB_per_sec
 
 pytestmark = pytest.mark.migration
@@ -49,6 +51,21 @@ TEST_SLO = 0.25
 # ---------------------------------------------------------------------------
 # The elastic grow/shrink scenario (the tentpole's acceptance story).
 # ---------------------------------------------------------------------------
+
+
+def run_scenario(name, *extra):
+    """One elastic ``--scenario`` cell's (cluster, runner, result)."""
+    return run_collected(
+        elastic_config(name, *extra), lambda res: (res.cluster, res.runner, res)
+    )
+
+
+def run_elastic(slo):
+    return run_scenario("elastic-migrate", "--slo-checkpoint-latency", repr(slo))
+
+
+def run_full_resync_baseline():
+    return run_scenario("elastic-full-resync")
 
 
 class TestElasticScenario:
@@ -153,7 +170,7 @@ def build_drain_cluster(seed=7):
         cfg,
         resilience=replace(
             cfg.resilience,
-            migration=MigrationConfig(enabled=True, batch_bytes=8 * 1024 * 1024),
+            migration=MigrationConfig(enabled=True),
         ),
     )
     cluster.build(drain_app(), cfg, ranks_per_node=2)

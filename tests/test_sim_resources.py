@@ -189,6 +189,11 @@ class TestBandwidthPS:
         ev = bw.transfer(0.0)
         assert ev.triggered
 
+    @pytest.mark.parametrize("capacity", [0.0, -1.0, float("nan")])
+    def test_non_positive_capacity_rejected(self, engine, capacity):
+        with pytest.raises(SimulationError, match="capacity must be positive"):
+            BandwidthResource(engine, capacity)
+
     def test_negative_transfer_rejected(self, engine):
         bw = BandwidthResource(engine, 100.0)
         with pytest.raises(SimulationError):
