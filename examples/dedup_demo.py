@@ -1,12 +1,8 @@
 #!/usr/bin/env python3
 """The payload codec layer: delta + content-addressed dedup end to end.
 
-Walks `docs/ARCHITECTURE.md` §16 in four steps:
+Walks `docs/ARCHITECTURE.md` §16 in three steps, numbered 2-4:
 
-1. **exact-mode codecs** — encode/decode real byte buffers through
-   `DeltaCodec` (XOR runs against a base, wrong base refused loudly)
-   and `DedupCodec` (novel blocks ship bytes, resident blocks ship
-   references);
 2. **codec checkpoints** — two `codec="auto"` checkpoints of real
    content through the normal engine walk: the first ships everything
    (and seeds the digest index), the second re-dirties one page and
@@ -28,44 +24,14 @@ import numpy as np
 from repro.alloc import NVAllocator
 from repro.config import PrecopyPolicy
 from repro.core import LocalCheckpointer, RestartManager, make_standalone_context
-from repro.core.codec import DEFAULT_BLOCK, BlockStore, DedupCodec, DeltaCodec
-from repro.errors import CodecError
+from repro.core.codec import DEFAULT_BLOCK
 from repro.metrics.trace import BUS, CodecDecisionEvent
 from repro.sim import Engine
 from repro.units import to_MB
 
 
-def exact_mode_tour() -> None:
-    print("== 1. exact-mode codecs ==")
-    rng = np.random.default_rng(11)
-    base = rng.integers(0, 255, size=64 * 1024, dtype=np.uint8).tobytes()
-    data = bytearray(base)
-    data[4096:4160] = rng.integers(0, 255, size=64, dtype=np.uint8).tobytes()
-
-    delta = DeltaCodec().encode_bytes(bytes(data), base=base)
-    print(
-        f"  delta: {delta.logical_bytes} logical B -> {delta.wire_bytes} wire B "
-        f"({delta.changed_bytes} B actually changed)"
-    )
-    assert DeltaCodec().decode_bytes(delta, base=base) == bytes(data)
-    try:
-        DeltaCodec().decode_bytes(delta, base=base[::-1])
-    except CodecError as e:
-        print(f"  delta vs wrong base refused: {e}")
-
-    store = BlockStore()
-    first = DedupCodec().encode_bytes(bytes(data), store=store)
-    again = DedupCodec().encode_bytes(bytes(data), store=store)
-    print(
-        f"  dedup: first encode {first.blocks_new} new / {first.blocks_ref} ref "
-        f"blocks ({first.wire_bytes} wire B); re-encode {again.blocks_new} new / "
-        f"{again.blocks_ref} ref ({again.wire_bytes} wire B)"
-    )
-    assert DedupCodec().decode_bytes(again, store=store) == bytes(data)
-
-
 def codec_checkpoints():
-    print("\n== 2. auto-codec checkpoints over real content ==")
+    print("== 2. auto-codec checkpoints over real content ==")
     decisions: list[CodecDecisionEvent] = []
     sink = BUS.subscribe(decisions.append, kinds=["codec.decision"])
     engine = Engine()
@@ -123,7 +89,6 @@ def verified_restart(engine, ctx, ck) -> None:
 
 
 def main() -> None:
-    exact_mode_tour()
     verified_restart(*codec_checkpoints())
     print("\n(see `repro-sweep --replay ... --sweep codec=...` and "
           "`python -m repro.tools.bench --smoke dedup` for the modelled "

@@ -33,7 +33,6 @@ __all__ = [
     "DRAM_CONFIG",
     "PCM_CONFIG",
     "BandwidthModelConfig",
-    "RamdiskConfig",
     "NodeConfig",
     "InterconnectConfig",
     "ClusterConfig",
@@ -136,44 +135,6 @@ class BandwidthModelConfig:
     alpha: float = 0.01
     #: below this block size, per-transfer fixed overhead dominates.
     small_block_overhead: float = usec(10.0)
-
-
-# ---------------------------------------------------------------------------
-# Ramdisk/VFS baseline cost model (§IV MADBench2 analysis).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RamdiskConfig:
-    """Cost model of the ramdisk (tmpfs + VFS) checkpoint path vs the
-    in-memory (allocation + memcpy) path.
-
-    Calibrated against the paper's MADBench2 profiling (§IV): at
-    300 MB/core the ramdisk path is ~46% slower than the memcpy path,
-    executes ~3x more kernel synchronization calls, spends ~31% more
-    time waiting on kernel locks, and the gap *widens* with data size
-    (lock hold times grow with the cached file size, hence the
-    quadratic lock-wait term).
-    """
-
-    #: user->kernel transition per I/O syscall.
-    syscall_latency: float = usec(0.8)
-    #: write() granularity applications typically use on the I/O path.
-    io_block_size: int = 512 * 1024
-    #: VFS serialization (marshalling through the page cache): seconds
-    #: per byte of checkpoint data.
-    serialization_per_byte: float = 0.8 / GB(1)
-    #: kernel synchronization calls per I/O syscall on the VFS path
-    #: (vs 1 per block on the memory path) — the paper's '3x'.
-    sync_calls_per_io: int = 3
-    #: memory-path kernel overhead (minor faults on allocation),
-    #: seconds per byte.
-    memory_path_per_byte: float = 0.25 / GB(1)
-    #: quadratic VFS lock-wait coefficient, seconds per GB^2 (kernel
-    #: metadata lock hold times grow with cached file size).
-    lock_wait_quadratic: float = 0.92
-    #: lock-contention scaling with concurrent writers per node.
-    lock_contention_alpha: float = 0.02
 
 
 # ---------------------------------------------------------------------------

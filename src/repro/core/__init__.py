@@ -37,7 +37,6 @@ from .destination import (
     Destination,
     NVMArenaDestination,
     PfsDestination,
-    RamdiskDestination,
 )
 from .precopy import PrecopyEngine
 from .engine import CheckpointEngine, CheckpointStats, LocalCheckpointer
@@ -68,7 +67,6 @@ __all__ = [
     "Destination",
     "NVMArenaDestination",
     "PfsDestination",
-    "RamdiskDestination",
     "PrecopyEngine",
     "CheckpointEngine",
     "LocalCheckpointer",

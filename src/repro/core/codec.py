@@ -12,16 +12,12 @@ compression model established), so the two-version crash protocol and
 restart paths are untouched; the codec only changes what crosses the
 bus/fabric plus the digest index used to prove identity.
 
-Two operating modes share one codec implementation:
-
-* **exact mode** (``encode_bytes`` / ``decode_bytes``): real byte
-  buffers in, encoded representation out, byte-exact round trip.  Used
-  by the property suite, restart digest verification and the demo.
-* **planning mode** (``plan``): accounting over a chunk's dirty
-  extents — works for phantom (size-only) chunks through the
-  deterministic :class:`ContentModel` and for real chunks through
-  blake2b block digests.  This is the DES hot path, so everything is
-  vectorized numpy.
+The codec is a planner (``plan``): accounting over a chunk's dirty
+extents — it works for phantom (size-only) chunks through the
+deterministic :class:`ContentModel` and for real chunks through
+blake2b block digests.  This is the DES hot path, so everything is
+vectorized numpy.  Restart re-verifies committed content against the
+published digests with :func:`block_digests`.
 
 Calibration: the phantom content model's ``novelty`` fraction (the
 probability a write actually changes a block's content) follows the
@@ -35,14 +31,13 @@ a single documented modeling constant per write pattern.
 from __future__ import annotations
 
 import hashlib
-import struct
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..errors import CheckpointError, CodecError, ConfigError, MemoryError_
+from ..errors import CheckpointError, ConfigError, MemoryError_
 from ..faults.crashpoints import fire
 
 __all__ = [
@@ -378,9 +373,6 @@ class BlockStore:
         #: (chunk_name, slot) -> per-block committed digest (0 = absent)
         self._slots: Dict[Tuple[str, int], np.ndarray] = {}
         self._staged: List[Tuple[str, int, np.ndarray, np.ndarray]] = []
-        #: digest -> raw block bytes (exact mode only; planning mode
-        #: never stores content)
-        self._payloads: Dict[int, bytes] = {}
         self.commits = 0
 
     # -- queries -----------------------------------------------------------
@@ -551,17 +543,6 @@ class BlockStore:
         if len(dec):
             self._apply(np.empty(0, np.uint64), dec)
 
-    # -- exact-mode content (property tests / demo / verification) --------
-
-    def put_bytes(self, digest: int, data: bytes) -> None:
-        self._payloads.setdefault(int(digest), bytes(data))
-
-    def get_bytes(self, digest: int) -> bytes:
-        try:
-            return self._payloads[int(digest)]
-        except KeyError:
-            raise CodecError(f"block store has no content for digest {digest:#x}")
-
 
 # ---------------------------------------------------------------------------
 # Payload: the unit of transfer.
@@ -583,8 +564,6 @@ class Payload:
     changed_bytes: int = 0  # delta: bytes that differ from the base
     slot: int = -1  # planning: version slot the digests publish into
     base_slot: int = -1  # delta: version slot used as the base
-    base_digest: int = 0  # exact mode: digest of the base buffer
-    data: Optional[bytes] = None  # exact mode: encoded representation
     block_index: Optional[np.ndarray] = None  # planning: covered block idx
     block_digests: Optional[np.ndarray] = None  # planning: their digests
     candidates: Optional[Dict[str, int]] = None  # auto: wire per candidate
@@ -602,32 +581,9 @@ class Payload:
 
 
 class Codec:
-    """Base codec: both the exact byte transform and the DES planner."""
+    """Base codec: the DES planner."""
 
     name = "raw"
-
-    # -- exact mode --------------------------------------------------------
-
-    def encode_bytes(
-        self,
-        data,
-        *,
-        base=None,
-        store: Optional[BlockStore] = None,
-        block: int = DEFAULT_BLOCK,
-    ) -> Payload:
-        raise NotImplementedError
-
-    def decode_bytes(
-        self,
-        payload: Payload,
-        *,
-        base=None,
-        store: Optional[BlockStore] = None,
-    ) -> bytes:
-        raise NotImplementedError
-
-    # -- planning mode -----------------------------------------------------
 
     def plan(
         self,
@@ -676,17 +632,6 @@ class RawCodec(Codec):
 
     name = "raw"
 
-    def encode_bytes(self, data, *, base=None, store=None, block=DEFAULT_BLOCK) -> Payload:
-        raw = bytes(data)
-        return Payload(
-            kind="full", codec=self.name, logical_bytes=len(raw), wire_bytes=len(raw), data=raw
-        )
-
-    def decode_bytes(self, payload, *, base=None, store=None) -> bytes:
-        if payload.data is None:
-            raise CodecError("raw payload carries no data")
-        return payload.data
-
     def plan(self, chunk, extents, *, store, slot, base_slot=-1, name=None, probe=None) -> Payload:
         logical = chunk.nbytes if extents is None else int(sum(n for _, n in extents))
         return Payload(
@@ -700,77 +645,11 @@ class RawCodec(Codec):
 
 
 class DeltaCodec(Codec):
-    """XOR-delta against the committed shadow version.
-
-    Exact mode packs changed runs as ``(u64 offset, u32 length)``
-    headers plus the XOR bytes; decode verifies the base's digest
-    before applying (delta-against-wrong-base must fail loudly, not
-    corrupt silently).
-    """
+    """Delta against the committed shadow version: every covered block
+    ships a run header, and a changed block ships the bytes that differ
+    from its base."""
 
     name = "delta"
-    _RUN = struct.Struct("<QI")
-
-    def encode_bytes(self, data, *, base=None, store=None, block=DEFAULT_BLOCK) -> Payload:
-        raw = bytes(data)
-        if base is None:
-            raise CodecError("delta encode requires a base buffer")
-        base_b = bytes(base)
-        if len(base_b) != len(raw):
-            raise CodecError(
-                f"delta base length {len(base_b)} != data length {len(raw)}"
-            )
-        a = np.frombuffer(raw, dtype=np.uint8)
-        b = np.frombuffer(base_b, dtype=np.uint8)
-        neq = a != b
-        # run boundaries of the changed mask
-        edges = np.flatnonzero(np.diff(neq.astype(np.int8)))
-        starts = list((edges + 1)[~neq[edges]]) if len(edges) else []
-        ends = list((edges + 1)[neq[edges]]) if len(edges) else []
-        if len(neq) and neq[0]:
-            starts.insert(0, 0)
-        if len(neq) and neq[-1]:
-            ends.append(len(neq))
-        parts = []
-        changed = 0
-        for s, e in zip(starts, ends):
-            parts.append(self._RUN.pack(s, e - s))
-            parts.append((a[s:e] ^ b[s:e]).tobytes())
-            changed += e - s
-        packed = b"".join(parts)
-        return Payload(
-            kind="delta",
-            codec=self.name,
-            logical_bytes=len(raw),
-            wire_bytes=len(packed) + DELTA_HEADER_BYTES,
-            changed_bytes=changed,
-            base_digest=content_digest(base_b),
-            data=packed,
-        )
-
-    def decode_bytes(self, payload, *, base=None, store=None) -> bytes:
-        if base is None:
-            raise CodecError("delta decode requires the base buffer")
-        base_b = bytes(base)
-        if content_digest(base_b) != payload.base_digest:
-            raise CodecError("delta base mismatch: digest differs from encode-time base")
-        out = np.frombuffer(base_b, dtype=np.uint8).copy()
-        data = payload.data or b""
-        pos = 0
-        while pos < len(data):
-            if pos + self._RUN.size > len(data):
-                raise CodecError(f"delta payload truncated inside the run header at byte {pos}")
-            off, n = self._RUN.unpack_from(data, pos)
-            pos += self._RUN.size
-            if pos + n > len(data):
-                raise CodecError(f"delta payload truncated inside the {n}-byte run at byte {pos}")
-            if off + n > len(out):
-                raise CodecError(
-                    f"delta run [{off}, {off + n}) reaches past the {len(out)}-byte base"
-                )
-            out[off : off + n] ^= np.frombuffer(data, dtype=np.uint8, count=n, offset=pos)
-            pos += n
-        return out.tobytes()
 
     def plan(self, chunk, extents, *, store, slot, base_slot=-1, name=None, probe=None) -> Payload:
         blocks = self._blocks(chunk, extents, store, base_slot, name)
@@ -832,65 +711,9 @@ class DeltaCodec(Codec):
 
 class DedupCodec(Codec):
     """Content-addressed dedup: blocks already in the store ship as
-    digest references; only novel blocks ship bytes.
-
-    Exact mode packs per block: ``flag(1) + digest(8)`` for a ref, or
-    ``flag(1) + digest(8) + len(4) + bytes`` for a new block (which is
-    also published to the store so later encodes can reference it).
-    """
+    digest references; only novel blocks ship bytes."""
 
     name = "dedup"
-    _HDR = struct.Struct("<BQI")
-
-    def encode_bytes(self, data, *, base=None, store=None, block=DEFAULT_BLOCK) -> Payload:
-        if store is None:
-            raise CodecError("dedup encode requires a block store")
-        raw = bytes(data)
-        mv = memoryview(raw)
-        parts = []
-        new = ref = 0
-        nblocks = max(1, -(-len(raw) // block)) if raw else 0
-        for i in range(nblocks):
-            blk = mv[i * block : (i + 1) * block]
-            dg = content_digest(blk)
-            if store.has(dg) or dg in store._payloads:
-                parts.append(self._HDR.pack(1, dg, 0))
-                ref += 1
-            else:
-                parts.append(self._HDR.pack(0, dg, len(blk)))
-                parts.append(bytes(blk))
-                store.put_bytes(dg, bytes(blk))
-                new += 1
-        packed = b"".join(parts)
-        return Payload(
-            kind="dedup",
-            codec=self.name,
-            logical_bytes=len(raw),
-            wire_bytes=len(packed),
-            blocks=nblocks,
-            blocks_new=new,
-            blocks_ref=ref,
-            data=packed,
-        )
-
-    def decode_bytes(self, payload, *, base=None, store=None) -> bytes:
-        if store is None:
-            raise CodecError("dedup decode requires a block store")
-        data = payload.data or b""
-        out = bytearray()
-        pos = 0
-        while pos < len(data):
-            flag, dg, n = self._HDR.unpack_from(data, pos)
-            pos += self._HDR.size
-            if flag:
-                blk = store.get_bytes(dg)
-            else:
-                blk = data[pos : pos + n]
-                pos += n
-                if content_digest(blk) != dg:
-                    raise CodecError("dedup block digest mismatch on decode")
-            out += blk
-        return bytes(out[: payload.logical_bytes])
 
     def plan(self, chunk, extents, *, store, slot, base_slot=-1, name=None, probe=None) -> Payload:
         blocks = self._blocks(chunk, extents, store, base_slot, name)
@@ -932,22 +755,6 @@ class AutoCodec(Codec):
         self._delta = DeltaCodec()
         self._dedup = DedupCodec()
         self._raw = RawCodec()
-
-    def encode_bytes(self, data, *, base=None, store=None, block=DEFAULT_BLOCK) -> Payload:
-        options = [self._raw.encode_bytes(data, block=block)]
-        if base is not None:
-            options.append(self._delta.encode_bytes(data, base=base, block=block))
-        if store is not None:
-            options.append(self._dedup.encode_bytes(data, store=store, block=block))
-        best = min(options, key=lambda p: p.wire_bytes)
-        best.candidates = {p.codec: p.wire_bytes for p in options}
-        return best
-
-    def decode_bytes(self, payload, *, base=None, store=None) -> bytes:
-        inner = {"raw": self._raw, "delta": self._delta, "dedup": self._dedup}[
-            payload.codec if payload.codec != self.name else payload.kind
-        ]
-        return inner.decode_bytes(payload, base=base, store=store)
 
     def plan(self, chunk, extents, *, store, slot, base_slot=-1, name=None, probe=None) -> Payload:
         raw = self._raw.plan(chunk, extents, store=store, slot=slot)

@@ -12,8 +12,6 @@ drives any destination through the same walk/flush/commit sequence:
   arena (the default);
 * :class:`PfsDestination` — the parallel-file-system baseline (shared
   global I/O resource, no shadow versions);
-* :class:`RamdiskDestination` — the tmpfs baseline of Table V (DRAM
-  path cost model, no shadow versions);
 * :class:`~repro.core.remote.RemoteTarget` — the buddy node's remote
   arena (``name = "buddy"``, defined next to the helper that streams
   to it); local+remote multilevel checkpointing is the *composition*
@@ -36,7 +34,6 @@ __all__ = [
     "Destination",
     "NVMArenaDestination",
     "PfsDestination",
-    "RamdiskDestination",
     "validate_extents",
 ]
 
@@ -231,32 +228,3 @@ class PfsDestination(Destination):
         raise CheckpointError(
             f"PFS baseline does not model restart reads (chunk {chunk_name!r})"
         )
-
-
-class RamdiskDestination(Destination):
-    """The tmpfs baseline: checkpoint writes priced by the DRAM path
-    cost model (:class:`repro.baselines.ramdisk.RamdiskPathModel`); no
-    persistence barriers, no shadow versions, DRAM-bounded capacity."""
-
-    name = "ramdisk"
-    two_version = False
-
-    def __init__(self, ctx: NodeContext, model, *, writers: int = 1) -> None:
-        self.ctx = ctx
-        self.model = model
-        self.writers = writers
-        self._written: dict = {}
-
-    def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
-        cost = self.model.checkpoint_time(nbytes, writers=self.writers)
-        # the file keeps its full logical size; only the write shrinks
-        self._written[chunk.name] = chunk.nbytes
-        return self.ctx.engine.timeout(cost)
-
-    def read(self, chunk_name: str) -> np.ndarray:
-        if chunk_name not in self._written:
-            raise CheckpointError(f"no ramdisk copy of chunk {chunk_name!r}")
-        return np.zeros(self._written[chunk_name], dtype=np.uint8)
-
-    def capacity(self) -> float:
-        return float(self.ctx.dram.free)

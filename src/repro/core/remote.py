@@ -281,22 +281,6 @@ class RemoteTarget(Destination):
             nbytes = region.nbytes - offset
         return region.read(offset, nbytes)
 
-    def verify(self, chunk_name: str) -> bool:
-        """Does the committed buddy copy still match its recorded
-        checksum?  True when no checksum was recorded (phantom chunks,
-        pre-checksum metadata)."""
-        import zlib
-
-        v = self.committed.get(chunk_name, -1)
-        if v < 0:
-            return False
-        expect = self.checksums.get(chunk_name)
-        if expect is None:
-            return True
-        region = self.dst_ctx.nvmm.region(self.pid, self._region_name(chunk_name, v))
-        payload = region.read(0, region.nbytes)
-        return (zlib.crc32(payload) & 0xFFFFFFFF) == expect
-
     @classmethod
     def reattach(cls, src_pid: str, dst_ctx: NodeContext, two_versions: bool = True) -> "RemoteTarget":
         """Rebuild a target from the buddy's persisted metadata (used

@@ -123,12 +123,6 @@ class CheckpointError(ReproError):
     """A checkpoint operation failed."""
 
 
-class CodecError(CheckpointError):
-    """A payload codec failed: delta applied against the wrong base,
-    a dedup reference whose content is unknown to the block store, or
-    a block whose digest does not match its bytes."""
-
-
 class ChecksumMismatch(CheckpointError):
     """Restart found a chunk whose stored checksum does not match its
     data; the restart component falls back to the remote copy."""

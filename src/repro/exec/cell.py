@@ -209,11 +209,29 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-#: options whose value must be a positive, finite number when given
-POSITIVE_OPTIONS = (
-    "--nvm-gbps", "--pfs-gbps", "--nvm-capacity-gb", "--local-interval",
-    "--remote-interval", "--slo-checkpoint-latency",
-)
+def _positive(value: float) -> bool:
+    return value > 0 and math.isfinite(value)
+
+
+#: option -> (test its value must pass when given, what the refusal
+#: says the option takes)
+OPTION_DOMAINS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    **dict.fromkeys(
+        ("--nvm-gbps", "--pfs-gbps", "--nvm-capacity-gb", "--local-interval",
+         "--remote-interval", "--slo-checkpoint-latency", "--checkpoint-mb",
+         "--chunk-mb"),
+        (_positive, "must be positive and finite"),
+    ),
+    **dict.fromkeys(("--mtbf-local", "--mtbf-remote"),
+                    (_positive, "must be a positive, finite MTBF")),
+    **dict.fromkeys(("--nodes", "--ranks-per-node", "--iterations"),
+                    (lambda n: n >= 1, "must be at least 1")),
+    "--compress-ratio": (lambda r: 0 < r <= 1,
+                         "must be a compressed/original ratio in (0, 1]"),
+    **dict.fromkeys(("--hot-fraction", "--write-once-fraction"),
+                    (lambda f: 0 <= f <= 1, "must be a fraction in [0, 1]")),
+    "--comm-mb": (lambda mb: 0 <= mb < math.inf, "must be non-negative and finite"),
+}
 
 
 def _dest(flag: str) -> str:
@@ -232,18 +250,27 @@ def _given(args: argparse.Namespace, *flags: str) -> List[str]:
 
 def check_combination(args: argparse.Namespace) -> None:
     """Refuse values and option combinations the cell would silently
-    ignore or cannot honour: a non-finite or non-positive bandwidth,
-    capacity, interval or SLO, fewer than one iteration, whatever
+    ignore or cannot honour: a value outside its option's domain
+    (:data:`OPTION_DOMAINS`), byte shares of more than the whole
+    footprint, a payload codec beside a compression model, whatever
     ``--ideal`` would discard, the options that act on a remote tier
     when ``--no-remote`` or ``--pfs-gbps`` turns it off (a hard failure
     would fetch from a buddy that holds no copy), and whatever would
     change a scenario's testbed or failure schedule."""
-    for flag in POSITIVE_OPTIONS:
+    for flag, (ok, domain) in OPTION_DOMAINS.items():
         value = getattr(args, _dest(flag))
-        if value is not None and not (value > 0 and math.isfinite(value)):
-            raise ConfigError(f"{flag} must be positive and finite, not {value}")
-    if args.iterations < 1:
-        raise ConfigError(f"--iterations must be at least 1, not {args.iterations}")
+        if value is not None and not ok(value):
+            raise ConfigError(f"{flag} {domain}, not {value}")
+    if args.hot_fraction + args.write_once_fraction > 1:
+        raise ConfigError(
+            "--hot-fraction and --write-once-fraction together exceed the "
+            "whole footprint"
+        )
+    if args.codec != "raw" and args.compress_ratio is not None:
+        raise ConfigError(
+            f"--codec {args.codec} and --compress-ratio both define the wire "
+            "volume; run one of them"
+        )
     discarded = _given(
         args, "--mtbf-local", "--mtbf-remote", "--autotune", "--archive",
         "--compress-ratio", "--pfs-gbps", "--codec", "--copy-granularity",

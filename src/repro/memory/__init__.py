@@ -1,13 +1,13 @@
 """Emulated memory substrate: DRAM/PCM devices, per-core bandwidth
-contention, page tables with protection bits, the file/in-memory
-persistent store, and the NVM kernel manager (the paper's Linux
-extension rebuilt as a library object).
+contention, per-chunk stale page runs, the file/in-memory persistent
+store, and the NVM kernel manager (the paper's Linux extension rebuilt
+as a library object).
 """
 
 from .device import MemoryDevice
 from .bandwidth import CoreContentionModel, make_device_bus
 from .persistence import FileStore, InMemoryStore, PersistentStore
-from .page import PageTable, StalePageMap
+from .page import StalePageMap
 from .nvmm import NvmRegion, NVMKernelManager
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "PersistentStore",
     "InMemoryStore",
     "FileStore",
-    "PageTable",
     "StalePageMap",
     "NVMKernelManager",
     "NvmRegion",

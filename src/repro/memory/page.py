@@ -16,9 +16,7 @@ NVM region — keeps the page state the runs read: one
 :class:`StalePageMap` per copy stream, whose ``remote`` map is §V's
 nvdirty query.  A stale map holds page *runs*, so its size follows the
 write pattern, not the chunk size: a 400 MB chunk written whole is one
-run per version slot.  :class:`PageTable` is the same bookkeeping as a
-standalone table of page bitmaps (protection bits, nvdirty bits, fault
-counting); no region holds one.
+run per version slot.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ import numpy as np
 from ..errors import InvalidAddress
 from ..units import PAGE_SIZE, pages_of
 
-__all__ = ["PageTable", "StalePageMap", "check_access"]
+__all__ = ["StalePageMap", "check_access"]
 
 
 def check_access(offset: int, nbytes: int, size: int) -> None:
@@ -80,114 +78,6 @@ def _mask_extents(mask: np.ndarray, page_size: int, nbytes: int) -> List[Tuple[i
         end_b = min(e * page_size, nbytes)
         extents.append((off, end_b - off))
     return extents
-
-
-class PageTable:
-    """Standalone page state of one byte range: write-protection and
-    nvdirty bits.
-
-    Offsets are byte offsets within the range; the table converts them
-    to page indexes internally.
-    """
-
-    __slots__ = ("nbytes", "page_size", "n_pages", "_protected", "_nvdirty", "fault_count")
-
-    def __init__(self, nbytes: int, page_size: int = PAGE_SIZE) -> None:
-        if nbytes < 0:
-            raise ValueError("region size must be >= 0")
-        if page_size <= 0:
-            raise ValueError("page size must be positive")
-        self.nbytes = nbytes
-        self.page_size = page_size
-        self.n_pages = pages_of(nbytes, page_size)
-        self._protected = np.zeros(self.n_pages, dtype=bool)
-        self._nvdirty = np.zeros(self.n_pages, dtype=bool)
-        #: protection faults taken against this region (for cost accounting).
-        self.fault_count = 0
-
-    def resize(self, nbytes: int) -> None:
-        """Grow/shrink; new pages start unprotected and clean."""
-        new_pages = pages_of(nbytes, self.page_size)
-        prot = np.zeros(new_pages, dtype=bool)
-        dirty = np.zeros(new_pages, dtype=bool)
-        keep = min(self.n_pages, new_pages)
-        prot[:keep] = self._protected[:keep]
-        dirty[:keep] = self._nvdirty[:keep]
-        self.nbytes = nbytes
-        self.n_pages = new_pages
-        self._protected = prot
-        self._nvdirty = dirty
-
-    # -- protection (chunk-level pre-copy support) -----------------------------
-
-    def protect_all(self) -> None:
-        """Write-protect every page (done right after a chunk pre-copy)."""
-        self._protected[:] = True
-
-    def unprotect_all(self) -> None:
-        """Drop protection on every page (the chunk-level fault response:
-        one fault unprotects the whole chunk)."""
-        self._protected[:] = False
-
-    def is_protected(self, offset: int, nbytes: int = 1) -> bool:
-        """True if *any* page covering the byte range is protected."""
-        first, last = _page_range(offset, nbytes, self.nbytes, self.page_size)
-        return bool(self._protected[first:last].any())
-
-    def any_protected(self) -> bool:
-        return bool(self._protected.any())
-
-    def record_fault(self) -> None:
-        self.fault_count += 1
-
-    # -- nvdirty bits (remote-helper support) --------------------------------------
-
-    def mark_nvdirty(self, offset: int, nbytes: int) -> None:
-        """Set the nvdirty bit on pages covering the byte range (the
-        kernel would set this on NVM page writes)."""
-        first, last = _page_range(offset, nbytes, self.nbytes, self.page_size)
-        self._nvdirty[first:last] = True
-
-    def mark_all_nvdirty(self) -> None:
-        self._nvdirty[:] = True
-
-    def collect_nvdirty(self, clear: bool = True) -> List[int]:
-        """Page indexes currently dirty; optionally clear them (the
-        helper's read-and-reset syscall)."""
-        pages = np.flatnonzero(self._nvdirty).tolist()
-        if clear:
-            self._nvdirty[:] = False
-        return pages
-
-    def nvdirty_bytes(self) -> int:
-        """Upper-bound byte count covered by dirty pages."""
-        n_dirty = int(self._nvdirty.sum())
-        if n_dirty == 0:
-            return 0
-        total = n_dirty * self.page_size
-        # the final page may be partial
-        if self._nvdirty[-1] and self.nbytes % self.page_size:
-            total -= self.page_size - (self.nbytes % self.page_size)
-        return total
-
-    def clear_nvdirty_range(self, offset: int, nbytes: int) -> None:
-        """Clear the nvdirty bit on pages fully covered by the byte
-        range; a partly covered page stays dirty."""
-        first, last = _covered_pages(offset, nbytes, self.nbytes, self.page_size)
-        self._nvdirty[first:last] = False
-
-    def nvdirty_extents(self, clear: bool = False) -> List[Tuple[int, int]]:
-        """Dirty pages as coalesced ``(offset, nbytes)`` byte runs.
-
-        Adjacent dirty pages merge into one extent; the final extent is
-        clipped to the region size (the last page may be partial).
-        With ``clear``, the read doubles as the kernel's
-        read-and-reset.
-        """
-        extents = _mask_extents(self._nvdirty, self.page_size, self.nbytes)
-        if clear:
-            self._nvdirty[:] = False
-        return extents
 
 
 class StalePageMap:

@@ -2,12 +2,9 @@
 
 Three concerns live here:
 
-* **Exact-mode codecs** — every codec's ``decode(encode(x)) == x``
-  byte transform on deterministic inputs, the loud-failure contracts
-  (delta against the wrong base raises, dedup digest mismatch raises),
-  and the wire-cost orderings the planner relies on (a sparse delta is
-  smaller than a full copy; a re-encoded dedup payload ships only
-  references).
+* **Planning** — the wire bytes each codec's planner charges on a real
+  chunk (headers, references, changed bytes, the cap at the logical
+  bytes), and the auto codec planning its blocks once.
 
 * **BlockStore transactionality** — stage/commit/abort/rebuild
   refcount accounting, double-buffer overwrite decrements, and the
@@ -21,7 +18,7 @@ Three concerns live here:
   verification must find zero mismatches.
 
 ``tests/test_property_codec.py`` holds the Hypothesis generalization
-of the round-trip and refcount invariants.
+of the refcount invariants.
 """
 
 import numpy as np
@@ -32,12 +29,13 @@ from repro.config import PrecopyPolicy
 from repro.core import LocalCheckpointer, RestartManager, make_standalone_context
 from repro.core.codec import (
     DEFAULT_BLOCK,
+    DELTA_HEADER_BYTES,
+    DIGEST_META_BYTES,
     AutoCodec,
     BlockStore,
     ContentModel,
     DedupCodec,
     DeltaCodec,
-    Payload,
     RawCodec,
     block_digests,
     codec_names,
@@ -47,7 +45,6 @@ from repro.core.codec import (
 from repro.errors import (
     AllReplicasLost,
     CheckpointError,
-    CodecError,
     ConfigError,
     CrashInjected,
     InvalidAddress,
@@ -87,149 +84,8 @@ def test_policy_rejects_unknown_codec_and_bad_block():
 
 
 # ---------------------------------------------------------------------------
-# Exact-mode transforms.
+# Block digests.
 # ---------------------------------------------------------------------------
-
-
-def test_raw_round_trip_and_identity_cost():
-    data = _buf(1, 10_000)
-    p = RawCodec().encode_bytes(data)
-    assert (p.kind, p.codec) == ("full", "raw")
-    assert p.wire_bytes == p.logical_bytes == len(data)
-    assert p.saved_bytes == 0
-    assert RawCodec().decode_bytes(p) == data
-
-
-def test_delta_round_trip_sparse_change_is_cheap():
-    base = _buf(2, 64 * 1024)
-    data = bytearray(base)
-    data[100:164] = _buf(3, 64)  # one small dirty run
-    p = DeltaCodec().encode_bytes(bytes(data), base=base)
-    assert p.kind == "delta"
-    assert DeltaCodec().decode_bytes(p, base=base) == bytes(data)
-    # the wire carries ~the changed run, not the chunk
-    assert p.wire_bytes < len(base) // 8
-    assert 0 < p.changed_bytes <= 64
-
-
-def test_delta_identical_buffers_ship_headers_only():
-    base = _buf(4, 8192)
-    p = DeltaCodec().encode_bytes(base, base=base)
-    assert p.changed_bytes == 0
-    assert p.data == b""
-    assert DeltaCodec().decode_bytes(p, base=base) == base
-
-
-def test_delta_requires_base_and_matching_length():
-    data = _buf(5, 4096)
-    with pytest.raises(CodecError):
-        DeltaCodec().encode_bytes(data)
-    with pytest.raises(CodecError):
-        DeltaCodec().encode_bytes(data, base=data[:-1])
-
-
-def test_delta_against_wrong_base_fails_loudly():
-    base = _buf(6, 4096)
-    data = _buf(7, 4096)
-    p = DeltaCodec().encode_bytes(data, base=base)
-    wrong = bytearray(base)
-    wrong[0] ^= 0xFF
-    with pytest.raises(CodecError, match="base mismatch"):
-        DeltaCodec().decode_bytes(p, base=bytes(wrong))
-    # silent corruption would be worse than the raise: verify the
-    # correct base still round-trips after the failed attempt
-    assert DeltaCodec().decode_bytes(p, base=base) == data
-
-
-@pytest.mark.parametrize(
-    "packed, complaint",
-    [
-        (DeltaCodec._RUN.pack(4090, 8) + bytes(8), "reaches past the 4096-byte base"),
-        (DeltaCodec._RUN.pack(1 << 63, 1) + b"\x01", "reaches past"),
-        (DeltaCodec._RUN.pack(0, 8) + bytes(5), "truncated inside the 8-byte run"),
-        (DeltaCodec._RUN.pack(0, 1)[:7], "truncated inside the run header"),
-        (DeltaCodec._RUN.pack(0, 1) + b"\x01" + b"\x00\x00", "truncated inside the run header"),
-    ],
-    ids=["run-past-base", "offset-far-past-base", "short-body", "short-header", "trailing-bytes"],
-)
-def test_delta_decode_rejects_malformed_runs(packed, complaint):
-    """A run or a header outside the buffers it indexes is a codec
-    failure, not an IndexError / struct.error (and never a silent
-    partial apply)."""
-    base = _buf(8, 4096)
-    p = DeltaCodec().encode_bytes(base, base=base)
-    p.data = packed
-    with pytest.raises(CodecError, match=complaint):
-        DeltaCodec().decode_bytes(p, base=base)
-
-
-def test_delta_decode_applies_long_runs():
-    """Every byte of a run is XORed, first and last included, and the
-    bytes between runs are the base's."""
-    base = _buf(9, 3 * 4096)
-    data = bytearray(base)
-    data[0:5000] = _buf(10, 5000)
-    data[-1] ^= 0xFF
-    p = DeltaCodec().encode_bytes(bytes(data), base=base)
-    assert DeltaCodec().decode_bytes(p, base=base) == bytes(data)
-
-
-def test_dedup_round_trip_and_reference_growth():
-    store = BlockStore()
-    data = _buf(8, 6 * DEFAULT_BLOCK)
-    first = DedupCodec().encode_bytes(data, store=store)
-    assert (first.blocks_new, first.blocks_ref) == (6, 0)
-    assert DedupCodec().decode_bytes(first, store=store) == data
-    # re-encoding identical content ships pure references
-    second = DedupCodec().encode_bytes(data, store=store)
-    assert (second.blocks_new, second.blocks_ref) == (0, 6)
-    assert second.wire_bytes < first.wire_bytes
-    assert DedupCodec().decode_bytes(second, store=store) == data
-
-
-def test_dedup_repeated_blocks_dedupe_within_one_payload():
-    store = BlockStore()
-    blk = _buf(9, DEFAULT_BLOCK)
-    data = blk * 4
-    p = DedupCodec().encode_bytes(data, store=store)
-    assert p.blocks_new == 1 and p.blocks_ref == 3
-    assert DedupCodec().decode_bytes(p, store=store) == data
-
-
-def test_dedup_tail_block_and_empty_input():
-    store = BlockStore()
-    data = _buf(10, DEFAULT_BLOCK + 7)  # ragged tail
-    p = DedupCodec().encode_bytes(data, store=store)
-    assert p.blocks == 2
-    assert DedupCodec().decode_bytes(p, store=store) == data
-    empty = DedupCodec().encode_bytes(b"", store=store)
-    assert DedupCodec().decode_bytes(empty, store=store) == b""
-
-
-def test_dedup_requires_store():
-    with pytest.raises(CodecError):
-        DedupCodec().encode_bytes(b"x")
-    with pytest.raises(CodecError):
-        DedupCodec().decode_bytes(
-            Payload(kind="dedup", codec="dedup", logical_bytes=1, wire_bytes=1)
-        )
-
-
-def test_auto_picks_cheapest_and_decodes_via_kind():
-    store = BlockStore()
-    base = _buf(11, 8 * DEFAULT_BLOCK)
-    data = bytearray(base)
-    data[0:32] = _buf(12, 32)
-    auto = AutoCodec()
-    p = auto.encode_bytes(bytes(data), base=base, store=store)
-    assert set(p.candidates) == {"raw", "delta", "dedup"}
-    assert p.wire_bytes == min(p.candidates.values())
-    assert p.codec == "delta"  # one dirty run beats shipping blocks
-    assert auto.decode_bytes(p, base=base, store=store) == bytes(data)
-    # incompressible novel content with no base: raw must win
-    novel = auto.encode_bytes(_buf(13, 2 * DEFAULT_BLOCK), store=store)
-    assert novel.codec == "raw"
-    assert auto.decode_bytes(novel, store=store) == _buf(13, 2 * DEFAULT_BLOCK)
 
 
 def test_block_digests_localize_change():
@@ -403,7 +259,7 @@ def test_store_contains_vectorized():
 
 
 # ---------------------------------------------------------------------------
-# Planning mode: the auto codec plans its blocks once.
+# Planning mode: wire prices, and the auto codec plans its blocks once.
 # ---------------------------------------------------------------------------
 
 
@@ -504,6 +360,73 @@ def test_delta_plan_unreadable_base_charges_full_coverage_and_only_that():
             delta.plan(chunk, None, store=store, slot=1, base_slot=0)
     finally:
         chunk.versions[0] = region
+
+
+REAL_BLOCKS = 16  # a 64 KiB real chunk
+
+
+def _rewrite(chunk, change):
+    """Rewrite *chunk* after a committed checkpoint: ``None`` writes
+    every byte back unchanged; ``(off, n)`` flips every bit of those
+    *n* bytes, so all of them change; ``"repeated"`` fills the chunk
+    with copies of one new block."""
+    if change is None:
+        chunk.write(0, chunk.read().copy())
+    elif change == "repeated":
+        chunk.write(0, np.frombuffer(_buf(9, DEFAULT_BLOCK) * REAL_BLOCKS, dtype=np.uint8))
+    else:
+        off, n = change
+        chunk.write(off, chunk.read(off, n) ^ 0xFF)
+
+
+@pytest.mark.parametrize(
+    "codec, change, extents, wire, blocks_new",
+    [
+        # an unchanged rewrite ships one run header per covered block
+        ("delta", None, None, REAL_BLOCKS * DELTA_HEADER_BYTES, 0),
+        # ... or one reference per covered block
+        ("dedup", None, None, REAL_BLOCKS * DIGEST_META_BYTES, 0),
+        # 63 changed bytes ship themselves plus every block's header:
+        # 63 + 16 x 16 = 319 B
+        ("delta", (100, 63), None, 63 + REAL_BLOCKS * DELTA_HEADER_BYTES, 1),
+        # dedup ships the changed block whole plus every reference
+        ("dedup", (100, 63), None, DEFAULT_BLOCK + REAL_BLOCKS * DIGEST_META_BYTES, 1),
+        # either price is capped at the logical bytes
+        ("delta", (100, 63), [(100, 8)], 8, 1),
+        ("dedup", (100, 63), [(100, 8)], 8, 1),
+        # the index holds committed digests only: 16 copies of one new
+        # block all ship, and the price caps at the chunk
+        ("dedup", "repeated", None, REAL_BLOCKS * DEFAULT_BLOCK, REAL_BLOCKS),
+    ],
+    ids=[
+        "delta-same", "dedup-same", "delta-63B", "dedup-63B", "delta-cap", "dedup-cap",
+        "dedup-repeated-block",
+    ],
+)
+def test_planner_wire_prices_on_a_real_chunk(codec, change, extents, wire, blocks_new):
+    """What the planner charges after one committed checkpoint of a
+    64 KiB real chunk — the price every run reports."""
+    chunk = _planning_chunk(phantom=False, nbytes=REAL_BLOCKS * DEFAULT_BLOCK)
+    store = BlockStore()
+    planner = resolve_codec(codec)
+    slot = chunk.inprogress_index()
+    first = planner.plan(chunk, None, store=store, slot=slot)
+    chunk.stage_to_nvm()
+    chunk.commit()
+    _commit_plan(store, chunk, first, slot)
+    _rewrite(chunk, change)
+    p = planner.plan(
+        chunk,
+        extents,
+        store=store,
+        slot=chunk.inprogress_index(),
+        base_slot=chunk.committed_version,
+    )
+    assert (p.kind, p.wire_bytes, p.blocks_new) == (codec, wire, blocks_new)
+    assert p.blocks_ref == p.blocks - blocks_new
+    assert p.wire_bytes <= p.logical_bytes
+    if codec == "delta":
+        assert p.changed_bytes == (0 if change is None else change[1])
 
 
 # ---------------------------------------------------------------------------

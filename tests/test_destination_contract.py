@@ -1,7 +1,7 @@
 """Destination backend conformance suite.
 
-Every checkpoint backend — the NVM shadow arena, the PFS and ramdisk
-baselines, the remote buddy target — implements the
+Every checkpoint backend — the NVM shadow arena, the PFS baseline, the
+remote buddy target — implements the
 :class:`~repro.core.destination.Destination` protocol and is driven by
 the same :class:`~repro.core.engine.CheckpointEngine` walk.  This suite
 runs each backend through the shared contract:
@@ -23,14 +23,12 @@ import pytest
 
 from repro.alloc import NVAllocator
 from repro.baselines.pfs import PfsModel
-from repro.baselines.ramdisk import RamdiskPathModel
 from repro.config import PrecopyPolicy
 from repro.core import make_standalone_context
 from repro.core.destination import (
     Destination,
     NVMArenaDestination,
     PfsDestination,
-    RamdiskDestination,
 )
 from repro.core.engine import CheckpointEngine
 from repro.core.remote import RemoteTarget
@@ -61,8 +59,6 @@ class _Rig:
         elif name == "pfs":
             self.pfs = PfsModel(self.ctx.engine)
             self.dest = PfsDestination(self.pfs, "r0", self.ctx, self.alloc)
-        elif name == "ramdisk":
-            self.dest = RamdiskDestination(self.ctx, RamdiskPathModel())
         elif name == "buddy":
             self.buddy_ctx = make_standalone_context(
                 engine=self.ctx.engine, name=f"dst-{name}-buddy"
@@ -82,7 +78,7 @@ class _Rig:
         )
 
 
-BACKENDS = ["nvm", "pfs", "ramdisk", "buddy"]
+BACKENDS = ["nvm", "pfs", "buddy"]
 TWO_VERSION = ["nvm", "buddy"]
 
 
@@ -146,13 +142,8 @@ def test_single_version_read_semantics(rig):
         pytest.skip("two-version backend")
     rig.alloc.nvalloc("a", CHUNK_BYTES)
     rig.engine_for().checkpoint()
-    if rig.dest.name == "pfs":
-        with pytest.raises(CheckpointError):
-            rig.dest.read("a")
-    else:  # ramdisk remembers sizes, not payloads
-        assert rig.dest.read("a").nbytes == CHUNK_BYTES
-        with pytest.raises(CheckpointError):
-            rig.dest.read("never-written")
+    with pytest.raises(CheckpointError):
+        rig.dest.read("a")
 
 
 def test_pfs_accounting_keys_off_rank_tag(rig):

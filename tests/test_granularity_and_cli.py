@@ -199,6 +199,24 @@ class TestCellCombinations:
             # scenario runs
             ("--slo-checkpoint-latency", "1.0"),
             ("--nodes", "4", "--scenario", "link-flap", "--slo-checkpoint-latency", "1.0"),
+            # a codec and a compression model both define the wire
+            # volume ...
+            ("--codec", "delta", "--compress-ratio", "0.5"),
+            # ... and values outside their option's domain, which the
+            # cell could not build, or (--comm-mb) would run as if valid
+            ("--compress-ratio", "0"),
+            ("--compress-ratio", "1.5"),
+            ("--compress-ratio", "nan"),
+            ("--nodes", "0"),
+            ("--ranks-per-node", "0"),
+            ("--chunk-mb", "0"),
+            ("--checkpoint-mb", "nan"),
+            ("--mtbf-local", "nan"),
+            ("--mtbf-local", "-5"),
+            ("--hot-fraction", "2"),
+            ("--write-once-fraction", "-1"),
+            ("--comm-mb", "-1"),
+            ("--hot-fraction", "0.75", "--write-once-fraction", "0.5"),
         ],
     )
     def test_refused_before_any_cell_runs(self, extra):

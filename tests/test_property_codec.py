@@ -1,144 +1,20 @@
-"""Property-based tests of the payload codec layer.
+"""Property-based tests of the codec's block store.
 
-Three invariants, each over Hypothesis-generated inputs:
-
-* ``decode(encode(x)) == x`` for **every** registered codec, over
-  arbitrary byte strings and block sizes (including ragged tails,
-  empty input, and repeated-content buffers built to trigger dedup
-  references);
-
-* delta decode against any buffer other than the encode-time base
-  raises :class:`CodecError` — never returns corrupt bytes;
-
-* :class:`BlockStore` refcounts never go negative and the refcount
-  index always equals what :meth:`BlockStore.rebuild` re-derives from
-  the slot maps, across arbitrary stage/commit/abort/overwrite/
-  drop_chunk programs.
+:class:`BlockStore` refcounts never go negative and the refcount index
+always equals what :meth:`BlockStore.rebuild` re-derives from the slot
+maps, across arbitrary stage/commit/abort/overwrite/drop_chunk programs
+and at the size the codec workload runs.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.codec import (
-    AutoCodec,
-    BlockStore,
-    DedupCodec,
-    DeltaCodec,
-    RawCodec,
-    resolve_codec,
-)
-from repro.errors import CodecError
+from repro.core.codec import BlockStore
 
 from tests.recompute_oracles import assert_index_is_rebuilds
 
 pytestmark = pytest.mark.codec
-
-BLOCKS = st.sampled_from([64, 256, 4096])
-
-# arbitrary content, sized to span several blocks at the small block
-# sizes; a few repeated-block buffers so dedup's reference path is hit
-payloads = st.one_of(
-    st.binary(max_size=2048),
-    st.builds(
-        lambda blk, reps: blk * reps,
-        st.binary(min_size=64, max_size=64),
-        st.integers(1, 8),
-    ),
-)
-
-
-def _mutate(data: bytes, pos: int) -> bytes:
-    out = bytearray(data)
-    out[pos % len(out)] ^= 0x01
-    return bytes(out)
-
-
-# ---------------------------------------------------------------------------
-# Round trips.
-# ---------------------------------------------------------------------------
-
-
-@given(data=payloads, block=BLOCKS)
-@settings(max_examples=120, deadline=None)
-def test_raw_and_dedup_round_trip(data, block):
-    assert RawCodec().decode_bytes(RawCodec().encode_bytes(data, block=block)) == data
-    store = BlockStore(block=block)
-    dedup = DedupCodec()
-    first = dedup.encode_bytes(data, store=store, block=block)
-    assert dedup.decode_bytes(first, store=store) == data
-    # identical content re-encoded against the now-populated store
-    # must still round-trip (all-reference wire)
-    again = dedup.encode_bytes(data, store=store, block=block)
-    assert again.blocks_new == 0
-    assert dedup.decode_bytes(again, store=store) == data
-
-
-@given(base=st.binary(min_size=1, max_size=2048), flips=st.lists(st.integers(0, 1 << 30), max_size=6), block=BLOCKS)
-@settings(max_examples=120, deadline=None)
-def test_delta_round_trip(base, flips, block):
-    data = base
-    for pos in flips:
-        data = _mutate(data, pos)
-    delta = DeltaCodec()
-    p = delta.encode_bytes(data, base=base, block=block)
-    assert p.changed_bytes == sum(
-        a != b for a, b in zip(data, base)
-    )
-    assert delta.decode_bytes(p, base=base) == data
-    if p.changed_bytes == 0:
-        # identical buffers ship the fixed header alone
-        assert p.data == b""
-
-
-@given(data=payloads, has_base=st.booleans(), block=BLOCKS)
-@settings(max_examples=120, deadline=None)
-def test_auto_round_trip_and_picks_minimum(data, has_base, block):
-    store = BlockStore(block=block)
-    base = bytes(len(data)) if has_base and data else None
-    auto = AutoCodec()
-    p = auto.encode_bytes(data, base=base, store=store, block=block)
-    assert p.wire_bytes == min(p.candidates.values())
-    assert auto.decode_bytes(p, base=base, store=store) == data
-
-
-@given(data=st.binary(max_size=512), name=st.sampled_from(["raw", "delta", "dedup", "auto"]))
-@settings(max_examples=80, deadline=None)
-def test_every_registered_codec_round_trips(data, name):
-    codec = resolve_codec(name)
-    store = BlockStore(block=64)
-    base = bytes(len(data))
-    kwargs = {}
-    if name in ("delta", "auto"):
-        kwargs["base"] = base
-    if name in ("dedup", "auto"):
-        kwargs["store"] = store
-    p = codec.encode_bytes(data, block=64, **kwargs)
-    assert codec.decode_bytes(p, **kwargs) == data
-    assert p.logical_bytes == len(data)
-    assert p.saved_bytes == max(0, p.logical_bytes - p.wire_bytes)
-
-
-# ---------------------------------------------------------------------------
-# Wrong-base deltas fail loudly.
-# ---------------------------------------------------------------------------
-
-
-@given(
-    base=st.binary(min_size=1, max_size=1024),
-    pos=st.integers(0, 1 << 30),
-    wrong_pos=st.integers(0, 1 << 30),
-)
-@settings(max_examples=120, deadline=None)
-def test_delta_against_wrong_base_always_raises(base, pos, wrong_pos):
-    data = _mutate(base, pos)
-    p = DeltaCodec().encode_bytes(data, base=base)
-    wrong = _mutate(base, wrong_pos)
-    assert wrong != base  # single bit flip can never be identity
-    with pytest.raises(CodecError):
-        DeltaCodec().decode_bytes(p, base=wrong)
-    # and the true base still works after the refused attempt
-    assert DeltaCodec().decode_bytes(p, base=base) == data
 
 
 # ---------------------------------------------------------------------------
