@@ -68,12 +68,13 @@ examples:
 # "fidelity: same" against the recorded reference — then its unit tests.
 # One test is deselected: it demands that every traced target listed in
 # perfbench/layers.py still resolve, and that list cannot be edited next
-# to a src/ change, so it still names 80 callables that have since been
+# to a src/ change, so it still names 85 callables that have since been
 # deleted (payload trios, write_at/write_payload, collector methods,
 # ParallelExecutor.*, TimelineSink.handle, Timeline.begin/end,
 # resilient_put/get, Fabric.outage_active, Scrubber.*, PageTable.*,
 # the codecs' encode_bytes/decode_bytes, BlockStore.put_bytes/get_bytes,
-# RamdiskDestination.*, RemoteTarget.verify, ...).  The
+# RamdiskDestination.*, RemoteTarget.verify, Resource.*,
+# CpuCores.busy/total_busy_time, ...).  The
 # benchmark itself reports them under missing_targets and runs on; a
 # perfbench/-only change that regenerates the list drops this deselect
 # (ROADMAP item 12).

@@ -82,7 +82,7 @@ class Chunk:
         self.phantom = phantom
         #: DRAM working copy (flat uint8); None iff phantom.
         self.dram = dram_buffer
-        #: NVM shadow regions; 1 (single-version mode) or 2 entries.
+        #: NVM shadow regions: committed + in-progress (none if not persistent).
         self.versions: List[NvmRegion] = nvm_versions or []
         #: index of the last fully committed version, or -1 if none.
         self.committed_version = -1
@@ -263,8 +263,6 @@ class Chunk:
 
     def inprogress_index(self) -> int:
         """The version slot the next checkpoint writes into."""
-        if self.n_versions <= 1:
-            return 0
         return 1 - self.committed_version if self.committed_version >= 0 else 0
 
     def inprogress_region(self) -> NvmRegion:

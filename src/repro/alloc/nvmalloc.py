@@ -46,14 +46,12 @@ class NVAllocator:
         nvmm: NVMKernelManager,
         dram: MemoryDevice,
         *,
-        two_versions: bool = True,
         phantom: bool = False,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
         self.pid = pid
         self.nvmm = nvmm
         self.dram = dram
-        self.two_versions = two_versions
         self.phantom = phantom
         self.clock: Callable[[], float] = clock or (lambda: 0.0)
         self.arena = Arena(dram, owner=f"{pid}/heap")
@@ -210,7 +208,7 @@ class NVAllocator:
         return f"{name}#v{version}"
 
     def _fresh_chunk(self, name: str, cid: int, nbytes: int, pflag: bool) -> Chunk:
-        n_versions = 2 if (self.two_versions and pflag) else (1 if pflag else 0)
+        n_versions = 2 if pflag else 0
         versions: List[NvmRegion] = [
             self.nvmm.nvmmap(self.pid, self._region_name(name, i), nbytes, phantom=self.phantom)
             for i in range(n_versions)
@@ -315,7 +313,6 @@ class NVAllocator:
         nvmm: NVMKernelManager,
         dram: MemoryDevice,
         *,
-        two_versions: bool = True,
         clock: Optional[Callable[[], float]] = None,
         load_data: bool = True,
     ) -> "NVAllocator":
@@ -327,9 +324,7 @@ class NVAllocator:
         if meta is None:
             raise UnknownChunkId(f"no persisted allocator metadata for process {pid!r}")
         any_phantom = any(rec.get("phantom") for rec in meta["chunks"].values())
-        alloc = cls(
-            pid, nvmm, dram, two_versions=two_versions, phantom=any_phantom, clock=clock
-        )
+        alloc = cls(pid, nvmm, dram, phantom=any_phantom, clock=clock)
         for name, record in sorted(meta["chunks"].items()):
             chunk = alloc._rebuild_chunk(name, record)
             if load_data and chunk.committed_version >= 0:

@@ -89,7 +89,6 @@ class ClusterNode:
             rank,
             self.ctx.nvmm,
             self.ctx.dram,
-            two_versions=ckpt_config.two_versions,
             phantom=phantom,
             clock=lambda: self.engine.now,
         )

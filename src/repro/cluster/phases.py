@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..core.remote import RemoteTarget
 from ..metrics import timeline as tl
 from ..metrics.trace import emit_phase
 from .failures import FailureEvent
@@ -162,13 +163,12 @@ def buddy_capacity_ok(runner, orphan_id: int, candidate_id: int, pending=()) -> 
     ``pending`` names sources a planner sweep has already routed onto
     the candidate; their copies are in flight but not yet on the
     device, so the gate must hold for the combined footprint."""
-    n_versions = 2 if runner.ckpt_config.two_versions else 1
     needed = 0
     for nid in (orphan_id, *pending):
         helper = runner.cluster.nodes[nid].helper
         if helper is None:
             continue
-        needed += n_versions * sum(
+        needed += RemoteTarget.n_versions * sum(
             sum(c.nbytes for c in a.persistent_chunks()) for a in helper.ranks
         )
     return runner.cluster.nodes[candidate_id].ctx.nvmm.device.free >= needed

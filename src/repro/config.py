@@ -343,7 +343,8 @@ class ResilienceConfig:
 
 @dataclass(frozen=True)
 class CheckpointConfig:
-    """Intervals, versioning and remote policy for a run."""
+    """Intervals, pre-copy and remote policy for a run.  Every run keeps
+    two versions of each chunk (committed + in-progress)."""
 
     #: seconds between coordinated local checkpoints (paper uses 40 s).
     local_interval: float = 40.0
@@ -352,9 +353,6 @@ class CheckpointConfig:
     precopy: PrecopyPolicy = PrecopyPolicy()
     #: pre-copy for the *remote* stream too (the paper's remote design).
     remote_precopy: bool = True
-    #: keep two versions (committed + in-progress); if False, single
-    #: version locally and failures fetch from the remote copy.
-    two_versions: bool = True
     #: store/verify per-chunk checksums (optional feature, §V).
     checksums: bool = True
     #: retry budget and live migration (repro.resilience).

@@ -68,7 +68,6 @@ class NVMCheckpoint:
             pid,
             self.ctx.nvmm,
             self.ctx.dram,
-            two_versions=self.config.two_versions,
             phantom=phantom,
             clock=lambda: self.ctx.engine.now,
         )
@@ -236,9 +235,7 @@ class NVMCheckpoint:
             config=node_config, store=store, name=f"{pid}-node"
         )
         manager = RestartManager(handle.ctx)
-        report = manager.restart_process_sync(
-            pid, two_versions=handle.config.two_versions, lazy=lazy
-        )
+        report = manager.restart_process_sync(pid, lazy=lazy)
         assert report.allocator is not None
         handle.allocator = report.allocator
         handle.checkpointer = LocalCheckpointer(

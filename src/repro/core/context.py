@@ -83,7 +83,7 @@ def make_standalone_context(
     nvm = MemoryDevice(cfg.nvm)
     nvmm = NVMKernelManager(device=nvm, store=store)
     bus = make_device_bus(eng, cfg.nvm, cfg.bandwidth_model, name=f"{name}.nvm-bus")
-    cpu = CpuCores(eng, cfg.cores, name=f"{name}.cpu")
+    cpu = CpuCores()
     contention = CoreContentionModel(cfg.nvm, cfg.bandwidth_model)
     return NodeContext(
         name=name,

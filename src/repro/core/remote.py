@@ -93,12 +93,13 @@ class RemoteTarget(Destination):
 
     name = "buddy"
     two_version = True
+    #: remote regions per chunk: the committed and the in-progress copy
+    n_versions = 2
 
-    def __init__(self, src_pid: str, dst_ctx: NodeContext, two_versions: bool = True) -> None:
+    def __init__(self, src_pid: str, dst_ctx: NodeContext) -> None:
         self.src_pid = src_pid
         self.dst_ctx = dst_ctx
         self.pid = f"rmt:{src_pid}"
-        self.n_versions = 2 if two_versions else 1
         #: chunk name -> committed version index (-1 = none)
         self.committed: Dict[str, int] = {}
         #: chunk name -> size, for restart sizing
@@ -176,8 +177,6 @@ class RemoteTarget(Destination):
 
     def _inprogress(self, chunk_name: str) -> int:
         cur = self.committed.get(chunk_name, -1)
-        if self.n_versions <= 1:
-            return 0
         return 1 - cur if cur >= 0 else 0
 
     def stage(self, chunk: Chunk, extents: Optional[List[Tuple[int, int]]] = None) -> int:
@@ -282,10 +281,10 @@ class RemoteTarget(Destination):
         return region.read(offset, nbytes)
 
     @classmethod
-    def reattach(cls, src_pid: str, dst_ctx: NodeContext, two_versions: bool = True) -> "RemoteTarget":
+    def reattach(cls, src_pid: str, dst_ctx: NodeContext) -> "RemoteTarget":
         """Rebuild a target from the buddy's persisted metadata (used
         when the *source* node died and restart must fetch)."""
-        target = cls(src_pid, dst_ctx, two_versions=two_versions)
+        target = cls(src_pid, dst_ctx)
         meta = dst_ctx.nvmm.store.get_meta(f"remote/proc:{src_pid}", None)
         if meta is None:
             raise CheckpointError(f"buddy holds no remote checkpoint for {src_pid!r}")
@@ -570,10 +569,7 @@ class RemoteHelper:
     def new_targets(self, buddy_ctx: NodeContext) -> Dict[str, RemoteTarget]:
         """Fresh (empty) buddy-side targets for this node's ranks on
         *buddy_ctx* — for a pairing, or for a migration to stage on."""
-        return {
-            a.pid: RemoteTarget(a.pid, buddy_ctx, two_versions=self.config.two_versions)
-            for a in self.ranks
-        }
+        return {a.pid: RemoteTarget(a.pid, buddy_ctx) for a in self.ranks}
 
     def _point_at(self, targets: Dict[str, RemoteTarget]) -> None:
         self.targets = targets

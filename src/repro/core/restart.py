@@ -128,7 +128,6 @@ class RestartManager:
         *,
         remote_target: Optional[RemoteTarget] = None,
         remote_node: Optional[int] = None,
-        two_versions: bool = True,
         clock=None,
         lazy: bool = False,
         block_store: Optional[BlockStore] = None,
@@ -161,7 +160,6 @@ class RestartManager:
                 pid,
                 self.ctx.nvmm,
                 self.ctx.dram,
-                two_versions=two_versions,
                 clock=clock or (lambda: engine.now),
                 load_data=False,
             )
@@ -298,7 +296,6 @@ class RestartManager:
         remote_target: RemoteTarget,
         remote_node: int,
         *,
-        two_versions: bool = True,
         phantom: bool = False,
         clock=None,
     ):
@@ -321,7 +318,6 @@ class RestartManager:
                 pid,
                 self.ctx.nvmm,
                 self.ctx.dram,
-                two_versions=two_versions,
                 phantom=phantom,
                 clock=clock or (lambda: engine.now),
             )

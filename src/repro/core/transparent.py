@@ -52,7 +52,6 @@ class TransparentCheckpointer:
         pid: str,
         address_space_bytes: int,
         *,
-        two_versions: bool = True,
         page_tracking: bool = False,
     ) -> None:
         if address_space_bytes <= 0:
@@ -67,7 +66,6 @@ class TransparentCheckpointer:
             f"{pid}/xparent",
             ctx.nvmm,
             ctx.dram,
-            two_versions=two_versions,
             phantom=True,
             clock=lambda: ctx.engine.now,
         )

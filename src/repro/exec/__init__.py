@@ -9,9 +9,10 @@ that shape into wall-clock wins behind one public entry point,
   options, canonical config resolution, and the picklable
   ``run_cell`` worker function (``repro.tools.experiment`` is a thin
   CLI wrapper over it);
-* :mod:`~repro.exec.pool` — :class:`WorkerPool`, persistent daemon
-  workers spawned once per session with batched cell dispatch and
-  worker-side trace capture;
+* :mod:`~repro.exec.pool` — :class:`WorkerPool`, one
+  ``ProcessPoolExecutor`` forked once per session, with batched cell
+  dispatch and worker-side trace capture; a dead worker raises
+  :class:`WorkerPoolError` instead of hanging the grid;
 * :mod:`~repro.exec.cache` — :class:`ResultCache`, a content-addressed
   store keyed by the resolved cell config + ``repro.__version__``;
   re-running a sweep executes only changed cells;

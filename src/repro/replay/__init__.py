@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from ..config import PrecopyPolicy
 from ..errors import ConfigError
 from .capture import CapturedRun, capture_cell
 from .divergence import (
@@ -95,6 +96,14 @@ class ReplayEngine:
         cfg = self.meta.get("config") if isinstance(self.meta, dict) else None
         return dict(cfg) if isinstance(cfg, dict) else {}
 
+    def _captured(self, key: str) -> Any:
+        """The captured config's value of *key*.  No cell option sets
+        the threshold margin, so a captured run always ran with
+        :class:`PrecopyPolicy`'s default, which the config never holds."""
+        if key == "threshold_margin":
+            return self.captured_config.get(key, PrecopyPolicy().threshold_margin)
+        return self.captured_config.get(key)
+
     @property
     def workload(self) -> Workload:
         if self._workload is None:
@@ -145,22 +154,17 @@ class ReplayEngine:
             copy_granularity=copy_granularity or cfg.get("copy_granularity"),
             threshold_margin=threshold_margin
             if threshold_margin is not None
-            else cfg.get("threshold_margin", 1.25),
+            else self._captured("threshold_margin"),
             **kwargs,
         )
 
     def matches_captured(self, **overrides: Any) -> bool:
         """True when every supplied override equals the captured
         config's value (the faithful path applies)."""
-        cfg = self.captured_config
-        keymap = {"nvm_gbps": "nvm_gbps", "mode": "mode",
-                  "copy_granularity": "copy_granularity",
-                  "threshold_margin": "threshold_margin",
-                  "codec": "codec"}
         for key, value in overrides.items():
             if value is None:
                 continue
-            captured = cfg.get(keymap.get(key, key))
+            captured = self._captured(key)
             if captured is None:
                 return False
             if isinstance(value, float) or isinstance(captured, float):

@@ -5,7 +5,7 @@ A compact, SimPy-like kernel purpose-built for this reproduction:
 * :class:`~repro.sim.engine.Engine` — event loop with a virtual clock;
 * generator-based *processes* (:class:`~repro.sim.engine.Process`) that
   ``yield`` events to wait;
-* :mod:`~repro.sim.resources` — FIFO resources (CPU cores) and a
+* :mod:`~repro.sim.resources` — a CPU busy-time ledger and a
   **processor-sharing bandwidth** resource used to model the NVM memory
   bus and the interconnect, which is where all the contention phenomena
   in the paper come from;
@@ -19,7 +19,6 @@ from .resources import (
     BandwidthResource,
     CpuCores,
     FlowHandle,
-    Resource,
     UsageMeter,
     UtilizationTracker,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "Timeout",
     "AllOf",
     "AnyOf",
-    "Resource",
     "CpuCores",
     "BandwidthResource",
     "FlowHandle",

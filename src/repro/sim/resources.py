@@ -1,4 +1,4 @@
-"""Shared resources: FIFO resources, CPU cores, and processor-sharing
+"""Shared resources: a CPU busy-time ledger and processor-sharing
 bandwidth.
 
 The **processor-sharing bandwidth resource** is the heart of the
@@ -29,8 +29,7 @@ timestamp has a sample there even if it ends where it started.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
-from collections import deque
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from math import inf
 
 from ..errors import SimulationError, TransferCancelled
@@ -38,7 +37,6 @@ from .engine import Engine
 from .events import _PENDING, Event
 
 __all__ = [
-    "Resource",
     "CpuCores",
     "BandwidthResource",
     "FlowHandle",
@@ -157,86 +155,20 @@ class UtilizationTracker:
         return out
 
 
-class Resource:
-    """A FIFO resource with integer capacity (mutexes, core slots)."""
+class CpuCores:
+    """A node's per-owner CPU busy-time ledger.  Costs are charged
+    without modelling queueing; Table V's helper-core utilization is
+    ``busy_time('helper') / elapsed``."""
 
-    def __init__(self, engine: Engine, capacity: int, name: str = "") -> None:
-        if capacity < 1:
-            raise SimulationError("resource capacity must be >= 1")
-        self.engine = engine
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiters: Deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    @property
-    def available(self) -> int:
-        return self.capacity - self._in_use
-
-    def request(self) -> Event:
-        """An event firing when a slot is granted.  The caller must
-        eventually :meth:`release`."""
-        ev = self.engine.event(name=f"{self.name}.request")
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            ev.succeed(self)
-        else:
-            self._waiters.append(ev)
-        return ev
-
-    def release(self) -> None:
-        if self._in_use <= 0:
-            raise SimulationError(f"release() of idle resource {self.name!r}")
-        if self._waiters:
-            ev = self._waiters.popleft()
-            ev.succeed(self)  # slot transfers directly; _in_use unchanged
-        else:
-            self._in_use -= 1
-
-    def use(self, duration: float):
-        """Process helper: hold one slot for *duration* seconds."""
-        yield self.request()
-        try:
-            yield self.engine.timeout(duration)
-        finally:
-            self.release()
-
-
-class CpuCores(Resource):
-    """Node CPU cores with per-owner busy-time accounting.
-
-    ``busy(owner, duration)`` occupies one core for *duration* and
-    charges the time to *owner*; Table V's helper-core utilization is
-    ``busy_time('helper') / elapsed``.
-    """
-
-    def __init__(self, engine: Engine, cores: int, name: str = "cpu") -> None:
-        super().__init__(engine, cores, name=name)
+    def __init__(self) -> None:
         self._busy_time: Dict[str, float] = {}
 
     def charge(self, owner: str, duration: float) -> None:
-        """Account *duration* of CPU time to *owner* without modelling
-        queueing (used for small, bounded costs like fault handling)."""
+        """Account *duration* of CPU time to *owner*."""
         self._busy_time[owner] = self._busy_time.get(owner, 0.0) + duration
-
-    def busy(self, owner: str, duration: float):
-        """Process: occupy one core for *duration*, charged to *owner*."""
-        yield self.request()
-        try:
-            yield self.engine.timeout(duration)
-            self._busy_time[owner] = self._busy_time.get(owner, 0.0) + duration
-        finally:
-            self.release()
 
     def busy_time(self, owner: str) -> float:
         return self._busy_time.get(owner, 0.0)
-
-    def total_busy_time(self) -> float:
-        return sum(self._busy_time.values())
 
 
 class TransferEvent(Event):

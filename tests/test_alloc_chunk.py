@@ -155,12 +155,6 @@ class TestVersioning:
         assert chunk.committed_version == 1
         assert chunk.inprogress_index() == 0
 
-    def test_single_version_mode(self):
-        chunk, _ = make_chunk(n_versions=1)
-        chunk.stage_to_nvm()
-        chunk.commit()
-        assert chunk.inprogress_index() == 0  # always slot 0
-
     def test_commit_preserves_old_version_data(self):
         chunk, _ = make_chunk()
         chunk.write(0, np.full(10, 1, dtype=np.uint8))

@@ -131,4 +131,4 @@ class TestBandwidthModelConfig:
         cc = CheckpointConfig()
         assert cc.local_interval == pytest.approx(40.0)
         assert cc.remote_interval > cc.local_interval
-        assert cc.two_versions and cc.checksums
+        assert cc.checksums

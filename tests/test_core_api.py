@@ -145,12 +145,3 @@ class TestConfiguration:
         c.touch()
         stats = app.nvchkptall()
         assert stats.bytes_copied == MB(100)
-
-    def test_single_version_mode(self, store):
-        cfg = CheckpointConfig(two_versions=False)
-        app = NVMCheckpoint("p", store=store, checkpoint_config=cfg)
-        c = app.nvalloc("x", 1024)
-        assert c.n_versions == 1
-        app.nvchkptall()
-        app.nvchkptall()
-        assert c.committed_version == 0  # always slot 0

@@ -63,7 +63,7 @@ class _Rig:
             self.buddy_ctx = make_standalone_context(
                 engine=self.ctx.engine, name=f"dst-{name}-buddy"
             )
-            self.dest = RemoteTarget("p0", self.buddy_ctx, two_versions=True)
+            self.dest = RemoteTarget("p0", self.buddy_ctx)
         else:  # pragma: no cover - test bug
             raise ValueError(name)
 

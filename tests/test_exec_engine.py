@@ -5,9 +5,13 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import repro
 from repro import __version__
 from repro.exec import (
     ExecutionReport,
@@ -70,9 +74,37 @@ def _emit(payload):
     return {"value": payload["x"]}
 
 
-def _pid(payload):
-    """Report which worker process ran the cell."""
-    return {"pid": os.getpid(), "x": payload["x"]}
+#: cells this process has run through :func:`_count`; a forked worker
+#: starts from the parent's value
+_CALLS = 0
+
+
+def _count(payload):
+    """Report which worker process ran the cell and how many cells that
+    process has run so far."""
+    global _CALLS
+    _CALLS += 1
+    return {"pid": os.getpid(), "calls": _CALLS}
+
+
+#: a 2-wide shared pool gets three one-cell batches, one of whose cells
+#: kills its worker; then the next shared pool runs a batch
+_DEAD_WORKER_SCRIPT = textwrap.dedent("""
+    import os, time
+    from repro.exec.pool import WorkerPoolError, shared_pool
+
+    def cell(payload):
+        if payload == "die":
+            os._exit(3)
+        return payload
+
+    t0 = time.monotonic()
+    try:
+        shared_pool(2).run_batches(cell, [[(0, "a")], [(1, "die")], [(2, "b")]])
+    except WorkerPoolError:
+        print("raised after", time.monotonic() - t0)
+    print(shared_pool(2).run_batches(cell, [[(0, "a")], [(1, "b")]]))
+""")
 
 
 class TestResultCache:
@@ -146,25 +178,26 @@ class TestWorkerPool:
 
     def test_workers_persist_across_runs(self):
         """The second grid reuses the same worker processes — no
-        per-grid interpreter forks."""
+        per-grid forks.  Each worker's call count carries on from the
+        first run; a re-forked worker would start again from the
+        parent's 0."""
         payloads = [{"x": i} for i in range(8)]
         pool = WorkerPool(2)
         try:
-            first = pool.run_batches(_pid, _batches(payloads, 8))
-            workers_first = {p.pid for p in pool._procs}
-            second = pool.run_batches(_pid, _batches(payloads, 8))
-            workers_second = {p.pid for p in pool._procs}
+            first = pool.run_batches(_count, _batches(payloads, 8))
+            second = pool.run_batches(_count, _batches(payloads, 8))
         finally:
             pool.close()
-        pids_first = {r["pid"] for r, _ in first.values()}
-        pids_second = {r["pid"] for r, _ in second.values()}
-        parent = os.getpid()
-        assert parent not in pids_first  # really ran out-of-process
-        # spawned once, reused.  Compared against the pool's own worker
-        # set, not run against run: with trivial cells one worker can
-        # drain a whole grid, so either run may see only one of them
-        assert workers_second == workers_first
-        assert pids_first | pids_second <= workers_first
+        calls = {}
+        for run in (first, second):
+            for result, _ in run.values():
+                calls.setdefault(result["pid"], []).append(result["calls"])
+        assert os.getpid() not in calls  # really ran out-of-process
+        assert len(calls) <= 2
+        # with trivial cells one worker can drain a whole grid, so
+        # either run may see only one of them
+        for pid, counts in calls.items():
+            assert sorted(counts) == list(range(1, len(counts) + 1)), pid
 
     def test_cell_error_propagates_and_pool_survives(self):
         pool = WorkerPool(2)
@@ -213,6 +246,22 @@ class TestWorkerPool:
         pool.close()
         with pytest.raises(WorkerPoolError):
             pool.run_batches(_square, [[(0, {"x": 1})]])
+
+    def test_dead_worker_raises_and_the_next_shared_pool_runs(self):
+        """A worker that dies holding a batch fails the grid at once
+        instead of hanging it.  Run in a child process, so a hang fails
+        this test rather than holding up the suite."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", _DEAD_WORKER_SCRIPT],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        raised, answered = proc.stdout.splitlines()
+        assert raised.startswith("raised after ")
+        assert float(raised.split()[-1]) < 10.0
+        assert answered == "{0: ('a', None), 1: ('b', None)}"
 
     def test_batch_indexes_cover_exactly_once(self):
         for n, b in [(1, 4), (7, 3), (16, 16), (5, 100)]:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.config import PrecopyPolicy
 from repro.replay import (
     ReplayEngine,
     capture_cell,
@@ -130,3 +131,12 @@ def test_replay_record_marks_faithful_vs_model():
     assert same["replay.faithful"] is True
     assert other["replay.faithful"] is False
     assert other["replay.coordinated_gb"] >= same["replay.coordinated_gb"]
+
+
+def test_captured_threshold_margin_replays_faithfully():
+    """No cell option sets the margin, so the captured config never
+    holds it; the captured run's own margin is the policy default."""
+    engine = capture_cell(dict(BASE, mode="dcpcp")).engine()
+    default = PrecopyPolicy().threshold_margin
+    assert engine.replay(threshold_margin=default)["replay.faithful"] is True
+    assert engine.replay(threshold_margin=1.5)["replay.faithful"] is False

@@ -1,4 +1,4 @@
-"""Resources: FIFO resource, CPU cores, processor-sharing bandwidth."""
+"""Resources: CPU busy-time ledger, processor-sharing bandwidth."""
 
 import math
 import random
@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.errors import SimulationError, TransferCancelled
-from repro.sim import BandwidthResource, CpuCores, Resource, UsageMeter, UtilizationTracker
+from repro.sim import BandwidthResource, CpuCores, UsageMeter, UtilizationTracker
 from tests.conftest import run_proc
 
 
@@ -29,88 +29,13 @@ def deadline(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-class TestResource:
-    def test_grant_within_capacity(self, engine):
-        res = Resource(engine, 2)
-        order = []
-
-        def user(i):
-            yield res.request()
-            order.append(("in", i, engine.now))
-            yield engine.timeout(5.0)
-            res.release()
-            order.append(("out", i, engine.now))
-
-        for i in range(3):
-            engine.process(user(i))
-        engine.run()
-        # third user waits for a release at t=5
-        assert ("in", 2, 5.0) in order
-        assert engine.now == 10.0
-
-    def test_release_idle_is_error(self, engine):
-        res = Resource(engine, 1)
-        with pytest.raises(SimulationError):
-            res.release()
-
-    def test_capacity_validation(self, engine):
-        with pytest.raises(SimulationError):
-            Resource(engine, 0)
-
-    def test_use_helper(self, engine):
-        res = Resource(engine, 1)
-
-        def user():
-            yield from res.use(2.0)
-            return engine.now
-
-        a = engine.process(user())
-        b = engine.process(user())
-        engine.run()
-        assert a.value == 2.0
-        assert b.value == 4.0
-
-    def test_available_accounting(self, engine):
-        res = Resource(engine, 3)
-        res.request()
-        engine.run()
-        assert res.in_use == 1
-        assert res.available == 2
-
-
 class TestCpuCores:
-    def test_busy_time_per_owner(self, engine):
-        cpu = CpuCores(engine, 4)
-
-        def w(owner, dur):
-            yield from cpu.busy(owner, dur)
-
-        engine.process(w("helper", 3.0))
-        engine.process(w("app", 1.0))
-        engine.run()
-        assert cpu.busy_time("helper") == pytest.approx(3.0)
-        assert cpu.busy_time("app") == pytest.approx(1.0)
-        assert cpu.total_busy_time() == pytest.approx(4.0)
-
-    def test_charge_without_queueing(self, engine):
-        cpu = CpuCores(engine, 1)
+    def test_charge_without_queueing(self):
+        cpu = CpuCores()
         cpu.charge("helper", 0.5)
         cpu.charge("helper", 0.25)
         assert cpu.busy_time("helper") == pytest.approx(0.75)
-        assert engine.now == 0.0  # no time passed
-
-    def test_oversubscription_queues(self, engine):
-        cpu = CpuCores(engine, 1)
-        done = []
-
-        def w(i):
-            yield from cpu.busy(f"w{i}", 1.0)
-            done.append(engine.now)
-
-        for i in range(3):
-            engine.process(w(i))
-        engine.run()
-        assert done == [1.0, 2.0, 3.0]
+        assert cpu.busy_time("app") == 0.0
 
 
 class TestBandwidthPS:
