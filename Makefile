@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint loc faults faults-matrix bench bench-json smoke examples perf-smoke perf-compare paper-scale
+.PHONY: test lint loc reach faults faults-matrix bench bench-json smoke examples perf-smoke perf-compare paper-scale
 
 # tier-1: the full deterministic suite
 test:
@@ -22,6 +22,13 @@ loc:
 	@PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "import dataclasses as d, repro.config as c; \
 	print('config fields:', sum(len(d.fields(o)) for o in vars(c).values() \
 	if isinstance(o, type) and d.is_dataclass(o) and o.__module__ == c.__name__))"
+
+# reach audit: run every non-test entry point (bench, smokes, examples,
+# fault matrix, scenario cells, a sweep, the figure benchmarks) under a
+# profile hook and print the functions under src/repro that none of
+# them runs: count, lines, per-module table, list; ungated, ~5 min
+reach:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/reach.py
 
 # the crash-point fault-injection suite only
 faults:
@@ -68,16 +75,19 @@ examples:
 # "fidelity: same" against the recorded reference — then its unit tests.
 # One test is deselected: it demands that every traced target listed in
 # perfbench/layers.py still resolve, and that list cannot be edited next
-# to a src/ change, so it still names 85 callables that have since been
+# to a src/ change, so it still names 109 callables that have since been
 # deleted (payload trios, write_at/write_payload, collector methods,
 # ParallelExecutor.*, TimelineSink.handle, Timeline.begin/end,
 # resilient_put/get, Fabric.outage_active, Scrubber.*, PageTable.*,
 # the codecs' encode_bytes/decode_bytes, BlockStore.put_bytes/get_bytes,
 # RamdiskDestination.*, RemoteTarget.verify, Resource.*,
-# CpuCores.busy/total_busy_time, ...).  The
+# CpuCores.busy/total_busy_time, FileStore.*, Chunk.read/stale_bytes/
+# commit, Arena.internal_fragmentation, EntropyProbe.forget,
+# Cluster.total_remote_bytes, ResultCache.stats, compare_accounting,
+# validate_extents (now private), ...).  The
 # benchmark itself reports them under missing_targets and runs on; a
 # perfbench/-only change that regenerates the list drops this deselect
-# (ROADMAP item 12).
+# (ROADMAP item 4).
 perf-smoke:
 	$(PYTHON) -m perfbench run --smoke
 	$(PYTHON) -m pytest perfbench/tests -q \

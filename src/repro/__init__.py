@@ -48,7 +48,7 @@ from .core import (
     make_standalone_context,
 )
 from .alloc import Chunk, NVAllocator, genid
-from .memory import FileStore, InMemoryStore, NVMKernelManager
+from .memory import InMemoryStore, NVMKernelManager
 from .cluster import Cluster, ClusterRunner, RunResult
 from .models import ModelParams, MultilevelModel
 from .replay import ReplayEngine
@@ -106,7 +106,6 @@ __all__ = [
     "genid",
     # memory substrate
     "InMemoryStore",
-    "FileStore",
     "NVMKernelManager",
     # cluster simulation
     "Cluster",

@@ -245,12 +245,6 @@ class Arena:
     def live_allocations(self) -> int:
         return len(self._live)
 
-    def internal_fragmentation(self) -> float:
-        """1 - requested/reserved over live allocations (0 = perfect)."""
-        if self.bytes_reserved <= 0:
-            return 0.0
-        return 1.0 - self.bytes_requested / self.bytes_reserved
-
     def check_invariants(self) -> None:
         """Assert no two live allocations overlap and all are in-bounds
         (used by the property-based tests)."""

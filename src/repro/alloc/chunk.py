@@ -221,20 +221,6 @@ class Chunk:
     # Reads.
     # ------------------------------------------------------------------
 
-    def read(self, offset: int = 0, nbytes: Optional[int] = None) -> np.ndarray:
-        """Read the working copy (application load).  NVM-resident
-        chunks (lazy restart) serve reads straight from the committed
-        NVM version — near-DRAM speed per Table I."""
-        if self.phantom:
-            raise CheckpointError(f"chunk {self.name!r} is phantom; no data to read")
-        if nbytes is None:
-            nbytes = self.nbytes - offset
-        if self.nvm_resident:
-            return self.committed_region().read(offset, nbytes)
-        if self.dram is None:
-            raise CheckpointError(f"chunk {self.name!r} has no DRAM buffer")
-        return self.dram[offset : offset + nbytes].copy()
-
     def view(self, dtype: Any = np.uint8, shape: Optional[tuple] = None) -> np.ndarray:
         """A *read-only* typed view of the working copy.  (All writes
         must flow through :meth:`write` so dirt tracking stays sound.)
@@ -352,13 +338,6 @@ class Chunk:
         else:
             pmap.clear_extents(slot, extents)
 
-    def stale_bytes(self, stream: str = "local", slot: Optional[int] = None) -> int:
-        pmap = self._stale_map(stream)
-        if slot is None:
-            slot = self.inprogress_index() if stream == "local" else 0
-        pmap.ensure_slots(slot + 1)
-        return pmap.stale_bytes(slot)
-
     def stage_to_nvm(self, extents: Optional[List[tuple]] = None) -> int:
         """Copy the working copy into the in-progress NVM version (the
         actual data movement of shadow buffering).  Returns bytes moved.
@@ -444,15 +423,6 @@ class Chunk:
         if self.phantom or self.dram is None:
             return 0  # phantom payloads are all-zero
         return zlib.crc32(self.dram)
-
-    def commit(self, with_checksum: bool = True) -> None:
-        """Mark the in-progress version committed (call only after the
-        store was flushed)."""
-        idx = self.inprogress_index()
-        if with_checksum:
-            self.checksums[idx] = self.payload_checksum()
-        self.committed_version = idx
-        self.staged_pending = False
 
     def verify_checksum(self) -> bool:
         """Restart-time integrity check of the committed version."""
@@ -549,21 +519,6 @@ class Chunk:
         and write-protected so the next write faults."""
         self.mark_clean(stream)
         self.protected = True
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        flags = []
-        if self.dirty_local:
-            flags.append("Dl")
-        if self.dirty_remote:
-            flags.append("Dr")
-        if self.protected:
-            flags.append("P")
-        if self.phantom:
-            flags.append("ph")
-        return (
-            f"<Chunk #{self.chunk_id} {self.name!r} {self.nbytes}B "
-            f"v{self.committed_version} {''.join(flags) or '-'}>"
-        )
 
 
 def batch_commit(

@@ -214,8 +214,5 @@ class Cluster:
     def total_bytes_to_nvm(self) -> int:
         return sum(n.total_bytes_to_nvm() for n in self.nodes)
 
-    def total_remote_bytes(self) -> int:
-        return sum(h.total_remote_bytes for h in self.helpers())
-
     def checkpoint_bytes(self) -> int:
         return sum(n.checkpoint_bytes for n in self.nodes)

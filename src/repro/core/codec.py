@@ -317,9 +317,6 @@ class EntropyProbe:
         self.measurements += 1
         return ratio
 
-    def forget(self, chunk_id: int) -> None:
-        self._cache.pop(chunk_id, None)
-
 
 # ---------------------------------------------------------------------------
 # Content-addressed block store.
@@ -569,10 +566,6 @@ class Payload:
     candidates: Optional[Dict[str, int]] = None  # auto: wire per candidate
     entropy: float = -1.0  # probe ratio at decision time (-1 = unmeasured)
     density: float = 0.0  # dirty density (logical / chunk bytes)
-
-    @property
-    def saved_bytes(self) -> int:
-        return max(0, self.logical_bytes - self.wire_bytes)
 
 
 # ---------------------------------------------------------------------------

@@ -57,11 +57,6 @@ class CompressionModel:
         if self.probe is None:
             self.probe = EntropyProbe(default_ratio=self.phantom_ratio)
 
-    @property
-    def _cache(self):
-        """The probe's ratio cache (one live entry per chunk id)."""
-        return self.probe._cache
-
     # ------------------------------------------------------------------
     # Ratios.
     # ------------------------------------------------------------------
@@ -95,13 +90,3 @@ class CompressionModel:
     def decompress_cost(self, nbytes: int) -> float:
         """Receiver-side CPU seconds to decompress back to *nbytes*."""
         return nbytes / self.decompress_rate
-
-    # ------------------------------------------------------------------
-    # Aggregates.
-    # ------------------------------------------------------------------
-
-    @property
-    def achieved_ratio(self) -> float:
-        if self.bytes_in == 0:
-            return 1.0
-        return self.bytes_out / self.bytes_in

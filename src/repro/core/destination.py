@@ -34,11 +34,10 @@ __all__ = [
     "Destination",
     "NVMArenaDestination",
     "PfsDestination",
-    "validate_extents",
 ]
 
 
-def validate_extents(chunk: Chunk, extents: List[Tuple[int, int]]) -> None:
+def _validate_extents(chunk: Chunk, extents: List[Tuple[int, int]]) -> None:
     """Shared range-stage contract: every backend's :meth:`~Destination.stage`
     rejects out-of-range, overlapping or unsorted extents with the
     *same* error, so callers can switch destinations without
@@ -108,7 +107,7 @@ class Destination:
         (page-granular mode).  Flat single-version backends have no
         stage step; they only record the copy against the stale map."""
         if extents is not None:
-            validate_extents(chunk, extents)
+            _validate_extents(chunk, extents)
             chunk.mark_extents_copied("local", extents)
 
     def staged_blocks(self, chunk: Chunk, payload: Payload) -> np.ndarray:
@@ -170,7 +169,7 @@ class NVMArenaDestination(Destination):
 
     def stage(self, chunk: Chunk, extents: Optional[List[Tuple[int, int]]] = None) -> None:
         if extents is not None:
-            validate_extents(chunk, extents)
+            _validate_extents(chunk, extents)
         chunk.stage_to_nvm(extents)
 
     def flush(self) -> float:

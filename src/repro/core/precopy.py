@@ -54,13 +54,6 @@ class PrecopyStats:
     redundant_copies: int = 0  # re-dirtied after a completed pre-copy
     faults_induced: int = 0
 
-    @property
-    def wasted_bytes_estimate(self) -> int:
-        total = self.stale_copies + self.redundant_copies
-        if self.copies == 0:
-            return 0
-        return int(self.bytes_copied * total / self.copies)
-
 
 class ReadyIndex:
     """The dirty chunks of one stream, largest first.

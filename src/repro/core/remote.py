@@ -50,7 +50,7 @@ from ..units import usec
 from .codec import Payload, blocks_of_extents
 from .context import NodeContext
 from .copystep import CopyPlan, CopyStep
-from .destination import Destination, validate_extents
+from .destination import Destination, _validate_extents
 
 __all__ = ["RemoteTarget", "RemoteHelper", "RemoteCheckpointStats", "buddy_get"]
 
@@ -189,7 +189,7 @@ class RemoteTarget(Destination):
         version would not match the DRAM state its checksum records.
         """
         if extents is not None:
-            validate_extents(chunk, extents)
+            _validate_extents(chunk, extents)
         self.ensure_chunk(chunk)
         v = self._inprogress(chunk.name)
         region = self.dst_ctx.nvmm.region(self.pid, self._region_name(chunk.name, v))
@@ -393,13 +393,6 @@ class RemoteHelper:
         #: being prepared as) a pairing; valid for reuse only while the
         #: buddy's context is unchanged (hardware replacement voids it).
         self._known_targets: Dict[int, Dict[str, RemoteTarget]] = {}
-
-    @property
-    def incremental(self) -> bool:
-        """Page-granular remote sends: on when the policy asks for it
-        and no compression model is attached (compressed sends are
-        whole-chunk — the wire volume is the compressor's business)."""
-        return self.copier.incremental
 
     # ------------------------------------------------------------------
     # Stream queue (fed by local checkpoint commits).
@@ -824,10 +817,6 @@ class RemoteHelper:
     @property
     def total_round_bytes(self) -> int:
         return sum(s.bytes_moved for s in self.history)
-
-    @property
-    def total_remote_bytes(self) -> int:
-        return self.total_round_bytes + self.stream_bytes
 
     def helper_utilization(self, elapsed: float) -> float:
         """Fraction of the dedicated helper core used (Table V)."""

@@ -60,7 +60,7 @@ class InvalidAddress(MemoryError_):
 
 
 class PersistenceError(MemoryError_):
-    """The file-backed persistent store is corrupt or unreadable."""
+    """A persistent-store operation is invalid, or its contents are inconsistent."""
 
 
 # ---------------------------------------------------------------------------

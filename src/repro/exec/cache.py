@@ -80,16 +80,3 @@ class ResultCache:
 
     def __len__(self) -> int:
         return sum(1 for _ in self.root.glob("*/*.json"))
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def stats(self) -> Dict[str, Any]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "writes": self.writes,
-            "hit_rate": self.hit_rate,
-        }

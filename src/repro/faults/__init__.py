@@ -16,7 +16,6 @@ from .crashpoints import (
     CrashPoint,
     FaultInjector,
     REGISTRY,
-    active_injectors,
     all_points,
     fire,
     install,
@@ -29,7 +28,6 @@ __all__ = [
     "CrashPoint",
     "FaultInjector",
     "REGISTRY",
-    "active_injectors",
     "all_points",
     "fire",
     "install",

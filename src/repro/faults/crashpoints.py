@@ -35,7 +35,6 @@ __all__ = [
     "point",
     "fire",
     "install",
-    "active_injectors",
     "LAYER_LOCAL",
     "LAYER_PRECOPY",
     "LAYER_REMOTE",
@@ -225,10 +224,6 @@ class FaultInjector:
 
 
 _ACTIVE: List[FaultInjector] = []
-
-
-def active_injectors() -> List[FaultInjector]:
-    return list(_ACTIVE)
 
 
 @contextmanager

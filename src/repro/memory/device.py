@@ -145,9 +145,3 @@ class MemoryDevice:
         if used <= 0.0 or elapsed <= 0.0:
             return float("inf")
         return elapsed / used
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"<MemoryDevice {self.config.name} {self.allocated}/{self.config.capacity}B "
-            f"written={self.wear.bytes_written:.0f}B>"
-        )

@@ -2,45 +2,39 @@
 
 The paper emulates PCM by reserving a DRAM range at boot and pinning it
 across application sessions.  Here the "device contents" live in a
-:class:`PersistentStore`:
-
-* :class:`InMemoryStore` — regions held in RAM; survives simulated
-  process crashes (the store object *is* the NVM DIMM) and models the
-  flush boundary: writes are cached and only become durable at
-  :meth:`~PersistentStore.flush`, so :meth:`~PersistentStore.crash`
-  rolls unflushed writes back.
-* :class:`FileStore` — additionally durable across real Python process
-  restarts (regions as files, metadata as JSON; atomic rename commits).
+:class:`PersistentStore`, and :class:`InMemoryStore` is the one
+implementation: regions held in RAM that survive simulated process
+crashes (the store object *is* the NVM DIMM).  It keeps a working image
+and a durable image: writes land in the working image and only become
+durable at :meth:`~PersistentStore.flush`, so
+:meth:`~PersistentStore.crash` rolls unflushed writes back to the
+durable image.
 
 The checkpoint runtime always flushes before marking a version
 committed (the paper's 'Linux cache flush kernel method'), so committed
-data survives crash in both stores and the recovery protocol is
-exercised for real.
+data survives a crash and the recovery protocol reads back exactly the
+durable image a restart would find.
 
 Metadata values are held JSON-normalised on both sides of the flush
 boundary.  A write costs one typed private copy of what was written
 (:func:`_json_copy` — a record for ``put_meta_entry``, the key's value
 for ``put_meta``), the flush one more of each dirty record or key, a
-crash one of every durable key; JSON *text* is produced only by
-:meth:`FileStore.flush` writing ``meta.json`` (and, inside the copy, for
-a value that is not of the plain JSON types).
+crash one of every durable key; JSON text is produced only inside the
+copy, for a value that is not of the plain JSON types.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from abc import ABC, abstractmethod
 from typing import Any, Dict, List, Optional, Tuple
-from urllib.parse import quote
 
 import numpy as np
 
 from ..errors import InvalidAddress, PersistenceError
 from ..faults.crashpoints import fire
 
-__all__ = ["PersistentStore", "InMemoryStore", "FileStore"]
+__all__ = ["PersistentStore", "InMemoryStore"]
 
 
 #: the types JSON holds by value: copying one is returning it
@@ -342,158 +336,3 @@ class InMemoryStore(PersistentStore):
         if key not in self._meta_dirty_keys:
             self._meta_dirty_entries.setdefault(key, {})[(table, name)] = None
 
-
-class FileStore(PersistentStore):
-    """Disk-backed store: one file per region plus a JSON metadata file.
-
-    Writes go to an in-RAM working set; :meth:`flush` persists each
-    dirty region atomically (write-temp + rename) and then the metadata
-    file, so a crash between flushes leaves the previous consistent
-    state on disk.  Re-instantiating with the same directory reloads
-    the durable state — a true process restart.
-    """
-
-    _META_FILE = "meta.json"
-
-    def __init__(self, directory: str) -> None:
-        self.directory = directory
-        os.makedirs(directory, exist_ok=True)
-        self._inner = InMemoryStore()
-        self._deleted: set[str] = set()
-        self._load()
-
-    # -- disk layout -----------------------------------------------------------
-
-    def _region_path(self, region_id: str) -> str:
-        # percent-encoding is reversible, so two ids never share a file,
-        # and leaves no separator to step out of the directory with
-        return os.path.join(self.directory, f"region_{quote(region_id, safe='')}.bin")
-
-    def _meta_path(self) -> str:
-        return os.path.join(self.directory, self._META_FILE)
-
-    def _load(self) -> None:
-        meta_path = self._meta_path()
-        if not os.path.exists(meta_path):
-            return
-        try:
-            with open(meta_path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            raise PersistenceError(f"corrupt store metadata at {meta_path}") from err
-        for key, value in payload.get("user_meta", {}).items():
-            self._inner.put_meta(key, value)
-        for region_id, size in payload.get("regions", {}).items():
-            path = self._region_path(region_id)
-            if not os.path.exists(path):
-                raise PersistenceError(
-                    f"store metadata lists region {region_id!r} but {path} is missing"
-                )
-            data = np.fromfile(path, dtype=np.uint8)
-            if len(data) != size:
-                raise PersistenceError(
-                    f"region {region_id!r}: file has {len(data)} bytes, metadata says {size}"
-                )
-            self._inner.create(region_id, size)
-            if size:
-                self._inner.write(region_id, 0, data)
-        self._inner.flush()
-
-    # -- delegate lifecycle/data to the in-memory working set --------------------
-
-    def create(self, region_id: str, nbytes: int) -> None:
-        self._inner.create(region_id, nbytes)
-        self._deleted.discard(region_id)
-
-    def resize(self, region_id: str, nbytes: int) -> None:
-        self._inner.resize(region_id, nbytes)
-
-    def delete(self, region_id: str) -> None:
-        self._inner.delete(region_id)
-        self._deleted.add(region_id)
-
-    def exists(self, region_id: str) -> bool:
-        return self._inner.exists(region_id)
-
-    def size(self, region_id: str) -> int:
-        return self._inner.size(region_id)
-
-    def list_regions(self) -> List[str]:
-        return self._inner.list_regions()
-
-    def write(self, region_id: str, offset: int, data: Any) -> None:
-        self._inner.write(region_id, offset, data)
-
-    def read(self, region_id: str, offset: int = 0, nbytes: Optional[int] = None) -> np.ndarray:
-        return self._inner.read(region_id, offset, nbytes)
-
-    def put_meta(self, key: str, value: Any) -> None:
-        self._inner.put_meta(key, value)
-
-    def get_meta(self, key: str, default: Any = None) -> Any:
-        return self._inner.get_meta(key, default)
-
-    def delete_meta(self, key: str) -> None:
-        self._inner.delete_meta(key)
-
-    def list_meta(self) -> List[str]:
-        return self._inner.list_meta()
-
-    def put_meta_entry(self, key: str, table: str, name: str, record: Any) -> None:
-        self._inner.put_meta_entry(key, table, name, record)
-
-    def delete_meta_entry(self, key: str, table: str, name: str) -> None:
-        self._inner.delete_meta_entry(key, table, name)
-
-    # -- durability -------------------------------------------------------------------
-
-    def flush(self) -> int:
-        dirty = set(self._inner._dirty)
-        flushed = self._inner.flush()
-        for region_id in dirty:
-            if not self._inner.exists(region_id):
-                continue
-            data = self._inner._durable[region_id]
-            path = self._region_path(region_id)
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    data.tofile(fh)
-                os.replace(tmp, path)
-            except OSError as err:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-                raise PersistenceError(f"flush of region {region_id!r} failed") from err
-        for region_id in self._deleted:
-            path = self._region_path(region_id)
-            if os.path.exists(path):
-                os.unlink(path)
-        self._deleted.clear()
-        payload = {
-            "regions": {rid: self._inner.size(rid) for rid in self._inner.list_regions()},
-            "user_meta": {k: self._inner.get_meta(k) for k in self._inner.list_meta()},
-        }
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, self._meta_path())
-        except OSError as err:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise PersistenceError("flush of store metadata failed") from err
-        return flushed
-
-    def crash(self) -> None:
-        self._inner.crash()
-        self._deleted.clear()
-
-    def corrupt(self, region_id: str, offset: int) -> None:
-        self._inner.corrupt(region_id, offset)
-        path = self._region_path(region_id)
-        if os.path.exists(path) and offset < os.path.getsize(path):
-            with open(path, "r+b") as fh:
-                fh.seek(offset)
-                byte = fh.read(1)
-                fh.seek(offset)
-                fh.write(bytes([byte[0] ^ 0xFF]))

@@ -33,7 +33,6 @@ from .divergence import (
     Divergence,
     DivergenceReport,
     accounting_from_events,
-    compare_accounting,
     compare_to_run,
 )
 from .reader import TraceSource, load_source
@@ -46,7 +45,6 @@ __all__ = [
     "Divergence",
     "DivergenceReport",
     "accounting_from_events",
-    "compare_accounting",
     "compare_to_run",
     "TraceSource",
     "load_source",

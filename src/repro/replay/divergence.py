@@ -27,7 +27,6 @@ __all__ = [
     "Divergence",
     "DivergenceReport",
     "accounting_from_events",
-    "compare_accounting",
     "compare_to_run",
     "live_commit_ordering",
 ]
@@ -190,23 +189,6 @@ def live_commit_ordering(cluster) -> List[Tuple[float, str, int, int]]:
                 (round(s.end, _T_DIGITS), str(ck.rank), committed, s.bytes_copied)
             )
     return sorted(recs)
-
-
-def compare_accounting(
-    acc: ReplayAccounting, expected: Dict[str, Any]
-) -> DivergenceReport:
-    """Compare replay accounting against an expected metric dict."""
-    report = DivergenceReport()
-    for metric, live in expected.items():
-        replayed = getattr(acc, metric)
-        if callable(replayed):
-            replayed = replayed()
-        report.compared.append(metric)
-        if replayed != live:
-            report.divergences.append(
-                Divergence(metric=metric, live=live, replayed=replayed)
-            )
-    return report
 
 
 def compare_to_run(

@@ -117,10 +117,6 @@ class CodecEstimator:
         self.wire_bytes += wire
         return wire
 
-    @property
-    def saved_bytes(self) -> int:
-        return max(0, self.logical_bytes - self.wire_bytes)
-
 
 @dataclass
 class WhatIfResult:

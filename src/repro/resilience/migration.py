@@ -491,9 +491,3 @@ class MigrationTask:
             if self.end > self.start:
                 emit_phase(helper.owner, tl.MIGRATION, self.start, self.end)
         return self
-
-    @property
-    def duration(self) -> float:
-        if self.start is None or self.end is None:
-            return 0.0
-        return self.end - self.start

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.alloc.chunk import Chunk, ChunkState
+from repro.alloc.chunk import Chunk, ChunkState, batch_commit
 from repro.errors import CheckpointError
 from repro.memory import InMemoryStore, NVMKernelManager
 
@@ -131,8 +131,6 @@ class TestWriteBarrier:
     def test_phantom_read_rejected(self):
         chunk, _ = make_chunk(phantom=True)
         with pytest.raises(CheckpointError):
-            chunk.read()
-        with pytest.raises(CheckpointError):
             chunk.view()
 
 
@@ -147,11 +145,11 @@ class TestVersioning:
         chunk, _ = make_chunk()
         assert chunk.inprogress_index() == 0
         chunk.stage_to_nvm()
-        chunk.commit()
+        batch_commit([chunk])
         assert chunk.committed_version == 0
         assert chunk.inprogress_index() == 1
         chunk.stage_to_nvm()
-        chunk.commit()
+        batch_commit([chunk])
         assert chunk.committed_version == 1
         assert chunk.inprogress_index() == 0
 
@@ -159,7 +157,7 @@ class TestVersioning:
         chunk, _ = make_chunk()
         chunk.write(0, np.full(10, 1, dtype=np.uint8))
         chunk.stage_to_nvm()
-        chunk.commit()
+        batch_commit([chunk])
         v0 = chunk.committed_region()
         chunk.write(0, np.full(10, 2, dtype=np.uint8))
         chunk.stage_to_nvm()  # goes to slot 1
@@ -175,7 +173,7 @@ class TestVersioning:
         data = np.arange(1024, dtype=np.float64)
         chunk.write(0, data)
         chunk.stage_to_nvm()
-        chunk.commit()
+        batch_commit([chunk])
         chunk.write(0, np.zeros(1024, dtype=np.float64))
         chunk.restore_from_committed()
         assert np.array_equal(chunk.view(np.float64), data)
@@ -192,14 +190,14 @@ class TestChecksums:
         chunk, _ = make_chunk()
         chunk.write(0, np.arange(100, dtype=np.float64))
         chunk.stage_to_nvm()
-        chunk.commit(with_checksum=True)
+        batch_commit([chunk], with_checksum=True)
         assert chunk.verify_checksum()
 
     def test_checksum_detects_corruption(self):
         chunk, nvmm = make_chunk()
         chunk.write(0, np.arange(100, dtype=np.float64))
         chunk.stage_to_nvm()
-        chunk.commit(with_checksum=True)
+        batch_commit([chunk], with_checksum=True)
         # corrupt the committed NVM bytes behind the chunk's back
         nvmm.store.write("p0/c#v0", 0, np.full(8, 0xFF, dtype=np.uint8))
         assert not chunk.verify_checksum()
@@ -211,13 +209,13 @@ class TestChecksums:
     def test_checksum_disabled_passes(self):
         chunk, _ = make_chunk()
         chunk.stage_to_nvm()
-        chunk.commit(with_checksum=False)
+        batch_commit([chunk], with_checksum=False)
         assert chunk.verify_checksum()  # None checksum -> trusted
 
     def test_phantom_checksum(self):
         chunk, _ = make_chunk(phantom=True)
-        chunk.versions[0].write_phantom(0, chunk.nbytes)
-        chunk.commit(with_checksum=True)
+        chunk.stage_to_nvm()  # a phantom stage writes phantom bytes
+        batch_commit([chunk], with_checksum=True)
         assert chunk.verify_checksum()
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.alloc import NVAllocator, genid
+from repro.alloc.chunk import batch_commit
 from repro.errors import AllocationError, DuplicateChunkId, UnknownChunkId
 from repro.memory import MemoryDevice, NVMKernelManager
 from repro.config import DRAM_CONFIG
@@ -142,8 +143,7 @@ class TestRestartPaths:
         for c in allocator.persistent_chunks():
             c.stage_to_nvm()
         ctx.nvmm.cache_flush()
-        for c in allocator.persistent_chunks():
-            c.commit()
+        batch_commit(allocator.persistent_chunks())
         allocator._persist_metadata()
         ctx.nvmm.cache_flush()
 

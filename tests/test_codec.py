@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from repro.alloc import NVAllocator
+from repro.alloc.chunk import batch_commit
 from repro.config import PrecopyPolicy
 from repro.core import LocalCheckpointer, RestartManager, make_standalone_context
 from repro.core.codec import (
@@ -371,12 +372,12 @@ def _rewrite(chunk, change):
     *n* bytes, so all of them change; ``"repeated"`` fills the chunk
     with copies of one new block."""
     if change is None:
-        chunk.write(0, chunk.read().copy())
+        chunk.write(0, chunk.view().copy())
     elif change == "repeated":
         chunk.write(0, np.frombuffer(_buf(9, DEFAULT_BLOCK) * REAL_BLOCKS, dtype=np.uint8))
     else:
         off, n = change
-        chunk.write(off, chunk.read(off, n) ^ 0xFF)
+        chunk.write(off, chunk.view()[off : off + n] ^ 0xFF)
 
 
 @pytest.mark.parametrize(
@@ -412,7 +413,7 @@ def test_planner_wire_prices_on_a_real_chunk(codec, change, extents, wire, block
     slot = chunk.inprogress_index()
     first = planner.plan(chunk, None, store=store, slot=slot)
     chunk.stage_to_nvm()
-    chunk.commit()
+    batch_commit([chunk])
     _commit_plan(store, chunk, first, slot)
     _rewrite(chunk, change)
     p = planner.plan(

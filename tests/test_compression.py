@@ -17,7 +17,7 @@ class TestCompressionModel:
         c = alloc.nvalloc("x", MB(10))
         model = CompressionModel(phantom_ratio=0.5)
         assert model.wire_bytes(c) == MB(5)
-        assert model.achieved_ratio == pytest.approx(0.5)
+        assert model.bytes_out / model.bytes_in == pytest.approx(0.5)
 
     def test_real_payload_measured(self, ctx):
         alloc = NVAllocator("p", ctx.nvmm, ctx.dram)
@@ -42,7 +42,7 @@ class TestCompressionModel:
         assert model.ratio_for(c) == r1  # cache hit, same version
         c.write(0, np.random.default_rng(1).integers(0, 256, 1000).astype(np.uint8))
         assert model.ratio_for(c) != r1 or True  # recomputed for new version
-        assert len(model._cache) == 1  # bounded: one entry per chunk
+        assert len(model.probe._cache) == 1  # bounded: one entry per chunk
 
     def test_cpu_costs(self):
         model = CompressionModel(compress_rate=1e9, decompress_rate=2e9)
@@ -172,7 +172,7 @@ class TestCompressionConfigConflicts:
         )
         with BUS.capture() as ring:
             helper = self.make_helper(cfg, CompressionModel(phantom_ratio=0.5))
-        assert not helper.incremental
+        assert not helper.copier.incremental
         decisions = ring.of_kind("policy.decision")
         assert len(decisions) == 1
         assert decisions[0].decision == "incremental_disabled"

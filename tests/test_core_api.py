@@ -6,7 +6,6 @@ import pytest
 from repro.config import CheckpointConfig, PrecopyPolicy
 from repro.core import NVMCheckpoint
 from repro.errors import DuplicateChunkId, UnknownChunkId
-from repro.memory import FileStore, InMemoryStore
 from repro.units import MB
 
 
@@ -121,15 +120,6 @@ class TestCrashRestart:
         a.crash()
         a2, _ = NVMCheckpoint.restart("pa", store)
         assert (a2.chunk("x").view(np.float64) == 1.0).all()
-
-    def test_filestore_real_process_restart(self, tmp_path):
-        path = str(tmp_path / "nvm")
-        app = NVMCheckpoint("p", store=FileStore(path))
-        app.nvalloc("x", 1024).write(0, np.full(128, 7.0))
-        app.nvchkptall()
-        del app  # "process exits"
-        app2, report = NVMCheckpoint.restart("p", FileStore(path))
-        assert (app2.chunk("x").view(np.float64) == 7.0).all()
 
 
 class TestConfiguration:

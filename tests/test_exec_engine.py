@@ -114,8 +114,8 @@ class TestResultCache:
         assert cache.get(key) is None
         cache.put(key, {"out": 2.5}, config={"a": 1})
         assert cache.get(key) == {"out": 2.5}
-        assert cache.stats()["hits"] == 1
-        assert cache.stats()["misses"] == 1
+        assert cache.hits == 1
+        assert cache.misses == 1
         assert len(cache) == 1
 
     def test_key_is_content_addressed(self):
@@ -144,7 +144,7 @@ class TestResultCache:
         cache.put(key, {"out": 1})
         (tmp_path / key[:2] / f"{key}.json").write_text(body)
         assert cache.get(key) is None
-        assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 0
+        assert cache.misses == 1 and cache.hits == 0
         cache.put(key, {"out": 2})  # the re-run overwrites the bad entry
         assert cache.get(key) == {"out": 2}
 

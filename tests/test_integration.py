@@ -9,7 +9,6 @@ from repro.baselines import async_noprecopy_config, precopy_config
 from repro.cluster import Cluster, ClusterRunner
 from repro.config import ClusterConfig, FailureConfig, PrecopyPolicy
 from repro.core import NVMCheckpoint
-from repro.memory import FileStore, InMemoryStore
 from repro.units import GB_per_sec, MB
 
 
@@ -17,8 +16,7 @@ class TestFunctionalLifecycle:
     """A small 'real application' driving the public API with real
     data through multiple checkpoint/crash/restart generations."""
 
-    def test_three_generations(self, tmp_path):
-        store = FileStore(str(tmp_path / "nvm"))
+    def test_three_generations(self, store):
         app = NVMCheckpoint("sim", store=store)
         state = app.nvalloc("state", MB(1))
         history = []

@@ -1,19 +1,18 @@
-"""Persistent stores: region lifecycle, flush boundary, crash rollback,
-file-backed restart."""
+"""The persistent store: region lifecycle, flush boundary, crash
+rollback."""
 
 import numpy as np
 import pytest
 
 from repro.errors import InvalidAddress, PersistenceError
-from repro.memory import FileStore, InMemoryStore
+from repro.memory import InMemoryStore
 from tests.conftest import container_ids
 
 
-@pytest.fixture(params=["memory", "file"])
-def anystore(request, tmp_path):
-    if request.param == "memory":
-        return InMemoryStore()
-    return FileStore(str(tmp_path / "store"))
+#: the param names the store kind in the test ids
+@pytest.fixture(params=["memory"])
+def anystore():
+    return InMemoryStore()
 
 
 class TestRegionLifecycle:
@@ -268,93 +267,3 @@ class TestMetaEntries:
         assert anystore.get_meta(self.KEY) == {
             "regions": {"a": {"size": 8}}, "owner": "p0"
         }
-
-    def test_file_store_reopen_sees_entries(self, tmp_path):
-        path = str(tmp_path / "s")
-        s1 = FileStore(path)
-        s1.put_meta_entry(self.KEY, "regions", "a", {"size": 8})
-        s1.flush()
-        s1.put_meta_entry(self.KEY, "regions", "b", {"size": 16})  # never flushed
-        del s1
-        s2 = FileStore(path)
-        assert s2.get_meta(self.KEY) == {"regions": {"a": {"size": 8}}}
-        s2.delete_meta_entry(self.KEY, "regions", "a")
-        s2.flush()
-        assert FileStore(path).get_meta(self.KEY) == {"regions": {}}
-
-
-class TestFileStoreRestart:
-    def test_survives_process_restart(self, tmp_path):
-        path = str(tmp_path / "s")
-        s1 = FileStore(path)
-        s1.create("r", 16)
-        s1.write("r", 0, np.arange(16, dtype=np.uint8))
-        s1.put_meta("who", "rank0")
-        s1.flush()
-        del s1
-        s2 = FileStore(path)
-        assert s2.get_meta("who") == "rank0"
-        assert list(s2.read("r")) == list(range(16))
-
-    def test_unflushed_lost_across_restart(self, tmp_path):
-        path = str(tmp_path / "s")
-        s1 = FileStore(path)
-        s1.create("r", 4)
-        s1.flush()
-        s1.write("r", 0, np.full(4, 9, dtype=np.uint8))
-        del s1  # no flush
-        s2 = FileStore(path)
-        assert not s2.read("r").any()
-
-    def test_deleted_region_gone_after_restart(self, tmp_path):
-        path = str(tmp_path / "s")
-        s1 = FileStore(path)
-        s1.create("r", 4)
-        s1.flush()
-        s1.delete("r")
-        s1.flush()
-        del s1
-        assert not FileStore(path).exists("r")
-
-    @pytest.mark.parametrize("other_size", [4, 6])
-    def test_ids_differing_only_in_the_separator_keep_their_own_files(
-        self, tmp_path, other_size
-    ):
-        # real ids are f"{pid}/{name}": pid "a_b" + "c" vs pid "a" + "b_c"
-        path = str(tmp_path / "s")
-        s1 = FileStore(path)
-        for region_id, size, fill in (("p0/x", 4, 1), ("p0_x", other_size, 2)):
-            s1.create(region_id, size)
-            s1.write(region_id, 0, np.full(size, fill, dtype=np.uint8))
-        s1.flush()
-        del s1
-        s2 = FileStore(path)
-        assert list(s2.read("p0/x")) == [1] * 4
-        assert list(s2.read("p0_x")) == [2] * other_size
-
-    def test_corrupt_metadata_detected(self, tmp_path):
-        path = tmp_path / "s"
-        s1 = FileStore(str(path))
-        s1.create("r", 4)
-        s1.flush()
-        (path / "meta.json").write_text("{not json")
-        with pytest.raises(PersistenceError):
-            FileStore(str(path))
-
-    def test_missing_region_file_detected(self, tmp_path):
-        path = tmp_path / "s"
-        s1 = FileStore(str(path))
-        s1.create("r", 4)
-        s1.flush()
-        (path / "region_r.bin").unlink()
-        with pytest.raises(PersistenceError):
-            FileStore(str(path))
-
-    def test_truncated_region_file_detected(self, tmp_path):
-        path = tmp_path / "s"
-        s1 = FileStore(str(path))
-        s1.create("r", 4)
-        s1.flush()
-        (path / "region_r.bin").write_bytes(b"\0")
-        with pytest.raises(PersistenceError):
-            FileStore(str(path))

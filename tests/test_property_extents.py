@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.alloc import NVAllocator
+from repro.alloc.chunk import batch_commit
 from repro.core import make_standalone_context
 from repro.memory.page import StalePageMap, _mask_extents
 
@@ -126,8 +127,8 @@ def test_extent_staging_reproduces_dram_exactly(rounds):
         assert np.array_equal(staged, chunk.dram), (
             "staged slot differs from DRAM after extent copy"
         )
-        chunk.commit()
-        assert chunk.stale_bytes("local", slot=chunk.committed_version) == 0
+        batch_commit([chunk])
+        assert chunk.copy_extents("local", slot=chunk.committed_version) == []
 
 
 # ---------------------------------------------------------------------------
