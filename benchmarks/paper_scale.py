@@ -11,7 +11,8 @@ Nothing is gated; the numbers are for the record.
     PYTHONPATH=src python benchmarks/paper_scale.py [experiment options]
 
 Experiment options (``python -m repro.tools.experiment --help``) given
-on the command line override the GTC cell's, e.g. ``--app lammps``.
+on the command line override the GTC cell's, e.g. ``--app lammps``; the
+faithful layout applies only to an app that has one (GTC, CM1).
 """
 
 import gc
@@ -21,11 +22,14 @@ import time
 
 from repro.exec import cell
 
-CELL = "--app gtc --nodes 8 --ranks-per-node 12 --iterations 2 --small-chunks 0 --mode dcpcp"
+CELL = "--app gtc --nodes 8 --ranks-per-node 12 --iterations 2 --mode dcpcp"
+FAITHFUL_LAYOUT = ["--small-chunks", "0"]
 
 
 def main(argv):
     argv = CELL.split() + argv
+    if cell.build_parser().parse_args(argv).app in cell.SMALL_CHUNK_APPS:
+        argv = FAITHFUL_LAYOUT + argv
     config = cell.resolve_config(cell.build_parser().parse_args(argv))
     passes = {"in-cell": [], "after": []}
     where, started = "after", 0.0

@@ -41,7 +41,6 @@ from .core import (
     CheckpointEngine,
     LocalCheckpointer,
     NVMCheckpoint,
-    OnlinePolicyTuner,
     PrecopyEngine,
     RemoteHelper,
     RestartManager,
@@ -98,7 +97,6 @@ __all__ = [
     "PrecopyEngine",
     "RemoteHelper",
     "RestartManager",
-    "OnlinePolicyTuner",
     "make_standalone_context",
     # allocation
     "Chunk",

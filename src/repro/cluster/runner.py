@@ -116,12 +116,6 @@ class RunResult:
     degraded_entries: int = 0
     degraded_time_total: float = 0.0
 
-    # -- online policy autotuning --
-    autotune_switches: int = 0
-    autotune_nudges: int = 0
-    #: final per-rank policy modes, comma-joined and deduplicated
-    autotune_final_policy: str = ""
-
     # -- payload codec (delta/dedup representation layer) --
     #: set when a non-raw codec was configured; gates the extra
     #: ``codec`` block in :meth:`to_dict` so raw runs (goldens, caches,
@@ -257,11 +251,6 @@ class RunResult:
                 "degraded_entries": self.degraded_entries,
                 "degraded_time_s": self.degraded_time_total,
             },
-            "autotune": {
-                "switches": self.autotune_switches,
-                "nudges": self.autotune_nudges,
-                "final_policy": self.autotune_final_policy,
-            },
         }
         if self.codec:
             blocks = self.codec_blocks_new + self.codec_blocks_ref
@@ -352,11 +341,6 @@ class ClusterRunner:
         self.result: Optional[RunResult] = None
         self._end_time = None
         self._bg_procs = []
-        acfg = self.ckpt_config.autotune
-        #: the policy-tuner config when tuners run (local checkpoints on)
-        self._autotune = acfg if acfg.enabled and local_checkpoints else None
-        #: rank -> its live policy tuner (autotuned runs only)
-        self.tuners: Dict[str, object] = {}
         # -- resilience layer (wired in _start_background when enabled) --
         self.directory = None
         self.transports: Dict[int, object] = {}
@@ -429,23 +413,16 @@ class ClusterRunner:
 
     def start_nodes(self, nodes: List[ClusterNode]) -> None:
         """Start *nodes*' run-time machinery: each rank's pre-copy
-        engine, policy tuner (autotuned runs) and SLO observer, then each
-        helper's transport, rounds process and place in the archive's
-        view.  Run start passes every active node, hard-failure recovery
-        the replacement; phase-major, so run start spawns every pre-copy
-        engine before any helper."""
+        engine and SLO observer, then each helper's transport, rounds
+        process and place in the archive's view.  Run start passes
+        every active node, hard-failure recovery the replacement;
+        phase-major, so run start spawns every pre-copy engine before
+        any helper."""
         engine = self.cluster.engine
         ranks = [state for node in nodes for state in node.ranks]
         if self.local_checkpoints:
             for state in ranks:
                 state.checkpointer.start_background()
-        if self._autotune is not None:
-            from ..core.autotune import OnlinePolicyTuner
-
-            for state in ranks:
-                self.tuners[state.rank] = OnlinePolicyTuner.from_config(
-                    state.checkpointer, self._autotune, seed_offset=state.rank_index
-                ).attach()
         guard = self.slo_guard
         if guard is not None:
             # every coordinated-checkpoint duration feeds the SLO guard
@@ -468,18 +445,10 @@ class ClusterRunner:
 
     def stop_nodes(self, nodes: List[ClusterNode]) -> None:
         """Stop what :meth:`start_nodes` started on *nodes* — at run
-        end, and for a node that failed hard.  A stopped rank's tuner is
-        detached (off the trace bus too) and its switches and nudges are
-        counted into the run's record."""
-        res = self.result
-        ranks = [state for node in nodes for state in node.ranks]
-        for state in ranks:
-            tuner = self.tuners.pop(state.rank, None)
-            if tuner is not None:
-                tuner.detach()
-                res.autotune_switches += len(tuner.switches)
-                res.autotune_nudges += tuner.nudges
-            state.checkpointer.stop_background()
+        end, and for a node that failed hard."""
+        for node in nodes:
+            for state in node.ranks:
+                state.checkpointer.stop_background()
         helpers = [node.helper for node in nodes if node.helper is not None]
         for helper in helpers:
             helper.stop()
@@ -839,9 +808,4 @@ class ClusterRunner:
         )
         if self.slo_guard is not None:
             res.migration_max_ckpt_latency = self.slo_guard.max_latency
-        # autotuning: switches and nudges were counted as tuners stopped
-        if self._autotune is not None:
-            res.autotune_final_policy = ",".join(
-                sorted({state.checkpointer.policy.mode for state in ranks})
-            )
         return res

@@ -37,7 +37,6 @@ __all__ = [
     "InterconnectConfig",
     "ClusterConfig",
     "PrecopyPolicy",
-    "AutotuneConfig",
     "MigrationConfig",
     "ResilienceConfig",
     "CheckpointConfig",
@@ -261,29 +260,6 @@ class PrecopyPolicy:
 
 
 @dataclass(frozen=True)
-class AutotuneConfig:
-    """Switch for the online policy tuner
-    (:class:`repro.core.autotune.OnlinePolicyTuner`): a per-rank bandit
-    over the pre-copy modes.  The bandit's arms and exploration
-    constants are the tuner's own defaults.  Off by default — a run
-    without autotuning stays byte-identical to the pre-tuner
-    pipeline."""
-
-    enabled: bool = False
-    #: "epsilon" (decaying epsilon-greedy) or "ucb" (UCB1 on costs).
-    strategy: str = "epsilon"
-    #: RNG seed for exploration draws (per-rank tuners derive from it).
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.strategy not in ("epsilon", "ucb"):
-            raise ConfigError(
-                f"unknown autotune strategy {self.strategy!r}; "
-                "expected 'epsilon' or 'ucb'"
-            )
-
-
-@dataclass(frozen=True)
 class MigrationConfig:
     """Knobs for planned live chunk migration
     (:mod:`repro.resilience.migration`): bounded-batch moves of a
@@ -357,8 +333,6 @@ class CheckpointConfig:
     checksums: bool = True
     #: retry budget and live migration (repro.resilience).
     resilience: ResilienceConfig = ResilienceConfig()
-    #: online policy autotuning (repro.core.autotune); off by default.
-    autotune: AutotuneConfig = AutotuneConfig()
 
 
 # ---------------------------------------------------------------------------

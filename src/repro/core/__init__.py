@@ -45,7 +45,6 @@ from .restart import RestartManager, RestartReport
 from .transparent import TransparentCheckpointer
 from .compression import CompressionModel
 from .archive import ArchiveStats, ArchiveTier
-from .autotune import IntervalTuner, OnlinePolicyTuner
 from .api import NVMCheckpoint
 
 __all__ = [
@@ -80,7 +79,5 @@ __all__ = [
     "CompressionModel",
     "ArchiveTier",
     "ArchiveStats",
-    "IntervalTuner",
-    "OnlinePolicyTuner",
     "NVMCheckpoint",
 ]

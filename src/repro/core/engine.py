@@ -21,7 +21,6 @@ this class under its public name; ``TransparentCheckpointer``,
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
@@ -57,9 +56,6 @@ class CheckpointStats:
     #: extents (0 in whole-chunk mode) — pairs with ``bytes_copied``
     #: exactly like the ``chunk.copied`` trace event's field
     bytes_saved: int = 0
-    #: the policy mode this coordinated step ran under (autotuned runs
-    #: switch modes between intervals)
-    policy: str = ""
 
     @property
     def duration(self) -> float:
@@ -114,7 +110,12 @@ class CheckpointEngine:
         self.precopy: Optional[PrecopyEngine] = None
         policy_cls = policy_class(self.policy.mode)
         if policy_cls.needs_threshold:
-            self.threshold = self._make_threshold()
+            self.threshold = ThresholdEstimator(
+                bandwidth_per_core=ctx.effective_nvm_bw_per_core(),
+                margin=self.policy.threshold_margin,
+                clock=lambda: ctx.engine.now,
+                actor=str(self.rank),
+            )
         if policy_cls.needs_prediction:
             self.prediction = PredictionTable()
         #: the scheduling strategy — one registry lookup, shared with
@@ -123,38 +124,25 @@ class CheckpointEngine:
             self.policy.mode, threshold=self.threshold, prediction=self.prediction
         )
         if self.decision_policy.precopies:
-            self.precopy = self._make_precopy()
+            # pre-copies always land in the rank's NVM shadow arena (the
+            # pre-copy engine's default), whatever backend the
+            # coordinated step writes to
+            dest = self.destination
+            self.precopy = PrecopyEngine(
+                ctx,
+                chunks=allocator.persistent_chunks,
+                policy=self.policy,
+                tag=f"{self.tag}:precopy",
+                threshold=self.threshold,
+                prediction=self.prediction,
+                decision_policy=self.decision_policy,
+                copier=self.copier,
+                destination=dest if isinstance(dest, NVMArenaDestination) else None,
+                tenant=self.tenant,
+            )
+            # a deleted chunk must leave the schedule with its regions
+            allocator.on_delete.append(self.precopy.drop_chunk)
         self._precopy_proc = None
-        self._background_started = False
-
-    def _make_threshold(self) -> ThresholdEstimator:
-        return ThresholdEstimator(
-            bandwidth_per_core=self.ctx.effective_nvm_bw_per_core(),
-            margin=self.policy.threshold_margin,
-            clock=lambda: self.ctx.engine.now,
-            actor=str(self.rank),
-        )
-
-    def _make_precopy(self) -> PrecopyEngine:
-        # pre-copies always land in the rank's NVM shadow arena (the
-        # pre-copy engine's default), whatever backend the coordinated
-        # step writes to
-        dest = self.destination
-        precopy = PrecopyEngine(
-            self.ctx,
-            chunks=self.allocator.persistent_chunks,
-            policy=self.policy,
-            tag=f"{self.tag}:precopy",
-            threshold=self.threshold,
-            prediction=self.prediction,
-            decision_policy=self.decision_policy,
-            copier=self.copier,
-            destination=dest if isinstance(dest, NVMArenaDestination) else None,
-            tenant=self.tenant,
-        )
-        # a deleted chunk must leave the schedule with its regions
-        self.allocator.on_delete.append(precopy.drop_chunk)
-        return precopy
 
     # ------------------------------------------------------------------
     # Background engine lifecycle.
@@ -168,7 +156,6 @@ class CheckpointEngine:
     def start_background(self) -> None:
         """Spawn the pre-copy engine as a DES process (no-op for the
         no-pre-copy baseline)."""
-        self._background_started = True
         if self.policy.granularity == "page":
             for chunk in self.allocator.chunks():
                 chunk.page_granular_protection = True
@@ -179,54 +166,9 @@ class CheckpointEngine:
             )
 
     def stop_background(self) -> None:
-        self._background_started = False
         if self.precopy is not None:
             self.precopy.stop()
             self._precopy_proc = None
-
-    # ------------------------------------------------------------------
-    # Hot policy swap (online autotuning).
-    # ------------------------------------------------------------------
-
-    def set_policy(self, mode: str) -> CheckpointPolicy:
-        """Swap the scheduling policy to *mode* between intervals.
-
-        Estimators are created lazily on first need and *kept warm*
-        across switches (a bandit cycling through modes must not
-        re-learn the threshold every pull).  The pre-copy engine is
-        created and spawned on the first switch to a pre-copying mode;
-        switching to the no-pre-copy baseline leaves it attached but
-        idle (the :class:`~repro.core.policy.NonePolicy` strategy makes
-        no chunk eligible).  Only call between coordinated checkpoints
-        — e.g. from an ``on_complete`` observer — never while one is in
-        flight.
-        """
-        policy_cls = policy_class(mode)
-        if mode == self.policy.mode:
-            return self.decision_policy
-        if policy_cls.needs_threshold and self.threshold is None:
-            self.threshold = self._make_threshold()
-        if policy_cls.needs_prediction and self.prediction is None:
-            self.prediction = PredictionTable()
-        self.policy = dataclasses.replace(self.policy, mode=mode)
-        self.decision_policy = resolve_policy(
-            mode, threshold=self.threshold, prediction=self.prediction
-        )
-        if self.decision_policy.precopies and self.precopy is None:
-            self.precopy = self._make_precopy()
-            if self._background_started:
-                self.precopy.wire_chunks()
-                self._precopy_proc = self.ctx.engine.process(
-                    self.precopy.run(), name=f"{self.tag}:precopy"
-                )
-        elif self.precopy is not None:
-            self.precopy.adopt_policy(
-                self.policy,
-                self.decision_policy,
-                threshold=self.threshold,
-                prediction=self.prediction,
-            )
-        return self.decision_policy
 
     # ------------------------------------------------------------------
     # The coordinated checkpoint step (nvchkptall).
@@ -283,7 +225,7 @@ class CheckpointEngine:
         """The checkpoint generator body behind :meth:`checkpoint`."""
         engine = self.ctx.engine
         dest = self.destination
-        stats = CheckpointStats(start=engine.now, policy=self.policy.mode)
+        stats = CheckpointStats(start=engine.now)
         if self.precopy is not None:
             self.precopy.pause()
             yield from self.precopy.drain()

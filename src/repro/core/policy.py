@@ -118,8 +118,8 @@ class CheckpointPolicy:
         interval and on what the estimators learned at interval
         boundaries, nothing else.  The pre-copy engine relies on this:
         a chunk answered with anything but :data:`Decision.PRECOPY` is
-        not asked about again until it is written, the interval turns
-        or the policy is swapped."""
+        not asked about again until it is written or the interval
+        turns."""
         raise NotImplementedError
 
     def ready_time(self, interval_start: float) -> float:

@@ -67,7 +67,7 @@ class ReadyIndex:
     Members are either *listed* (iteration yields them, largest
     ``nbytes`` first, ties by position) or *parked*: withheld by the
     policy, skipped by iteration until :meth:`add` (the chunk was
-    written again) or :meth:`rearm` (interval turned, policy swapped)
+    written again) or :meth:`rearm` (the interval turned)
     lists them again.  Every operation touches one entry.
     """
 
@@ -260,29 +260,6 @@ class PrecopyEngine:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
             self._wake = None
-
-    def adopt_policy(
-        self,
-        policy: PrecopyPolicy,
-        decision_policy: CheckpointPolicy,
-        *,
-        threshold: Optional[ThresholdEstimator] = None,
-        prediction: Optional[PredictionTable] = None,
-    ) -> None:
-        """Swap the scheduling strategy mid-run (the checkpoint
-        engine's hot policy switch).  The copy mechanism — copy step,
-        destination, incremental extents — is untouched; only the
-        when-does-a-chunk-move question changes.  Call between
-        intervals (while no copy is in flight for a conflicting
-        strategy); the wake kick re-evaluates eligibility immediately.
-        """
-        self.policy = policy
-        self.decision_policy = decision_policy
-        self.threshold = threshold
-        self.prediction = prediction
-        # what the old strategy withheld, the new one may release
-        self._index.rearm()
-        self._kick()
 
     # ------------------------------------------------------------------
     # Interval lifecycle (driven by the checkpoint coordinator).

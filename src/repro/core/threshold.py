@@ -20,11 +20,10 @@ from typing import Callable, Optional
 
 from ..metrics.trace import BUS, PolicyDecisionEvent
 
-__all__ = ["MAX_MARGIN", "MIN_MARGIN", "ThresholdEstimator"]
+__all__ = ["MIN_MARGIN", "ThresholdEstimator"]
 
-#: the band :meth:`ThresholdEstimator.nudge_margin` keeps the margin in
+#: the smallest safety margin on ``T_c`` (no margin at all)
 MIN_MARGIN = 1.0
-MAX_MARGIN = 4.0
 
 
 class ThresholdEstimator:
@@ -90,27 +89,6 @@ class ThresholdEstimator:
                     policy="dcpc",
                 )
             )
-
-    def nudge_margin(self, delta: float) -> float:
-        """Shift the safety margin by *delta*, clamped to
-        ``[MIN_MARGIN, MAX_MARGIN]`` — the online tuner's threshold
-        knob.  A larger margin inflates ``T_c`` and so *advances* the
-        pre-copy start; a smaller one defers it.  Returns the new
-        margin and surfaces the recompute on the trace bus."""
-        new = min(MAX_MARGIN, max(MIN_MARGIN, self.margin + delta))
-        if new != self.margin:
-            self.margin = new
-            if BUS.active:
-                BUS.emit(
-                    PolicyDecisionEvent(
-                        t=self._clock(),
-                        actor=self._actor,
-                        chunk="*",
-                        decision="recompute_threshold",
-                        policy="dcpc",
-                    )
-                )
-        return self.margin
 
     # -- queries --------------------------------------------------------------------
 

@@ -37,7 +37,6 @@ from ..cluster import (
     ScriptedInjector,
 )
 from ..config import (
-    AutotuneConfig,
     CheckpointConfig,
     ClusterConfig,
     FailureConfig,
@@ -54,6 +53,7 @@ __all__ = [
     "ARCHIVE_PFS_GBPS",
     "NON_SEMANTIC_OPTIONS",
     "SCENARIOS",
+    "SMALL_CHUNK_APPS",
     "Scenario",
     "build_parser",
     "check_combination",
@@ -186,11 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-interval coordinated-checkpoint latency SLO "
                         "(s) that throttles a migrating scenario's moves")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--autotune", action="store_true",
-                   help="run the online policy tuner: a per-rank bandit "
-                        "over the policy modes, hot-swapped between intervals")
-    p.add_argument("--autotune-strategy", choices=["epsilon", "ucb"],
-                   default="epsilon", help="bandit strategy for --autotune")
     p.add_argument("--timeline", action="store_true",
                    help="print the phase timeline (Fig. 5 style)")
     p.add_argument("--json", metavar="PATH", default=None,
@@ -231,7 +226,15 @@ OPTION_DOMAINS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
     **dict.fromkeys(("--hot-fraction", "--write-once-fraction"),
                     (lambda f: 0 <= f <= 1, "must be a fraction in [0, 1]")),
     "--comm-mb": (lambda mb: 0 <= mb < math.inf, "must be non-negative and finite"),
+    "--small-chunks": (lambda n: n >= 0, "must be at least 0"),
 }
+
+#: the synthetic model's own options: no other app reads them
+SYNTHETIC_OPTIONS = (
+    "--checkpoint-mb", "--chunk-mb", "--hot-fraction", "--write-once-fraction", "--comm-mb",
+)
+#: the apps whose chunk layout ``--small-chunks`` sets
+SMALL_CHUNK_APPS = ("gtc", "cm1")
 
 
 def _dest(flag: str) -> str:
@@ -252,11 +255,12 @@ def check_combination(args: argparse.Namespace) -> None:
     """Refuse values and option combinations the cell would silently
     ignore or cannot honour: a value outside its option's domain
     (:data:`OPTION_DOMAINS`), byte shares of more than the whole
-    footprint, a payload codec beside a compression model, whatever
-    ``--ideal`` would discard, the options that act on a remote tier
-    when ``--no-remote`` or ``--pfs-gbps`` turns it off (a hard failure
-    would fetch from a buddy that holds no copy), and whatever would
-    change a scenario's testbed or failure schedule."""
+    footprint, an app option the chosen app does not read, a payload
+    codec beside a compression model, whatever ``--ideal`` would
+    discard, the options that act on a remote tier when ``--no-remote``
+    or ``--pfs-gbps`` turns it off (a hard failure would fetch from a
+    buddy that holds no copy), and whatever would change a scenario's
+    testbed or failure schedule."""
     for flag, (ok, domain) in OPTION_DOMAINS.items():
         value = getattr(args, _dest(flag))
         if value is not None and not ok(value):
@@ -266,14 +270,19 @@ def check_combination(args: argparse.Namespace) -> None:
             "--hot-fraction and --write-once-fraction together exceed the "
             "whole footprint"
         )
+    ignored = [] if args.app == "synthetic" else _given(args, *SYNTHETIC_OPTIONS)
+    if args.app not in SMALL_CHUNK_APPS:
+        ignored += _given(args, "--small-chunks")
+    if ignored:
+        raise ConfigError(f"--app {args.app} does not read {', '.join(ignored)}")
     if args.codec != "raw" and args.compress_ratio is not None:
         raise ConfigError(
             f"--codec {args.codec} and --compress-ratio both define the wire "
             "volume; run one of them"
         )
     discarded = _given(
-        args, "--mtbf-local", "--mtbf-remote", "--autotune", "--archive",
-        "--compress-ratio", "--pfs-gbps", "--codec", "--copy-granularity",
+        args, "--mtbf-local", "--mtbf-remote", "--archive", "--compress-ratio",
+        "--pfs-gbps", "--codec", "--copy-granularity",
     )
     if args.ideal and discarded:
         raise ConfigError(
@@ -372,9 +381,6 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
         args.small_chunks = None  # faithful layouts
     app = APPS[args.app](args)
     app.iteration_compute_time = args.local_interval
-    autotune = AutotuneConfig()
-    if args.autotune:
-        autotune = AutotuneConfig(enabled=True, strategy=args.autotune_strategy, seed=args.seed)
     scenario = SCENARIOS[args.scenario] if args.scenario else Scenario(args.nodes)
     migration = MigrationConfig()
     if scenario.migration:
@@ -390,7 +396,6 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
             codec=args.codec,
         ),
         remote_precopy=not args.no_remote_precopy,
-        autotune=autotune,
         resilience=ResilienceConfig(migration=migration),
     )
     cluster_config = ClusterConfig(nodes=args.nodes + scenario.spares)

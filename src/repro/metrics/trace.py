@@ -55,7 +55,6 @@ __all__ = [
     "CommitEvent",
     "RetryEvent",
     "FailoverEvent",
-    "AutotuneSwitchEvent",
     "MembershipChangeEvent",
     "MigrationPlannedEvent",
     "MigrationBatchEvent",
@@ -101,6 +100,10 @@ __all__ = [
 #: because no record a run writes changed: every other kind and field
 #: is as before, and the header line (part of each pinned trace digest)
 #: is byte-identical.
+#: Versions 1 to 5 also carried the policy tuner's switch kind, written
+#: only by a per-rank bandit that hot-swapped the pre-copy mode between
+#: intervals; the tuner is gone and the reader rejects its kind as
+#: unknown.  No pinned trace carries it, so the version stays 5 too.
 TRACE_VERSION = 5
 
 
@@ -217,19 +220,6 @@ class FailoverEvent(TraceEvent):
 
 
 @dataclass(frozen=True)
-class AutotuneSwitchEvent(TraceEvent):
-    """The online policy tuner changed (or nudged) the active policy
-    between two checkpoint intervals."""
-
-    from_policy: str
-    to_policy: str
-    #: "bandit" for a mode switch, "nudge" for a threshold-margin nudge
-    reason: str = "bandit"
-    #: reward (negative cost) the closing interval earned
-    reward: float = 0.0
-
-
-@dataclass(frozen=True)
 class MembershipChangeEvent(TraceEvent):
     """A planned membership event was applied by the
     :class:`~repro.cluster.membership.MembershipController`."""
@@ -318,7 +308,6 @@ _KINDS: Dict[type, str] = {
     CommitEvent: "commit",
     RetryEvent: "retry",
     FailoverEvent: "failover",
-    AutotuneSwitchEvent: "autotune.switch",
     MembershipChangeEvent: "membership.change",
     MigrationPlannedEvent: "migration.planned",
     MigrationBatchEvent: "migration.batch",
@@ -551,8 +540,8 @@ class CounterSink(TraceSink):
 
 class CallbackSink(TraceSink):
     """Feeds matching events to a callback — the bus's *subscriber*
-    form, used by online consumers (e.g. the policy autotuner) that
-    want live statistics, not storage.  ``kinds=None`` receives every
+    form, used by online consumers (e.g. ``examples/dedup_demo.py``)
+    that want live statistics, not storage.  ``kinds=None`` receives every
     event; otherwise only the listed wire names."""
 
     def __init__(

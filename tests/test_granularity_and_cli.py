@@ -164,7 +164,7 @@ class TestCellCombinations:
             # --ideal checkpoints nothing, so it would drop these
             ("--ideal", "--mtbf-local", "60"),
             ("--ideal", "--mtbf-remote", "60"),
-            ("--ideal", "--autotune"),
+            ("--small-chunks", "96"),  # the LAMMPS model has no chunk layout to set
             ("--ideal", "--archive"),
             ("--ideal", "--compress-ratio", "0.5"),
             ("--ideal", "--pfs-gbps", "4"),
@@ -217,6 +217,10 @@ class TestCellCombinations:
             ("--write-once-fraction", "-1"),
             ("--comm-mb", "-1"),
             ("--hot-fraction", "0.75", "--write-once-fraction", "0.5"),
+            # options the app does not read: the synthetic model's
+            # footprint knobs, and a chunk layout only GTC and CM1 take
+            ("--checkpoint-mb", "80"),
+            ("--app", "gtc", "--small-chunks", "-1"),
         ],
     )
     def test_refused_before_any_cell_runs(self, extra):

@@ -27,7 +27,6 @@ from repro.errors import ConfigError
 from repro.metrics.trace import (
     _KINDS,
     TRACE_VERSION,
-    AutotuneSwitchEvent,
     ChunkCopiedEvent,
     CommitEvent,
     FailoverEvent,
@@ -99,15 +98,6 @@ failover_events = st.builds(
     to_target=st.sampled_from(["n2", "n3"]),
     reason=st.sampled_from(["", "buddy died"]),
 )
-autotune_events = st.builds(
-    AutotuneSwitchEvent,
-    t=times,
-    actor=actors,
-    from_policy=st.sampled_from(["none", "cpc", "dcpc", "dcpcp"]),
-    to_policy=st.sampled_from(["none", "cpc", "dcpc", "dcpcp"]),
-    reason=st.sampled_from(["bandit", "nudge"]),
-    reward=st.floats(-1e6, 0.0, allow_nan=False),
-)
 phase_events = st.builds(
     PhaseEvent,
     t=times,
@@ -118,7 +108,7 @@ phase_events = st.builds(
 )
 any_event = st.one_of(
     decision_events, copy_events, commit_events,
-    retry_events, failover_events, autotune_events, phase_events,
+    retry_events, failover_events, phase_events,
 )
 event_streams = st.lists(any_event, max_size=60)
 

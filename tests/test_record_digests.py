@@ -1,14 +1,10 @@
 """Record digests of runs whose tuning defaults live in the components.
 
 The golden records (``tests/golden/pinned_grid_records.json``) hold no
-autotuned and no elastic run, so nothing there notices if the bandit's
-exploration constants, the retry/heartbeat/re-sync constants or the
-migration pacing and SLO fractions change value.  These runs use all of
-them at their defaults:
+failure-heavy and no elastic run, so nothing there notices if the
+retry/heartbeat/re-sync constants or the migration pacing and SLO
+fractions change value.  These runs use all of them at their defaults:
 
-* the golden ``dcpcp-remote-precopy`` LAMMPS cell with ``--autotune``
-  under both bandit strategies, run for eight iterations so the bandit
-  leaves its forced first tour of the four arms and exploits;
 * the ``synthetic-failures-restart`` perfbench cell (retries, heartbeats,
   degraded mode, re-sync, soft and hard restarts);
 * the four ``--scenario`` cells: the ``elastic`` bench block's three
@@ -57,15 +53,8 @@ def _load_generator():
 
 gen = _load_generator()
 
-#: a repeated option takes its last value: eight iterations, not two
-_LAMMPS_AUTOTUNE = gen.TRACE_CELLS["dcpcp-remote-precopy"] + [
-    "--iterations", "8", "--autotune",
-]
-
 #: name -> experiment argv
 CELLS = {
-    "lammps-autotune-epsilon": _LAMMPS_AUTOTUNE,
-    "lammps-autotune-ucb": _LAMMPS_AUTOTUNE + ["--autotune-strategy", "ucb"],
     "synthetic-failures-restart": gen.TRACE_CELLS["synthetic-failures"],
 }
 

@@ -1,8 +1,6 @@
 """Runner and cluster edge cases: buddy loss, consecutive failures,
 PFS-mode interplay, degenerate configurations."""
 
-from dataclasses import replace
-
 import pytest
 
 from repro.apps import SyntheticModel
@@ -12,14 +10,12 @@ from repro.cluster import Cluster, ClusterRunner, phases
 from repro.cluster.failures import FailureEvent, ScriptedInjector
 from repro.cluster.membership import MembershipEvent
 from repro.config import (
-    AutotuneConfig,
     CheckpointConfig,
     ClusterConfig,
     FailureConfig,
     PrecopyPolicy,
 )
 from repro.core import CompressionModel
-from repro.core.autotune import OnlinePolicyTuner
 from repro.core.destination import PfsDestination
 from repro.errors import ClusterError
 from repro.resilience.migration import SloGuard
@@ -108,15 +104,13 @@ class TestReplacementNodeKeepsTheBuildRecipe:
 
 
 def _machinery(runner, state) -> dict:
-    """What runs for one rank: its pre-copy process, tuners, SLO
-    observers, and its node's helper rounds processes."""
+    """What runs for one rank: its pre-copy process, SLO observers,
+    and its node's helper rounds processes."""
     ck = state.checkpointer
-    owners = [getattr(cb, "__self__", None) for cb in ck.on_complete]
     defaults = [d for cb in ck.on_complete for d in getattr(cb, "__defaults__", None) or ()]
     rounds = f"{runner.cluster.nodes[state.node_id].helper.owner}:rounds"
     return {
         "precopy": int(ck._precopy_proc is not None and ck._precopy_proc.alive),
-        "tuner": sum(isinstance(o, OnlinePolicyTuner) for o in owners),
         "slo_observer": sum(isinstance(d, SloGuard) for d in defaults),
         "rounds": sum(p.alive and p.name == rounds for p in runner._bg_procs),
     }
@@ -130,8 +124,7 @@ class TestReplacementNodeIsStartedLikeTheOriginal:
     @pytest.fixture(scope="class")
     def after_recovery(self):
         cluster = Cluster(ClusterConfig(nodes=4), nvm_write_bandwidth=GB_per_sec(2.0), seed=5)
-        cfg = replace(precopy_config(10, 30), autotune=AutotuneConfig(enabled=True))
-        cluster.build(tiny_app(), cfg, ranks_per_node=2, n_nodes_used=3)
+        cluster.build(tiny_app(), precopy_config(10, 30), ranks_per_node=2, n_nodes_used=3)
         runner = ClusterRunner(
             cluster,
             injector=ScriptedInjector([FailureEvent(time=45.0, node=0, kind="hard")]),
@@ -155,7 +148,7 @@ class TestReplacementNodeIsStartedLikeTheOriginal:
         (snapshot,) = snapshots
         return snapshot
 
-    @pytest.mark.parametrize("part", ["precopy", "tuner", "slo_observer", "rounds"])
+    @pytest.mark.parametrize("part", ["precopy", "slo_observer", "rounds"])
     def test_replacement_ranks_run_what_original_ranks_run(self, after_recovery, part):
         # r0 and r1 run on the replacement, r2-r5 on untouched nodes
         counts = {rank: m[part] for rank, m in after_recovery.items()}

@@ -128,7 +128,6 @@ class TestLayering:
         [
             (".start_background(", {"start_nodes"}),
             (".stop_background(", {"stop_nodes"}),
-            ("OnlinePolicyTuner", {"start_nodes"}),
             (".observe(stats.duration)", {"start_nodes"}),  # the SLO observer
             ("_attach_slo_observer(", set()),
         ],

@@ -178,7 +178,7 @@ def test_reader_reports_a_damaged_stream_as_config_error(stream, message):
         (
             '{"kind": "no.such", "t": 1.0, "actor": "r0"}',
             "trace line 2: unknown trace event kind 'no.such'; known kinds: "
-            "autotune.switch, chunk.copied, codec.decision, commit, failover, "
+            "chunk.copied, codec.decision, commit, failover, "
             "membership.change, migration.aborted, migration.batch, "
             "migration.cutover, migration.planned, phase, policy.decision, "
             "resync.aborted, retry",
@@ -211,6 +211,18 @@ def test_reader_rejects_the_removed_tenant_kinds():
     any other unknown kind."""
     record = '{"kind": "tenant.admission", "t": 1.0, "actor": "qos", "tenant": "a"}'
     with pytest.raises(ConfigError, match="unknown trace event kind 'tenant.admission'"):
+        read_trace(io.StringIO(f"{_HEADER}\n{record}\n"))
+
+
+def test_reader_rejects_the_removed_autotune_kind():
+    """``autotune.switch`` records were written only by the online
+    policy tuner, which is gone; a v5 stream carrying one is rejected
+    like any other unknown kind."""
+    record = (
+        '{"kind": "autotune.switch", "t": 1.0, "actor": "r0", "from_policy": "cpc", '
+        '"to_policy": "dcpc", "reason": "bandit", "reward": -1.0}'
+    )
+    with pytest.raises(ConfigError, match="unknown trace event kind 'autotune.switch'"):
         read_trace(io.StringIO(f"{_HEADER}\n{record}\n"))
 
 

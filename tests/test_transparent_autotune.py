@@ -1,8 +1,8 @@
-"""Transparent checkpointing and the interval auto-tuner."""
+"""Transparent checkpointing."""
 
 import pytest
 
-from repro.core import IntervalTuner, TransparentCheckpointer, make_standalone_context
+from repro.core import TransparentCheckpointer, make_standalone_context
 from repro.errors import CheckpointError
 from repro.units import GB, MB
 
@@ -70,81 +70,3 @@ class TestTransparent:
         assert len(t.history) == 2
         assert t.total_bytes_to_nvm == 2 * MB(64)
 
-
-class TestIntervalTuner:
-    def test_holds_initial_until_a_checkpoint_is_measured(self):
-        tuner = IntervalTuner(40.0)
-        assert tuner.recommended_interval() == 40.0
-
-    def test_mtbf_starts_at_prior(self):
-        tuner = IntervalTuner(40.0, prior_mtbf=1000.0)
-        assert tuner.mtbf_estimate() == pytest.approx(1000.0)
-
-    def test_mtbf_converges_to_observations(self):
-        tuner = IntervalTuner(40.0, prior_mtbf=1000.0, prior_weight=1.0)
-        # 20 failures over 2000 s -> observed MTBF 100
-        for i in range(1, 21):
-            tuner.observe_failure(i * 100.0)
-        est = tuner.mtbf_estimate()
-        assert est == pytest.approx((1000.0 + 2000.0) / 21, rel=1e-9)
-        assert est < 200.0
-
-    def test_recommendation_tracks_young(self):
-        tuner = IntervalTuner(40.0, prior_mtbf=800.0, smoothing=1.0)
-        tuner.observe_checkpoint(2.0)
-        from repro.models import young_interval
-
-        assert tuner.recommended_interval() == pytest.approx(
-            young_interval(2.0, 800.0)
-        )
-
-    def test_daly_variant(self):
-        tuner = IntervalTuner(40.0, prior_mtbf=800.0, smoothing=1.0, use_daly=True)
-        tuner.observe_checkpoint(2.0)
-        from repro.models import daly_interval
-
-        assert tuner.recommended_interval() == pytest.approx(daly_interval(2.0, 800.0))
-
-    def test_clamping(self):
-        tuner = IntervalTuner(40.0, prior_mtbf=1e9, smoothing=1.0, max_interval=120.0)
-        tuner.observe_checkpoint(10.0)
-        assert tuner.recommended_interval() == 120.0
-        tuner2 = IntervalTuner(40.0, prior_mtbf=1.0, smoothing=1.0, min_interval=5.0)
-        tuner2.observe_checkpoint(10.0)
-        assert tuner2.recommended_interval() == 5.0
-
-    def test_more_failures_shorter_interval(self):
-        calm = IntervalTuner(40.0, prior_mtbf=3600.0, smoothing=1.0)
-        calm.observe_checkpoint(2.0)
-        calm.observe_progress(4000.0)
-        frantic = IntervalTuner(40.0, prior_mtbf=3600.0, smoothing=1.0)
-        frantic.observe_checkpoint(2.0)
-        for i in range(1, 41):
-            frantic.observe_failure(i * 100.0)
-        assert frantic.recommended_interval() < calm.recommended_interval()
-
-    def test_checkpoint_cost_smoothing(self):
-        tuner = IntervalTuner(40.0, smoothing=0.5)
-        tuner.observe_checkpoint(4.0)
-        tuner.observe_checkpoint(2.0)
-        assert tuner.checkpoint_cost == pytest.approx(3.0)
-        tuner.observe_checkpoint(0.0)  # ignored
-        assert tuner.checkpoint_cost == pytest.approx(3.0)
-
-    def test_smoothed_application_avoids_thrash(self):
-        tuner = IntervalTuner(40.0, prior_mtbf=3600.0, smoothing=0.3)
-        tuner.observe_checkpoint(0.5)
-        first = tuner.recommended_interval()
-        # one recommendation moves only 30% toward the target
-        assert abs(first - 40.0) < abs(
-            IntervalTuner(40.0, prior_mtbf=3600.0, smoothing=1.0)
-            .recommended_interval() - 40.0
-        ) or first != 40.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            IntervalTuner(0.0)
-        with pytest.raises(ValueError):
-            IntervalTuner(40.0, smoothing=0.0)
-        with pytest.raises(ValueError):
-            IntervalTuner(40.0, min_interval=10.0, max_interval=5.0)
