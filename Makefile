@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint loc reach faults faults-matrix bench bench-json smoke examples perf-smoke perf-compare paper-scale
+.PHONY: test lint loc reach faults faults-matrix bench bench-json smoke examples perf-smoke perf-compare perf-pairs paper-scale
 
 # tier-1: the full deterministic suite
 test:
@@ -107,3 +107,17 @@ perf-compare:
 	(cd "$$tmp/base" && $(PYTHON) -m perfbench run --no-trace --out "$$tmp/base.json"); \
 	$(PYTHON) -m perfbench run --no-trace --out "$$tmp/head.json"; \
 	$(PYTHON) -m perfbench compare "$$tmp/base.json" "$$tmp/head.json"
+
+# the claim rule for a performance gain as one command:
+# `make perf-pairs BASE=<git-ref> WORKLOAD=<name> [SEED=<first seed>]`
+# exports BASE with `git archive` to a temp dir, runs 10 alternating-order
+# pairs of `perfbench measure --seconds 10` there and here on seeds SEED,
+# SEED+1, ..., and prints each side's quartiles per end-to-end metric,
+# the pairs won, and whether the median gap beats the base's IQR
+# (benchmarks/perf_pairs.py; ~5 min)
+SEED ?= 1
+perf-pairs:
+	@test -n "$(BASE)" && test -n "$(WORKLOAD)" || { echo "usage: make perf-pairs BASE=<git-ref> WORKLOAD=<name> [SEED=<n>]"; exit 2; }
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	git archive "$(BASE)" | tar -x -C "$$tmp"; \
+	$(PYTHON) benchmarks/perf_pairs.py "$$tmp" "$$(pwd)" "$(WORKLOAD)" "$(SEED)"

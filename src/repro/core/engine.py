@@ -208,11 +208,12 @@ class CheckpointEngine:
         now = self.ctx.engine.now
         copying = {c.chunk_id for c in to_copy}
         pname = self.decision_policy.name
+        actor = str(self.rank)
         for chunk in all_persistent:
             BUS.emit(
                 PolicyDecisionEvent(
                     t=now,
-                    actor=str(self.rank),
+                    actor=actor,
                     chunk=chunk.name,
                     decision=(
                         "copy_at_checkpoint" if chunk.chunk_id in copying else "skip"

@@ -39,11 +39,11 @@ def _run_one(fn: Callable[[Any], Any], payload: Any, capture: bool):
     the cell's events as finished Jsonl lines next to its result."""
     if not capture:
         return fn(payload), None
-    from ..metrics.trace import BUS, RingBufferSink, encode_line
+    from ..metrics.trace import BUS, RingBufferSink
 
     with BUS.capture(RingBufferSink(capacity=None)) as sink:
         result = fn(payload)
-    return result, [encode_line(event.to_record()) for event in sink.events]
+    return result, [event.to_line() for event in sink.events]
 
 
 def _run_batch(fn: Callable[[Any], Any], items: List[Tuple[int, Any]], capture: bool):

@@ -21,8 +21,11 @@ trace a parallel grid.
 
 Every event field is a scalar (``str``/``int``/``float``/``bool``), so
 a record is one flat dict built from the per-class field table
-:data:`_FIELDS`, and a line is that record through the one shared
-encoder :func:`encode_line`: ~1 us and ~5 us per event.
+:data:`_FIELDS`, and a line (:meth:`TraceEvent.to_line`) is the same
+dict built with its keys already sorted, through a shared encoder that
+skips the sort; :func:`encode_line` writes any other record.  On a
+2-CPU Xeon under CPython 3.11, over one captured cell's event mix,
+building an event costs ~0.8 us, its record ~1.3 us and its line ~8 us.
 """
 
 from __future__ import annotations
@@ -108,11 +111,19 @@ TRACE_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
-# Events.  All frozen, every field a JSON scalar (str/int/float/bool).
+# Events: slotted dataclasses, every field a JSON scalar (str/int/float/bool).
+#
+# Immutability is a contract, not enforced: nothing assigns to an event
+# after it is built.  Every sink on the bus, a ring buffer and the replay
+# engine's TraceSource share the one object, so a mutation would change
+# what a later consumer replays.  The classes are not frozen because a
+# frozen dataclass builds through object.__setattr__ per field, over 3x
+# the cost of a slotted one.  Being unfrozen eq dataclasses, events are
+# also unhashable: never use one as a dict key or set member.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
     """Base event: simulated timestamp plus the emitting actor."""
 
@@ -131,8 +142,18 @@ class TraceEvent:
             rec[name] = getattr(self, name)
         return rec
 
+    def to_line(self) -> str:
+        """This event's Jsonl line: byte for byte
+        ``encode_line(self.to_record())``, from a record built with its
+        keys already sorted, so the encoder skips the sort."""
+        cls = type(self)
+        rec = _LINE_RECORDS[cls].copy()
+        for name in _FIELDS[cls]:
+            rec[name] = getattr(self, name)
+        return _ENCODE_IN_ORDER(rec) + "\n"
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class PolicyDecisionEvent(TraceEvent):
     """One ``CheckpointPolicy.decide`` outcome for one chunk."""
 
@@ -141,7 +162,7 @@ class PolicyDecisionEvent(TraceEvent):
     policy: str  # policy registry name: none | cpc | dcpc | dcpcp
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ChunkCopiedEvent(TraceEvent):
     """One chunk's data landed at a destination (t is the span end)."""
 
@@ -167,7 +188,7 @@ class ChunkCopiedEvent(TraceEvent):
     tenant: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CodecDecisionEvent(TraceEvent):
     """The per-chunk codec policy weighed the candidate representations
     and picked one (emitted only by the ``auto`` codec, which is the
@@ -188,7 +209,7 @@ class CodecDecisionEvent(TraceEvent):
     density: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CommitEvent(TraceEvent):
     """A commit point: staged versions flipped and metadata persisted."""
 
@@ -200,7 +221,7 @@ class CommitEvent(TraceEvent):
     tenant: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class RetryEvent(TraceEvent):
     """The resilience transport re-attempting a failed transfer."""
 
@@ -210,7 +231,7 @@ class RetryEvent(TraceEvent):
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class FailoverEvent(TraceEvent):
     """A buddy/destination switch (orphan re-pair, degraded entry...)."""
 
@@ -219,7 +240,7 @@ class FailoverEvent(TraceEvent):
     reason: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MembershipChangeEvent(TraceEvent):
     """A planned membership event was applied by the
     :class:`~repro.cluster.membership.MembershipController`."""
@@ -231,7 +252,7 @@ class MembershipChangeEvent(TraceEvent):
     moves: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MigrationPlannedEvent(TraceEvent):
     """The planner derived one per-node migration from the live
     buddy directory (source node's copies move between buddies)."""
@@ -245,7 +266,7 @@ class MigrationPlannedEvent(TraceEvent):
     nbytes: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MigrationBatchEvent(TraceEvent):
     """One bounded migration batch staged and committed on the new
     buddy (t is the span end)."""
@@ -258,7 +279,7 @@ class MigrationBatchEvent(TraceEvent):
     throttled: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MigrationCutoverEvent(TraceEvent):
     """Atomic buddy-ownership switch after the final batch commit."""
 
@@ -268,7 +289,7 @@ class MigrationCutoverEvent(TraceEvent):
     nbytes: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class MigrationAbortEvent(TraceEvent):
     """A migration gave up before cutover; ownership stays with the
     old buddy (or falls back to a full re-sync on failover)."""
@@ -278,7 +299,7 @@ class MigrationAbortEvent(TraceEvent):
     nbytes: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ResyncAbortedEvent(TraceEvent):
     """A :class:`~repro.resilience.resync.ResyncTask` exhausted its
     failure budget: the node stays unprotected (degraded) until the
@@ -289,7 +310,7 @@ class ResyncAbortedEvent(TraceEvent):
     chunks_sent: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PhaseEvent(TraceEvent):
     """One closed interval of activity by one actor (a Fig. 1/5 bar):
     *phase* is a :mod:`repro.metrics.timeline` phase name, *t* the time
@@ -321,14 +342,26 @@ _KINDS: Dict[type, str] = {
 _CLASSES: Dict[str, type] = {kind: cls for cls, kind in _KINDS.items()}
 
 #: event class -> its field names in declaration order: the schema both
-#: directions share (:meth:`TraceEvent.to_record` writes exactly these,
+#: directions share (:meth:`TraceEvent.to_record` and
+#: :meth:`TraceEvent.to_line` write exactly these,
 #: :func:`event_from_record` accepts exactly these).  Values go into the
 #: record un-copied, which is sound because every field is a scalar.
 _FIELDS: Dict[type, Tuple[str, ...]] = {
     cls: tuple(f.name for f in fields(cls)) for cls in _KINDS
 }
 
-_ENCODE = json.JSONEncoder(sort_keys=True).encode
+#: event class -> the record :meth:`TraceEvent.to_line` fills: its
+#: ``kind`` set and every field of :data:`_FIELDS` keyed in sorted order,
+#: so a line needs no sort to come out as ``sort_keys=True`` writes it
+_LINE_RECORDS: Dict[type, Dict[str, Any]] = {
+    cls: {**dict.fromkeys(sorted(("kind",) + names)), "kind": _KINDS[cls]}
+    for cls, names in _FIELDS.items()
+}
+
+# records are flat scalars (see :data:`_FIELDS`) and headers plain
+# config trees, so there is no container cycle for the encoder to check
+_ENCODE = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+_ENCODE_IN_ORDER = json.JSONEncoder(check_circular=False).encode
 
 
 def encode_line(record: Dict[str, Any]) -> str:
@@ -517,7 +550,7 @@ class JsonlSink(TraceSink):
         self._fh.write(encode_line(header))
 
     def handle(self, event: TraceEvent) -> None:
-        self._fh.write(encode_line(event.to_record()))
+        self._fh.write(event.to_line())
 
     def close(self) -> None:
         self._fh.flush()
@@ -533,7 +566,8 @@ class CounterSink(TraceSink):
         self.decisions: Dict[str, int] = {}
 
     def handle(self, event: TraceEvent) -> None:
-        self.by_kind[event.kind] = self.by_kind.get(event.kind, 0) + 1
+        kind = event.kind
+        self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
         if isinstance(event, PolicyDecisionEvent):
             self.decisions[event.decision] = self.decisions.get(event.decision, 0) + 1
 

@@ -24,14 +24,24 @@ from repro.metrics.trace import (
     BUS,
     TRACE_VERSION,
     ChunkCopiedEvent,
+    CodecDecisionEvent,
     CommitEvent,
     CounterSink,
     FailoverEvent,
     JsonlSink,
+    MembershipChangeEvent,
+    MigrationAbortEvent,
+    MigrationBatchEvent,
+    MigrationCutoverEvent,
+    MigrationPlannedEvent,
+    PhaseEvent,
     PolicyDecisionEvent,
+    ResyncAbortedEvent,
     RetryEvent,
     RingBufferSink,
     TraceBus,
+    encode_line,
+    event_from_record,
     read_trace,
 )
 from repro.units import MB
@@ -45,15 +55,36 @@ def clean_bus():
 
 
 def _sample_events():
+    """One event of every kind in :data:`_KINDS`, every field set away
+    from its default."""
     return [
         PolicyDecisionEvent(t=1.0, actor="r0", chunk="a", decision="precopy", policy="cpc"),
         ChunkCopiedEvent(
             t=2.0, actor="r0", chunk="a", nbytes=10, start=1.5,
-            stream="local", phase="precopy", destination="nvm",
+            stream="local", phase="precopy", destination="nvm", pages=3,
+            bytes_saved=6, codec="delta", logical_bytes=16, tenant="t0",
         ),
-        CommitEvent(t=3.0, actor="r0", chunks_committed=1, bytes_committed=10, flush_cost=0.1),
+        CommitEvent(t=3.0, actor="r0", chunks_committed=1, bytes_committed=10,
+                    flush_cost=0.1, destination="nvm", tenant="t0"),
         RetryEvent(t=4.0, actor="n0", target="n1", attempt=2, delay=0.5, reason="timeout"),
         FailoverEvent(t=5.0, actor="n0", from_target="n1", to_target="n2", reason="buddy died"),
+        CodecDecisionEvent(
+            t=6.0, actor="r1", chunk="b", chosen="dedup", raw_bytes=40,
+            delta_bytes=20, dedup_bytes=8, entropy=0.25, density=0.5,
+        ),
+        MembershipChangeEvent(t=7.0, actor="ctl", node=3, action="join", moves=2),
+        MigrationPlannedEvent(
+            t=8.0, actor="ctl", node=1, from_target="n1", to_target="n3",
+            reason="drain", chunks=4, nbytes=400,
+        ),
+        MigrationBatchEvent(t=9.0, actor="n1", seq=1, chunks=2, nbytes=200,
+                            start=8.5, throttled=True),
+        MigrationCutoverEvent(t=10.0, actor="n1", from_target="n1", to_target="n3",
+                              batches=2, nbytes=400),
+        MigrationAbortEvent(t=11.0, actor="n2", reason="buddy failed", batches=1,
+                            nbytes=100),
+        ResyncAbortedEvent(t=12.0, actor="n2", failures=3, bytes_sent=50, chunks_sent=1),
+        PhaseEvent(t=14.0, actor="n0", phase="compute", start=13.0, end=14.0),
     ]
 
 
@@ -74,16 +105,39 @@ def test_attach_detach_and_capture_scope():
         assert bus.active
         for ev in _sample_events():
             bus.emit(ev)
-        assert len(ring.events) == 5
+        assert len(ring.events) == len(_KINDS)
     assert not bus.active
 
 
 def test_event_kinds_and_records_are_stable():
-    kinds = [e.kind for e in _sample_events()]
-    assert kinds == ["policy.decision", "chunk.copied", "commit", "retry", "failover"]
-    rec = _sample_events()[1].to_record()
+    events = _sample_events()
+    assert [e.kind for e in events] == [
+        "policy.decision", "chunk.copied", "commit", "retry", "failover",
+        "codec.decision", "membership.change", "migration.planned",
+        "migration.batch", "migration.cutover", "migration.aborted",
+        "resync.aborted", "phase",
+    ]
+    assert sorted(e.kind for e in events) == sorted(_KINDS.values())
+    rec = events[1].to_record()
     assert rec["kind"] == "chunk.copied"
     assert rec["chunk"] == "a" and rec["nbytes"] == 10 and rec["destination"] == "nvm"
+    for event in events:
+        for f in dataclasses.fields(event):
+            assert getattr(event, f.name) != f.default, f"{event.kind}.{f.name} left at default"
+
+
+def test_every_event_is_slotted_and_round_trips_to_the_same_line():
+    """The per-event path's contract: no instance dict (slotted
+    classes), a record that rebuilds an equal event, and a line —
+    through ``encode_line`` or ``to_line`` — byte-identical to
+    ``json.dumps(record, sort_keys=True)``."""
+    for event in _sample_events():
+        assert not hasattr(event, "__dict__"), f"{event.kind} has an instance __dict__"
+        record = event.to_record()
+        assert event_from_record(record) == event
+        line = json.dumps(record, sort_keys=True) + "\n"
+        assert encode_line(record) == line
+        assert event.to_line() == line
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +165,7 @@ def test_jsonl_sink_streams_sorted_records():
     assert header["kind"] == "trace.header"
     assert header["trace_version"] == TRACE_VERSION
     assert header["meta"] == {"config": {"mode": "cpc"}}
-    assert [r["kind"] for r in lines] == [
-        "policy.decision", "chunk.copied", "commit", "retry", "failover",
-    ]
+    assert [r["kind"] for r in lines] == [e.kind for e in _sample_events()]
     for raw in buf.getvalue().splitlines():
         assert raw == json.dumps(json.loads(raw), sort_keys=True)
 
@@ -330,6 +382,38 @@ def test_grid_trace_bytes_do_not_depend_on_who_wrote_them(wide_host):
     assert serial.getvalue().count("\n") > 100
     assert pooled.getvalue() == serial.getvalue()
     assert sunk.getvalue() == serial.getvalue()
+
+
+def test_no_consumer_in_src_mutates_an_event():
+    """Events are unfrozen, so immutability is a contract: every sink,
+    the loader and the replay engine read a captured cell's events and
+    leave each record as it was.  The replay engine's TraceSource
+    shares the capture's event objects, so a mutation anywhere here
+    would corrupt a later replay."""
+    from repro.metrics.timeline import Timeline
+    from repro.replay import accounting_from_events, capture_cell, compare_to_run, load_source
+
+    cap = capture_cell({
+        "app": "lammps", "nodes": 2, "ranks_per_node": 2, "iterations": 2,
+        "local_interval": 20.0, "remote_interval": 40.0, "mode": "dcpcp",
+    })
+    events = cap.events
+    before = [e.to_record() for e in events]
+    assert {r["kind"] for r in before} >= {"policy.decision", "chunk.copied", "commit", "phase"}
+
+    for sink in (JsonlSink(io.StringIO(), meta=cap.meta), CounterSink(), Timeline()):
+        for event in events:
+            sink.handle(event)
+        sink.close()
+    assert all(a is b for a, b in zip(load_source(events).events, events))
+    engine = cap.engine()
+    assert all(a is b for a, b in zip(engine.events, events))
+    assert compare_to_run(engine.faithful(), cap.result).matches
+    for mode in ("none", "cpc", "dcpc", "dcpcp"):
+        engine.replay(mode)
+    accounting_from_events(events)
+
+    assert [e.to_record() for e in events] == before
 
 
 # ---------------------------------------------------------------------------
