@@ -75,7 +75,7 @@ examples:
 # "fidelity: same" against the recorded reference — then its unit tests.
 # One test is deselected: it demands that every traced target listed in
 # perfbench/layers.py still resolve, and that list cannot be edited next
-# to a src/ change, so it still names 117 callables that have since been
+# to a src/ change, so it still names 119 callables that have since been
 # deleted (payload trios, write_at/write_payload, collector methods,
 # ParallelExecutor.*, TimelineSink.handle, Timeline.begin/end,
 # resilient_put/get, Fabric.outage_active, Scrubber.*, PageTable.*,
@@ -86,7 +86,8 @@ examples:
 # Cluster.total_remote_bytes, ResultCache.stats, compare_accounting,
 # validate_extents (now private), OnlinePolicyTuner.attach/detach/
 # interval_cost/observe/choose, ThresholdEstimator.nudge_margin,
-# PrecopyEngine.adopt_policy, CheckpointEngine.set_policy, ...).  The
+# PrecopyEngine.adopt_policy, CheckpointEngine.set_policy,
+# TraceBus.subscribe/unsubscribe, ...).  The
 # benchmark itself reports them under missing_targets and runs on; a
 # perfbench/-only change that regenerates the list drops this deselect
 # (ROADMAP item 4).

@@ -25,7 +25,7 @@ from repro.alloc import NVAllocator
 from repro.config import PrecopyPolicy
 from repro.core import LocalCheckpointer, RestartManager, make_standalone_context
 from repro.core.codec import DEFAULT_BLOCK
-from repro.metrics.trace import BUS, CodecDecisionEvent
+from repro.metrics.trace import BUS, CallbackSink, CodecDecisionEvent
 from repro.sim import Engine
 from repro.units import to_MB
 
@@ -33,7 +33,7 @@ from repro.units import to_MB
 def codec_checkpoints():
     print("== 2. auto-codec checkpoints over real content ==")
     decisions: list[CodecDecisionEvent] = []
-    sink = BUS.subscribe(decisions.append, kinds=["codec.decision"])
+    sink = BUS.attach(CallbackSink(decisions.append, kinds=["codec.decision"]))
     engine = Engine()
     ctx = make_standalone_context(name="n0", engine=engine)
     alloc = NVAllocator("r0", ctx.nvmm, ctx.dram, phantom=False, clock=lambda: engine.now)
@@ -69,7 +69,7 @@ def codec_checkpoints():
             f"    codec.decision {ev.chunk!r}: chose {ev.chosen} "
             f"(raw {ev.raw_bytes} / delta {ev.delta_bytes} / dedup {ev.dedup_bytes} B)"
         )
-    BUS.unsubscribe(sink)
+    BUS.detach(sink)
     return engine, ctx, ck
 
 

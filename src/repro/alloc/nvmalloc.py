@@ -58,6 +58,9 @@ class NVAllocator:
         self._chunks: Dict[int, Chunk] = {}
         self._by_name: Dict[str, int] = {}
         self._allocations: Dict[int, Optional[Allocation]] = {}
+        #: observers called as fn(chunk) when a chunk is allocated or
+        #: rebuilt (a page-granular checkpoint engine protects it per page)
+        self.on_register: List[Callable[[Chunk], None]] = []
         #: observers called as fn(chunk) after :meth:`nvdelete` dropped
         #: a chunk (the checkpoint engine unschedules it)
         self.on_delete: List[Callable[[Chunk], None]] = []
@@ -260,6 +263,8 @@ class NVAllocator:
     def _register(self, chunk: Chunk) -> None:
         self._chunks[chunk.chunk_id] = chunk
         self._by_name[chunk.name] = chunk.chunk_id
+        for fn in self.on_register:
+            fn(chunk)
 
     # ------------------------------------------------------------------
     # Metadata persistence.

@@ -7,7 +7,7 @@ x-axis), intervals, pre-copy policy.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..apps.base import ApplicationModel
 from ..config import CheckpointConfig, ClusterConfig
@@ -55,7 +55,6 @@ class Cluster:
         self._phantom = True
         self.pfs = None
         self._compression = None
-        self._tenancy: Dict[str, str] = {}
         self._built = False
 
     # ------------------------------------------------------------------
@@ -73,7 +72,6 @@ class Cluster:
         with_remote: bool = True,
         pfs=None,
         compression=None,
-        tenancy: Optional[Dict[str, str]] = None,
     ) -> "Cluster":
         """Distribute ranks over nodes and attach checkpoint machinery.
 
@@ -85,15 +83,7 @@ class Cluster:
         coordinated checkpoints to the traditional PFS path: every rank
         writes through the globally shared I/O resource instead of its
         node-local NVM (the baseline the paper's introduction motivates
-        against).
-
-        ``tenancy`` maps rank names (``"r0"``, ``"r1"``, ...) to tenant
-        names: each rank's checkpoint traffic — local engine, pre-copy
-        and the remote helper stream — is stamped with its tenant on
-        every ``chunk.copied``/``commit`` trace event, and the runner
-        aggregates per-tenant byte/commit metering.  A key that names no
-        built rank, or an empty tenant name, raises
-        :class:`~repro.errors.ClusterError`."""
+        against)."""
         if self._built:
             raise ClusterError("cluster already built")
         self.app = app
@@ -103,20 +93,10 @@ class Cluster:
             raise ClusterError(f"{n_nodes} nodes requested, only {self.config.nodes} exist")
         if ranks_per_node is None:
             ranks_per_node = self.config.node.cores - (1 if with_remote else 0)
-        rank_names = {f"r{i}" for i in range(n_nodes * ranks_per_node)}
-        for rank, tenant in (tenancy or {}).items():
-            if rank not in rank_names:
-                raise ClusterError(
-                    f"tenancy names {rank!r}, which is none of the "
-                    f"{len(rank_names)} ranks built (r0..r{len(rank_names) - 1})"
-                )
-            if not tenant:
-                raise ClusterError(f"tenancy gives rank {rank!r} an empty tenant name")
         self._n_nodes = n_nodes
         self._phantom = phantom
         self.pfs = pfs
         self._compression = compression
-        self._tenancy = dict(tenancy or {})
         for node in self.nodes[:n_nodes]:
             first = node.node_id * ranks_per_node
             self.populate(node, range(first, first + ranks_per_node))
@@ -150,7 +130,6 @@ class Cluster:
                 neighbors=neighbors,
                 phantom=self._phantom,
                 destination_factory=destination_factory,
-                tenant=self._tenancy.get(f"r{rank_index}", ""),
             )
 
     def attach_helper(self, node: ClusterNode, buddy_id: int) -> RemoteHelper:
@@ -167,11 +146,6 @@ class Cluster:
             [s.allocator for s in node.ranks],
             self.ckpt_config,
             compression=self._compression,
-            tenants={
-                s.rank: s.checkpointer.tenant
-                for s in node.ranks
-                if s.checkpointer.tenant
-            },
         )
         for state in node.ranks:
             state.checkpointer.on_complete.append(

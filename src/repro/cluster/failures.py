@@ -2,19 +2,16 @@
 
 Failures arrive as a merged Poisson process: per-node soft failures at
 rate ``1/mtbf_local`` (process/OS crash — node-local NVM survives, the
-application recovers from its local checkpoint), hard failures at rate
-``1/mtbf_remote`` (node unusable — recovery needs the buddy's remote
-copy), and optionally *transient* failures at rate ``1/mtbf_transient``
-(link flaps: the node's checkpoint-path connectivity drops for a random
-outage window, then heals on its own — no state is lost, but in-flight
-remote transfers tear down and the resilience layer must retry).
+application recovers from its local checkpoint) and hard failures at
+rate ``1/mtbf_remote`` (node unusable — recovery needs the buddy's
+remote copy).  Draws come from named RNG streams, so a run's failure
+schedule is a pure function of the seed.
 
-Draws come from named RNG streams, so a run's failure schedule is a
-pure function of the seed.  The transient kind consumes its extra
-streams ("failure.outage") only when a transient event actually fires,
-and the soft/hard split is scaled so that disabling transients (the
-default, ``mtbf_transient = inf``) reproduces the pre-transient
-schedule bit-for-bit.
+*Transient* failures (link flaps: the node's checkpoint-path
+connectivity drops for an outage window, then heals on its own — no
+state is lost, but in-flight remote transfers tear down and the
+resilience layer must retry) are scripted only, through
+:class:`ScriptedInjector` (``--scenario link-flap``).
 """
 
 from __future__ import annotations
@@ -58,21 +55,12 @@ class FailureInjector:
                 f"MTBFs must be positive, got mtbf_local={config.mtbf_local} "
                 f"mtbf_remote={config.mtbf_remote}"
             )
-        if config.mtbf_transient <= 0:
-            raise ValueError(
-                f"mtbf_transient must be positive (inf disables), got {config.mtbf_transient}"
-            )
-        if config.transient_outage_mean <= 0:
-            raise ValueError("transient_outage_mean must be positive")
         self.config = config
         self.n_nodes = n_nodes
         self.rng = rng or RngStreams(config.seed)
         lam_soft = n_nodes / config.mtbf_local
         lam_hard = n_nodes / config.mtbf_remote
-        lam_transient = (
-            0.0 if config.mtbf_transient == float("inf") else n_nodes / config.mtbf_transient
-        )
-        self.lambda_total = lam_soft + lam_hard + lam_transient
+        self.lambda_total = lam_soft + lam_hard
         if not (self.lambda_total > 0.0) or self.lambda_total == float("inf"):
             # both MTBFs infinite (no failures ever: 0/0) or either
             # zero-like (inf rate): there is no valid failure schedule
@@ -85,12 +73,7 @@ class FailureInjector:
         # next_failure() treats the degenerate endpoints explicitly so
         # rng.random() == 0.0 (which `< p_soft` would misclassify at
         # p_soft == 0) cannot emit the wrong failure kind
-        self.p_transient = min(1.0, max(0.0, lam_transient / self.lambda_total))
-        # soft share *among soft+hard*: kept relative (as before the
-        # transient kind existed) so that p_transient == 0 reproduces
-        # the historical schedule exactly
-        perm = lam_soft + lam_hard
-        self.p_soft = min(1.0, max(0.0, lam_soft / perm)) if perm > 0 else 0.0
+        self.p_soft = min(1.0, max(0.0, lam_soft / self.lambda_total))
         self._clock = 0.0
         self._pending: Optional[FailureEvent] = None
         self.injected: List[FailureEvent] = []
@@ -109,29 +92,13 @@ class FailureInjector:
             # return exactly 0.0, which `< p_soft` would turn into a
             # hard failure even when hard failures are impossible
             draw = self.rng.stream("failure.kind").random()
-            duration = 0.0
-            if self.p_transient >= 1.0 or (
-                self.p_transient > 0.0 and draw >= 1.0 - self.p_transient
-            ):
-                kind = TRANSIENT
-                # the outage stream is touched only on transient events,
-                # so enabling them never perturbs soft/hard schedules
-                duration = self.rng.exponential(
-                    "failure.outage", self.config.transient_outage_mean
-                )
+            if self.p_soft >= 1.0:
+                kind = SOFT
+            elif self.p_soft <= 0.0:
+                kind = HARD
             else:
-                # draw is uniform on [0, 1 - p_transient) here; scale
-                # the soft threshold so P(soft | permanent) stays
-                # lam_soft/(lam_soft+lam_hard) and the p_transient == 0
-                # case matches the historical classification exactly
-                scale = 1.0 - self.p_transient
-                if self.p_soft >= 1.0:
-                    kind = SOFT
-                elif self.p_soft <= 0.0:
-                    kind = HARD
-                else:
-                    kind = SOFT if draw < self.p_soft * scale else HARD
-            ev = FailureEvent(time=self._clock, node=node, kind=kind, duration=duration)
+                kind = SOFT if draw < self.p_soft else HARD
+            ev = FailureEvent(time=self._clock, node=node, kind=kind)
         self.injected.append(ev)
         return ev
 
@@ -151,18 +118,6 @@ class FailureInjector:
 
     def expected_failures(self, elapsed: float) -> float:
         return elapsed * self.lambda_total
-
-    @property
-    def soft_count(self) -> int:
-        return sum(1 for e in self.injected if e.kind == SOFT)
-
-    @property
-    def hard_count(self) -> int:
-        return sum(1 for e in self.injected if e.kind == HARD)
-
-    @property
-    def transient_count(self) -> int:
-        return sum(1 for e in self.injected if e.kind == TRANSIENT)
 
 
 class ScriptedInjector:
@@ -199,15 +154,3 @@ class ScriptedInjector:
             self._cursor += 1
         self.injected.append(ev)
         return ev
-
-    @property
-    def soft_count(self) -> int:
-        return sum(1 for e in self.injected if e.kind == SOFT)
-
-    @property
-    def hard_count(self) -> int:
-        return sum(1 for e in self.injected if e.kind == HARD)
-
-    @property
-    def transient_count(self) -> int:
-        return sum(1 for e in self.injected if e.kind == TRANSIENT)

@@ -78,12 +78,10 @@ class ClusterNode:
         neighbors=(),
         phantom: bool = True,
         destination_factory=None,
-        tenant: str = "",
     ) -> RankState:
         """*destination_factory* is ``(ctx, rank, allocator) -> Destination``
         selecting the checkpoint backend (default: the node's NVM shadow
-        arena).  *tenant* attributes the rank's checkpoint traffic in
-        multi-tenant runs."""
+        arena)."""
         rank = f"r{rank_index}"
         allocator = NVAllocator(
             rank,
@@ -112,7 +110,6 @@ class ClusterNode:
                 else None
             ),
             with_checksums=ckpt_config.checksums,
-            tenant=tenant,
         )
         state = RankState(
             rank=rank,

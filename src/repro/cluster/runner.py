@@ -14,21 +14,21 @@ recovery:
   over the fabric, survivors reload locally, and the run rolls back to
   the last *remotely*-captured iteration (the K(I+t_lcl)/2 recompute
   term of §III);
-* **transient failure** — a link flap: the node's checkpoint-path
-  connectivity drops for the event's outage window and heals on its
-  own.  No state is lost and the application keeps computing, but
-  in-flight remote transfers tear down and the resilience layer
-  (:mod:`repro.resilience`) must retry them.
+* **transient failure** — a scripted link flap: the node's
+  checkpoint-path connectivity drops for the event's outage window and
+  heals on its own.  No state is lost and the application keeps
+  computing, but in-flight remote transfers tear down and the
+  resilience layer (:mod:`repro.resilience`) must retry them.
 
 When failures are injected (or a membership schedule plays) on a
 cluster with remote helpers, the runner wires the resilience layer
-(:class:`~repro.config.ResilienceConfig`) in: per-node retrying
-transports around the helpers' RDMA sends, buddy heartbeat monitors, a live
-:class:`~repro.resilience.directory.BuddyDirectory` that re-pairs
-orphaned nodes, paced background re-sync of committed chunks to the
-new buddy, and per-node degraded-mode controllers that drop to
-local-only checkpointing (with a model-re-solved interval) while a
-node has no healthy remote target.
+in: per-node retrying transports around the helpers' RDMA sends (one
+default :class:`~repro.resilience.retry.RetryPolicy`), buddy heartbeat
+monitors, a live :class:`~repro.resilience.directory.BuddyDirectory`
+that re-pairs orphaned nodes, paced background re-sync of committed
+chunks to the new buddy, and per-node degraded-mode controllers that
+drop to local-only checkpointing (with a model-re-solved interval)
+while a node has no healthy remote target.
 
 Simulation-scale note: in cluster runs chunks are *phantom* (sizes and
 dirty state, no payloads) and soft restart reuses the in-memory rank
@@ -41,7 +41,7 @@ evaluation measures — are fully simulated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..config import FailureConfig, PrecopyPolicy
@@ -163,15 +163,6 @@ class RunResult:
     #: tier) leaves the ``archive`` block out of :meth:`to_dict`
     archive_bytes: Optional[int] = None
 
-    # -- multi-tenant metering --
-    #: set when any rank carried a tenant label; gates the extra
-    #: ``tenants`` block in :meth:`to_dict` so untenanted runs
-    #: (goldens, caches, sweeps) stay byte-identical
-    tenants: bool = False
-    #: tenant -> {ranks, checkpoints, coordinated_bytes, precopy_bytes,
-    #: bytes_saved} aggregated over the tenant's ranks
-    tenant_metering: Dict[str, Dict[str, float]] = field(default_factory=dict)
-
     # -- engine throughput --
     #: DES items (events + callbacks) the engine dispatched for this
     #: run.  Host-dependent denominator for the bench ``scale`` block;
@@ -285,17 +276,6 @@ class RunResult:
             out["pfs"] = {"gb": to_GB(self.pfs_bytes), "file_ops": self.pfs_file_ops}
         if self.archive_bytes is not None:
             out["archive"] = {"gb": to_GB(self.archive_bytes)}
-        if self.tenants:
-            out["tenants"] = {
-                name: {
-                    "ranks": int(m["ranks"]),
-                    "checkpoints": int(m["checkpoints"]),
-                    "coordinated_gb": to_GB(m["coordinated_bytes"]),
-                    "precopy_gb": to_GB(m["precopy_bytes"]),
-                    "saved_gb": to_GB(m["bytes_saved"]),
-                }
-                for name, m in sorted(self.tenant_metering.items())
-            }
         return out
 
 
@@ -372,11 +352,11 @@ class ClusterRunner:
     @property
     def migration_enabled(self) -> bool:
         """Live migration / incremental-failover bookkeeping is opt-in
-        (``resilience.migration.enabled``) so the default failover path
+        (``CheckpointConfig.migration.enabled``) so the default failover path
         stays byte-identical to the pre-migration runner."""
         return (
             self.directory is not None
-            and self.ckpt_config.resilience.migration.enabled
+            and self.ckpt_config.migration.enabled
         )
 
     # ------------------------------------------------------------------
@@ -466,7 +446,7 @@ class ClusterRunner:
             from ..resilience.migration import SloGuard
 
             self.slo_guard = SloGuard(
-                latency_slo=self.ckpt_config.resilience.migration.slo_checkpoint_latency
+                latency_slo=self.ckpt_config.migration.slo_checkpoint_latency
             )
         self.start_nodes(self.cluster.active_nodes)
         for nid, monitor in self.monitors.items():
@@ -488,7 +468,7 @@ class ClusterRunner:
         )
 
         engine = self.cluster.engine
-        policy = RetryPolicy.from_config(self.ckpt_config.resilience)
+        policy = RetryPolicy()
         participants = [
             n.node_id for n in self.cluster.active_nodes if n.helper is not None
         ]
@@ -520,7 +500,7 @@ class ClusterRunner:
         from .membership import MembershipController
 
         engine = self.cluster.engine
-        mcfg = self.ckpt_config.resilience.migration
+        mcfg = self.ckpt_config.migration
         planner = None
         launch = None
         if mcfg.enabled:
@@ -718,28 +698,6 @@ class ClusterRunner:
         if all_stats:
             res.local_ckpt_time_avg = sum(s.duration for s in all_stats) / len(all_stats)
         res.fault_time_total = sum(state.binding.fault_time for state in ranks)
-        # multi-tenant metering: aggregate the per-rank counters by the
-        # tenant label stamped at build time (untenanted ranks meter
-        # under "" only if mixed with labelled ones)
-        if any(state.checkpointer.tenant for state in ranks):
-            res.tenants = True
-            for state in ranks:
-                ck = state.checkpointer
-                m = res.tenant_metering.setdefault(
-                    ck.tenant,
-                    {
-                        "ranks": 0,
-                        "checkpoints": 0,
-                        "coordinated_bytes": 0,
-                        "precopy_bytes": 0,
-                        "bytes_saved": 0,
-                    },
-                )
-                m["ranks"] += 1
-                m["checkpoints"] += len(ck.history)
-                m["coordinated_bytes"] += ck.total_coordinated_bytes
-                m["precopy_bytes"] += ck.total_precopy_bytes
-                m["bytes_saved"] += ck.total_bytes_saved
         # remote
         helpers = cluster.helpers()
         res.remote_rounds = sum(len(h.history) for h in helpers)

@@ -16,7 +16,6 @@ state.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from .errors import ConfigError
 from .units import (
@@ -38,7 +37,6 @@ __all__ = [
     "ClusterConfig",
     "PrecopyPolicy",
     "MigrationConfig",
-    "ResilienceConfig",
     "CheckpointConfig",
     "FailureConfig",
 ]
@@ -146,7 +144,6 @@ class NodeConfig:
     """One compute node: cores + DRAM + node-local NVM."""
 
     cores: int = 12
-    core_ghz: float = 2.8
     dram: DeviceConfig = DRAM_CONFIG
     nvm: DeviceConfig = PCM_CONFIG
     bandwidth_model: BandwidthModelConfig = BandwidthModelConfig()
@@ -284,40 +281,6 @@ class MigrationConfig:
 
 
 @dataclass(frozen=True)
-class ResilienceConfig:
-    """Knobs for the resilience layer (:mod:`repro.resilience`): the
-    retry budget around remote transfers, plus planned live migration.
-    Backoff delays are :class:`~repro.resilience.retry.RetryPolicy`'s
-    defaults, heartbeats
-    :class:`~repro.resilience.health.HealthMonitor`'s, the re-sync
-    failure budget :class:`~repro.resilience.resync.ResyncTask`'s and
-    the degraded-interval floor
-    :data:`repro.resilience.degraded.DEGRADED_MIN_INTERVAL`.
-
-    Defaults keep the success path byte-identical to a run without the
-    layer: a transfer that completes on its first attempt consumes no
-    extra RNG draws and finishes at the same virtual time.
-    """
-
-    #: attempts per transfer before giving up with TransferFailed.
-    retry_max_attempts: int = 8
-    #: per-attempt stall timeout: cancel and re-issue the flow.
-    transfer_timeout: Optional[float] = 60.0
-    #: total wall (virtual) budget per transfer before TransferFailed.
-    transfer_deadline: Optional[float] = 300.0
-    #: planned live migration (elastic membership).
-    migration: MigrationConfig = MigrationConfig()
-
-    def __post_init__(self) -> None:
-        if self.retry_max_attempts < 1:
-            raise ConfigError("retry_max_attempts must be >= 1")
-        for name in ("transfer_timeout", "transfer_deadline"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{name} must be positive or None, got {value!r}")
-
-
-@dataclass(frozen=True)
 class CheckpointConfig:
     """Intervals, pre-copy and remote policy for a run.  Every run keeps
     two versions of each chunk (committed + in-progress)."""
@@ -331,8 +294,8 @@ class CheckpointConfig:
     remote_precopy: bool = True
     #: store/verify per-chunk checksums (optional feature, §V).
     checksums: bool = True
-    #: retry budget and live migration (repro.resilience).
-    resilience: ResilienceConfig = ResilienceConfig()
+    #: planned live migration (elastic membership, repro.resilience).
+    migration: MigrationConfig = MigrationConfig()
 
 
 # ---------------------------------------------------------------------------
@@ -351,13 +314,6 @@ class FailureConfig:
 
     mtbf_local: float = 3600.0
     mtbf_remote: float = 14400.0
-    #: per-node MTBF of *transient* link flaps (NIC resets, switch
-    #: reroutes): the node's checkpoint-path connectivity drops for a
-    #: random outage window, then heals on its own.  ``inf`` (the
-    #: default) disables them, leaving existing schedules bit-identical.
-    mtbf_transient: float = float("inf")
-    #: mean of the exponential outage window for transient failures.
-    transient_outage_mean: float = 10.0
     seed: int = 0x5EED
 
     @property

@@ -10,7 +10,7 @@ facade (:class:`repro.core.api.NVMCheckpoint`) builds a standalone one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..config import NodeConfig
@@ -71,13 +71,7 @@ def make_standalone_context(
     """
     cfg = config or NodeConfig()
     if nvm_write_bandwidth is not None:
-        cfg = NodeConfig(
-            cores=cfg.cores,
-            core_ghz=cfg.core_ghz,
-            dram=cfg.dram,
-            nvm=cfg.nvm.scaled(nvm_write_bandwidth),
-            bandwidth_model=cfg.bandwidth_model,
-        )
+        cfg = replace(cfg, nvm=cfg.nvm.scaled(nvm_write_bandwidth))
     eng = engine or Engine()
     dram = MemoryDevice(cfg.dram)
     nvm = MemoryDevice(cfg.nvm)

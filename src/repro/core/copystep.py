@@ -227,7 +227,6 @@ class CopyStep:
         *,
         start: float,
         phase: str,
-        tenant: str = "",
         actor: Optional[str] = None,
         destination: Optional[str] = None,
         torn: bool = False,
@@ -276,6 +275,5 @@ class CopyStep:
                     bytes_saved=plan.bytes_saved,
                     codec=payload.codec,
                     logical_bytes=plan.logical_bytes,
-                    tenant=tenant,
                 )
             )

@@ -34,12 +34,16 @@ from ..metrics.trace import BUS, CommitEvent, PolicyDecisionEvent, emit_phase
 from .context import NodeContext
 from .copystep import CopyStep
 from .destination import Destination, NVMArenaDestination
-from .policy import CheckpointPolicy, policy_class, resolve_policy
+from .policy import policy_class, resolve_policy
 from .precopy import PrecopyEngine
 from .prediction import PredictionTable
 from .threshold import ThresholdEstimator
 
 __all__ = ["CheckpointEngine", "CheckpointStats", "LocalCheckpointer"]
+
+
+def _protect_per_page(chunk: Chunk) -> None:
+    chunk.page_granular_protection = True
 
 
 @dataclass
@@ -73,10 +77,8 @@ class CheckpointEngine:
         policy: Optional[PrecopyConfig] = None,
         *,
         destination: Optional[Destination] = None,
-        decision_policy: Optional[CheckpointPolicy] = None,
         with_checksums: bool = True,
         tag: Optional[str] = None,
-        tenant: str = "",
     ) -> None:
         self.ctx = ctx
         self.allocator = allocator
@@ -85,10 +87,6 @@ class CheckpointEngine:
         self.with_checksums = with_checksums
         self.rank = allocator.pid
         self.tag = tag or self.rank
-        #: owning tenant in multi-tenant runs; stamped on every
-        #: chunk.copied/commit trace event so per-tenant metering can
-        #: attribute the traffic ("" = untenanted)
-        self.tenant = tenant
         self.last_checkpoint_end = ctx.engine.now
         self.checkpoints_done = 0
         self.history: List[CheckpointStats] = []
@@ -120,7 +118,7 @@ class CheckpointEngine:
             self.prediction = PredictionTable()
         #: the scheduling strategy — one registry lookup, shared with
         #: the background pre-copy engine so both walk one decision path
-        self.decision_policy = decision_policy or resolve_policy(
+        self.decision_policy = resolve_policy(
             self.policy.mode, threshold=self.threshold, prediction=self.prediction
         )
         if self.decision_policy.precopies:
@@ -138,11 +136,16 @@ class CheckpointEngine:
                 decision_policy=self.decision_policy,
                 copier=self.copier,
                 destination=dest if isinstance(dest, NVMArenaDestination) else None,
-                tenant=self.tenant,
             )
             # a deleted chunk must leave the schedule with its regions
             allocator.on_delete.append(self.precopy.drop_chunk)
         self._precopy_proc = None
+        if self.policy.granularity == "page":
+            # every chunk of the rank faults per page, whether it was
+            # allocated before this engine or after it
+            for chunk in allocator.chunks():
+                _protect_per_page(chunk)
+            allocator.on_register.append(_protect_per_page)
 
     # ------------------------------------------------------------------
     # Background engine lifecycle.
@@ -156,9 +159,6 @@ class CheckpointEngine:
     def start_background(self) -> None:
         """Spawn the pre-copy engine as a DES process (no-op for the
         no-pre-copy baseline)."""
-        if self.policy.granularity == "page":
-            for chunk in self.allocator.chunks():
-                chunk.page_granular_protection = True
         if self.precopy is not None and self._precopy_proc is None:
             self.precopy.wire_chunks()
             self._precopy_proc = self.ctx.engine.process(
@@ -261,9 +261,7 @@ class CheckpointEngine:
                 finally:
                     chunk.state_local = ChunkState.IDLE
                 fire("local.copy.after", chunk=chunk, rank=self.rank)
-                self.copier.land(
-                    plan, start=copy_start, phase="coordinated", tenant=self.tenant
-                )
+                self.copier.land(plan, start=copy_start, phase="coordinated")
                 if dest.two_version:
                     fire("local.stage.after", chunk=chunk, rank=self.rank)
                 stats.bytes_copied += plan.nbytes
@@ -318,7 +316,6 @@ class CheckpointEngine:
                         bytes_committed=stats.bytes_copied,
                         flush_cost=stats.flush_cost,
                         destination=dest.name,
-                        tenant=self.tenant,
                     )
                 )
         finally:

@@ -154,13 +154,11 @@ class PrecopyEngine:
         decision_policy: Optional[CheckpointPolicy] = None,
         copier: Optional[CopyStep] = None,
         destination: Optional[Destination] = None,
-        tenant: str = "",
     ) -> None:
         self.ctx = ctx
         self._chunks = chunks
         self.policy = policy
         self.tag = tag
-        self.tenant = tenant
         #: the owning checkpoint engine's copy step (one codec, one
         #: accounting record per rank); a standalone engine gets its own
         self.copier = copier or CopyStep(ctx, policy, actor=tag)
@@ -460,7 +458,6 @@ class PrecopyEngine:
             plan,
             start=copy_start,
             phase="precopy",
-            tenant=self.tenant,
             actor=self.tag,
             # the local pre-copy stream has never stamped the backend
             # on its events; keep the trace stable

@@ -335,7 +335,6 @@ class RemoteHelper:
         *,
         compression=None,
         resilience=None,
-        tenants: Optional[Dict[str, str]] = None,
     ) -> None:
         self.node_id = node_id
         self.ctx = ctx
@@ -348,9 +347,6 @@ class RemoteHelper:
         #: instead of one-shot RDMA (duck-typed to avoid an import
         #: cycle with repro.resilience)
         self.resilience = resilience
-        #: rank pid -> owning tenant; stamps the helper's chunk.copied
-        #: events so remote traffic is attributable in multi-tenant runs
-        self.tenants: Dict[str, str] = dict(tenants or {})
         self.owner = f"n{node_id}:helper"
         #: the copy step of this node's remote stream, shared by the
         #: stream, the round, re-sync and migration.  *compression* (an
@@ -716,9 +712,7 @@ class RemoteHelper:
                 # re-paired mid-send: the bytes went to the old buddy,
                 # and the retarget re-queued what the new one lacks
                 continue
-            self.copier.land(
-                plan, start=t0, phase="precopy", tenant=self.tenants.get(pid, "")
-            )
+            self.copier.land(plan, start=t0, phase="precopy")
             self.mark_held(pid, chunk)
             fire(
                 "remote.stream.after_stage",
@@ -783,12 +777,7 @@ class RemoteHelper:
                         # buddy's; the new pairing starts its own
                         aborted = True
                         break
-                    self.copier.land(
-                        plan,
-                        start=t0,
-                        phase="coordinated",
-                        tenant=self.tenants.get(alloc.pid, ""),
-                    )
+                    self.copier.land(plan, start=t0, phase="coordinated")
                     self.mark_held(alloc.pid, chunk)
                     fire(
                         "remote.round.after_stage",

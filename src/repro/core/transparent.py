@@ -75,9 +75,7 @@ class TransparentCheckpointer:
         self.segments = []
         for i in range(n_segments):
             size = seg_size + (remainder if i == n_segments - 1 else 0)
-            seg = self._alloc.nvalloc(f"as_{i:04d}", size)
-            seg.page_granular_protection = page_tracking
-            self.segments.append(seg)
+            self.segments.append(self._alloc.nvalloc(f"as_{i:04d}", size))
         # no pre-copy: there is no application modification schedule to
         # learn from; page tracking is the only (costly) alternative
         policy = PrecopyPolicy(

@@ -42,7 +42,6 @@ from ..config import (
     FailureConfig,
     MigrationConfig,
     PrecopyPolicy,
-    ResilienceConfig,
 )
 from ..errors import ConfigError
 from ..units import GB, GB_per_sec
@@ -396,7 +395,7 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
             codec=args.codec,
         ),
         remote_precopy=not args.no_remote_precopy,
-        resilience=ResilienceConfig(migration=migration),
+        migration=migration,
     )
     cluster_config = ClusterConfig(nodes=args.nodes + scenario.spares)
     if args.nvm_capacity_gb is not None:

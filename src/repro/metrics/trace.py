@@ -107,6 +107,10 @@ __all__ = [
 #: only by a per-rank bandit that hot-swapped the pre-copy mode between
 #: intervals; the tuner is gone and the reader rejects its kind as
 #: unknown.  No pinned trace carries it, so the version stays 5 too.
+#: No run sets a tenant label any more, so every ``chunk.copied`` and
+#: ``commit`` record carries ``tenant=""``.  The field stays in the
+#: schema until the next version bump (v6) drops it from both kinds;
+#: until then no record byte changes.
 TRACE_VERSION = 5
 
 
@@ -184,7 +188,7 @@ class ChunkCopiedEvent(TraceEvent):
     #: pre-encoding size of the moved extents; ``nbytes`` is the wire
     #: size, so ``logical_bytes - nbytes`` is the codec's saving
     logical_bytes: int = 0
-    #: owning tenant in multi-tenant runs ("" for untenanted runs)
+    #: always "" (no run sets a tenant label); dropped at trace v6
     tenant: str = ""
 
 
@@ -217,7 +221,7 @@ class CommitEvent(TraceEvent):
     bytes_committed: int
     flush_cost: float
     destination: str = ""
-    #: owning tenant in multi-tenant runs ("" for untenanted runs)
+    #: always "" (no run sets a tenant label); dropped at trace v6
     tenant: str = ""
 
 
@@ -625,20 +629,6 @@ class TraceBus:
     def detach(self, sink: TraceSink) -> None:
         if sink in self._sinks:
             self._sinks.remove(sink)
-
-    def subscribe(
-        self,
-        callback: Callable[[TraceEvent], None],
-        kinds: Optional[Iterable[str]] = None,
-    ) -> CallbackSink:
-        """Attach a callback subscriber for the given event kinds and
-        return its sink handle (pass it to :meth:`unsubscribe`)."""
-        sink = CallbackSink(callback, kinds)
-        self.attach(sink)
-        return sink
-
-    def unsubscribe(self, sink: TraceSink) -> None:
-        self.detach(sink)
 
     @contextmanager
     def capture(self, sink: Optional[TraceSink] = None) -> Iterator[TraceSink]:

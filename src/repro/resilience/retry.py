@@ -83,17 +83,6 @@ class RetryPolicy:
             delay *= 1.0 + self.jitter * (2.0 * u - 1.0)
         return delay
 
-    @classmethod
-    def from_config(cls, cfg) -> "RetryPolicy":
-        """Build from a :class:`repro.config.ResilienceConfig` (its
-        attempt budget, timeout and deadline; the backoff delays are
-        this class's defaults)."""
-        return cls(
-            max_attempts=cfg.retry_max_attempts,
-            timeout=cfg.transfer_timeout,
-            deadline=cfg.transfer_deadline,
-        )
-
 
 @dataclass
 class TransferStats:

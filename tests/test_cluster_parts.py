@@ -188,21 +188,6 @@ class TestClusterBuild:
                 n_nodes_used=3,
             )
 
-    @pytest.mark.parametrize(
-        "tenancy",
-        [{"r9": "prod"}, {"rank0": "prod"}, {"r0": ""}],
-        ids=["rank-not-built", "not-a-rank-name", "empty-tenant"],
-    )
-    def test_tenancy_label_that_labels_nothing_rejected(self, tenancy):
-        cluster = Cluster(ClusterConfig(nodes=2))
-        with pytest.raises(ClusterError, match="tenan"):
-            cluster.build(
-                SyntheticModel(checkpoint_mb_per_rank=10),
-                CheckpointConfig(),
-                ranks_per_node=2,
-                tenancy=tenancy,
-            )
-
     def test_rank_names_and_lookup(self):
         cluster = Cluster(ClusterConfig(nodes=2))
         cluster.build(

@@ -4,9 +4,8 @@ Four sites emit ``chunk.copied`` — the coordinated local step, the
 local pre-copy engine, the remote stream and the remote round — and all
 of them land through :class:`repro.core.copystep.CopyStep`.  Whatever
 the site and whatever the payload path (whole chunks, page extents,
-the auto codec), every event obeys the same arithmetic, carries its
-owner's tenant, and the stream as a whole replays to the live run's
-byte accounting exactly.
+the auto codec), every event obeys the same arithmetic, and the stream
+as a whole replays to the live run's byte accounting exactly.
 """
 
 import pytest
@@ -30,7 +29,6 @@ VARIANTS = {
     "incremental": {"copy_granularity": "page"},
     "codec-auto": {"copy_granularity": "page", "codec": "auto"},
 }
-TENANCY = {f"r{i}": ("gold" if i % 2 else "bronze") for i in range(4)}
 
 
 @pytest.fixture(scope="module", params=sorted(VARIANTS))
@@ -50,7 +48,7 @@ def run(request):
         remote_interval=30.0,
         precopy=PrecopyPolicy(mode="dcpcp", **VARIANTS[request.param]),
     )
-    cluster.build(app, config, ranks_per_node=2, tenancy=TENANCY)
+    cluster.build(app, config, ranks_per_node=2)
     with BUS.capture() as sink:
         result = ClusterRunner(cluster).run(8)
     sizes = {
@@ -77,7 +75,6 @@ def test_chunk_copied_field_contract(run, site):
         # the logical bytes exactly when the payload shipped raw
         assert (ev.nbytes == ev.logical_bytes) == (ev.codec == "raw")
         assert ev.nbytes <= ev.logical_bytes
-        assert ev.tenant in ("gold", "bronze")
         assert ev.start <= ev.t
     if variant == "whole-chunk":
         assert all(ev.bytes_saved == 0 and ev.codec == "raw" for ev in copies)
@@ -85,16 +82,6 @@ def test_chunk_copied_field_contract(run, site):
         # the coordinated sites only run in the learning interval here,
         # with no committed base to delta or dedup against yet
         assert any(ev.codec != "raw" for ev in copies)
-
-
-def test_commits_and_metering_carry_each_ranks_tenant(run):
-    _, _, result, events, _ = run
-    commits = [ev for ev in events if ev.kind == "commit"]
-    assert commits
-    assert all(ev.tenant == TENANCY[ev.actor] for ev in commits)
-    tenants = result.to_dict()["tenants"]
-    assert sorted(tenants) == ["bronze", "gold"]
-    assert all(tenants[name]["checkpoints"] > 0 for name in tenants)
 
 
 def test_stream_replays_to_the_live_accounting(run):

@@ -61,6 +61,36 @@ class TestGranularity:
         assert alloc.chunk("a").page_granular_protection
         ck.stop_background()
 
+    @pytest.mark.parametrize("background", [True, False], ids=["background", "no-background"])
+    def test_page_protection_covers_chunks_allocated_after_start(self, background):
+        """A page-granular engine protects every chunk per page,
+        whether the chunk was allocated before or after
+        ``start_background()``, and with or without that call."""
+        import numpy as np
+
+        from repro.config import CheckpointConfig
+        from repro.core import NVMCheckpoint
+
+        handle = NVMCheckpoint(
+            "p0",
+            checkpoint_config=CheckpointConfig(
+                precopy=PrecopyPolicy(mode="dcpcp", granularity="page")
+            ),
+        )
+        before = handle.nvalloc("before", MB(1))
+        if background:
+            handle.start_background()
+        after = handle.nvalloc("after", MB(1))
+        for chunk in (before, after):
+            chunk.write(0, np.ones(chunk.nbytes, dtype=np.uint8))
+        handle.nvchkptall()
+        for chunk in (before, after):
+            faults = chunk.fault_count
+            chunk.write(0, np.full(chunk.nbytes, 2, dtype=np.uint8))
+            assert chunk.fault_count - faults == MB(1) // PAGE_SIZE, chunk.name
+        if background:
+            handle.stop_background()
+
 
 class TestCli:
     def _args(self, *extra):

@@ -163,16 +163,9 @@ def build_drain_cluster(seed=7):
         nvm_write_bandwidth=GB_per_sec(2.0),
         seed=seed,
     )
-    cfg = precopy_config(10, 30)
     from dataclasses import replace
 
-    cfg = replace(
-        cfg,
-        resilience=replace(
-            cfg.resilience,
-            migration=MigrationConfig(enabled=True),
-        ),
-    )
+    cfg = replace(precopy_config(10, 30), migration=MigrationConfig(enabled=True))
     cluster.build(drain_app(), cfg, ranks_per_node=2)
     return cluster
 

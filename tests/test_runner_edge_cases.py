@@ -72,15 +72,12 @@ class TestReplacementNodeKeepsTheBuildRecipe:
     """A hard failure rebuilds the node through the same Cluster
     methods that built it, so whatever ``build()`` was given survives."""
 
-    TENANCY = {"r0": "A", "r1": "A", "r2": "B", "r3": "B"}
-
-    @pytest.mark.parametrize("recipe", ["compression", "tenancy", "pfs"])
+    @pytest.mark.parametrize("recipe", ["compression", "pfs"])
     def test_hard_failure_rebuilds_node_like_build_did(self, recipe):
         cluster = Cluster(ClusterConfig(nodes=4), nvm_write_bandwidth=GB_per_sec(2.0), seed=5)
         compression = CompressionModel(phantom_ratio=0.5)
         build_kw = {
             "compression": dict(compression=compression),
-            "tenancy": dict(tenancy=self.TENANCY),
             "pfs": dict(pfs=PfsModel(cluster.engine), with_remote=False),
         }[recipe]
         cluster.build(tiny_app(), precopy_config(10, 30), ranks_per_node=2, **build_kw)
@@ -91,11 +88,6 @@ class TestReplacementNodeKeepsTheBuildRecipe:
         assert node.incarnation == 1
         if recipe == "compression":
             assert node.helper.copier.compression is compression
-        elif recipe == "tenancy":
-            assert node.helper.tenants == {"r0": "A", "r1": "A"}
-            assert [s.checkpointer.tenant for s in node.ranks] == ["A", "A"]
-            tenants = res.to_dict()["tenants"]
-            assert tenants["A"]["ranks"] == 2 and tenants["B"]["ranks"] == 2
         else:
             assert all(
                 isinstance(s.checkpointer.destination, PfsDestination)
