@@ -75,7 +75,7 @@ examples:
 # "fidelity: same" against the recorded reference — then its unit tests.
 # One test is deselected: it demands that every traced target listed in
 # perfbench/layers.py still resolve, and that list cannot be edited next
-# to a src/ change, so it still names 119 callables that have since been
+# to a src/ change, so it still names 124 callables that have since been
 # deleted (payload trios, write_at/write_payload, collector methods,
 # ParallelExecutor.*, TimelineSink.handle, Timeline.begin/end,
 # resilient_put/get, Fabric.outage_active, Scrubber.*, PageTable.*,
@@ -83,7 +83,9 @@ examples:
 # RamdiskDestination.*, RemoteTarget.verify, Resource.*,
 # CpuCores.busy/total_busy_time, FileStore.*, Chunk.read/stale_bytes/
 # commit, Arena.internal_fragmentation, EntropyProbe.forget,
-# Cluster.total_remote_bytes, ResultCache.stats, compare_accounting,
+# Cluster.total_remote_bytes/total_bytes_to_nvm, ClusterNode.
+# total_bytes_to_nvm/total_coordinated_bytes/total_precopy_bytes,
+# ResultCache.stats, compare_accounting, live_commit_ordering,
 # validate_extents (now private), OnlinePolicyTuner.attach/detach/
 # interval_cost/observe/choose, ThresholdEstimator.nudge_margin,
 # PrecopyEngine.adopt_policy, CheckpointEngine.set_policy,

@@ -38,7 +38,7 @@ def codec_checkpoints():
     ctx = make_standalone_context(name="n0", engine=engine)
     alloc = NVAllocator("r0", ctx.nvmm, ctx.dram, phantom=False, clock=lambda: engine.now)
     ck = LocalCheckpointer(ctx, alloc, PrecopyPolicy(mode="none", codec="auto"))
-    sent = ck.copier.counters
+    sent = ck.copier.accounting
     rng = np.random.default_rng(7)
 
     a = alloc.nvalloc("a", 256 * 1024)  # incompressible
@@ -49,8 +49,8 @@ def codec_checkpoints():
     engine.process(ck.checkpoint(blocking=False))
     engine.run()
     print(
-        f"  ckpt 1: {to_MB(sent.logical_bytes):.2f} MB dirty -> "
-        f"{to_MB(sent.wire_bytes):.2f} MB wire "
+        f"  ckpt 1: {to_MB(sent.codec_logical_bytes):.2f} MB dirty -> "
+        f"{to_MB(sent.codec_wire_bytes):.2f} MB wire "
         f"(store holds {ck.destination.block_store.unique_blocks} unique blocks)"
     )
 
@@ -60,9 +60,9 @@ def codec_checkpoints():
     engine.process(ck.checkpoint(blocking=False))
     engine.run()
     print(
-        f"  ckpt 2: {to_MB(sent.logical_bytes):.2f} MB dirty -> "
-        f"{to_MB(sent.wire_bytes):.2f} MB wire cumulative "
-        f"({to_MB(sent.saved_bytes):.2f} MB kept off the wire)"
+        f"  ckpt 2: {to_MB(sent.codec_logical_bytes):.2f} MB dirty -> "
+        f"{to_MB(sent.codec_wire_bytes):.2f} MB wire cumulative "
+        f"({to_MB(sent.codec_saved_bytes):.2f} MB kept off the wire)"
     )
     for ev in decisions:
         print(

@@ -42,8 +42,8 @@ def main() -> None:
     # -- 1. capture one live cell --------------------------------------
     cap = capture_cell(CELL)
     print(f"captured {len(cap.events)} trace events from one live run")
-    print(f"  live coordinated : {to_GB(cap.result.coordinated_bytes):.3f} GB")
-    print(f"  live pre-copied  : {to_GB(cap.result.local_precopy_bytes):.3f} GB")
+    print(f"  live coordinated : {to_GB(cap.result.accounting.coordinated_bytes):.3f} GB")
+    print(f"  live pre-copied  : {to_GB(cap.result.accounting.local_precopy_bytes):.3f} GB")
 
     # -- 2. faithful replay: the differential oracle -------------------
     engine = cap.engine()
@@ -57,9 +57,9 @@ def main() -> None:
           f"{'precopy GB':>11} {'blocking s':>11}")
     for mode in ("none", "cpc", "dcpc", "dcpcp"):
         for gbps in (2.0, 4.0):
-            w = engine.whatif(mode, nvm_gbps=gbps)
-            print(f"  {mode:<6} {gbps:>8.1f} {to_GB(w.bytes_copied):>9.3f} "
-                  f"{to_GB(w.precopy_bytes):>11.3f} {w.blocking_s:>11.2f}")
+            w = engine.whatif(mode, nvm_gbps=gbps).accounting
+            print(f"  {mode:<6} {gbps:>8.1f} {to_GB(w.coordinated_bytes):>9.3f} "
+                  f"{to_GB(w.local_precopy_bytes):>11.3f} {w.blocking_s:>11.2f}")
 
     # -- 4. the CLI path: sweep a serialized trace ---------------------
     buf = io.StringIO()

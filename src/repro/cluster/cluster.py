@@ -36,7 +36,7 @@ class Cluster:
         self.config = config or ClusterConfig()
         self.engine = Engine()
         self.rng = RngStreams(seed)
-        self.topology = Topology(self.config.nodes, self.config.racks)
+        self.topology = Topology(self.config.nodes)
         self.fabric = Fabric(self.engine, self.config.nodes, self.config.interconnect)
         self.nodes: List[ClusterNode] = [
             ClusterNode(
@@ -184,9 +184,6 @@ class Cluster:
     # ------------------------------------------------------------------
     # Aggregate accounting.
     # ------------------------------------------------------------------
-
-    def total_bytes_to_nvm(self) -> int:
-        return sum(n.total_bytes_to_nvm() for n in self.nodes)
 
     def checkpoint_bytes(self) -> int:
         return sum(n.checkpoint_bytes for n in self.nodes)

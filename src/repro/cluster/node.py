@@ -150,12 +150,3 @@ class ClusterNode:
     @property
     def checkpoint_bytes(self) -> int:
         return sum(s.allocator.checkpoint_bytes for s in self.ranks)
-
-    def total_bytes_to_nvm(self) -> int:
-        return sum(s.checkpointer.total_bytes_to_nvm for s in self.ranks)
-
-    def total_coordinated_bytes(self) -> int:
-        return sum(s.checkpointer.total_coordinated_bytes for s in self.ranks)
-
-    def total_precopy_bytes(self) -> int:
-        return sum(s.checkpointer.total_precopy_bytes for s in self.ranks)

@@ -155,23 +155,35 @@ def handle_failure(runner, ev: FailureEvent, procs):
     emit_phase(f"n{ev.node}", tl.RESTART, t0, engine.now)
 
 
+def _versions(allocators) -> int:
+    """NVM bytes the two versions of *allocators*' chunks claim."""
+    return RemoteTarget.n_versions * sum(
+        sum(c.nbytes for c in a.persistent_chunks()) for a in allocators
+    )
+
+
 def buddy_capacity_ok(runner, orphan_id: int, candidate_id: int, pending=()) -> bool:
     """Can the candidate's NVM hold the orphan's remote copies on
-    top of what it already hosts?  Re-pairing doubles the buddy
-    load, and on capacity-tight configs the only viable host is the
-    (empty) replacement hardware — the deferred-repair path.
-    ``pending`` names sources a planner sweep has already routed onto
-    the candidate; their copies are in flight but not yet on the
-    device, so the gate must hold for the combined footprint."""
+    top of what it already owes?  The gate reserves rather than reads
+    ``device.free``: remote targets and second version slots map
+    lazily, so free space overstates the room.  The candidate owes
+    two versions of its own ranks' chunks and of every source whose
+    helper already points at it.  ``pending`` names sources a planner
+    sweep has already routed onto the candidate; they move with the
+    orphan, so the gate must hold for the combined footprint."""
+    nodes = runner.cluster.nodes
+    movers = (orphan_id, *pending)
+    owed = _versions(s.allocator for s in nodes[candidate_id].ranks)
     needed = 0
-    for nid in (orphan_id, *pending):
-        helper = runner.cluster.nodes[nid].helper
+    for node in nodes:
+        helper = node.helper
         if helper is None:
             continue
-        needed += RemoteTarget.n_versions * sum(
-            sum(c.nbytes for c in a.persistent_chunks()) for a in helper.ranks
-        )
-    return runner.cluster.nodes[candidate_id].ctx.nvmm.device.free >= needed
+        if node.node_id in movers:
+            needed += _versions(helper.ranks)
+        elif helper.buddy_id == candidate_id:
+            owed += _versions(helper.ranks)
+    return nodes[candidate_id].ctx.nvmm.device.capacity - owed >= needed
 
 
 def repair_pairing(runner, node_id: int) -> Optional[int]:

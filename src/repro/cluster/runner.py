@@ -41,10 +41,11 @@ evaluation measures — are fully simulated here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from ..config import FailureConfig, PrecopyPolicy
+from ..core.copystep import CopyAccounting
 from ..errors import ClusterError, ProcessKilled
 from ..sim.rng import RngStreams
 from . import phases
@@ -70,20 +71,17 @@ class RunResult:
     #: pure-compute seconds per iteration (the app model's target)
     compute_per_iteration: float = 0.0
 
+    #: where the checkpoint bytes went: the sum of the current ranks'
+    #: and helpers' copy-step accountings
+    accounting: CopyAccounting = field(default_factory=CopyAccounting)
+
     # -- local checkpointing --
-    coordinated_bytes: int = 0
-    local_precopy_bytes: int = 0
-    #: coordinated bytes page-granular extents did NOT move
-    bytes_saved: int = 0
-    total_nvm_bytes: int = 0
     local_ckpt_time_avg: float = 0.0  # mean coordinated duration per rank-ckpt
     local_checkpoints: int = 0
     fault_time_total: float = 0.0
 
     # -- remote checkpointing --
     remote_rounds: int = 0
-    remote_round_bytes: int = 0
-    remote_precopy_bytes: int = 0
     helper_utilization: float = 0.0
 
     # -- fabric --
@@ -122,14 +120,6 @@ class RunResult:
     #: sweeps) stay byte-identical
     codec: bool = False
     codec_name: str = "raw"
-    #: pre-encoding bytes the copy paths would have moved raw
-    codec_logical_bytes: int = 0
-    #: bytes actually charged to the NVM bus / fabric
-    codec_wire_bytes: int = 0
-    #: delta payloads' genuinely-changed bytes
-    codec_delta_bytes: int = 0
-    codec_blocks_new: int = 0
-    codec_blocks_ref: int = 0
 
     # -- elastic membership / live migration --
     #: set when the run had a membership schedule; gates the extra
@@ -194,6 +184,7 @@ class RunResult:
         execution engine caches, shards and flattens into sweep CSVs."""
         from ..units import to_GB, to_MB
 
+        acc = self.accounting
         out = {
             "app": self.app_name,
             "policy": self.policy_mode,
@@ -207,15 +198,15 @@ class RunResult:
             "local": {
                 "checkpoints": self.local_checkpoints,
                 "avg_blocking_s": self.local_ckpt_time_avg,
-                "coordinated_gb": to_GB(self.coordinated_bytes),
-                "precopy_gb": to_GB(self.local_precopy_bytes),
-                "saved_gb": to_GB(self.bytes_saved),
+                "coordinated_gb": to_GB(acc.coordinated_bytes),
+                "precopy_gb": to_GB(acc.local_precopy_bytes),
+                "saved_gb": to_GB(acc.bytes_saved),
                 "fault_time_s": self.fault_time_total,
             },
             "remote": {
                 "rounds": self.remote_rounds,
-                "round_gb": to_GB(self.remote_round_bytes),
-                "stream_gb": to_GB(self.remote_precopy_bytes),
+                "round_gb": to_GB(acc.remote_round_bytes),
+                "stream_gb": to_GB(acc.remote_precopy_bytes),
                 "helper_utilization": self.helper_utilization,
             },
             "fabric": {
@@ -244,18 +235,16 @@ class RunResult:
             },
         }
         if self.codec:
-            blocks = self.codec_blocks_new + self.codec_blocks_ref
+            blocks = acc.codec_blocks_new + acc.codec_blocks_ref
             out["codec"] = {
                 "name": self.codec_name,
-                "logical_gb": to_GB(self.codec_logical_bytes),
-                "wire_gb": to_GB(self.codec_wire_bytes),
-                "saved_gb": to_GB(
-                    max(0, self.codec_logical_bytes - self.codec_wire_bytes)
-                ),
-                "delta_changed_gb": to_GB(self.codec_delta_bytes),
-                "blocks_new": self.codec_blocks_new,
-                "blocks_ref": self.codec_blocks_ref,
-                "dedup_hit_rate": self.codec_blocks_ref / blocks if blocks else 0.0,
+                "logical_gb": to_GB(acc.codec_logical_bytes),
+                "wire_gb": to_GB(acc.codec_wire_bytes),
+                "saved_gb": to_GB(acc.codec_saved_bytes),
+                "delta_changed_gb": to_GB(acc.codec_delta_bytes),
+                "blocks_new": acc.codec_blocks_new,
+                "blocks_ref": acc.codec_blocks_ref,
+                "dedup_hit_rate": acc.codec_blocks_ref / blocks if blocks else 0.0,
             }
         if self.elastic:
             out["membership"] = {
@@ -688,41 +677,29 @@ class ClusterRunner:
         res.n_nodes = len(cluster.active_nodes)
         res.total_time = t_end = engine.now if self._end_time is None else self._end_time
         res.sim_events = engine.events_processed
+        helpers = cluster.helpers()
+        # bytes: every current rank's local stream and helper's remote
+        # stream counted its own copies
+        copiers = [state.checkpointer.copier for state in ranks] + [
+            h.copier for h in helpers
+        ]
+        res.accounting = CopyAccounting.total(c.accounting for c in copiers)
+        codec = next((c.codec for c in copiers if c.codec is not None), None)
+        if codec is not None:
+            res.codec = True
+            res.codec_name = codec.name
         # local
         all_stats = [s for state in ranks for s in state.checkpointer.history]
         res.local_checkpoints = len(all_stats)
-        res.coordinated_bytes = sum(state.checkpointer.total_coordinated_bytes for state in ranks)
-        res.local_precopy_bytes = sum(state.checkpointer.total_precopy_bytes for state in ranks)
-        res.bytes_saved = sum(state.checkpointer.total_bytes_saved for state in ranks)
-        res.total_nvm_bytes = res.coordinated_bytes + res.local_precopy_bytes
         if all_stats:
             res.local_ckpt_time_avg = sum(s.duration for s in all_stats) / len(all_stats)
         res.fault_time_total = sum(state.binding.fault_time for state in ranks)
         # remote
-        helpers = cluster.helpers()
         res.remote_rounds = sum(len(h.history) for h in helpers)
-        res.remote_round_bytes = sum(h.total_round_bytes for h in helpers)
-        res.remote_precopy_bytes = sum(h.stream_bytes for h in helpers)
         if helpers and t_end > 0:
             res.helper_utilization = sum(
                 h.helper_utilization(t_end) for h in helpers
             ) / len(helpers)
-        # payload codec (local engines + remote helpers keep the same
-        # counter record on their copy step)
-        codec_on = [
-            s
-            for s in [state.checkpointer for state in ranks] + list(helpers)
-            if s.codec is not None
-        ]
-        if codec_on:
-            counters = [s.copier.counters for s in codec_on]
-            res.codec = True
-            res.codec_name = codec_on[0].codec.name
-            res.codec_logical_bytes = sum(c.logical_bytes for c in counters)
-            res.codec_wire_bytes = sum(c.wire_bytes for c in counters)
-            res.codec_delta_bytes = sum(c.delta_bytes for c in counters)
-            res.codec_blocks_new = sum(c.blocks_new for c in counters)
-            res.codec_blocks_ref = sum(c.blocks_ref for c in counters)
         # fabric
         CKPT_KINDS = ["rckpt", "rprecopy", "rfetch", "resync", "migrate"]
         res.fabric_ckpt_peak_window_bytes = cluster.fabric.peak_window_usage(

@@ -171,8 +171,6 @@ class ClusterConfig:
     nodes: int = 8
     node: NodeConfig = NodeConfig()
     interconnect: InterconnectConfig = InterconnectConfig()
-    #: racks for buddy placement (remote checkpoints go cross-rack).
-    racks: int = 2
 
     @property
     def total_cores(self) -> int:

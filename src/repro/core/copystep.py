@@ -13,9 +13,16 @@ the remote round) and two resilience tasks run its whole-chunk form
   :class:`~repro.core.compression.CompressionModel`);
 * the *move* is the caller's: ``dest.write`` on a local
   backend, :meth:`repro.core.remote.RemoteHelper.put` across the fabric;
-* :meth:`CopyStep.land` stages the bytes at the destination, keeps the
-  one codec accounting record, publishes the block digests and emits
-  the one ``chunk.copied`` trace event.
+* :meth:`CopyStep.land` stages the bytes at the destination, counts the
+  copy into the stream's :class:`CopyAccounting`, publishes the block
+  digests and emits the one ``chunk.copied`` trace event.
+
+:class:`CopyAccounting` is the one account of where checkpoint bytes
+went (§III; the "total data copied" series of Figs. 7/8).  Its two
+writers take the fields of the ``chunk.copied`` and ``commit`` events:
+the live run calls them where it builds those events, sink or no sink,
+and :func:`repro.replay.divergence.accounting_from_events` calls them
+once per event of a trace.
 
 Sites keep only what is theirs: scheduling, chunk-state transitions,
 crash-point positions, torn-copy detection, pacing.
@@ -23,8 +30,8 @@ crash-point positions, torn-copy detection, pacing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..alloc.chunk import Chunk
 from ..config import PrecopyPolicy
@@ -35,35 +42,138 @@ from .codec import EntropyProbe, Payload, RawCodec, current_digests, resolve_cod
 from .context import NodeContext
 from .destination import Destination
 
-__all__ = ["CopyStep", "CopyPlan", "CodecCounters"]
+__all__ = [
+    "CopyStep", "CopyPlan", "CopyAccounting", "CommitRecord", "COUNTERS", "PAYLOAD_ONLY",
+]
 
 _RAW = RawCodec()
 
+#: commit tuples are compared on rounded time so a Jsonl float
+#: round-trip (exact in CPython, but not guaranteed by the format)
+#: can never produce a spurious ordering divergence
+_T_DIGITS = 9
 
-@dataclass
-class CodecCounters:
-    """Payload accounting of one copy stream (aggregated into
-    ``RunResult`` when a codec is configured)."""
 
-    logical_bytes: int = 0
-    wire_bytes: int = 0
-    delta_bytes: int = 0
-    blocks_new: int = 0
-    blocks_ref: int = 0
+class CommitRecord(NamedTuple):
+    """One commit point: the values of its ``commit`` event."""
 
-    def add(self, payload: Payload) -> None:
-        self.logical_bytes += payload.logical_bytes
-        self.wire_bytes += payload.wire_bytes
-        if payload.kind == "delta":
-            self.delta_bytes += payload.changed_bytes
-        self.blocks_new += payload.blocks_new
-        self.blocks_ref += payload.blocks_ref
+    t: float
+    actor: str
+    chunks_committed: int
+    bytes_committed: int
+    flush_cost: float
 
     @property
-    def saved_bytes(self) -> int:
+    def key(self) -> Tuple[float, str, int, int]:
+        return (round(self.t, _T_DIGITS), self.actor, self.chunks_committed,
+                self.bytes_committed)
+
+
+@dataclass
+class CopyAccounting:
+    """Where a stream's checkpoint bytes went: a rank's local stream
+    (its coordinated step and pre-copy engine), a helper's remote
+    stream, a whole run (:meth:`total`) or a replayed trace."""
+
+    #: local coordinated-step bytes and copies
+    coordinated_bytes: int = 0
+    coordinated_copies: int = 0
+    #: coordinated chunk bytes incremental extents did NOT move
+    bytes_saved: int = 0
+    #: local background pre-copy bytes and copies
+    local_precopy_bytes: int = 0
+    precopy_copies: int = 0
+    #: remote coordinated-round and streaming pre-copy bytes
+    remote_round_bytes: int = 0
+    remote_precopy_bytes: int = 0
+    #: pre-codec and wire bytes over every copy (a raw copy adds the
+    #: same to both, so the codec saving is always ``logical - wire``)
+    codec_logical_bytes: int = 0
+    codec_wire_bytes: int = 0
+    #: delta payloads' changed bytes and dedup blocks (:data:`PAYLOAD_ONLY`)
+    codec_delta_bytes: int = 0
+    codec_blocks_new: int = 0
+    codec_blocks_ref: int = 0
+    commits: List[CommitRecord] = field(default_factory=list)
+    #: summed coordinated-step spans (first copy start -> commit)
+    blocking_s: float = 0.0
+    #: actor -> start of its open coordinated step
+    _open: Dict[str, float] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def copied(
+        self, *, actor: str, stream: str, phase: str, start: float, nbytes: int,
+        logical_bytes: int, bytes_saved: int,
+        delta_bytes: int = 0, blocks_new: int = 0, blocks_ref: int = 0,
+    ) -> None:
+        """Count one copy (the fields of its ``chunk.copied`` event;
+        the last three only the live payload knows)."""
+        self.codec_logical_bytes += logical_bytes
+        self.codec_wire_bytes += nbytes
+        self.codec_delta_bytes += delta_bytes
+        self.codec_blocks_new += blocks_new
+        self.codec_blocks_ref += blocks_ref
+        if stream == "remote":
+            if phase == "precopy":
+                self.remote_precopy_bytes += nbytes
+            else:
+                self.remote_round_bytes += nbytes
+        elif phase == "precopy":
+            self.local_precopy_bytes += nbytes
+            self.precopy_copies += 1
+        else:
+            self.coordinated_bytes += nbytes
+            self.bytes_saved += bytes_saved
+            self.coordinated_copies += 1
+            begin = self._open.get(actor)
+            if begin is None or start < begin:
+                self._open[actor] = start
+
+    def committed(
+        self, *, t: float, actor: str, chunks_committed: int, bytes_committed: int,
+        flush_cost: float,
+    ) -> None:
+        """Count one commit point (the fields of its ``commit`` event)."""
+        self.commits.append(
+            CommitRecord(t, actor, chunks_committed, bytes_committed, flush_cost)
+        )
+        begin = self._open.pop(actor, None)
+        self.blocking_s += (t - begin) if begin is not None else flush_cost
+
+    @property
+    def total_nvm_bytes(self) -> int:
+        """All local checkpoint traffic to NVM, redundant pre-copies
+        included."""
+        return self.coordinated_bytes + self.local_precopy_bytes
+
+    @property
+    def codec_saved_bytes(self) -> int:
         """Bytes the payload codec kept off the wire (on top of the
         incremental-extent savings counted in ``bytes_saved``)."""
-        return max(0, self.logical_bytes - self.wire_bytes)
+        return max(0, self.codec_logical_bytes - self.codec_wire_bytes)
+
+    def commit_ordering(self) -> List[Tuple[float, str, int, int]]:
+        """Canonical commit order: (t, actor, chunks, bytes) sorted."""
+        return sorted(c.key for c in self.commits)
+
+    @classmethod
+    def total(cls, parts: Iterable["CopyAccounting"]) -> "CopyAccounting":
+        """The sum of several streams' accountings."""
+        out = cls()
+        for part in parts:
+            for name in COUNTERS:
+                setattr(out, name, getattr(out, name) + getattr(part, name))
+            out.commits.extend(part.commits)
+            out.blocking_s += part.blocking_s
+        return out
+
+
+#: the integer counters of :class:`CopyAccounting`, in field order
+COUNTERS = tuple(f.name for f in fields(CopyAccounting) if type(f.default) is int)
+#: counters no trace event carries: a replayed accounting leaves them
+#: at 0, so a comparison against a live run skips them
+PAYLOAD_ONLY = ("codec_delta_bytes", "codec_blocks_new", "codec_blocks_ref")
 
 
 @dataclass
@@ -151,7 +261,9 @@ class CopyStep:
                     policy="compression",
                 )
             )
-        self.counters = CodecCounters()
+        #: every copy this stream lands, and (on a rank's local stream)
+        #: every commit of its coordinated step
+        self.accounting = CopyAccounting()
 
     # ------------------------------------------------------------------
     # plan
@@ -231,8 +343,8 @@ class CopyStep:
         destination: Optional[str] = None,
         torn: bool = False,
     ) -> None:
-        """The bytes of *plan* moved: stage them, account, publish the
-        digests, emit ``chunk.copied`` (span *start* .. now).
+        """The bytes of *plan* moved: stage them, count them, publish
+        the digests, emit ``chunk.copied`` (span *start* .. now).
 
         A *torn* copy (the application wrote during the transfer) is
         accounted and reported — the bytes did move, and replay must
@@ -255,7 +367,19 @@ class CopyStep:
                         idx,
                         current_digests(chunk, idx, store.block),
                     )
-        self.counters.add(payload)
+        actor = self.actor if actor is None else actor
+        self.accounting.copied(
+            actor=actor,
+            stream=self.stream,
+            phase=phase,
+            start=start,
+            nbytes=plan.nbytes,
+            logical_bytes=plan.logical_bytes,
+            bytes_saved=plan.bytes_saved,
+            delta_bytes=payload.changed_bytes if payload.kind == "delta" else 0,
+            blocks_new=payload.blocks_new,
+            blocks_ref=payload.blocks_ref,
+        )
         if BUS.active:
             if plan.extents is None:
                 pages = pages_of(chunk.nbytes)
@@ -264,7 +388,7 @@ class CopyStep:
             BUS.emit(
                 ChunkCopiedEvent(
                     t=self.ctx.engine.now,
-                    actor=self.actor if actor is None else actor,
+                    actor=actor,
                     chunk=chunk.name,
                     nbytes=plan.nbytes,
                     start=start,

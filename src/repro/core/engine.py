@@ -56,10 +56,6 @@ class CheckpointStats:
     chunks_copied: int = 0
     chunks_skipped: int = 0
     flush_cost: float = 0.0
-    #: chunk bytes NOT moved thanks to page-granular incremental
-    #: extents (0 in whole-chunk mode) — pairs with ``bytes_copied``
-    #: exactly like the ``chunk.copied`` trace event's field
-    bytes_saved: int = 0
 
     @property
     def duration(self) -> float:
@@ -95,8 +91,8 @@ class CheckpointEngine:
         self.on_complete: List = []
 
         #: the copy step of this rank's local stream, shared with the
-        #: background pre-copy engine: one plan/land path, one codec
-        #: accounting record (``copier.counters``)
+        #: background pre-copy engine: one plan/land path, one
+        #: accounting record (``copier.accounting``)
         self.copier = CopyStep(ctx, self.policy, actor=str(self.rank))
         #: payload codec (None on the raw default path)
         self.codec = self.copier.codec
@@ -265,7 +261,6 @@ class CheckpointEngine:
                 if dest.two_version:
                     fire("local.stage.after", chunk=chunk, rank=self.rank)
                 stats.bytes_copied += plan.nbytes
-                stats.bytes_saved += plan.bytes_saved
                 stats.chunks_copied += 1
                 if self.tracks_dirty:
                     chunk.mark_precopied("local")
@@ -305,14 +300,20 @@ class CheckpointEngine:
                 store=self.ctx.nvmm.store,
                 rank=self.rank,
             )
+            committed = len(all_persistent) if dest.two_version else stats.chunks_copied
+            self.copier.accounting.committed(
+                t=engine.now,
+                actor=str(self.rank),
+                chunks_committed=committed,
+                bytes_committed=stats.bytes_copied,
+                flush_cost=stats.flush_cost,
+            )
             if BUS.active:
                 BUS.emit(
                     CommitEvent(
                         t=engine.now,
                         actor=str(self.rank),
-                        chunks_committed=(
-                            len(all_persistent) if dest.two_version else stats.chunks_copied
-                        ),
+                        chunks_committed=committed,
                         bytes_committed=stats.bytes_copied,
                         flush_cost=stats.flush_cost,
                         destination=dest.name,
@@ -352,22 +353,17 @@ class CheckpointEngine:
 
     @property
     def total_coordinated_bytes(self) -> int:
-        return sum(s.bytes_copied for s in self.history)
+        return self.copier.accounting.coordinated_bytes
 
     @property
     def total_precopy_bytes(self) -> int:
-        return self.precopy.stats.bytes_copied if self.precopy is not None else 0
-
-    @property
-    def total_bytes_saved(self) -> int:
-        """Coordinated-step bytes incremental extents did NOT move."""
-        return sum(s.bytes_saved for s in self.history)
+        return self.copier.accounting.local_precopy_bytes
 
     @property
     def total_bytes_to_nvm(self) -> int:
         """All checkpoint traffic to NVM, incl. redundant pre-copies —
         the 'total data copied' series of Figs. 7/8."""
-        return self.total_coordinated_bytes + self.total_precopy_bytes
+        return self.copier.accounting.total_nvm_bytes
 
     @property
     def total_checkpoint_time(self) -> float:

@@ -76,9 +76,6 @@ class RemoteCheckpointStats:
 
     start: float = 0.0
     end: float = 0.0
-    bytes_moved: int = 0
-    chunks_moved: int = 0
-    chunks_skipped: int = 0
 
     @property
     def duration(self) -> float:
@@ -375,8 +372,6 @@ class RemoteHelper:
         #: coalescing stream queue: (pid, chunk_id) -> Chunk, FIFO
         self._queue: Dict[Tuple[str, int], Chunk] = {}
         self._wake: Optional[Event] = None
-        self.stream_bytes = 0
-        self.stream_chunks = 0
         # -- replication bookkeeping (incremental failover/migration) --
         #: (pid, chunk_id) -> commit generation; bumped every time a
         #: local commit (re-)queues the chunk, so a buddy's copy is
@@ -721,8 +716,6 @@ class RemoteHelper:
                 target=self.targets[pid],
             )
             chunk.dirty_remote = False
-            self.stream_bytes += plan.nbytes
-            self.stream_chunks += 1
             # pacing: never run faster than pace_rate on average
             target_duration = plan.nbytes / self.pace_rate
             elapsed = engine.now - t0
@@ -756,7 +749,6 @@ class RemoteHelper:
             for alloc in self.ranks:
                 target = self.targets[alloc.pid]
                 chunks = self._chunks_for_round(alloc)
-                stats.chunks_skipped += len(alloc.persistent_chunks()) - len(chunks)
                 aborted = False
                 for chunk in chunks:
                     plan = self.copier.plan(chunk, target)
@@ -787,8 +779,6 @@ class RemoteHelper:
                     )
                     chunk.dirty_remote = False
                     self._queue.pop((alloc.pid, chunk.chunk_id), None)
-                    stats.bytes_moved += plan.nbytes
-                    stats.chunks_moved += 1
                 if aborted:
                     break
                 flush_cost = target.commit()
@@ -802,10 +792,6 @@ class RemoteHelper:
     # ------------------------------------------------------------------
     # Accounting.
     # ------------------------------------------------------------------
-
-    @property
-    def total_round_bytes(self) -> int:
-        return sum(s.bytes_moved for s in self.history)
 
     def helper_utilization(self, elapsed: float) -> float:
         """Fraction of the dedicated helper core used (Table V)."""

@@ -193,13 +193,7 @@ class ReplayEngine:
             codec=codec,
         )
         if faithful:
-            acc = self.faithful()
-            coordinated = acc.bytes_copied
-            precopy = acc.precopy_bytes
-            saved = acc.bytes_saved
-            blocking = acc.blocking_s
-            coverage = 1.0
-            codec_saved = acc.codec_saved_bytes
+            acc, coverage = self.faithful(), 1.0
         else:
             res = self.whatif(
                 mode,
@@ -209,23 +203,18 @@ class ReplayEngine:
                 codec=codec,
                 codec_novelty=codec_novelty,
             )
-            coordinated = res.bytes_copied
-            precopy = res.precopy_bytes
-            saved = res.bytes_saved
-            blocking = res.blocking_s
-            coverage = res.coverage
-            codec_saved = res.codec_saved_bytes
+            acc, coverage = res.accounting, res.coverage
         cfg = self.captured_config
         return {
             "app": cfg.get("app", ""),
             "policy": mode or cfg.get("mode", ""),
             "replay.faithful": faithful,
-            "replay.coordinated_gb": round(to_GB(coordinated), 6),
-            "replay.precopy_gb": round(to_GB(precopy), 6),
-            "replay.total_gb": round(to_GB(coordinated + precopy), 6),
-            "replay.saved_gb": round(to_GB(saved), 6),
-            "replay.blocking_s": round(blocking, 6),
+            "replay.coordinated_gb": round(to_GB(acc.coordinated_bytes), 6),
+            "replay.precopy_gb": round(to_GB(acc.local_precopy_bytes), 6),
+            "replay.total_gb": round(to_GB(acc.total_nvm_bytes), 6),
+            "replay.saved_gb": round(to_GB(acc.bytes_saved), 6),
+            "replay.blocking_s": round(acc.blocking_s, 6),
             "replay.coverage": round(coverage, 4),
             "replay.codec": codec or cfg.get("codec", "raw"),
-            "replay.codec_saved_gb": round(to_GB(codec_saved), 6),
+            "replay.codec_saved_gb": round(to_GB(acc.codec_saved_bytes), 6),
         }

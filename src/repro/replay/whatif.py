@@ -41,6 +41,7 @@ from ..core.codec import (
     DIGEST_META_BYTES,
     codec_names,
 )
+from ..core.copystep import CopyAccounting
 from ..core.threshold import ThresholdEstimator
 from ..errors import ConfigError
 from .reconstruct import (
@@ -123,14 +124,10 @@ class WhatIfResult:
     """Modelled accounting for one what-if configuration."""
 
     mode: str
-    #: coordinated-step bytes under the what-if policy
-    bytes_copied: int = 0
-    #: background pre-copy bytes (including redundant re-copies)
-    precopy_bytes: int = 0
-    #: bytes incremental extents would not move (page granularity)
-    bytes_saved: int = 0
-    #: modelled blocking seconds across all coordinated steps
-    blocking_s: float = 0.0
+    #: the modelled bytes: coordinated, pre-copy (redundant re-copies
+    #: included), saved by incremental extents, the codec's logical and
+    #: wire totals, and the blocking seconds of every coordinated step
+    accounting: CopyAccounting = field(default_factory=CopyAccounting)
     intervals: int = 0
     #: fraction of enumerated chunks the trace sized (1.0 = complete)
     coverage: float = 1.0
@@ -138,18 +135,6 @@ class WhatIfResult:
     per_rank: Dict[str, int] = field(default_factory=dict)
     #: payload codec the model replayed (``None``: no codec axis)
     codec: Optional[str] = None
-    #: modelled pre-codec bytes fed to the codec (== total moved)
-    codec_logical_bytes: int = 0
-    #: modelled wire bytes after the codec
-    codec_wire_bytes: int = 0
-
-    @property
-    def total_nvm_bytes(self) -> int:
-        return self.bytes_copied + self.precopy_bytes
-
-    @property
-    def codec_saved_bytes(self) -> int:
-        return max(0, self.codec_logical_bytes - self.codec_wire_bytes)
 
 
 def _epoch_bytes(
@@ -194,6 +179,7 @@ def run_whatif(
         )
     bw = (workload.local_bandwidth or 1.0) * bandwidth_scale
     res = WhatIfResult(mode=mode)
+    acc = res.accounting
     ce: Optional[CodecEstimator] = None
     if codec is not None:
         ce = CodecEstimator(codec, block=codec_block, novelty=codec_novelty)
@@ -222,10 +208,10 @@ def run_whatif(
                 rank=rank,
             )
             rank_coord += coord_bytes
-            res.bytes_copied += coord_bytes
-            res.precopy_bytes += precopy_bytes
-            res.bytes_saved += saved
-            res.blocking_s += coord_bytes / bw + workload.flush_cost
+            acc.coordinated_bytes += coord_bytes
+            acc.local_precopy_bytes += precopy_bytes
+            acc.bytes_saved += saved
+            acc.blocking_s += coord_bytes / bw + workload.flush_cost
             res.intervals += 1
             if est is not None:
                 data = float(sum(rw.chunk_sizes.values()))
@@ -239,7 +225,7 @@ def run_whatif(
         if mode != "none":
             # pre-copy activity after the final commit still moves
             # bytes in a live run; charge it in pre-copying modes
-            res.precopy_bytes += sum(
+            acc.local_precopy_bytes += sum(
                 act.moved_bytes for act in rw.trailing.values()
             )
             if ce is not None:
@@ -250,8 +236,8 @@ def run_whatif(
     if enumerated_total:
         res.coverage = sized / enumerated_total
     if ce is not None:
-        res.codec_logical_bytes = ce.logical_bytes
-        res.codec_wire_bytes = ce.wire_bytes
+        acc.codec_logical_bytes = ce.logical_bytes
+        acc.codec_wire_bytes = ce.wire_bytes
     return res
 
 

@@ -31,7 +31,7 @@ def tiny_app():
 
 def build_cluster(seed=5):
     cluster = Cluster(
-        ClusterConfig(nodes=4, racks=2),
+        ClusterConfig(nodes=4),
         nvm_write_bandwidth=GB_per_sec(2.0),
         seed=seed,
     )

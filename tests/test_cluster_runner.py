@@ -46,9 +46,9 @@ class TestBasicRuns:
     def test_dirty_tracking_reduces_coordinated_bytes(self):
         pre = run_small(precopy_config(20, 60), iters=4)
         nop = run_small(async_noprecopy_config(20, 60), iters=4)
-        assert pre.coordinated_bytes < nop.coordinated_bytes
+        assert pre.accounting.coordinated_bytes < nop.accounting.coordinated_bytes
         # pre-copy + coordinated covers at least the dirty volume
-        assert pre.total_nvm_bytes > 0
+        assert pre.accounting.total_nvm_bytes > 0
 
     def test_remote_rounds_happen(self):
         res = run_small(precopy_config(20, 45), iters=6)
@@ -58,7 +58,7 @@ class TestBasicRuns:
         a = run_small(precopy_config(20, 60), seed=3)
         b = run_small(precopy_config(20, 60), seed=3)
         assert a.total_time == b.total_time
-        assert a.total_nvm_bytes == b.total_nvm_bytes
+        assert a.accounting.total_nvm_bytes == b.accounting.total_nvm_bytes
 
     def test_ideal_run_without_checkpoints(self):
         cluster = Cluster(ClusterConfig(nodes=2), seed=1)

@@ -91,7 +91,7 @@ class TestHelperIntegration:
         engine.run(until=35.0)
         helper.stop()
         # rounds report original bytes protected, not wire bytes
-        assert helper.total_round_bytes == MB(8)
+        assert helper.copier.accounting.remote_round_bytes == MB(8)
 
     def test_cpu_charged_on_both_ends(self):
         model = CompressionModel(phantom_ratio=0.5)
@@ -250,7 +250,7 @@ class TestCompressedResilientSends:
         # the round aborts cleanly (previous committed version stands)
         assert proc.ok
         assert transport.stats.abandoned == 1
-        assert helper.history[-1].chunks_moved == 0
+        assert helper.copier.accounting.remote_round_bytes == 0
 
     def test_migration_batch_retries_through_link_flap(self):
         """A migration batch is one more send of the same helper: with

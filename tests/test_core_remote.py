@@ -108,8 +108,8 @@ class TestNoPrecopyRounds:
         engine.run(until=35.0)
         helper.stop()
         assert len(helper.history) == 1
-        assert helper.history[0].bytes_moved == MB(8)
-        assert helper.stream_bytes == 0
+        assert helper.copier.accounting.remote_round_bytes == MB(8)
+        assert helper.copier.accounting.remote_precopy_bytes == 0
 
     def test_rounds_repeat_full_volume(self):
         engine, src, dst, fabric, alloc, helper, ck = make_pair(remote_precopy=False)
@@ -117,7 +117,7 @@ class TestNoPrecopyRounds:
         engine.process(helper.run())
         engine.run(until=65.0)
         helper.stop()
-        assert helper.total_round_bytes == MB(10)  # 2 rounds x 5MB
+        assert helper.copier.accounting.remote_round_bytes == MB(10)  # 2 rounds x 5MB
 
 
     def test_send_straddling_a_retarget_is_not_credited_to_the_new_buddy(self):
@@ -159,7 +159,7 @@ class TestStream:
         engine.process(helper.run())
         self._drive(engine, ck, alloc, 3)
         engine.run(until=29.0)  # just before the first round
-        assert helper.stream_bytes == 0
+        assert helper.copier.accounting.remote_precopy_bytes == 0
         helper.stop()
         engine.run()
 
@@ -171,21 +171,25 @@ class TestStream:
         engine.run(until=59.0)  # into the second round interval
         helper.stop()
         engine.run()
-        assert helper.stream_bytes > 0
+        assert helper.copier.accounting.remote_precopy_bytes > 0
 
     def test_stream_reduces_round_volume(self):
         engine, src, dst, fabric, alloc, helper, ck = make_pair()
         alloc.nvalloc("a", MB(5))
         engine.process(helper.run())
         self._drive(engine, ck, alloc, 9)
+        acc = helper.copier.accounting
+        engine.run(until=45.0)  # past the learning round
+        assert len(helper.history) == 1
+        learning_round_bytes = acc.remote_round_bytes
         engine.run(until=95.0)  # three rounds: learning + 2 steady
         helper.stop()
         engine.run()
         assert len(helper.history) >= 2
         # round 1 is the learning burst; steady-state rounds move less
         # than the stream
-        steady_round_bytes = sum(s.bytes_moved for s in helper.history[1:])
-        assert steady_round_bytes < helper.stream_bytes
+        steady_round_bytes = acc.remote_round_bytes - learning_round_bytes
+        assert steady_round_bytes < acc.remote_precopy_bytes
 
     def test_uncommitted_chunks_never_streamed(self):
         engine, src, dst, fabric, alloc, helper, ck = make_pair()
@@ -195,7 +199,7 @@ class TestStream:
         engine.run(until=29.0)
         helper.stop()
         engine.run()
-        assert helper.stream_bytes == 0
+        assert helper.copier.accounting.remote_precopy_bytes == 0
 
     def test_queue_coalescing(self):
         engine, src, dst, fabric, alloc, helper, ck = make_pair()
@@ -228,7 +232,7 @@ class TestStream:
         peak = fabric.egress_of(0).utilization.peak()
         # 1s-window average would be ~pace_rate; instantaneous peak is
         # one chunk at line rate, but total streamed stays bounded
-        assert helper.stream_bytes <= MB(20) * 2 + MB(1)
+        assert helper.copier.accounting.remote_precopy_bytes <= MB(20) * 2 + MB(1)
 
 
 class TestHelperCpu:

@@ -135,8 +135,13 @@ class TestCliExtensionFlags:
         # protected volume is essentially unchanged — only the wire
         # format shrank (faster transfers can shift the last in-flight
         # chunk across a round boundary, hence the tolerance)
-        plain_total = plain.remote_round_bytes + plain.remote_precopy_bytes
-        squeezed_total = squeezed.remote_round_bytes + squeezed.remote_precopy_bytes
+        plain_total = (
+            plain.accounting.remote_round_bytes + plain.accounting.remote_precopy_bytes
+        )
+        squeezed_total = (
+            squeezed.accounting.remote_round_bytes
+            + squeezed.accounting.remote_precopy_bytes
+        )
         assert squeezed_total == pytest.approx(plain_total, rel=0.15)
 
 

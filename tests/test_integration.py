@@ -93,8 +93,8 @@ class TestPaperHeadlines:
 
     def test_remote_volume_only_modestly_higher(self, arms):
         pre, nop = arms
-        pre_total = pre.remote_round_bytes + pre.remote_precopy_bytes
-        nop_total = nop.remote_round_bytes + nop.remote_precopy_bytes
+        pre_total = pre.accounting.remote_round_bytes + pre.accounting.remote_precopy_bytes
+        nop_total = nop.accounting.remote_round_bytes + nop.accounting.remote_precopy_bytes
         assert pre_total <= 1.6 * nop_total
 
 
@@ -117,7 +117,7 @@ class TestGTCCheckpointShrinks:
         nop = run(async_noprecopy_config(20, 60))
         # baseline re-copies everything every time; tracking skips the
         # write-once equilibrium chunk after iteration 0
-        assert pre.total_nvm_bytes < nop.total_nvm_bytes
+        assert pre.accounting.total_nvm_bytes < nop.accounting.total_nvm_bytes
 
 
 class TestFailureStory:

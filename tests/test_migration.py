@@ -159,7 +159,7 @@ def drain_app():
 
 def build_drain_cluster(seed=7):
     cluster = Cluster(
-        ClusterConfig(nodes=4, racks=2),
+        ClusterConfig(nodes=4),
         nvm_write_bandwidth=GB_per_sec(2.0),
         seed=seed,
     )

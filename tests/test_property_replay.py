@@ -211,11 +211,11 @@ def test_accounting_is_prefix_monotone(events, data):
     cut = data.draw(st.integers(0, len(events)), label="cut")
     full = accounting_from_events(events)
     part = accounting_from_events(events[:cut])
-    assert part.bytes_copied <= full.bytes_copied
-    assert part.precopy_bytes <= full.precopy_bytes
+    assert part.coordinated_bytes <= full.coordinated_bytes
+    assert part.local_precopy_bytes <= full.local_precopy_bytes
     assert part.bytes_saved <= full.bytes_saved
     assert part.remote_round_bytes <= full.remote_round_bytes
-    assert part.remote_stream_bytes <= full.remote_stream_bytes
+    assert part.remote_precopy_bytes <= full.remote_precopy_bytes
     # the prefix's commits are exactly the first commits of the full
     # stream, in emission order
     assert [c.key for c in part.commits] == [
@@ -228,10 +228,10 @@ def test_accounting_is_prefix_monotone(events, data):
 def test_accounting_conserves_copy_bytes(events):
     acc = accounting_from_events(events)
     copied = [e for e in events if isinstance(e, ChunkCopiedEvent)]
-    assert acc.total_nvm_bytes + acc.remote_round_bytes + acc.remote_stream_bytes == sum(
+    assert acc.total_nvm_bytes + acc.remote_round_bytes + acc.remote_precopy_bytes == sum(
         e.nbytes for e in copied
     )
-    assert acc.chunks_copied + acc.precopy_copies == sum(
+    assert acc.coordinated_copies + acc.precopy_copies == sum(
         1 for e in copied if e.stream == "local"
     )
 

@@ -46,7 +46,7 @@ def test_same_config_replay_is_byte_exact(mode, granularity, assert_replay_match
     cap = assert_replay_matches(cap)
     acc = cap.engine().faithful()
     # the oracle compared everything; spot-check the values are real
-    assert acc.bytes_copied > 0 or acc.precopy_bytes > 0
+    assert acc.coordinated_bytes > 0 or acc.local_precopy_bytes > 0
     assert len(acc.commits) == cap.result.local_checkpoints
 
 
@@ -80,10 +80,11 @@ def test_page_granularity_reports_bytes_saved(assert_replay_matches):
     )
     acc = cap.engine().faithful()
     live_saved = sum(
-        s.checkpointer.total_bytes_saved for s in cap.result.cluster.all_ranks()
+        s.checkpointer.copier.accounting.bytes_saved
+        for s in cap.result.cluster.all_ranks()
     )
     assert acc.bytes_saved == live_saved
-    assert cap.result.bytes_saved == live_saved
+    assert cap.result.accounting.bytes_saved == live_saved
 
 
 def test_divergence_report_catches_tampering():
@@ -114,13 +115,17 @@ def test_whatif_none_upper_bounds_precopying_modes():
     engine = cap.engine()
     results = {m: engine.whatif(m) for m in MODES}
     for mode in ("cpc", "dcpc", "dcpcp"):
-        assert results["none"].bytes_copied >= results[mode].bytes_copied
+        assert (
+            results["none"].accounting.coordinated_bytes
+            >= results[mode].accounting.coordinated_bytes
+        )
         assert results[mode].coverage == 1.0
     # same-mode what-if must agree with the faithful split exactly:
     # the model re-derives the captured schedule from its own epochs
     acc = engine.faithful()
-    assert results["dcpcp"].bytes_copied == acc.bytes_copied
-    assert results["dcpcp"].precopy_bytes == acc.precopy_bytes
+    modelled = results["dcpcp"].accounting
+    assert modelled.coordinated_bytes == acc.coordinated_bytes
+    assert modelled.local_precopy_bytes == acc.local_precopy_bytes
 
 
 def test_replay_record_marks_faithful_vs_model():

@@ -218,7 +218,7 @@ class TestDegenerateConfigs:
         cluster.build(app, precopy_config(10, 30), ranks_per_node=2, with_remote=False)
         res = ClusterRunner(cluster).run(3)
         # only the first checkpoint carries data
-        per_ckpt = res.coordinated_bytes + res.local_precopy_bytes
+        per_ckpt = res.accounting.total_nvm_bytes
         assert per_ckpt == cluster.checkpoint_bytes()
 
 
