@@ -92,7 +92,7 @@ examples:
 # TraceBus.subscribe/unsubscribe, ...).  The
 # benchmark itself reports them under missing_targets and runs on; a
 # perfbench/-only change that regenerates the list drops this deselect
-# (ROADMAP item 4).
+# (ROADMAP item 1).
 perf-smoke:
 	$(PYTHON) -m perfbench run --smoke
 	$(PYTHON) -m pytest perfbench/tests -q \

@@ -131,8 +131,9 @@ class Chunk:
         #: DRAM').  While resident, reads serve from the committed NVM
         #: version; the first write migrates the payload to DRAM.
         self.nvm_resident = False
-        #: bytes migrated NVM->DRAM since the last take (cost hook).
-        self._migration_bytes_pending = 0
+        #: bytes migrated NVM->DRAM since the last take (cost hook;
+        #: :meth:`take_migration_bytes` reads and resets it).
+        self.migration_bytes_pending = 0
         #: observers called as fn(chunk, nbytes) on each migration.
         self.on_migrate: List[Callable[["Chunk", int], None]] = []
         #: per-stream stale pages for page-granular incremental copy.
@@ -474,14 +475,14 @@ class Chunk:
         self.nvm_resident = False
         self.mark_all_stale()
         self.incarnation = next(Chunk._incarnations)
-        self._migration_bytes_pending += self.nbytes
+        self.migration_bytes_pending += self.nbytes
         for fn in self.on_migrate:
             fn(self, self.nbytes)
 
     def take_migration_bytes(self) -> int:
         """Return and reset the NVM->DRAM migration byte count (the
         caller charges the copy time)."""
-        out, self._migration_bytes_pending = self._migration_bytes_pending, 0
+        out, self.migration_bytes_pending = self.migration_bytes_pending, 0
         return out
 
     # ------------------------------------------------------------------

@@ -69,7 +69,8 @@ class NVAllocator:
     # Lookup.
     # ------------------------------------------------------------------
 
-    def _resolve(self, key: ChunkKey) -> Chunk:
+    def chunk(self, key: ChunkKey) -> Chunk:
+        """Look up a chunk by name or id."""
         if isinstance(key, str):
             cid = self._by_name.get(key)
             if cid is None:
@@ -79,10 +80,6 @@ class NVAllocator:
         if chunk is None:
             raise UnknownChunkId(f"no chunk with id {key} in process {self.pid!r}")
         return chunk
-
-    def chunk(self, key: ChunkKey) -> Chunk:
-        """Look up a chunk by name or id."""
-        return self._resolve(key)
 
     def has_chunk(self, key: ChunkKey) -> bool:
         if isinstance(key, str):
@@ -162,7 +159,7 @@ class NVAllocator:
         """Grow/shrink a chunk, preserving the common data prefix."""
         if nbytes <= 0:
             raise AllocationError(f"chunk size must be positive, got {nbytes}")
-        chunk = self._resolve(key)
+        chunk = self.chunk(key)
         old_bytes = chunk.nbytes
         if nbytes == old_bytes:
             return chunk
@@ -191,7 +188,7 @@ class NVAllocator:
 
     def nvdelete(self, key: ChunkKey) -> None:
         """Drop a chunk: DRAM buffer, NVM versions and metadata."""
-        chunk = self._resolve(key)
+        chunk = self.chunk(key)
         for i in range(chunk.n_versions):
             self.nvmm.nvmunmap(self.pid, self._region_name(chunk.name, i))
         alloc = self._allocations.pop(chunk.chunk_id, None)

@@ -25,8 +25,9 @@ hot         modified until the very end of the interval (LAMMPS'
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alloc.chunk import Chunk
 from ..alloc.nvmalloc import NVAllocator
@@ -96,6 +97,11 @@ class ChunkSpec:
         return (off, min(n, nbytes - off))
 
 
+#: one step of a compiled iteration: ``(at, "write", spec, write_index,
+#: offset, nbytes)`` or ``(at, "comm", None, burst_index, 0, bytes)``
+Step = Tuple[float, str, Optional[ChunkSpec], int, int, float]
+
+
 @dataclass
 class RankBinding:
     """One rank's live connection to the simulation: its allocator
@@ -149,6 +155,8 @@ class ApplicationModel:
 
     def __init__(self, checkpoint_mb_per_rank: Optional[float] = None) -> None:
         self.checkpoint_mb_per_rank = checkpoint_mb_per_rank
+        #: compiled iteration steps, by :meth:`_schedule`'s key
+        self._schedules: Dict[tuple, List[Step]] = {}
 
     # -- layout --------------------------------------------------------------
 
@@ -207,53 +215,84 @@ class ApplicationModel:
         Interleaves compute (timeouts), chunk writes at their scheduled
         fractions, and communication bursts; protection-fault costs
         extend the compute time (that is the pre-copy overhead an
-        application actually feels).
+        application actually feels).  The steps come from
+        :meth:`_schedule`, compiled once per rank and iteration shape.
         """
         engine = binding.engine
-        interval = self.iteration_compute_time
-        events: List[Tuple[float, str, object]] = []
-        for spec in self.chunk_specs(self._rank_index(binding)):
-            for k, frac in enumerate(spec.write_fractions(iteration)):
-                events.append((frac * interval, "write", (spec, k)))
-        if self.comm_bytes_per_iteration > 0 and binding.fabric is not None and binding.neighbors:
-            per_burst = self.comm_bytes_per_iteration / self.comm_bursts
-            for b in range(self.comm_bursts):
-                at = (b + 0.5) / self.comm_bursts * interval
-                events.append((at, "comm", per_burst))
-        events.sort(key=lambda e: (e[0], e[1]))
+        chunk_of = binding.allocator.chunk
         # `position` tracks scheduled *compute* progress; faults and
         # communication stalls delay everything after them, so the
         # iteration's wall time is compute + fault costs + comm time
         position = 0.0
-        for at, kind, payload in events:
+        for at, kind, spec, widx, off, n in self._schedule(binding, iteration):
             if at > position:
                 yield engine.timeout(at - position)
                 position = at
             if kind == "write":
-                spec, widx = payload  # type: ignore[misc]
-                chunk = binding.chunk(spec.name)
-                off, n = spec.write_extent(widx, chunk.nbytes)
-                # real payloads write their own bytes back (content
-                # unchanged, so committed checksums stay valid); the
-                # dirt/stale bookkeeping is what matters here
-                faults = chunk.touch(n, offset=off) if chunk.phantom else chunk.write(
-                    off, chunk.dram[off : off + min(64, n)]  # type: ignore[index]
-                )
-                cost = binding.charge_fault(faults)
-                cost += binding.charge_migration(chunk.take_migration_bytes())
+                chunk = chunk_of(spec.name)
+                if chunk.nbytes != spec.nbytes:
+                    # resized (nvrealloc) after the schedule was compiled
+                    off, n = spec.write_extent(widx, chunk.nbytes)
+                faults = chunk.touch(n, off)
+                cost = binding.charge_fault(faults) if faults else 0.0
+                if chunk.migration_bytes_pending:
+                    cost += binding.charge_migration(chunk.take_migration_bytes())
                 if cost > 0:
                     yield engine.timeout(cost)
             else:
                 n_nb = max(1, len(binding.neighbors))
                 waits = [
                     binding.fabric.transfer(  # type: ignore[union-attr]
-                        binding.node_id, nb, payload / n_nb, tag=f"{binding.rank}:app"
+                        binding.node_id, nb, n / n_nb, tag=f"{binding.rank}:app"
                     )
                     for nb in binding.neighbors
                 ]
                 yield engine.all_of(waits)
+        interval = self.iteration_compute_time
         if interval > position:
             yield engine.timeout(interval - position)
+
+    def _schedule(self, binding: RankBinding, iteration: int) -> List[Step]:
+        """The rank's iteration steps, compiled on first use.
+
+        A model's chunk layout and iteration shape (interval length,
+        communication volume and bursts) are fixed once its first
+        iteration runs, so the steps depend only on the rank, on
+        whether this is iteration 0 (write-once chunks write only then)
+        and on whether the rank communicates.  The rank id stands for
+        the rank index it encodes, so a cache hit parses nothing; a
+        layout without write-once chunks compiles once for both
+        iteration kinds.
+        """
+        has_comm = bool(
+            self.comm_bytes_per_iteration > 0 and binding.fabric is not None and binding.neighbors
+        )
+        key = (binding.rank, iteration == 0, has_comm)
+        steps = self._schedules.get(key)
+        if steps is None:
+            rank_index = self._rank_index(binding)
+            steps = self._schedules[key] = self._compile(rank_index, iteration, has_comm)
+            if all(s.pattern != WritePattern.WRITE_ONCE for s in self.chunk_specs(rank_index)):
+                self._schedules[(binding.rank, iteration != 0, has_comm)] = steps
+        return steps
+
+    def _compile(self, rank_index: int, iteration: int, has_comm: bool) -> List[Step]:
+        """Every write and burst of one iteration, sorted by position
+        (a burst before a write at the same instant, ties in layout
+        order).  Write extents are taken at the declared chunk size."""
+        interval = self.iteration_compute_time
+        steps: List[Step] = []
+        for spec in self.chunk_specs(rank_index):
+            for k, frac in enumerate(spec.write_fractions(iteration)):
+                off, n = spec.write_extent(k, spec.nbytes)
+                steps.append((frac * interval, "write", spec, k, off, n))
+        if has_comm:
+            per_burst = self.comm_bytes_per_iteration / self.comm_bursts
+            for b in range(self.comm_bursts):
+                at = (b + 0.5) / self.comm_bursts * interval
+                steps.append((at, "comm", None, b, 0, per_burst))
+        steps.sort(key=itemgetter(0, 1))
+        return steps
 
     def _rank_index(self, binding: RankBinding) -> int:
         # rank ids are formatted "r<k>" by the cluster builder

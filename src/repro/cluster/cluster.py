@@ -52,7 +52,6 @@ class Cluster:
         # the build recipe, kept so a replacement node (hard-failure
         # recovery) is populated exactly like the original
         self._n_nodes = 0
-        self._phantom = True
         self.pfs = None
         self._compression = None
         self._built = False
@@ -68,7 +67,6 @@ class Cluster:
         *,
         ranks_per_node: Optional[int] = None,
         n_nodes_used: Optional[int] = None,
-        phantom: bool = True,
         with_remote: bool = True,
         pfs=None,
         compression=None,
@@ -94,7 +92,6 @@ class Cluster:
         if ranks_per_node is None:
             ranks_per_node = self.config.node.cores - (1 if with_remote else 0)
         self._n_nodes = n_nodes
-        self._phantom = phantom
         self.pfs = pfs
         self._compression = compression
         for node in self.nodes[:n_nodes]:
@@ -128,7 +125,6 @@ class Cluster:
                 self.ckpt_config,
                 fabric=self.fabric,
                 neighbors=neighbors,
-                phantom=self._phantom,
                 destination_factory=destination_factory,
             )
 

@@ -76,10 +76,10 @@ class ClusterNode:
         *,
         fabric: Optional[Fabric] = None,
         neighbors=(),
-        phantom: bool = True,
         destination_factory=None,
     ) -> RankState:
-        """*destination_factory* is ``(ctx, rank, allocator) -> Destination``
+        """Cluster ranks are phantom (size-only chunks, no payloads).
+        *destination_factory* is ``(ctx, rank, allocator) -> Destination``
         selecting the checkpoint backend (default: the node's NVM shadow
         arena)."""
         rank = f"r{rank_index}"
@@ -87,7 +87,7 @@ class ClusterNode:
             rank,
             self.ctx.nvmm,
             self.ctx.dram,
-            phantom=phantom,
+            phantom=True,
             clock=lambda: self.engine.now,
         )
         binding = RankBinding(

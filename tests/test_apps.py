@@ -15,7 +15,10 @@ from repro.apps import (
     WritePattern,
 )
 from repro.alloc import NVAllocator
+from repro.alloc.chunk import Chunk, batch_commit
 from repro.core import make_standalone_context
+from repro.exec.cell import APPS, build_parser
+from repro.net.interconnect import Fabric
 from repro.units import MB
 
 
@@ -153,6 +156,137 @@ class TestIterationExecution:
         ctx.engine.run()
         assert binding.fault_time > 0
         assert ctx.engine.now > 5.0
+
+    def test_lazily_restored_chunk_charges_migration(self):
+        ctx = make_standalone_context(name="app")
+        m = SyntheticModel(checkpoint_mb_per_rank=10, chunk_mb=10, iteration_compute_time=5.0)
+        binding = self._binding(m, ctx)
+        chunk = binding.allocator.chunk("chunk_0")
+        chunk.stage_to_nvm()
+        batch_commit([chunk])
+        chunk.restore_lazy()  # NVM-resident: the next write migrates
+        ctx.engine.process(m.compute_iteration(binding, 0))
+        ctx.engine.run()
+        assert not chunk.nvm_resident
+        assert binding.migration_time == chunk.nbytes / binding.migration_rate
+        assert ctx.engine.now == pytest.approx(
+            5.0 + binding.fault_time + binding.migration_time
+        )
+
+
+def reference_iteration(app, binding, iteration):
+    """One compute interval derived step by step, as the model did
+    before its schedule was compiled: rebuild and sort the write list,
+    resolve each chunk, take each extent at the chunk's current size."""
+    engine = binding.engine
+    interval = app.iteration_compute_time
+    events = []
+    for spec in app.chunk_specs(app._rank_index(binding)):
+        for k, frac in enumerate(spec.write_fractions(iteration)):
+            events.append((frac * interval, "write", (spec, k)))
+    if app.comm_bytes_per_iteration > 0 and binding.fabric is not None and binding.neighbors:
+        per_burst = app.comm_bytes_per_iteration / app.comm_bursts
+        for b in range(app.comm_bursts):
+            events.append(((b + 0.5) / app.comm_bursts * interval, "comm", per_burst))
+    events.sort(key=lambda e: (e[0], e[1]))
+    position = 0.0
+    for at, kind, payload in events:
+        if at > position:
+            yield engine.timeout(at - position)
+            position = at
+        if kind == "write":
+            spec, widx = payload
+            chunk = binding.chunk(spec.name)
+            off, n = spec.write_extent(widx, chunk.nbytes)
+            cost = binding.charge_fault(chunk.touch(n, offset=off))
+            cost += binding.charge_migration(chunk.take_migration_bytes())
+            if cost > 0:
+                yield engine.timeout(cost)
+        else:
+            n_nb = max(1, len(binding.neighbors))
+            yield engine.all_of([
+                binding.fabric.transfer(binding.node_id, nb, payload / n_nb, tag=f"{binding.rank}:app")
+                for nb in binding.neighbors
+            ])
+    if interval > position:
+        yield engine.timeout(interval - position)
+
+
+def record_rank(monkeypatch, app, rank_index, iterations, run_iteration):
+    """Run *iterations* of one rank (protecting every other chunk before
+    each, so faults shift later steps) and return what it did: every
+    write and burst with its virtual time, and the rank's totals."""
+    ctx = make_standalone_context(name=f"sched{rank_index}")
+    engine = ctx.engine
+    fabric = Fabric(engine, 2)
+    alloc = NVAllocator(f"r{rank_index}", ctx.nvmm, ctx.dram, phantom=True,
+                        clock=lambda: engine.now)
+    binding = RankBinding(rank=f"r{rank_index}", node_id=0, allocator=alloc,
+                          engine=engine, fabric=fabric, neighbors=[1])
+    app.allocate(binding, rank_index)
+    seen = []
+    touch, transfer = Chunk.touch, fabric.transfer
+
+    def recording_touch(chunk, nbytes=None, offset=0):
+        seen.append((engine.now, "write", chunk.name, offset, nbytes))
+        return touch(chunk, nbytes, offset)
+
+    def recording_transfer(src, dst, nbytes, tag=""):
+        seen.append((engine.now, "comm", dst, tag, nbytes))
+        return transfer(src, dst, nbytes, tag=tag)
+
+    monkeypatch.setattr(Chunk, "touch", recording_touch)
+    fabric.transfer = recording_transfer
+
+    def rank():
+        for it in iterations:
+            for chunk in alloc.chunks()[::2]:
+                chunk.mark_precopied("local")
+            yield from run_iteration(binding, it)
+
+    proc = engine.process(rank())
+    engine.run()
+    monkeypatch.setattr(Chunk, "touch", touch)
+    assert proc.ok
+    return seen, engine.now, binding.fault_time, binding.migration_time
+
+
+class TestCompiledSchedule:
+    @pytest.mark.parametrize("rank_index", [0, 1, 2, 3])
+    @pytest.mark.parametrize("app_name", sorted(APPS))
+    def test_iterations_match_the_reference_derivation(self, monkeypatch, app_name, rank_index):
+        args = build_parser().parse_args(["--app", app_name])
+        fresh = lambda: APPS[app_name](args)  # noqa: E731
+        iterations = [0, 1, 2, 1, 0]  # revisits hit the compiled cache
+        compiled = fresh()
+        got = record_rank(monkeypatch, compiled, rank_index, iterations,
+                          compiled.compute_iteration)
+        ref_app = fresh()
+        want = record_rank(monkeypatch, ref_app, rank_index, iterations,
+                           lambda binding, it: reference_iteration(ref_app, binding, it))
+        assert got == want
+        seen = got[0]
+        assert any(kind == "comm" for _, kind, *_ in seen)
+        assert got[2] > 0  # protected chunks faulted
+
+    def test_resized_chunk_takes_extents_at_its_current_size(self, monkeypatch):
+        app = LammpsModel()
+        spec = next(s for s in app.chunk_specs(0) if s.pattern == WritePattern.STAGED)
+        new_size = spec.nbytes // 3 + 12345
+
+        def run_twice(binding, it):
+            yield from app.compute_iteration(binding, it)
+            binding.allocator.nvrealloc(spec.name, new_size)
+            yield from app.compute_iteration(binding, it)
+
+        seen, *_ = record_rank(monkeypatch, app, 0, [1], run_twice)
+        writes = [(off, n) for _, kind, name, off, n in seen if kind == "write" and name == spec.name]
+        n_writes = len(spec.write_fractions(1))
+        assert writes[:n_writes] == [spec.write_extent(k, spec.nbytes) for k in range(n_writes)]
+        # the realloc's own whole-chunk touch, then the resized extents
+        assert writes[n_writes] == (0, None)
+        assert writes[n_writes + 1:] == [spec.write_extent(k, new_size) for k in range(n_writes)]
+        assert writes[n_writes + 1:] != writes[:n_writes]
 
 
 class TestSyntheticModel:

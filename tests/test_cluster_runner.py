@@ -6,6 +6,7 @@ from repro.apps import SyntheticModel
 from repro.baselines import async_noprecopy_config, precopy_config
 from repro.cluster import Cluster, ClusterRunner
 from repro.config import CheckpointConfig, ClusterConfig, FailureConfig, PrecopyPolicy
+from repro.exec.cell import build_parser, run_experiment
 from repro.units import GB_per_sec, MB
 
 
@@ -134,3 +135,41 @@ class TestAccountingDetails:
     def test_checkpoint_overhead_fraction(self):
         res = run_small(async_noprecopy_config(20, 60), iters=4)
         assert res.checkpoint_overhead_fraction > 0
+
+
+class TestNodeCountIndependence:
+    """Node pairs share no fabric bottleneck: a cell at twice the node
+    count reads the same per-node times and twice the aggregate volumes.
+    A change that adds fabric contention between pairs breaks this."""
+
+    PER_NODE = [
+        "total_time_s", "overhead_fraction", "ideal_time_s",
+        "local.avg_blocking_s", "remote.helper_utilization",
+    ]
+    AGGREGATE = [
+        "n_ranks", "local.checkpoints", "local.coordinated_gb", "local.precopy_gb",
+        "local.fault_time_s", "remote.rounds", "remote.round_gb",
+        "fabric.app_gb", "fabric.ckpt_gb",
+    ]
+
+    @staticmethod
+    def record(nodes):
+        args = build_parser().parse_args([
+            "--app", "lammps", "--nodes", str(nodes), "--ranks-per-node", "2",
+            "--iterations", "3",
+        ])
+        flat = {}
+        for key, value in run_experiment(args).to_dict().items():
+            if isinstance(value, dict):
+                flat.update({f"{key}.{k}": v for k, v in value.items()})
+            else:
+                flat[key] = value
+        return flat
+
+    def test_per_node_times_equal_and_volumes_scale(self):
+        two, four = self.record(2), self.record(4)
+        for key in self.PER_NODE:
+            assert four[key] == pytest.approx(two[key], rel=1e-9), key
+        for key in self.AGGREGATE:
+            assert two[key] > 0, key
+            assert four[key] == pytest.approx(2 * two[key], rel=1e-9), key
