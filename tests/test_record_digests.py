@@ -7,6 +7,10 @@ fractions change value.  These runs use all of them at their defaults:
 
 * the ``synthetic-failures-restart`` perfbench cell (retries, heartbeats,
   degraded mode, re-sync, soft and hard restarts);
+* a page-granular LAMMPS cell whose remote stream is compressed: the
+  local stream copies page extents while the remote one, under the
+  wire entropy stage, copies whole chunks, so each stream keeps its
+  own page state (or none);
 * the four ``--scenario`` cells: the ``elastic`` bench block's three
   arms — clean, full-resync baseline, and the migrating run at the SLO
   the block calibrates (SLO guard and live migration) — and
@@ -56,6 +60,10 @@ gen = _load_generator()
 #: name -> experiment argv
 CELLS = {
     "synthetic-failures-restart": gen.TRACE_CELLS["synthetic-failures"],
+    "lammps-page-compress-0.6": [
+        "--app", "lammps", "--nodes", "2", "--ranks-per-node", "2", "--iterations", "4",
+        "--copy-granularity", "page", "--compress-ratio", "0.6",
+    ],
 }
 
 ELASTIC_ARMS = ("elastic-clean", "elastic-full-resync", "elastic-migrate")
