@@ -10,9 +10,10 @@ NVM interface.  It owns:
   mid-checkpoint always leaves a consistent version;
 * **dirty bits** — one for the local checkpoint stream and one for the
   remote stream (§V: 'each chunk structure has two dirty bit flags');
-* **stale page runs** per stream and version slot, for page-granular
-  incremental copy (:class:`~repro.memory.page.StalePageMap`); every
-  write and touch is range-checked before it marks them;
+* **stale page runs** per version slot for each stream that copies
+  page extents (:class:`~repro.memory.page.StalePageMap`); every write
+  and touch is range-checked before it marks them, and a stream that
+  copies whole chunks keeps none (:meth:`Chunk.drop_stale_map`);
 * chunk-level **write protection** state: after a pre-copy all pages
   are protected; the first write takes one fault, unprotects the whole
   chunk and marks it dirty (this is what makes chunk-granular tracking
@@ -62,6 +63,8 @@ class Chunk:
     #: ``(chunk_id, incarnation, ...)`` can never serve stale data
     #: across a free/realloc or restart.
     _incarnations = itertools.count()
+    #: streams whose owner dropped their stale map (:meth:`drop_stale_map`)
+    _whole_streams: frozenset = frozenset()
 
     def __init__(
         self,
@@ -137,13 +140,15 @@ class Chunk:
         #: observers called as fn(chunk, nbytes) on each migration.
         self.on_migrate: List[Callable[["Chunk", int], None]] = []
         #: per-stream stale pages for page-granular incremental copy.
-        #: One :class:`StalePageMap` per stream; the local map keeps
-        #: one list of stale page runs per NVM shadow version slot
-        #: (under double-buffering the in-progress slot was last
-        #: refreshed two checkpoints ago, so "dirty since last
-        #: checkpoint" is the wrong predicate) — a few integers per
-        #: slot however large the chunk.  The remote map is created
-        #: lazily when a buddy target first adopts the chunk.
+        #: One :class:`StalePageMap` per stream that copies page
+        #: extents; the local map keeps one list of stale page runs per
+        #: NVM shadow version slot (under double-buffering the
+        #: in-progress slot was last refreshed two checkpoints ago, so
+        #: "dirty since last checkpoint" is the wrong predicate) — a
+        #: few integers per slot however large the chunk.  The remote
+        #: map is created lazily when a buddy target first adopts the
+        #: chunk.  A stream's owner drops its map when the stream copies
+        #: whole chunks (:meth:`drop_stale_map`).
         self._stale = {"local": StalePageMap(nbytes, max(1, len(self.versions)))}
         #: content-identity generation (see ``_incarnations``).
         self.incarnation = next(Chunk._incarnations)
@@ -282,9 +287,20 @@ class Chunk:
         except KeyError:
             raise ValueError(f"chunk {self.name!r} has no {stream!r} stale map")
 
+    def drop_stale_map(self, stream: str) -> None:
+        """*stream* copies this chunk whole and never reads its page
+        extents: drop the stream's stale map and build none later, so
+        the write barrier marks no runs for it and a full copy clears
+        none.  Reading the stream's extents afterwards raises."""
+        self._stale.pop(stream, None)
+        self._whole_streams = self._whole_streams | {stream}
+
     def ensure_remote_slots(self, n_slots: int) -> None:
         """Create/grow the remote-stream stale map (one run list per
-        buddy version slot).  New slots start fully stale."""
+        buddy version slot).  New slots start fully stale.  No-op once
+        the remote stream's map was dropped."""
+        if "remote" in self._whole_streams:
+            return
         pmap = self._stale.get("remote")
         if pmap is None:
             self._stale["remote"] = StalePageMap(self.nbytes, n_slots)
@@ -329,7 +345,10 @@ class Chunk:
         """Clear stale bits after a successful copy of *extents* into
         *slot* (``None`` extents = a full-chunk copy refreshed it all).
         Cleared only per-slot and only for the runs actually written,
-        so writes racing the copy keep their bits."""
+        so writes racing the copy keep their bits.  A full copy on a
+        stream without a map has nothing to clear."""
+        if extents is None and stream in self._whole_streams:
+            return
         pmap = self._stale_map(stream)
         if slot is None:
             slot = self.inprogress_index() if stream == "local" else 0
@@ -375,8 +394,7 @@ class Chunk:
                 fire("chunk.stage.mid", chunk=self)
                 region.write(half, self.dram[half:])
                 moved = self.nbytes
-            self._stale["local"].ensure_slots(slot + 1)
-            self._stale["local"].clear_all(slot)
+            self.mark_extents_copied("local", None, slot=slot)
         else:
             moved = self._stage_extents(region, extents)
             self.mark_extents_copied("local", extents, slot=slot)

@@ -59,7 +59,8 @@ class NVAllocator:
         self._by_name: Dict[str, int] = {}
         self._allocations: Dict[int, Optional[Allocation]] = {}
         #: observers called as fn(chunk) when a chunk is allocated or
-        #: rebuilt (a page-granular checkpoint engine protects it per page)
+        #: rebuilt (a page-granular checkpoint engine protects it per
+        #: page; a chunk-granular stream drops its stale map)
         self.on_register: List[Callable[[Chunk], None]] = []
         #: observers called as fn(chunk) after :meth:`nvdelete` dropped
         #: a chunk (the checkpoint engine unschedules it)
@@ -92,6 +93,13 @@ class NVAllocator:
 
     def persistent_chunks(self) -> List[Chunk]:
         return [c for c in self.chunks() if c.persistent]
+
+    def for_each_chunk(self, fn: Callable[[Chunk], None]) -> None:
+        """Call *fn* on every chunk now and, through ``on_register``,
+        on every chunk allocated or rebuilt later."""
+        for chunk in self.chunks():
+            fn(chunk)
+        self.on_register.append(fn)
 
     @property
     def checkpoint_bytes(self) -> int:

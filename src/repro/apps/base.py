@@ -1,9 +1,9 @@
 """Application model base: chunk declarations + iteration behaviour.
 
-A model describes, per rank:
+A model describes, for each of its ranks:
 
 * the **chunk layout** — names, sizes (matching the app's Table-IV
-  distribution) and write patterns;
+  distribution) and write patterns, one list every rank shares;
 * the **iteration schedule** — at which fractions of the compute
   interval each chunk is written (this is what DCPC/DCPCP exploit);
 * the **communication schedule** — halo-exchange style bursts on the
@@ -155,13 +155,17 @@ class ApplicationModel:
 
     def __init__(self, checkpoint_mb_per_rank: Optional[float] = None) -> None:
         self.checkpoint_mb_per_rank = checkpoint_mb_per_rank
+        #: the layout :meth:`chunk_specs` builds on first use
+        self._specs: Optional[List[ChunkSpec]] = None
         #: compiled iteration steps, by :meth:`_schedule`'s key
         self._schedules: Dict[tuple, List[Step]] = {}
 
     # -- layout --------------------------------------------------------------
 
-    def chunk_specs(self, rank_index: int) -> List[ChunkSpec]:
-        """The rank's checkpoint variables.  Subclasses implement."""
+    def chunk_specs(self, rank_index: int = 0) -> List[ChunkSpec]:
+        """The checkpoint variables every rank declares: one list per
+        model, built on first use and cached in ``_specs``, whichever
+        *rank_index* asks.  Subclasses implement."""
         raise NotImplementedError
 
     def allocate(self, binding: RankBinding, rank_index: int) -> List[Chunk]:
@@ -175,7 +179,7 @@ class ApplicationModel:
         from ..core.codec import DEFAULT_NOVELTY, PATTERN_NOVELTY
 
         chunks = []
-        for spec in self.chunk_specs(rank_index):
+        for spec in self.chunk_specs():
             chunk = binding.allocator.nvalloc(spec.name, spec.nbytes, pflag=True)
             chunk.content_novelty = PATTERN_NOVELTY.get(spec.pattern, DEFAULT_NOVELTY)
             chunks.append(chunk)
@@ -216,7 +220,7 @@ class ApplicationModel:
         fractions, and communication bursts; protection-fault costs
         extend the compute time (that is the pre-copy overhead an
         application actually feels).  The steps come from
-        :meth:`_schedule`, compiled once per rank and iteration shape.
+        :meth:`_schedule`, compiled once per model and iteration shape.
         """
         engine = binding.engine
         chunk_of = binding.allocator.chunk
@@ -253,36 +257,31 @@ class ApplicationModel:
             yield engine.timeout(interval - position)
 
     def _schedule(self, binding: RankBinding, iteration: int) -> List[Step]:
-        """The rank's iteration steps, compiled on first use.
+        """One iteration's steps, compiled on first use.
 
-        A model's chunk layout and iteration shape (interval length,
-        communication volume and bursts) are fixed once its first
-        iteration runs, so the steps depend only on the rank, on
-        whether this is iteration 0 (write-once chunks write only then)
-        and on whether the rank communicates.  The rank id stands for
-        the rank index it encodes, so a cache hit parses nothing; a
-        layout without write-once chunks compiles once for both
-        iteration kinds.
+        Every rank of a model shares one chunk layout, and the layout
+        and iteration shape (interval length, communication volume and
+        bursts) are fixed once the model's first iteration runs.  The
+        steps therefore depend only on whether this is iteration 0
+        (write-once chunks write only then) and on whether the rank
+        communicates, and all ranks share each compiled list.
         """
         has_comm = bool(
             self.comm_bytes_per_iteration > 0 and binding.fabric is not None and binding.neighbors
         )
-        key = (binding.rank, iteration == 0, has_comm)
+        key = (iteration == 0, has_comm)
         steps = self._schedules.get(key)
         if steps is None:
-            rank_index = self._rank_index(binding)
-            steps = self._schedules[key] = self._compile(rank_index, iteration, has_comm)
-            if all(s.pattern != WritePattern.WRITE_ONCE for s in self.chunk_specs(rank_index)):
-                self._schedules[(binding.rank, iteration != 0, has_comm)] = steps
+            steps = self._schedules[key] = self._compile(iteration, has_comm)
         return steps
 
-    def _compile(self, rank_index: int, iteration: int, has_comm: bool) -> List[Step]:
+    def _compile(self, iteration: int, has_comm: bool) -> List[Step]:
         """Every write and burst of one iteration, sorted by position
         (a burst before a write at the same instant, ties in layout
         order).  Write extents are taken at the declared chunk size."""
         interval = self.iteration_compute_time
         steps: List[Step] = []
-        for spec in self.chunk_specs(rank_index):
+        for spec in self.chunk_specs():
             for k, frac in enumerate(spec.write_fractions(iteration)):
                 off, n = spec.write_extent(k, spec.nbytes)
                 steps.append((frac * interval, "write", spec, k, off, n))
@@ -293,8 +292,3 @@ class ApplicationModel:
                 steps.append((at, "comm", None, b, 0, per_burst))
         steps.sort(key=itemgetter(0, 1))
         return steps
-
-    def _rank_index(self, binding: RankBinding) -> int:
-        # rank ids are formatted "r<k>" by the cluster builder
-        digits = "".join(ch for ch in binding.rank if ch.isdigit())
-        return int(digits) if digits else 0

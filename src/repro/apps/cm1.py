@@ -37,12 +37,10 @@ class CM1Model(ApplicationModel):
     ) -> None:
         super().__init__(checkpoint_mb_per_rank)
         self.small_chunks = small_chunks
-        self._specs_cache: dict[int, List[ChunkSpec]] = {}
 
-    def chunk_specs(self, rank_index: int) -> List[ChunkSpec]:
-        cached = self._specs_cache.get(rank_index)
-        if cached is not None:
-            return cached
+    def chunk_specs(self, rank_index: int = 0) -> List[ChunkSpec]:
+        if self._specs is not None:
+            return self._specs
         D = MB(self.checkpoint_mb_per_rank)
         mid_budget = int(0.55 * D)  # 50-100MB: 3-D field arrays
         small_budget = int(0.41 * D)  # 0.5-1MB: column diagnostics
@@ -76,5 +74,5 @@ class CM1Model(ApplicationModel):
                 ChunkSpec(f"diag_{i}", small_size, WritePattern.PER_ITER,
                           fractions=(0.2 + 0.6 * (i / max(1, n_small - 1)),))
             )
-        self._specs_cache[rank_index] = specs
+        self._specs = specs
         return specs

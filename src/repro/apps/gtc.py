@@ -41,12 +41,10 @@ class GTCModel(ApplicationModel):
         per-chunk overhead, pass a smaller count for speed."""
         super().__init__(checkpoint_mb_per_rank)
         self.small_chunks = small_chunks
-        self._specs_cache: dict[int, List[ChunkSpec]] = {}
 
-    def chunk_specs(self, rank_index: int) -> List[ChunkSpec]:
-        cached = self._specs_cache.get(rank_index)
-        if cached is not None:
-            return cached
+    def chunk_specs(self, rank_index: int = 0) -> List[ChunkSpec]:
+        if self._specs is not None:
+            return self._specs
         D = MB(self.checkpoint_mb_per_rank)
         large_budget = int(0.45 * D)
         med_budget = int(0.09 * D)
@@ -81,5 +79,5 @@ class GTCModel(ApplicationModel):
                     fractions=(0.25 + 0.5 * (i / max(1, n_small - 1)),),
                 )
             )
-        self._specs_cache[rank_index] = specs
+        self._specs = specs
         return specs

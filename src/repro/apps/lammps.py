@@ -35,12 +35,10 @@ class LammpsModel(ApplicationModel):
 
     def __init__(self, checkpoint_mb_per_rank: float = 410.0) -> None:
         super().__init__(checkpoint_mb_per_rank)
-        self._specs_cache: dict[int, List[ChunkSpec]] = {}
 
-    def chunk_specs(self, rank_index: int) -> List[ChunkSpec]:
-        cached = self._specs_cache.get(rank_index)
-        if cached is not None:
-            return cached
+    def chunk_specs(self, rank_index: int = 0) -> List[ChunkSpec]:
+        if self._specs is not None:
+            return self._specs
         D = MB(self.checkpoint_mb_per_rank)
         large_budget = int(0.42 * D)  # >100MB
         mid_budget = int(0.33 * D)  # 50-100MB
@@ -73,5 +71,5 @@ class LammpsModel(ApplicationModel):
                 ChunkSpec(f"aux_{i}", small_size, WritePattern.STAGED,
                           fractions=(frac, min(0.95, frac + 0.2)))
             )
-        self._specs_cache[rank_index] = specs
+        self._specs = specs
         return specs

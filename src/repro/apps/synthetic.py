@@ -43,12 +43,10 @@ class SyntheticModel(ApplicationModel):
         self.iteration_compute_time = iteration_compute_time
         self.comm_bytes_per_iteration = MB(comm_mb_per_iteration)
         self.comm_bursts = comm_bursts
-        self._specs_cache: dict[int, List[ChunkSpec]] = {}
 
-    def chunk_specs(self, rank_index: int) -> List[ChunkSpec]:
-        cached = self._specs_cache.get(rank_index)
-        if cached is not None:
-            return cached
+    def chunk_specs(self, rank_index: int = 0) -> List[ChunkSpec]:
+        if self._specs is not None:
+            return self._specs
         total = MB(self.checkpoint_mb_per_rank)
         size = MB(self.chunk_mb)
         n_chunks = max(1, total // size)
@@ -64,5 +62,5 @@ class SyntheticModel(ApplicationModel):
                 pattern = WritePattern.PER_ITER
                 frac = (0.2 + 0.5 * (i / max(1, n_chunks - 1)),)
             specs.append(ChunkSpec(f"chunk_{i}", size, pattern, fractions=frac))
-        self._specs_cache[rank_index] = specs
+        self._specs = specs
         return specs

@@ -46,6 +46,10 @@ def _protect_per_page(chunk: Chunk) -> None:
     chunk.page_granular_protection = True
 
 
+def _drop_local_map(chunk: Chunk) -> None:
+    chunk.drop_stale_map("local")
+
+
 @dataclass
 class CheckpointStats:
     """Result of one coordinated local checkpoint."""
@@ -136,12 +140,14 @@ class CheckpointEngine:
             # a deleted chunk must leave the schedule with its regions
             allocator.on_delete.append(self.precopy.drop_chunk)
         self._precopy_proc = None
+        # both apply to every chunk of the rank, whether it was
+        # allocated before this engine or after it
         if self.policy.granularity == "page":
-            # every chunk of the rank faults per page, whether it was
-            # allocated before this engine or after it
-            for chunk in allocator.chunks():
-                _protect_per_page(chunk)
-            allocator.on_register.append(_protect_per_page)
+            allocator.for_each_chunk(_protect_per_page)
+        if not self.copier.incremental:
+            # whole-chunk copies never read page extents: the write
+            # barrier keeps no local page runs
+            allocator.for_each_chunk(_drop_local_map)
 
     # ------------------------------------------------------------------
     # Background engine lifecycle.

@@ -317,6 +317,10 @@ def buddy_get(
         yield from transport.get(fabric, buddy_id, node_id, nbytes, **route)
 
 
+def _drop_remote_map(chunk: Chunk) -> None:
+    chunk.drop_stale_map("remote")
+
+
 class RemoteHelper:
     """The per-node asynchronous remote-checkpoint process."""
 
@@ -357,6 +361,11 @@ class RemoteHelper:
             stream="remote",
             compression=compression,
         )
+        if not self.copier.incremental:
+            # whole-chunk remote copies never read page extents: the
+            # ranks' chunks, present and future, keep no remote map
+            for alloc in ranks:
+                alloc.for_each_chunk(_drop_remote_map)
         #: payload codec on the fabric path (None on the raw default)
         self.codec = self.copier.codec
         #: rank pid -> its buddy-side Destination on the current buddy.

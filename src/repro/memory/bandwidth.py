@@ -138,7 +138,9 @@ def measure_host_parallel_memcpy(
     results: Dict[int, float] = {}
     for n in proc_counts:
         srcs = [np.random.default_rng(i).random(n_items) for i in range(n)]
-        dsts = [np.empty_like(s) for s in srcs]
+        # copies, not empty arrays: the timed copies must find their
+        # destination pages faulted in, or they time first-touch faults
+        dsts = [s.copy() for s in srcs]
         per_thread: List[float] = [0.0] * n
         barrier = threading.Barrier(n)
 

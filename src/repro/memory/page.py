@@ -13,8 +13,8 @@ The paper's runtime uses hardware paging in two ways:
 Python cannot trap real SIGSEGV, so writes flow through an explicit
 barrier (:meth:`repro.alloc.chunk.Chunk.write`), and the chunk — not an
 NVM region — keeps the page state the runs read: one
-:class:`StalePageMap` per copy stream, whose ``remote`` map is §V's
-nvdirty query.  A stale map holds page *runs*, so its size follows the
+:class:`StalePageMap` per stream that copies page extents, whose
+``remote`` map is §V's nvdirty query.  A stale map holds page *runs*, so its size follows the
 write pattern, not the chunk size: a 400 MB chunk written whole is one
 run per version slot.
 """

@@ -128,6 +128,34 @@ class TestWriteBarrier:
         assert sum(trace.size for trace in held.traces) < 4096
         assert chunk.copy_extents("local", slot=1) == [(5 * 4096, 3 * 4096)]
 
+    def test_dropped_stale_map_is_never_rebuilt_or_invented(self):
+        """A stream whose map was dropped marks nothing on writes, gets
+        no map from ``ensure_remote_slots``, and reading its extents
+        raises instead of reporting an all-stale chunk."""
+        chunk, _ = make_chunk(nbytes=10 * 4096, phantom=True)
+        chunk.drop_stale_map("local")
+        chunk.drop_stale_map("remote")
+        chunk.ensure_remote_slots(2)
+        chunk.touch(4096, offset=0)
+        chunk.mark_all_stale()
+        for stream in ("local", "remote"):
+            with pytest.raises(ValueError, match=f"no {stream!r} stale map"):
+                chunk.copy_extents(stream)
+            with pytest.raises(ValueError, match=f"no {stream!r} stale map"):
+                chunk.mark_extents_copied(stream, [(0, 4096)])
+            # a whole-chunk copy has nothing to clear
+            chunk.mark_extents_copied(stream, None, slot=0)
+        assert chunk.stage_to_nvm() == 10 * 4096
+
+    def test_remote_map_of_an_undropped_stream_is_not_invented(self):
+        """Before a buddy target adopts the chunk there is no remote map
+        to read or clear, dropped or not."""
+        chunk, _ = make_chunk(phantom=True)
+        with pytest.raises(ValueError, match="no 'remote' stale map"):
+            chunk.copy_extents("remote")
+        with pytest.raises(ValueError, match="no 'remote' stale map"):
+            chunk.mark_extents_copied("remote", None)
+
     def test_phantom_read_rejected(self):
         chunk, _ = make_chunk(phantom=True)
         with pytest.raises(CheckpointError):

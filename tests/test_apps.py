@@ -181,7 +181,7 @@ def reference_iteration(app, binding, iteration):
     engine = binding.engine
     interval = app.iteration_compute_time
     events = []
-    for spec in app.chunk_specs(app._rank_index(binding)):
+    for spec in app.chunk_specs(int(binding.rank[1:])):
         for k, frac in enumerate(spec.write_fractions(iteration)):
             events.append((frac * interval, "write", (spec, k)))
     if app.comm_bytes_per_iteration > 0 and binding.fabric is not None and binding.neighbors:
@@ -268,6 +268,15 @@ class TestCompiledSchedule:
         seen = got[0]
         assert any(kind == "comm" for _, kind, *_ in seen)
         assert got[2] > 0  # protected chunks faulted
+
+    @pytest.mark.parametrize("app_name", sorted(APPS))
+    def test_every_rank_shares_one_layout_and_schedule(self, monkeypatch, app_name):
+        app = APPS[app_name](build_parser().parse_args(["--app", app_name]))
+        assert all(app.chunk_specs(i) is app.chunk_specs(0) for i in range(4))
+        for rank_index in range(4):
+            record_rank(monkeypatch, app, rank_index, [0, 1], app.compute_iteration)
+        # iteration 0 and a later one, each compiled once for all ranks
+        assert len(app._schedules) == 2
 
     def test_resized_chunk_takes_extents_at_its_current_size(self, monkeypatch):
         app = LammpsModel()
