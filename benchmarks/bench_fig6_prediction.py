@@ -22,7 +22,7 @@ def test_fig6_prediction_state_machine(benchmark, report):
                             clock=lambda: ctx.engine.now)
         app = LammpsModel()
         binding = RankBinding(rank="r0", node_id=0, allocator=alloc, engine=ctx.engine)
-        app.allocate(binding, 0)
+        app.allocate(binding)
         ck = LocalCheckpointer(ctx, alloc, PrecopyPolicy(mode="dcpcp"))
         ck.start_background()
 

@@ -27,9 +27,9 @@ def test_cm1_gets_smaller_precopy_benefit(benchmark, report):
         benefit = (nop["total_time_s"] - pre["total_time_s"]) / nop["total_time_s"] * 100
         benefits[app] = benefit
         if app == "cm1":
-            largest = max(s.nbytes for s in CM1Model(small_chunks=SMALL_CHUNKS).chunk_specs(0))
+            largest = max(s.nbytes for s in CM1Model(small_chunks=SMALL_CHUNKS).chunk_specs())
         else:
-            largest = max(s.nbytes for s in LammpsModel().chunk_specs(0))
+            largest = max(s.nbytes for s in LammpsModel().chunk_specs())
         table.add_row(app, f"{pre['total_time_s']:.1f}", f"{nop['total_time_s']:.1f}",
                       f"{benefit:.1f}", f"{largest / 2**20:.0f}")
     table.add_note(

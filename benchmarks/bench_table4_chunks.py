@@ -22,9 +22,9 @@ def test_table4_chunk_distribution(benchmark, report):
         out = {}
         for model in (CM1Model(), GTCModel(), LammpsModel()):
             out[model.name] = (
-                model.chunk_size_distribution(0),
-                len(model.chunk_specs(0)),
-                model.checkpoint_bytes(0),
+                model.chunk_size_distribution(),
+                len(model.chunk_specs()),
+                model.checkpoint_bytes(),
             )
         return out
 

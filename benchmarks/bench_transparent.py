@@ -34,7 +34,7 @@ def test_transparent_vs_application_initiated(benchmark, report):
         alloc = NVAllocator("r0", ctx.nvmm, ctx.dram, phantom=True,
                             clock=lambda: ctx.engine.now)
         binding = RankBinding(rank="r0", node_id=0, allocator=alloc, engine=ctx.engine)
-        app.allocate(binding, 0)
+        app.allocate(binding)
         ck = LocalCheckpointer(ctx, alloc, PrecopyPolicy(mode="dcpcp"))
         ck.start_background()
 

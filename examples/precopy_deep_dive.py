@@ -23,7 +23,7 @@ def run_variant(mode: str, intervals: int = 5):
                         clock=lambda: ctx.engine.now)
     app = LammpsModel()
     binding = RankBinding(rank="r0", node_id=0, allocator=alloc, engine=ctx.engine)
-    app.allocate(binding, 0)
+    app.allocate(binding)
     ck = LocalCheckpointer(ctx, alloc, PrecopyPolicy(mode=mode))
     ck.start_background()
 
@@ -40,7 +40,7 @@ def run_variant(mode: str, intervals: int = 5):
 
 def main() -> None:
     app = LammpsModel()
-    print(f"workload: LAMMPS model, {len(app.chunk_specs(0))} chunks, "
+    print(f"workload: LAMMPS model, {len(app.chunk_specs())} chunks, "
           f"{app.checkpoint_mb_per_rank:.0f} MB/rank, hot chunk = x_positions")
     header = (f"{'variant':>8} | {'exec (s)':>9} | {'coord avg (s)':>13} | "
               f"{'precopy (MB)':>12} | {'coord (MB)':>10} | {'redundant':>9} | "

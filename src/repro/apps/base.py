@@ -162,13 +162,13 @@ class ApplicationModel:
 
     # -- layout --------------------------------------------------------------
 
-    def chunk_specs(self, rank_index: int = 0) -> List[ChunkSpec]:
+    def chunk_specs(self) -> List[ChunkSpec]:
         """The checkpoint variables every rank declares: one list per
-        model, built on first use and cached in ``_specs``, whichever
-        *rank_index* asks.  Subclasses implement."""
+        model, built on first use and cached in ``_specs``.  Subclasses
+        implement."""
         raise NotImplementedError
 
-    def allocate(self, binding: RankBinding, rank_index: int) -> List[Chunk]:
+    def allocate(self, binding: RankBinding) -> List[Chunk]:
         """Materialize the layout through the Table-III interface.
 
         Each chunk is annotated with its write pattern's content
@@ -185,10 +185,10 @@ class ApplicationModel:
             chunks.append(chunk)
         return chunks
 
-    def checkpoint_bytes(self, rank_index: int = 0) -> int:
-        return sum(s.nbytes for s in self.chunk_specs(rank_index))
+    def checkpoint_bytes(self) -> int:
+        return sum(s.nbytes for s in self.chunk_specs())
 
-    def chunk_size_distribution(self, rank_index: int = 0) -> dict:
+    def chunk_size_distribution(self) -> dict:
         """Byte share per Table-IV size bucket (for the T4 bench)."""
         buckets = {
             "500K-1MB": (500 * 1024, 1024 * 1024),
@@ -199,7 +199,7 @@ class ApplicationModel:
         }
         totals = {k: 0 for k in buckets}
         grand = 0
-        for spec in self.chunk_specs(rank_index):
+        for spec in self.chunk_specs():
             grand += spec.nbytes
             for key, (lo, hi) in buckets.items():
                 if key != "other" and lo <= spec.nbytes <= hi:

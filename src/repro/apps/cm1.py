@@ -38,7 +38,7 @@ class CM1Model(ApplicationModel):
         super().__init__(checkpoint_mb_per_rank)
         self.small_chunks = small_chunks
 
-    def chunk_specs(self, rank_index: int = 0) -> List[ChunkSpec]:
+    def chunk_specs(self) -> List[ChunkSpec]:
         if self._specs is not None:
             return self._specs
         D = MB(self.checkpoint_mb_per_rank)

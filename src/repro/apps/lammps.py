@@ -36,7 +36,7 @@ class LammpsModel(ApplicationModel):
     def __init__(self, checkpoint_mb_per_rank: float = 410.0) -> None:
         super().__init__(checkpoint_mb_per_rank)
 
-    def chunk_specs(self, rank_index: int = 0) -> List[ChunkSpec]:
+    def chunk_specs(self) -> List[ChunkSpec]:
         if self._specs is not None:
             return self._specs
         D = MB(self.checkpoint_mb_per_rank)

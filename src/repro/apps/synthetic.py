@@ -44,7 +44,7 @@ class SyntheticModel(ApplicationModel):
         self.comm_bytes_per_iteration = MB(comm_mb_per_iteration)
         self.comm_bursts = comm_bursts
 
-    def chunk_specs(self, rank_index: int = 0) -> List[ChunkSpec]:
+    def chunk_specs(self) -> List[ChunkSpec]:
         if self._specs is not None:
             return self._specs
         total = MB(self.checkpoint_mb_per_rank)

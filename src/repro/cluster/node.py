@@ -99,7 +99,7 @@ class ClusterNode:
             neighbors=neighbors,
             fault_cost=ckpt_config.precopy.fault_cost,
         )
-        app.allocate(binding, rank_index)
+        app.allocate(binding)
         checkpointer = LocalCheckpointer(
             self.ctx,
             allocator,

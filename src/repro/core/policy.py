@@ -28,8 +28,7 @@ decision.  Threshold recomputes surface on the trace bus as
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, Optional, Type
+from typing import Dict, NamedTuple, Optional, Type
 
 from ..alloc.chunk import Chunk
 from ..config import PrecopyPolicy as PrecopyConfig
@@ -68,10 +67,10 @@ class Decision(enum.Enum):
     SKIP = "skip"
 
 
-@dataclass(frozen=True)
-class IntervalClock:
+class IntervalClock(NamedTuple):
     """The policy's view of time: the current instant and the start of
-    the open checkpoint interval."""
+    the open checkpoint interval.  Built at every pre-copy wake-up, so
+    a tuple, which is cheaper to build than a frozen dataclass."""
 
     now: float
     interval_start: float

@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left, insort
 from dataclasses import dataclass
+from math import inf
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..alloc.chunk import Chunk, ChunkState
@@ -33,7 +34,7 @@ from ..config import PrecopyPolicy
 from ..errors import SimulationError, TransferCancelled
 from ..faults.crashpoints import fire
 from ..metrics.trace import BUS, PolicyDecisionEvent
-from ..sim.events import Event
+from ..sim.events import Event, Wake
 from .context import NodeContext
 from .copystep import CopyStep
 from .destination import Destination, NVMArenaDestination
@@ -190,7 +191,7 @@ class PrecopyEngine:
         #: and the event a successor waits on for that run to wind down
         self._active: Optional[int] = None
         self._idle: Optional[Event] = None
-        self._wake: Optional[Event] = None
+        self._wake: Optional[Wake] = None
         self._resume: Optional[Event] = None
         #: chunks pre-copied this interval and not re-dirtied yet
         self._pending_clean: Dict[int, Chunk] = {}
@@ -203,6 +204,7 @@ class PrecopyEngine:
         #: chunks whose dirty bit was cleared since the last wake-up
         self._settling: List[Chunk] = []
         self._inflight_chunk: Optional[Chunk] = None
+        #: made by :meth:`drain` only when it has to wait for the copy
         self._inflight_done: Optional[Event] = None
 
     # ------------------------------------------------------------------
@@ -255,9 +257,9 @@ class PrecopyEngine:
         self._kick()
 
     def _kick(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
-            self._wake = None
+        # a kick of a sleep that already ended queues nothing
+        if self._wake is not None:
+            self._wake.kick()
 
     # ------------------------------------------------------------------
     # Interval lifecycle (driven by the checkpoint coordinator).
@@ -296,7 +298,9 @@ class PrecopyEngine:
         """Generator: wait for the in-flight copy (if any) to finish.
         Call after :meth:`pause` so a coordinated step never races a
         background copy of the same chunk."""
-        if self._inflight_done is not None:
+        if self._inflight_chunk is not None:
+            if self._inflight_done is None:
+                self._inflight_done = self.ctx.engine.event("precopy.inflight")
             yield self._inflight_done
 
     def stop(self) -> None:
@@ -397,11 +401,9 @@ class PrecopyEngine:
                 if chunk is None:
                     # sleep until a dirty event, or until the threshold
                     # boundary if one is pending
-                    self._wake = engine.event("precopy.wake")
-                    waits: List[Event] = [self._wake]
-                    if now < t_ready < float("inf") and self._index:
-                        waits.append(engine.timeout(t_ready - now))
-                    yield engine.any_of(waits)
+                    pending = now < t_ready < inf and self._index
+                    self._wake = engine.wake(t_ready - now if pending else None)
+                    yield self._wake
                     self._wake = None
                     continue
                 yield from self._copy_one(chunk)
@@ -432,7 +434,6 @@ class PrecopyEngine:
         plan = self.copier.plan(chunk, self.destination)
         chunk.set_state(self.stream, ChunkState.PRECOPYING)
         self._inflight_chunk = chunk
-        self._inflight_done = self.ctx.engine.event("precopy.inflight")
         cancelled = False
         try:
             yield self.destination.write(chunk, plan.nbytes, tag=self.tag)
@@ -443,8 +444,10 @@ class PrecopyEngine:
         finally:
             chunk.set_state(self.stream, ChunkState.IDLE)
             self._inflight_chunk = None
-            self._inflight_done.succeed()
-            self._inflight_done = None
+            done = self._inflight_done
+            if done is not None:
+                self._inflight_done = None
+                done.succeed()
         if cancelled:
             self.stats.stale_copies += 1
             return

@@ -45,7 +45,7 @@ from ..metrics import timeline as tl
 from ..metrics.trace import BUS, FailoverEvent, emit_phase
 from ..net.interconnect import Fabric
 from ..net.rdma import rdma_get, rdma_put
-from ..sim.events import Event
+from ..sim.events import Wake
 from ..units import usec
 from .codec import Payload, blocks_of_extents
 from .context import NodeContext
@@ -380,7 +380,7 @@ class RemoteHelper:
         self.epoch = 0
         #: coalescing stream queue: (pid, chunk_id) -> Chunk, FIFO
         self._queue: Dict[Tuple[str, int], Chunk] = {}
-        self._wake: Optional[Event] = None
+        self._wake: Optional[Wake] = None
         # -- replication bookkeeping (incremental failover/migration) --
         #: (pid, chunk_id) -> commit generation; bumped every time a
         #: local commit (re-)queues the chunk, so a buddy's copy is
@@ -486,9 +486,9 @@ class RemoteHelper:
         return held.get(key) == self._dirty_epoch.get(key, 0)
 
     def _kick(self) -> None:
-        if self._wake is not None and not self._wake.triggered:
-            self._wake.succeed()
-            self._wake = None
+        # a kick of a sleep that already ended queues nothing
+        if self._wake is not None:
+            self._wake.kick()
 
     def _pop(self) -> Optional[Tuple[str, Chunk]]:
         """Next queued chunk (FIFO), skipping entries that went clean."""
@@ -695,8 +695,8 @@ class RemoteHelper:
         while not self._stop and not self._paused and engine.now < deadline - 1e-9:
             item = self._pop()
             if item is None:
-                self._wake = engine.event("helper.wake")
-                yield engine.any_of([self._wake, engine.timeout(deadline - engine.now)])
+                self._wake = engine.wake(deadline - engine.now)
+                yield self._wake
                 self._wake = None
                 continue
             pid, chunk = item

@@ -14,7 +14,7 @@ A compact, SimPy-like kernel purpose-built for this reproduction:
 """
 
 from .engine import Engine, Process
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, AnyOf, Event, Timeout, Wake
 from .resources import (
     BandwidthResource,
     CpuCores,
@@ -29,6 +29,7 @@ __all__ = [
     "Process",
     "Event",
     "Timeout",
+    "Wake",
     "AllOf",
     "AnyOf",
     "CpuCores",

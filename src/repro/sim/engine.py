@@ -40,7 +40,7 @@ from types import GeneratorType
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from ..errors import ProcessKilled, SimulationError
-from .events import _DISPATCHED, CALL, EVENT, WAKEUP, AllOf, AnyOf, Event, Timeout
+from .events import _DISPATCHED, CALL, EVENT, WAKEUP, AllOf, AnyOf, Event, Timeout, Wake
 
 __all__ = ["Engine", "Process"]
 
@@ -198,6 +198,11 @@ class Engine:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event firing ``delay`` virtual seconds from now."""
         return Timeout(self, delay, value)
+
+    def wake(self, delay: Optional[float] = None) -> Wake:
+        """A sleep that ends at :meth:`Wake.kick` or, given *delay*,
+        that many virtual seconds from now — whichever comes first."""
+        return Wake(self, delay)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -10,8 +10,8 @@ delivery hands the event to every callback in its list and replaces the
 list with the shared empty tuple ``_DISPATCHED``.  A callback added
 after that runs as a queued call of its own at the next step.
 Subclasses created per flow or per sleep (:class:`Timeout`,
-``TransferEvent``, ``FabricTransfer``) set their slots directly rather
-than through ``__init__`` chains.
+:class:`Wake`, ``TransferEvent``, ``FabricTransfer``) set their slots
+directly rather than through ``__init__`` chains.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ..errors import SimulationError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Engine
 
-__all__ = ["Event", "Timeout", "AllOf", "AnyOf"]
+__all__ = ["Event", "Timeout", "Wake", "AllOf", "AnyOf"]
 
 _PENDING = object()
 #: the callback "list" of a delivered event
@@ -147,6 +147,52 @@ class Timeout(Event):
 
     def _label(self) -> str:
         return f"timeout({self.delay:g})"
+
+
+class Wake(Event):
+    """A sleep that ends on the first of :meth:`kick` or an optional
+    deadline *delay* virtual seconds from now.
+
+    It stands in for ``any_of([event, timeout(delay)])`` and keeps that
+    join's queue footprint: the deadline entry takes its ``seq`` here,
+    where the timeout did, and whichever cause is dispatched first
+    queues the delivery one step later, where the join's own delivery
+    went.  The loser's entry is dispatched and does nothing; a kick
+    after that, or a second kick, queues nothing.  The value is
+    ``None``.
+    """
+
+    __slots__ = ("_kicked",)
+
+    def __init__(self, engine: "Engine", delay: Optional[float] = None) -> None:
+        self.engine = engine
+        self.name = ""
+        self.callbacks = []
+        self._value = _PENDING
+        self._exc = None
+        self._triggered = False
+        self._kicked = False
+        if delay is None:
+            return
+        if not 0.0 <= delay < inf:
+            raise SimulationError(f"wake delay {delay} is not finite and non-negative")
+        if delay == 0.0:
+            engine._ready.append((engine.now, next(engine._seq), CALL, self._fire))
+        else:
+            heapq.heappush(engine._heap, (engine.now + delay, next(engine._seq), CALL, self._fire))
+
+    def kick(self) -> None:
+        """End the sleep now (a no-op once kicked or fired)."""
+        if self._kicked or self._triggered:
+            return
+        self._kicked = True
+        engine = self.engine
+        engine._ready.append((engine.now, next(engine._seq), CALL, self._fire))
+
+    def _fire(self) -> None:
+        # the first cause to be dispatched delivers; the other is a no-op
+        if not self._triggered:
+            self._trigger(None, None)
 
 
 class AllOf(Event):

@@ -29,18 +29,18 @@ class TestChunkLayouts:
     @pytest.mark.parametrize("model_cls", ALL_MODELS)
     def test_total_matches_declared_checkpoint_size(self, model_cls):
         m = model_cls()
-        total = m.checkpoint_bytes(0)
+        total = m.checkpoint_bytes()
         assert total == pytest.approx(MB(m.checkpoint_mb_per_rank), rel=0.02)
 
     @pytest.mark.parametrize("model_cls", ALL_MODELS)
     def test_unique_chunk_names(self, model_cls):
-        specs = model_cls().chunk_specs(0)
+        specs = model_cls().chunk_specs()
         names = [s.name for s in specs]
         assert len(names) == len(set(names))
 
     @pytest.mark.parametrize("model_cls", ALL_MODELS)
     def test_positive_sizes(self, model_cls):
-        assert all(s.nbytes > 0 for s in model_cls().chunk_specs(0))
+        assert all(s.nbytes > 0 for s in model_cls().chunk_specs())
 
     def test_gtc_large_bucket_share(self):
         d = GTCModel().chunk_size_distribution()
@@ -49,16 +49,16 @@ class TestChunkLayouts:
 
     def test_gtc_has_write_once_large_chunk(self):
         """'few large chunks are modified only once' (Fig. 8 analysis)."""
-        specs = GTCModel().chunk_specs(0)
+        specs = GTCModel().chunk_specs()
         once = [s for s in specs if s.pattern == WritePattern.WRITE_ONCE]
         assert once and max(s.nbytes for s in once) >= MB(50)
 
     def test_lammps_31_chunks(self):
-        assert len(LammpsModel().chunk_specs(0)) == 31
+        assert len(LammpsModel().chunk_specs()) == 31
 
     def test_lammps_has_hot_chunk(self):
         """The 3-D molecular position array is hot (Fig. 6)."""
-        specs = LammpsModel().chunk_specs(0)
+        specs = LammpsModel().chunk_specs()
         hot = [s for s in specs if s.pattern == WritePattern.HOT]
         assert len(hot) == 1
         assert hot[0].nbytes > MB(100)
@@ -75,13 +75,13 @@ class TestChunkLayouts:
         assert d["50-100MB"] >= 40
 
     def test_small_chunks_override(self):
-        few = GTCModel(small_chunks=10).chunk_specs(0)
-        many = GTCModel().chunk_specs(0)
+        few = GTCModel(small_chunks=10).chunk_specs()
+        many = GTCModel().chunk_specs()
         assert len(few) < len(many)
 
     def test_specs_cached(self):
         m = GTCModel()
-        assert m.chunk_specs(0) is m.chunk_specs(0)
+        assert m.chunk_specs() is m.chunk_specs()
 
 
 class TestWriteSchedules:
@@ -108,7 +108,7 @@ class TestIterationExecution:
     def _binding(self, model, ctx):
         alloc = NVAllocator("r0", ctx.nvmm, ctx.dram, phantom=True, clock=lambda: ctx.engine.now)
         binding = RankBinding(rank="r0", node_id=0, allocator=alloc, engine=ctx.engine)
-        model.allocate(binding, 0)
+        model.allocate(binding)
         return binding
 
     def test_iteration_takes_at_least_compute_time(self):
@@ -181,7 +181,7 @@ def reference_iteration(app, binding, iteration):
     engine = binding.engine
     interval = app.iteration_compute_time
     events = []
-    for spec in app.chunk_specs(int(binding.rank[1:])):
+    for spec in app.chunk_specs():
         for k, frac in enumerate(spec.write_fractions(iteration)):
             events.append((frac * interval, "write", (spec, k)))
     if app.comm_bytes_per_iteration > 0 and binding.fabric is not None and binding.neighbors:
@@ -223,7 +223,7 @@ def record_rank(monkeypatch, app, rank_index, iterations, run_iteration):
                         clock=lambda: engine.now)
     binding = RankBinding(rank=f"r{rank_index}", node_id=0, allocator=alloc,
                           engine=engine, fabric=fabric, neighbors=[1])
-    app.allocate(binding, rank_index)
+    app.allocate(binding)
     seen = []
     touch, transfer = Chunk.touch, fabric.transfer
 
@@ -272,15 +272,16 @@ class TestCompiledSchedule:
     @pytest.mark.parametrize("app_name", sorted(APPS))
     def test_every_rank_shares_one_layout_and_schedule(self, monkeypatch, app_name):
         app = APPS[app_name](build_parser().parse_args(["--app", app_name]))
-        assert all(app.chunk_specs(i) is app.chunk_specs(0) for i in range(4))
+        specs = app.chunk_specs()
         for rank_index in range(4):
             record_rank(monkeypatch, app, rank_index, [0, 1], app.compute_iteration)
+        assert app.chunk_specs() is specs
         # iteration 0 and a later one, each compiled once for all ranks
         assert len(app._schedules) == 2
 
     def test_resized_chunk_takes_extents_at_its_current_size(self, monkeypatch):
         app = LammpsModel()
-        spec = next(s for s in app.chunk_specs(0) if s.pattern == WritePattern.STAGED)
+        spec = next(s for s in app.chunk_specs() if s.pattern == WritePattern.STAGED)
         new_size = spec.nbytes // 3 + 12345
 
         def run_twice(binding, it):
@@ -301,14 +302,14 @@ class TestCompiledSchedule:
 class TestSyntheticModel:
     def test_chunk_count_scales(self):
         m = SyntheticModel(checkpoint_mb_per_rank=100, chunk_mb=10)
-        assert len(m.chunk_specs(0)) == 10
+        assert len(m.chunk_specs()) == 10
 
     def test_hot_and_once_fractions(self):
         m = SyntheticModel(
             checkpoint_mb_per_rank=100, chunk_mb=10,
             hot_fraction=0.2, write_once_fraction=0.3,
         )
-        specs = m.chunk_specs(0)
+        specs = m.chunk_specs()
         assert sum(1 for s in specs if s.pattern == WritePattern.HOT) == 2
         assert sum(1 for s in specs if s.pattern == WritePattern.WRITE_ONCE) == 3
 

@@ -195,6 +195,46 @@ class TestLifecycle:
         # drain returned only after the 200MB copy finished (~0.4s+)
         assert proc.value > 0.3
 
+    def test_drain_resumes_exactly_when_the_copy_lands(self):
+        ctx, alloc, chunks, engine = make_rig("cpc", n_chunks=1, chunk_mb=200)
+        ctx.engine.process(engine.run())
+
+        def coordinator():
+            yield ctx.engine.timeout(0.05)
+            assert engine._inflight_chunk is chunks[0]
+            engine.pause()
+            yield from engine.drain()
+            return ctx.engine.now
+
+        proc = ctx.engine.process(coordinator())
+        with BUS.capture() as sink:
+            ctx.engine.run(until=60.0)
+        (copied,) = sink.of_kind("chunk.copied")
+        assert proc.value == copied.t
+        assert engine._inflight_done is None
+
+    def test_drain_with_nothing_in_flight_does_not_yield(self):
+        ctx, alloc, chunks, engine = make_rig("cpc")
+        engine.pause()
+        with pytest.raises(StopIteration):
+            next(engine.drain())
+        assert engine._inflight_done is None
+
+    def test_an_undrained_copy_leaves_no_inflight_event(self):
+        ctx, alloc, chunks, engine = make_rig("cpc", n_chunks=1, chunk_mb=200)
+        ctx.engine.process(engine.run())
+        seen = []
+
+        def watcher():
+            yield ctx.engine.timeout(0.05)
+            seen.append((engine._inflight_chunk, engine._inflight_done))
+
+        ctx.engine.process(watcher())
+        ctx.engine.run(until=60.0)
+        assert seen == [(chunks[0], None)]
+        assert engine.stats.copies == 1
+        assert engine._inflight_chunk is None and engine._inflight_done is None
+
     def test_stop_ends_run(self):
         ctx, alloc, chunks, engine = make_rig("cpc")
         proc = ctx.engine.process(engine.run())

@@ -88,7 +88,7 @@ class TestCommunicationContention:
                     rank=f"r{i}", node_id=0, allocator=alloc,
                     engine=ctx.engine, fabric=fabric, neighbors=[1],
                 )
-                app.allocate(binding, i)
+                app.allocate(binding)
                 procs.append(ctx.engine.process(app.compute_iteration(binding, 0)))
             ctx.engine.run()
             assert all(p.ok for p in procs)
@@ -105,7 +105,7 @@ class TestCommunicationContention:
         alloc = NVAllocator("r0", ctx.nvmm, ctx.dram, phantom=True)
         binding = RankBinding(rank="r0", node_id=0, allocator=alloc,
                               engine=ctx.engine, fabric=fabric, neighbors=[1])
-        app.allocate(binding, 0)
+        app.allocate(binding)
         ctx.engine.process(app.compute_iteration(binding, 0))
         ctx.engine.run()
         assert fabric.total_bytes(":app") == pytest.approx(MB(64), rel=0.01)
@@ -149,14 +149,14 @@ class TestFaithfulLayouts:
     """The unscaled (small_chunks=None) Table-IV layouts."""
 
     def test_gtc_faithful_small_bucket(self):
-        specs = GTCModel(small_chunks=None).chunk_specs(0)
+        specs = GTCModel(small_chunks=None).chunk_specs()
         smalls = [s for s in specs if s.name.startswith("diag_")]
         assert len(smalls) > 150  # hundreds of sub-MB diagnostics
         for s in smalls:
             assert 500 * 1024 <= s.nbytes <= MB(1)
 
     def test_cm1_faithful_small_bucket(self):
-        specs = CM1Model(small_chunks=None).chunk_specs(0)
+        specs = CM1Model(small_chunks=None).chunk_specs()
         smalls = [s for s in specs if s.name.startswith("diag_")]
         assert len(smalls) > 150
         for s in smalls:
@@ -173,7 +173,7 @@ class TestFaithfulLayouts:
         alloc = NVAllocator("r0", ctx.nvmm, ctx.dram, phantom=True,
                             clock=lambda: ctx.engine.now)
         binding = RankBinding(rank="r0", node_id=0, allocator=alloc, engine=ctx.engine)
-        app.allocate(binding, 0)
+        app.allocate(binding)
         ck = LocalCheckpointer(ctx, alloc, PrecopyPolicy(mode="dcpcp"))
         ck.start_background()
 
