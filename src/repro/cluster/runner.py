@@ -102,8 +102,6 @@ class RunResult:
     transfer_retries: int = 0
     #: transfers that exhausted their retry budget
     transfers_abandoned: int = 0
-    #: per-attempt stall timeouts that cancelled and re-issued a flow
-    transfer_timeouts: int = 0
     heartbeats_sent: int = 0
     #: buddy down-transitions observed by the health monitors
     buddy_down_detections: int = 0
@@ -223,7 +221,6 @@ class RunResult:
             },
             "resilience": {
                 "transfer_retries": self.transfer_retries,
-                "transfer_timeouts": self.transfer_timeouts,
                 "transfers_abandoned": self.transfers_abandoned,
                 "heartbeats": self.heartbeats_sent,
                 "buddy_down_detections": self.buddy_down_detections,
@@ -718,7 +715,6 @@ class ClusterRunner:
         # resilience
         for transport in self.transports.values():
             res.transfer_retries += transport.stats.retries
-            res.transfer_timeouts += transport.stats.timeouts
             res.transfers_abandoned += transport.stats.abandoned
         for monitor in self.monitors.values():
             res.heartbeats_sent += monitor.stats.beats
