@@ -257,10 +257,10 @@ def resync_proc(runner, node_id: int, task):
         ctrl = runner.controllers.get(node_id)
         if ctrl is not None:
             ctrl.exit()
-    elif task.failure_limited:
-        # the failure budget ran out (not a newer retarget): the node
-        # is still unprotected — keep it in degraded mode until a later
-        # repair or recovery succeeds
+    elif task.send_failed:
+        # a send failed (not a newer retarget): the node is still
+        # unprotected — keep it in degraded mode until a later repair
+        # or recovery succeeds
         runner.result.resyncs_aborted += 1
         ctrl = runner.controllers.get(node_id)
         if ctrl is not None:

@@ -524,7 +524,7 @@ class RemoteHelper:
         (default: the current one; a migration names the new one),
         through the resilient transport when one is attached (plain
         one-shot RDMA otherwise).  Compressed sends ride the same
-        retry/stall-timeout path as raw ones — the wire bytes cross
+        retry/backoff path as raw ones — the wire bytes cross
         the fabric while the full payload lands on the buddy's NVM bus
         — so a link flap retries instead of hard-failing the caller."""
         if buddy_id is None:

@@ -174,7 +174,7 @@ class NetworkError(ClusterError):
 
 class TransferFailed(NetworkError):
     """A resilient transfer gave up: every retry attempt was cancelled
-    or timed out within the policy's attempt/deadline budget.  Unlike
+    within the policy's attempt/deadline budget.  Unlike
     :class:`TransferCancelled` (one torn flow) this is a terminal
     verdict on the whole transfer."""
 

@@ -305,9 +305,11 @@ class MigrationAbortEvent(TraceEvent):
 
 @dataclass(slots=True)
 class ResyncAbortedEvent(TraceEvent):
-    """A :class:`~repro.resilience.resync.ResyncTask` exhausted its
-    failure budget: the node stays unprotected (degraded) until the
-    next repair attempt."""
+    """A :class:`~repro.resilience.resync.ResyncTask` gave up on a failed
+    send: the node stays unprotected (degraded) until the next repair
+    attempt.  *failures* is the failed sends before the abort — one,
+    since the transport's :class:`~repro.errors.TransferFailed` is
+    final."""
 
     failures: int
     bytes_sent: int = 0

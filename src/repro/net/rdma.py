@@ -17,7 +17,7 @@ from ..sim.events import Event
 from ..sim.resources import BandwidthResource
 from .interconnect import Fabric
 
-__all__ = ["rdma_put", "rdma_get", "cancel_rdma"]
+__all__ = ["rdma_put", "rdma_get"]
 
 
 def rdma_put(
@@ -61,20 +61,3 @@ def rdma_get(
         return net_ev
     return fabric.engine.all_of([net_ev, src_nvm_bus.transfer(nbytes, tag=tag)])
 
-
-def cancel_rdma(
-    fabric: Fabric,
-    src: int,
-    dst: int,
-    tag: str,
-    nvm_bus: Optional[BandwidthResource] = None,
-) -> int:
-    """Tear down the in-flight flows of one RDMA operation by tag —
-    src egress, dst ingress, and the coupled NVM-bus flow.  Used by the
-    resilience layer to cancel a stalled attempt before re-issuing it.
-    Returns the number of flows cancelled."""
-    n = fabric.links[src].egress.cancel_tag(tag)
-    n += fabric.links[dst].ingress.cancel_tag(tag)
-    if nvm_bus is not None:
-        n += nvm_bus.cancel_tag(tag)
-    return n

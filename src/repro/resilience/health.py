@@ -4,10 +4,10 @@ Each node runs one :class:`HealthMonitor` DES process that sends a tiny
 heartbeat transfer to its buddy every ``interval`` seconds (tag kind
 ``hb`` — checkpoint-path traffic, so it rides the same RDMA queue
 pairs as remote checkpoints and sees the same outages).  A beat that
-is cancelled, fails fast, or stalls past ``timeout`` counts as a miss;
-``miss_threshold`` consecutive misses flip the buddy to *down* and fire
-``on_down`` — detection happens mid-interval, not at the next hard
-failure.  A subsequent successful beat fires ``on_up``.
+is cancelled or fails fast counts as a miss; ``miss_threshold``
+consecutive misses flip the buddy to *down* and fire ``on_down`` —
+detection happens mid-interval, not at the next hard failure.  A
+subsequent successful beat fires ``on_up``.
 
 Callbacks must be idempotent: the cluster runner may already have
 declared the buddy dead through its own (omniscient) failure handling
@@ -44,7 +44,6 @@ class HealthMonitor:
         fabric: Fabric,
         *,
         interval: float = 2.0,
-        timeout: float = 1.0,
         miss_threshold: int = 2,
         payload_bytes: int = 64,
         on_down: Optional[Callable[[int], None]] = None,
@@ -56,7 +55,6 @@ class HealthMonitor:
         self.buddy_id = buddy_id
         self.fabric = fabric
         self.interval = interval
-        self.timeout = timeout
         self.miss_threshold = miss_threshold
         self.payload_bytes = payload_bytes
         self.on_down = on_down
@@ -65,7 +63,6 @@ class HealthMonitor:
         self.misses = 0
         self.stats = HeartbeatStats()
         self._stop = False
-        self._seq = 0
         #: pairing generation: bumped by :meth:`retarget` so a beat in
         #: flight to the *old* buddy cannot apply its outcome to the
         #: new pairing (it would spuriously flip ``buddy_healthy`` or
@@ -96,24 +93,15 @@ class HealthMonitor:
             yield from self._beat()
 
     def _beat(self):
-        engine = self.fabric.engine
-        self._seq += 1
-        tag = f"hb{self._seq}~n{self.node_id}:hb"
         # pin the pairing this beat probes: a retarget while the beat
         # is in flight makes its outcome meaningless for the new buddy
         epoch = self._retarget_epoch
         buddy = self.buddy_id
         ok = True
         try:
-            ev = self.fabric.transfer(
-                self.node_id, buddy, self.payload_bytes, tag=tag
+            yield self.fabric.transfer(
+                self.node_id, buddy, self.payload_bytes, tag=f"n{self.node_id}:hb"
             )
-            idx, _ = yield engine.any_of([ev, engine.timeout(self.timeout)])
-            if idx == 1:
-                # stalled heartbeat: tear it down so it does not linger
-                self.fabric.links[self.node_id].egress.cancel_tag(tag)
-                self.fabric.links[buddy].ingress.cancel_tag(tag)
-                ok = False
         except TransferCancelled:
             ok = False
         if epoch != self._retarget_epoch:

@@ -263,8 +263,6 @@ class MigrationTask:
         guard: Optional[SloGuard] = None,
         check_interval: float = 2.0,
         pace_fraction: float = 0.5,
-        failure_limit: int = 10,
-        retry_pause: float = 2.0,
         on_cutover: Optional[Callable[["MigrationTask"], None]] = None,
         on_abort: Optional[Callable[["MigrationTask"], None]] = None,
     ) -> None:
@@ -275,8 +273,6 @@ class MigrationTask:
         self.guard = guard
         self.check_interval = check_interval
         self.pace_fraction = pace_fraction
-        self.failure_limit = failure_limit
-        self.retry_pause = retry_pause
         self.on_cutover = on_cutover
         self.on_abort = on_abort
         #: pairing generation this task belongs to
@@ -350,7 +346,6 @@ class MigrationTask:
                     nbytes=self.plan.nbytes,
                 )
             )
-        failures = 0
         i = 0
         try:
             while i < len(work):
@@ -377,34 +372,25 @@ class MigrationTask:
                     i += 1
                 t_batch = engine.now
                 for pid, chunk in batch:
-                    while True:
-                        t0 = engine.now
-                        copy = helper.copier.plan_whole(chunk)
-                        helper._charge_cpu(chunk.nbytes, streamed=True)
-                        fire(
-                            "migrate.batch.before_send",
-                            chunk=chunk,
-                            pid=pid,
-                            plan=self.plan,
+                    t0 = engine.now
+                    copy = helper.copier.plan_whole(chunk)
+                    helper._charge_cpu(chunk.nbytes, streamed=True)
+                    fire(
+                        "migrate.batch.before_send",
+                        chunk=chunk,
+                        pid=pid,
+                        plan=self.plan,
+                    )
+                    try:
+                        # the helper's transport, pointed at the *new*
+                        # buddy (its default is the old one)
+                        yield from helper.put(
+                            copy, f"{pid}:migrate", self.plan.to_buddy, self.to_ctx
                         )
-                        try:
-                            # the helper's transport, pointed at the
-                            # *new* buddy (its default is the old one)
-                            yield from helper.put(
-                                copy, f"{pid}:migrate", self.plan.to_buddy, self.to_ctx
-                            )
-                        except (TransferCancelled, TransferFailed):
-                            failures += 1
-                            if failures >= self.failure_limit:
-                                self._abort("failure-limit")
-                                return self
-                            yield engine.timeout(self.retry_pause)
-                            if self._stale():
-                                self._abort("stale")
-                                return self
-                            continue
-                        break
-                    failures = 0
+                    except (TransferCancelled, TransferFailed):
+                        # the transport already retried: the move is off
+                        self._abort("stale" if self._stale() else "transfer-failed")
+                        return self
                     if self._stale():
                         # retargeted while in flight: payload landed on
                         # a pairing that no longer exists

@@ -14,6 +14,11 @@ the re-sync would race on the same queue); they resume when the task
 finishes or aborts.  Chunks committed locally *during* the re-sync are
 queued by the usual notify hooks and get drained too.
 
+A send goes through the helper's transport, whose attempt loop is the
+only retry layer: a send that still fails is final, so the task aborts
+on it, puts the chunk back on the queue and escalates through
+``on_abort`` — the node stays unprotected until a later repair.
+
 A task is generation-guarded: if the helper is retargeted again
 mid-re-sync (the new buddy also died), the stale task stops silently
 and leaves control to the task spawned for the newer pairing.
@@ -37,26 +42,19 @@ class ResyncTask:
         self,
         helper,
         *,
-        failure_limit: int = 25,
-        retry_pause: float = 2.0,
         on_abort: Optional[Callable[["ResyncTask"], None]] = None,
     ) -> None:
         self.helper = helper
-        #: consecutive send failures before the task gives up
-        self.failure_limit = failure_limit
-        #: pause after a failed send before trying the next chunk
-        self.retry_pause = retry_pause
-        #: fired only when the task gives up on its *failure budget*
-        #: (not when a newer retarget makes it stale) — the node is
-        #: still unprotected and callers must escalate, e.g. keep it
-        #: in degraded mode
+        #: fired only when a send fails (not when a newer retarget
+        #: makes the task stale) — the node is still unprotected and
+        #: callers must escalate, e.g. keep it in degraded mode
         self.on_abort = on_abort
         self.bytes_sent = 0
         self.chunks_sent = 0
         self.completed = False
         self.aborted = False
-        #: the abort was a failure-budget exhaustion (vs. staleness)
-        self.failure_limited = False
+        #: the abort was a failed send (vs. staleness)
+        self.send_failed = False
         self.start = None
         self.end = None
         #: pairing generation this task belongs to
@@ -71,7 +69,6 @@ class ResyncTask:
         engine = helper.ctx.engine
         helper.pause_rounds()
         self.start = engine.now
-        failures = 0
         try:
             while not helper._stop and not self._stale():
                 item = helper._pop()
@@ -85,26 +82,25 @@ class ResyncTask:
                     yield from helper.put(plan, f"{pid}:resync")
                 except (TransferCancelled, TransferFailed):
                     helper._queue.setdefault((pid, chunk.chunk_id), chunk)
-                    failures += 1
-                    if failures >= self.failure_limit:
-                        self.aborted = True
-                        self.failure_limited = True
-                        if BUS.active:
-                            BUS.emit(
-                                ResyncAbortedEvent(
-                                    t=engine.now,
-                                    actor=helper.owner,
-                                    failures=failures,
-                                    bytes_sent=self.bytes_sent,
-                                    chunks_sent=self.chunks_sent,
-                                )
+                    if helper._stop or self._stale():
+                        # the pairing moved on while the send was out:
+                        # the newer task (or none) owns the queue
+                        break
+                    self.aborted = True
+                    self.send_failed = True
+                    if BUS.active:
+                        BUS.emit(
+                            ResyncAbortedEvent(
+                                t=engine.now,
+                                actor=helper.owner,
+                                failures=1,
+                                bytes_sent=self.bytes_sent,
+                                chunks_sent=self.chunks_sent,
                             )
-                        if self.on_abort is not None:
-                            self.on_abort(self)
-                        return self
-                    yield engine.timeout(self.retry_pause)
-                    continue
-                failures = 0
+                        )
+                    if self.on_abort is not None:
+                        self.on_abort(self)
+                    return self
                 if self._stale():
                     # retargeted while this chunk was in flight: the
                     # payload went to the *old* ctx; the new task owns

@@ -3,22 +3,20 @@
 A resilient transfer is a *generator* (multi-step DES fragment, used as
 ``yield from transport.put(...)``) that re-issues the underlying RDMA
 operation until it completes, the attempt budget runs out, or the
-deadline passes:
+deadline passes.  It is the one retry layer: the tasks above it
+(re-sync, migration) treat its verdict as final.
 
-* each attempt gets a unique tag prefix (``a<seq>~<tag>``) so a stalled
-  attempt can be cancelled precisely without touching concurrent flows;
-  the trailing ``:<kind>`` suffix is preserved, so per-kind fabric
-  accounting (Fig. 10) still sees the traffic under its real kind;
-* a per-attempt stall timeout cancels the in-flight flows and re-issues
-  the transfer (the "cancel and re-issue stalled flows" half of the
-  policy);
+* an attempt fails when the fabric cancels its flows (a link outage or
+  a dead peer) or refuses them at once; a flow that is not cancelled
+  progresses, so an attempt has no timer of its own and a long send
+  runs to completion;
 * backoff between attempts is capped exponential with jitter drawn from
   a *named RNG stream*, so retry schedules are a pure function of the
   seed and adding retries to one node never perturbs another node's
   randomness;
 * a transfer that succeeds on its first attempt consumes **no** RNG
-  draws and finishes at the same virtual time as a bare ``rdma_put`` —
-  the success path is behaviour-identical.
+  draws and dispatches the same engine entries as a bare ``rdma_put``
+  — the success path is behaviour-identical.
 
 Exhaustion raises :class:`~repro.errors.TransferFailed` (a
 :class:`~repro.errors.NetworkError`), which callers treat as "this
@@ -33,9 +31,8 @@ from typing import Callable, Optional
 from ..errors import TransferCancelled, TransferFailed
 from ..metrics.trace import BUS, RetryEvent
 from ..net.interconnect import Fabric
-from ..net.rdma import cancel_rdma, rdma_get, rdma_put
+from ..net.rdma import rdma_get, rdma_put
 from ..sim.events import Event
-from ..sim.resources import BandwidthResource
 from ..sim.rng import RngStreams
 
 __all__ = ["RetryPolicy", "TransferStats", "ResilientTransport"]
@@ -55,8 +52,6 @@ class RetryPolicy:
     backoff: float = 2.0
     #: +/- fraction of each delay randomized (0 disables jitter).
     jitter: float = 0.25
-    #: per-attempt stall timeout; ``None`` waits forever.
-    timeout: Optional[float] = 60.0
     #: total virtual-time budget per transfer; ``None`` = unlimited.
     deadline: Optional[float] = 300.0
 
@@ -69,10 +64,10 @@ class RetryPolicy:
             raise ValueError("backoff factor must be >= 1")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError("jitter must be in [0, 1)")
-        for name in ("timeout", "deadline"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ValueError(f"{name} must be positive or None, got {value!r}")
+        if self.deadline is not None and not self.deadline > 0:
+            raise ValueError(
+                f"deadline must be positive or None, got {self.deadline!r}"
+            )
 
     def backoff_delay(self, attempt: int, rng, stream: str) -> float:
         """Delay before re-issuing after failed attempt *attempt*
@@ -91,7 +86,6 @@ class TransferStats:
     transfers: int = 0
     delivered: int = 0
     retries: int = 0
-    timeouts: int = 0
     cancelled: int = 0
     abandoned: int = 0
     retried_bytes: float = 0.0
@@ -99,13 +93,12 @@ class TransferStats:
 
 
 class ResilientTransport:
-    """Per-node bundle of (policy, RNG stream, stats, tag sequence)
-    offering :meth:`put`/:meth:`get` generators.
+    """Per-node bundle of (policy, RNG stream, stats) offering
+    :meth:`put`/:meth:`get` generators.
 
-    One transport per node keeps attempt tags unique within the node
-    and gives every node an independent jitter stream
-    (``resilience.backoff.n<id>``), so retry randomness on one node
-    never shifts another node's schedule.
+    One transport per node gives every node an independent jitter
+    stream (``resilience.backoff.n<id>``), so retry randomness on one
+    node never shifts another node's schedule.
     """
 
     def __init__(
@@ -119,8 +112,6 @@ class ResilientTransport:
         self.policy = policy or RetryPolicy()
         self.stream = f"resilience.backoff.n{node_id}"
         self.stats = TransferStats()
-        #: attempt sequence: unique tags across the node
-        self._seq = 0
 
     def put(
         self, fabric, src, dst, nbytes, *, tag="", dst_nvm_bus=None, dst_nvm_bytes=None
@@ -133,72 +124,49 @@ class ResilientTransport:
         the wire volume — compressed sends move fewer bytes over the
         fabric than they land on the buddy's NVM."""
 
-
-        def issue(attempt_tag: str) -> Event:
+        def issue() -> Event:
             return rdma_put(
                 fabric,
                 src,
                 dst,
                 nbytes,
-                tag=attempt_tag,
+                tag=tag,
                 dst_nvm_bus=dst_nvm_bus,
                 dst_nvm_bytes=dst_nvm_bytes,
             )
 
-        return self._attempts(issue, fabric, src, dst, nbytes, tag, dst_nvm_bus)
+        return self._attempts(issue, fabric, src, dst, nbytes, tag)
 
     def get(self, fabric, src, dst, nbytes, *, tag="", src_nvm_bus=None):
         """Retrying :func:`rdma_get` (generator; ``yield from`` it)."""
 
+        def issue() -> Event:
+            return rdma_get(fabric, src, dst, nbytes, tag=tag, src_nvm_bus=src_nvm_bus)
 
-        def issue(attempt_tag: str) -> Event:
-            return rdma_get(
-                fabric, src, dst, nbytes, tag=attempt_tag, src_nvm_bus=src_nvm_bus
-            )
-
-        return self._attempts(issue, fabric, src, dst, nbytes, tag, src_nvm_bus)
+        return self._attempts(issue, fabric, src, dst, nbytes, tag)
 
     def _attempts(
         self,
-        issue: Callable[[str], Event],
+        issue: Callable[[], Event],
         fabric: Fabric,
         src: int,
         dst: int,
         nbytes: float,
         tag: str,
-        nvm_bus: Optional[BandwidthResource],
     ):
         """The one attempt loop behind :meth:`put`/:meth:`get`: *issue*
-        starts the RDMA operation under the attempt's tag.  Cancellation
-        is by tag, so a stalled attempt tears down both its flows (the
-        fabric's and *nvm_bus*'s) regardless of their byte counts."""
+        starts the RDMA operation, and an attempt fails only when its
+        flows are cancelled."""
         engine = fabric.engine
         policy, stats = self.policy, self.stats
         stats.transfers += 1
         start = engine.now
         for attempt in range(policy.max_attempts):
-            # every attempt gets a unique prefix so a stall can cancel
-            # exactly this attempt's flows; aggregation by tag *suffix*
-            # (endswith ":kind") is unaffected
-            self._seq += 1
-            attempt_tag = f"a{self._seq}~{tag}"
-            fail_reason = ""
             try:
-                ev = issue(attempt_tag)
-                if policy.timeout is not None:
-                    idx, _ = yield engine.any_of([ev, engine.timeout(policy.timeout)])
-                    if idx == 1:
-                        # stalled: tear the attempt's flows down precisely
-                        # (unique tag) so a fresh attempt can be issued
-                        cancel_rdma(fabric, src, dst, attempt_tag, nvm_bus=nvm_bus)
-                        stats.timeouts += 1
-                        fail_reason = "timeout"
-                else:
-                    yield ev
+                yield issue()
             except TransferCancelled:
                 stats.cancelled += 1
-                fail_reason = "cancelled"
-            if not fail_reason:
+            else:
                 stats.delivered += 1
                 return engine.now - start
             elapsed = engine.now - start
@@ -229,7 +197,7 @@ class ResilientTransport:
                         target=f"n{dst}",
                         attempt=attempt + 1,
                         delay=delay,
-                        reason=fail_reason,
+                        reason="cancelled",
                     )
                 )
             if delay > 0:

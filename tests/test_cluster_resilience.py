@@ -190,3 +190,33 @@ class TestResilienceGating:
         b = ClusterRunner(build_cluster()).run(4)
         assert a.total_time == b.total_time
         assert a.heartbeats_sent == b.heartbeats_sent == 0
+
+
+class TestLongSends:
+    """One 8 GB chunk per rank on a 0.1 GB/s NVM bus: every stream send
+    to the buddy takes far longer than a minute."""
+
+    CELL = [
+        "--app", "synthetic", "--nodes", "2", "--ranks-per-node", "1",
+        "--checkpoint-mb", "8000", "--chunk-mb", "8000", "--nvm-gbps", "0.1",
+        "--nvm-capacity-gb", "64", "--iterations", "2", "--local-interval", "200",
+        "--remote-interval", "400", "--mode", "none",
+    ]
+
+    @staticmethod
+    def record(argv):
+        from repro.exec.cell import build_parser, resolve_config, run_cell
+
+        return run_cell(resolve_config(build_parser().parse_args(argv)))
+
+    def test_transport_delivers_what_bare_rdma_delivers(self):
+        # --mtbf-local 1e9 wires the resilience layer in, and no failure
+        # ever comes: the retrying transport must then stream exactly
+        # what the bare sends of the same cell stream
+        bare = self.record(self.CELL)
+        wrapped = self.record([*self.CELL, "--mtbf-local", "1e9"])
+        assert bare["remote"]["stream_gb"] > 0
+        assert wrapped["remote"] == bare["remote"]
+        assert wrapped["resilience"]["heartbeats"] > 0
+        assert wrapped["resilience"]["transfer_retries"] == 0
+        assert wrapped["resilience"]["transfers_abandoned"] == 0

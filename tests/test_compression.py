@@ -257,7 +257,8 @@ class TestCompressedResilientSends:
         compression *and* resilience on it rides the resilient
         transport too (it used to drop to a bare one-shot put), so a
         flap of the new buddy's link is absorbed by the transport's
-        retries, not by the task's own failure budget."""
+        retries.  The task has no retry of its own: a failure reaching
+        it would abort the move."""
         from repro.core import LocalCheckpointer
         from repro.resilience import ResilientTransport, RetryPolicy
         from repro.resilience.migration import MigrationPlan, MigrationTask
@@ -286,7 +287,6 @@ class TestCompressedResilientSends:
             MigrationPlan(node=0, from_buddy=1, to_buddy=2, reason="join"),
             new,
             batch_bytes=MB(16),
-            failure_limit=1,  # any failure reaching the task aborts it
         )
         t0 = engine.now
         fabric.begin_outage(2)

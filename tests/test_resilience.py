@@ -60,15 +60,18 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
 
-    @pytest.mark.parametrize("field", ["timeout", "deadline"])
+    @pytest.mark.parametrize("field", ["deadline"])
     @pytest.mark.parametrize("value", [0.0, -1.0, float("nan")])
     def test_non_positive_timeout_or_deadline_is_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             RetryPolicy(**{field: value})
 
     def test_no_timeout_and_no_deadline_stay_allowed(self):
-        p = RetryPolicy(timeout=None, deadline=None)
-        assert p.timeout is None and p.deadline is None
+        p = RetryPolicy(deadline=None)
+        assert p.deadline is None
+        # an attempt has no stall timer: a flow that is not cancelled
+        # progresses, so only the attempt count and deadline bound it
+        assert not hasattr(p, "timeout")
 
     def test_backoff_grows_and_caps(self):
         p = RetryPolicy(base_delay=1.0, max_delay=5.0, backoff=2.0, jitter=0.0)
@@ -128,6 +131,43 @@ class TestResilientTransfers:
             == fresh.stream(transport.stream).random()
         )
 
+    def test_long_healthy_send_completes_on_its_first_attempt(self):
+        # a flow that is not cancelled progresses: a send of ~100 s
+        # finishes when the bytes land, with no retry and no cancel
+        engine = Engine()
+        fabric = Fabric(engine, 2)
+        transport = ResilientTransport(0, RngStreams(1), RetryPolicy())
+        nbytes = fabric.config.effective_bandwidth * 100.0
+        got = {}
+
+        def proc():
+            got["elapsed"] = yield from transport.put(
+                fabric, 0, 1, nbytes, tag="r0:rckpt"
+            )
+
+        p = run_proc(engine, proc())
+        assert p.ok
+        assert got["elapsed"] == pytest.approx(100.0)
+        stats = transport.stats
+        assert (stats.transfers, stats.delivered) == (1, 1)
+        assert stats.retries == stats.cancelled == stats.abandoned == 0
+
+    def test_success_path_dispatches_what_a_bare_put_does(self):
+        def dispatched(send):
+            engine = Engine()
+            fabric = Fabric(engine, 2)
+            run_proc(engine, send(fabric))
+            return engine.events_processed
+
+        def plain(fabric):
+            yield rdma_put(fabric, 0, 1, MB(64), tag="r0:rckpt")
+
+        def resilient(fabric):
+            transport = ResilientTransport(0, RngStreams(7), RetryPolicy())
+            yield from transport.put(fabric, 0, 1, MB(64), tag="r0:rckpt")
+
+        assert dispatched(resilient) == dispatched(plain)
+
     def test_retries_through_an_outage(self):
         engine = Engine()
         fabric = Fabric(engine, 2)
@@ -172,29 +212,6 @@ class TestResilientTransfers:
         assert exc.src == 0 and exc.dst == 1
         assert stats.abandoned == 1
 
-    def test_stall_timeout_cancels_and_reissues(self):
-        engine = Engine()
-        fabric = Fabric(engine, 2)
-        transport = ResilientTransport(
-            0,
-            RngStreams(1),
-            RetryPolicy(max_attempts=2, base_delay=0.05, jitter=0.0, timeout=0.2),
-        )
-        stats = transport.stats
-        # a ~1 s transfer against a 0.2 s per-attempt stall timeout
-        nbytes = fabric.config.effective_bandwidth * 1.0
-
-        def proc():
-            yield from transport.put(fabric, 0, 1, nbytes, tag="r0:rckpt")
-
-        p = run_proc(engine, proc())
-        assert not p.ok
-        assert isinstance(p.exception, TransferFailed)
-        assert stats.timeouts == 2
-        # the cancelled attempts left no live flows behind
-        assert fabric.links[0].egress.active_flows == 0
-        assert fabric.links[1].ingress.active_flows == 0
-
     def test_transport_is_deterministic(self):
         def one_run():
             engine = Engine()
@@ -227,7 +244,7 @@ class TestHealthMonitor:
         fabric = Fabric(engine, 2)
         downs, ups = [], []
         mon = HealthMonitor(
-            0, 1, fabric, interval=1.0, timeout=0.5, miss_threshold=2,
+            0, 1, fabric, interval=1.0, miss_threshold=2,
             on_down=downs.append, on_up=ups.append,
         )
         engine.process(mon.run())
@@ -247,7 +264,7 @@ class TestHealthMonitor:
         fabric = Fabric(engine, 2)
         downs = []
         mon = HealthMonitor(
-            0, 1, fabric, interval=1.0, timeout=0.5, miss_threshold=3,
+            0, 1, fabric, interval=1.0, miss_threshold=3,
             on_down=downs.append,
         )
         engine.process(mon.run())
@@ -273,19 +290,20 @@ class TestHealthMonitor:
     def test_retarget_mid_beat_discards_stale_outcome(self):
         # a beat in flight to the OLD buddy must not apply its outcome
         # to the new pairing: without the retarget epoch, the beat
-        # launched at t=1.0 (stalling past its 0.5 s timeout thanks to
-        # the oversized payload) would count its t=1.5 miss — and with
-        # miss_threshold=1, fire on_down — against freshly-healthy
-        # node 2, retargeted to at t=1.2 while the probe was in flight
+        # launched at t=1.0 (still in flight thanks to the oversized
+        # payload) would count the miss of its t=1.5 cancellation by
+        # node 1's outage — and with miss_threshold=1, fire on_down —
+        # against freshly-healthy node 2, retargeted to at t=1.2
         engine = Engine()
         fabric = Fabric(engine, 3)
         downs = []
         mon = HealthMonitor(
-            0, 1, fabric, interval=1.0, timeout=0.5, miss_threshold=1,
-            payload_bytes=10**9, on_down=downs.append,
+            0, 1, fabric, interval=1.0, miss_threshold=1,
+            payload_bytes=10**10, on_down=downs.append,
         )
         engine.process(mon.run())
         engine.call_at(1.2, lambda: mon.retarget(2))  # mid-beat
+        engine.call_at(1.5, lambda: fabric.begin_outage(1))  # old buddy
         engine.call_at(2.0, mon.stop)
         engine.run(until=6.0)
         assert downs == []
@@ -534,7 +552,7 @@ class TestResyncTask:
         self.prime(engine, alloc, ck)
         helper.enqueue_all()
         fabric.begin_outage(1)  # buddy unreachable, never heals
-        task = ResyncTask(helper, failure_limit=3, retry_pause=0.5)
+        task = ResyncTask(helper)
         p = engine.process(task.run())
         engine.run()
         assert p.ok
@@ -548,20 +566,18 @@ class TestResyncTask:
         helper.enqueue_all()
         fabric.begin_outage(1)
         escalated = []
-        task = ResyncTask(
-            helper, failure_limit=2, retry_pause=0.5, on_abort=escalated.append
-        )
+        task = ResyncTask(helper, on_abort=escalated.append)
         with BUS.capture() as ring:
             engine.process(task.run())
             engine.run()
-        # budget exhaustion (vs. staleness) is flagged, announced on the
-        # trace bus, and escalated through on_abort so the runner can
-        # keep the node in degraded mode
-        assert task.failure_limited
+        # a failed send (vs. staleness) is final: flagged, announced on
+        # the trace bus, and escalated through on_abort so the runner
+        # can keep the node in degraded mode
+        assert task.send_failed
         assert escalated == [task]
         events = ring.of_kind("resync.aborted")
         assert len(events) == 1
-        assert events[0].failures >= 2
+        assert events[0].failures == 1
 
     def test_stale_abort_does_not_escalate(self):
         engine, src, dst, fabric, alloc, ck, helper = make_helper_world()
@@ -572,7 +588,7 @@ class TestResyncTask:
         helper.epoch += 1  # a newer retarget owns the pairing now
         engine.process(task.run())
         engine.run()
-        assert task.aborted and not task.failure_limited
+        assert task.aborted and not task.send_failed
         assert escalated == []
 
 
