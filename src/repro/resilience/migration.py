@@ -388,7 +388,8 @@ class MigrationTask:
                             copy, f"{pid}:migrate", self.plan.to_buddy, self.to_ctx
                         )
                     except (TransferCancelled, TransferFailed):
-                        # the transport already retried: the move is off
+                        # a failed send is final (any transport has
+                        # already retried it): the move is off
                         self._abort("stale" if self._stale() else "transfer-failed")
                         return self
                     if self._stale():

@@ -86,7 +86,6 @@ class TransferStats:
     transfers: int = 0
     delivered: int = 0
     retries: int = 0
-    cancelled: int = 0
     abandoned: int = 0
     retried_bytes: float = 0.0
     backoff_time: float = 0.0
@@ -165,7 +164,7 @@ class ResilientTransport:
             try:
                 yield issue()
             except TransferCancelled:
-                stats.cancelled += 1
+                pass  # a failed attempt: retried or given up on below
             else:
                 stats.delivered += 1
                 return engine.now - start

@@ -150,7 +150,7 @@ class TestResilientTransfers:
         assert got["elapsed"] == pytest.approx(100.0)
         stats = transport.stats
         assert (stats.transfers, stats.delivered) == (1, 1)
-        assert stats.retries == stats.cancelled == stats.abandoned == 0
+        assert stats.retries == stats.abandoned == 0
 
     def test_success_path_dispatches_what_a_bare_put_does(self):
         def dispatched(send):
@@ -187,7 +187,6 @@ class TestResilientTransfers:
         p = run_proc(engine, proc())
         assert p.ok
         assert stats.delivered == 1
-        assert stats.cancelled >= 1
         assert stats.retries >= 1
         # the payload could only land after the link healed
         assert got["elapsed"] >= 5.0
