@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint loc reach faults faults-matrix bench bench-json smoke examples perf-smoke perf-compare perf-pairs paper-scale
+.PHONY: test lint loc reach record-audit faults faults-matrix bench bench-json smoke examples perf-smoke perf-compare perf-pairs paper-scale
 
 # tier-1: the full deterministic suite
 test:
@@ -29,6 +29,13 @@ loc:
 # them runs: count, lines, per-module table, list; ungated, ~5 min
 reach:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/reach.py
+
+# record audit: run every entry-point cell (pinned grid, --scenario
+# cells under lammps and synthetic, the bench elastic arms, the perfbench
+# workloads' cells) and print each record leaf's min, max and the cells
+# where it is non-zero; ungated, ~15 s
+record-audit:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/record_audit.py
 
 # the crash-point fault-injection suite only
 faults:

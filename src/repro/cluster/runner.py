@@ -27,8 +27,11 @@ default :class:`~repro.resilience.retry.RetryPolicy`), buddy heartbeat
 monitors, a live :class:`~repro.resilience.directory.BuddyDirectory`
 that re-pairs orphaned nodes, paced background re-sync of committed
 chunks to the new buddy, and per-node degraded-mode controllers that
-drop to local-only checkpointing (with a model-re-solved interval)
-while a node has no healthy remote target.
+drop to local-only checkpointing while a node has no healthy remote
+target.  The interval a controller re-solves from the §III model is
+written to the helper's config, where it sets only the helper's pace
+(the re-sync's, while degraded); the ranks' local checkpoint interval
+does not change.
 
 Simulation-scale note: in cluster runs chunks are *phantom* (sizes and
 dirty state, no payloads) and soft restart reuses the in-memory rank
@@ -509,8 +512,11 @@ class ClusterRunner:
         )
 
     def _make_interval_hook(self, node_id: int):
-        """Apply a (degraded or restored) local interval to the node's
-        checkpoint machinery — the helper's pacing config follows it."""
+        """Apply a (degraded or restored) interval to the node's helper
+        config.  Its one reader there is
+        :attr:`~repro.core.remote.RemoteHelper.stream_window`, so the
+        interval sets the helper's pace (the re-sync's, while degraded);
+        the ranks' local checkpoint interval does not change."""
 
         def apply(interval: float) -> None:
             node = self.cluster.nodes[node_id]

@@ -120,7 +120,10 @@ SCENARIOS: Dict[str, Scenario] = {
         MembershipEvent(60.0, node=4, action="join"),
         MembershipEvent(95.0, node=2, action="drain"),
     )),
-    # a link flap mid-stream, then a hard failure of the same node
+    # a link flap, then a hard failure of the same node.  The flap is
+    # mid-stream only at the degraded demo's 10 s/30 s intervals (window
+    # [50, 60) s); at the default 40 s/120 s the first stream window
+    # opens at 200 s, so the 52-58 s flap hits only heartbeats
     "link-flap": Scenario(4, failures=(
         FailureEvent(52.0, node=1, kind="transient", duration=6.0),
         FailureEvent(75.0, node=1, kind="hard"),

@@ -5,9 +5,10 @@ completes; this package turns the failure *schedule* the injector
 produces into failure *behaviour* the runtime tolerates:
 
 * :mod:`~repro.resilience.retry` — :class:`RetryPolicy` plus
-  :class:`ResilientTransport` ``put``/``get``: deadline + capped
-  exponential backoff with jitter from named RNG streams, per-attempt
-  stall timeouts that cancel and re-issue flows;
+  :class:`ResilientTransport` ``put``/``get``: the one retry layer,
+  re-issuing a transfer whose flows were cancelled, with a deadline and
+  capped exponential backoff whose jitter comes from named RNG streams;
+  its ``TransferFailed`` is final for every caller;
 * :mod:`~repro.resilience.health` — per-node :class:`HealthMonitor`
   DES process heartbeating the buddy, detecting a dead or unreachable
   peer mid-interval;
@@ -15,10 +16,12 @@ produces into failure *behaviour* the runtime tolerates:
   tracking the live pairing, re-pairing orphans to healthy topology
   neighbors;
 * :mod:`~repro.resilience.resync` — :class:`ResyncTask`, the paced
-  background re-send of all committed chunks to a new buddy;
+  background re-send of all committed chunks to a new buddy, aborted
+  by the first send that fails;
 * :mod:`~repro.resilience.degraded` — :class:`DegradedModeController`,
-  local-only checkpointing with the interval re-solved from the §III
-  model while no healthy remote target exists;
+  local-only operation while no healthy remote target exists; the
+  interval it re-solves from the §III model sets the helper's pacing
+  (so the re-sync pace), not the ranks' local checkpoint interval;
 * :mod:`~repro.resilience.migration` — :class:`MigrationPlanner`,
   :class:`MigrationTask` and :class:`SloGuard`: bounded-batch live
   migration of buddy-hosted copies for planned membership changes,

@@ -9,10 +9,12 @@ re-solves the local checkpoint interval for the degraded regime —
 rate into the local MTBF and re-runs
 :func:`~repro.models.optimal.optimal_local_interval` over the
 :class:`~repro.models.multilevel.MultilevelModel` with the remote level
-effectively removed — and applies the (shorter) interval for the span
-of the outage.  Once a re-sync to a healthy buddy completes (or the
-transient outage heals), two-level operation and the original interval
-are restored.
+effectively removed — and hands the (shorter) interval to its
+``on_enter`` hook for the span of the outage.  The cluster runner's
+hook writes it to the helper's config, where it sets only the helper's
+pace (the re-sync's); the ranks keep their local checkpoint interval.
+Once a re-sync to a healthy buddy completes (or the transient outage
+heals), two-level operation and the original interval are restored.
 
 Each closed span is published as a ``phase`` trace event (phase
 ``degraded``, actor ``n<id>``) and counted for metrics.
