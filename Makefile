@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTHONPATH := src
 
-.PHONY: test lint loc reach record-audit faults faults-matrix bench bench-json smoke examples perf-smoke perf-compare perf-pairs paper-scale
+.PHONY: test lint loc reach record-audit faults faults-matrix bench bench-json smoke examples perf-smoke perf-compare perf-pairs paper-scale chunk-cost
 
 # tier-1: the full deterministic suite
 test:
@@ -54,6 +54,12 @@ bench:
 # the collector's passes inside the cell; ungated, ~3 s
 paper-scale:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/paper_scale.py
+
+# host cost of one chunk on the checkpoint path (a standalone 31-chunk
+# phantom rank): median us of one nvalloc, one buddy first contact, one
+# coordinated checkpoint and one commit's metadata; ungated, ~5 s
+chunk-cost:
+	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/chunk_cost.py
 
 # perf trajectory: run the pinned benchmark subset on the parallel
 # cached execution engine and emit the machine-readable baseline

@@ -57,7 +57,7 @@ EXTENT_SIZE: int = 4 * MiB
 SLAB_SIZE: int = 64 * KiB
 
 
-@dataclass
+@dataclass(slots=True)
 class Allocation:
     """A live allocation: ``[addr, addr + size)`` in arena space."""
 

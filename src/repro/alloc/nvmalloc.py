@@ -29,10 +29,21 @@ __all__ = ["genid", "NVAllocator"]
 ChunkKey = Union[int, str]
 
 
+#: name -> id memo of :func:`genid`: every rank of every cell declares
+#: the same names (bounded: cleared when full)
+_IDS: Dict[str, int] = {}
+_IDS_MAX = 4096
+
+
 def genid(varname: str) -> int:
     """Stable 48-bit id from a variable name (Table III ``genid``)."""
-    digest = hashlib.blake2b(varname.encode(), digest_size=6).digest()
-    return int.from_bytes(digest, "little")
+    cid = _IDS.get(varname)
+    if cid is None:
+        if len(_IDS) >= _IDS_MAX:
+            _IDS.clear()
+        digest = hashlib.blake2b(varname.encode(), digest_size=6).digest()
+        cid = _IDS[varname] = int.from_bytes(digest, "little")
+    return cid
 
 
 class NVAllocator:

@@ -546,7 +546,7 @@ class BlockStore:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class Payload:
     """What one chunk's checkpoint round actually puts on the wire."""
 

@@ -176,7 +176,7 @@ COUNTERS = tuple(f.name for f in fields(CopyAccounting) if type(f.default) is in
 PAYLOAD_ONLY = ("codec_delta_bytes", "codec_blocks_new", "codec_blocks_ref")
 
 
-@dataclass
+@dataclass(slots=True)
 class CopyPlan:
     """What one copy of *chunk* to *dest* moves: ``chunk.nbytes`` ->
     ``logical_bytes`` (stale extents) -> ``nbytes`` (payload
@@ -264,6 +264,10 @@ class CopyStep:
         #: every copy this stream lands, and (on a rank's local stream)
         #: every commit of its coordinated step
         self.accounting = CopyAccounting()
+        #: chunk size -> the raw whole-chunk payload.  It depends on the
+        #: size alone and nothing on the raw path writes to a payload,
+        #: so every whole copy of a size shares one
+        self._raw_whole: Dict[int, Payload] = {}
 
     # ------------------------------------------------------------------
     # plan
@@ -277,7 +281,7 @@ class CopyStep:
         # its next version slot needs, move only those
         extents = dest.pending_extents(chunk) if self.incremental else None
         if self.codec is None:
-            payload = _RAW.plan(chunk, extents, store=None, slot=-1)
+            payload = self._raw_payload(chunk, extents)
         else:
             # digest state lives with the destination, so a failover's
             # fresh buddy store honestly forgets what the old one held
@@ -311,9 +315,19 @@ class CopyStep:
         """Plan a raw whole-chunk send to a buddy that holds nothing to
         delta or dedup against (re-sync, migration); the receiver
         stages it itself."""
-        return self._wire_stage(
-            chunk, None, None, _RAW.plan(chunk, None, store=None, slot=-1)
-        )
+        return self._wire_stage(chunk, None, None, self._raw_payload(chunk, None))
+
+    def _raw_payload(self, chunk: Chunk, extents) -> Payload:
+        """The raw codec's payload for *extents* of *chunk* (``None`` =
+        the whole chunk)."""
+        if extents is not None:
+            return _RAW.plan(chunk, extents, store=None, slot=-1)
+        payload = self._raw_whole.get(chunk.nbytes)
+        if payload is None:
+            payload = self._raw_whole[chunk.nbytes] = _RAW.plan(
+                chunk, None, store=None, slot=-1
+            )
+        return payload
 
     def _wire_stage(self, chunk, dest, extents, payload: Payload) -> CopyPlan:
         plan = CopyPlan(chunk, dest, extents, payload, payload.wire_bytes)

@@ -112,6 +112,9 @@ class RemoteTarget(Destination):
         #: raced writes land too; the codec publish path derives the
         #: digest coverage from this, not from its pre-transfer plan.
         self.last_staged_runs: Optional[List[Tuple[int, int]]] = None
+        #: chunk name -> the chunk object the regions last mirrored
+        #: (:meth:`ensure_chunk`)
+        self._mapped: Dict[str, Chunk] = {}
 
     def codec_slots(self, chunk: Chunk) -> Tuple[int, int]:
         """(in-progress slot, committed base slot) for codec planning."""
@@ -152,16 +155,22 @@ class RemoteTarget(Destination):
         return f"{chunk_name}#v{version}"
 
     def ensure_chunk(self, chunk: Chunk) -> None:
-        """Create (or grow) the remote regions mirroring *chunk*."""
+        """Create (or grow) the remote regions mirroring *chunk*.
+
+        Every plan and stage asks, so once the regions mirror a chunk
+        *object* at its size this returns at once.  The check is on the
+        object, not the name: after a hard failure ``populate``
+        re-creates chunks under the same names, and each new object
+        needs its own remote stale map."""
+        if self._mapped.get(chunk.name) is chunk and self.sizes[chunk.name] == chunk.nbytes:
+            return
         nvmm = self.dst_ctx.nvmm
         for v in range(self.n_versions):
             rname = self._region_name(chunk.name, v)
-            try:
-                region = nvmm.region(self.pid, rname)
-            except Exception:
+            region = nvmm.find(self.pid, rname)
+            if region is None:
                 nvmm.nvmmap(self.pid, rname, chunk.nbytes, phantom=chunk.phantom)
-                continue
-            if region.nbytes != chunk.nbytes:
+            elif region.nbytes != chunk.nbytes:
                 nvmm.nvmrealloc(self.pid, rname, chunk.nbytes)
         chunk.ensure_remote_slots(self.n_versions)
         if chunk.name not in self.committed:
@@ -171,6 +180,7 @@ class RemoteTarget(Destination):
             chunk.mark_all_stale("remote")
             self.committed[chunk.name] = -1
         self.sizes[chunk.name] = chunk.nbytes
+        self._mapped[chunk.name] = chunk
 
     def _inprogress(self, chunk_name: str) -> int:
         cur = self.committed.get(chunk_name, -1)

@@ -190,6 +190,10 @@ class NVMKernelManager:
         self._save_region(region)
         return region
 
+    def find(self, pid: str, name: str) -> Optional[NvmRegion]:
+        """The region *name* of *pid*, or ``None`` if it is not mapped."""
+        return self._regions.get((pid, name))
+
     def region(self, pid: str, name: str) -> NvmRegion:
         try:
             return self._regions[(pid, name)]

@@ -22,6 +22,21 @@ class TestGenid:
     def test_48_bit(self):
         assert 0 <= genid("x") < 2**48
 
+    def test_memo_returns_the_hash_and_stays_bounded(self, monkeypatch):
+        import hashlib
+
+        from repro.alloc import nvmalloc
+
+        def hashed(name):
+            digest = hashlib.blake2b(name.encode(), digest_size=6).digest()
+            return int.from_bytes(digest, "little")
+
+        monkeypatch.setattr(nvmalloc, "_IDS", {})
+        names = [f"var{i}" for i in range(nvmalloc._IDS_MAX + 5)]
+        for _ in range(2):  # cold, then from the memo (or after a clear)
+            assert [genid(n) for n in names] == [hashed(n) for n in names]
+            assert len(nvmalloc._IDS) <= nvmalloc._IDS_MAX
+
 
 class TestNvalloc:
     def test_returns_chunk_with_dram_and_shadows(self, allocator):

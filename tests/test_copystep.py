@@ -119,3 +119,35 @@ def test_accounting_does_not_depend_on_tracing():
     assert traced.coordinated_bytes and traced.remote_round_bytes
     assert traced.codec_wire_bytes < traced.codec_logical_bytes
     assert traced.codec_blocks_new
+
+
+def test_raw_whole_copies_share_one_payload_per_size():
+    """A raw whole-chunk payload depends on the chunk size alone: every
+    whole copy of that size reads the same values from one object, and
+    a page-granular copy still gets its own."""
+    from repro.alloc import NVAllocator
+    from repro.core import make_standalone_context
+    from repro.core.copystep import CopyStep
+    from repro.core.destination import NVMArenaDestination
+
+    ctx = make_standalone_context(name="raw-share")
+    alloc = NVAllocator("r0", ctx.nvmm, ctx.dram, phantom=True)
+    dest = NVMArenaDestination(ctx, alloc)
+    a, b, c = (alloc.nvalloc(n, s) for n, s in (("a", 8192), ("b", 8192), ("c", 4096)))
+    whole = CopyStep(ctx, PrecopyPolicy(mode="none"), actor="r0")
+    plans = [whole.plan(chunk, dest) for chunk in (a, b, c)]
+    assert plans[0].payload is plans[1].payload
+    assert plans[0].payload is not plans[2].payload
+    assert plans[0].payload is whole.plan_whole(a).payload
+    for plan in plans:
+        n = plan.chunk.nbytes
+        assert (plan.payload.kind, plan.payload.codec, plan.payload.extents) == ("full", "raw", None)
+        assert (plan.logical_bytes, plan.nbytes, plan.bytes_saved) == (n, n, 0)
+        assert (plan.payload.blocks, plan.payload.blocks_new, plan.payload.blocks_ref) == (0, 0, 0)
+        assert plan.payload.density == 1.0
+    paged = CopyStep(ctx, PrecopyPolicy(mode="none", copy_granularity="page"), actor="r0")
+    a.stage_to_nvm()
+    a.touch(4096)
+    first, again = paged.plan(a, dest), paged.plan(a, dest)
+    assert first.payload is not again.payload
+    assert first.extents == [(0, 4096)] and first.nbytes == 4096

@@ -99,6 +99,92 @@ class TestRemoteTarget:
         assert dst.nvmm.region(target.pid, "a#v0").nbytes == 2048
 
 
+class TestBuddyFirstContact:
+    """``ensure_chunk`` maps a chunk's buddy regions on first contact
+    and returns at once afterwards, per chunk *object*: after a hard
+    failure ``populate`` re-creates chunks under the same names."""
+
+    SIZE = 4 * 4096
+
+    @staticmethod
+    def _nodes():
+        engine = Engine()
+        src = make_standalone_context(name="n0", engine=engine)
+        dst = make_standalone_context(name="n1", engine=engine)
+        return dst, NVAllocator("r0", src.nvmm, src.dram, phantom=True)
+
+    def _twins(self):
+        """A target that mirrors chunk ``a``, then a second ``a`` object
+        of the same size."""
+        # no helper: a chunk-granular helper would drop the remote maps
+        dst, alloc = self._nodes()
+        target = RemoteTarget("r0", dst)
+        first = alloc.nvalloc("a", self.SIZE)
+        target.ensure_chunk(first)
+        alloc.nvdelete("a")
+        second = alloc.nvalloc("a", self.SIZE)
+        return dst, target, first, second
+
+    def test_second_object_gets_its_own_remote_stale_map(self):
+        dst, target, first, second = self._twins()
+        target.ensure_chunk(second)
+        assert second.copy_extents("remote", slot=0) == [(0, self.SIZE)]
+
+    def test_second_objects_first_page_granular_copy_moves_the_whole_chunk(self):
+        from repro.core.copystep import CopyStep
+
+        dst, target, first, second = self._twins()
+        step = CopyStep(
+            dst, PrecopyPolicy(mode="dcpcp", copy_granularity="page"),
+            actor="helper", stream="remote",
+        )
+        # the first object fills both buddy slots and is clean there
+        for _ in range(target.n_versions):
+            target.stage(first, target.pending_extents(first))
+            target.commit()
+        assert step.plan(first, target).nbytes == 0
+        plan = step.plan(second, target)
+        assert plan.nbytes == self.SIZE
+        assert target.stage(second, plan.extents) == self.SIZE
+
+    def test_repeat_contact_maps_nothing_and_a_resize_re_maps(self, monkeypatch):
+        dst, target, first, second = self._twins()
+        nvmm = dst.nvmm
+        calls = []
+        for name in ("nvmmap", "nvmrealloc"):
+            real = getattr(nvmm, name)
+            monkeypatch.setattr(
+                nvmm, name,
+                lambda *a, _real=real, _name=name, **k: calls.append(_name) or _real(*a, **k),
+            )
+        target.ensure_chunk(second)
+        target.ensure_chunk(second)
+        assert calls == []  # the regions exist at this size
+        second.nbytes *= 2  # what NVAllocator.nvrealloc does to the object
+        target.ensure_chunk(second)
+        assert calls == ["nvmrealloc", "nvmrealloc"]
+        assert nvmm.region(target.pid, "a#v1").nbytes == 2 * self.SIZE
+        assert target.sizes["a"] == 2 * self.SIZE
+
+    def test_a_failing_region_lookup_propagates(self):
+        """Only "not mapped" maps a fresh region; any other error in
+        the lookup is the caller's."""
+        dst, alloc = self._nodes()
+        chunk = alloc.nvalloc("a", self.SIZE)
+        target = RemoteTarget("r0", dst)
+
+        class UnreadableTable(dict):
+            def __getitem__(self, key):
+                raise RuntimeError("region table unreadable")
+
+            get = __getitem__
+
+        dst.nvmm._regions = UnreadableTable(dst.nvmm._regions)
+        with pytest.raises(RuntimeError, match="unreadable"):
+            target.ensure_chunk(chunk)
+        assert not [key for key in dict.keys(dst.nvmm._regions) if key[0] == target.pid]
+
+
 class TestNoPrecopyRounds:
     def test_round_moves_everything(self):
         engine, src, dst, fabric, alloc, helper, ck = make_pair(remote_precopy=False)
