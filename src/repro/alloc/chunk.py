@@ -34,7 +34,7 @@ from typing import Any, Callable, List, Optional
 import numpy as np
 
 from ..errors import CheckpointError
-from ..faults.crashpoints import fire
+from ..faults.crashpoints import ARMED, fire
 from ..memory.nvmm import NvmRegion
 from ..memory.page import StalePageMap
 from ..units import pages_of
@@ -407,12 +407,14 @@ class Chunk:
             half = self.nbytes // 2
             if self.phantom:
                 moved = region.write_phantom(0, half)
-                fire("chunk.stage.mid", chunk=self)
+                if ARMED:
+                    fire("chunk.stage.mid", chunk=self)
                 moved += region.write_phantom(half, self.nbytes - half)
             else:
                 assert self.dram is not None
                 region.write(0, self.dram[:half])
-                fire("chunk.stage.mid", chunk=self)
+                if ARMED:
+                    fire("chunk.stage.mid", chunk=self)
                 region.write(half, self.dram[half:])
                 moved = self.nbytes
             self.mark_extents_copied("local", None, slot=slot)
@@ -434,7 +436,8 @@ class Chunk:
         done = 0
         fired = total == 0
         if not fired and half == 0:
-            fire("chunk.stage.mid", chunk=self)
+            if ARMED:
+                fire("chunk.stage.mid", chunk=self)
             fired = True
         for off, n in extents:
             pieces = [(off, n)]
@@ -443,7 +446,8 @@ class Chunk:
                 pieces = [(off, cut), (off + cut, n - cut)]
             for p_off, p_n in pieces:
                 if not fired and done == half:
-                    fire("chunk.stage.mid", chunk=self)
+                    if ARMED:
+                        fire("chunk.stage.mid", chunk=self)
                     fired = True
                 if self.phantom:
                     moved += region.write_phantom(p_off, p_n)
@@ -453,7 +457,8 @@ class Chunk:
                     moved += p_n
                 done += p_n
         if not fired:
-            fire("chunk.stage.mid", chunk=self)
+            if ARMED:
+                fire("chunk.stage.mid", chunk=self)
         return moved
 
     def payload_checksum(self) -> int:

@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import CheckpointError, ConfigError, MemoryError_
-from ..faults.crashpoints import fire
+from ..faults.crashpoints import ARMED, fire
 
 __all__ = [
     "DEFAULT_BLOCK",
@@ -441,10 +441,12 @@ class BlockStore:
         the refcount index not yet swapped — :meth:`rebuild` recovers),
         ``done`` is clean-after.
         """
-        fire("codec.store.commit.before")
+        if ARMED:
+            fire("codec.store.commit.before")
         if not self._staged:
-            fire("codec.store.commit.mid")
-            fire("codec.store.commit.done")
+            if ARMED:
+                fire("codec.store.commit.mid")
+                fire("codec.store.commit.done")
             return 0
         inc: List[np.ndarray] = []
         dec: List[np.ndarray] = []
@@ -459,11 +461,13 @@ class BlockStore:
             dec.append(old[moved & (old != _U0)])
             cur[idx] = digests
             n_entries += len(idx)
-        fire("codec.store.commit.mid")
+        if ARMED:
+            fire("codec.store.commit.mid")
         self._apply(np.concatenate(inc), np.concatenate(dec))
         self._staged.clear()
         self.commits += 1
-        fire("codec.store.commit.done")
+        if ARMED:
+            fire("codec.store.commit.done")
         return n_entries
 
     def _ensure_slot(self, name: str, slot: int, nblocks: int) -> np.ndarray:

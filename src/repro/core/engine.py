@@ -28,7 +28,7 @@ from ..alloc.chunk import Chunk, ChunkState
 from ..alloc.nvmalloc import NVAllocator
 from ..config import PrecopyPolicy as PrecopyConfig
 from ..errors import CheckpointError
-from ..faults.crashpoints import fire
+from ..faults.crashpoints import ARMED, fire
 from ..metrics import timeline as tl
 from ..metrics.trace import BUS, CommitEvent, PolicyDecisionEvent, emit_phase
 from .context import NodeContext
@@ -224,6 +224,11 @@ class CheckpointEngine:
                 )
             )
 
+    def _after_flip(self, chunk: Chunk) -> None:
+        """``batch_commit``'s per-chunk hook, passed only when armed."""
+        if ARMED:
+            fire("local.commit.after_flip", chunk=chunk, rank=self.rank)
+
     def _checkpoint_proc(self, only: Optional[Iterable[Chunk]] = None):
         """The checkpoint generator body behind :meth:`checkpoint`."""
         engine = self.ctx.engine
@@ -236,12 +241,13 @@ class CheckpointEngine:
         # counts the drain as blocking time, the Fig. 5 bar does not)
         step_begin = engine.now
         try:
-            fire(
-                "local.begin",
-                allocator=self.allocator,
-                store=self.ctx.nvmm.store,
-                rank=self.rank,
-            )
+            if ARMED:
+                fire(
+                    "local.begin",
+                    allocator=self.allocator,
+                    store=self.ctx.nvmm.store,
+                    rank=self.rank,
+                )
             all_persistent = list(
                 only if only is not None else self.allocator.persistent_chunks()
             )
@@ -254,7 +260,8 @@ class CheckpointEngine:
                     raise CheckpointError(
                         f"chunk {chunk.name!r} busy ({chunk.state_local}) during coordinated step"
                     )
-                fire("local.copy.before", chunk=chunk, rank=self.rank)
+                if ARMED:
+                    fire("local.copy.before", chunk=chunk, rank=self.rank)
                 chunk.state_local = ChunkState.CHECKPOINTING
                 copy_start = engine.now
                 plan = self.copier.plan(chunk, dest)
@@ -262,10 +269,12 @@ class CheckpointEngine:
                     yield dest.write(chunk, plan.nbytes, tag=f"{self.tag}:lckpt")
                 finally:
                     chunk.state_local = ChunkState.IDLE
-                fire("local.copy.after", chunk=chunk, rank=self.rank)
+                if ARMED:
+                    fire("local.copy.after", chunk=chunk, rank=self.rank)
                 self.copier.land(plan, start=copy_start, phase="coordinated")
                 if dest.two_version:
-                    fire("local.stage.after", chunk=chunk, rank=self.rank)
+                    if ARMED:
+                        fire("local.stage.after", chunk=chunk, rank=self.rank)
                 stats.bytes_copied += plan.nbytes
                 stats.chunks_copied += 1
                 if self.tracks_dirty:
@@ -278,17 +287,17 @@ class CheckpointEngine:
             # engine staged during the interval ('All chunks are marked
             # as committed after the library ensures that data is
             # flushed to NVM', §V).
-            fire("local.commit.before_data_flush", rank=self.rank)
+            if ARMED:
+                fire("local.commit.before_data_flush", rank=self.rank)
             flush_cost = dest.flush()
             yield engine.timeout(flush_cost)
-            fire("local.commit.after_data_flush", rank=self.rank)
+            if ARMED:
+                fire("local.commit.after_data_flush", rank=self.rank)
             if dest.two_version:
                 dest.commit(
                     all_persistent,
                     with_checksum=self.with_checksums,
-                    on_commit=lambda chunk: fire(
-                        "local.commit.after_flip", chunk=chunk, rank=self.rank
-                    ),
+                    on_commit=self._after_flip if ARMED else None,
                 )
             if self.codec is not None and dest.block_store is not None:
                 # the digest index commits with the data it describes:
@@ -296,16 +305,18 @@ class CheckpointEngine:
                 # (codec.store.commit.* crash points fire inside)
                 dest.block_store.commit()
             dest.persist_metadata()
-            fire("local.commit.before_meta_flush", rank=self.rank)
+            if ARMED:
+                fire("local.commit.before_meta_flush", rank=self.rank)
             flush_cost2 = dest.flush()
             yield engine.timeout(flush_cost2)
             stats.flush_cost = flush_cost + flush_cost2
-            fire(
-                "local.commit.done",
-                allocator=self.allocator,
-                store=self.ctx.nvmm.store,
-                rank=self.rank,
-            )
+            if ARMED:
+                fire(
+                    "local.commit.done",
+                    allocator=self.allocator,
+                    store=self.ctx.nvmm.store,
+                    rank=self.rank,
+                )
             committed = len(all_persistent) if dest.two_version else stats.chunks_copied
             self.copier.accounting.committed(
                 t=engine.now,

@@ -32,7 +32,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from ..alloc.chunk import Chunk, ChunkState
 from ..config import PrecopyPolicy
 from ..errors import SimulationError, TransferCancelled
-from ..faults.crashpoints import fire
+from ..faults.crashpoints import ARMED, fire
 from ..metrics.trace import BUS, PolicyDecisionEvent
 from ..sim.events import Event, Wake
 from .context import NodeContext
@@ -415,7 +415,8 @@ class PrecopyEngine:
         return self.stats
 
     def _copy_one(self, chunk: Chunk):
-        fire("precopy.copy.before", chunk=chunk, stream=self.stream)
+        if ARMED:
+            fire("precopy.copy.before", chunk=chunk, stream=self.stream)
         copy_start = self.ctx.engine.now
         if BUS.active:
             BUS.emit(
@@ -451,7 +452,8 @@ class PrecopyEngine:
         if cancelled:
             self.stats.stale_copies += 1
             return
-        fire("precopy.copy.after", chunk=chunk, stream=self.stream)
+        if ARMED:
+            fire("precopy.copy.after", chunk=chunk, stream=self.stream)
         self.stats.copies += 1
         self.stats.bytes_copied += plan.nbytes
         # torn copy: application wrote during the transfer (the stale
@@ -474,4 +476,5 @@ class PrecopyEngine:
             return
         chunk.mark_precopied(self.stream)
         self._pending_clean[chunk.chunk_id] = chunk
-        fire("precopy.finalize.after", chunk=chunk, stream=self.stream)
+        if ARMED:
+            fire("precopy.finalize.after", chunk=chunk, stream=self.stream)

@@ -40,7 +40,7 @@ from ..alloc.chunk import Chunk
 from ..alloc.nvmalloc import NVAllocator
 from ..config import CheckpointConfig
 from ..errors import CheckpointError, TransferCancelled, TransferFailed
-from ..faults.crashpoints import fire
+from ..faults.crashpoints import ARMED, fire
 from ..metrics import timeline as tl
 from ..metrics.trace import BUS, FailoverEvent, emit_phase
 from ..net.interconnect import Fabric
@@ -240,7 +240,8 @@ class RemoteTarget(Destination):
         pointers, persist them.  Returns the cost of the barriers it
         bundles, for the caller to charge."""
         cost = self.dst_ctx.nvmm.cache_flush()
-        fire("remote.commit.before_flip", target=self, pid=self.src_pid)
+        if ARMED:
+            fire("remote.commit.before_flip", target=self, pid=self.src_pid)
         for name, v in self._staged.items():
             self.committed[name] = v
             self.checksums[name] = self._staged_crc.get(name)
@@ -250,7 +251,8 @@ class RemoteTarget(Destination):
             # the digest index commits with the versions it describes:
             # after the pointer flip, before the metadata flush
             self.block_store.commit()
-        fire("remote.commit.before_meta", target=self, pid=self.src_pid)
+        if ARMED:
+            fire("remote.commit.before_meta", target=self, pid=self.src_pid)
         self.dst_ctx.nvmm.store.put_meta(
             f"remote/proc:{self.src_pid}",
             {
@@ -260,12 +262,13 @@ class RemoteTarget(Destination):
             },
         )
         cost += self.dst_ctx.nvmm.cache_flush()
-        fire(
-            "remote.commit.done",
-            target=self,
-            pid=self.src_pid,
-            store=self.dst_ctx.nvmm.store,
-        )
+        if ARMED:
+            fire(
+                "remote.commit.done",
+                target=self,
+                pid=self.src_pid,
+                store=self.dst_ctx.nvmm.store,
+            )
         return cost
 
     # -- restart fetch ----------------------------------------------------------
@@ -713,7 +716,8 @@ class RemoteHelper:
             t0 = engine.now
             plan = self.copier.plan(chunk, self.targets[pid])
             self._charge_cpu(plan.nbytes, streamed=True)
-            fire("remote.stream.before_send", chunk=chunk, pid=pid)
+            if ARMED:
+                fire("remote.stream.before_send", chunk=chunk, pid=pid)
             epoch = self.epoch
             try:
                 yield from self.put(plan, f"{pid}:rprecopy")
@@ -728,12 +732,13 @@ class RemoteHelper:
                 continue
             self.copier.land(plan, start=t0, phase="precopy")
             self.mark_held(pid, chunk)
-            fire(
-                "remote.stream.after_stage",
-                chunk=chunk,
-                pid=pid,
-                target=self.targets[pid],
-            )
+            if ARMED:
+                fire(
+                    "remote.stream.after_stage",
+                    chunk=chunk,
+                    pid=pid,
+                    target=self.targets[pid],
+                )
             chunk.dirty_remote = False
             # pacing: never run faster than pace_rate on average
             target_duration = plan.nbytes / self.pace_rate
@@ -764,7 +769,8 @@ class RemoteHelper:
         engine = self.ctx.engine
         stats = RemoteCheckpointStats(start=engine.now)
         try:
-            fire("remote.round.begin", node=self.node_id)
+            if ARMED:
+                fire("remote.round.begin", node=self.node_id)
             for alloc in self.ranks:
                 target = self.targets[alloc.pid]
                 chunks = self._chunks_for_round(alloc)
@@ -772,7 +778,8 @@ class RemoteHelper:
                 for chunk in chunks:
                     plan = self.copier.plan(chunk, target)
                     self._charge_cpu(plan.nbytes, streamed=False)
-                    fire("remote.round.before_send", chunk=chunk, pid=alloc.pid)
+                    if ARMED:
+                        fire("remote.round.before_send", chunk=chunk, pid=alloc.pid)
                     t0 = engine.now
                     epoch = self.epoch
                     try:
@@ -790,12 +797,13 @@ class RemoteHelper:
                         break
                     self.copier.land(plan, start=t0, phase="coordinated")
                     self.mark_held(alloc.pid, chunk)
-                    fire(
-                        "remote.round.after_stage",
-                        chunk=chunk,
-                        pid=alloc.pid,
-                        target=target,
-                    )
+                    if ARMED:
+                        fire(
+                            "remote.round.after_stage",
+                            chunk=chunk,
+                            pid=alloc.pid,
+                            target=target,
+                        )
                     chunk.dirty_remote = False
                     self._queue.pop((alloc.pid, chunk.chunk_id), None)
                 if aborted:

@@ -29,7 +29,7 @@ from ..errors import (
     NoCheckpointAvailable,
     TransferFailed,
 )
-from ..faults.crashpoints import fire
+from ..faults.crashpoints import ARMED, fire
 from ..metrics import timeline as tl
 from ..metrics.trace import emit_phase
 from ..net.interconnect import Fabric
@@ -163,12 +163,13 @@ class RestartManager:
                 clock=clock or (lambda: engine.now),
                 load_data=False,
             )
-            fire(
-                "restart.begin",
-                pid=pid,
-                allocator=alloc,
-                store=self.ctx.nvmm.store,
-            )
+            if ARMED:
+                fire(
+                    "restart.begin",
+                    pid=pid,
+                    allocator=alloc,
+                    store=self.ctx.nvmm.store,
+                )
             if block_store is not None:
                 # a crash may have left a torn index (codec.store.
                 # commit.mid): the slot maps are the durable truth
@@ -210,13 +211,15 @@ class RestartManager:
                         chunk.protected = True
                         report.bytes_local += chunk.nbytes
                     report.chunks_local += 1
-                    fire("restart.chunk.verified", chunk=chunk, pid=pid)
+                    if ARMED:
+                        fire("restart.chunk.verified", chunk=chunk, pid=pid)
                     continue
                 if chunk.committed_version >= 0:
                     report.corrupted_chunks.append(chunk.name)
                 yield from self._fetch_remote(chunk, pid, remote_target, remote_node, report)
             report.allocator = alloc
-            fire("restart.done", pid=pid, allocator=alloc)
+            if ARMED:
+                fire("restart.done", pid=pid, allocator=alloc)
         finally:
             emit_phase(pid, tl.RESTART, report.start, engine.now)
         report.end = engine.now
@@ -238,7 +241,8 @@ class RestartManager:
                 chunk=chunk.name,
                 tried=("local", "buddy"),
             )
-        fire("restart.fetch_remote", chunk=chunk, pid=pid)
+        if ARMED:
+            fire("restart.fetch_remote", chunk=chunk, pid=pid)
         if not chunk.phantom and (chunk.dram is None or len(chunk.dram) != chunk.nbytes):
             chunk.dram = np.zeros(chunk.nbytes, dtype=np.uint8)
         n = chunk.nbytes
@@ -321,16 +325,18 @@ class RestartManager:
                 phantom=phantom,
                 clock=clock or (lambda: engine.now),
             )
-            fire(
-                "restart.begin",
-                pid=pid,
-                allocator=alloc,
-                store=self.ctx.nvmm.store,
-            )
+            if ARMED:
+                fire(
+                    "restart.begin",
+                    pid=pid,
+                    allocator=alloc,
+                    store=self.ctx.nvmm.store,
+                )
             for name in names:
                 size = remote_target.sizes[name]
                 chunk = alloc.nvalloc(name, size, pflag=True)
-                fire("restart.fetch_remote", chunk=chunk, pid=pid)
+                if ARMED:
+                    fire("restart.fetch_remote", chunk=chunk, pid=pid)
                 try:
                     yield from buddy_get(
                         self.fabric, remote_target, remote_node, self.node_id, size,
@@ -352,7 +358,8 @@ class RestartManager:
                 report.chunks_remote += 1
                 report.bytes_remote += size
             report.allocator = alloc
-            fire("restart.done", pid=pid, allocator=alloc)
+            if ARMED:
+                fire("restart.done", pid=pid, allocator=alloc)
         finally:
             emit_phase(pid, tl.RESTART, report.start, engine.now)
         report.end = engine.now

@@ -12,6 +12,7 @@ in transitively) cycle-free.
 from __future__ import annotations
 
 from .crashpoints import (
+    ARMED,
     BITROT_CAPABLE,
     CrashPoint,
     FaultInjector,
@@ -24,6 +25,7 @@ from .crashpoints import (
 from .plan import KIND_BITROT, KIND_CRASH, FaultPlan, ScriptedFault
 
 __all__ = [
+    "ARMED",
     "BITROT_CAPABLE",
     "CrashPoint",
     "FaultInjector",

@@ -1,18 +1,30 @@
 """Named crash points and the hook-firing machinery.
 
 The commit-critical layers (local checkpoint, pre-copy, remote helper,
-restart, chunk staging, store flush) call :func:`fire` at every
-persistence-ordering point, naming the point.  With no injector
-installed a hook is a near-free no-op; inside a ``with install(plan):``
-block every hit is routed to the installed injectors, which may count
-it, record oracle state, corrupt durable bytes, or raise
+restart, chunk staging, store flush, migration, codec block store) call
+:func:`fire` at every persistence-ordering point, naming the point.
+Every call site sits under a guard on :data:`ARMED`, the list of
+installed injectors::
+
+    if ARMED:
+        fire("local.copy.before", chunk=chunk, rank=self.rank)
+
+so an unarmed run pays one list truthiness test per point and never
+builds the keyword dict.  Inside a ``with install(plan):`` block every
+hit is routed to the installed injectors, which may count it, record
+oracle state, corrupt durable bytes, or raise
 :class:`~repro.errors.CrashInjected` to simulate a power loss at
-exactly that point.
+exactly that point.  ``ARMED`` is one list mutated in place and read
+live at each site, so an injector installed mid-run sees the very next
+hit.
 
 The registry is *central* and *closed*: every point a layer may fire is
 declared here, so the crash-point matrix test can enumerate the full
 set and firing an undeclared name is an error (it would silently
-escape the matrix otherwise).
+escape the matrix otherwise).  Because unarmed runs never reach
+:func:`fire`, ``tests/test_crashpoint_sites.py`` checks statically that
+every call site names a registered point as a string literal and sits
+under the guard.
 
 This module must stay dependency-free within ``repro`` (errors only):
 it is imported by the memory substrate and the allocator, the lowest
@@ -35,6 +47,7 @@ __all__ = [
     "point",
     "fire",
     "install",
+    "ARMED",
     "LAYER_LOCAL",
     "LAYER_PRECOPY",
     "LAYER_REMOTE",
@@ -223,7 +236,10 @@ class FaultInjector:
         raise NotImplementedError
 
 
-_ACTIVE: List[FaultInjector] = []
+#: the installed injectors, outermost first.  One list for the life of
+#: the process, mutated in place by :func:`install`: call sites import
+#: it once and test it live (``if ARMED: fire(...)``).
+ARMED: List[FaultInjector] = []
 
 
 @contextmanager
@@ -231,24 +247,28 @@ def install(injector: FaultInjector) -> Iterator[FaultInjector]:
     """Route crash-point hits to *injector* for the dynamic extent of
     the block.  Injectors stack: all installed injectors see every hit,
     outermost first."""
-    _ACTIVE.append(injector)
+    ARMED.append(injector)
     try:
         yield injector
     finally:
-        _ACTIVE.remove(injector)
+        ARMED.remove(injector)
 
 
 def fire(name: str, **info: Any) -> None:
     """Fire the crash point *name* with contextual *info*.
 
-    No-op unless an injector is installed.  Firing an unregistered name
-    is an error even with no injector present would be ideal, but the
-    registry lookup is deferred to the installed path so the hot paths
-    pay a single truthiness check when fault injection is off.
+    With no injector installed this returns at once, without checking
+    *name*; instrumented layers do not even call it then, they test
+    :data:`ARMED` first.  With injectors installed, an unregistered
+    *name* raises :class:`~repro.errors.FaultInjectionError`, and
+    otherwise every installed injector's ``on_fire`` runs in install
+    order (a snapshot of :data:`ARMED`, so an injector that installs or
+    removes another does not skip or repeat one).  Names are checked
+    statically by ``tests/test_crashpoint_sites.py``.
     """
-    if not _ACTIVE:
+    if not ARMED:
         return
     if name not in REGISTRY:
         raise FaultInjectionError(f"fired unregistered crash point {name!r}")
-    for injector in list(_ACTIVE):
+    for injector in list(ARMED):
         injector.on_fire(name, info)

@@ -32,7 +32,7 @@ from typing import Any, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import InvalidAddress, PersistenceError
-from ..faults.crashpoints import fire
+from ..faults.crashpoints import ARMED, fire
 
 __all__ = ["PersistentStore", "InMemoryStore"]
 
@@ -253,9 +253,11 @@ class InMemoryStore(PersistentStore):
                 self._durable[region_id] = self._working[region_id].copy()
                 flushed += len(self._working[region_id])
                 self._dirty.discard(region_id)
-                fire("store.flush.mid", store=self, region_id=region_id)
+                if ARMED:
+                    fire("store.flush.mid", store=self, region_id=region_id)
         self._dirty.clear()
-        fire("store.flush.before_meta", store=self)
+        if ARMED:
+            fire("store.flush.before_meta", store=self)
         # metadata: snapshot only what was written since the last flush
         # — whole keys, and single records of the table-valued ones
         for key in sorted(self._meta_dirty_keys):

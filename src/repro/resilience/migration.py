@@ -37,7 +37,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.remote import RemoteTarget
 from ..errors import TransferCancelled, TransferFailed
-from ..faults.crashpoints import fire
+from ..faults.crashpoints import ARMED, fire
 from ..metrics import timeline as tl
 from ..metrics.trace import (
     BUS,
@@ -375,12 +375,13 @@ class MigrationTask:
                     t0 = engine.now
                     copy = helper.copier.plan_whole(chunk)
                     helper._charge_cpu(chunk.nbytes, streamed=True)
-                    fire(
-                        "migrate.batch.before_send",
-                        chunk=chunk,
-                        pid=pid,
-                        plan=self.plan,
-                    )
+                    if ARMED:
+                        fire(
+                            "migrate.batch.before_send",
+                            chunk=chunk,
+                            pid=pid,
+                            plan=self.plan,
+                        )
                     try:
                         # the helper's transport, pointed at the *new*
                         # buddy (its default is the old one)
@@ -400,12 +401,13 @@ class MigrationTask:
                     self.targets[pid].stage(chunk)
                     key = (pid, chunk.chunk_id)
                     self._sent_generation[key] = helper.generation(pid, chunk)
-                    fire(
-                        "migrate.batch.after_stage",
-                        chunk=chunk,
-                        pid=pid,
-                        target=self.targets[pid],
-                    )
+                    if ARMED:
+                        fire(
+                            "migrate.batch.after_stage",
+                            chunk=chunk,
+                            pid=pid,
+                            target=self.targets[pid],
+                        )
                     self.bytes_sent += chunk.nbytes
                     self.chunks_sent += 1
                     # pace *under* the pre-copy stream: migration gets a
@@ -426,7 +428,8 @@ class MigrationTask:
                         cost = target.commit()
                         if cost > 0:
                             yield engine.timeout(cost)
-                fire("migrate.batch.commit", plan=self.plan, seq=self.batches)
+                if ARMED:
+                    fire("migrate.batch.commit", plan=self.plan, seq=self.batches)
                 if throttled:
                     self.throttled_batches += 1
                 if BUS.active:
@@ -451,7 +454,8 @@ class MigrationTask:
             # buddy, whose copies this cutover supersedes — and
             # re-queues just the chunks committed since their
             # migration send.
-            fire("migrate.cutover.before", plan=self.plan)
+            if ARMED:
+                fire("migrate.cutover.before", plan=self.plan)
             helper.retarget(
                 self.plan.to_buddy,
                 self.to_ctx,
@@ -459,7 +463,8 @@ class MigrationTask:
                 staged=(self.targets, self._sent_generation),
             )
             self.completed = True
-            fire("migrate.cutover.done", plan=self.plan)
+            if ARMED:
+                fire("migrate.cutover.done", plan=self.plan)
             if BUS.active:
                 BUS.emit(
                     MigrationCutoverEvent(

@@ -13,11 +13,11 @@ from repro.alloc.chunk import Chunk, ChunkState
 from repro.config import CheckpointConfig, PrecopyPolicy
 from repro.core import NVMCheckpoint, PrecopyEngine, make_standalone_context
 from repro.core import policy as policy_mod
-from repro.core import precopy as precopy_mod
 from repro.core.precopy import ReadyIndex
 from repro.core.prediction import PredictionTable
 from repro.core.threshold import ThresholdEstimator
 from repro.exec.cell import run_cell
+from repro.faults import crashpoints
 from repro.units import KB
 
 from tests.conftest import gtc_cell
@@ -330,9 +330,21 @@ class TestRestart:
 # ----------------------------------------------------------------------
 
 
+class _FinalizeCounter(crashpoints.FaultInjector):
+    """Passive observer: counts completed pre-copies, the hits of
+    ``precopy.finalize.after`` (fired once per finalized chunk)."""
+
+    def __init__(self) -> None:
+        self.hits = 0
+
+    def on_fire(self, name, info):
+        if name == "precopy.finalize.after":
+            self.hits += 1
+
+
 def count_decides(monkeypatch, small_chunks: int):
     """(policy consultations, completed pre-copies) of one GTC cell."""
-    counts = {"decide": 0, "precopied": 0}
+    counts = {"decide": 0}
     for cls in set(policy_mod.POLICIES.values()):
         original = cls.decide
 
@@ -341,16 +353,9 @@ def count_decides(monkeypatch, small_chunks: int):
             return _original(self, chunk, clock)
 
         monkeypatch.setattr(cls, "decide", counted)
-    fire = precopy_mod.fire
-
-    def counting_fire(point, **kw):
-        if point == "precopy.finalize.after":
-            counts["precopied"] += 1
-        return fire(point, **kw)
-
-    monkeypatch.setattr(precopy_mod, "fire", counting_fire)
-    run_cell(gtc_cell(small_chunks))
-    return counts["decide"], counts["precopied"]
+    with crashpoints.install(_FinalizeCounter()) as finalized:
+        run_cell(gtc_cell(small_chunks))
+    return counts["decide"], finalized.hits
 
 
 def test_policy_is_asked_about_what_it_can_pick_not_about_every_dirty_chunk(monkeypatch):
