@@ -21,7 +21,7 @@ sys.path.insert(0, ROOT)
 from perfbench.workloads import WORKLOADS, make_inputs  # noqa: E402
 from repro.exec.cell import SCENARIOS, build_parser, resolve_config, run_cell  # noqa: E402
 from repro.exec.grid import expand_grid  # noqa: E402
-from repro.tools.bench import PINNED_GRID, elastic_config, elastic_slo  # noqa: E402
+from repro.tools.bench import PINNED_GRID, elastic_config  # noqa: E402
 
 
 def cells():
@@ -36,10 +36,8 @@ def cells():
         for scenario in SCENARIOS:
             argv = ["--app", app, "--scenario", scenario]
             yield f"{app}:{scenario}", resolve_config(build_parser().parse_args(argv))
-    slo = repr(elastic_slo()[0])
     for arm in ("elastic-clean", "elastic-full-resync", "elastic-migrate"):
-        extra = ["--slo-checkpoint-latency", slo] if arm == "elastic-migrate" else []
-        yield f"bench:{arm}", elastic_config(arm, *extra)
+        yield f"bench:{arm}", elastic_config(arm)
 
 
 def leaves(record, prefix=""):

@@ -23,7 +23,7 @@ ranks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 from ..errors import ClusterError
 from ..metrics.trace import BUS, MembershipChangeEvent
@@ -52,7 +52,9 @@ class MembershipEvent:
 class MembershipController:
     """Replays a membership schedule against the live directory.
 
-    ``launch_migration(plan, done)`` is the runner's hook: it must
+    *planner* (a :class:`~repro.resilience.migration.MigrationPlanner`)
+    turns each event into per-node moves.  ``launch_migration(plan,
+    done)`` is the runner's hook: it must
     either start a :class:`~repro.resilience.migration.MigrationTask`
     for the plan and arrange for ``done(plan, completed)`` to be called
     exactly once when the task cuts over or aborts, or return ``False``
@@ -65,9 +67,8 @@ class MembershipController:
         engine,
         directory,
         schedule: Sequence[MembershipEvent],
-        *,
-        planner=None,
-        launch_migration: Optional[Callable] = None,
+        planner,
+        launch_migration: Callable,
     ) -> None:
         self.engine = engine
         self.directory = directory
@@ -121,9 +122,7 @@ class MembershipController:
         started = 0
         for plan in plans:
             self.plans_issued += 1
-            if self.launch_migration is not None and self.launch_migration(
-                plan, self._move_done
-            ):
+            if self.launch_migration(plan, self._move_done):
                 started += 1
             else:
                 self.moves_failed += 1
@@ -132,15 +131,13 @@ class MembershipController:
     def _join(self, ev: MembershipEvent) -> None:
         self.directory.admit(ev.node)
         self.joins += 1
-        plans = self.planner.plan_join(ev.node) if self.planner is not None else []
-        started = self._launch(plans)
+        started = self._launch(self.planner.plan_join(ev.node))
         self._emit(ev.node, JOIN, started)
 
     def _drain(self, ev: MembershipEvent) -> None:
         self.directory.retire(ev.node)
         self.drains += 1
-        plans = self.planner.plan_drain(ev.node) if self.planner is not None else []
-        started = self._launch(plans)
+        started = self._launch(self.planner.plan_drain(ev.node))
         if started:
             self._pending_drains[ev.node] = started
         else:

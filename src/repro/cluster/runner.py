@@ -135,11 +135,6 @@ class RunResult:
     migrations_aborted: int = 0
     migration_batches: int = 0
     migration_bytes: int = 0
-    #: batches delayed because checkpoint latency neared the SLO
-    migration_slo_pauses: int = 0
-    migration_throttled_batches: int = 0
-    #: worst per-interval coordinated-checkpoint latency observed
-    migration_max_ckpt_latency: float = 0.0
     #: re-sync tasks that exhausted their failure budget (node left
     #: degraded) — also surfaced as ``resync.aborted`` trace events
     resyncs_aborted: int = 0
@@ -256,9 +251,6 @@ class RunResult:
                 "migrations_aborted": self.migrations_aborted,
                 "migration_batches": self.migration_batches,
                 "migration_gb": to_GB(self.migration_bytes),
-                "slo_pauses": self.migration_slo_pauses,
-                "throttled_batches": self.migration_throttled_batches,
-                "max_ckpt_latency_s": self.migration_max_ckpt_latency,
                 "resyncs_aborted": self.resyncs_aborted,
             }
         if self.pfs_bytes is not None:
@@ -324,7 +316,6 @@ class ClusterRunner:
         #: planned join/drain schedule (sequence of MembershipEvent)
         self._membership_schedule = list(membership) if membership else []
         self.membership_controller = None
-        self.slo_guard = None
         self._migrations: List = []
 
     @property
@@ -336,16 +327,6 @@ class ClusterRunner:
         return (
             (self.injector is not None or bool(self._membership_schedule))
             and any(n.helper is not None for n in self.cluster.active_nodes)
-        )
-
-    @property
-    def migration_enabled(self) -> bool:
-        """Live migration / incremental-failover bookkeeping is opt-in
-        (``CheckpointConfig.migration.enabled``) so the default failover path
-        stays byte-identical to the pre-migration runner."""
-        return (
-            self.directory is not None
-            and self.ckpt_config.migration.enabled
         )
 
     # ------------------------------------------------------------------
@@ -382,8 +363,8 @@ class ClusterRunner:
 
     def start_nodes(self, nodes: List[ClusterNode]) -> None:
         """Start *nodes*' run-time machinery: each rank's pre-copy
-        engine and SLO observer, then each helper's transport, rounds
-        process and place in the archive's view.  Run start passes
+        engine, then each helper's transport, rounds process and place
+        in the archive's view.  Run start passes
         every active node, hard-failure recovery the replacement;
         phase-major, so run start spawns every pre-copy engine before
         any helper."""
@@ -392,13 +373,6 @@ class ClusterRunner:
         if self.local_checkpoints:
             for state in ranks:
                 state.checkpointer.start_background()
-        guard = self.slo_guard
-        if guard is not None:
-            # every coordinated-checkpoint duration feeds the SLO guard
-            for state in ranks:
-                state.checkpointer.on_complete.append(
-                    lambda stats, g=guard: g.observe(stats.duration)
-                )
         helpers = [node.helper for node in nodes if node.helper is not None]
         for helper in helpers:
             helper.resilience = self.transports.get(helper.node_id, helper.resilience)
@@ -430,17 +404,10 @@ class ClusterRunner:
         engine = self.cluster.engine
         if self.resilience_active:
             self._start_resilience()
-        elastic = bool(self._membership_schedule) and self.directory is not None
-        if elastic:
-            from ..resilience.migration import SloGuard
-
-            self.slo_guard = SloGuard(
-                latency_slo=self.ckpt_config.migration.slo_checkpoint_latency
-            )
         self.start_nodes(self.cluster.active_nodes)
         for nid, monitor in self.monitors.items():
             self._bg_procs.append(engine.process(monitor.run(), name=f"n{nid}:hb"))
-        if elastic:
+        if self._membership_schedule and self.directory is not None:
             self._start_membership()
         if self.archive is not None:
             self._bg_procs.append(engine.process(self.archive.run(), name="archive"))
@@ -489,23 +456,18 @@ class ClusterRunner:
         from .membership import MembershipController
 
         engine = self.cluster.engine
-        mcfg = self.ckpt_config.migration
-        planner = None
-        launch = None
-        if mcfg.enabled:
-            planner = MigrationPlanner(
-                self.directory,
-                fits=lambda orphan, cand, pending: phases.buddy_capacity_ok(
-                    self, orphan, cand, pending
-                ),
-            )
-            launch = lambda plan, done: phases.start_migration(self, plan, done)
+        planner = MigrationPlanner(
+            self.directory,
+            fits=lambda orphan, cand, pending: phases.buddy_capacity_ok(
+                self, orphan, cand, pending
+            ),
+        )
         self.membership_controller = MembershipController(
             engine,
             self.directory,
             self._membership_schedule,
-            planner=planner,
-            launch_migration=launch,
+            planner,
+            lambda plan, done: phases.start_migration(self, plan, done),
         )
         self._bg_procs.append(
             engine.process(self.membership_controller.run(), name="membership")
@@ -739,10 +701,4 @@ class ClusterRunner:
             res.membership_departs = ctrl.departs
             res.migrations_planned = ctrl.plans_issued
         res.migration_batches = sum(t.batches for t in self._migrations)
-        res.migration_slo_pauses = sum(t.slo_pauses for t in self._migrations)
-        res.migration_throttled_batches = sum(
-            t.throttled_batches for t in self._migrations
-        )
-        if self.slo_guard is not None:
-            res.migration_max_ckpt_latency = self.slo_guard.max_latency
         return res

@@ -36,7 +36,6 @@ __all__ = [
     "InterconnectConfig",
     "ClusterConfig",
     "PrecopyPolicy",
-    "MigrationConfig",
     "CheckpointConfig",
     "FailureConfig",
 ]
@@ -255,30 +254,6 @@ class PrecopyPolicy:
 
 
 @dataclass(frozen=True)
-class MigrationConfig:
-    """Knobs for planned live chunk migration
-    (:mod:`repro.resilience.migration`): bounded-batch moves of a
-    node's remote copies to a new buddy while the old pairing stays
-    live, with an SLO guard that pauses batches when per-interval
-    checkpoint latency is at risk.  The guard's fractions are
-    :class:`~repro.resilience.migration.SloGuard`'s defaults, the batch
-    bound :data:`~repro.resilience.migration.BATCH_BYTES`, the pacing
-    and failure budget
-    :class:`~repro.resilience.migration.MigrationTask`'s.  Off by
-    default — runs without elastic membership stay byte-identical to
-    the pre-migration pipeline."""
-
-    enabled: bool = False
-    #: per-interval coordinated-checkpoint latency SLO (seconds).
-    #: ``inf`` disables the guard entirely.
-    slo_checkpoint_latency: float = float("inf")
-
-    def __post_init__(self) -> None:
-        if not self.slo_checkpoint_latency > 0:
-            raise ConfigError("slo_checkpoint_latency must be positive")
-
-
-@dataclass(frozen=True)
 class CheckpointConfig:
     """Intervals, pre-copy and remote policy for a run.  Every run keeps
     two versions of each chunk (committed + in-progress)."""
@@ -292,8 +267,6 @@ class CheckpointConfig:
     remote_precopy: bool = True
     #: store/verify per-chunk checksums (optional feature, §V).
     checksums: bool = True
-    #: planned live migration (elastic membership, repro.resilience).
-    migration: MigrationConfig = MigrationConfig()
 
 
 # ---------------------------------------------------------------------------

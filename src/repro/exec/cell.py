@@ -10,7 +10,8 @@ same surface — neither owns any config-resolution logic of its own.
 
 A scripted run — the elastic grow/shrink story, the link-flap demo —
 is a cell too: ``--scenario NAME`` picks an entry of :data:`SCENARIOS`
-(spare nodes, scripted failures, membership events, live migration),
+(spare nodes, scripted failures, membership events — which migrate
+buddy copies live),
 so the sweep tool, the cache and the trace see it like any other run.
 
 Every run is deterministic for a given ``seed``.  A cell runs with the
@@ -40,7 +41,6 @@ from ..config import (
     CheckpointConfig,
     ClusterConfig,
     FailureConfig,
-    MigrationConfig,
     PrecopyPolicy,
 )
 from ..errors import ConfigError
@@ -96,17 +96,19 @@ class Scenario(NamedTuple):
     #: buddy pool's join candidates
     spares: int = 0
     failures: Tuple[FailureEvent, ...] = ()
+    #: joins and drains, each played as live migration of buddy copies
     membership: Tuple[MembershipEvent, ...] = ()
-    #: planned live migration on, bounded by ``--slo-checkpoint-latency``
-    migration: bool = False
 
 
 #: the scripted runs, on the ring pairing 0->1->2->3->0.  The elastic
 #: arms: node 2's early death re-pairs its orphan (node 1) onto node 0,
-#: overloading it.  Without elasticity node 1's new buddy dies late and
-#: both failovers re-send a full footprint; with it, spare node 4 joins
-#: (node 1's copies migrate onto it live), the replaced node 2 drains
-#: out, and node 4's death fails node 1 back to node 0 incrementally.
+#: overloading it.  In ``elastic-full-resync`` node 1 dies late and its
+#: orphan (node 0) re-pairs onto node 3, which it never streamed to, so
+#: both failovers re-send a full footprint.  In ``elastic-migrate``
+#: spare node 4 joins (node 1's copies migrate onto it live), the
+#: replaced node 2 drains out, and node 4's death fails node 1 back to
+#: node 0, which still holds every chunk not re-committed since: only
+#: the rest re-sends.
 SCENARIOS: Dict[str, Scenario] = {
     "elastic-clean": Scenario(nodes=4, spares=2),
     "elastic-full-resync": Scenario(4, 2, failures=(
@@ -117,7 +119,7 @@ SCENARIOS: Dict[str, Scenario] = {
     # intervals.  At the default 40 s/120 s no commit lands before
     # ~110 s, so the drain at 95 s plans and "completes" a 0-chunk move
     # (migrations_completed 1, migration_batches 0)
-    "elastic-migrate": Scenario(4, 2, migration=True, failures=(
+    "elastic-migrate": Scenario(4, 2, failures=(
         FailureEvent(35.0, node=2, kind="hard"),
         FailureEvent(140.0, node=4, kind="hard"),
     ), membership=(
@@ -188,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenario", choices=sorted(SCENARIOS), default=None,
                    help="play a scripted run: spare nodes, scripted "
                         "failures and membership events")
-    p.add_argument("--slo-checkpoint-latency", type=float, default=None,
-                   help="per-interval coordinated-checkpoint latency SLO "
-                        "(s) that throttles a migrating scenario's moves")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--timeline", action="store_true",
                    help="print the phase timeline (Fig. 5 style)")
@@ -219,8 +218,7 @@ def _positive(value: float) -> bool:
 OPTION_DOMAINS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
     **dict.fromkeys(
         ("--nvm-gbps", "--pfs-gbps", "--nvm-capacity-gb", "--local-interval",
-         "--remote-interval", "--slo-checkpoint-latency", "--checkpoint-mb",
-         "--chunk-mb"),
+         "--remote-interval", "--checkpoint-mb", "--chunk-mb"),
         (_positive, "must be positive and finite"),
     ),
     **dict.fromkeys(("--mtbf-local", "--mtbf-remote"),
@@ -314,11 +312,6 @@ def check_combination(args: argparse.Namespace) -> None:
                 f"--scenario {args.scenario} is written for --nodes "
                 f"{scenario.nodes}, not {args.nodes}"
             )
-    if args.slo_checkpoint_latency is not None and not (scenario and scenario.migration):
-        raise ConfigError(
-            "--slo-checkpoint-latency bounds live migration, which only a "
-            "migrating --scenario runs"
-        )
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -388,10 +381,6 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
     app = APPS[args.app](args)
     app.iteration_compute_time = args.local_interval
     scenario = SCENARIOS[args.scenario] if args.scenario else Scenario(args.nodes)
-    migration = MigrationConfig()
-    if scenario.migration:
-        slo = args.slo_checkpoint_latency or math.inf
-        migration = MigrationConfig(enabled=True, slo_checkpoint_latency=slo)
     config = CheckpointConfig(
         local_interval=args.local_interval,
         remote_interval=args.remote_interval,
@@ -402,7 +391,6 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
             codec=args.codec,
         ),
         remote_precopy=not args.no_remote_precopy,
-        migration=migration,
     )
     cluster_config = ClusterConfig(nodes=args.nodes + scenario.spares)
     if args.nvm_capacity_gb is not None:

@@ -279,7 +279,8 @@ class MigrationBatchEvent(TraceEvent):
     chunks: int
     nbytes: int
     start: float
-    #: batch ran at reduced pace because latency neared the SLO
+    #: always False (no code throttles a batch); kept so schema v5
+    #: lines keep their shape
     throttled: bool = False
 
 

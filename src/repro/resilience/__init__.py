@@ -16,22 +16,24 @@ produces into failure *behaviour* the runtime tolerates:
   tracking the live pairing, re-pairing orphans to healthy topology
   neighbors;
 * :mod:`~repro.resilience.resync` — :class:`ResyncTask`, the paced
-  background re-send of all committed chunks to a new buddy, aborted
-  by the first send that fails;
+  background re-send to a new buddy of the committed chunks it does
+  not already hold at their latest commit generation (all of them on
+  a buddy never streamed to, or on replaced hardware), aborted by the
+  first send that fails;
 * :mod:`~repro.resilience.degraded` — :class:`DegradedModeController`,
   local-only operation while no healthy remote target exists; the
   interval it re-solves from the §III model sets the helper's pacing
   (so the re-sync pace), not the ranks' local checkpoint interval;
 * :mod:`~repro.resilience.migration` — :class:`MigrationPlanner`,
-  :class:`MigrationTask` and :class:`SloGuard`: bounded-batch live
-  migration of buddy-hosted copies for planned membership changes,
-  throttled against a checkpoint-latency SLO.
+  :class:`MigrationTask`: bounded-batch live migration of
+  buddy-hosted copies for planned membership changes, paced under the
+  remote pre-copy stream.
 """
 
 from .degraded import DegradedModeController, degraded_local_interval
 from .directory import BuddyDirectory
 from .health import HealthMonitor
-from .migration import MigrationPlan, MigrationPlanner, MigrationTask, SloGuard
+from .migration import MigrationPlan, MigrationPlanner, MigrationTask
 from .resync import ResyncTask
 from .retry import ResilientTransport, RetryPolicy, TransferStats
 
@@ -45,7 +47,6 @@ __all__ = [
     "ResilientTransport",
     "ResyncTask",
     "RetryPolicy",
-    "SloGuard",
     "TransferStats",
     "degraded_local_interval",
 ]

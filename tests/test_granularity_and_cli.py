@@ -215,8 +215,6 @@ class TestCellCombinations:
             ("--remote-interval", "nan"),
             ("--iterations", "-1"),
             ("--iterations", "0"),
-            ("--nodes", "4", "--scenario", "elastic-migrate", "--slo-checkpoint-latency", "nan"),
-            ("--nodes", "4", "--scenario", "elastic-migrate", "--slo-checkpoint-latency", "0"),
             # a scenario scripts its own failures over the remote tier
             ("--nodes", "4", "--scenario", "link-flap", "--mtbf-local", "60"),
             ("--nodes", "4", "--scenario", "link-flap", "--mtbf-remote", "60"),
@@ -225,10 +223,6 @@ class TestCellCombinations:
             ("--nodes", "4", "--scenario", "link-flap", "--ideal"),
             # ... on the nodes it was written for
             ("--scenario", "elastic-clean"),
-            # an SLO bounds live migration, which only a migrating
-            # scenario runs
-            ("--slo-checkpoint-latency", "1.0"),
-            ("--nodes", "4", "--scenario", "link-flap", "--slo-checkpoint-latency", "1.0"),
             # a codec and a compression model both define the wire
             # volume ...
             ("--codec", "delta", "--compress-ratio", "0.5"),
@@ -269,18 +263,10 @@ class TestCellCombinations:
             ("--ideal", "--mode", "none"),
             ("--compress-ratio", "0.5", "--mtbf-remote", "60", "--archive"),
             ("--nodes", "4", "--scenario", "link-flap", "--archive"),
-            ("--nodes", "4", "--scenario", "elastic-migrate", "--slo-checkpoint-latency", "0.5"),
+            ("--nodes", "4", "--scenario", "elastic-migrate"),
         ],
     )
     def test_honoured_combinations_resolve(self, extra):
         from repro.exec.grid import expand_grid
 
         assert len(expand_grid([*self.BASE, *extra])) == 1
-
-    @pytest.mark.parametrize("slo", [float("nan"), 0.0, -1.0])
-    def test_migration_config_refuses_an_slo_no_run_can_meet(self, slo):
-        from repro.config import MigrationConfig
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="slo_checkpoint_latency"):
-            MigrationConfig(enabled=True, slo_checkpoint_latency=slo)

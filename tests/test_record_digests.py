@@ -2,8 +2,8 @@
 
 The golden records (``tests/golden/pinned_grid_records.json``) hold no
 failure-heavy and no elastic run, so nothing there notices if the
-retry/heartbeat/re-sync constants or the migration pacing and SLO
-fractions change value.  These runs use all of them at their defaults:
+retry/heartbeat/re-sync constants or the migration pacing and batch
+bound change value.  These runs use all of them at their defaults:
 
 * the ``synthetic-failures-restart`` perfbench cell (retries, heartbeats,
   degraded mode, re-sync, soft and hard restarts);
@@ -11,9 +11,10 @@ fractions change value.  These runs use all of them at their defaults:
   local stream copies page extents while the remote one, under the
   wire entropy stage, copies whole chunks, so each stream keeps its
   own page state (or none);
-* the four ``--scenario`` cells: the ``elastic`` bench block's three
-  arms — clean, full-resync baseline, and the migrating run at the SLO
-  the block calibrates (SLO guard and live migration) — and
+* the four ``--scenario`` cells: the three elastic arms — clean, the
+  ``elastic`` bench block's full-resync baseline and its migrating run
+  (live migration, and a failover back onto a buddy that still holds
+  most chunks) — and
   ``examples/degraded_mode_demo.py``'s link flap (a transient outage,
   then a hard failure of the same node: retries, degraded mode and a
   buddy re-pair), all recorded from the hand-built runs they replaced;
@@ -125,17 +126,11 @@ def cell_digest(argv) -> str:
 
 
 def elastic_digests() -> dict:
-    """The ``elastic`` bench block's three cells, the migrating one at
-    the SLO the block calibrates."""
+    """The bench's elastic cell under each elastic scenario."""
     from repro.exec.cell import run_cell
-    from repro.tools.bench import elastic_config, elastic_slo
+    from repro.tools.bench import elastic_config
 
-    slo = elastic_slo()[0]
-    extra = {"elastic-migrate": ["--slo-checkpoint-latency", repr(slo)]}
-    return {
-        name: _digest(run_cell(elastic_config(name, *extra.get(name, []))))
-        for name in ELASTIC_ARMS
-    }
+    return {name: _digest(run_cell(elastic_config(name))) for name in ELASTIC_ARMS}
 
 
 def link_flap_digest() -> dict:

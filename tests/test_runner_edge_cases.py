@@ -8,7 +8,6 @@ from repro.baselines import precopy_config
 from repro.baselines.pfs import PfsModel
 from repro.cluster import Cluster, ClusterRunner, phases
 from repro.cluster.failures import FailureEvent, ScriptedInjector
-from repro.cluster.membership import MembershipEvent
 from repro.config import (
     CheckpointConfig,
     ClusterConfig,
@@ -18,7 +17,6 @@ from repro.config import (
 from repro.core import CompressionModel
 from repro.core.destination import PfsDestination
 from repro.errors import ClusterError
-from repro.resilience.migration import SloGuard
 from repro.units import GB_per_sec
 
 
@@ -96,14 +94,12 @@ class TestReplacementNodeKeepsTheBuildRecipe:
 
 
 def _machinery(runner, state) -> dict:
-    """What runs for one rank: its pre-copy process, SLO observers,
-    and its node's helper rounds processes."""
+    """What runs for one rank: its pre-copy process and its node's
+    helper rounds processes."""
     ck = state.checkpointer
-    defaults = [d for cb in ck.on_complete for d in getattr(cb, "__defaults__", None) or ()]
     rounds = f"{runner.cluster.nodes[state.node_id].helper.owner}:rounds"
     return {
         "precopy": int(ck._precopy_proc is not None and ck._precopy_proc.alive),
-        "slo_observer": sum(isinstance(d, SloGuard) for d in defaults),
         "rounds": sum(p.alive and p.name == rounds for p in runner._bg_procs),
     }
 
@@ -120,8 +116,6 @@ class TestReplacementNodeIsStartedLikeTheOriginal:
         runner = ClusterRunner(
             cluster,
             injector=ScriptedInjector([FailureEvent(time=45.0, node=0, kind="hard")]),
-            # a spare joins: the run gets an SLO guard and its observers
-            membership=[MembershipEvent(time=5.0, node=3, action="join")],
         )
         snapshots = []
         recover_hard = phases.recover_hard
@@ -140,7 +134,7 @@ class TestReplacementNodeIsStartedLikeTheOriginal:
         (snapshot,) = snapshots
         return snapshot
 
-    @pytest.mark.parametrize("part", ["precopy", "slo_observer", "rounds"])
+    @pytest.mark.parametrize("part", ["precopy", "rounds"])
     def test_replacement_ranks_run_what_original_ranks_run(self, after_recovery, part):
         # r0 and r1 run on the replacement, r2-r5 on untouched nodes
         counts = {rank: m[part] for rank, m in after_recovery.items()}

@@ -128,7 +128,8 @@ class TestLayering:
         [
             (".start_background(", {"start_nodes"}),
             (".stop_background(", {"stop_nodes"}),
-            (".observe(stats.duration)", {"start_nodes"}),  # the SLO observer
+            # no checkpoint-latency observer is attached anywhere
+            (".observe(stats.duration)", set()),
             ("_attach_slo_observer(", set()),
         ],
     )
