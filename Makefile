@@ -31,9 +31,9 @@ reach:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/reach.py
 
 # record audit: run every entry-point cell (pinned grid, --scenario
-# cells under lammps and synthetic, the bench elastic arms, the perfbench
-# workloads' cells) and print each record leaf's min, max and the cells
-# where it is non-zero; ungated, ~15 s
+# cells under lammps and synthetic, the perfbench workloads' cells) and
+# print each record leaf's min, max and the cells where it is non-zero;
+# ungated, ~15 s
 record-audit:
 	PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/record_audit.py
 

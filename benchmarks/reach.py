@@ -1,7 +1,7 @@
 """Reach audit: which functions under ``src/repro`` no entry point runs.
 
 Runs every non-test entry point of the repository — the full bench and
-its smokes, every example, the crash-point matrix, the four scripted
+its smokes, every example, the crash-point matrix, the two scripted
 ``--scenario`` cells, a two-cell sweep and the figure benchmarks — each
 in its own interpreter under a ``sys.setprofile`` hook that records the
 code object of every Python call, forked pool workers included.  It
@@ -46,15 +46,14 @@ _SWEEP_CELL = [
     "--checkpoint-mb", "40", "--chunk-mb", "10", "--no-remote",
 ]
 
-#: the scripted cells at the degraded-mode example's size (the default
-#: LAMMPS size overflows NVM under two of them)
+#: the scripted cells at the degraded-mode example's size
 _SCENARIO_CELL = [
     "--app", "synthetic", "--ranks-per-node", "2", "--local-interval", "10",
     "--remote-interval", "30", "--checkpoint-mb", "20", "--chunk-mb", "5",
     "--comm-mb", "5", "--iterations", "10", "--seed", "5",
 ]
 
-_SCENARIOS = ("elastic-clean", "elastic-full-resync", "elastic-migrate", "link-flap")
+_SCENARIOS = ("elastic-full-resync", "link-flap")
 
 
 def entry_points(out_dir: str) -> List[Tuple[str, List[str]]]:

@@ -1,11 +1,11 @@
 """Record audit: which ``RunResult.to_dict()`` leaves do entry-point cells move?
 
 Runs every cell that an entry point runs (the 16 pinned bench cells,
-the four ``--scenario`` cells under ``lammps`` and under ``synthetic``,
-the bench ``elastic`` block's three arms, and the cells of the six
-perfbench workloads at seed 1) and prints, per record leaf, its min and
-max over the cells whose record has it, and the cells where it is
-non-zero (or, when most are, the cells where it is zero).  Ungated:
+the two ``--scenario`` cells under ``lammps`` and under ``synthetic``,
+and the cells of the six perfbench workloads at seed 1) and prints, per
+record leaf, its min and max over the cells whose record has it, and
+the cells where it is non-zero (or, when most are, the cells where it
+is zero).  Ungated:
 
     PYTHONPATH=src python benchmarks/record_audit.py     # or: make record-audit
 """
@@ -21,7 +21,7 @@ sys.path.insert(0, ROOT)
 from perfbench.workloads import WORKLOADS, make_inputs  # noqa: E402
 from repro.exec.cell import SCENARIOS, build_parser, resolve_config, run_cell  # noqa: E402
 from repro.exec.grid import expand_grid  # noqa: E402
-from repro.tools.bench import PINNED_GRID, elastic_config  # noqa: E402
+from repro.tools.bench import PINNED_GRID  # noqa: E402
 
 
 def cells():
@@ -36,8 +36,6 @@ def cells():
         for scenario in SCENARIOS:
             argv = ["--app", app, "--scenario", scenario]
             yield f"{app}:{scenario}", resolve_config(build_parser().parse_args(argv))
-    for arm in ("elastic-clean", "elastic-full-resync", "elastic-migrate"):
-        yield f"bench:{arm}", elastic_config(arm)
 
 
 def leaves(record, prefix=""):

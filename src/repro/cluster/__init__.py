@@ -5,7 +5,6 @@ injection and the end-to-end experiment runner.
 
 from .mpi import Barrier
 from .failures import FailureEvent, FailureInjector, ScriptedInjector
-from .membership import MembershipController, MembershipEvent
 from .node import ClusterNode, RankState
 from .cluster import Cluster
 from .runner import ClusterRunner, RunResult
@@ -15,8 +14,6 @@ __all__ = [
     "FailureEvent",
     "FailureInjector",
     "ScriptedInjector",
-    "MembershipController",
-    "MembershipEvent",
     "ClusterNode",
     "RankState",
     "Cluster",

@@ -40,7 +40,6 @@ __all__ = [
     "orphan_failover",
     "repair_orphan",
     "resync_proc",
-    "start_migration",
     "recover_soft",
     "fetch_source_for",
     "recover_hard",
@@ -124,7 +123,7 @@ def handle_failure(runner, ev: FailureEvent, procs):
     # chunk whose current buddy holds its latest commit generation is
     # *provably* still covered (rollback restores committed state, which
     # is exactly what was streamed), so only generation-mismatched
-    # chunks re-dirty — the incremental-failover saving
+    # chunks re-dirty
     for state in runner.cluster.all_ranks():
         helper = runner.cluster.nodes[state.node_id].helper
         for chunk in state.allocator.chunks():
@@ -154,14 +153,11 @@ def handle_failure(runner, ev: FailureEvent, procs):
 
 def drop_uncommitted_on(runner, node_id: int) -> None:
     """Node *node_id* reboots and loses its unflushed writes: no helper
-    or migration may later commit, or count as held, a copy it staged
-    there since its last commit."""
+    may later commit, or count as held, a copy it staged there since
+    its last commit."""
     for n in runner.cluster.active_nodes:
         if n.helper is not None:
             n.helper.drop_uncommitted(node_id)
-    for task in runner._migrations:
-        if task.plan.to_buddy == node_id and not (task.completed or task.aborted):
-            task.drop_uncommitted()
 
 
 def _versions(allocators) -> int:
@@ -171,24 +167,21 @@ def _versions(allocators) -> int:
     )
 
 
-def buddy_capacity_ok(runner, orphan_id: int, candidate_id: int, pending=()) -> bool:
+def buddy_capacity_ok(runner, orphan_id: int, candidate_id: int) -> bool:
     """Can the candidate's NVM hold the orphan's remote copies on
     top of what it already owes?  The gate reserves rather than reads
     ``device.free``: remote targets and second version slots map
     lazily, so free space overstates the room.  The candidate owes
-    two versions of its own ranks' chunks and of every source whose
-    helper already points at it.  ``pending`` names sources a planner
-    sweep has already routed onto the candidate; they move with the
-    orphan, so the gate must hold for the combined footprint."""
+    two versions of its own ranks' chunks and of every other source
+    whose helper already points at it."""
     nodes = runner.cluster.nodes
-    movers = (orphan_id, *pending)
     owed = _versions(s.allocator for s in nodes[candidate_id].ranks)
     needed = 0
     for node in nodes:
         helper = node.helper
         if helper is None:
             continue
-        if node.node_id in movers:
+        if node.node_id == orphan_id:
             needed += _versions(helper.ranks)
         elif helper.buddy_id == candidate_id:
             owed += _versions(helper.ranks)
@@ -234,8 +227,8 @@ def repair_orphan(runner, orphan_id: int, new_buddy: int) -> None:
     helper = node.helper
     if helper is None:
         return
-    # failing over to a buddy that was streamed to before (on the same
-    # hardware) re-sends only the chunks whose commit generation moved
+    # the new buddy holds none of the orphan's copies: the re-sync
+    # re-sends every committed chunk
     helper.retarget(new_buddy, runner.cluster.nodes[new_buddy].ctx)
     monitor = runner.monitors.get(orphan_id)
     if monitor is not None:
@@ -265,54 +258,9 @@ def resync_proc(runner, node_id: int, task):
         # a send failed (not a newer retarget): the node is still
         # unprotected — keep it in degraded mode until a later repair
         # or recovery succeeds
-        runner.result.resyncs_aborted += 1
         ctrl = runner.controllers.get(node_id)
         if ctrl is not None:
             ctrl.enter("resync-aborted")
-
-
-def start_migration(runner, plan, done) -> bool:
-    """Launch a bounded-batch live migration for one plan (the
-    membership controller's hook).  Returns False when the plan can no
-    longer start — source helper gone, or its pairing already moved on
-    from what the planner saw."""
-    from ..resilience.migration import MigrationTask
-
-    engine = runner.cluster.engine
-    node = runner.cluster.nodes[plan.node]
-    helper = node.helper
-    if helper is None or helper.buddy_id != plan.from_buddy:
-        return False
-    if plan.node in runner._resyncing:
-        # a re-sync owns the helper's queue right now; migrating the
-        # pairing out from under it would race the drain
-        return False
-
-    def on_cutover(task) -> None:
-        runner.result.migrations_completed += 1
-        runner.result.migration_bytes += task.bytes_sent
-        runner.directory.rebind(plan.node, plan.to_buddy)
-        monitor = runner.monitors.get(plan.node)
-        if monitor is not None:
-            monitor.retarget(plan.to_buddy)
-        done(plan, True)
-
-    def on_abort(task) -> None:
-        runner.result.migrations_aborted += 1
-        done(plan, False)
-
-    task = MigrationTask(
-        helper,
-        plan,
-        runner.cluster.nodes[plan.to_buddy].ctx,
-        on_cutover=on_cutover,
-        on_abort=on_abort,
-    )
-    runner._migrations.append(task)
-    runner._bg_procs.append(
-        engine.process(task.run(), name=f"n{plan.node}:migrate->{plan.to_buddy}")
-    )
-    return True
 
 
 def recover_soft(runner, node: ClusterNode):
@@ -359,9 +307,10 @@ def recover_hard(runner, node: ClusterNode):
     # which iteration did the buddy last capture for this node?
     rollback = 0
     if not node.ranks:
-        # a rank-less buddy host (a spare admitted via membership) lost
-        # no application state: survivors keep their committed progress
-        # and only the copies it hosted must be re-covered (failover)
+        # a rank-less node (a spare, which a scripted failure can
+        # name) lost no application state: survivors keep their
+        # committed progress and only the copies it hosted, if any,
+        # must be re-covered (failover)
         rollback = runner.committed_iteration
     elif node.helper is not None and node.helper.history:
         last_start = node.helper.history[-1].start

@@ -20,8 +20,7 @@ recovery:
   computing, but in-flight remote transfers tear down and the
   resilience layer (:mod:`repro.resilience`) must retry them.
 
-When failures are injected (or a membership schedule plays) on a
-cluster with remote helpers, the runner wires the resilience layer
+When failures are injected on a cluster with remote helpers, the runner wires the resilience layer
 in: per-node retrying transports around the helpers' RDMA sends (one
 default :class:`~repro.resilience.retry.RetryPolicy`), buddy heartbeat
 monitors, a live :class:`~repro.resilience.directory.BuddyDirectory`
@@ -47,7 +46,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from ..config import FailureConfig, PrecopyPolicy
+from ..config import FailureConfig
 from ..core.copystep import CopyAccounting
 from ..errors import ClusterError, ProcessKilled
 from ..sim.rng import RngStreams
@@ -121,23 +120,6 @@ class RunResult:
     #: sweeps) stay byte-identical
     codec: bool = False
     codec_name: str = "raw"
-
-    # -- elastic membership / live migration --
-    #: set when the run had a membership schedule; gates the extra
-    #: ``membership`` block in :meth:`to_dict` so runs without elastic
-    #: membership (goldens, caches, sweeps) stay byte-identical
-    elastic: bool = False
-    membership_joins: int = 0
-    membership_drains: int = 0
-    membership_departs: int = 0
-    migrations_planned: int = 0
-    migrations_completed: int = 0
-    migrations_aborted: int = 0
-    migration_batches: int = 0
-    migration_bytes: int = 0
-    #: re-sync tasks that exhausted their failure budget (node left
-    #: degraded) — also surfaced as ``resync.aborted`` trace events
-    resyncs_aborted: int = 0
 
     # -- PFS checkpoint path and archive tier --
     #: bytes written through the PFS checkpoint path; ``None`` (no PFS
@@ -241,18 +223,6 @@ class RunResult:
                 "blocks_ref": acc.codec_blocks_ref,
                 "dedup_hit_rate": acc.codec_blocks_ref / blocks if blocks else 0.0,
             }
-        if self.elastic:
-            out["membership"] = {
-                "joins": self.membership_joins,
-                "drains": self.membership_drains,
-                "departs": self.membership_departs,
-                "migrations_planned": self.migrations_planned,
-                "migrations_completed": self.migrations_completed,
-                "migrations_aborted": self.migrations_aborted,
-                "migration_batches": self.migration_batches,
-                "migration_gb": to_GB(self.migration_bytes),
-                "resyncs_aborted": self.resyncs_aborted,
-            }
         if self.pfs_bytes is not None:
             out["pfs"] = {"gb": to_GB(self.pfs_bytes), "file_ops": self.pfs_file_ops}
         if self.archive_bytes is not None:
@@ -272,7 +242,6 @@ class ClusterRunner:
         fail_until_iteration: Optional[int] = None,
         archive=None,
         injector=None,
-        membership=None,
     ) -> None:
         if cluster.app is None or cluster.ckpt_config is None:
             raise ClusterError("cluster must be built before running")
@@ -312,21 +281,14 @@ class ClusterRunner:
         #: cached peeked failure so interleaved segment restarts never
         #: skip or duplicate an injector event
         self._pending_failure: Optional[FailureEvent] = None
-        # -- elastic membership / live migration --
-        #: planned join/drain schedule (sequence of MembershipEvent)
-        self._membership_schedule = list(membership) if membership else []
-        self.membership_controller = None
-        self._migrations: List = []
 
     @property
     def resilience_active(self) -> bool:
         """The resilience layer only activates for runs that inject
-        failures or play a membership schedule: without either there is
-        nothing to survive or rebalance and the run stays byte-identical
-        to the pre-resilience runner."""
-        return (
-            (self.injector is not None or bool(self._membership_schedule))
-            and any(n.helper is not None for n in self.cluster.active_nodes)
+        failures: without them there is nothing to survive and the run
+        stays byte-identical to the pre-resilience runner."""
+        return self.injector is not None and any(
+            n.helper is not None for n in self.cluster.active_nodes
         )
 
     # ------------------------------------------------------------------
@@ -407,8 +369,6 @@ class ClusterRunner:
         self.start_nodes(self.cluster.active_nodes)
         for nid, monitor in self.monitors.items():
             self._bg_procs.append(engine.process(monitor.run(), name=f"n{nid}:hb"))
-        if self._membership_schedule and self.directory is not None:
-            self._start_membership()
         if self.archive is not None:
             self._bg_procs.append(engine.process(self.archive.run(), name="archive"))
 
@@ -450,28 +410,6 @@ class ClusterRunner:
                 on_down=self._make_on_down(nid),
                 on_up=self._make_on_up(nid),
             )
-
-    def _start_membership(self) -> None:
-        from ..resilience.migration import MigrationPlanner
-        from .membership import MembershipController
-
-        engine = self.cluster.engine
-        planner = MigrationPlanner(
-            self.directory,
-            fits=lambda orphan, cand, pending: phases.buddy_capacity_ok(
-                self, orphan, cand, pending
-            ),
-        )
-        self.membership_controller = MembershipController(
-            engine,
-            self.directory,
-            self._membership_schedule,
-            planner,
-            lambda plan, done: phases.start_migration(self, plan, done),
-        )
-        self._bg_procs.append(
-            engine.process(self.membership_controller.run(), name="membership")
-        )
 
     def _make_interval_hook(self, node_id: int):
         """Apply a (degraded or restored) interval to the node's helper
@@ -666,7 +604,7 @@ class ClusterRunner:
                 h.helper_utilization(t_end) for h in helpers
             ) / len(helpers)
         # fabric
-        CKPT_KINDS = ["rckpt", "rprecopy", "rfetch", "resync", "migrate"]
+        CKPT_KINDS = ["rckpt", "rprecopy", "rfetch", "resync"]
         res.fabric_ckpt_peak_window_bytes = cluster.fabric.peak_window_usage(
             1.0, t_end, kinds=CKPT_KINDS
         )
@@ -692,13 +630,4 @@ class ClusterRunner:
             res.degraded_time_total += ctrl.degraded_time
         if self.directory is not None:
             res.buddy_repairs = len(self.directory.repairs)
-        # elastic membership / live migration
-        ctrl = self.membership_controller
-        if ctrl is not None:
-            res.elastic = True
-            res.membership_joins = ctrl.joins
-            res.membership_drains = ctrl.drains
-            res.membership_departs = ctrl.departs
-            res.migrations_planned = ctrl.plans_issued
-        res.migration_batches = sum(t.batches for t in self._migrations)
         return res

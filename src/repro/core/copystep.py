@@ -3,8 +3,8 @@
 The paper's data path has exactly one operation — copy a dirty chunk's
 bytes to a version slot, stage it, commit later.  Four sites run it
 (the coordinated step, the local pre-copy engine, the remote stream,
-the remote round) and two resilience tasks run its whole-chunk form
-(re-sync, migration).  What *one copy* means is decided here, once:
+the remote round) and the re-sync runs its whole-chunk form.  What
+*one copy* means is decided here, once:
 
 * :meth:`CopyStep.plan` turns ``(chunk, destination)`` into a
   :class:`CopyPlan` through an ordered stage list — pending extents
@@ -313,7 +313,7 @@ class CopyStep:
 
     def plan_whole(self, chunk: Chunk) -> CopyPlan:
         """Plan a raw whole-chunk send to a buddy that holds nothing to
-        delta or dedup against (re-sync, migration); the receiver
+        delta or dedup against (the re-sync); the receiver
         stages it itself."""
         return self._wire_stage(chunk, None, None, self._raw_payload(chunk, None))
 

@@ -377,7 +377,7 @@ class RemoteHelper:
         self.resilience = resilience
         self.owner = f"n{node_id}:helper"
         #: the copy step of this node's remote stream, shared by the
-        #: stream, the round, re-sync and migration.  *compression* (an
+        #: stream, the round and re-sync.  *compression* (an
         #: optional CompressionModel: payloads are compressed before
         #: crossing the fabric, mcrengine-style volume/CPU trade) is its
         #: wire stage; combining it with a payload codec is a ConfigError
@@ -398,7 +398,7 @@ class RemoteHelper:
         #: rank pid -> its buddy-side Destination on the current buddy.
         #: :meth:`retarget` is the only code that swaps it
         self.targets: Dict[str, RemoteTarget] = {}
-        self._point_at(self.new_targets(buddy_ctx))
+        self._point_at(buddy_ctx)
         self.history: List[RemoteCheckpointStats] = []
         self._stop = False
         self._paused = False
@@ -408,22 +408,18 @@ class RemoteHelper:
         #: coalescing stream queue: (pid, chunk_id) -> Chunk, FIFO
         self._queue: Dict[Tuple[str, int], Chunk] = {}
         self._wake: Optional[Wake] = None
-        # -- replication bookkeeping (incremental failover/migration) --
+        # -- replication bookkeeping (what survives a failure) --
         #: (pid, chunk_id) -> commit generation; bumped every time a
-        #: local commit (re-)queues the chunk, so a buddy's copy is
+        #: local commit (re-)queues the chunk, so the buddy's copy is
         #: provably current iff its recorded generation matches.
         self._dirty_epoch: Dict[Tuple[str, int], int] = {}
-        #: buddy node id -> {(pid, chunk_id) -> generation committed};
-        #: which content each buddy (past or present) durably holds.
-        self._replicated: Dict[int, Dict[Tuple[str, int], int]] = {}
+        #: (pid, chunk_id) -> generation the current buddy durably holds
+        #: (committed); :meth:`retarget` clears it
+        self._replicated: Dict[Tuple[str, int], int] = {}
         #: (pid, chunk_id) -> generation staged on the current buddy and
         #: not yet committed there; :meth:`commit_target` moves it into
         #: ``_replicated``, a reboot of the buddy drops it
         self._pending: Dict[Tuple[str, int], int] = {}
-        #: buddy node id -> its RemoteTarget map from when it was (or is
-        #: being prepared as) a pairing; valid for reuse only while the
-        #: buddy's context is unchanged (hardware replacement voids it).
-        self._known_targets: Dict[int, Dict[str, RemoteTarget]] = {}
 
     # ------------------------------------------------------------------
     # Stream queue (fed by local checkpoint commits).
@@ -457,8 +453,8 @@ class RemoteHelper:
         it was last sent to the buddy (the nvdirty query) and, with the
         remote pre-copy stream on, queue it.  Re-commits of a queued
         chunk coalesce.  The generation moves without the stream too:
-        rounds re-send every chunk, but a failover asks
-        :meth:`holds_current` what the buddy lacks."""
+        rounds re-send every chunk, but a failure's dirty-state reset
+        asks :meth:`holds_current` what the buddy lacks."""
         stream = self.config.remote_precopy
         for alloc in self.ranks:
             if alloc.pid != pid:
@@ -477,8 +473,8 @@ class RemoteHelper:
 
     def enqueue_unreplicated(self) -> None:
         """Queue the committed chunks the *current* buddy does not hold
-        at their latest commit generation: all of them on a buddy that
-        holds nothing, just the delta on one streamed to before."""
+        at their latest commit generation: all of them on a new buddy,
+        those committed since the buddy last committed them otherwise."""
         for alloc in self.ranks:
             for chunk in alloc.persistent_chunks():
                 if chunk.committed_version < 0:
@@ -489,11 +485,6 @@ class RemoteHelper:
                 chunk.mark_all_stale("remote")
                 self._queue.setdefault((alloc.pid, chunk.chunk_id), chunk)
         self._kick()
-
-    def generation(self, pid: str, chunk: Chunk) -> int:
-        """The chunk's commit generation: how many local commits have
-        (re-)queued it for the buddy."""
-        return self._dirty_epoch.get((pid, chunk.chunk_id), 0)
 
     def mark_staged(self, pid: str, chunk: Chunk) -> None:
         """Note that the current buddy just staged this chunk at its
@@ -508,28 +499,25 @@ class RemoteHelper:
         staged as held.  Returns the commit's cost, for the caller to
         charge."""
         cost = self.targets[pid].commit()
-        held = self._replicated.setdefault(self.buddy_id, {})
         for key in [k for k in self._pending if k[0] == pid]:
-            held[key] = self._pending.pop(key)
+            self._replicated[key] = self._pending.pop(key)
         return cost
 
     def drop_uncommitted(self, buddy_id: int) -> None:
-        """Node *buddy_id* rebooted: discard what this helper staged on
-        it since its last commit — on the current pairing and on the
-        cached targets a failover back would reuse."""
-        if buddy_id == self.buddy_id:
-            self._pending.clear()
-            for target in self.targets.values():
-                target.discard_staged()
-        for target in self._known_targets.get(buddy_id, {}).values():
+        """Node *buddy_id* rebooted: if it is the current buddy, discard
+        what this helper staged on it since its last commit."""
+        if buddy_id != self.buddy_id:
+            return
+        self._pending.clear()
+        for target in self.targets.values():
             target.discard_staged()
 
     def holds_current(self, pid: str, chunk: Chunk) -> bool:
         """Does the current buddy provably hold this chunk, committed,
-        at its latest commit generation?"""
+        at its latest commit generation?  After any failure, the chunks
+        it does hold stay clean."""
         key = (pid, chunk.chunk_id)
-        held = self._replicated.get(self.buddy_id, {})
-        return held.get(key) == self._dirty_epoch.get(key, 0)
+        return self._replicated.get(key) == self._dirty_epoch.get(key, 0)
 
     def _kick(self) -> None:
         # a kick of a sleep that already ended queues nothing
@@ -559,35 +547,26 @@ class RemoteHelper:
             cost += nbytes * TRACKING_CPU_PER_BYTE
         self.ctx.cpu.charge(self.owner, cost)
 
-    def put(
-        self,
-        plan: CopyPlan,
-        tag: str,
-        buddy_id: Optional[int] = None,
-        buddy_ctx: Optional[NodeContext] = None,
-    ):
-        """The one fabric transport: move *plan*'s bytes to a buddy
-        (default: the current one; a migration names the new one),
-        through the resilient transport when one is attached (plain
-        one-shot RDMA otherwise).  Compressed sends ride the same
+    def put(self, plan: CopyPlan, tag: str):
+        """The one fabric transport: move *plan*'s bytes to the current
+        buddy, through the resilient transport when one is attached
+        (plain one-shot RDMA otherwise).  Compressed sends ride the same
         retry/backoff path as raw ones — the wire bytes cross
         the fabric while the full payload lands on the buddy's NVM bus
         — so a link flap retries instead of hard-failing the caller."""
-        if buddy_id is None:
-            buddy_id, buddy_ctx = self.buddy_id, self.buddy_ctx
         if plan.sender_cpu or plan.receiver_cpu:
             self.ctx.cpu.charge(self.owner, plan.sender_cpu)
-            buddy_ctx.cpu.charge(f"{self.owner}:rx", plan.receiver_cpu)
+            self.buddy_ctx.cpu.charge(f"{self.owner}:rx", plan.receiver_cpu)
         route = dict(
-            tag=tag, dst_nvm_bus=buddy_ctx.nvm_bus, dst_nvm_bytes=plan.nvm_bytes
+            tag=tag, dst_nvm_bus=self.buddy_ctx.nvm_bus, dst_nvm_bytes=plan.nvm_bytes
         )
         if self.resilience is None:
             yield rdma_put(
-                self.fabric, self.node_id, buddy_id, plan.fabric_bytes, **route
+                self.fabric, self.node_id, self.buddy_id, plan.fabric_bytes, **route
             )
         else:
             yield from self.resilience.put(
-                self.fabric, self.node_id, buddy_id, plan.fabric_bytes, **route
+                self.fabric, self.node_id, self.buddy_id, plan.fabric_bytes, **route
             )
 
     # ------------------------------------------------------------------
@@ -605,18 +584,12 @@ class RemoteHelper:
         self._paused = False
         self._kick()
 
-    def new_targets(self, buddy_ctx: NodeContext) -> Dict[str, RemoteTarget]:
+    def _point_at(self, buddy_ctx: NodeContext) -> None:
         """Fresh (empty) buddy-side targets for this node's ranks on
-        *buddy_ctx* — for a pairing, or for a migration to stage on."""
-        return {a.pid: RemoteTarget(a.pid, buddy_ctx) for a in self.ranks}
-
-    def _point_at(self, targets: Dict[str, RemoteTarget]) -> None:
-        self.targets = targets
+        *buddy_ctx*; with a codec, each starts an empty digest index."""
+        self.targets = {a.pid: RemoteTarget(a.pid, buddy_ctx) for a in self.ranks}
         if self.codec is not None:
-            # the digest index lives with the buddy's arena: a reused
-            # target keeps its own (its copies are still resident),
-            # fresh hardware starts an empty, honest one
-            for target in targets.values():
+            for target in self.targets.values():
                 target.ensure_block_store(self.config.precopy.codec_block)
 
     def retarget(
@@ -625,56 +598,22 @@ class RemoteHelper:
         new_buddy_ctx: NodeContext,
         *,
         reason: str = "buddy replaced",
-        staged: Optional[
-            Tuple[Dict[str, RemoteTarget], Dict[Tuple[str, int], int]]
-        ] = None,
     ) -> None:
         """Re-point this helper at a new buddy node — the one place a
         helper's pairing changes.
 
-        The helper reuses the new buddy's cached :class:`RemoteTarget`
-        state while it is still valid — the buddy was paired with (or
-        migrated onto) before and its node context is the same object,
-        so no hardware replacement wiped it — and re-queues *only* the
-        chunks whose commit generation moved past what that buddy
-        holds: a failover back onto a previously-streamed buddy re-sends
-        just the delta.  Otherwise (a buddy never seen, or replaced
-        hardware) every remote copy on the new target counts as lost and
-        every committed chunk is re-queued; a
-        :class:`~repro.resilience.resync.ResyncTask` (or the next rounds)
-        rebuilds protection from scratch.
-
-        *staged* is a migration's cutover: ``(targets, generations)`` —
-        the targets it staged and committed on the new buddy and the
-        commit generation each chunk was sent at.  They replace whatever
-        was known about that buddy."""
-        if staged is not None:
-            targets, held = staged
-            self._known_targets[new_buddy_id] = targets
-            self._replicated[new_buddy_id] = dict(held)
+        A re-pair follows a failure: the new buddy holds none of this
+        node's copies, so every claim about what the buddy holds is
+        void, every committed chunk is re-queued, and a
+        :class:`~repro.resilience.resync.ResyncTask` (or the next
+        rounds) rebuilds protection from scratch."""
         old_buddy = self.buddy_id
-        # keep the old pairing's targets: a later failover *back* onto
-        # this buddy can reuse the copies still sitting on it.  What it
-        # staged and never committed counts as held nowhere
-        self._known_targets[old_buddy] = self.targets
+        self._replicated.clear()
         self._pending.clear()
         self.epoch += 1
         self.buddy_id = new_buddy_id
         self.buddy_ctx = new_buddy_ctx
-        cached = self._known_targets.get(new_buddy_id)
-        reuse = (
-            cached is not None
-            and set(cached) == {a.pid for a in self.ranks}
-            and all(t.dst_ctx is new_buddy_ctx for t in cached.values())
-        )
-        if reuse:
-            self._point_at(cached)
-        else:
-            # fresh hardware (or never seen): whatever we thought the
-            # buddy held is void
-            self._replicated.pop(new_buddy_id, None)
-            self._known_targets.pop(new_buddy_id, None)
-            self._point_at(self.new_targets(new_buddy_ctx))
+        self._point_at(new_buddy_ctx)
         if BUS.active:
             BUS.emit(
                 FailoverEvent(

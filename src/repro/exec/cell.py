@@ -8,11 +8,10 @@ and runs it.  ``repro.tools.experiment`` is a thin CLI wrapper over it,
 and :mod:`repro.exec.grid` expands and dispatches sweep grids over the
 same surface — neither owns any config-resolution logic of its own.
 
-A scripted run — the elastic grow/shrink story, the link-flap demo —
-is a cell too: ``--scenario NAME`` picks an entry of :data:`SCENARIOS`
-(spare nodes, scripted failures, membership events — which migrate
-buddy copies live),
-so the sweep tool, the cache and the trace see it like any other run.
+A scripted run — the elastic failover story, the link-flap demo — is
+a cell too: ``--scenario NAME`` picks an entry of :data:`SCENARIOS`
+(spare nodes and scripted failures), so the sweep tool, the cache and
+the trace see it like any other run.
 
 Every run is deterministic for a given ``seed``.  A cell runs with the
 automatic cycle collector off and ends with one collection of what it
@@ -33,7 +32,6 @@ from ..cluster import (
     Cluster,
     ClusterRunner,
     FailureEvent,
-    MembershipEvent,
     RunResult,
     ScriptedInjector,
 )
@@ -92,39 +90,24 @@ class Scenario(NamedTuple):
 
     #: computing nodes the schedule was written for (``--nodes`` must match)
     nodes: int
-    #: nodes beyond ``--nodes`` with NVM and fabric but no ranks: the
-    #: buddy pool's join candidates
+    #: nodes beyond ``--nodes`` with NVM and fabric but no ranks and no
+    #: pairing.  They still shape the topology (racks and the static
+    #: ring the pairing follows), so they are part of the scenario's
+    #: testbed: dropping ``elastic-full-resync``'s two would move its
+    #: record.  A scripted failure may name one
     spares: int = 0
     failures: Tuple[FailureEvent, ...] = ()
-    #: joins and drains, each played as live migration of buddy copies
-    membership: Tuple[MembershipEvent, ...] = ()
 
 
-#: the scripted runs, on the ring pairing 0->1->2->3->0.  The elastic
-#: arms: node 2's early death re-pairs its orphan (node 1) onto node 0,
-#: overloading it.  In ``elastic-full-resync`` node 1 dies late and its
-#: orphan (node 0) re-pairs onto node 3, which it never streamed to, so
-#: both failovers re-send a full footprint.  In ``elastic-migrate``
-#: spare node 4 joins (node 1's copies migrate onto it live), the
-#: replaced node 2 drains out, and node 4's death fails node 1 back to
-#: node 0, which still holds every chunk not re-committed since: only
-#: the rest re-sends.
+#: the scripted runs, on the ring pairing 0->1->2->3->0.  In
+#: ``elastic-full-resync`` node 2's early death re-pairs its orphan
+#: (node 1) onto node 0, overloading it; node 1 dies late and its
+#: orphan (node 0) re-pairs onto node 3.  Each failover re-sends a full
+#: footprint: a new buddy holds none of the orphan's copies.
 SCENARIOS: Dict[str, Scenario] = {
-    "elastic-clean": Scenario(nodes=4, spares=2),
     "elastic-full-resync": Scenario(4, 2, failures=(
         FailureEvent(35.0, node=2, kind="hard"),
         FailureEvent(140.0, node=1, kind="hard"),
-    )),
-    # migrates only at the bench's and the examples' 10 s/30 s
-    # intervals.  At the default 40 s/120 s no commit lands before
-    # ~110 s, so the drain at 95 s plans and "completes" a 0-chunk move
-    # (migrations_completed 1, migration_batches 0)
-    "elastic-migrate": Scenario(4, 2, failures=(
-        FailureEvent(35.0, node=2, kind="hard"),
-        FailureEvent(140.0, node=4, kind="hard"),
-    ), membership=(
-        MembershipEvent(60.0, node=4, action="join"),
-        MembershipEvent(95.0, node=2, action="drain"),
     )),
     # a link flap, then a hard failure of the same node.  The flap is
     # mid-stream only at the degraded demo's 10 s/30 s intervals (window
@@ -188,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mtbf-remote", type=float, default=None,
                    help="per-node hard-failure MTBF (s)")
     p.add_argument("--scenario", choices=sorted(SCENARIOS), default=None,
-                   help="play a scripted run: spare nodes, scripted "
-                        "failures and membership events")
+                   help="play a scripted run: spare nodes and scripted "
+                        "failures")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--timeline", action="store_true",
                    help="print the phase timeline (Fig. 5 style)")
@@ -445,7 +428,6 @@ def run_experiment(args: argparse.Namespace) -> RunResult:
         failure_config=failure_config,
         archive=archive,
         injector=ScriptedInjector(scenario.failures) if scenario.failures else None,
-        membership=scenario.membership,
     )
     trace_path = getattr(args, "trace", None)
     sink = None

@@ -1,7 +1,7 @@
 """Named crash points and the hook-firing machinery.
 
 The commit-critical layers (local checkpoint, pre-copy, remote helper,
-restart, chunk staging, store flush, migration, codec block store) call
+restart, chunk staging, store flush, codec block store) call
 :func:`fire` at every persistence-ordering point, naming the point.
 Every call site sits under a guard on :data:`ARMED`, the list of
 installed injectors::
@@ -54,7 +54,6 @@ __all__ = [
     "LAYER_RESTART",
     "LAYER_CHUNK",
     "LAYER_STORE",
-    "LAYER_MIGRATE",
     "LAYER_CODEC",
     "BITROT_CAPABLE",
 ]
@@ -65,7 +64,6 @@ LAYER_REMOTE = "remote"
 LAYER_RESTART = "restart"
 LAYER_CHUNK = "chunk"
 LAYER_STORE = "store"
-LAYER_MIGRATE = "migrate"
 LAYER_CODEC = "codec"
 
 
@@ -173,24 +171,6 @@ register("remote.commit.before_meta", LAYER_REMOTE,
          "buddy pointers flipped in memory; buddy metadata not yet durable")
 register("remote.commit.done", LAYER_REMOTE,
          "buddy commit point passed")
-
-# -- live migration (resilience/migration.py) -------------------------------
-# These fire inside cluster runs (the standalone CrashConsistencyHarness
-# has no membership layer), so faults/harness.py excludes the migrate
-# layer from matrix_points(); tests/test_migration.py covers them with a
-# cluster-level matrix instead.
-register("migrate.batch.before_send", LAYER_MIGRATE,
-         "migration chunk about to cross the fabric to the new buddy",
-         per_chunk=True)
-register("migrate.batch.after_stage", LAYER_MIGRATE,
-         "migration chunk staged on the new buddy, batch commit pending",
-         per_chunk=True)
-register("migrate.batch.commit", LAYER_MIGRATE,
-         "one bounded batch committed on the new buddy (old pairing still owns)")
-register("migrate.cutover.before", LAYER_MIGRATE,
-         "all batches committed; buddy ownership not yet switched")
-register("migrate.cutover.done", LAYER_MIGRATE,
-         "ownership switched atomically to the new buddy")
 
 # -- payload codec block store (core/codec.py) ------------------------------
 # These fire only when a non-raw codec is configured (the standalone

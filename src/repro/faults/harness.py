@@ -49,7 +49,7 @@ from ..net.interconnect import Fabric
 from ..sim.engine import Engine, Process
 from ..sim.rng import RngStreams
 from .checker import ConsistencyChecker, ConsistencyReport, payload_digest
-from .crashpoints import LAYER_CODEC, LAYER_MIGRATE, FaultInjector, all_points, install, point
+from .crashpoints import LAYER_CODEC, FaultInjector, all_points, install, point
 from .plan import FaultPlan, ScriptedFault, KIND_BITROT
 
 __all__ = [
@@ -542,14 +542,7 @@ def matrix_case(point_name: str, seed: int = 2024) -> Tuple[CrashConsistencyHarn
 def matrix_points() -> List[str]:
     """Canonical ordering of the full crash-point matrix.
 
-    The migrate layer is excluded: its points fire inside cluster runs
-    (live migration needs membership + a buddy directory), which this
-    standalone harness cannot reach — tests/test_migration.py runs the
-    cluster-level matrix for them instead.  The codec layer is likewise
-    excluded: its points fire only under a non-raw payload codec —
+    The codec layer is excluded: its points fire only under a non-raw
+    payload codec, which this standalone harness does not run —
     tests/test_codec.py runs a codec-enabled crash matrix for them."""
-    return [
-        cp.name
-        for cp in all_points()
-        if cp.layer not in (LAYER_MIGRATE, LAYER_CODEC)
-    ]
+    return [cp.name for cp in all_points() if cp.layer != LAYER_CODEC]

@@ -29,8 +29,6 @@ BLOCKED = "blocked"
 DEGRADED = "degraded"
 #: resilience layer: paced re-send of committed chunks to a new buddy
 RESYNC = "resync"
-#: planned live migration of remote copies to a new buddy
-MIGRATION = "migration"
 #: transient link flap window on a node's checkpoint path
 OUTAGE = "outage"
 
@@ -137,7 +135,6 @@ class Timeline(TraceSink):
         DEGRADED: "D",
         RESYNC: "s",
         OUTAGE: "o",
-        MIGRATION: "m",
     }
 
     def ascii_art(self, width: int = 100, actors: Optional[List[str]] = None) -> str:

@@ -58,11 +58,6 @@ __all__ = [
     "CommitEvent",
     "RetryEvent",
     "FailoverEvent",
-    "MembershipChangeEvent",
-    "MigrationPlannedEvent",
-    "MigrationBatchEvent",
-    "MigrationCutoverEvent",
-    "MigrationAbortEvent",
     "ResyncAbortedEvent",
     "PhaseEvent",
     "emit_phase",
@@ -107,6 +102,11 @@ __all__ = [
 #: only by a per-rank bandit that hot-swapped the pre-copy mode between
 #: intervals; the tuner is gone and the reader rejects its kind as
 #: unknown.  No pinned trace carries it, so the version stays 5 too.
+#: Versions 2 to 5 also carried five live-migration kinds
+#: (``membership.change`` and ``migration.planned``/``batch``/
+#: ``cutover``/``aborted``), written only by runs with a join/drain
+#: schedule; live migration is gone and the reader rejects them as
+#: unknown.  No pinned trace carries them, so the version stays 5.
 #: No run sets a tenant label any more, so every ``chunk.copied`` and
 #: ``commit`` record carries ``tenant=""``.  The field stays in the
 #: schema until the next version bump (v6) drops it from both kinds;
@@ -245,66 +245,6 @@ class FailoverEvent(TraceEvent):
 
 
 @dataclass(slots=True)
-class MembershipChangeEvent(TraceEvent):
-    """A planned membership event was applied by the
-    :class:`~repro.cluster.membership.MembershipController`."""
-
-    node: int
-    #: "join" | "drain" | "depart"
-    action: str
-    #: re-pairings / migrations the event triggered
-    moves: int = 0
-
-
-@dataclass(slots=True)
-class MigrationPlannedEvent(TraceEvent):
-    """The planner derived one per-node migration from the live
-    buddy directory (source node's copies move between buddies)."""
-
-    node: int
-    from_target: str
-    to_target: str
-    #: "join" | "drain" | "failover"
-    reason: str
-    chunks: int = 0
-    nbytes: int = 0
-
-
-@dataclass(slots=True)
-class MigrationBatchEvent(TraceEvent):
-    """One bounded migration batch staged and committed on the new
-    buddy (t is the span end)."""
-
-    seq: int
-    chunks: int
-    nbytes: int
-    start: float
-    #: always False (no code throttles a batch); kept so schema v5
-    #: lines keep their shape
-    throttled: bool = False
-
-
-@dataclass(slots=True)
-class MigrationCutoverEvent(TraceEvent):
-    """Atomic buddy-ownership switch after the final batch commit."""
-
-    from_target: str
-    to_target: str
-    batches: int
-    nbytes: int
-
-
-@dataclass(slots=True)
-class MigrationAbortEvent(TraceEvent):
-    """A migration gave up before cutover; ownership stays with the
-    old buddy (or falls back to a full re-sync on failover)."""
-
-    reason: str
-    batches: int = 0
-    nbytes: int = 0
-
-
-@dataclass(slots=True)
 class ResyncAbortedEvent(TraceEvent):
     """A :class:`~repro.resilience.resync.ResyncTask` gave up on a failed
     send: the node stays unprotected (degraded) until the next repair
@@ -336,11 +276,6 @@ _KINDS: Dict[type, str] = {
     CommitEvent: "commit",
     RetryEvent: "retry",
     FailoverEvent: "failover",
-    MembershipChangeEvent: "membership.change",
-    MigrationPlannedEvent: "migration.planned",
-    MigrationBatchEvent: "migration.batch",
-    MigrationCutoverEvent: "migration.cutover",
-    MigrationAbortEvent: "migration.aborted",
     ResyncAbortedEvent: "resync.aborted",
     PhaseEvent: "phase",
 }

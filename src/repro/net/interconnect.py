@@ -30,7 +30,7 @@ __all__ = ["Fabric", "FabricTransfer", "LinkPair", "CHECKPOINT_KINDS"]
 #: and fails new ones fast; application traffic (MPI on its reliable
 #: transport) is modelled as unaffected by checkpoint-QP flaps.
 CHECKPOINT_KINDS = frozenset(
-    {"rckpt", "rprecopy", "rfetch", "resync", "migrate", "hb"}
+    {"rckpt", "rprecopy", "rfetch", "resync", "hb"}
 )
 
 

@@ -16,24 +16,18 @@ produces into failure *behaviour* the runtime tolerates:
   tracking the live pairing, re-pairing orphans to healthy topology
   neighbors;
 * :mod:`~repro.resilience.resync` — :class:`ResyncTask`, the paced
-  background re-send to a new buddy of the committed chunks it does
-  not already hold at their latest commit generation (all of them on
-  a buddy never streamed to, or on replaced hardware), aborted by the
-  first send that fails;
+  background re-send of every committed chunk to a new buddy (plus
+  whatever commits while it runs), aborted by the first send that
+  fails;
 * :mod:`~repro.resilience.degraded` — :class:`DegradedModeController`,
   local-only operation while no healthy remote target exists; the
   interval it re-solves from the §III model sets the helper's pacing
-  (so the re-sync pace), not the ranks' local checkpoint interval;
-* :mod:`~repro.resilience.migration` — :class:`MigrationPlanner`,
-  :class:`MigrationTask`: bounded-batch live migration of
-  buddy-hosted copies for planned membership changes, paced under the
-  remote pre-copy stream.
+  (so the re-sync pace), not the ranks' local checkpoint interval.
 """
 
 from .degraded import DegradedModeController, degraded_local_interval
 from .directory import BuddyDirectory
 from .health import HealthMonitor
-from .migration import MigrationPlan, MigrationPlanner, MigrationTask
 from .resync import ResyncTask
 from .retry import ResilientTransport, RetryPolicy, TransferStats
 
@@ -41,9 +35,6 @@ __all__ = [
     "BuddyDirectory",
     "DegradedModeController",
     "HealthMonitor",
-    "MigrationPlan",
-    "MigrationPlanner",
-    "MigrationTask",
     "ResilientTransport",
     "ResyncTask",
     "RetryPolicy",

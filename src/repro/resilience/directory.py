@@ -45,11 +45,6 @@ class BuddyDirectory:
         self._failed: Set[int] = set()
         #: re-pairings performed, as (orphan, old_buddy, new_buddy)
         self.repairs: List[tuple] = []
-        #: draining nodes: still hosting copies, but no longer eligible
-        #: as a re-pair / rebalance target
-        self._retired: Set[int] = set()
-        #: planned re-bindings performed, as (node, old_buddy, new_buddy)
-        self.migrations: List[tuple] = []
 
     # ------------------------------------------------------------------
     # State.
@@ -71,58 +66,10 @@ class BuddyDirectory:
     def mark_recovered(self, node: int) -> None:
         self._failed.discard(node)
 
-    # ------------------------------------------------------------------
-    # Elastic membership (planned join / drain / depart).
-    # ------------------------------------------------------------------
-
-    def is_participant(self, node: int) -> bool:
-        return node in self.nodes
-
-    def is_retired(self, node: int) -> bool:
-        return node in self._retired
-
-    def admit(self, node: int) -> bool:
-        """A planned join: the node becomes a healthy re-pair /
-        rebalance target.  It hosts nothing yet and sources to nobody
-        until a migration (or repair) binds it.  Returns False if the
-        node already participates."""
-        if node in self.nodes:
-            self._retired.discard(node)
-            return False
-        self.nodes.append(node)
-        self._failed.discard(node)
-        return True
-
-    def retire(self, node: int) -> None:
-        """Begin a planned drain: the node stops being a candidate for
-        new pairings, but keeps hosting its current orphans until they
-        are migrated off."""
-        self._retired.add(node)
-
-    def depart(self, node: int) -> bool:
-        """Complete a drain: remove the node from the pairing entirely.
-        Refuses (returns False) while any other node still checkpoints
-        to it — evacuate first."""
-        if self.orphans_of(node):
-            return False
-        if node in self.nodes:
-            self.nodes.remove(node)
-        self._buddy.pop(node, None)
-        self._retired.discard(node)
-        self._failed.discard(node)
-        return True
-
     def bind(self, node: int, buddy: int) -> None:
         """Record the pairing *node*'s helper was built with — the
         helpers are the source of truth, the directory mirrors them."""
         self._buddy[node] = buddy
-
-    def rebind(self, node: int, new_buddy: int) -> None:
-        """Apply a *planned* pairing change (migration cutover) —
-        unlike :meth:`repair`, the caller chose the target."""
-        old = self._buddy.get(node)
-        self._buddy[node] = new_buddy
-        self.migrations.append((node, old, new_buddy))
 
     # ------------------------------------------------------------------
     # Re-pairing.
@@ -134,11 +81,7 @@ class BuddyDirectory:
     def candidates_for(self, node: int) -> List[int]:
         """Healthy re-pair candidates, best first."""
         topo = self.topology
-        cands = [
-            m
-            for m in self.nodes
-            if m != node and self.is_healthy(m) and m not in self._retired
-        ]
+        cands = [m for m in self.nodes if m != node and self.is_healthy(m)]
         cands.sort(
             key=lambda m: (
                 # cross-rack first (0 sorts before 1)
@@ -168,29 +111,26 @@ class BuddyDirectory:
         return new_buddy
 
     # ------------------------------------------------------------------
-    # Invariants (the membership property test's oracle).
+    # Invariants (the pairing property test's oracle).
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> List[str]:
         """Structural invariants that must hold after any repair sweep:
-        no node is its own buddy (unless alone), and every *healthy,
-        non-retired* node with a healthy candidate available is paired
-        with a healthy buddy.  Returns human-readable violations."""
+        no node is its own buddy (unless alone), and every *healthy*
+        node with a healthy candidate available is paired with a
+        healthy buddy.  Returns human-readable violations."""
         problems: List[str] = []
-        healthy = [
-            n for n in self.nodes if self.is_healthy(n) and n not in self._retired
-        ]
         for n, b in self._buddy.items():
-            if n not in self.nodes:
-                problems.append(f"pairing for departed node {n}")
             if b == n and len(self.nodes) > 1:
                 problems.append(f"node {n} is its own buddy")
-        for n in healthy:
+        for n in self.nodes:
+            if not self.is_healthy(n):
+                continue
             b = self._buddy.get(n)
             if b is not None and self.is_healthy(b):
                 continue
-            # unpaired (e.g. a freshly-admitted spare) or paired with a
-            # failed buddy: only a violation if a repair could fix it
+            # unpaired or paired with a failed buddy: only a violation
+            # if a repair could fix it
             if self.candidates_for(n):
                 problems.append(
                     f"healthy node {n} has no pairing"

@@ -1,11 +1,10 @@
 """Background re-sync of committed chunks to a (new) buddy.
 
 After an orphan is re-paired by the
-:class:`~repro.resilience.directory.BuddyDirectory`, every committed
-chunk the new buddy does not provably hold at its latest commit
-generation must be re-sent before the node is protected again (all of
-them, unless the buddy was streamed to before on the same hardware;
-see :meth:`~repro.core.remote.RemoteHelper.retarget`).  The
+:class:`~repro.resilience.directory.BuddyDirectory`, the new buddy
+holds none of its copies, so every committed chunk must be re-sent
+before the node is protected again (see
+:meth:`~repro.core.remote.RemoteHelper.retarget`).  The
 :class:`ResyncTask` DES process drains the helper's (re-)filled stream
 queue at the helper's paced rate (same pacing as the remote pre-copy
 stream, so the re-sync does not flood the fabric), staging each chunk

@@ -3,8 +3,8 @@
 A resilient transfer is a *generator* (multi-step DES fragment, used as
 ``yield from transport.put(...)``) that re-issues the underlying RDMA
 operation until it completes, the attempt budget runs out, or the
-deadline passes.  It is the one retry layer: the tasks above it
-(re-sync, migration) treat its verdict as final.
+deadline passes.  It is the one retry layer: the re-sync above it
+treats its verdict as final.
 
 * an attempt fails when the fabric cancels its flows (a link outage or
   a dead peer) or refuses them at once; a flow that is not cancelled

@@ -31,13 +31,13 @@ import time
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import __version__
-from ..exec.cell import build_parser, resolve_config, run_cell, run_collected
+from ..exec.cell import run_collected
 from ..exec.grid import GridResult, GridSpec, expand_grid, run_grid
 from ..metrics.trace import BUS, CounterSink, JsonlSink
 
 __all__ = [
-    "PINNED_GRID", "FIGURE_GRIDS", "FIGURE_SMOKE", "SCALE_GRID", "ELASTIC_CELL",
-    "BLOCKS", "Block", "elastic_config",
+    "PINNED_GRID", "FIGURE_GRIDS", "FIGURE_SMOKE", "SCALE_GRID",
+    "BLOCKS", "Block",
     "figure_specs", "run_benchmark", "run_smoke", "main",
 ]
 
@@ -650,88 +650,6 @@ def _replay_summary(block: dict) -> str:
     ])
 
 
-#: the ``elastic`` block's cell, played under each elastic ``--scenario``
-#: of :data:`repro.exec.cell.SCENARIOS`: half the footprint is
-#: write-once, so most committed chunks never re-commit — the raw
-#: material of incremental failover
-ELASTIC_CELL = [
-    "--app", "synthetic", "--ranks-per-node", "2", "--local-interval", "10",
-    "--remote-interval", "30", "--checkpoint-mb", "20", "--chunk-mb", "5",
-    "--comm-mb", "5", "--write-once-fraction", "0.5", "--iterations", "16",
-    "--seed", "11",
-]
-
-#: the migrating arm's ``membership`` counters the block reports as is
-ELASTIC_MOVES = (
-    "joins", "drains", "departs", "migrations_completed", "migrations_aborted",
-    "migration_batches", "migration_gb",
-)
-
-
-def elastic_config(scenario: str) -> dict:
-    """The resolved :data:`ELASTIC_CELL` under *scenario*."""
-    argv = [*ELASTIC_CELL, "--scenario", scenario]
-    return resolve_config(build_parser().parse_args(argv))
-
-
-def run_elastic_block() -> dict:
-    """Elastic membership under load: the ``elastic`` block.
-
-    Two arms of one cell: ``elastic-full-resync`` is the baseline, and
-    ``elastic-migrate`` runs join + drain + newcomer death with live
-    migration.  Its failovers (one full early re-sync, one incremental
-    late one) must re-send strictly fewer bytes than the baseline's two
-    full re-syncs.
-    """
-    t0 = time.perf_counter()
-    base = run_cell(elastic_config("elastic-full-resync"))
-    elastic, moves_failed = run_collected(
-        elastic_config("elastic-migrate"),
-        lambda res: (res.to_dict(), res.runner.membership_controller.moves_failed),
-    )
-    wall = time.perf_counter() - t0
-    moves = elastic["membership"]
-    resync_gb = elastic["resilience"]["resync_gb"]
-    base_resync_gb = base["resilience"]["resync_gb"]
-    return {
-        "iterations": elastic["iterations"],
-        "elastic": {
-            "total_time_s": round(elastic["total_time_s"], 4),
-            **{key: moves[key] for key in ELASTIC_MOVES},
-            "failover_resync_gb": resync_gb,
-        },
-        "baseline": {
-            "total_time_s": round(base["total_time_s"], 4),
-            "failover_resync_gb": base_resync_gb,
-        },
-        # the acceptance bounds
-        "incremental_failover": 0 < resync_gb < base_resync_gb,
-        "moves_failed": moves_failed,
-        "wall_s": round(wall, 4),
-    }
-
-
-def _elastic_gate(block: dict) -> bool:
-    """The elastic arm migrates, drains a node out, and its failovers
-    re-send strictly fewer bytes than the full-resync baseline's."""
-    return bool(
-        block["incremental_failover"]
-        and block["elastic"]["migrations_completed"] >= 1
-        and block["elastic"]["departs"] >= 1
-        and block["moves_failed"] == 0
-    )
-
-
-def _elastic_summary(block: dict) -> str:
-    return (
-        f"failover resync "
-        f"{block['elastic']['failover_resync_gb']:.4f} GB vs full "
-        f"{block['baseline']['failover_resync_gb']:.4f} GB, "
-        f"{block['elastic']['migrations_completed']} migration(s) in "
-        f"{block['elastic']['migration_batches']} batches"
-    )
-
-
 class Block(NamedTuple):
     """One bench block: its record, its CI-sized inputs, its acceptance."""
 
@@ -763,9 +681,6 @@ BLOCKS: Dict[str, Block] = {
     "replay": Block(run_replay_block, _TWO_CELLS, _replay_gate, _replay_summary),
     # DES events/sec and run_grid's pool dispatch
     "scale": Block(run_scale_block, {}, _scale_gate, _scale_summary),
-    # elastic membership: live migration, incremental failover bytes
-    # vs the full-resync baseline
-    "elastic": Block(run_elastic_block, {}, _elastic_gate, _elastic_summary),
 }
 
 

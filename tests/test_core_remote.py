@@ -15,7 +15,13 @@ from repro.sim import Engine
 from repro.units import MB
 
 
-def make_pair(remote_precopy=True, remote_interval=30.0, local_interval=10.0, phantom=True):
+def make_pair(
+    remote_precopy=True,
+    remote_interval=30.0,
+    local_interval=10.0,
+    phantom=True,
+    copy_granularity="chunk",
+):
     """Two nodes on one engine: node 0 runs ranks, node 1 is the buddy."""
     engine = Engine()
     src = make_standalone_context(name="n0", engine=engine)
@@ -26,7 +32,7 @@ def make_pair(remote_precopy=True, remote_interval=30.0, local_interval=10.0, ph
         local_interval=local_interval,
         remote_interval=remote_interval,
         remote_precopy=remote_precopy,
-        precopy=PrecopyPolicy(mode="dcpcp"),
+        precopy=PrecopyPolicy(mode="dcpcp", copy_granularity=copy_granularity),
     )
     helper = RemoteHelper(0, src, fabric, 1, dst, [alloc], cfg)
     ck = LocalCheckpointer(src, alloc, cfg.precopy)
@@ -297,23 +303,52 @@ class TestBuddyReboot:
         assert np.array_equal(copy.view(np.float64), np.full(512, 2.0))
         assert helper.holds_current("r0", chunk)
 
-    def test_a_reboot_voids_stages_on_a_buddy_a_failover_would_reuse(self):
-        engine, src, dst, fabric, alloc, helper, ck = make_pair(phantom=False)
+
+class TestRePair:
+    """A re-pair follows a failure: the new buddy holds none of the
+    node's copies, so every committed chunk is re-sent to it whole, and
+    page-granular copies after that build on the whole copy."""
+
+    PAGE = 4096
+
+    def _stream_and_round(self, engine, helper):
+        engine.process(helper._stream_until(engine.now + helper.stream_window))
+        engine.run()
+        engine.process(helper.remote_checkpoint())
+        engine.run()
+
+    def test_the_new_buddy_commits_a_copy_equal_to_dram(self):
+        engine, src, dst, fabric, alloc, helper, ck = make_pair(
+            phantom=False, copy_granularity="page"
+        )
         helper.fabric = Fabric(engine, 3)
         third = make_standalone_context(name="n2", engine=engine)
-        chunk = alloc.nvalloc("a", 4096)
-        chunk.write(0, np.full(512, 1.0))
+        page = self.PAGE
+        chunk = alloc.nvalloc("a", 4 * page)
+        chunk.write(0, np.full(4 * page // 8, 1.0))
         ck.checkpoint()
-        self._stream(engine, helper)
-        old = helper.targets["r0"]
-        assert "a" in old._staged
+        engine.process(helper.remote_checkpoint())
+        engine.run()
+        chunk.write(0, np.full(page // 8, 2.0))  # page 0
+        ck.checkpoint()
+        self._stream_and_round(engine, helper)
+        assert helper.holds_current("r0", chunk)
+
         helper.retarget(2, third)
-        dst.nvmm.store.crash()
-        helper.drop_uncommitted(1)
-        assert not old._staged
-        helper.retarget(1, dst)
-        assert helper.targets["r0"] is old
-        assert chunk.dirty_remote and ("r0", chunk.chunk_id) in helper._queue
+        assert not helper.holds_current("r0", chunk)
+        assert ("r0", chunk.chunk_id) in helper._queue
+
+        chunk.write(page, np.full(page // 8, 3.0))  # page 1
+        ck.checkpoint()
+        self._stream_and_round(engine, helper)
+        target = helper.targets["r0"]
+        assert target.dst_ctx is third
+        copy = target.fetch("a")
+        assert zlib.crc32(copy) == target.checksums["a"]
+        for p in range(4):
+            span = slice(p * page, (p + 1) * page)
+            assert np.array_equal(copy[span], chunk.dram[span]), f"page {p}"
+        assert helper.holds_current("r0", chunk)
 
 
 class TestStream:

@@ -90,7 +90,7 @@ def _where(module, line):
 
 
 def test_the_scan_finds_the_instrumented_layers():
-    assert len(SITES) >= 40
+    assert len(SITES) >= 39
     assert {
         "repro.alloc.chunk",
         "repro.core.codec",
@@ -99,7 +99,6 @@ def test_the_scan_finds_the_instrumented_layers():
         "repro.core.remote",
         "repro.core.restart",
         "repro.memory.persistence",
-        "repro.resilience.migration",
     } <= set(SITE_MODULES)
 
 

@@ -222,7 +222,7 @@ class TestCellCombinations:
             ("--nodes", "4", "--scenario", "link-flap", "--pfs-gbps", "4"),
             ("--nodes", "4", "--scenario", "link-flap", "--ideal"),
             # ... on the nodes it was written for
-            ("--scenario", "elastic-clean"),
+            ("--scenario", "elastic-full-resync"),
             # a codec and a compression model both define the wire
             # volume ...
             ("--codec", "delta", "--compress-ratio", "0.5"),
@@ -263,7 +263,7 @@ class TestCellCombinations:
             ("--ideal", "--mode", "none"),
             ("--compress-ratio", "0.5", "--mtbf-remote", "60", "--archive"),
             ("--nodes", "4", "--scenario", "link-flap", "--archive"),
-            ("--nodes", "4", "--scenario", "elastic-migrate"),
+            ("--nodes", "4", "--scenario", "elastic-full-resync"),
         ],
     )
     def test_honoured_combinations_resolve(self, extra):

@@ -1,27 +1,22 @@
 """Property test: :class:`BuddyDirectory` invariants survive any
-join/drain/depart/fail/recover sequence.
+fail/recover sequence.
 
 The directory is the single source of truth for who protects whom;
-every elastic-membership and failover path mutates it.  This drives it
-through arbitrary operation sequences — mirroring how the cluster
-runner uses it (orphans are repaired whenever their buddy fails, a
-depart is only attempted through the evacuate-first path) — and
-asserts :meth:`BuddyDirectory.check_invariants` holds after every
-step: no self-pairing, no pairing left on a departed node, and every
-healthy non-retired node that *can* be protected *is* paired with a
-healthy buddy.
+every failover path mutates it.  This drives it through arbitrary
+operation sequences — mirroring how the cluster runner uses it
+(orphans are repaired whenever their buddy fails) — and asserts
+:meth:`BuddyDirectory.check_invariants` holds after every step: no
+self-pairing, and every healthy node that *can* be protected *is*
+paired with a healthy buddy.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.net.topology import Topology
-from repro.resilience import BuddyDirectory, MigrationPlanner
-
-pytestmark = pytest.mark.migration
+from repro.resilience import BuddyDirectory
 
 N_NODES = 6
-OPS = ["join", "drain", "depart", "fail", "recover"]
+OPS = ["fail", "recover"]
 
 op_sequences = st.lists(
     st.tuples(st.sampled_from(OPS), st.integers(min_value=0, max_value=N_NODES - 1)),
@@ -30,22 +25,8 @@ op_sequences = st.lists(
 
 
 def apply_op(d: BuddyDirectory, op: str, node: int) -> None:
-    """One membership/failure action, with the runner's semantics."""
-    if op == "join":
-        d.admit(node)
-    elif op == "drain":
-        if d.is_participant(node):
-            d.retire(node)
-    elif op == "depart":
-        # the controller departs only after evacuation: re-home every
-        # orphan first (cutover == rebind), then depart if that worked
-        if d.is_participant(node):
-            for orphan in d.orphans_of(node):
-                cands = [c for c in d.candidates_for(orphan) if c != node]
-                if cands:
-                    d.rebind(orphan, cands[0])
-            d.depart(node)
-    elif op == "fail":
+    """One failure action, with the runner's semantics."""
+    if op == "fail":
         d.mark_failed(node)
     elif op == "recover":
         d.mark_recovered(node)
@@ -70,23 +51,10 @@ def test_invariants_hold_after_any_sequence(ops):
         assert not problems, f"after {op}({node}): {problems}"
 
 
-@settings(max_examples=60, deadline=None)
-@given(ops=op_sequences)
-def test_planner_plans_stay_consistent(ops):
-    """Whatever state a sequence leaves behind, join/drain plans only
-    ever name healthy participants and never the node itself."""
+def test_the_oracle_flags_an_orphan_left_unrepaired():
     d = BuddyDirectory(Topology(N_NODES, 2), nodes=[0, 1, 2, 3])
-    for op, node in ops:
-        apply_op(d, op, node)
-        repair_sweep(d)
-    planner = MigrationPlanner(d)
-    for n in list(d.nodes):
-        if not d.is_healthy(n):
-            continue
-        plans = planner.plan_join(n) if not d.is_retired(n) else []
-        plans += planner.plan_drain(n)
-        for p in plans:
-            assert p.node != p.to_buddy
-            assert d.is_participant(p.to_buddy)
-            assert d.is_healthy(p.to_buddy)
-            assert not d.is_retired(p.to_buddy) or p.to_buddy == n
+    buddy = d.buddy_of(0)
+    d.mark_failed(buddy)
+    assert d.check_invariants() == [f"healthy node 0 paired with failed buddy {buddy}"]
+    d.repair(0)
+    assert d.check_invariants() == []

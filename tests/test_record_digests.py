@@ -2,8 +2,8 @@
 
 The golden records (``tests/golden/pinned_grid_records.json``) hold no
 failure-heavy and no elastic run, so nothing there notices if the
-retry/heartbeat/re-sync constants or the migration pacing and batch
-bound change value.  These runs use all of them at their defaults:
+retry/heartbeat/re-sync constants change value.  These runs use all of
+them at their defaults:
 
 * the ``synthetic-failures-restart`` perfbench cell (retries, heartbeats,
   degraded mode, re-sync, soft and hard restarts);
@@ -11,13 +11,12 @@ bound change value.  These runs use all of them at their defaults:
   local stream copies page extents while the remote one, under the
   wire entropy stage, copies whole chunks, so each stream keeps its
   own page state (or none);
-* the four ``--scenario`` cells: the three elastic arms — clean, the
-  ``elastic`` bench block's full-resync baseline and its migrating run
-  (live migration, and a failover back onto a buddy that still holds
-  most chunks) — and
+* the two ``--scenario`` cells: ``elastic-full-resync`` on a write-once
+  heavy synthetic cell (two spares, two hard failures, each re-pair
+  re-sending every committed chunk) and
   ``examples/degraded_mode_demo.py``'s link flap (a transient outage,
   then a hard failure of the same node: retries, degraded mode and a
-  buddy re-pair), all recorded from the hand-built runs they replaced;
+  buddy re-pair), both recorded from the hand-built runs they replaced;
 * three runs the benchmarks once built by hand, as the cells that
   replaced them (the digests were recorded from the hand-built runs):
   the ideal (no-checkpoint) LAMMPS run (``--ideal``), Table V's 588 MB
@@ -67,8 +66,17 @@ CELLS = {
     ],
 }
 
-ELASTIC_ARMS = ("elastic-clean", "elastic-full-resync", "elastic-migrate")
+ELASTIC = "elastic-full-resync"
 LINK_FLAP = "link-flap"
+
+#: the elastic scenario's cell: half the footprint is write-once, so
+#: most committed chunks never re-commit
+ELASTIC_CELL = [
+    "--app", "synthetic", "--ranks-per-node", "2", "--local-interval", "10",
+    "--remote-interval", "30", "--checkpoint-mb", "20", "--chunk-mb", "5",
+    "--comm-mb", "5", "--write-once-fraction", "0.5", "--iterations", "16",
+    "--seed", "11", "--scenario", ELASTIC,
+]
 
 #: the degraded-mode example's cell
 LINK_FLAP_CELL = [
@@ -125,12 +133,8 @@ def cell_digest(argv) -> str:
     return _digest(cell_record(argv))
 
 
-def elastic_digests() -> dict:
-    """The bench's elastic cell under each elastic scenario."""
-    from repro.exec.cell import run_cell
-    from repro.tools.bench import elastic_config
-
-    return {name: _digest(run_cell(elastic_config(name))) for name in ELASTIC_ARMS}
+def elastic_digest() -> dict:
+    return {ELASTIC: cell_digest(ELASTIC_CELL)}
 
 
 def link_flap_digest() -> dict:
@@ -144,7 +148,7 @@ def _stored() -> dict:
 
 def test_fixture_covers_every_run():
     assert sorted(_stored()) == sorted(
-        [*CELLS, *ELASTIC_ARMS, LINK_FLAP, *HAND_BUILT, ARCHIVE_BYTES]
+        [*CELLS, ELASTIC, LINK_FLAP, *HAND_BUILT, ARCHIVE_BYTES]
     )
 
 
@@ -154,8 +158,7 @@ def test_cell_record_matches_recorded_digest(cell):
 
 
 def test_elastic_records_match_recorded_digests():
-    stored = _stored()
-    assert elastic_digests() == {name: stored[name] for name in ELASTIC_ARMS}
+    assert elastic_digest() == {ELASTIC: _stored()[ELASTIC]}
 
 
 def test_link_flap_record_matches_recorded_digest():
@@ -171,7 +174,7 @@ def test_hand_built_records_match_recorded_digests():
 
 def main() -> int:
     digests = {name: cell_digest(argv) for name, argv in CELLS.items()}
-    digests.update(elastic_digests())
+    digests.update(elastic_digest())
     digests.update(link_flap_digest())
     digests.update(hand_built_digests())
     with open(FIXTURE, "w") as fh:

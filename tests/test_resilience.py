@@ -673,9 +673,9 @@ def _remote_state(helper):
 
 
 class TestOneFailoverPath:
-    """A plain failure run — no scenario, no membership — re-sends what
-    a buddy provably holds at its latest commit generation only when
-    that buddy is not the same hardware any more."""
+    """A plain failure run, no scenario: after a failure, what the
+    current buddy provably holds at its latest commit generation stays
+    clean; a re-pair, onto any buddy, re-sends every committed chunk."""
 
     @pytest.fixture(scope="class")
     def run(self):
@@ -722,20 +722,16 @@ class TestOneFailoverPath:
         held = {key for key, done, current, *_ in _remote_state(helper) if done and current}
         assert held and committed
 
-        # away and back onto the same hardware: only what it lacks
-        helper.retarget(other.node_id, other.ctx)
-        helper._queue.clear()
-        helper.retarget(buddy.node_id, buddy.ctx)
-        assert set(helper._queue) == committed - held
-
-        # away, the buddy's hardware is replaced, back: everything
-        helper.retarget(other.node_id, other.ctx)
-        helper._queue.clear()
-        buddy.replace_hardware()
-        helper.retarget(buddy.node_id, buddy.ctx)
-        assert helper.targets[helper.ranks[0].pid].dst_ctx is buddy.ctx
-        assert set(helper._queue) == committed
-        assert not any(current for _, _, current, *_ in _remote_state(helper))
+        # away, back onto the same hardware, and back after the buddy's
+        # hardware is replaced: each re-pair queues every committed chunk
+        for node, replace in ((other, False), (buddy, False), (other, False), (buddy, True)):
+            helper._queue.clear()
+            if replace:
+                buddy.replace_hardware()
+            helper.retarget(node.node_id, node.ctx)
+            assert helper.targets[helper.ranks[0].pid].dst_ctx is node.ctx
+            assert set(helper._queue) == committed
+            assert not any(current for _, _, current, *_ in _remote_state(helper))
 
 
 class TestBuddyRebootMidStream:

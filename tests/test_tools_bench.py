@@ -43,7 +43,7 @@ def fake_blocks(monkeypatch):
 class TestBlockRegistry:
     def test_every_block_has_a_smoke_gate(self):
         assert list(bench.BLOCKS) == [
-            "exec", "dedup", "replay", "scale", "elastic",
+            "exec", "dedup", "replay", "scale",
         ]
         for block in bench.BLOCKS.values():
             assert callable(block.run)
@@ -76,9 +76,9 @@ class TestBlockRegistry:
         assert fake_blocks == []
 
     def test_block_prints_one_full_record(self, capsys):
-        assert bench.main(["--block", "elastic"]) == 0
+        assert bench.main(["--block", "scale"]) == 0
         record = json.loads(capsys.readouterr().out)
-        assert bench.BLOCKS["elastic"].gate(record)
+        assert bench.BLOCKS["scale"].gate(record)
 
     def test_run_benchmark_removes_its_cache_dir(self, monkeypatch, tmp_path):
         """Every ``make bench-json`` used to leave a ``repro-bench-*``
@@ -155,7 +155,6 @@ class TestLayering:
         "needle,owner",
         [
             ("_replicated", "core/remote.py"),
-            ("_known_targets", "core/remote.py"),
             ("_dirty_epoch", "core/remote.py"),
             ("._buddy", "resilience/directory.py"),
         ],
@@ -199,6 +198,12 @@ class TestLayering:
         ]
         assert users == []
 
-    @pytest.mark.parametrize("needle", ["resilient_put(", "resilient_get(", "core.local"])
+    @pytest.mark.parametrize(
+        "needle",
+        [
+            "resilient_put(", "resilient_get(", "core.local",
+            "_known_targets", "MigrationTask", "MembershipEvent",
+        ],
+    )
     def test_deleted_second_ways_stay_deleted(self, needle):
         assert [str(rel) for rel, text in _sources() if needle in text] == []

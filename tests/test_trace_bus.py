@@ -29,11 +29,6 @@ from repro.metrics.trace import (
     CounterSink,
     FailoverEvent,
     JsonlSink,
-    MembershipChangeEvent,
-    MigrationAbortEvent,
-    MigrationBatchEvent,
-    MigrationCutoverEvent,
-    MigrationPlannedEvent,
     PhaseEvent,
     PolicyDecisionEvent,
     ResyncAbortedEvent,
@@ -72,17 +67,6 @@ def _sample_events():
             t=6.0, actor="r1", chunk="b", chosen="dedup", raw_bytes=40,
             delta_bytes=20, dedup_bytes=8, entropy=0.25, density=0.5,
         ),
-        MembershipChangeEvent(t=7.0, actor="ctl", node=3, action="join", moves=2),
-        MigrationPlannedEvent(
-            t=8.0, actor="ctl", node=1, from_target="n1", to_target="n3",
-            reason="drain", chunks=4, nbytes=400,
-        ),
-        MigrationBatchEvent(t=9.0, actor="n1", seq=1, chunks=2, nbytes=200,
-                            start=8.5, throttled=True),
-        MigrationCutoverEvent(t=10.0, actor="n1", from_target="n1", to_target="n3",
-                              batches=2, nbytes=400),
-        MigrationAbortEvent(t=11.0, actor="n2", reason="buddy failed", batches=1,
-                            nbytes=100),
         ResyncAbortedEvent(t=12.0, actor="n2", failures=3, bytes_sent=50, chunks_sent=1),
         PhaseEvent(t=14.0, actor="n0", phase="compute", start=13.0, end=14.0),
     ]
@@ -113,9 +97,7 @@ def test_event_kinds_and_records_are_stable():
     events = _sample_events()
     assert [e.kind for e in events] == [
         "policy.decision", "chunk.copied", "commit", "retry", "failover",
-        "codec.decision", "membership.change", "migration.planned",
-        "migration.batch", "migration.cutover", "migration.aborted",
-        "resync.aborted", "phase",
+        "codec.decision", "resync.aborted", "phase",
     ]
     assert sorted(e.kind for e in events) == sorted(_KINDS.values())
     rec = events[1].to_record()
@@ -230,10 +212,8 @@ def test_reader_reports_a_damaged_stream_as_config_error(stream, message):
         (
             '{"kind": "no.such", "t": 1.0, "actor": "r0"}',
             "trace line 2: unknown trace event kind 'no.such'; known kinds: "
-            "chunk.copied, codec.decision, commit, failover, "
-            "membership.change, migration.aborted, migration.batch, "
-            "migration.cutover, migration.planned, phase, policy.decision, "
-            "resync.aborted, retry",
+            "chunk.copied, codec.decision, commit, failover, phase, "
+            "policy.decision, resync.aborted, retry",
         ),
         (
             _COMMIT[:-1] + ', "zeta": 1, "alpha": 2}',
@@ -263,6 +243,20 @@ def test_reader_rejects_the_removed_tenant_kinds():
     any other unknown kind."""
     record = '{"kind": "tenant.admission", "t": 1.0, "actor": "qos", "tenant": "a"}'
     with pytest.raises(ConfigError, match="unknown trace event kind 'tenant.admission'"):
+        read_trace(io.StringIO(f"{_HEADER}\n{record}\n"))
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["membership.change", "migration.planned", "migration.batch",
+     "migration.cutover", "migration.aborted"],
+)
+def test_reader_rejects_the_removed_migration_kinds(kind):
+    """The membership and live-migration kinds were written only by
+    runs with a join/drain schedule, which are gone; a v5 stream
+    carrying one is rejected like any other unknown kind."""
+    record = f'{{"kind": "{kind}", "t": 1.0, "actor": "ctl"}}'
+    with pytest.raises(ConfigError, match=f"unknown trace event kind '{kind}'"):
         read_trace(io.StringIO(f"{_HEADER}\n{record}\n"))
 
 
