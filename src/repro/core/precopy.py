@@ -9,7 +9,10 @@ the node's NVM bus).  It runs as a DES process that continuously:
    prediction table expects no further modifications) — through a
    size-ordered :class:`ReadyIndex` kept up to date by the chunks' own
    dirty / clean events, so a wake-up costs what it picks, not the
-   number of dirty chunks;
+   number of dirty chunks.  Before ``T_p`` the loop sleeps until the
+   boundary (through the whole learning interval: until the interval
+   turns), and writes do not wake it — the policy would refuse every
+   chunk; past the gate a write wakes it;
 2. plans and moves it through the rank's copy step
    (:mod:`repro.core.copystep`; bus contention is charged by the
    destination);
@@ -38,7 +41,7 @@ from ..sim.events import Event, Wake
 from .context import NodeContext
 from .copystep import CopyStep
 from .destination import Destination, NVMArenaDestination
-from .policy import CheckpointPolicy, Decision, IntervalClock, resolve_policy
+from .policy import _EPS, CheckpointPolicy, Decision, IntervalClock, resolve_policy
 from .prediction import PredictionTable
 from .threshold import ThresholdEstimator
 
@@ -192,6 +195,9 @@ class PrecopyEngine:
         self._active: Optional[int] = None
         self._idle: Optional[Event] = None
         self._wake: Optional[Wake] = None
+        #: the gate the loop last went to sleep behind: a write before
+        #: it cannot change the loop's answer, so it does not wake it
+        self._gate = -inf
         self._resume: Optional[Event] = None
         #: chunks pre-copied this interval and not re-dirtied yet
         self._pending_clean: Dict[int, Chunk] = {}
@@ -254,7 +260,8 @@ class PrecopyEngine:
             self.stats.faults_induced += 1
             if self.prediction is not None:
                 self.prediction.record_outcome(chunk, was_redundant=True)
-        self._kick()
+        if self.ctx.engine.now + _EPS >= self._gate:
+            self._kick()
 
     def _kick(self) -> None:
         # a kick of a sleep that already ended queues nothing
@@ -399,9 +406,10 @@ class PrecopyEngine:
                 t_ready = self.threshold_time()
                 chunk = self._next_eligible(now, t_ready)
                 if chunk is None:
-                    # sleep until a dirty event, or until the threshold
-                    # boundary if one is pending
-                    pending = now < t_ready < inf and self._index
+                    # sleep until the gate opens (no deadline in the
+                    # learning interval) or, past it, until a write
+                    self._gate = t_ready
+                    pending = now < t_ready < inf
                     self._wake = engine.wake(t_ready - now if pending else None)
                     yield self._wake
                     self._wake = None

@@ -115,7 +115,7 @@ PRE_PHASE_DIGESTS = {
     "gtc-small-chunks-96": {"blake2b": "737341b676c32d20df5f295a1411a3da", "events": 1798},
     "none-no-remote": {"blake2b": "ecd9a1828a707d23729f10bb0e31276d", "events": 504},
     "page-codec-auto": {"blake2b": "b91af96c0f89819e1f83422fb1fd7543", "events": 1206},
-    "synthetic-failures": {"blake2b": "725f5c301080737d80b24cc3198d10eb", "events": 2398},
+    "synthetic-failures": {"blake2b": "49a9caebebbdef789e70f7d2b919aed9", "events": 2398},
 }
 
 
