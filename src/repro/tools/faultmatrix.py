@@ -52,7 +52,8 @@ def run_matrix(seed: int = DEFAULT_SEED, n_random: int = 0, verbose: bool = Fals
     """
     counter = CrashOutcomeCounter()
     failures: List[str] = []
-    for name in matrix_points():
+    points = matrix_points()
+    for name in points:
         harness, plan = matrix_case(name, seed=seed)
         result = harness.run(plan)
         counter.record(name, result.outcome)
@@ -62,7 +63,7 @@ def run_matrix(seed: int = DEFAULT_SEED, n_random: int = 0, verbose: bool = Fals
         if verbose:
             print(f"  {name:<32} {result.outcome:<20} {result.detail or ''}")
     for i in range(n_random):
-        plan = FaultPlan.random(seed + i)
+        plan = FaultPlan.random(seed + i, points=points)
         result = CrashConsistencyHarness(seed=seed).run(plan)
         counter.record(result.crash_point or "<random:no-crash>", result.outcome)
         if not _acceptable(result, plan):

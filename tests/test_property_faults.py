@@ -26,6 +26,7 @@ from repro.faults.harness import (
     OUTCOME_NO_CRASH,
     OUTCOME_UNRECOVERABLE,
     CrashConsistencyHarness,
+    matrix_points,
 )
 from repro.faults.plan import FaultPlan
 from repro.config import PrecopyPolicy
@@ -52,7 +53,7 @@ def _acceptable(result, plan) -> bool:
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_random_fault_plan_never_returns_torn_data(seed):
-    plan = FaultPlan.random(seed)
+    plan = FaultPlan.random(seed, points=matrix_points())
     result = CrashConsistencyHarness(seed=2024).run(plan)
     assert _acceptable(result, plan), (
         f"seed={seed} outcome={result.outcome!r} crash={result.crash_point!r} "
@@ -70,7 +71,7 @@ def test_random_fault_plan_never_returns_torn_data(seed):
     with_remote=st.booleans(),
 )
 def test_random_fault_plan_with_remote_never_returns_torn_data(seed, with_remote):
-    plan = FaultPlan.random(seed, allow_bitrot=not with_remote)
+    plan = FaultPlan.random(seed, points=matrix_points(), allow_bitrot=not with_remote)
     harness = CrashConsistencyHarness(
         seed=2024,
         with_remote=with_remote,
