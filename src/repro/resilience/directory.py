@@ -53,10 +53,6 @@ class BuddyDirectory:
     def buddy_of(self, node: int) -> int:
         return self._buddy[node]
 
-    def orphans_of(self, node: int) -> List[int]:
-        """Nodes currently checkpointing *to* the given node."""
-        return sorted(n for n, b in self._buddy.items() if b == node and n != node)
-
     def is_healthy(self, node: int) -> bool:
         return node not in self._failed
 

@@ -373,13 +373,6 @@ class TestBuddyDirectory:
         d.mark_recovered(1)
         assert d.repair(0) == 1
 
-    def test_orphans_of(self):
-        d = BuddyDirectory(Topology(4, 2))
-        assert d.orphans_of(1) == [0]
-        d.mark_failed(1)
-        d.repair(0)
-        assert d.orphans_of(1) == []
-
     def test_capacity_gate_filters_candidates(self):
         d = BuddyDirectory(Topology(4, 2))
         d.mark_failed(1)
