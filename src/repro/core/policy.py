@@ -126,7 +126,9 @@ class CheckpointPolicy:
         :data:`Decision.PRECOPY` in the interval opened at
         *interval_start*.  The pre-copy engine evaluates it once per
         wake-up: before it, no chunk is asked about at all, and the
-        engine sleeps until the boundary instead of polling."""
+        engine sleeps until the boundary instead of polling — writes
+        do not wake it, so the answer may change only when the
+        interval turns."""
         return interval_start
 
     @property
