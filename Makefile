@@ -15,13 +15,15 @@ lint:
 		echo "ruff not installed; lint skipped"; \
 	fi
 
-# the two size numbers a change reports: lines of Python under src/ and
-# the number of settable fields on repro.config's dataclasses
+# the size numbers a change reports: lines of Python under src/, the
+# number of settable fields on repro.config's dataclasses, and the import
+# footprint of one phantom cell (repro modules imported; numpy must not be)
 loc:
 	@echo "src lines: $$(find src -name '*.py' | xargs cat | wc -l)"
 	@PYTHONPATH=$(PYTHONPATH) $(PYTHON) -c "import dataclasses as d, repro.config as c; \
 	print('config fields:', sum(len(d.fields(o)) for o in vars(c).values() \
 	if isinstance(o, type) and d.is_dataclass(o) and o.__module__ == c.__name__))"
+	@PYTHONPATH=$(PYTHONPATH) $(PYTHON) benchmarks/import_footprint.py
 
 # reach audit: run every non-test entry point (bench, smokes, examples,
 # fault matrix, scenario cells, a sweep, the figure benchmarks) under a

@@ -31,8 +31,7 @@ import zlib
 from enum import Enum
 from typing import Any, Callable, List, Optional
 
-import numpy as np
-
+from .._numpy import np
 from ..errors import CheckpointError
 from ..faults.crashpoints import ARMED, fire
 from ..memory.nvmm import NvmRegion
@@ -248,7 +247,7 @@ class Chunk:
     # Reads.
     # ------------------------------------------------------------------
 
-    def view(self, dtype: Any = np.uint8, shape: Optional[tuple] = None) -> np.ndarray:
+    def view(self, dtype: Any = "uint8", shape: Optional[tuple] = None) -> np.ndarray:
         """A *read-only* typed view of the working copy.  (All writes
         must flow through :meth:`write` so dirt tracking stays sound.)
         NVM-resident chunks return a read-only copy of the committed

@@ -16,8 +16,7 @@ from __future__ import annotations
 import hashlib
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
-import numpy as np
-
+from .._numpy import np
 from ..errors import AllocationError, DuplicateChunkId, UnknownChunkId
 from ..memory.device import MemoryDevice
 from ..memory.nvmm import NVMKernelManager, NvmRegion
@@ -156,7 +155,7 @@ class NVAllocator:
         self._persist_record(chunk)
         return chunk
 
-    def nv2dalloc(self, name: str, dim1: int, dim2: int, dtype=np.float64) -> Chunk:
+    def nv2dalloc(self, name: str, dim1: int, dim2: int, dtype="float64") -> Chunk:
         """2-D (Fortran wrapper) allocation: a chunk sized for a
         ``dim1 x dim2`` array of *dtype*."""
         itemsize = np.dtype(dtype).itemsize

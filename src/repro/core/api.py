@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-import numpy as np
-
+from .._numpy import np
 from ..alloc.chunk import Chunk
 from ..alloc.nvmalloc import NVAllocator, genid
 from ..config import CheckpointConfig, NodeConfig, PrecopyPolicy
@@ -111,7 +110,7 @@ class NVMCheckpoint:
     def nvalloc(self, name: str, nbytes: int, pflag: bool = True) -> Chunk:
         return self.allocator.nvalloc(name, nbytes, pflag=pflag)
 
-    def nv2dalloc(self, name: str, dim1: int, dim2: int, dtype=np.float64) -> Chunk:
+    def nv2dalloc(self, name: str, dim1: int, dim2: int, dtype="float64") -> Chunk:
         return self.allocator.nv2dalloc(name, dim1, dim2, dtype=dtype)
 
     def nvattach(self, key: ChunkKey, src: np.ndarray) -> Chunk:

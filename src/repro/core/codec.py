@@ -30,13 +30,13 @@ a single documented modeling constant per write pattern.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
+from .._numpy import np
 from ..errors import CheckpointError, ConfigError, MemoryError_
 from ..faults.crashpoints import ARMED, fire
 
@@ -74,19 +74,42 @@ DIGEST_META_BYTES = 48
 #: wire cost of one delta run header (offset + length + base check)
 DELTA_HEADER_BYTES = 16
 
-# splitmix64 finalizer constants (vectorized deterministic hashing)
-_K1 = np.uint64(0x9E3779B97F4A7C15)
-_K2 = np.uint64(0xBF58476D1CE4E5B9)
-_K3 = np.uint64(0x94D049BB133111EB)
-_U0 = np.uint64(0)
-_U1 = np.uint64(1)
+
+class _Splitmix(NamedTuple):
+    """The splitmix64 finalizer constants (vectorized deterministic
+    hashing), with the 0 and 1 the hashing adds and compares against."""
+
+    k1: Any
+    k2: Any
+    k3: Any
+    u0: Any
+    u1: Any
+
+
+@functools.cache
+def _splitmix() -> _Splitmix:
+    """The constants as ``numpy.uint64`` scalars, built on first use so
+    that importing the codec does not load numpy.  They stay numpy
+    scalars: under NumPy 1.x's value-based casting a Python int operand
+    could change the digests' arithmetic."""
+    ints = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0, 1)
+    return _Splitmix(*map(np.uint64, ints))
+
+
+def __getattr__(name: str) -> Any:
+    # the constants under their module-level names ``_K1`` ... ``_U1``
+    # (the reference oracles import them)
+    if name in ("_K1", "_K2", "_K3", "_U0", "_U1"):
+        return getattr(_splitmix(), name[1:].lower())
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _mix64(x: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer over a uint64 array (wraps mod 2^64)."""
+    c = _splitmix()
     x = np.asarray(x, dtype=np.uint64)
-    x = (x ^ (x >> np.uint64(30))) * _K2
-    x = (x ^ (x >> np.uint64(27))) * _K3
+    x = (x ^ (x >> np.uint64(30))) * c.k2
+    x = (x ^ (x >> np.uint64(27))) * c.k3
     return x ^ (x >> np.uint64(31))
 
 
@@ -212,8 +235,9 @@ class ContentModel:
 
     def _derive(self, blocks: np.ndarray, epochs: np.ndarray) -> np.ndarray:
         """Digest (nonzero uint64) of each of *blocks* at *epochs*."""
-        d = _mix64(self.salt ^ ((blocks + _U1) * _K1) ^ ((epochs + _U1) * _K2))
-        d[d == _U0] = _U1
+        c = _splitmix()
+        d = _mix64(self.salt ^ ((blocks + c.u1) * c.k1) ^ ((epochs + c.u1) * c.k2))
+        d[d == c.u0] = c.u1
         return d
 
     def record_write(self, offset: int, nbytes: int) -> None:
@@ -226,13 +250,14 @@ class ContentModel:
         b1 = min(self.nblocks, -(-(offset + nbytes) // self.block))
         if b1 <= b0:
             return
+        c = _splitmix()
         idx = np.arange(b0, b1, dtype=np.uint64)
-        w = self._writes[b0:b1] + _U1
+        w = self._writes[b0:b1] + c.u1
         self._writes[b0:b1] = w
-        u = _mix64(self.salt ^ (idx * _K1) ^ (w * _K3))
+        u = _mix64(self.salt ^ (idx * c.k1) ^ (w * c.k3))
         bumped = b0 + np.flatnonzero((u >> np.uint64(32)) < self._threshold)
         if len(bumped):
-            epochs = self._epochs[bumped] + _U1
+            epochs = self._epochs[bumped] + c.u1
             self._epochs[bumped] = epochs
             self._digests[bumped] = self._derive(bumped.astype(np.uint64), epochs)
 
@@ -451,6 +476,7 @@ class BlockStore:
         inc: List[np.ndarray] = []
         dec: List[np.ndarray] = []
         n_entries = 0
+        u0 = _splitmix().u0
         for name, slot, idx, digests in self._staged:
             cur = self._ensure_slot(name, slot, int(idx.max()) + 1)
             old = cur[idx]
@@ -458,7 +484,7 @@ class BlockStore:
             # of the same row: only the entries that change are counted
             moved = old != digests
             inc.append(digests[moved])
-            dec.append(old[moved & (old != _U0)])
+            dec.append(old[moved & (old != u0)])
             cur[idx] = digests
             n_entries += len(idx)
         if ARMED:
@@ -527,7 +553,8 @@ class BlockStore:
     def rebuild(self) -> None:
         """Crash recovery: re-derive the refcount index from the slot
         maps (the maps are the durable truth; the index is a cache)."""
-        live = [v[v != _U0] for v in self._slots.values()]
+        u0 = _splitmix().u0
+        live = [v[v != u0] for v in self._slots.values()]
         alld = np.concatenate(live) if live else np.empty(0, np.uint64)
         self._digests, self._counts = np.unique(alld, return_counts=True)
         self._counts = self._counts.astype(np.int64)
@@ -538,7 +565,8 @@ class BlockStore:
         gone = [k for k in self._slots if k[0] == name]
         if not gone:
             return
-        dec = np.concatenate([self._slots[k][self._slots[k] != _U0] for k in gone])
+        u0 = _splitmix().u0
+        dec = np.concatenate([self._slots[k][self._slots[k] != u0] for k in gone])
         for k in gone:
             del self._slots[k]
         if len(dec):

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, List, Optional, Tuple
 
-import numpy as np
-
+from .._numpy import np
 from ..alloc.chunk import Chunk, batch_commit
 from ..alloc.nvmalloc import NVAllocator
 from ..errors import CheckpointError

@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-import numpy as np
-
+from .._numpy import np
 from ..alloc.nvmalloc import NVAllocator
 from ..errors import (
     AllReplicasLost,

@@ -47,6 +47,7 @@ __all__ = [
     "CrashRunResult",
     "CrashConsistencyHarness",
     "matrix_case",
+    "random_case",
     "matrix_points",
     "CONSISTENT_OUTCOMES",
     "OUTCOME_NO_CRASH",
@@ -63,6 +64,7 @@ _HARNESS = (
     "CrashRunResult",
     "CrashConsistencyHarness",
     "matrix_case",
+    "random_case",
     "matrix_points",
     "CONSISTENT_OUTCOMES",
     "OUTCOME_NO_CRASH",

@@ -34,8 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
+from .._numpy import np
 from ..alloc.chunk import Chunk
 from ..alloc.nvmalloc import NVAllocator
 from ..config import CheckpointConfig, PrecopyPolicy
@@ -64,6 +63,7 @@ __all__ = [
     "CrashRunResult",
     "CrashConsistencyHarness",
     "matrix_case",
+    "random_case",
 ]
 
 OUTCOME_NO_CRASH = "no-crash"
@@ -537,6 +537,24 @@ def matrix_case(point_name: str, seed: int = 2024) -> Tuple[CrashConsistencyHarn
     return CrashConsistencyHarness(**kwargs), FaultPlan(
         faults, name=f"matrix@{point_name}"
     )
+
+
+def random_case(
+    plan_seed: int, seed: int = 2024, *, allow_bitrot: bool = True
+) -> Tuple[CrashConsistencyHarness, FaultPlan]:
+    """A seeded random fault plan (:meth:`FaultPlan.random` over
+    :func:`matrix_points`) on the harness :func:`matrix_case` builds for
+    its drawn crash point, so that the crash can be reached: a
+    ``remote.*`` point runs with the buddy tier on, and a ``restart.*``
+    point behind the case's own earlier faults (the ``local.begin``
+    crash whose recovery runs the restart path).  The drawn hit index
+    and any drawn bit-rot are kept."""
+    plan = FaultPlan.random(plan_seed, points=matrix_points(), allow_bitrot=allow_bitrot)
+    crash = plan.faults[-1]
+    harness, case = matrix_case(crash.point, seed=seed)
+    if point(crash.point).layer == "restart":
+        plan.faults[-1:-1] = case.faults[:-1]
+    return harness, plan
 
 
 def matrix_points() -> List[str]:

@@ -17,8 +17,7 @@ import threading
 import time
 from typing import Dict, List, Sequence
 
-import numpy as np
-
+from .._numpy import np
 from ..config import BandwidthModelConfig, DeviceConfig
 from ..sim.engine import Engine
 from ..sim.resources import BandwidthResource

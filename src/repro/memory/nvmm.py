@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-import numpy as np
-
+from .._numpy import np
 from ..config import PCM_CONFIG
 from ..errors import AllocationError, PersistenceError
 from ..units import usec

@@ -24,8 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import List, Tuple
 
-import numpy as np
-
+from .._numpy import np
 from ..errors import InvalidAddress
 from ..units import PAGE_SIZE, pages_of
 

@@ -29,8 +29,7 @@ import json
 from abc import ABC, abstractmethod
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
+from .._numpy import np
 from ..errors import InvalidAddress, PersistenceError
 from ..faults.crashpoints import ARMED, fire
 

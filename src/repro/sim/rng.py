@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from typing import Dict
 
-import numpy as np
+from .._numpy import np
 
 __all__ = ["RngStreams"]
 

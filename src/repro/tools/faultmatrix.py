@@ -8,7 +8,8 @@ but as a standalone report::
     python -m repro.tools.faultmatrix --seed 7 --random 25
 
 ``--random N`` additionally runs N seeded random fault plans (the
-property-test workload) and folds their outcomes into the same table.
+property-test workload), each on the harness of its drawn point's
+matrix case, and folds their outcomes into the same table.
 Exit status is non-zero if any run ends in an outcome the acceptance
 rule forbids — a torn restore, or an unrecoverable state that a
 committed checkpoint should have prevented.
@@ -24,11 +25,10 @@ from ..faults.harness import (
     CONSISTENT_OUTCOMES,
     OUTCOME_NO_CRASH,
     OUTCOME_UNRECOVERABLE,
-    CrashConsistencyHarness,
     matrix_case,
     matrix_points,
+    random_case,
 )
-from ..faults.plan import FaultPlan
 from ..metrics.collectors import CrashOutcomeCounter
 
 __all__ = ["run_matrix", "main"]
@@ -63,8 +63,8 @@ def run_matrix(seed: int = DEFAULT_SEED, n_random: int = 0, verbose: bool = Fals
         if verbose:
             print(f"  {name:<32} {result.outcome:<20} {result.detail or ''}")
     for i in range(n_random):
-        plan = FaultPlan.random(seed + i, points=points)
-        result = CrashConsistencyHarness(seed=seed).run(plan)
+        harness, plan = random_case(seed + i, seed=seed)
+        result = harness.run(plan)
         counter.record(result.crash_point or "<random:no-crash>", result.outcome)
         if not _acceptable(result, plan):
             failures.append(

@@ -26,7 +26,7 @@ from repro.faults.harness import (
     OUTCOME_NO_CRASH,
     OUTCOME_UNRECOVERABLE,
     CrashConsistencyHarness,
-    matrix_points,
+    random_case,
 )
 from repro.faults.plan import FaultPlan
 from repro.config import PrecopyPolicy
@@ -53,8 +53,8 @@ def _acceptable(result, plan) -> bool:
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**31 - 1))
 def test_random_fault_plan_never_returns_torn_data(seed):
-    plan = FaultPlan.random(seed, points=matrix_points())
-    result = CrashConsistencyHarness(seed=2024).run(plan)
+    harness, plan = random_case(seed)
+    result = harness.run(plan)
     assert _acceptable(result, plan), (
         f"seed={seed} outcome={result.outcome!r} crash={result.crash_point!r} "
         f"detail={result.detail!r} hits={plan.hits} "
@@ -71,12 +71,10 @@ def test_random_fault_plan_never_returns_torn_data(seed):
     with_remote=st.booleans(),
 )
 def test_random_fault_plan_with_remote_never_returns_torn_data(seed, with_remote):
-    plan = FaultPlan.random(seed, points=matrix_points(), allow_bitrot=not with_remote)
-    harness = CrashConsistencyHarness(
-        seed=2024,
-        with_remote=with_remote,
-        n_steps=6 if with_remote else 4,
-    )
+    harness, plan = random_case(seed, allow_bitrot=not with_remote)
+    if with_remote and not harness.with_remote:
+        # the buddy tier on where the drawn point's case leaves it off
+        harness.with_remote, harness.n_steps = True, 6
     result = harness.run(plan)
     assert _acceptable(result, plan), (
         f"seed={seed} remote={with_remote} outcome={result.outcome!r} "
