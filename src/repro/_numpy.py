@@ -2,7 +2,7 @@
 
 Phantom (size-only) ranks — every cluster cell — never touch a byte,
 so ``import repro`` must not pay numpy's import (~12 MB of peak RSS
-and ~0.1 s per process).  Modules take ``np`` from here instead of
+and ~0.1 s of import time).  Modules take ``np`` from here instead of
 ``import numpy as np``::
 
     from .._numpy import np
