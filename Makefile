@@ -132,7 +132,10 @@ perf-compare:
 # pairs of `perfbench measure --seconds 10` there and here on seeds SEED,
 # SEED+1, ..., and prints each side's quartiles per end-to-end metric,
 # the pairs won, and whether the median gap beats the base's IQR
-# (benchmarks/perf_pairs.py; ~5 min)
+# (benchmarks/perf_pairs.py; ~5 min).  Every run has PYTHONDONTWRITEBYTECODE=1
+# and a fresh, empty PYTHONPYCACHEPREFIX, so both sides compile their imports
+# from source, as a fresh checkout does: setup_s then compares like with like
+# (a tree with valid or stale bytecode reads tens of percent off otherwise)
 SEED ?= 1
 perf-pairs:
 	@test -n "$(BASE)" && test -n "$(WORKLOAD)" || { echo "usage: make perf-pairs BASE=<git-ref> WORKLOAD=<name> [SEED=<n>]"; exit 2; }

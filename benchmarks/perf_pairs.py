@@ -16,8 +16,10 @@ interquartile range.
     python benchmarks/perf_pairs.py BASE_DIR HEAD_DIR WORKLOAD [FIRST [PAIRS]]
 
 The make target exports BASE with ``git archive`` to a temp directory
-and passes the working tree as HEAD_DIR.  Each run takes ~15 s, so ten
-pairs take ~5 min.  Exits 1 if a run fails or reports incorrect output.
+and passes the working tree as HEAD_DIR.  Every run compiles its
+imports from source (see :func:`measure`), so ``setup_s`` compares
+like with like whatever bytecode either tree holds.  Each run takes
+~15 s, so ten pairs take ~5 min.  Exits 1 if a run fails or reports incorrect output.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from typing import Dict, List, Sequence, Tuple
 
 #: share of pairs head must win for a claimed gain
@@ -36,10 +39,18 @@ WIN_SHARE = 0.9
 
 def measure(checkout: str, workload: str, seed: int) -> Dict[str, float]:
     """One ``perfbench measure`` run in *checkout*: its end-to-end
-    metrics, by name.  Raises ``RuntimeError`` on a failed run."""
+    metrics, by name.  Raises ``RuntimeError`` on a failed run.
+
+    The run neither reads nor writes bytecode: ``PYTHONPYCACHEPREFIX``
+    points at a fresh, empty directory and ``PYTHONDONTWRITEBYTECODE``
+    keeps it empty, so both sides compile their imports from source,
+    as in a fresh checkout.  Bytecode left in one tree and not in the
+    other, or stale in one, would otherwise move ``setup_s``."""
     cmd = [sys.executable, "-m", "perfbench", "measure", "--workload", workload,
            "--seed", str(seed), "--seconds", "10"]
-    proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-pycache-") as pycache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
+        proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: perfbench exited {proc.returncode}")

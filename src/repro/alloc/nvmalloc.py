@@ -14,7 +14,7 @@ restart rebuilds the process from.
 from __future__ import annotations
 
 import hashlib
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from .._numpy import np
 from ..errors import AllocationError, DuplicateChunkId, UnknownChunkId

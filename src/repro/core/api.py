@@ -35,7 +35,7 @@ from typing import Optional, Union
 from .._numpy import np
 from ..alloc.chunk import Chunk
 from ..alloc.nvmalloc import NVAllocator, genid
-from ..config import CheckpointConfig, NodeConfig, PrecopyPolicy
+from ..config import CheckpointConfig, NodeConfig
 from ..errors import UnknownChunkId
 from ..memory.persistence import PersistentStore
 from .context import NodeContext, make_standalone_context

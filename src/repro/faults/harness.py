@@ -31,7 +31,7 @@ iterate it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from .._numpy import np
@@ -547,13 +547,25 @@ def random_case(
     its drawn crash point, so that the crash can be reached: a
     ``remote.*`` point runs with the buddy tier on, and a ``restart.*``
     point behind the case's own earlier faults (the ``local.begin``
-    crash whose recovery runs the restart path).  The drawn hit index
-    and any drawn bit-rot are kept."""
-    plan = FaultPlan.random(plan_seed, points=matrix_points(), allow_bitrot=allow_bitrot)
-    crash = plan.faults[-1]
-    harness, case = matrix_case(crash.point, seed=seed)
-    if point(crash.point).layer == "restart":
-        plan.faults[-1:-1] = case.faults[:-1]
+    crash whose recovery runs the restart path).  Any drawn bit-rot is
+    kept.  The crash hit is drawn within the number of times the point
+    fires on a dry run of that harness under the plan's other faults,
+    so the crash always fires."""
+    cases: Dict[str, Tuple[CrashConsistencyHarness, List[ScriptedFault]]] = {}
+
+    def fires(point_name: str, drawn: List[ScriptedFault]) -> int:
+        harness, case = matrix_case(point_name, seed=seed)
+        leading = case.faults[:-1] if point(point_name).layer == "restart" else []
+        cases[point_name] = harness, leading
+        dry = FaultPlan([replace(f) for f in drawn + leading], name="dry run")
+        harness.run(dry)
+        return dry.hits.get(point_name, 0)
+
+    plan = FaultPlan.random(
+        plan_seed, points=matrix_points(), allow_bitrot=allow_bitrot, fires=fires
+    )
+    harness, leading = cases[plan.faults[-1].point]
+    plan.faults[-1:-1] = leading
     return harness, plan
 
 

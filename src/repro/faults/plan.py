@@ -94,10 +94,17 @@ class FaultPlan(FaultInjector):
         points: Optional[Sequence[str]] = None,
         max_hit: int = 6,
         allow_bitrot: bool = True,
+        fires: Optional[Callable[[str, List[ScriptedFault]], int]] = None,
     ) -> "FaultPlan":
         """A seeded random plan: one crash at a uniformly chosen point
         and hit index, optionally preceded by a bit-rot fault.  The
-        same seed always yields the same plan."""
+        same seed always yields the same plan.
+
+        The crash hit is drawn from ``1..max_hit``, or, given *fires*,
+        from ``1..fires(point, faults)``: how often the drawn point
+        fires on the run the plan will drive, under the *faults* drawn
+        before the crash.  A drawn bit-rot under which the point never
+        fires is dropped."""
         rng = RngStreams(seed).stream("faults.plan")
         names = list(points) if points is not None else list(REGISTRY)
         faults: List[ScriptedFault] = []
@@ -110,12 +117,15 @@ class FaultPlan(FaultInjector):
                     offset=int(rng.integers(0, 64)),
                 )
             )
-        faults.append(
-            ScriptedFault(
-                str(rng.choice(names)),
-                hit=int(rng.integers(1, max_hit + 1)),
-            )
-        )
+        point = str(rng.choice(names))
+        hits = max_hit
+        if fires is not None:
+            hits = fires(point, faults)
+            if not hits and faults:
+                # the drawn bit-rot keeps the run from reaching the point
+                faults.clear()
+                hits = fires(point, faults)
+        faults.append(ScriptedFault(point, hit=int(rng.integers(1, max(hits, 1) + 1))))
         return cls(faults, name=f"random(seed={seed})")
 
     # -- firing -------------------------------------------------------------

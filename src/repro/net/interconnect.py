@@ -39,11 +39,14 @@ class FabricTransfer(Event):
     :class:`~repro.sim.resources.TransferEvent` it names itself only
     when asked (``repr``), so a transfer formats nothing.
 
-    It is its own join of the egress and ingress flows: :meth:`_on_link`
-    is the one callback on both, counting them down.  The second
-    success schedules the arrival ``latency`` later; the first failure
-    fails the transfer one step later — the step an ``AllOf`` join
-    would have taken — and every later link delivery is ignored.
+    It is its own join of the egress and ingress flows: both links end
+    their flow into it (:meth:`_flow_ended`), with no event per flow.
+    The first flow to complete only counts down.  The second, and every
+    failed flow, queue one ready-lane call where a flow event's delivery
+    would have been queued: the second completion's call schedules the
+    arrival ``latency`` later, and the first failure's fails the
+    transfer one step later — the step an ``AllOf`` join would have
+    taken.  Once the transfer has failed, later flow ends do nothing.
     """
 
     __slots__ = ("src", "dst", "nbytes", "_latency", "_links")
@@ -62,17 +65,27 @@ class FabricTransfer(Event):
         #: link flows still to complete; 0 once one has failed
         self._links = 2
 
-    def _on_link(self, link: Event) -> None:
-        if not self._links:
-            return
-        engine = self.engine
-        if link._exc is not None:
+    def _flow_ended(self, value: object, exc: Optional[BaseException]) -> None:
+        links = self._links
+        if exc is None:
+            if links != 1:  # the first completion, or one after a failure
+                if links:
+                    self._links = 1
+                return
             self._links = 0
-            engine._queue_callback(partial(self.fail, link._exc))
-            return
-        self._links -= 1
-        if not self._links:
-            engine.call_at(engine.now + self._latency, self.succeed)
+            call = self._arrive
+        else:
+            call = partial(self._on_failed_link, exc)
+        self.engine._queue_callback(call)
+
+    def _arrive(self) -> None:
+        engine = self.engine
+        engine.call_at(engine.now + self._latency, self.succeed)
+
+    def _on_failed_link(self, exc: BaseException) -> None:
+        if self._links:
+            self._links = 0
+            self.engine._queue_callback(partial(self.fail, exc))
 
     def _label(self) -> str:
         return f"xfer {self.src}->{self.dst} {self.nbytes:.0f}B"
@@ -159,8 +172,8 @@ class Fabric:
                 )
                 return failed
         done = FabricTransfer(self.engine, src, dst, nbytes, self.config.rdma_latency)
-        self.links[src].egress.transfer(nbytes, tag=tag).callbacks.append(done._on_link)
-        self.links[dst].ingress.transfer(nbytes, tag=tag).callbacks.append(done._on_link)
+        self.links[src].egress.transfer_into(done, nbytes, tag)
+        self.links[dst].ingress.transfer_into(done, nbytes, tag)
         return done
 
     # ------------------------------------------------------------------
@@ -198,15 +211,11 @@ class Fabric:
         ``["rckpt", "rprecopy"]`` for checkpoint-only traffic."""
         out: Dict[float, float] = {}
         for lp in self.links:
-            trackers = (
-                [lp.egress.utilization]
-                if kinds is None
-                else [
-                    lp.egress.utilization_by_kind[k]
-                    for k in kinds
-                    if k in lp.egress.utilization_by_kind
-                ]
-            )
+            if kinds is None:
+                trackers = [lp.egress.utilization]
+            else:
+                by_kind = lp.egress.utilization_by_kind
+                trackers = [by_kind[k] for k in kinds if k in by_kind]
             for tracker in trackers:
                 for t, rate in tracker.windowed_series(window, t_end, t_start):
                     out[t] = out.get(t, 0.0) + rate * window

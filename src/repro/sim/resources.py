@@ -17,10 +17,11 @@ reads it attaches — the fabric, on its egress links (Fig. 10, a run
 record's ``fabric_*``); NVM buses, ingress links and the PFS pipe carry
 none.  On a metered resource a rate change costs one appended *note* —
 ``(time, per-flow rate, flow counts per kind)``, from counts kept live
-at join and leave — and the series are made when read: the unfolded
-notes go through :meth:`UtilizationTracker.record` as ``count *
-per_flow`` per series, in order, which writes the sample lists that
-recording on every change would have written.  A note taken at the
+at join and leave — and a series is made when it is read: the notes
+it has not folded yet go through :meth:`UtilizationTracker.record` as
+``count * per_flow``, in order, which writes the sample list that
+recording on every change would have written, and a series nobody
+reads is never made.  A note taken at the
 timestamp of the previous one replaces it (flows that start or finish
 together leave one note); what it keeps of the replaced note is which
 series that one had moved, because a series that moves within a
@@ -29,7 +30,8 @@ timestamp has a sample there even if it ends where it started.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from collections.abc import Mapping
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 from math import inf
 
 from ..errors import SimulationError, TransferCancelled
@@ -177,6 +179,9 @@ class TransferEvent(Event):
 
     __slots__ = ("resource", "nbytes")
 
+    #: how the resource ends the flow (see :meth:`BandwidthResource.transfer_into`)
+    _flow_ended = Event._trigger
+
     def __init__(self, resource: Any, nbytes: float) -> None:
         self.engine = resource.engine
         self.name = ""
@@ -192,11 +197,12 @@ class TransferEvent(Event):
 
 
 class FlowHandle:
-    """One active transfer inside a :class:`BandwidthResource`."""
+    """One active transfer inside a :class:`BandwidthResource`; it ends
+    into :attr:`event` (see :meth:`BandwidthResource.transfer_into`)."""
 
     __slots__ = ("flow_id", "nbytes", "remaining", "event", "tag", "kind", "started_at")
 
-    def __init__(self, flow_id: int, nbytes: float, event: Event, tag: str, now: float) -> None:
+    def __init__(self, flow_id: int, nbytes: float, event: Any, tag: str, now: float) -> None:
         self.flow_id = flow_id
         self.nbytes = nbytes
         self.remaining = nbytes
@@ -223,6 +229,32 @@ def _changed_series(before: tuple, after: tuple) -> int:
     return mask
 
 
+class _KindSeries(Mapping):
+    """:attr:`UsageMeter.utilization_by_kind`: the per-kind series in
+    first-seen order, each brought up to date when it is read — reading
+    one kind folds no other kind's series."""
+
+    __slots__ = ("_meter",)
+
+    def __init__(self, meter: "UsageMeter") -> None:
+        self._meter = meter
+
+    def __getitem__(self, kind: str) -> UtilizationTracker:
+        kinds = self._meter._kind_counts
+        if kind not in kinds:
+            raise KeyError(kind)
+        return self._meter._fold(list(kinds).index(kind) + 1)
+
+    def __contains__(self, kind: object) -> bool:
+        return kind in self._meter._kind_counts
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._meter._kind_counts)
+
+    def __len__(self) -> int:
+        return len(self._meter._kind_counts)
+
+
 class UsageMeter:
     """Usage of one :class:`BandwidthResource`, attached by its reader
     (``UsageMeter(resource)``, while the resource is idle).
@@ -231,10 +263,14 @@ class UsageMeter:
     and per-window transfer volumes (Fig. 10) fall out directly;
     :attr:`utilization_by_kind` splits it by traffic kind and
     :attr:`bytes_by_tag` the bytes moved by flow tag.
+
+    Series *i* of the rate log's notes is the aggregate for ``i == 0``
+    and the *i*-th kind seen otherwise; each series folds the notes from
+    its own cursor on, when it is read.
     """
 
     __slots__ = ("_kind_counts", "_rate_log", "_folded", "_merge_notes",
-                 "_utilization", "_utilization_by_kind", "bytes_by_tag")
+                 "_series", "_cursors", "bytes_by_tag")
 
     def __init__(self, resource: "BandwidthResource") -> None:
         if resource.meter is not None or resource.active_flows:
@@ -243,31 +279,37 @@ class UsageMeter:
         #: stays (at 0) once seen, like its series
         self._kind_counts: Dict[str, int] = {}
         #: rate changes as ``(time, per-flow rate, (flows, *per-kind
-        #: flows), touched)``: ``_rate_log[:_folded]`` is already in the
-        #: series (only the last such note is kept, to merge against),
-        #: the rest is folded in on the next read
+        #: flows), touched)``; series *i* has folded ``_rate_log[:_cursors[i]]``
+        #: and ``_folded`` is the largest cursor: a note before it is in
+        #: some series already, so nothing merges into it
         self._rate_log: List[Tuple[float, float, Tuple[int, ...], int]] = []
         self._folded = 0
         #: cleared for good by the first rate so small that the series'
         #: "unchanged" tolerance stops meaning "equal"
         self._merge_notes = True
-        self._utilization = UtilizationTracker()
-        self._utilization_by_kind: Dict[str, UtilizationTracker] = {}
+        #: per series, its tracker (made when first read) and cursor
+        self._series: List[Optional[UtilizationTracker]] = [None]
+        self._cursors: List[int] = [0]
         self.bytes_by_tag: Dict[str, float] = {}
         resource.meter = self
 
     @property
     def utilization(self) -> UtilizationTracker:
-        """Aggregate rate over time."""
-        self._fold_rate_log()
-        return self._utilization
+        """Aggregate rate over time.  Reading it folds every series and
+        trims the log to the one note the next merge is checked against."""
+        for i in range(len(self._series)):
+            self._fold(i)
+        log = self._rate_log
+        del log[:-1]
+        self._folded = len(log)
+        self._cursors = [self._folded] * len(self._series)
+        return self._series[0]  # type: ignore[return-value]
 
     @property
-    def utilization_by_kind(self) -> Dict[str, UtilizationTracker]:
+    def utilization_by_kind(self) -> Mapping[str, UtilizationTracker]:
         """Per traffic kind (tag suffix) rate series, for filtered usage
         timelines like Fig. 10's checkpoint-only traffic."""
-        self._fold_rate_log()
-        return self._utilization_by_kind
+        return _KindSeries(self)
 
     def join(self, flow: FlowHandle) -> None:
         # traffic kind: the part after ':' in "<rank>:<kind>" tags
@@ -275,7 +317,14 @@ class UsageMeter:
         tag = flow.tag
         flow.kind = kind = tag.rsplit(":", 1)[-1] if tag else ""
         counts = self._kind_counts
-        counts[kind] = counts.get(kind, 0) + 1
+        if kind in counts:
+            counts[kind] += 1
+        else:
+            # a new series, born in the next note, which no series has
+            # folded yet
+            counts[kind] = 1
+            self._series.append(None)
+            self._cursors.append(self._folded)
 
     def leave(self, flow: FlowHandle) -> None:
         self._kind_counts[flow.kind] -= 1
@@ -298,27 +347,25 @@ class UsageMeter:
         else:
             log.append((now, per_flow, counts, 0))
 
-    def _fold_rate_log(self) -> None:
-        """Bring the series up to date: replay every unfolded note
-        through :meth:`UtilizationTracker.record`, ``count * per_flow``
-        per series, in the order the notes were taken."""
+    def _fold(self, i: int) -> UtilizationTracker:
+        """Bring series *i* up to date: replay the notes from its cursor
+        on through :meth:`UtilizationTracker.record`, ``count *
+        per_flow``, in the order the notes were taken."""
+        tracker = self._series[i]
+        if tracker is None:
+            tracker = self._series[i] = UtilizationTracker()
         log = self._rate_log
-        if self._folded == len(log):
-            return
-        series = [self._utilization, *self._utilization_by_kind.values()]
-        kinds = list(self._kind_counts)
-        for at in range(self._folded, len(log)):
-            now, per_flow, counts, touched = log[at]
-            for kind in kinds[len(series) - 1:len(counts) - 1]:
-                tracker = self._utilization_by_kind[kind] = UtilizationTracker()
-                series.append(tracker)
-            for i, count in enumerate(counts):
-                tracker = series[i]
-                tracker.record(now, count * per_flow)
-                if touched >> i & 1 and tracker.samples[-1][0] != now:
-                    tracker.samples.append((now, count * per_flow))
-        del log[:-1]
-        self._folded = 1
+        if self._cursors[i] < len(log):
+            samples, bit = tracker.samples, 1 << i
+            for at in range(self._cursors[i], len(log)):
+                now, per_flow, counts, touched = log[at]
+                if i < len(counts):  # else the kind is not born yet
+                    value = counts[i] * per_flow
+                    tracker.record(now, value)
+                    if touched & bit and samples[-1][0] != now:
+                        samples.append((now, value))
+            self._cursors[i] = self._folded = len(log)
+        return tracker
 
 
 class BandwidthResource:
@@ -352,6 +399,7 @@ class BandwidthResource:
         #: :class:`repro.config.BandwidthModelConfig`).
         self.capacity_fn = capacity_fn
         self.name = name
+        self._rates: Dict[int, float] = {}
         self._flows: Dict[int, FlowHandle] = {}
         self._next_id = 0
         self._last_update = engine.now
@@ -386,16 +434,25 @@ class BandwidthResource:
         """Start moving *nbytes* through this resource; the returned
         event fires when the transfer completes.  Zero-byte transfers
         complete immediately."""
+        ev = TransferEvent(self, nbytes)
+        self.transfer_into(ev, nbytes, tag)
+        return ev
+
+    def transfer_into(self, event: Any, nbytes: float, tag: str = "") -> None:
+        """Start moving *nbytes* as a flow that ends into *event*: the
+        resource calls ``event._flow_ended(elapsed, None)`` when the
+        flow completes and ``event._flow_ended(_PENDING, exc)`` when it
+        is cancelled.  A :class:`TransferEvent` triggers itself there
+        (:meth:`transfer`); a fabric transfer counts its two link flows
+        down there instead of joining two events."""
         if not 0 <= nbytes < inf:
             raise SimulationError(f"cannot transfer {nbytes} bytes: not finite and non-negative")
-        ev = TransferEvent(self, nbytes)
         if nbytes < _EPSILON_BYTES:
-            ev.succeed(0.0)
-            return ev
+            event._flow_ended(0.0, None)
+            return
         self._advance()
-        self._join(ev, tag)
+        self._join(event, nbytes, tag)
         self._reschedule()
-        return ev
 
     def transfer_many(
         self, requests: Sequence[Tuple[float, str]]
@@ -424,7 +481,7 @@ class BandwidthResource:
             if not fresh:
                 self._advance()
                 fresh = True
-            self._join(ev, tag)
+            self._join(ev, nbytes, tag)
         if fresh:
             self._reschedule()
         return events
@@ -442,7 +499,9 @@ class BandwidthResource:
         doomed = [f for f in self._flows.values() if predicate is None or predicate(f.tag)]
         for f in doomed:
             self._leave(f)
-            f.event.fail(TransferCancelled(f"transfer {f.flow_id} ({f.tag!r}) cancelled"))
+            f.event._flow_ended(
+                _PENDING, TransferCancelled(f"transfer {f.flow_id} ({f.tag!r}) cancelled")
+            )
         if doomed:
             self._reschedule()
         return len(doomed)
@@ -450,16 +509,21 @@ class BandwidthResource:
     # -- internals --------------------------------------------------------------
 
     def _flow_rate(self, n_flows: int) -> float:
-        cap = self.capacity_fn(n_flows) if self.capacity_fn else self.capacity
-        share = cap / n_flows
-        if self.per_flow_cap is not None:
-            return min(self.per_flow_cap, share)
-        return share
+        """The per-flow rate with *n_flows* flows; memoised by flow
+        count, as ``capacity_fn`` is a pure function of it."""
+        rate = self._rates.get(n_flows)
+        if rate is None:
+            cap = self.capacity_fn(n_flows) if self.capacity_fn else self.capacity
+            rate = cap / n_flows
+            if self.per_flow_cap is not None:
+                rate = min(self.per_flow_cap, rate)
+            self._rates[n_flows] = rate
+        return rate
 
-    def _join(self, event: TransferEvent, tag: str) -> None:
+    def _join(self, event: Any, nbytes: float, tag: str) -> None:
         fid = self._next_id
         self._next_id += 1
-        flow = FlowHandle(fid, float(event.nbytes), event, tag, self.engine.now)
+        flow = FlowHandle(fid, float(nbytes), event, tag, self.engine.now)
         self._flows[fid] = flow
         if self.meter is not None:
             self.meter.join(flow)
@@ -495,7 +559,7 @@ class BandwidthResource:
         self.total_bytes = total_bytes
         for f in finished:
             self._leave(f)
-            f.event.succeed(now - f.started_at)
+            f.event._flow_ended(now - f.started_at, None)
 
     def _reschedule(self) -> None:
         """Note the rate the flows now run at (to the meter, if one is
@@ -533,4 +597,4 @@ class BandwidthResource:
                     by_tag = meter.bytes_by_tag
                     by_tag[f.tag] = by_tag.get(f.tag, 0.0) + f.remaining
                 self._leave(f)
-                f.event.succeed(now - f.started_at)
+                f.event._flow_ended(now - f.started_at, None)

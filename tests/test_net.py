@@ -3,7 +3,7 @@
 import pytest
 
 from repro.config import InterconnectConfig
-from repro.errors import ClusterError, SimulationError
+from repro.errors import ClusterError, SimulationError, TransferCancelled
 from repro.net import Fabric, Topology, rdma_get, rdma_put
 from repro.sim import BandwidthResource, Engine
 from repro.units import MB
@@ -188,6 +188,57 @@ class TestFabric:
         assert fab.egress_of(0).utilization.peak() > 0
 
 
+class TestFabricDispatches:
+    """Exact engine dispatches of fabric transfers on an idle 2-node
+    fabric.  The link flows end into the transfer itself: the first to
+    complete only counts down, while the second completion and every
+    failure queue one call each."""
+
+    @staticmethod
+    def dispatches(*scripts) -> int:
+        engine = Engine()
+        fab = Fabric(engine, 2)
+        for script in scripts:
+            engine.process(script(engine, fab))
+        engine.run()
+        return engine.events_processed
+
+    @staticmethod
+    def sender(count: int):
+        def script(engine, fab):
+            for _ in range(count):
+                try:
+                    yield fab.transfer(0, 1, 1e9, tag="r0:rckpt")
+                except TransferCancelled:
+                    pass
+        return script
+
+    @staticmethod
+    def outage(*nodes):
+        def script(engine, fab):
+            yield engine.timeout(1e-3)
+            for node in nodes:
+                fab.begin_outage(node)
+        return script
+
+    def test_one_transfer(self):
+        # start, two link wakeups, the second completion's call, the
+        # arrival, the transfer's delivery and the process's own
+        assert self.dispatches(self.sender(1)) == 7
+
+    def test_two_transfers_in_sequence(self):
+        assert self.dispatches(self.sender(2)) == 12
+
+    def test_transfer_cancelled_on_both_links(self):
+        # two starts, the sleep, both failures' calls, the failing call,
+        # two deliveries and the two now stale link wakeups
+        assert self.dispatches(self.sender(1), self.outage(0, 1)) == 11
+
+    def test_transfer_cancelled_on_one_link(self):
+        # the link that is not cut completes later and queues nothing
+        assert self.dispatches(self.sender(1), self.outage(0)) == 10
+
+
 class TestMeteredRun:
     """After a whole remote-on cell, usage is metered exactly where the
     run's record reads it: the fabric's egress links."""
@@ -210,6 +261,21 @@ class TestMeteredRun:
             assert lp.ingress.meter is None
             with pytest.raises(SimulationError, match="meters no usage"):
                 lp.ingress.utilization
+
+    def test_the_record_folds_only_the_series_it_reads(self):
+        from repro.exec.cell import build_parser, run_experiment
+        from tests.golden.generate_fixtures import TRACE_CELLS
+
+        args = build_parser().parse_args(TRACE_CELLS["dcpcp-remote-precopy"])
+        cluster = run_experiment(args).cluster
+        read = {"rckpt", "rprecopy", "rfetch", "resync"}  # the record's 1-s peak
+        for lp in cluster.fabric.links:
+            meter = lp.egress.meter
+            kinds = list(meter._kind_counts)
+            assert "app" in kinds
+            folded = {k for k, t in zip(kinds, meter._series[1:]) if t is not None}
+            assert folded == read.intersection(kinds)
+            assert meter._series[0] is None  # the aggregate: nobody read it
 
 
 class TestRdma:

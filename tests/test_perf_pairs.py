@@ -43,3 +43,22 @@ def test_direction_follows_the_metric():
 def test_identical_runs_win_nothing():
     res = perf_pairs.verdict(BASE, list(BASE), lower_is_better=True)
     assert res["won"] == 0 and res["tied"] == 10 and not res["claim"]
+
+
+def test_every_run_compiles_from_source_in_a_fresh_pycache(monkeypatch):
+    seen = []
+
+    def fake_run(cmd, cwd, env, stdout, text):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        seen.append((env["PYTHONDONTWRITEBYTECODE"], prefix, os.listdir(prefix)))
+        line = '{"correct": true, "failed": 0, "metrics": {"setup_s": {"value": 0.3}}}'
+        return perf_pairs.subprocess.CompletedProcess(cmd, 0, stdout=line + "\n")
+
+    monkeypatch.setattr(perf_pairs.subprocess, "run", fake_run)
+    for seed in (1, 2):
+        assert perf_pairs.measure(ROOT, "lammps-nopolicy-local", seed) == {"setup_s": 0.3}
+    (flag_a, prefix_a, listed_a), (flag_b, prefix_b, listed_b) = seen
+    assert flag_a == flag_b == "1"
+    assert listed_a == listed_b == []
+    assert prefix_a != prefix_b
+    assert not os.path.exists(prefix_a) and not os.path.exists(prefix_b)

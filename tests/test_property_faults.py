@@ -19,7 +19,7 @@ Two properties, over randomized seeded fault plans:
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.faults.harness import (
     CONSISTENT_OUTCOMES,
@@ -28,7 +28,7 @@ from repro.faults.harness import (
     CrashConsistencyHarness,
     random_case,
 )
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import KIND_BITROT, FaultPlan
 from repro.config import PrecopyPolicy
 
 pytestmark = pytest.mark.faults
@@ -63,6 +63,38 @@ def test_random_fault_plan_never_returns_torn_data(seed):
     # loud, not silent: any non-consistent ending carries an explanation
     if result.outcome == OUTCOME_UNRECOVERABLE:
         assert result.detail
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1), allow_bitrot=st.booleans())
+@example(seed=115, allow_bitrot=True)  # its drawn bit-rot kept restart.done from firing
+def test_random_fault_plan_crash_fires(seed, allow_bitrot):
+    """A random plan's crash hit is drawn within how often its point
+    fires on the case's harness, so the crash always fires."""
+    harness, plan = random_case(seed, allow_bitrot=allow_bitrot)
+    crash = plan.faults[-1]
+    result = harness.run(plan)
+    assert crash.consumed, f"seed={seed}: {crash.point}#{crash.hit} never fired ({plan.hits})"
+    assert result.outcome != OUTCOME_NO_CRASH
+
+
+def test_random_plan_draws_the_hit_within_the_fire_count():
+    dropped = 0
+    for seed in range(40):
+        asked = []
+
+        def fires(point, drawn):
+            asked.append([f.kind for f in drawn])
+            return 0 if drawn else 2
+
+        plan = FaultPlan.random(seed, fires=fires)
+        crash = plan.faults[-1]
+        assert 1 <= crash.hit <= 2
+        # a drawn bit-rot under which the point never fires is dropped
+        assert plan.faults == [crash]
+        assert asked[-1] == []
+        dropped += asked[0] == [KIND_BITROT]
+    assert dropped > 5
 
 
 @settings(max_examples=8, deadline=None)

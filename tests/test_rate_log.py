@@ -75,12 +75,12 @@ def snapshot(bw):
     )
 
 
-def run_program(meter, seed: int, read_midway: bool):
+def run_program(meter, seed: int, read_midway: bool, read=snapshot):
     """Run the seeded program on a resource metered by *meter* (a
     :class:`UsageMeter` class, or ``None``); returns the series
-    snapshots taken (mid-run reads, then the end), the completion log
-    and the resource.  The program draws nothing from the resource, so
-    every meter sees the same calls at the same times."""
+    snapshots taken by *read* (mid-run reads, then the end), the
+    completion log and the resource.  The program draws nothing from
+    the resource, so every meter sees the same calls at the same times."""
     rng = random.Random(seed)
     engine = Engine()
     bw = make_resource(engine, seed, meter)
@@ -133,15 +133,15 @@ def run_program(meter, seed: int, read_midway: bool):
                 elif op == 5:
                     bw.transfer(size(), tag=rng.choice(TAGS))
                 elif read_midway:
-                    snapshots.append(snapshot(bw))
+                    snapshots.append(read(bw))
 
     for wid in range(rng.randrange(2, 6)):
         engine.process(worker(wid))
     engine.process(chaos())
     engine.run()
     assert bw.active_flows == 0
-    snapshots.append(snapshot(bw))
-    snapshots.append(snapshot(bw))  # a second read changes nothing
+    snapshots.append(read(bw))
+    snapshots.append(read(bw))  # a second read changes nothing
     return snapshots, finished, bw
 
 
@@ -156,6 +156,62 @@ def test_series_equal_the_eager_reference(seed, read_midway):
         assert total == want_total
         assert by_kind == want_by_kind  # same kinds, same order, same samples
     assert got[-1] == got[-2]
+
+
+class KindReader:
+    """Reads a seeded random subset of the kinds seen so far, now and
+    then the aggregate too (before or after the kinds), and checks on a
+    :class:`UsageMeter` that no series nobody read has a tracker: a
+    series is folded when it is read, and every series known by then
+    when the aggregate is read."""
+
+    def __init__(self, seed: int) -> None:
+        self.rng = random.Random(seed)
+        self.read = set()
+        self.aggregate_read = False
+
+    def __call__(self, bw):
+        rng, by_kind, out = self.rng, bw.utilization_by_kind, []
+        kinds = list(by_kind)
+        picked = rng.sample(kinds, rng.randint(0, len(kinds)))
+        aggregate_at = rng.choice((None, None, 0, len(picked)))
+        for at, kind in enumerate(picked + [None]):
+            if at == aggregate_at:
+                out.append(("*", list(bw.utilization.samples)))
+                self.read.update(kinds)
+                self.aggregate_read = True
+            if kind is not None:
+                out.append((kind, list(by_kind[kind].samples)))
+                self.read.add(kind)
+        meter = bw.meter
+        if type(meter) is UsageMeter:
+            made = {k for k, t in zip(meter._kind_counts, meter._series[1:]) if t is not None}
+            assert made == self.read
+            assert (meter._series[0] is not None) == self.aggregate_read
+        return out
+
+
+@pytest.mark.parametrize("seed", range(240))
+def test_series_read_kind_by_kind_equal_the_eager_reference(seed):
+    got, got_finished, _ = run_program(UsageMeter, seed, True, KindReader(seed))
+    want, want_finished, _ = run_program(EagerMeter, seed, True, KindReader(seed))
+    assert got_finished == want_finished
+    assert got == want
+
+
+def test_kind_readers_read_before_and_after_the_aggregate():
+    before = after = kinds_only = 0
+    for seed in range(240):
+        reader = KindReader(seed)
+        snaps, _, _ = run_program(UsageMeter, seed, True, reader)
+        for snap in snaps:
+            names = [name for name, _ in snap]
+            if "*" in names:
+                before += names.index("*") > 0
+                after += names.index("*") < len(names) - 1
+            else:
+                kinds_only += bool(names)
+    assert min(before, after, kinds_only) > 50, (before, after, kinds_only)
 
 
 @pytest.mark.parametrize("seed", range(240))
