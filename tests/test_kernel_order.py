@@ -121,21 +121,27 @@ HAND_PROGRAMS = {
         (True, [("sleep", 0.5), ("outage", 0, 0.0), ("sleep", 0.0), ("sleep", 0.0)]),
     ],
 }
-# One link flow of a transfer completes at t = 1 and an outage cancels
-# the other at that same instant.  The transfer's other link shares its
-# lane with application traffic, which the outage leaves running, so it
-# is the slow one.  Which of the two happens first depends on whether
-# the outage's sleep was queued before the transfer's link wakeup.
-for _done, _cut, _slow in (("egress", 1, (2, 1)), ("ingress", 0, (0, 2))):
-    _xfer = [("fabric", 0, 1, 1000.0, "r0:rckpt")]
-    _app = [("fabric", *_slow, 1000.0, "r1:app")]
-    _outage = [("sleep", 1.0), ("outage", _cut, 0.5)]
-    HAND_PROGRAMS[f"{_done}-completes-then-the-other-link-is-cut"] = [
-        (True, _xfer), (True, _app), (True, _outage),
-    ]
-    HAND_PROGRAMS[f"other-link-is-cut-then-{_done}-completes"] = [
-        (True, _outage), (True, _xfer), (True, _app),
-    ]
+
+
+def _link_cut_as_the_other_completes(cut: int, app: tuple, outage_first: bool) -> list:
+    """Transfer 0 -> 1: one link flow completes at t = 1 while an outage
+    of node *cut* tears the other down at that instant.  The torn link
+    shares its lane with an *app* transfer, which the outage leaves
+    running, so it is the slow one.  Which of the two happens first is
+    whether the outage's sleep is queued before the transfer's wakeup."""
+    xfer = (True, [("fabric", 0, 1, 1000.0, "r0:rckpt")])
+    other = (True, [("fabric", *app, 1000.0, "r1:app")])
+    outage = (True, [("sleep", 1.0), ("outage", cut, 0.5)])
+    return [outage, xfer, other] if outage_first else [xfer, other, outage]
+
+
+for _link, _cut, _app in (("egress", 1, (2, 1)), ("ingress", 0, (0, 2))):
+    HAND_PROGRAMS[f"{_link}-completes-then-the-other-link-is-cut"] = (
+        _link_cut_as_the_other_completes(_cut, _app, outage_first=False)
+    )
+    HAND_PROGRAMS[f"other-link-is-cut-then-{_link}-completes"] = (
+        _link_cut_as_the_other_completes(_cut, _app, outage_first=True)
+    )
 
 
 def run_program(kernel, seed: int, program: Optional[list] = None) -> list:
