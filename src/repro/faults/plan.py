@@ -21,7 +21,7 @@ a whole randomized campaign replays bit-identically from its seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import CrashInjected, FaultInjectionError
