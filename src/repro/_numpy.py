@@ -2,7 +2,9 @@
 
 Phantom (size-only) ranks — every cluster cell — never touch a byte,
 so ``import repro`` must not pay numpy's import (~12 MB of peak RSS
-and ~0.1 s of import time).  Modules take ``np`` from here instead of
+and ~0.1 s of import time).  A cell that injects failures still does:
+its failure schedule is drawn from numpy's generator
+(``repro.sim.rng``).  Modules take ``np`` from here instead of
 ``import numpy as np``::
 
     from .._numpy import np

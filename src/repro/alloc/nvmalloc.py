@@ -68,6 +68,9 @@ class NVAllocator:
         self._chunks: Dict[int, Chunk] = {}
         self._by_name: Dict[str, int] = {}
         self._allocations: Dict[int, Optional[Allocation]] = {}
+        #: :meth:`persistent_chunks` in id order, until a chunk is
+        #: registered or deleted (a coordinated step reads it twice)
+        self._persistent: Optional[List[Chunk]] = None
         #: observers called as fn(chunk) when a chunk is allocated or
         #: rebuilt (a page-granular checkpoint engine protects it per
         #: page; a chunk-granular stream drops its stale map)
@@ -102,7 +105,10 @@ class NVAllocator:
         return [self._chunks[cid] for cid in sorted(self._chunks)]
 
     def persistent_chunks(self) -> List[Chunk]:
-        return [c for c in self.chunks() if c.persistent]
+        """The persistent chunks, ordered by id (a fresh list)."""
+        if self._persistent is None:
+            self._persistent = [c for c in self.chunks() if c.persistent]
+        return list(self._persistent)
 
     def for_each_chunk(self, fn: Callable[[Chunk], None]) -> None:
         """Call *fn* on every chunk now and, through ``on_register``,
@@ -214,6 +220,7 @@ class NVAllocator:
             self.arena.free(alloc)
         del self._chunks[chunk.chunk_id]
         del self._by_name[chunk.name]
+        self._persistent = None
         self.nvmm.store.delete_meta_entry(self._meta_key(), "chunks", chunk.name)
         for fn in self.on_delete:
             fn(chunk)
@@ -278,6 +285,7 @@ class NVAllocator:
     def _register(self, chunk: Chunk) -> None:
         self._chunks[chunk.chunk_id] = chunk
         self._by_name[chunk.name] = chunk.chunk_id
+        self._persistent = None
         for fn in self.on_register:
             fn(chunk)
 
@@ -289,8 +297,8 @@ class NVAllocator:
         return f"{self._META_PREFIX}{self.pid}"
 
     def _persisted_record(self, name: str) -> Optional[dict]:
-        meta = self.nvmm.store.get_meta(self._meta_key(), {"chunks": {}})
-        return meta["chunks"].get(name)
+        meta = self.nvmm.store.get_meta(self._meta_key())
+        return None if meta is None else meta["chunks"].get(name)
 
     @staticmethod
     def _record(c: Chunk) -> dict:
@@ -301,7 +309,8 @@ class NVAllocator:
             "phantom": c.phantom,
             "n_versions": c.n_versions,
             "committed": c.committed_version,
-            "checksums": list(c.checksums),
+            # the store copies what it is handed: no list() of its own
+            "checksums": c.checksums,
         }
 
     def _persist_metadata(self) -> None:
@@ -311,7 +320,8 @@ class NVAllocator:
         store flush (data-flush is ordered before metadata-flush)."""
         # non-persistent (pflag=False) chunks have no NVM footprint and
         # die with the process, so only persistent chunks are recorded
-        meta = {"chunks": {c.name: self._record(c) for c in self.persistent_chunks()}}
+        record = self._record
+        meta = {"chunks": {c.name: record(c) for c in self.persistent_chunks()}}
         self.nvmm.store.put_meta(self._meta_key(), meta)
 
     def _persist_record(self, chunk: Chunk) -> None:

@@ -161,7 +161,8 @@ class NVMArenaDestination(Destination):
         self.allocator = allocator
 
     def write(self, chunk: Chunk, nbytes: int, *, tag: str = ""):
-        return self.ctx.copy_to_nvm(nbytes, tag=tag)
+        # NodeContext.copy_to_nvm without its call: one per chunk copy
+        return self.ctx.nvm_bus.transfer(nbytes, tag=tag)
 
     def codec_slots(self, chunk: Chunk) -> Tuple[int, int]:
         return (chunk.inprogress_index(), chunk.committed_version)
@@ -181,7 +182,7 @@ class NVMArenaDestination(Destination):
         with_checksum: bool = True,
         on_commit: Optional[Callable[[Chunk], None]] = None,
     ) -> float:
-        batch_commit(list(chunks), with_checksum=with_checksum, on_commit=on_commit)
+        batch_commit(chunks, with_checksum=with_checksum, on_commit=on_commit)
         return 0.0
 
     def persist_metadata(self) -> None:

@@ -176,8 +176,8 @@ class CheckpointEngine:
     # The coordinated checkpoint step (nvchkptall).
     # ------------------------------------------------------------------
 
-    def _chunks_to_copy(self, only: Optional[Iterable[Chunk]] = None) -> List[Chunk]:
-        chunks = list(only) if only is not None else self.allocator.persistent_chunks()
+    def _chunks_to_copy(self, chunks: List[Chunk]) -> List[Chunk]:
+        """The chunks of *chunks* the coordinated step copies."""
         if self.tracks_dirty:
             return [c for c in chunks if c.dirty_local]
         return chunks
@@ -248,36 +248,42 @@ class CheckpointEngine:
                     store=self.ctx.nvmm.store,
                     rank=self.rank,
                 )
-            all_persistent = list(
-                only if only is not None else self.allocator.persistent_chunks()
+            all_persistent = (
+                list(only) if only is not None else self.allocator.persistent_chunks()
             )
-            to_copy = self._chunks_to_copy(only)
+            to_copy = self._chunks_to_copy(all_persistent)
             stats.chunks_skipped = len(all_persistent) - len(to_copy)
             if BUS.active:
                 self._trace_decisions(all_persistent, to_copy)
+            # the same for every chunk of the step
+            tag = f"{self.tag}:lckpt"
+            tracks_dirty = self.tracks_dirty
+            copier = self.copier
+            idle, checkpointing = ChunkState.IDLE, ChunkState.CHECKPOINTING
             for chunk in to_copy:
-                if chunk.state_local is not ChunkState.IDLE:
+                if chunk.state_local is not idle:
                     raise CheckpointError(
                         f"chunk {chunk.name!r} busy ({chunk.state_local}) during coordinated step"
                     )
                 if ARMED:
                     fire("local.copy.before", chunk=chunk, rank=self.rank)
-                chunk.state_local = ChunkState.CHECKPOINTING
+                chunk.state_local = checkpointing
                 copy_start = engine.now
-                plan = self.copier.plan(chunk, dest)
+                plan = copier.plan(chunk, dest)
+                nbytes = plan.nbytes
                 try:
-                    yield dest.write(chunk, plan.nbytes, tag=f"{self.tag}:lckpt")
+                    yield dest.write(chunk, nbytes, tag=tag)
                 finally:
-                    chunk.state_local = ChunkState.IDLE
+                    chunk.state_local = idle
                 if ARMED:
                     fire("local.copy.after", chunk=chunk, rank=self.rank)
-                self.copier.land(plan, start=copy_start, phase="coordinated")
+                copier.land(plan, start=copy_start, phase="coordinated")
                 if dest.two_version:
                     if ARMED:
                         fire("local.stage.after", chunk=chunk, rank=self.rank)
-                stats.bytes_copied += plan.nbytes
+                stats.bytes_copied += nbytes
                 stats.chunks_copied += 1
-                if self.tracks_dirty:
+                if tracks_dirty:
                     chunk.mark_precopied("local")
                 else:
                     chunk.mark_clean("local")

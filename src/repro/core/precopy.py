@@ -441,11 +441,12 @@ class PrecopyEngine:
         # the in-progress slot (a post-pre-copy re-copy moves just the
         # re-dirtied pages, not the whole chunk)
         plan = self.copier.plan(chunk, self.destination)
+        nbytes = plan.nbytes
         chunk.set_state(self.stream, ChunkState.PRECOPYING)
         self._inflight_chunk = chunk
         cancelled = False
         try:
-            yield self.destination.write(chunk, plan.nbytes, tag=self.tag)
+            yield self.destination.write(chunk, nbytes, tag=self.tag)
         except TransferCancelled:
             # a failure tore the flow down; the chunk stays dirty and
             # the engine moves on (it may retry after recovery)
@@ -463,7 +464,7 @@ class PrecopyEngine:
         if ARMED:
             fire("precopy.copy.after", chunk=chunk, stream=self.stream)
         self.stats.copies += 1
-        self.stats.bytes_copied += plan.nbytes
+        self.stats.bytes_copied += nbytes
         # torn copy: application wrote during the transfer (the stale
         # bits were never cleared, so a retry re-copies)
         torn = chunk.total_mods != mods_before

@@ -547,22 +547,22 @@ def random_case(
     its drawn crash point, so that the crash can be reached: a
     ``remote.*`` point runs with the buddy tier on, and a ``restart.*``
     point behind the case's own earlier faults (the ``local.begin``
-    crash whose recovery runs the restart path).  Any drawn bit-rot is
-    kept.  The crash hit is drawn within the number of times the point
-    fires on a dry run of that harness under the plan's other faults,
-    so the crash always fires."""
+    crash whose recovery runs the restart path).  The crash hit and a
+    drawn bit-rot's hit are drawn from a dry run of that harness under
+    those earlier faults, so every fault of the plan fires, the bit-rot
+    before the crash."""
     cases: Dict[str, Tuple[CrashConsistencyHarness, List[ScriptedFault]]] = {}
 
-    def fires(point_name: str, drawn: List[ScriptedFault]) -> int:
+    def dry_run(point_name: str, drawn: List[ScriptedFault]) -> List[Tuple[str, int]]:
         harness, case = matrix_case(point_name, seed=seed)
         leading = case.faults[:-1] if point(point_name).layer == "restart" else []
         cases[point_name] = harness, leading
         dry = FaultPlan([replace(f) for f in drawn + leading], name="dry run")
         harness.run(dry)
-        return dry.hits.get(point_name, 0)
+        return dry.fired_log
 
     plan = FaultPlan.random(
-        plan_seed, points=matrix_points(), allow_bitrot=allow_bitrot, fires=fires
+        plan_seed, points=matrix_points(), allow_bitrot=allow_bitrot, dry_run=dry_run
     )
     harness, leading = cases[plan.faults[-1].point]
     plan.faults[-1:-1] = leading

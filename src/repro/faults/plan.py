@@ -94,38 +94,53 @@ class FaultPlan(FaultInjector):
         points: Optional[Sequence[str]] = None,
         max_hit: int = 6,
         allow_bitrot: bool = True,
-        fires: Optional[Callable[[str, List[ScriptedFault]], int]] = None,
+        dry_run: Optional[Callable[[str, List[ScriptedFault]], List[Tuple[str, int]]]] = None,
     ) -> "FaultPlan":
         """A seeded random plan: one crash at a uniformly chosen point
         and hit index, optionally preceded by a bit-rot fault.  The
         same seed always yields the same plan.
 
-        The crash hit is drawn from ``1..max_hit``, or, given *fires*,
-        from ``1..fires(point, faults)``: how often the drawn point
-        fires on the run the plan will drive, under the *faults* drawn
-        before the crash.  A drawn bit-rot under which the point never
-        fires is dropped."""
+        Without *dry_run* both hits are drawn from ``1..max_hit``.
+        Given *dry_run* — ``dry_run(point, faults)`` is the
+        :attr:`fired_log` of the run the plan will drive, with the crash
+        drawn at *point* left out and *faults* in — the crash hit is
+        drawn within how often the point fires on that run, and the
+        bit-rot hit within how often the bit-rot's point fires before
+        that crash.  A bit-rot whose point never fires before the
+        crash, or under which the crash would no longer fire, is
+        dropped: every fault of the plan fires."""
         rng = RngStreams(seed).stream("faults.plan")
         names = list(points) if points is not None else list(REGISTRY)
-        faults: List[ScriptedFault] = []
+        rot: Optional[ScriptedFault] = None
         if allow_bitrot and rng.random() < 0.3:
-            faults.append(
-                ScriptedFault(
-                    str(rng.choice(list(BITROT_CAPABLE))),
-                    hit=int(rng.integers(1, max_hit + 1)),
-                    kind=KIND_BITROT,
-                    offset=int(rng.integers(0, 64)),
-                )
+            rot = ScriptedFault(
+                str(rng.choice(list(BITROT_CAPABLE))),
+                kind=KIND_BITROT,
+                offset=int(rng.integers(0, 64)),
             )
         point = str(rng.choice(names))
-        hits = max_hit
-        if fires is not None:
-            hits = fires(point, faults)
-            if not hits and faults:
-                # the drawn bit-rot keeps the run from reaching the point
-                faults.clear()
-                hits = fires(point, faults)
-        faults.append(ScriptedFault(point, hit=int(rng.integers(1, max(hits, 1) + 1))))
+        if dry_run is None:
+            crash = ScriptedFault(point, hit=int(rng.integers(1, max_hit + 1)))
+            if rot is not None:
+                rot.hit = int(rng.integers(1, max_hit + 1))
+        else:
+            log = dry_run(point, [])
+            hits = sum(name == point for name, _ in log)
+            crash = ScriptedFault(point, hit=int(rng.integers(1, max(hits, 1) + 1)))
+            if rot is not None:
+                # the bit-rot point's hits before the crash fires; the
+                # run under the bit-rot is the same up to its hit
+                end = log.index((point, crash.hit)) if hits else len(log)
+                before = sum(name == rot.point for name, _ in log[:end])
+                if before:
+                    rot.hit = int(rng.integers(1, before + 1))
+                if not before or sum(
+                    name == point for name, _ in dry_run(point, [rot])
+                ) < crash.hit:
+                    # it cannot fire before the crash, or it keeps the
+                    # run from reaching the crash
+                    rot = None
+        faults = [crash] if rot is None else [rot, crash]
         return cls(faults, name=f"random(seed={seed})")
 
     # -- firing -------------------------------------------------------------

@@ -77,7 +77,8 @@ class MemoryDevice:
                 f"of {self.config.capacity}"
             )
         self.allocated += nbytes
-        self.peak_allocated = max(self.peak_allocated, self.allocated)
+        if self.allocated > self.peak_allocated:
+            self.peak_allocated = self.allocated
         if owner:
             self._owners[owner] = self._owners.get(owner, 0) + nbytes
 
@@ -117,10 +118,14 @@ class MemoryDevice:
 
     def record_write(self, nbytes: int) -> None:
         """Account a write's wear and energy (call once per completed
-        copy into this device)."""
-        self.wear.bytes_written += nbytes
-        self.wear.page_writes += pages_of(nbytes, self.config.page_size)
-        self.wear.write_energy_joules += nbytes * 8 * self.config.write_energy_per_bit
+        copy into this device).  Runs once per staged half-chunk, so it
+        reads ``wear`` and ``config`` once and takes the page count
+        inline (``pages_of``)."""
+        wear, config = self.wear, self.config
+        wear.bytes_written += nbytes
+        if nbytes > 0:
+            wear.page_writes += -(-nbytes // config.page_size)
+        wear.write_energy_joules += nbytes * 8 * config.write_energy_per_bit
 
     def record_read(self, nbytes: int) -> None:
         self.wear.bytes_read += nbytes

@@ -78,7 +78,8 @@ class NvmRegion:
 
     def write_phantom(self, offset: int, nbytes: int) -> int:
         """Account a write of *nbytes* without payload (simulation mode)."""
-        check_access(offset, nbytes, self.nbytes)
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.nbytes:
+            check_access(offset, nbytes, self.nbytes)  # raises
         self.manager.device.record_write(nbytes)
         return nbytes
 
@@ -147,7 +148,9 @@ class NVMKernelManager:
         key = (pid, name)
         if key in self._regions:
             raise AllocationError(f"region {name!r} already mapped for process {pid!r}")
-        self._charge(SYSCALL_COST)
+        # the charge of :meth:`_charge`, inline: every chunk maps two regions
+        self.accrued_cost += SYSCALL_COST
+        self.syscall_count += 1
         self.device.allocate(nbytes, owner=pid)
         region = NvmRegion(self, pid, name, nbytes, phantom)
         if not phantom:

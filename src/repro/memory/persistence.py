@@ -267,11 +267,21 @@ class InMemoryStore(PersistentStore):
         self._meta_dirty_keys.clear()
         for key in sorted(self._meta_dirty_entries):
             working = self._meta_working[key]
-            durable = self._meta_durable.setdefault(key, {})
+            durable = self._meta_durable.get(key)
+            if durable is None:
+                durable = self._meta_durable[key] = {}
+            table_now = None
             for table, name in self._meta_dirty_entries[key]:
-                records = durable.setdefault(table, {})
-                if name in working[table]:
-                    records[name] = _json_copy(working[table][name])
+                if table != table_now:
+                    # the records of one key are nearly always of one
+                    # table: look the pair of tables up once per run
+                    table_now = table
+                    source = working[table]
+                    records = durable.get(table)
+                    if records is None:
+                        records = durable[table] = {}
+                if name in source:
+                    records[name] = _json_copy(source[name])
                 else:
                     records.pop(name, None)
         self._meta_dirty_entries.clear()
@@ -319,12 +329,26 @@ class InMemoryStore(PersistentStore):
 
     def put_meta_entry(self, key: str, table: str, name: str, record: Any) -> None:
         record = _json_copy(record)  # rejected before anything changes
-        value = self._meta_working.setdefault(key, {})
-        records = value.setdefault(table, {}) if isinstance(value, dict) else None
+        working = self._meta_working
+        value = working.get(key)
+        if isinstance(value, dict):
+            records = value.get(table)
+            if records is None and table not in value:
+                records = value[table] = {}
+        elif key in working:
+            records = None  # the key holds a value that is not a table
+        else:
+            records = {}
+            working[key] = {table: records}
         if not isinstance(records, dict):
             raise PersistenceError(f"metadata {key!r} holds no record table {table!r}")
         records[name] = record
-        self._mark_entry_dirty(key, table, name)
+        # _mark_entry_dirty, inline: one entry per allocated region and chunk
+        if key not in self._meta_dirty_keys:
+            entries = self._meta_dirty_entries.get(key)
+            if entries is None:
+                entries = self._meta_dirty_entries[key] = {}
+            entries[(table, name)] = None
 
     def delete_meta_entry(self, key: str, table: str, name: str) -> None:
         value = self._meta_working.get(key)

@@ -28,6 +28,7 @@ from repro.faults.harness import (
     CrashConsistencyHarness,
     random_case,
 )
+from repro.faults.crashpoints import BITROT_CAPABLE
 from repro.faults.plan import KIND_BITROT, FaultPlan
 from repro.config import PrecopyPolicy
 
@@ -79,22 +80,59 @@ def test_random_fault_plan_crash_fires(seed, allow_bitrot):
 
 
 def test_random_plan_draws_the_hit_within_the_fire_count():
-    dropped = 0
+    """The crash hit is drawn within how often its point fires on the
+    dry run, a bit-rot's hit within how often the bit-rot's point fires
+    before that crash; a bit-rot whose point fires only after it, or
+    under which the crash would no longer fire, is dropped."""
+    kept = 0
     for seed in range(40):
-        asked = []
 
-        def fires(point, drawn):
-            asked.append([f.kind for f in drawn])
-            return 0 if drawn else 2
+        def dry_run(point, drawn):
+            # every bit-rot point fires once before each of the crash
+            # point's two hits
+            return [
+                (name, count)
+                for count in (1, 2)
+                for name in [p for p in BITROT_CAPABLE if p != point] + [point]
+            ]
 
-        plan = FaultPlan.random(seed, fires=fires)
+        plan = FaultPlan.random(seed, dry_run=dry_run)
         crash = plan.faults[-1]
         assert 1 <= crash.hit <= 2
-        # a drawn bit-rot under which the point never fires is dropped
-        assert plan.faults == [crash]
-        assert asked[-1] == []
-        dropped += asked[0] == [KIND_BITROT]
-    assert dropped > 5
+        log = dry_run(crash.point, [])
+        before = log[: log.index((crash.point, crash.hit))]
+        for rot in plan.faults[:-1]:
+            assert rot.kind == KIND_BITROT
+            assert (rot.point, rot.hit) in before
+            kept += 1
+
+        def rot_after_crash(point, drawn):
+            return [(point, 1)] + [(p, 1) for p in BITROT_CAPABLE if p != point]
+
+        plan = FaultPlan.random(seed, dry_run=rot_after_crash)
+        assert [f.kind for f in plan.faults] == ["crash"]
+
+        def rot_stops_the_run(point, drawn):
+            return dry_run(point, drawn)[:1] if drawn else dry_run(point, drawn)
+
+        plan = FaultPlan.random(seed, dry_run=rot_stops_the_run)
+        assert [f.kind for f in plan.faults] == ["crash"]
+    assert kept > 5
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
+@example(seed=2028)  # its bit-rot was drawn past the last local.commit.done
+def test_every_drawn_bitrot_fires_before_the_crash(seed):
+    harness, plan = random_case(seed)
+    harness.run(plan)
+    assert all(f.consumed for f in plan.faults), (
+        f"seed={seed}: {[(f.point, f.hit, f.kind) for f in plan.pending]} never fired"
+    )
+    crash_at = plan.fired_log.index((plan.faults[-1].point, plan.faults[-1].hit))
+    for rot in plan.faults:
+        if rot.kind == KIND_BITROT:
+            assert plan.fired_log.index((rot.point, rot.hit)) <= crash_at
 
 
 @settings(max_examples=8, deadline=None)
