@@ -17,8 +17,8 @@ interquartile range.
 
 The make target exports BASE with ``git archive`` to a temp directory
 and passes the working tree as HEAD_DIR.  Every run compiles its
-imports from source (see :func:`measure`), so ``setup_s`` compares
-like with like whatever bytecode either tree holds.  Each run takes
+imports from source (see :func:`run_from_source`), so ``setup_s``
+compares like with like whatever bytecode either tree holds.  Each run takes
 ~15 s, so ten pairs take ~5 min.  Exits 1 if a run fails or reports incorrect output.
 """
 
@@ -31,29 +31,62 @@ import statistics
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 #: share of pairs head must win for a claimed gain
 WIN_SHARE = 0.9
 
+R = TypeVar("R")
 
-def measure(checkout: str, workload: str, seed: int) -> Dict[str, float]:
-    """One ``perfbench measure`` run in *checkout*: its end-to-end
-    metrics, by name.  Raises ``RuntimeError`` on a failed run.
+
+def run_from_source(cmd: List[str], cwd: str, **env: str) -> str:
+    """Run *cmd* in *cwd* (with *env* added to the environment) and
+    return its stdout.  Raises ``RuntimeError`` if it exits nonzero.
 
     The run neither reads nor writes bytecode: ``PYTHONPYCACHEPREFIX``
     points at a fresh, empty directory and ``PYTHONDONTWRITEBYTECODE``
     keeps it empty, so both sides compile their imports from source,
     as in a fresh checkout.  Bytecode left in one tree and not in the
     other, or stale in one, would otherwise move ``setup_s``."""
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-pycache-") as pycache:
+        env = {**os.environ, **env, "PYTHONDONTWRITEBYTECODE": "1",
+               "PYTHONPYCACHEPREFIX": pycache}
+        proc = subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{cwd}: {os.path.basename(cmd[0])} {' '.join(cmd[1:])} "
+                           f"exited {proc.returncode}")
+    return proc.stdout
+
+
+def alternate(
+    run: Callable[[str, int], R], base_dir: str, head_dir: str, pairs: int,
+    note: Callable[[int, Dict[str, List[R]]], str] = lambda i, runs: "",
+) -> Dict[str, List[R]]:
+    """*pairs* pairs of ``run(checkout, i)``, one on each checkout per
+    pair, the order alternating (base first on even pairs, head first
+    on odd ones) so a drift of the host's speed lands on both sides.
+    Returns each side's results in pair order; prints one progress
+    line per pair to stderr, ending in ``note(i, runs)``."""
+    runs: Dict[str, List[R]] = {"base": [], "head": []}
+    for i in range(pairs):
+        order = [("base", base_dir), ("head", head_dir)]
+        if i % 2:
+            order.reverse()
+        for side, checkout in order:
+            runs[side].append(run(checkout, i))
+        print(f"pair {i + 1}/{pairs} ({order[0][0]} first){note(i, runs)}", file=sys.stderr)
+    return runs
+
+
+def measure(checkout: str, workload: str, seed: int) -> Dict[str, float]:
+    """One ``perfbench measure`` run in *checkout*, compiled from
+    source: its end-to-end metrics, by name.  Raises ``RuntimeError``
+    on a failed run."""
     cmd = [sys.executable, "-m", "perfbench", "measure", "--workload", workload,
            "--seed", str(seed), "--seconds", "10"]
-    with tempfile.TemporaryDirectory(prefix="perf-pairs-pycache-") as pycache:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": pycache}
-        proc = subprocess.run(cmd, cwd=checkout, env=env, stdout=subprocess.PIPE, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{checkout}: perfbench exited {proc.returncode}")
+    lines = run_from_source(cmd, checkout).strip().splitlines()
+    if not lines:
+        raise RuntimeError(f"{checkout}: perfbench printed nothing")
     run = json.loads(lines[-1])
     if not run["correct"] or run["failed"]:
         raise RuntimeError(f"{checkout} seed {seed}: incorrect run ({run['failed']} failed)")
@@ -109,21 +142,18 @@ def main(argv: Sequence[str]) -> int:
     base_dir, head_dir, workload = argv[:3]
     first = int(argv[3]) if len(argv) > 3 else 1
     pairs = int(argv[4]) if len(argv) > 4 else 10
-    runs: Dict[str, List[Dict[str, float]]] = {"base": [], "head": []}
-    for i in range(pairs):
-        seed = first + i
-        order = [("base", base_dir), ("head", head_dir)]
-        if i % 2:
-            order.reverse()
-        for side, checkout in order:
-            try:
-                runs[side].append(measure(checkout, workload, seed))
-            except RuntimeError as exc:
-                print(f"perf-pairs: {exc}", file=sys.stderr)
-                return 1
-        print(f"pair {i + 1}/{pairs} (seed {seed}, {order[0][0]} first): "
-              f"pass_wall_s.p50 base {runs['base'][-1]['pass_wall_s.p50']:.4g} "
-              f"head {runs['head'][-1]['pass_wall_s.p50']:.4g}", file=sys.stderr)
+    try:
+        runs = alternate(
+            lambda checkout, i: measure(checkout, workload, first + i),
+            base_dir, head_dir, pairs,
+            note=lambda i, runs: (
+                f", seed {first + i}: pass_wall_s.p50 "
+                f"base {runs['base'][-1]['pass_wall_s.p50']:.4g} "
+                f"head {runs['head'][-1]['pass_wall_s.p50']:.4g}"),
+        )
+    except RuntimeError as exc:
+        print(f"perf-pairs: {exc}", file=sys.stderr)
+        return 1
     print(f"{workload}: {pairs} alternating pairs, seeds {first}..{first + pairs - 1}")
     report(end_to_end(head_dir), runs)
     return 0

@@ -62,3 +62,15 @@ def test_every_run_compiles_from_source_in_a_fresh_pycache(monkeypatch):
     assert listed_a == listed_b == []
     assert prefix_a != prefix_b
     assert not os.path.exists(prefix_a) and not os.path.exists(prefix_b)
+
+
+def test_pairs_alternate_their_order_and_keep_each_side_apart():
+    calls = []
+
+    def run(checkout, i):
+        calls.append((checkout, i))
+        return f"{checkout}{i}"
+
+    runs = perf_pairs.alternate(run, "B", "H", 3)
+    assert calls == [("B", 0), ("H", 0), ("H", 1), ("B", 1), ("B", 2), ("H", 2)]
+    assert runs == {"base": ["B0", "B1", "B2"], "head": ["H0", "H1", "H2"]}
