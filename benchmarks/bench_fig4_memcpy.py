@@ -12,7 +12,7 @@ Two reproductions:
 
 from conftest import once
 
-from repro.config import BandwidthModelConfig, DRAM_CONFIG
+from repro.config import DRAM_CONFIG
 from repro.memory import CoreContentionModel
 from repro.memory.bandwidth import measure_host_parallel_memcpy
 from repro.metrics import Series, Table, render_series
@@ -24,7 +24,7 @@ BLOCK = MB(33)
 
 def test_fig4_model_curve(benchmark, report):
     def experiment():
-        model = CoreContentionModel(DRAM_CONFIG, BandwidthModelConfig())
+        model = CoreContentionModel(DRAM_CONFIG)
         return {n: BLOCK / model.copy_time(BLOCK, n) for n in PROCS}
 
     curve = once(benchmark, experiment)

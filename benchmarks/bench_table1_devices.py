@@ -7,11 +7,10 @@ write bandwidth on the virtual clock), not by echoing the config."""
 from conftest import once
 
 from repro.config import DRAM_CONFIG, PCM_CONFIG
-from repro.memory import MemoryDevice, make_device_bus
-from repro.config import BandwidthModelConfig
+from repro.memory import MemoryDevice
 from repro.metrics import Table
 from repro.sim import Engine
-from repro.units import GB, PAGE_SIZE, to_GB
+from repro.units import GB, to_GB
 
 
 def measure_device(config):

@@ -11,6 +11,7 @@ declared checkpoint set, plus the page-tracking transparent variant
 from conftest import once
 
 from repro.alloc import NVAllocator
+from repro.alloc.chunk import FAULT_COST
 from repro.apps import LammpsModel, RankBinding
 from repro.config import PrecopyPolicy
 from repro.core import LocalCheckpointer, TransparentCheckpointer, make_standalone_context
@@ -66,7 +67,7 @@ def test_transparent_vs_application_initiated(benchmark, report):
                 for _ in range(INTERVALS):
                     yield ctx2.engine.timeout(app.iteration_compute_time)
                     faults = t.mark_activity()
-                    cost = faults * PrecopyPolicy().fault_cost
+                    cost = faults * FAULT_COST
                     fault_time += cost
                     if cost:
                         yield ctx2.engine.timeout(cost)

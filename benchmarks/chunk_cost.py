@@ -89,7 +89,7 @@ def commit_metadata_us():
     for chunk in chunks:
         chunk.stage_to_nvm()
     t0 = time.perf_counter()
-    dest.commit(chunks, with_checksum=True)
+    dest.commit(chunks)
     dest.persist_metadata()
     dest.flush()
     return time.perf_counter() - t0

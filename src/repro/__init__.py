@@ -24,8 +24,6 @@ Quick start (see ``examples/quickstart.py``)::
     assert app2.chunk("temperature").view(np.float64)[0] == 0.0
 """
 
-from typing import Any
-
 from ._version import __version__
 from .config import (
     CheckpointConfig,
@@ -55,29 +53,6 @@ from .replay import ReplayEngine
 from .exec import GridResult, GridSpec, ResultCache, run_grid
 
 
-def checkpoint(target: Any, *, blocking: bool = True, **kwargs):
-    """Run one coordinated checkpoint on *target* — the stable
-    entry point over every checkpointer facade.
-
-    *target* is anything with the unified ``checkpoint()`` method
-    (:class:`CheckpointEngine`, :class:`LocalCheckpointer`,
-    ``TransparentCheckpointer``) or the Table-III ``nvchkptall()``
-    surface (:class:`NVMCheckpoint`).  With ``blocking=True`` (the
-    default) the stats are returned; ``blocking=False`` returns the DES
-    generator for embedding in a simulation.
-    """
-    fn = getattr(target, "checkpoint", None)
-    if callable(fn):
-        return fn(blocking=blocking, **kwargs)
-    fn = getattr(target, "nvchkptall", None)
-    if callable(fn) and blocking and not kwargs:
-        return fn()
-    raise TypeError(
-        f"{type(target).__name__} is not a checkpointer "
-        "(no checkpoint()/nvchkptall() method)"
-    )
-
-
 __all__ = [
     "__version__",
     # configuration
@@ -92,7 +67,6 @@ __all__ = [
     # core API
     "NVMCheckpoint",
     "CheckpointEngine",
-    "checkpoint",
     "LocalCheckpointer",
     "PrecopyEngine",
     "RemoteHelper",

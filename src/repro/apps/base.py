@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..alloc.chunk import Chunk
+from ..alloc.chunk import FAULT_COST, Chunk
 from ..alloc.nvmalloc import NVAllocator
-from ..config import PrecopyPolicy
 from ..net.interconnect import Fabric
 from ..sim.engine import Engine
 
@@ -113,7 +112,6 @@ class RankBinding:
     engine: Engine
     fabric: Optional[Fabric] = None
     neighbors: Sequence[int] = ()
-    fault_cost: float = PrecopyPolicy().fault_cost
     #: effective NVM->DRAM migration rate for lazy-restarted chunks
     #: (NVM reads are near-DRAM speed, Table I)
     migration_rate: float = 2.0 * 1024**3
@@ -128,7 +126,7 @@ class RankBinding:
     def charge_fault(self, faults: int) -> float:
         """Convert protection faults into lost compute seconds (the
         paper's 6-12 us per fault)."""
-        cost = faults * self.fault_cost
+        cost = faults * FAULT_COST
         self.fault_time += cost
         return cost
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..config import BandwidthModelConfig, DRAM_CONFIG
+from ..config import DRAM_CONFIG
 from ..memory.bandwidth import CoreContentionModel
 from ..units import GB, GiB, usec
 
@@ -69,7 +69,7 @@ class MemoryPathModel:
     """Allocation + memcpy checkpointing (what NVM-as-memory enables)."""
 
     def __init__(self) -> None:
-        self.contention = CoreContentionModel(DRAM_CONFIG, BandwidthModelConfig())
+        self.contention = CoreContentionModel(DRAM_CONFIG)
 
     def checkpoint_costs(self, nbytes: int, writers: int = 1) -> PathCosts:
         costs = PathCosts()
@@ -88,7 +88,7 @@ class RamdiskPathModel:
     """open/write/seek checkpointing onto tmpfs through the VFS."""
 
     def __init__(self) -> None:
-        self.contention = CoreContentionModel(DRAM_CONFIG, BandwidthModelConfig())
+        self.contention = CoreContentionModel(DRAM_CONFIG)
 
     def checkpoint_costs(self, nbytes: int, writers: int = 1) -> PathCosts:
         costs = PathCosts()

@@ -37,7 +37,7 @@ class Cluster:
         self.engine = Engine()
         self.rng = RngStreams(seed)
         self.topology = Topology(self.config.nodes)
-        self.fabric = Fabric(self.engine, self.config.nodes, self.config.interconnect)
+        self.fabric = Fabric(self.engine, self.config.nodes)
         self.nodes: List[ClusterNode] = [
             ClusterNode(
                 i,

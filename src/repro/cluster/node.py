@@ -97,7 +97,6 @@ class ClusterNode:
             engine=self.engine,
             fabric=fabric,
             neighbors=neighbors,
-            fault_cost=ckpt_config.precopy.fault_cost,
         )
         app.allocate(binding)
         checkpointer = LocalCheckpointer(
@@ -109,7 +108,6 @@ class ClusterNode:
                 if destination_factory is not None
                 else None
             ),
-            with_checksums=ckpt_config.checksums,
         )
         state = RankState(
             rank=rank,

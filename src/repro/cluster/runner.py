@@ -453,7 +453,7 @@ class ClusterRunner:
                     compute_time=max(1.0, self.app.iteration_compute_time) * 100.0,
                     checkpoint_bytes=max(1.0, float(ckpt_bytes)),
                     nvm_bw_per_core=nvm_bw,
-                    remote_bw=self.cluster.config.interconnect.effective_bandwidth,
+                    remote_bw=self.cluster.fabric.config.effective_bandwidth,
                     local_interval=normal,
                     remote_interval=self.ckpt_config.remote_interval,
                     mtbf_local=fc.mtbf_local if fc is not None else 3600.0,

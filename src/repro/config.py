@@ -18,20 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError
-from .units import (
-    GB,
-    GB_per_sec,
-    Gbit_per_sec,
-    PAGE_SIZE,
-    nsec,
-    usec,
-)
+from .units import GB, GB_per_sec, Gbit_per_sec, nsec, usec
 
 __all__ = [
     "DeviceConfig",
     "DRAM_CONFIG",
     "PCM_CONFIG",
-    "BandwidthModelConfig",
     "NodeConfig",
     "InterconnectConfig",
     "ClusterConfig",
@@ -66,7 +58,6 @@ class DeviceConfig:
     write_endurance: float = 1e16
     #: energy per written bit, joules (PCM ~40x DRAM per the paper).
     write_energy_per_bit: float = 1.0e-12
-    page_size: int = PAGE_SIZE
 
     def scaled(self, write_bandwidth: float) -> "DeviceConfig":
         """A copy of this device with a different peak write bandwidth
@@ -103,37 +94,6 @@ PCM_CONFIG = DeviceConfig(
 
 
 # ---------------------------------------------------------------------------
-# Per-core bandwidth contention (Figure 4).
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BandwidthModelConfig:
-    """Calibration of the per-core effective-bandwidth contention curve.
-
-    Figure 4 (LANL parallel memcpy) shows per-core copy bandwidth
-    dropping ~67% from 1 to 12 concurrent processes even for 33 MB
-    blocks.  We model the device bus as processor sharing with
-
-    * a per-flow cap: one core drives at most ``single_core_fraction``
-      of the device's peak bandwidth (a single thread cannot saturate a
-      DDR bus);
-    * an interference term shrinking usable capacity with concurrency:
-      ``C_eff(n) = C / (1 + alpha * (n - 1))`` (bank conflicts, row
-      misses).
-
-    Per-core rate is ``min(single_core_fraction*C, C_eff(n)/n)``.  With
-    the defaults (0.25, 0.01) the 1->12-process per-core drop is ~70%,
-    matching Fig. 4's shape: flat up to ~4 writers, then ~1/n decay.
-    """
-
-    single_core_fraction: float = 0.25
-    alpha: float = 0.01
-    #: below this block size, per-transfer fixed overhead dominates.
-    small_block_overhead: float = usec(10.0)
-
-
-# ---------------------------------------------------------------------------
 # Nodes and cluster (§VI methodology).
 # ---------------------------------------------------------------------------
 
@@ -145,7 +105,6 @@ class NodeConfig:
     cores: int = 12
     dram: DeviceConfig = DRAM_CONFIG
     nvm: DeviceConfig = PCM_CONFIG
-    bandwidth_model: BandwidthModelConfig = BandwidthModelConfig()
 
 
 @dataclass(frozen=True)
@@ -153,7 +112,6 @@ class InterconnectConfig:
     """Fabric parameters (40 Gb/s InfiniBand in the paper)."""
 
     link_bandwidth: float = Gbit_per_sec(40.0)
-    rdma_latency: float = usec(2.0)
     #: usable fraction of line rate (protocol efficiency).
     efficiency: float = 0.9
 
@@ -169,7 +127,6 @@ class ClusterConfig:
 
     nodes: int = 8
     node: NodeConfig = NodeConfig()
-    interconnect: InterconnectConfig = InterconnectConfig()
 
     @property
     def total_cores(self) -> int:
@@ -201,11 +158,6 @@ class PrecopyPolicy:
     #: "page" (the strawman §IV rejects: every written page faults,
     #: ~3 s of fault handling per GB of fully-rewritten data).
     granularity: str = "chunk"
-    #: safety margin multiplier on the computed copy time T_c when
-    #: deriving the threshold T_p (adapts for estimate error).
-    threshold_margin: float = 1.25
-    #: cost charged per protection fault (paper: 6-12 usec).
-    fault_cost: float = usec(9.0)
     #: copy granularity: "chunk" copies whole dirty chunks (the
     #: pre-incremental behaviour, and the default); "page" copies only
     #: the coalesced dirty-page extents recorded since each version
@@ -217,8 +169,6 @@ class PrecopyPolicy:
     #: block store; "auto" picks the cheapest per chunk per round and
     #: emits ``codec.decision`` trace events.
     codec: str = "raw"
-    #: content block size for digesting/delta (bytes; power of two).
-    codec_block: int = 4096
 
     def __post_init__(self) -> None:
         valid = {self.NONE, self.CPC, self.DCPC, self.DCPCP}
@@ -237,10 +187,6 @@ class PrecopyPolicy:
                 f"unknown codec {self.codec!r}; expected one of "
                 "['auto', 'dedup', 'delta', 'raw']"
             )
-        if self.codec_block <= 0 or self.codec_block & (self.codec_block - 1):
-            raise ConfigError(
-                f"codec_block must be a positive power of two, got {self.codec_block}"
-            )
 
     @property
     def incremental(self) -> bool:
@@ -256,7 +202,8 @@ class PrecopyPolicy:
 @dataclass(frozen=True)
 class CheckpointConfig:
     """Intervals, pre-copy and remote policy for a run.  Every run keeps
-    two versions of each chunk (committed + in-progress)."""
+    two versions of each chunk (committed + in-progress) and a checksum
+    of each committed version (restart checks it)."""
 
     #: seconds between coordinated local checkpoints (paper uses 40 s).
     local_interval: float = 40.0
@@ -265,8 +212,6 @@ class CheckpointConfig:
     precopy: PrecopyPolicy = PrecopyPolicy()
     #: pre-copy for the *remote* stream too (the paper's remote design).
     remote_precopy: bool = True
-    #: store/verify per-chunk checksums (optional feature, §V).
-    checksums: bool = True
 
 
 # ---------------------------------------------------------------------------

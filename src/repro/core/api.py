@@ -71,10 +71,7 @@ class NVMCheckpoint:
             clock=lambda: self.ctx.engine.now,
         )
         self.checkpointer = LocalCheckpointer(
-            self.ctx,
-            self.allocator,
-            self.config.precopy,
-            with_checksums=self.config.checksums,
+            self.ctx, self.allocator, self.config.precopy
         )
 
     # ------------------------------------------------------------------
@@ -238,10 +235,7 @@ class NVMCheckpoint:
         assert report.allocator is not None
         handle.allocator = report.allocator
         handle.checkpointer = LocalCheckpointer(
-            handle.ctx,
-            handle.allocator,
-            handle.config.precopy,
-            with_checksums=handle.config.checksums,
+            handle.ctx, handle.allocator, handle.config.precopy
         )
         return handle, report
 

@@ -10,7 +10,7 @@ facade (:class:`repro.core.api.NVMCheckpoint`) builds a standalone one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..config import NodeConfig
@@ -76,9 +76,9 @@ def make_standalone_context(
     dram = MemoryDevice(cfg.dram)
     nvm = MemoryDevice(cfg.nvm)
     nvmm = NVMKernelManager(device=nvm, store=store)
-    bus = make_device_bus(eng, cfg.nvm, cfg.bandwidth_model, name=f"{name}.nvm-bus")
+    contention = CoreContentionModel(cfg.nvm)
+    bus = make_device_bus(eng, contention, name=f"{name}.nvm-bus")
     cpu = CpuCores()
-    contention = CoreContentionModel(cfg.nvm, cfg.bandwidth_model)
     return NodeContext(
         name=name,
         engine=eng,

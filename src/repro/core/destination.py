@@ -122,7 +122,6 @@ class Destination:
         self,
         chunks: Iterable[Chunk],
         *,
-        with_checksum: bool = True,
         on_commit: Optional[Callable[[Chunk], None]] = None,
     ) -> float:
         """Flip every staged chunk's committed pointer (no-op for
@@ -179,10 +178,9 @@ class NVMArenaDestination(Destination):
         self,
         chunks: Iterable[Chunk],
         *,
-        with_checksum: bool = True,
         on_commit: Optional[Callable[[Chunk], None]] = None,
     ) -> float:
-        batch_commit(chunks, with_checksum=with_checksum, on_commit=on_commit)
+        batch_commit(chunks, on_commit=on_commit)
         return 0.0
 
     def persist_metadata(self) -> None:

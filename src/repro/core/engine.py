@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
-from ..alloc.chunk import Chunk, ChunkState
+from ..alloc.chunk import FAULT_COST, Chunk, ChunkState
 from ..alloc.nvmalloc import NVAllocator
 from ..config import PrecopyPolicy as PrecopyConfig
 from ..errors import CheckpointError
@@ -77,14 +77,12 @@ class CheckpointEngine:
         policy: Optional[PrecopyConfig] = None,
         *,
         destination: Optional[Destination] = None,
-        with_checksums: bool = True,
         tag: Optional[str] = None,
     ) -> None:
         self.ctx = ctx
         self.allocator = allocator
         self.policy = policy or PrecopyConfig()
         self.destination = destination or NVMArenaDestination(ctx, allocator)
-        self.with_checksums = with_checksums
         self.rank = allocator.pid
         self.tag = tag or self.rank
         self.last_checkpoint_end = ctx.engine.now
@@ -101,7 +99,7 @@ class CheckpointEngine:
         #: payload codec (None on the raw default path)
         self.codec = self.copier.codec
         if self.codec is not None:
-            self.destination.ensure_block_store(self.policy.codec_block)
+            self.destination.ensure_block_store()
 
         self.threshold: Optional[ThresholdEstimator] = None
         self.prediction: Optional[PredictionTable] = None
@@ -110,7 +108,6 @@ class CheckpointEngine:
         if policy_cls.needs_threshold:
             self.threshold = ThresholdEstimator(
                 bandwidth_per_core=ctx.effective_nvm_bw_per_core(),
-                margin=self.policy.threshold_margin,
                 clock=lambda: ctx.engine.now,
                 actor=str(self.rank),
             )
@@ -301,9 +298,7 @@ class CheckpointEngine:
                 fire("local.commit.after_data_flush", rank=self.rank)
             if dest.two_version:
                 dest.commit(
-                    all_persistent,
-                    with_checksum=self.with_checksums,
-                    on_commit=self._after_flip if ARMED else None,
+                    all_persistent, on_commit=self._after_flip if ARMED else None
                 )
             if self.codec is not None and dest.block_store is not None:
                 # the digest index commits with the data it describes:
@@ -397,7 +392,7 @@ class CheckpointEngine:
         """Total protection-fault cost incurred by the application due
         to chunk protection (charged by the app model to compute)."""
         faults = sum(c.fault_count for c in self.allocator.chunks())
-        return faults * self.policy.fault_cost
+        return faults * FAULT_COST
 
 
 #: the per-rank local checkpointer under its public name

@@ -169,7 +169,7 @@ class PrecopyEngine:
         #: where pre-copies land: the rank's NVM shadow arena
         self.destination = destination or NVMArenaDestination(ctx)
         if self.copier.codec is not None:
-            self.destination.ensure_block_store(policy.codec_block)
+            self.destination.ensure_block_store()
         self.threshold = threshold
         self.prediction = prediction
         if policy.mode == PrecopyPolicy.DCPC and threshold is None:

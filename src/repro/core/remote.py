@@ -232,7 +232,6 @@ class RemoteTarget(Destination):
         self,
         chunks: Iterable[Chunk] = (),
         *,
-        with_checksum: bool = True,
         on_commit: Optional[Callable[[Chunk], None]] = None,
     ) -> float:
         """Commit everything staged since the last commit (whatever
@@ -590,7 +589,7 @@ class RemoteHelper:
         self.targets = {a.pid: RemoteTarget(a.pid, buddy_ctx) for a in self.ranks}
         if self.codec is not None:
             for target in self.targets.values():
-                target.ensure_block_store(self.config.precopy.codec_block)
+                target.ensure_block_store()
 
     def retarget(
         self,

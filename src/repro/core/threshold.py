@@ -20,10 +20,13 @@ from typing import Callable, Optional
 
 from ..metrics.trace import BUS, PolicyDecisionEvent
 
-__all__ = ["MIN_MARGIN", "ThresholdEstimator"]
+__all__ = ["MIN_MARGIN", "THRESHOLD_MARGIN", "ThresholdEstimator"]
 
 #: the smallest safety margin on ``T_c`` (no margin at all)
 MIN_MARGIN = 1.0
+#: the safety margin multiplying ``T_c`` when deriving ``T_p`` (it
+#: absorbs the error of the measured ``D`` and ``I``)
+THRESHOLD_MARGIN = 1.25
 
 
 class ThresholdEstimator:
@@ -34,7 +37,7 @@ class ThresholdEstimator:
         self,
         bandwidth_per_core: float,
         smoothing: float = 0.5,
-        margin: float = 1.25,
+        margin: float = THRESHOLD_MARGIN,
         *,
         clock: Callable[[], float] = lambda: 0.0,
         actor: str = "threshold",

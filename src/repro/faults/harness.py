@@ -214,9 +214,7 @@ class CrashConsistencyHarness:
             self.PID, src.nvmm, src.dram, clock=lambda: engine.now
         )
         policy = PrecopyPolicy(mode=self.precopy_mode, codec=self.codec)
-        checkpointer = LocalCheckpointer(
-            src, allocator, policy, with_checksums=True, tag=self.PID
-        )
+        checkpointer = LocalCheckpointer(src, allocator, policy, tag=self.PID)
         world = _World(
             engine=engine,
             store=store,

@@ -16,7 +16,7 @@ from typing import Dict
 
 from ..config import DeviceConfig
 from ..errors import OutOfMemory
-from ..units import pages_of
+from ..units import PAGE_SIZE, pages_of
 
 __all__ = ["MemoryDevice", "WearStats"]
 
@@ -106,12 +106,12 @@ class MemoryDevice:
         per-page latency floor (1 us/page PCM writes dominate for small
         transfers)."""
         bw = self.config.write_bandwidth
-        latency_floor = pages_of(nbytes, self.config.page_size) * self.config.page_write_latency
+        latency_floor = pages_of(nbytes) * self.config.page_write_latency
         return max(nbytes / bw, latency_floor) if nbytes > 0 else 0.0
 
     def read_time(self, nbytes: int) -> float:
         bw = self.config.read_bandwidth
-        latency_floor = pages_of(nbytes, self.config.page_size) * self.config.page_read_latency
+        latency_floor = pages_of(nbytes) * self.config.page_read_latency
         return max(nbytes / bw, latency_floor) if nbytes > 0 else 0.0
 
     # -- traffic accounting -------------------------------------------------
@@ -124,12 +124,12 @@ class MemoryDevice:
         wear, config = self.wear, self.config
         wear.bytes_written += nbytes
         if nbytes > 0:
-            wear.page_writes += -(-nbytes // config.page_size)
+            wear.page_writes += -(-nbytes // PAGE_SIZE)
         wear.write_energy_joules += nbytes * 8 * config.write_energy_per_bit
 
     def record_read(self, nbytes: int) -> None:
         self.wear.bytes_read += nbytes
-        self.wear.page_reads += pages_of(nbytes, self.config.page_size)
+        self.wear.page_reads += pages_of(nbytes)
 
     # -- endurance ----------------------------------------------------------
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import List, Tuple
 
-from .._numpy import np
 from ..errors import InvalidAddress
 from ..units import PAGE_SIZE, pages_of
 
@@ -54,29 +53,6 @@ def _covered_pages(offset: int, nbytes: int, size: int, page_size: int) -> Tuple
     end = offset + nbytes
     last = pages_of(size, page_size) if end == size else end // page_size
     return (-(-offset // page_size), last)
-
-
-def _mask_extents(mask: np.ndarray, page_size: int, nbytes: int) -> List[Tuple[int, int]]:
-    """Coalesce a page bitmap into ``(offset, nbytes)`` byte runs.
-
-    Adjacent set pages merge into one extent; the final extent is
-    clipped to the region size (the last page may be partial).
-    """
-    if mask.size == 0:
-        return []
-    # run edges are where the bitmap flips; a run open at either end of
-    # the bitmap gets its missing edge there
-    edges = (np.flatnonzero(mask[1:] != mask[:-1]) + 1).tolist()
-    if mask[0]:
-        edges.insert(0, 0)
-    if mask[-1]:
-        edges.append(mask.size)
-    extents: List[Tuple[int, int]] = []
-    for s, e in zip(edges[0::2], edges[1::2]):
-        off = s * page_size
-        end_b = min(e * page_size, nbytes)
-        extents.append((off, end_b - off))
-    return extents
 
 
 class StalePageMap:

@@ -22,8 +22,12 @@ from ..errors import ClusterError, TransferCancelled
 from ..sim.engine import Engine
 from ..sim.events import _PENDING, Event
 from ..sim.resources import BandwidthResource, UsageMeter
+from ..units import usec
 
-__all__ = ["Fabric", "FabricTransfer", "LinkPair", "CHECKPOINT_KINDS"]
+__all__ = ["Fabric", "FabricTransfer", "LinkPair", "CHECKPOINT_KINDS", "RDMA_LATENCY"]
+
+#: base latency of one RDMA transfer, added after its last byte lands
+RDMA_LATENCY = usec(2.0)
 
 #: traffic kinds (tag suffixes after the last ':') that ride the
 #: checkpoint path's RDMA queue pairs.  A link outage tears these down
@@ -44,14 +48,14 @@ class FabricTransfer(Event):
     The first flow to complete only counts down.  The second, and every
     failed flow, queue one ready-lane call where a flow event's delivery
     would have been queued: the second completion's call schedules the
-    arrival ``latency`` later, and the first failure's fails the
+    arrival :data:`RDMA_LATENCY` later, and the first failure's fails the
     transfer one step later — the step an ``AllOf`` join would have
     taken.  Once the transfer has failed, later flow ends do nothing.
     """
 
-    __slots__ = ("src", "dst", "nbytes", "_latency", "_links")
+    __slots__ = ("src", "dst", "nbytes", "_links")
 
-    def __init__(self, engine: Engine, src: int, dst: int, nbytes: float, latency: float) -> None:
+    def __init__(self, engine: Engine, src: int, dst: int, nbytes: float) -> None:
         self.engine = engine
         self.name = ""
         self.callbacks = []
@@ -61,7 +65,6 @@ class FabricTransfer(Event):
         self.src = src
         self.dst = dst
         self.nbytes = nbytes
-        self._latency = latency
         #: link flows still to complete; 0 once one has failed
         self._links = 2
 
@@ -80,7 +83,7 @@ class FabricTransfer(Event):
 
     def _arrive(self) -> None:
         engine = self.engine
-        engine.call_at(engine.now + self._latency, self.succeed)
+        engine.call_at(engine.now + RDMA_LATENCY, self.succeed)
 
     def _on_failed_link(self, exc: BaseException) -> None:
         if self._links:
@@ -171,7 +174,7 @@ class Fabric:
                     )
                 )
                 return failed
-        done = FabricTransfer(self.engine, src, dst, nbytes, self.config.rdma_latency)
+        done = FabricTransfer(self.engine, src, dst, nbytes)
         self.links[src].egress.transfer_into(done, nbytes, tag)
         self.links[dst].ingress.transfer_into(done, nbytes, tag)
         return done

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
-from ..config import PrecopyPolicy
+from ..core.threshold import THRESHOLD_MARGIN
 from ..errors import ConfigError
 from .capture import CapturedRun, capture_cell
 from .divergence import (
@@ -97,9 +97,10 @@ class ReplayEngine:
     def _captured(self, key: str) -> Any:
         """The captured config's value of *key*.  No cell option sets
         the threshold margin, so a captured run always ran with
-        :class:`PrecopyPolicy`'s default, which the config never holds."""
+        :data:`~repro.core.threshold.THRESHOLD_MARGIN`, which the config
+        never holds."""
         if key == "threshold_margin":
-            return self.captured_config.get(key, PrecopyPolicy().threshold_margin)
+            return self.captured_config.get(key, THRESHOLD_MARGIN)
         return self.captured_config.get(key)
 
     @property

@@ -42,7 +42,7 @@ from ..core.codec import (
     codec_names,
 )
 from ..core.copystep import CopyAccounting
-from ..core.threshold import ThresholdEstimator
+from ..core.threshold import THRESHOLD_MARGIN, ThresholdEstimator
 from ..errors import ConfigError
 from .reconstruct import (
     ChunkActivity,
@@ -160,7 +160,7 @@ def run_whatif(
     *,
     bandwidth_scale: float = 1.0,
     copy_granularity: Optional[str] = None,
-    threshold_margin: float = 1.25,
+    threshold_margin: float = THRESHOLD_MARGIN,
     codec: Optional[str] = None,
     codec_block: int = DEFAULT_BLOCK,
     codec_novelty: float = DEFAULT_NOVELTY,

@@ -396,7 +396,7 @@ class BandwidthResource:
         self.per_flow_cap = float(per_flow_cap) if per_flow_cap else None
         #: optional effective capacity as a function of the number of
         #: concurrent flows (models interference; see
-        #: :class:`repro.config.BandwidthModelConfig`).
+        #: :mod:`repro.memory.bandwidth`).
         self.capacity_fn = capacity_fn
         self.name = name
         self._rates: Dict[int, float] = {}

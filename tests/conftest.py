@@ -7,7 +7,6 @@ import os
 import pytest
 
 from repro.config import (
-    BandwidthModelConfig,
     CheckpointConfig,
     ClusterConfig,
     DRAM_CONFIG,

@@ -6,7 +6,7 @@ here) so the state-keeping code can be checked against it.
   the epochs on every call;
 * :func:`full_search_contains` — ``BlockStore.contains`` asked about
   every block, base-equal or not, empty index or not;
-* :func:`index_diff_extents` — ``memory.page._mask_extents`` through
+* :func:`index_diff_extents` — ``stale_map_oracle.mask_extents`` through
   the set-page indices and their differences;
 * :func:`reference_plan` — the delta / dedup / auto planners on top of
   the first two: no base-equality shortcut, no materialised vector;

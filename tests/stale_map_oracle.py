@@ -6,7 +6,9 @@ the run representation can be checked against it.
 Its ``clear_extents`` rounds a partly covered page *outward* (clears
 it); the run map clears only pages an extent covers whole.  Callers
 hand the oracle extents already rounded inward (:func:`covered_runs`),
-so both answer the same question.
+so both answer the same question.  Its rows coalesce into byte runs
+through :func:`mask_extents`, which moved here with it: the run map
+needs no bitmap.
 """
 
 from __future__ import annotations
@@ -15,8 +17,31 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.memory.page import _mask_extents, _page_range
+from repro.memory.page import _page_range
 from repro.units import PAGE_SIZE, pages_of
+
+
+def mask_extents(mask: np.ndarray, page_size: int, nbytes: int) -> List[Tuple[int, int]]:
+    """Coalesce a page bitmap into ``(offset, nbytes)`` byte runs.
+
+    Adjacent set pages merge into one extent; the final extent is
+    clipped to the region size (the last page may be partial).
+    """
+    if mask.size == 0:
+        return []
+    # run edges are where the bitmap flips; a run open at either end of
+    # the bitmap gets its missing edge there
+    edges = (np.flatnonzero(mask[1:] != mask[:-1]) + 1).tolist()
+    if mask[0]:
+        edges.insert(0, 0)
+    if mask[-1]:
+        edges.append(mask.size)
+    extents: List[Tuple[int, int]] = []
+    for s, e in zip(edges[0::2], edges[1::2]):
+        off = s * page_size
+        end_b = min(e * page_size, nbytes)
+        extents.append((off, end_b - off))
+    return extents
 
 
 def covered_runs(
@@ -88,7 +113,7 @@ class StalePageMap:
     def extents(self, slot: int, clear: bool = False) -> List[Tuple[int, int]]:
         """Coalesced stale byte runs for one version slot."""
         row = self._stale[slot]
-        extents = _mask_extents(row, self.page_size, self.nbytes)
+        extents = mask_extents(row, self.page_size, self.nbytes)
         if clear:
             row[:] = False
         return extents

@@ -218,14 +218,14 @@ class TestChecksums:
         chunk, _ = make_chunk()
         chunk.write(0, np.arange(100, dtype=np.float64))
         chunk.stage_to_nvm()
-        batch_commit([chunk], with_checksum=True)
+        batch_commit([chunk])
         assert chunk.verify_checksum()
 
     def test_checksum_detects_corruption(self):
         chunk, nvmm = make_chunk()
         chunk.write(0, np.arange(100, dtype=np.float64))
         chunk.stage_to_nvm()
-        batch_commit([chunk], with_checksum=True)
+        batch_commit([chunk])
         # corrupt the committed NVM bytes behind the chunk's back
         nvmm.store.write("p0/c#v0", 0, np.full(8, 0xFF, dtype=np.uint8))
         assert not chunk.verify_checksum()
@@ -234,16 +234,10 @@ class TestChecksums:
         chunk, _ = make_chunk()
         assert not chunk.verify_checksum()
 
-    def test_checksum_disabled_passes(self):
-        chunk, _ = make_chunk()
-        chunk.stage_to_nvm()
-        batch_commit([chunk], with_checksum=False)
-        assert chunk.verify_checksum()  # None checksum -> trusted
-
     def test_phantom_checksum(self):
         chunk, _ = make_chunk(phantom=True)
         chunk.stage_to_nvm()  # a phantom stage writes phantom bytes
-        batch_commit([chunk], with_checksum=True)
+        batch_commit([chunk])
         assert chunk.verify_checksum()
 
 

@@ -60,20 +60,6 @@ class TestUnifiedCheckpointVerb:
         tc.mark_activity()
         assert tc.checkpoint().bytes_copied == MB(8)
 
-    def test_top_level_checkpoint_helper(self):
-        import repro
-
-        ctx, alloc, ck = make_local_rig()
-        alloc.nvalloc("a", MB(4))
-        stats = repro.checkpoint(ck)
-        assert isinstance(stats, CheckpointStats)
-        assert stats.chunks_copied == 1
-        gen = repro.checkpoint(ck, blocking=False)
-        assert hasattr(gen, "send")
-        gen.close()
-        with pytest.raises(TypeError):
-            repro.checkpoint(object())
-
     def test_facade_checkpoint_all_and_single(self):
         app = NVMCheckpoint("p0")
         app.nvalloc("a", MB(2))

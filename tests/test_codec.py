@@ -78,8 +78,6 @@ def test_registry_names_and_resolution():
 def test_policy_rejects_unknown_codec_and_bad_block():
     with pytest.raises(ConfigError):
         PrecopyPolicy(codec="gzip")
-    with pytest.raises(ConfigError):
-        PrecopyPolicy(codec="auto", codec_block=3000)
     assert not PrecopyPolicy().codec_enabled
     assert PrecopyPolicy(codec="delta").codec_enabled
 

@@ -5,8 +5,9 @@ import dataclasses
 
 import pytest
 
+from repro import config
+from repro.alloc.chunk import FAULT_COST
 from repro.config import (
-    BandwidthModelConfig,
     CheckpointConfig,
     ClusterConfig,
     DRAM_CONFIG,
@@ -16,6 +17,8 @@ from repro.config import (
     PCM_CONFIG,
     PrecopyPolicy,
 )
+from repro.exec.cell import build_parser
+from repro.memory.bandwidth import SINGLE_CORE_FRACTION
 from repro.units import GB_per_sec
 
 
@@ -79,7 +82,7 @@ class TestPrecopyPolicy:
 
     def test_fault_cost_in_paper_band(self):
         # 6-12 usec per protection fault
-        assert 6e-6 <= PrecopyPolicy().fault_cost <= 12e-6
+        assert 6e-6 <= FAULT_COST <= 12e-6
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -124,11 +127,75 @@ class TestFailureConfig:
 
 class TestBandwidthModelConfig:
     def test_single_core_fraction_reasonable(self):
-        cfg = BandwidthModelConfig()
-        assert 0.0 < cfg.single_core_fraction <= 1.0
+        assert 0.0 < SINGLE_CORE_FRACTION <= 1.0
 
     def test_checkpoint_config_defaults(self):
         cc = CheckpointConfig()
         assert cc.local_interval == pytest.approx(40.0)
         assert cc.remote_interval > cc.local_interval
-        assert cc.checksums
+
+
+class TestSettableSurface:
+    """No option, flag or config field arrives unnoticed: a change that
+    adds or removes one edits these lists in its own diff."""
+
+    CONFIG_FIELDS = [
+        "CheckpointConfig.local_interval",
+        "CheckpointConfig.precopy",
+        "CheckpointConfig.remote_interval",
+        "CheckpointConfig.remote_precopy",
+        "ClusterConfig.node",
+        "ClusterConfig.nodes",
+        "DeviceConfig.capacity",
+        "DeviceConfig.name",
+        "DeviceConfig.page_read_latency",
+        "DeviceConfig.page_write_latency",
+        "DeviceConfig.persistent",
+        "DeviceConfig.read_bandwidth",
+        "DeviceConfig.write_bandwidth",
+        "DeviceConfig.write_endurance",
+        "DeviceConfig.write_energy_per_bit",
+        "FailureConfig.mtbf_local",
+        "FailureConfig.mtbf_remote",
+        "FailureConfig.seed",
+        "InterconnectConfig.efficiency",
+        "InterconnectConfig.link_bandwidth",
+        "NodeConfig.cores",
+        "NodeConfig.dram",
+        "NodeConfig.nvm",
+        "PrecopyPolicy.codec",
+        "PrecopyPolicy.copy_granularity",
+        "PrecopyPolicy.granularity",
+        "PrecopyPolicy.mode",
+    ]
+
+    CELL_OPTIONS = [
+        "--app", "--archive", "--checkpoint-mb", "--chunk-mb", "--codec",
+        "--comm-mb", "--compress-ratio", "--copy-granularity",
+        "--granularity", "--help", "--hot-fraction", "--ideal",
+        "--iterations", "--json", "--local-interval", "--mode",
+        "--mtbf-local", "--mtbf-remote", "--no-remote",
+        "--no-remote-precopy", "--nodes", "--nvm-capacity-gb", "--nvm-gbps",
+        "--pfs-gbps", "--ranks-per-node", "--remote-interval", "--scenario",
+        "--seed", "--small-chunks", "--timeline", "--trace",
+        "--write-once-fraction", "-h",
+    ]
+
+    def test_config_fields_are_pinned(self):
+        # the set `make loc` counts: every field of a dataclass that
+        # repro.config itself defines
+        fields = sorted(
+            f"{cls.__name__}.{f.name}"
+            for cls in vars(config).values()
+            if isinstance(cls, type)
+            and dataclasses.is_dataclass(cls)
+            and cls.__module__ == config.__name__
+            for f in dataclasses.fields(cls)
+        )
+        assert fields == self.CONFIG_FIELDS
+
+    def test_cell_options_are_pinned(self):
+        options = sorted(
+            flag for action in build_parser()._actions for flag in action.option_strings
+        )
+        assert options == self.CELL_OPTIONS

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.alloc import NVAllocator
+from repro.alloc.chunk import FAULT_COST
 from repro.config import PrecopyPolicy
 from repro.core import LocalCheckpointer, make_standalone_context
 from repro.metrics.timeline import Timeline, LOCAL_CKPT
@@ -154,7 +155,7 @@ class TestPrecopyIntegration:
 
         ctx.engine.process(app())
         ctx.engine.run()
-        assert ck.fault_overhead() == pytest.approx(ck.policy.fault_cost)
+        assert ck.fault_overhead() == pytest.approx(FAULT_COST)
 
 
 class TestIntervalBookkeeping:

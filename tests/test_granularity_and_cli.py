@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.alloc.chunk import FAULT_COST
 from repro.config import PrecopyPolicy
 from repro.exec.cell import build_parser, result_to_dict, run_experiment
 from repro.tools.experiment import main
@@ -46,7 +47,7 @@ class TestGranularity:
         from repro.units import GB, pages_of
 
         faults = pages_of(GB(1))
-        cost = faults * PrecopyPolicy().fault_cost
+        cost = faults * FAULT_COST
         assert 1.5 <= cost <= 3.2  # '3 sec for 1 GB'
 
     def test_checkpointer_wires_granularity(self):

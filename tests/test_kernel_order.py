@@ -22,7 +22,7 @@ import pytest
 
 from repro.config import InterconnectConfig
 from repro.errors import ProcessKilled
-from repro.net.interconnect import CHECKPOINT_KINDS, Fabric
+from repro.net.interconnect import CHECKPOINT_KINDS, RDMA_LATENCY, Fabric
 from repro.sim.engine import Engine
 from repro.sim.resources import BandwidthResource
 
@@ -32,7 +32,7 @@ SEEDS = range(160)
 N_NODES = 3
 N_EVENTS = 4
 CAPACITY = 1000.0  # bytes/s: sizes below finish on round times, and tie
-LATENCY = InterconnectConfig().rdma_latency
+LATENCY = RDMA_LATENCY
 DELAYS = (0.0, 0.0, 0.25, 0.5, 0.5, 1.0, 1.5, 3.0)
 SIZES = (0.0, 100.0, 250.0, 250.0, 500.0, 1000.0)
 KINDS = ("app", "rckpt", "precopy", "resync")

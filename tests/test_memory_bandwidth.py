@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.config import BandwidthModelConfig, DRAM_CONFIG, PCM_CONFIG
+from repro.config import DRAM_CONFIG, PCM_CONFIG
 from repro.memory import CoreContentionModel, make_device_bus
+from repro.memory.bandwidth import SMALL_BLOCK_OVERHEAD
 from repro.sim import Engine
 from repro.units import MB
 from tests.conftest import run_proc
@@ -11,7 +12,7 @@ from tests.conftest import run_proc
 
 @pytest.fixture
 def model():
-    return CoreContentionModel(PCM_CONFIG, BandwidthModelConfig())
+    return CoreContentionModel(PCM_CONFIG)
 
 
 class TestContentionCurve:
@@ -53,7 +54,7 @@ class TestContentionCurve:
 class TestCopyTime:
     def test_copy_time_includes_fixed_overhead(self, model):
         t_small = model.copy_time(1)
-        assert t_small >= model.model.small_block_overhead
+        assert t_small >= SMALL_BLOCK_OVERHEAD
 
     def test_copy_time_zero_bytes(self, model):
         assert model.copy_time(0) == 0.0
@@ -71,8 +72,8 @@ class TestCopyTime:
 class TestDeviceBus:
     def test_bus_honors_contention_model(self):
         engine = Engine()
-        bus = make_device_bus(engine, PCM_CONFIG, BandwidthModelConfig())
-        model = CoreContentionModel(PCM_CONFIG, BandwidthModelConfig())
+        model = CoreContentionModel(PCM_CONFIG)
+        bus = make_device_bus(engine, model)
 
         def p():
             yield bus.transfer(MB(100))
@@ -84,8 +85,8 @@ class TestDeviceBus:
 
     def test_bus_contention_with_12_writers(self):
         engine = Engine()
-        bus = make_device_bus(engine, PCM_CONFIG, BandwidthModelConfig())
-        model = CoreContentionModel(PCM_CONFIG, BandwidthModelConfig())
+        model = CoreContentionModel(PCM_CONFIG)
+        bus = make_device_bus(engine, model)
         ends = []
 
         def p():
@@ -100,8 +101,8 @@ class TestDeviceBus:
 
     def test_dram_bus_faster_than_pcm(self):
         e1, e2 = Engine(), Engine()
-        dram_bus = make_device_bus(e1, DRAM_CONFIG, BandwidthModelConfig())
-        pcm_bus = make_device_bus(e2, PCM_CONFIG, BandwidthModelConfig())
+        dram_bus = make_device_bus(e1, CoreContentionModel(DRAM_CONFIG))
+        pcm_bus = make_device_bus(e2, CoreContentionModel(PCM_CONFIG))
 
         def p(bus, eng):
             yield bus.transfer(MB(100))
@@ -116,31 +117,31 @@ class TestZeroFlowValidation:
     hid double-counting, so the model now refuses loudly."""
 
     def test_effective_capacity_rejects_zero_flows(self):
-        model = CoreContentionModel(PCM_CONFIG, BandwidthModelConfig())
+        model = CoreContentionModel(PCM_CONFIG)
         with pytest.raises(ValueError, match="n_flows"):
             model.effective_capacity(0)
         with pytest.raises(ValueError, match="n_flows"):
             model.effective_capacity(-3)
 
     def test_per_core_rate_rejects_zero_flows(self):
-        model = CoreContentionModel(PCM_CONFIG, BandwidthModelConfig())
+        model = CoreContentionModel(PCM_CONFIG)
         with pytest.raises(ValueError, match="n_flows"):
             model.per_core_rate(0)
 
     def test_copy_time_rejects_zero_flows(self):
-        model = CoreContentionModel(PCM_CONFIG, BandwidthModelConfig())
+        model = CoreContentionModel(PCM_CONFIG)
         with pytest.raises(ValueError, match="n_flows"):
             model.copy_time(MB(1), n_flows=0)
 
     def test_copy_time_validates_before_zero_byte_early_return(self):
         # the n_flows check must fire even when nbytes == 0 would
         # otherwise short-circuit to 0.0 and mask the caller bug
-        model = CoreContentionModel(PCM_CONFIG, BandwidthModelConfig())
+        model = CoreContentionModel(PCM_CONFIG)
         with pytest.raises(ValueError, match="n_flows"):
             model.copy_time(0, n_flows=0)
 
     def test_aggregate_rate_zero_flows_is_zero_not_error(self):
         # aggregate over zero writers is a well-defined 0.0 (an idle
         # bus), unlike the per-writer quantities above
-        model = CoreContentionModel(PCM_CONFIG, BandwidthModelConfig())
+        model = CoreContentionModel(PCM_CONFIG)
         assert model.aggregate_rate(0) == 0.0

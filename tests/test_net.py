@@ -5,6 +5,7 @@ import pytest
 from repro.config import InterconnectConfig
 from repro.errors import ClusterError, SimulationError, TransferCancelled
 from repro.net import Fabric, Topology, rdma_get, rdma_put
+from repro.net.interconnect import RDMA_LATENCY
 from repro.sim import BandwidthResource, Engine
 from repro.units import MB
 from tests.conftest import run_proc
@@ -68,7 +69,7 @@ class TestFabric:
             return engine.now
 
         t = run_proc(engine, p())
-        assert t == pytest.approx(1.0 + fab.config.rdma_latency, rel=1e-6)
+        assert t == pytest.approx(1.0 + RDMA_LATENCY, rel=1e-6)
 
     def test_loopback_rejected(self, engine):
         fab = Fabric(engine, 2)
@@ -88,7 +89,7 @@ class TestFabric:
         engine.process(p(1))
         engine.process(p(2))
         engine.run()
-        assert max(ends) == pytest.approx(2.0 + fab.config.rdma_latency, rel=1e-3)
+        assert max(ends) == pytest.approx(2.0 + RDMA_LATENCY, rel=1e-3)
 
     def test_ingress_contention(self, engine):
         """Two senders into one node share its ingress link."""
@@ -103,7 +104,7 @@ class TestFabric:
         engine.process(p(1))
         engine.process(p(2))
         engine.run()
-        assert max(ends) == pytest.approx(2.0 + fab.config.rdma_latency, rel=1e-3)
+        assert max(ends) == pytest.approx(2.0 + RDMA_LATENCY, rel=1e-3)
 
     def test_disjoint_pairs_full_rate(self, engine):
         fab = Fabric(engine, 4)
@@ -117,7 +118,7 @@ class TestFabric:
         engine.process(p(0, 1))
         engine.process(p(2, 3))
         engine.run()
-        assert max(ends) == pytest.approx(1.0 + fab.config.rdma_latency, rel=1e-3)
+        assert max(ends) == pytest.approx(1.0 + RDMA_LATENCY, rel=1e-3)
 
     def test_total_bytes_by_suffix(self, engine):
         fab = Fabric(engine, 2)

@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from repro.alloc import NVAllocator
 from repro.alloc.chunk import batch_commit
 from repro.core import make_standalone_context
-from repro.memory.page import StalePageMap, _mask_extents
+from repro.memory.page import StalePageMap
 
 from tests.recompute_oracles import index_diff_extents
+from tests.stale_map_oracle import mask_extents
 
 PAGE = 64  # small pages so a few writes exercise many boundary cases
 N_PAGES = 40
@@ -138,7 +139,7 @@ def test_extent_staging_reproduces_dram_exactly(rounds):
 
 def _both(mask, nbytes):
     mask = np.asarray(mask, dtype=bool)
-    got = _mask_extents(mask, PAGE, nbytes)
+    got = mask_extents(mask, PAGE, nbytes)
     assert got == index_diff_extents(mask, PAGE, nbytes)
     assert all(type(v) is int for run in got for v in run)
     return got

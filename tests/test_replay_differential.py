@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import PrecopyPolicy
+from repro.core.threshold import THRESHOLD_MARGIN
 from repro.replay import (
     ReplayEngine,
     capture_cell,
@@ -140,8 +140,7 @@ def test_replay_record_marks_faithful_vs_model():
 
 def test_captured_threshold_margin_replays_faithfully():
     """No cell option sets the margin, so the captured config never
-    holds it; the captured run's own margin is the policy default."""
+    holds it; the captured run's own margin is the constant."""
     engine = capture_cell(dict(BASE, mode="dcpcp")).engine()
-    default = PrecopyPolicy().threshold_margin
-    assert engine.replay(threshold_margin=default)["replay.faithful"] is True
+    assert engine.replay(threshold_margin=THRESHOLD_MARGIN)["replay.faithful"] is True
     assert engine.replay(threshold_margin=1.5)["replay.faithful"] is False
